@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"time"
 
 	"preemptsched/internal/obs"
@@ -141,42 +140,9 @@ func (e *Engine) dump(p *proc.Process, store storage.Store, name string, opts Du
 		DumpedPages:  uint32(len(pages)),
 	}
 
-	w, err := store.Create(name)
+	stored, err := writeImage(store, name, h, func(i int) (int, []byte) { return pages[i], mem.Page(pages[i]) })
 	if err != nil {
-		return nil, fmt.Errorf("checkpoint: create image %q: %w", name, err)
-	}
-	// A dump that dies mid-write (torn write, lost DataNode) must not
-	// leave a half-image squatting on the name: remove it (and any
-	// manifest) best-effort so the namespace stays clean and a later dump
-	// can reuse the path.
-	abort := func(err error) (*ImageInfo, error) {
-		_ = store.Remove(name)
-		_ = store.Remove(ManifestName(name))
 		return nil, err
-	}
-	// The hash writer sees every byte of the object, including the CRC
-	// trailer, so the manifest attests the exact stored representation.
-	hw := newHashWriter(w)
-	cw := &crcWriter{w: hw}
-	if err := encodeHeader(cw, h); err != nil {
-		return abort(fmt.Errorf("checkpoint: write header of %q: %w", name, err))
-	}
-	for _, idx := range pages {
-		if err := binary.Write(cw, binary.BigEndian, uint32(idx)); err != nil {
-			return abort(fmt.Errorf("checkpoint: write page index of %q: %w", name, err))
-		}
-		if _, err := cw.Write(mem.Page(idx)); err != nil {
-			return abort(fmt.Errorf("checkpoint: write page %d of %q: %w", idx, name, err))
-		}
-	}
-	if err := binary.Write(hw, binary.BigEndian, cw.crc); err != nil {
-		return abort(fmt.Errorf("checkpoint: write crc of %q: %w", name, err))
-	}
-	if err := w.Close(); err != nil {
-		return abort(fmt.Errorf("checkpoint: close image %q: %w", name, err))
-	}
-	if err := writeManifest(store, name, hw.sum(), hw.n); err != nil {
-		return abort(fmt.Errorf("checkpoint: write manifest of %q: %w", name, err))
 	}
 
 	logical := mem.LogicalBytes()
@@ -193,67 +159,63 @@ func (e *Engine) dump(p *proc.Process, store storage.Store, name string, opts Du
 		Incremental:       h.Incremental,
 		Steps:             h.Steps,
 		DumpedPages:       len(pages),
-		StoredBytes:       cw.n + 4,
+		StoredBytes:       stored,
 		LogicalBytes:      logical,
 		TotalLogicalBytes: mem.LogicalBytes(),
 	}, nil
 }
 
-// readImage loads one image, verifying its CRC, and returns its header and
-// page records.
-func readImage(store storage.Store, name string) (*Header, map[int][]byte, error) {
-	r, err := store.Open(name)
+// writeImage publishes an image under name: the header, h.DumpedPages page
+// records drawn from page, the CRC trailer, and then the manifest attesting
+// the exact bytes written. It returns the stored size. A write that dies
+// part-way (torn write, lost DataNode) must not leave a half-image
+// squatting on the name: image and manifest are removed best-effort so the
+// namespace stays clean and a later dump can reuse the path.
+func writeImage(store storage.Store, name string, h *Header, page func(i int) (idx int, data []byte)) (stored int64, err error) {
+	w, err := store.Create(name)
 	if err != nil {
-		return nil, nil, fmt.Errorf("checkpoint: open image %q: %w", name, err)
+		return 0, fmt.Errorf("checkpoint: create image %q: %w", name, err)
 	}
-	defer r.Close()
-	cr := &crcReader{r: r}
-	h, err := decodeHeader(cr)
-	if err != nil {
-		return nil, nil, fmt.Errorf("checkpoint: image %q: %w", name, err)
-	}
-	// Cap the map pre-size: DumpedPages is attacker-controlled in a corrupt
-	// image, and a huge hint would allocate buckets before any page is read.
-	hint := h.DumpedPages
-	if hint > 1024 {
-		hint = 1024
-	}
-	pages := make(map[int][]byte, hint)
-	for i := uint32(0); i < h.DumpedPages; i++ {
-		var idx uint32
-		if err := binary.Read(cr, binary.BigEndian, &idx); err != nil {
-			return nil, nil, fmt.Errorf("%w: image %q: truncated page index: %v", ErrCorrupt, name, err)
+	defer func() {
+		if err != nil {
+			_ = store.Remove(name)
+			_ = store.Remove(ManifestName(name))
 		}
-		if idx >= h.RealPages {
-			return nil, nil, fmt.Errorf("%w: image %q: page index %d out of range", ErrCorrupt, name, idx)
+	}()
+	// The hash writer sees every byte of the object, including the CRC
+	// trailer, so the manifest attests the exact stored representation.
+	hw := newHashWriter(w)
+	cw := &crcWriter{w: hw}
+	if err := encodeHeader(cw, h); err != nil {
+		return 0, fmt.Errorf("checkpoint: write header of %q: %w", name, err)
+	}
+	var word [4]byte
+	for i := 0; i < int(h.DumpedPages); i++ {
+		idx, data := page(i)
+		binary.BigEndian.PutUint32(word[:], uint32(idx))
+		if _, err := cw.Write(word[:]); err != nil {
+			return 0, fmt.Errorf("checkpoint: write page index of %q: %w", name, err)
 		}
-		data := make([]byte, h.PageSize)
-		if _, err := io.ReadFull(cr, data); err != nil {
-			return nil, nil, fmt.Errorf("%w: image %q: truncated page %d: %v", ErrCorrupt, name, idx, err)
+		if _, err := cw.Write(data); err != nil {
+			return 0, fmt.Errorf("checkpoint: write page %d of %q: %w", idx, name, err)
 		}
-		pages[int(idx)] = data
 	}
-	sum := cr.crc
-	var want uint32
-	if err := binary.Read(r, binary.BigEndian, &want); err != nil {
-		return nil, nil, fmt.Errorf("%w: image %q: missing crc: %v", ErrCorrupt, name, err)
+	binary.BigEndian.PutUint32(word[:], cw.crc)
+	if _, err := hw.Write(word[:]); err != nil {
+		return 0, fmt.Errorf("checkpoint: write crc of %q: %w", name, err)
 	}
-	if sum != want {
-		return nil, nil, fmt.Errorf("%w: image %q: crc mismatch (got %08x, want %08x)", ErrCorrupt, name, sum, want)
+	if err := w.Close(); err != nil {
+		return 0, fmt.Errorf("checkpoint: close image %q: %w", name, err)
 	}
-	return h, pages, nil
+	if err := writeManifest(store, name, hw.sum(), hw.n); err != nil {
+		return 0, fmt.Errorf("checkpoint: write manifest of %q: %w", name, err)
+	}
+	return hw.n, nil
 }
 
-// ReadInfo inspects an image without restoring it.
-func ReadInfo(store storage.Store, name string) (*ImageInfo, error) {
-	h, pages, err := readImage(store, name)
-	if err != nil {
-		return nil, err
-	}
-	size, err := store.Size(name)
-	if err != nil {
-		return nil, err
-	}
+// infoFromHeader summarizes an image from its decoded header and the byte
+// count of the pass that decoded it.
+func infoFromHeader(name string, h *Header, stored int64) *ImageInfo {
 	logical := h.LogicalBytes
 	if h.Incremental && h.RealPages > 0 {
 		logical = int64(float64(h.DumpedPages) / float64(h.RealPages) * float64(h.LogicalBytes))
@@ -265,47 +227,159 @@ func ReadInfo(store storage.Store, name string) (*ImageInfo, error) {
 		Parent:            h.Parent,
 		Incremental:       h.Incremental,
 		Steps:             h.Steps,
-		DumpedPages:       len(pages),
-		StoredBytes:       size,
+		DumpedPages:       int(h.DumpedPages),
+		StoredBytes:       stored,
 		LogicalBytes:      logical,
 		TotalLogicalBytes: h.LogicalBytes,
-	}, nil
+	}
 }
 
-// Chain returns the image names from the full base dump to name inclusive,
-// in application order.
-func Chain(store storage.Store, name string) ([]string, error) {
-	var rev []string
-	cur := name
-	for depth := 0; ; depth++ {
-		if depth >= maxChainDepth {
+// ReadInfo inspects an image without restoring it.
+func ReadInfo(store storage.Store, name string) (*ImageInfo, error) {
+	h, d, err := scanImage(store, name, false, nil)
+	if err != nil {
+		return nil, err
+	}
+	return infoFromHeader(name, h, d.size), nil
+}
+
+// pageRec is one page record of a link, retained until the link may be
+// applied.
+type pageRec struct {
+	idx  int
+	data []byte
+}
+
+// link is what the one read of one chain image established.
+type link struct {
+	name   string
+	h      *Header
+	stored int64
+	// pages holds the link's page records in stored order; nil unless the
+	// walk retains pages.
+	pages []pageRec
+	// verr is the manifest's verdict on the stored bytes; nil when they
+	// match or the image has no manifest (legacy dumps), and always nil on
+	// an unverified walk.
+	verr error
+}
+
+// readChain walks the chain ending at name from tip to base, following
+// each image's parent pointer, and returns the links tip-first. Every
+// image is opened and read exactly once and must decode with a clean CRC;
+// with verify set every manifest is opened exactly once too and its
+// verdict recorded in the link, to be acted on base-first by the caller —
+// so a corrupt link anywhere in the chain is reported as ErrCorrupt ahead
+// of any ErrVerifyFailed. With keepPages set the links retain their page
+// records, up to the first link that fails verification: nothing at or
+// above it may be applied, so nothing more is held.
+func readChain(store storage.Store, name string, verify, keepPages bool) ([]link, error) {
+	var links []link
+	seen := make(map[string]bool)
+	for cur := name; cur != ""; {
+		if len(links) >= maxChainDepth {
 			return nil, fmt.Errorf("%w: image chain from %q exceeds depth %d (cycle?)", ErrCorrupt, name, maxChainDepth)
 		}
-		h, _, err := readImage(store, cur)
+		if seen[cur] {
+			return nil, fmt.Errorf("%w: image chain from %q revisits %q (cycle)", ErrCorrupt, name, cur)
+		}
+		seen[cur] = true
+		l := link{name: cur}
+		var visit func(int, []byte)
+		if keepPages {
+			visit = func(idx int, page []byte) { l.pages = append(l.pages, pageRec{idx, page}) }
+		}
+		h, d, err := scanImage(store, cur, verify, visit)
 		if err != nil {
 			return nil, err
 		}
-		rev = append(rev, cur)
-		if h.Parent == "" {
-			break
+		l.h, l.stored = h, d.size
+		if verify {
+			wantSum, wantSize, err := readManifest(store, cur)
+			if err == nil {
+				err = checkManifest(cur, d, wantSum, wantSize)
+			}
+			if err != nil && !errors.Is(err, ErrNoManifest) {
+				l.verr = err
+				l.pages = nil
+				for i := range links {
+					links[i].pages = nil
+				}
+				keepPages = false
+			}
 		}
+		links = append(links, l)
 		cur = h.Parent
 	}
-	// Reverse to base-first order.
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
+	return links, nil
+}
+
+// Chain returns the image names from the full base dump to name inclusive,
+// in application order. Every link is decoded and CRC-checked on the way
+// (callers such as RemoveChain act destructively on the result and must not
+// follow an unchecked parent pointer), but no page is retained.
+func Chain(store storage.Store, name string) ([]string, error) {
+	links, err := readChain(store, name, false, false)
+	if err != nil {
+		return nil, err
 	}
-	return rev, nil
+	names := make([]string, len(links))
+	for i, l := range links {
+		names[len(links)-1-i] = l.name
+	}
+	return names, nil
+}
+
+// verifiedChain reads the chain ending at name with its pages, checks every
+// link against its manifest and the chain's structural invariants, and
+// returns the links base-first. Errors keep the precedence of the walk: a
+// link that fails decode or CRC is ErrCorrupt; otherwise the base-most
+// failing link decides, ErrVerifyFailed when its bytes differ from the
+// manifest, ErrCorrupt when it does not belong to this chain.
+func verifiedChain(store storage.Store, name string) ([]link, error) {
+	links, err := readChain(store, name, true, true)
+	if err != nil {
+		return nil, err
+	}
+	for i, j := 0, len(links)-1; i < j; i, j = i+1, j-1 {
+		links[i], links[j] = links[j], links[i]
+	}
+	base := links[0].h
+	for i, l := range links {
+		if l.verr != nil {
+			return nil, l.verr
+		}
+		switch {
+		case i == 0 && l.h.Incremental:
+			return nil, fmt.Errorf("%w: chain base %q is incremental", ErrCorrupt, l.name)
+		case l.h.PageSize != proc.PageSize:
+			return nil, fmt.Errorf("checkpoint: image %q page size %d unsupported", l.name, l.h.PageSize)
+		case l.h.ProcID != base.ProcID:
+			return nil, fmt.Errorf("%w: image %q is for process %q, chain is for %q", ErrCorrupt, l.name, l.h.ProcID, base.ProcID)
+		case l.h.RealPages != base.RealPages:
+			return nil, fmt.Errorf("%w: image %q page count %d != base %d", ErrCorrupt, l.name, l.h.RealPages, base.RealPages)
+		}
+	}
+	return links, nil
 }
 
 // Restore rebuilds a runnable process from the image chain ending at name.
 // The returned process is in the Running state with clean soft-dirty bits,
 // so a subsequent dump may be incremental against this image.
+//
+// The restore is verified and read-once: every image and every manifest of
+// the chain is opened exactly once, and a link's pages become process
+// state only after that link's CRC and its manifest (when it has one) have
+// both passed. Images without manifests (older dumps) restore on the CRC
+// alone.
 func (e *Engine) Restore(store storage.Store, name string) (p *proc.Process, info *ImageInfo, err error) {
 	if e.obs != nil {
 		begin := time.Now()
 		defer func() {
 			if err != nil {
+				if errors.Is(err, ErrVerifyFailed) {
+					e.obs.Inc("checkpoint.verify.failures")
+				}
 				e.obs.Inc("checkpoint.restore.errors")
 				return
 			}
@@ -313,72 +387,39 @@ func (e *Engine) Restore(store storage.Store, name string) (p *proc.Process, inf
 			e.obs.Inc("checkpoint.restores")
 		}()
 	}
-	chain, err := Chain(store, name)
+	links, err := verifiedChain(store, name)
 	if err != nil {
 		return nil, nil, err
 	}
-	var (
-		mem  *proc.Memory
-		tip  *Header
-		seen = make(map[int]bool)
-	)
-	for i, imgName := range chain {
-		// Verified restore: the stored bytes must match the manifest the
-		// dump published before any of them become process state. Images
-		// without manifests (older dumps) still get the CRC check below.
-		if verr := VerifyImage(store, imgName); verr != nil && !errors.Is(verr, ErrNoManifest) {
-			if e.obs != nil {
-				e.obs.Inc("checkpoint.verify.failures")
-			}
-			return nil, nil, verr
-		}
-		h, pages, err := readImage(store, imgName)
-		if err != nil {
-			return nil, nil, err
-		}
-		if i == 0 {
-			if h.Incremental {
-				return nil, nil, fmt.Errorf("%w: chain base %q is incremental", ErrCorrupt, imgName)
-			}
-			if h.PageSize != proc.PageSize {
-				return nil, nil, fmt.Errorf("checkpoint: image %q page size %d unsupported", imgName, h.PageSize)
-			}
-			mem, err = proc.NewMemory(int64(h.RealPages)*proc.PageSize, h.LogicalBytes)
-			if err != nil {
-				return nil, nil, fmt.Errorf("checkpoint: rebuild memory for %q: %w", imgName, err)
-			}
-		} else {
-			if h.ProcID != tip.ProcID {
-				return nil, nil, fmt.Errorf("%w: image %q is for process %q, chain is for %q", ErrCorrupt, imgName, h.ProcID, tip.ProcID)
-			}
-			if h.RealPages != tip.RealPages {
-				return nil, nil, fmt.Errorf("%w: image %q page count %d != base %d", ErrCorrupt, imgName, h.RealPages, tip.RealPages)
-			}
-		}
-		for idx, data := range pages {
-			if err := mem.SetPage(idx, data); err != nil {
-				return nil, nil, fmt.Errorf("checkpoint: apply page %d of %q: %w", idx, imgName, err)
-			}
-			seen[idx] = true
-		}
-		tip = h
+	base, tip := links[0], links[len(links)-1]
+	mem, err := proc.NewMemory(int64(base.h.RealPages)*proc.PageSize, base.h.LogicalBytes)
+	if err != nil {
+		return nil, nil, fmt.Errorf("checkpoint: rebuild memory for %q: %w", base.name, err)
 	}
-	if len(seen) < int(tip.RealPages) {
+	seen, covered := make([]bool, tip.h.RealPages), 0
+	for _, l := range links {
+		for _, pg := range l.pages {
+			if err := mem.SetPage(pg.idx, pg.data); err != nil {
+				return nil, nil, fmt.Errorf("checkpoint: apply page %d of %q: %w", pg.idx, l.name, err)
+			}
+			if !seen[pg.idx] {
+				seen[pg.idx] = true
+				covered++
+			}
+		}
+	}
+	if covered < len(seen) {
 		// The base dump is always full, so every page must have been seen.
-		return nil, nil, fmt.Errorf("%w: restored only %d of %d pages", ErrCorrupt, len(seen), tip.RealPages)
+		return nil, nil, fmt.Errorf("%w: restored only %d of %d pages", ErrCorrupt, covered, len(seen))
 	}
-	program, err := e.registry.New(tip.ProgramName)
+	program, err := e.registry.New(tip.h.ProgramName)
 	if err != nil {
 		return nil, nil, fmt.Errorf("checkpoint: restore %q: %w", name, err)
 	}
 	mem.ClearSoftDirty()
-	regs := proc.Registers{PC: tip.PC, R: tip.Regs}
-	p = proc.Rebuild(tip.ProcID, program, mem, regs, tip.Steps)
-	info, err = ReadInfo(store, name)
-	if err != nil {
-		return nil, nil, err
-	}
-	return p, info, nil
+	regs := proc.Registers{PC: tip.h.PC, R: tip.h.Regs}
+	p = proc.Rebuild(tip.h.ProcID, program, mem, regs, tip.h.Steps)
+	return p, infoFromHeader(name, tip.h, tip.stored), nil
 }
 
 // Compact merges the incremental chain ending at name into a single full
@@ -387,29 +428,22 @@ func (e *Engine) Restore(store storage.Store, name string) (p *proc.Process, inf
 // directories). The source chain is left in place; callers typically
 // RemoveChain it after a successful compact.
 func Compact(store storage.Store, name, dst string) (*ImageInfo, error) {
-	chain, err := Chain(store, name)
+	links, err := verifiedChain(store, name)
 	if err != nil {
 		return nil, err
 	}
-	var (
-		tip    *Header
-		merged map[int][]byte
-	)
-	for i, imgName := range chain {
-		h, pages, err := readImage(store, imgName)
-		if err != nil {
-			return nil, err
+	tip := links[len(links)-1].h
+	merged, covered := make([][]byte, tip.RealPages), 0
+	for _, l := range links {
+		for _, pg := range l.pages {
+			if merged[pg.idx] == nil {
+				covered++
+			}
+			merged[pg.idx] = pg.data
 		}
-		if i == 0 {
-			merged = make(map[int][]byte, h.RealPages)
-		}
-		for idx, data := range pages {
-			merged[idx] = data
-		}
-		tip = h
 	}
-	if len(merged) != int(tip.RealPages) {
-		return nil, fmt.Errorf("%w: compact covers %d of %d pages", ErrCorrupt, len(merged), tip.RealPages)
+	if covered != len(merged) {
+		return nil, fmt.Errorf("%w: compact covers %d of %d pages", ErrCorrupt, covered, len(merged))
 	}
 
 	out := &Header{
@@ -423,47 +457,11 @@ func Compact(store storage.Store, name, dst string) (*ImageInfo, error) {
 		PageSize:     tip.PageSize,
 		DumpedPages:  tip.RealPages,
 	}
-	w, err := store.Create(dst)
+	stored, err := writeImage(store, dst, out, func(i int) (int, []byte) { return i, merged[i] })
 	if err != nil {
-		return nil, fmt.Errorf("checkpoint: create compact image %q: %w", dst, err)
-	}
-	abort := func(err error) (*ImageInfo, error) {
-		_ = store.Remove(dst)
-		_ = store.Remove(ManifestName(dst))
 		return nil, err
 	}
-	hw := newHashWriter(w)
-	cw := &crcWriter{w: hw}
-	if err := encodeHeader(cw, out); err != nil {
-		return abort(fmt.Errorf("checkpoint: write compact header: %w", err))
-	}
-	for idx := 0; idx < int(out.RealPages); idx++ {
-		if err := binary.Write(cw, binary.BigEndian, uint32(idx)); err != nil {
-			return abort(err)
-		}
-		if _, err := cw.Write(merged[idx]); err != nil {
-			return abort(err)
-		}
-	}
-	if err := binary.Write(hw, binary.BigEndian, cw.crc); err != nil {
-		return abort(err)
-	}
-	if err := w.Close(); err != nil {
-		return abort(fmt.Errorf("checkpoint: close compact image %q: %w", dst, err))
-	}
-	if err := writeManifest(store, dst, hw.sum(), hw.n); err != nil {
-		return abort(fmt.Errorf("checkpoint: write manifest of %q: %w", dst, err))
-	}
-	return &ImageInfo{
-		Name:              dst,
-		ProcID:            out.ProcID,
-		ProgramName:       out.ProgramName,
-		Steps:             out.Steps,
-		DumpedPages:       int(out.DumpedPages),
-		StoredBytes:       cw.n + 4,
-		LogicalBytes:      out.LogicalBytes,
-		TotalLogicalBytes: out.LogicalBytes,
-	}, nil
+	return infoFromHeader(dst, out, stored), nil
 }
 
 // RemoveChain deletes the image chain ending at name. Garbage collection

@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -46,56 +47,68 @@ func validImageBytes(t interface{ Fatal(...any) }) []byte {
 	return data
 }
 
-// FuzzReadImage throws arbitrary bytes at the image decoder. The contract
-// under test: readImage never panics, never over-allocates on nonsense
-// length fields, and either returns a decoded image or an error — and on
-// success the header invariants hold.
-func FuzzReadImage(f *testing.F) {
-	seed := validImageBytes(f)
-	f.Add(seed)                                // a fully valid image
-	f.Add(seed[:len(seed)-1])                  // CRC trailer cut short
-	f.Add(seed[:len(seed)/2])                  // truncated mid-pages
-	f.Add(seed[:20])                           // truncated mid-header
-	f.Add([]byte{})                            // empty object
-	f.Add([]byte("CRGO"))                      // magic only
-	f.Add([]byte("not an image at all, ever")) // wrong magic
-
+// fuzzSeeds is the FuzzReadImage seed corpus by name: one valid image and
+// the damaged variants of it. TestFuzzSeedsBehave pins how each decodes
+// and TestRestoreMatchesReference restores every one of them.
+func fuzzSeeds(t interface{ Fatal(...any) }) map[string][]byte {
+	seed := validImageBytes(t)
 	flipped := append([]byte(nil), seed...)
 	flipped[len(flipped)/2] ^= 0x01
-	f.Add(flipped) // bit rot in the page data
 
 	// A header declaring absurd page geometry: the sanity bounds must
 	// reject it before any allocation happens.
 	var absurd bytes.Buffer
 	absurd.Write(Magic[:])
 	binary.Write(&absurd, binary.BigEndian, Version)
-	binary.Write(&absurd, binary.BigEndian, uint16(0))  // flags
-	for i := 0; i < 3; i++ {                            // three empty strings
+	binary.Write(&absurd, binary.BigEndian, uint16(0)) // flags
+	for i := 0; i < 3; i++ {                           // three empty strings
 		binary.Write(&absurd, binary.BigEndian, uint16(0))
 	}
-	binary.Write(&absurd, binary.BigEndian, uint64(0))      // PC
-	absurd.Write(make([]byte, 16*8))                        // Regs
-	binary.Write(&absurd, binary.BigEndian, uint64(0))      // Steps
-	binary.Write(&absurd, binary.BigEndian, int64(-5))      // LogicalBytes < 0
-	binary.Write(&absurd, binary.BigEndian, ^uint32(0))     // RealPages huge
-	binary.Write(&absurd, binary.BigEndian, ^uint32(0))     // PageSize huge
-	binary.Write(&absurd, binary.BigEndian, ^uint32(0))     // DumpedPages huge
-	f.Add(absurd.Bytes())
+	binary.Write(&absurd, binary.BigEndian, uint64(0))  // PC
+	absurd.Write(make([]byte, 16*8))                    // Regs
+	binary.Write(&absurd, binary.BigEndian, uint64(0))  // Steps
+	binary.Write(&absurd, binary.BigEndian, int64(-5))  // LogicalBytes < 0
+	binary.Write(&absurd, binary.BigEndian, ^uint32(0)) // RealPages huge
+	binary.Write(&absurd, binary.BigEndian, ^uint32(0)) // PageSize huge
+	binary.Write(&absurd, binary.BigEndian, ^uint32(0)) // DumpedPages huge
+
+	return map[string][]byte{
+		"valid":            seed,
+		"truncated-crc":    seed[:len(seed)-1],
+		"truncated-pages":  seed[:len(seed)/2],
+		"truncated-header": seed[:20],
+		"empty":            {},
+		"magic-only":       []byte("CRGO"),
+		"wrong-magic":      []byte("not an image at all, ever"),
+		"bit-rot":          flipped,
+		"absurd-geometry":  absurd.Bytes(),
+	}
+}
+
+// FuzzReadImage throws arbitrary bytes at the single-pass image reader. The
+// contract under test: scanImage never panics, never over-allocates on
+// nonsense length fields, and either returns a decoded image or an error —
+// and on success the header invariants hold, every page handed to the
+// visitor is in range and page-sized, and the digest covers every stored
+// byte.
+func FuzzReadImage(f *testing.F) {
+	for _, data := range fuzzSeeds(f) {
+		f.Add(data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		store := storage.NewMemStore()
-		w, err := store.Create("img")
+		putObject(t, store, "img", data)
+		pages := make(map[int][]byte)
+		h, d, err := scanImage(store, "img", true, func(idx int, page []byte) { pages[idx] = page })
 		if err != nil {
-			t.Fatal(err)
-		}
-		w.Write(data)
-		w.Close()
-		h, pages, err := readImage(store, "img")
-		if err != nil {
-			if h != nil || pages != nil {
-				t.Error("readImage returned data alongside an error")
+			if h != nil {
+				t.Error("scanImage returned a header alongside an error")
 			}
 			return
+		}
+		if d.size != int64(len(data)) || d.sum != sha256.Sum256(data) {
+			t.Errorf("digest covers %d bytes (%x), stored %d (%x)", d.size, d.sum, len(data), sha256.Sum256(data))
 		}
 		if h.PageSize == 0 || h.PageSize > maxSanePageSize {
 			t.Errorf("accepted nonsense page size %d", h.PageSize)
@@ -124,27 +137,15 @@ func FuzzReadImage(f *testing.F) {
 // corpus stays meaningful even when fuzzing is not running: the valid seed
 // decodes, every damaged variant errors with ErrCorrupt identity.
 func TestFuzzSeedsBehave(t *testing.T) {
-	seed := validImageBytes(t)
-	put := func(data []byte) storage.Store {
+	for name, data := range fuzzSeeds(t) {
 		store := storage.NewMemStore()
-		w, _ := store.Create("img")
-		w.Write(data)
-		w.Close()
-		return store
-	}
-	if _, _, err := readImage(put(seed), "img"); err != nil {
-		t.Fatalf("valid seed rejected: %v", err)
-	}
-	damaged := map[string][]byte{
-		"truncated-crc":    seed[:len(seed)-1],
-		"truncated-pages":  seed[:len(seed)/2],
-		"truncated-header": seed[:20],
-		"empty":            {},
-		"magic-only":       []byte("CRGO"),
-		"wrong-magic":      []byte("not an image at all, ever"),
-	}
-	for name, data := range damaged {
-		if _, _, err := readImage(put(data), "img"); !errors.Is(err, ErrCorrupt) {
+		putObject(t, store, "img", data)
+		_, _, err := scanImage(store, "img", false, nil)
+		if name == "valid" {
+			if err != nil {
+				t.Fatalf("valid seed rejected: %v", err)
+			}
+		} else if !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
 		}
 	}

@@ -15,11 +15,15 @@
 package checkpoint
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"hash/crc32"
 	"io"
+
+	"preemptsched/internal/storage"
 )
 
 // Magic identifies checkpoint images ("CRGO" = checkpoint/restore in Go).
@@ -82,15 +86,113 @@ func (c *crcWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-type crcReader struct {
+// scanReader is the one pass over a stored image: every byte it returns
+// has been counted, folded into the CRC and, when a manifest will be
+// checked, into the SHA-256.
+type scanReader struct {
 	r   io.Reader
+	sha hash.Hash // nil when the caller checks no manifest
 	crc uint32
+	n   int64
 }
 
-func (c *crcReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.crc = crc32.Update(c.crc, crc32.IEEETable, p[:n])
+func (s *scanReader) Read(p []byte) (int, error) {
+	n, err := s.r.Read(p)
+	s.crc = crc32.Update(s.crc, crc32.IEEETable, p[:n])
+	if s.sha != nil {
+		s.sha.Write(p[:n])
+	}
+	s.n += int64(n)
 	return n, err
+}
+
+// imageDigest identifies the exact bytes a store returned for an image:
+// what a manifest attests.
+type imageDigest struct {
+	size int64
+	sum  [sha256.Size]byte // zero unless the scan was hashed
+}
+
+// maxPageChunk caps a single page-buffer allocation. Buffers are sized
+// from the image's own DumpedPages x PageSize, which a corrupt header
+// controls; the cap bounds what such a header can make the reader allocate
+// before the truncated stream is noticed.
+const maxPageChunk = 1 << 20
+
+// scanImage reads the image stored under name exactly once: one Open, one
+// sequential pass. It decodes the header, bounds-checks every page record,
+// verifies the CRC trailer and, with hashed set, digests every stored byte
+// (trailer and anything after it included) for the manifest check. Page
+// records are read many at a time into buffers sized from the header;
+// visit, when non-nil, receives each page as a slice of such a buffer and
+// may retain it. No error is returned alongside a header.
+func scanImage(store storage.Store, name string, hashed bool, visit func(idx int, page []byte)) (*Header, imageDigest, error) {
+	r, err := store.Open(name)
+	if err != nil {
+		return nil, imageDigest{}, fmt.Errorf("checkpoint: open image %q: %w", name, err)
+	}
+	defer r.Close()
+	s := &scanReader{r: r}
+	if hashed {
+		s.sha = sha256.New()
+	}
+	h, err := decodeHeader(s)
+	if err != nil {
+		return nil, imageDigest{}, fmt.Errorf("checkpoint: image %q: %w", name, err)
+	}
+	rec := 4 + int(h.PageSize)
+	perChunk := maxPageChunk / rec
+	if perChunk == 0 {
+		perChunk = 1
+	}
+	var buf []byte
+	for left := int(h.DumpedPages); left > 0; {
+		n := left
+		if n > perChunk {
+			n = perChunk
+		}
+		// Pages handed to a visitor live on in the buffer; without one the
+		// first buffer is reused for every chunk.
+		if visit != nil || buf == nil {
+			buf = make([]byte, n*rec)
+		}
+		chunk := buf[:n*rec]
+		if _, err := io.ReadFull(s, chunk); err != nil {
+			return nil, imageDigest{}, fmt.Errorf("%w: image %q: truncated page records: %v", ErrCorrupt, name, err)
+		}
+		for off := 0; off < len(chunk); off += rec {
+			idx := binary.BigEndian.Uint32(chunk[off:])
+			if idx >= h.RealPages {
+				return nil, imageDigest{}, fmt.Errorf("%w: image %q: page index %d out of range", ErrCorrupt, name, idx)
+			}
+			if visit != nil {
+				visit(int(idx), chunk[off+4:off+rec:off+rec])
+			}
+		}
+		left -= n
+	}
+	sum := s.crc // the trailer is hashed but is not part of its own CRC
+	tail := make([]byte, 512)
+	if _, err := io.ReadFull(s, tail[:4]); err != nil {
+		return nil, imageDigest{}, fmt.Errorf("%w: image %q: missing crc: %v", ErrCorrupt, name, err)
+	}
+	if want := binary.BigEndian.Uint32(tail); sum != want {
+		return nil, imageDigest{}, fmt.Errorf("%w: image %q: crc mismatch (got %08x, want %08x)", ErrCorrupt, name, sum, want)
+	}
+	// Bytes past the trailer are no part of the image, but they are part
+	// of the stored object the manifest's size and hash cover.
+	for {
+		if _, err := s.Read(tail); err == io.EOF {
+			break
+		} else if err != nil {
+			return nil, imageDigest{}, fmt.Errorf("checkpoint: image %q: reading past the trailer: %w", name, err)
+		}
+	}
+	d := imageDigest{size: s.n}
+	if hashed {
+		s.sha.Sum(d.sum[:0])
+	}
+	return h, d, nil
 }
 
 func writeString(w io.Writer, s string) error {

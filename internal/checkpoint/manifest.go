@@ -108,43 +108,46 @@ func readManifest(store storage.Store, image string) (sum256 string, size int64,
 	return sum256, size, nil
 }
 
+// checkManifest compares the digest of an image's stored bytes with what
+// its manifest recorded: ErrVerifyFailed (wrapped) on any mismatch.
+func checkManifest(image string, got imageDigest, wantSum string, wantSize int64) error {
+	if got.size != wantSize {
+		return fmt.Errorf("%w: image %q: %d bytes stored, manifest says %d", ErrVerifyFailed, image, got.size, wantSize)
+	}
+	if sum := hex.EncodeToString(got.sum[:]); sum != wantSum {
+		return fmt.Errorf("%w: image %q: sha256 %s, manifest says %s", ErrVerifyFailed, image, sum, wantSum)
+	}
+	return nil
+}
+
 // VerifyImage checks an image's stored bytes against its manifest:
 // nil when the bytes are exactly what the dump published, ErrNoManifest
-// when no manifest exists, ErrVerifyFailed (wrapped) on any mismatch.
+// when no manifest exists, ErrVerifyFailed (wrapped) on any mismatch. An
+// image that cannot be read or decoded is not what a dump published, so
+// it fails verification too.
 func VerifyImage(store storage.Store, image string) error {
 	wantSum, wantSize, err := readManifest(store, image)
 	if err != nil {
 		return err
 	}
-	r, err := store.Open(image)
+	_, got, err := scanImage(store, image, true, nil)
 	if err != nil {
-		return fmt.Errorf("%w: image %q: %v", ErrVerifyFailed, image, err)
+		return fmt.Errorf("%w: %v", ErrVerifyFailed, err)
 	}
-	defer r.Close()
-	h := sha256.New()
-	n, err := io.Copy(h, r)
-	if err != nil {
-		return fmt.Errorf("%w: image %q: reading: %v", ErrVerifyFailed, image, err)
-	}
-	if n != wantSize {
-		return fmt.Errorf("%w: image %q: %d bytes stored, manifest says %d", ErrVerifyFailed, image, n, wantSize)
-	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != wantSum {
-		return fmt.Errorf("%w: image %q: sha256 %s, manifest says %s", ErrVerifyFailed, image, got, wantSum)
-	}
-	return nil
+	return checkManifest(image, got, wantSum, wantSize)
 }
 
-// VerifyChain verifies every image of the chain ending at name. Images
-// without manifests pass (legacy dumps); any byte mismatch fails.
+// VerifyChain verifies every image of the chain ending at name, reading
+// each image and each manifest once. Images without manifests pass (legacy
+// dumps); any byte mismatch fails.
 func VerifyChain(store storage.Store, name string) error {
-	chain, err := Chain(store, name)
+	links, err := readChain(store, name, true, false)
 	if err != nil {
 		return err
 	}
-	for _, img := range chain {
-		if err := VerifyImage(store, img); err != nil && !errors.Is(err, ErrNoManifest) {
-			return err
+	for i := len(links) - 1; i >= 0; i-- {
+		if links[i].verr != nil {
+			return links[i].verr
 		}
 	}
 	return nil

@@ -209,10 +209,12 @@ func (c *Client) retry(op func() error) error {
 // fileWriter buffers written data and flushes whole blocks through the
 // replica pipeline as they fill.
 type fileWriter struct {
-	client  *Client
-	nn      NameNodeAPI
-	path    string
-	buf     bytes.Buffer
+	client *Client
+	nn     NameNodeAPI
+	path   string
+	// buf holds the block being filled. It grows geometrically, but never
+	// past one block: a full block is flushed and the storage reused.
+	buf     []byte
 	size    int64
 	closed  bool
 	aborted error
@@ -244,19 +246,40 @@ func (w *fileWriter) Write(p []byte) (int, error) {
 	if w.aborted != nil {
 		return 0, w.aborted
 	}
-	n, _ := w.buf.Write(p)
-	w.size += int64(n)
-	for w.buf.Len() >= w.client.blockSize {
-		if err := w.flushBlock(w.client.blockSize); err != nil {
-			w.aborted = err
-			return n, err
+	blockSize := w.client.blockSize
+	for rest := p; len(rest) > 0; {
+		take := len(rest)
+		if room := blockSize - len(w.buf); take > room {
+			take = room
+		}
+		if need := len(w.buf) + take; need > cap(w.buf) {
+			grown := 2 * cap(w.buf)
+			if grown < need {
+				grown = need
+			}
+			if grown > blockSize {
+				grown = blockSize
+			}
+			w.buf = append(make([]byte, 0, grown), w.buf...)
+		}
+		w.buf = append(w.buf, rest[:take]...)
+		rest = rest[take:]
+		w.size += int64(take)
+		if len(w.buf) == blockSize {
+			if err := w.flushBlock(); err != nil {
+				w.aborted = err
+				return len(p) - len(rest), err
+			}
 		}
 	}
-	return n, nil
+	return len(p), nil
 }
 
-func (w *fileWriter) flushBlock(n int) error {
-	data := w.buf.Next(n)
+// flushBlock writes the buffered bytes out as the file's next block and
+// empties the buffer, keeping its storage (block writes are synchronous).
+func (w *fileWriter) flushBlock() error {
+	data := w.buf
+	w.buf = w.buf[:0]
 	var loc BlockLocation
 	if err := w.client.retry(func() error {
 		var err error
@@ -328,8 +351,8 @@ func (w *fileWriter) Close() error {
 	if w.aborted != nil {
 		return w.aborted
 	}
-	if w.buf.Len() > 0 {
-		if err := w.flushBlock(w.buf.Len()); err != nil {
+	if len(w.buf) > 0 {
+		if err := w.flushBlock(); err != nil {
 			return err
 		}
 	}
@@ -382,17 +405,21 @@ func (c *Client) readBlock(loc BlockLocation) ([]byte, error) {
 		begin := time.Now()
 		defer func() { c.obs.ObserveDuration("dfs.client.block.read.seconds", time.Since(begin)) }()
 	}
-	order := make([]DataNodeInfo, 0, len(loc.Replicas))
-	for _, dn := range loc.Replicas {
-		if dn.ID == c.localID {
-			order = append([]DataNodeInfo{dn}, order...)
-		} else {
-			order = append(order, dn)
+	// Try the local replica first and the rest in pipeline order. The
+	// location's slice belongs to the caller: rotate a copy, and only when
+	// the local replica is not already in front.
+	order := loc.Replicas
+	for i, dn := range order {
+		if dn.ID == c.localID && i > 0 {
+			order = append([]DataNodeInfo(nil), order...)
+			copy(order[1:i+1], order[:i])
+			order[0] = dn
+			break
 		}
 	}
 	// Replicas caught corrupt stay excluded for the remaining rounds:
 	// their damage is permanent, unlike a transiently unreachable node.
-	corrupt := make(map[string]bool)
+	var corrupt map[string]bool
 	var lastErr error
 	for round := 0; round < c.retries; round++ {
 		if round > 0 {
@@ -423,6 +450,9 @@ func (c *Client) readBlock(loc BlockLocation) ([]byte, error) {
 				return data, nil
 			}
 			if errors.Is(err, ErrCorruptBlock) {
+				if corrupt == nil {
+					corrupt = make(map[string]bool)
+				}
 				corrupt[dn.ID] = true
 				c.corruptReads.Add(1)
 				c.obs.Inc("dfs.client.corrupt.reads")

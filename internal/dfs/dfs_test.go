@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
 	"testing"
 
 	"preemptsched/internal/sim"
@@ -410,5 +411,67 @@ func TestInProcTransportErrors(t *testing.T) {
 	}
 	if _, err := NewCluster(0, 1); err == nil {
 		t.Error("empty cluster accepted")
+	}
+}
+
+// The write buffer holds at most one block: written in small pieces, a file
+// of several blocks never makes the writer allocate past the block size.
+func TestWriterBufferCappedAtBlockSize(t *testing.T) {
+	c := testCluster(t, 3, 2)
+	const blockSize = 4096
+	client := c.ClientAt(0, WithBlockSize(blockSize))
+	data := randomData(3*blockSize + 10)
+	w, err := client.Create("/cap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for off := 0; off < len(data); off += 100 {
+		end := off + 100
+		if end > len(data) {
+			end = len(data)
+		}
+		if n, err := w.Write(data[off:end]); err != nil || n != end-off {
+			t.Fatalf("Write = %d, %v", n, err)
+		}
+		if got := cap(w.(*fileWriter).buf); got > blockSize {
+			t.Fatalf("write buffer grew to %d bytes, block size is %d", got, blockSize)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := readFile(t, client, "/cap"); !bytes.Equal(got, data) {
+		t.Error("piecewise-written file does not read back")
+	}
+}
+
+// Reads try the local replica first and the others in pipeline order,
+// without disturbing the caller's location.
+func TestReadOrderLocalFirst(t *testing.T) {
+	c := testCluster(t, 4, 3)
+	writer := c.ClientAt(0)
+	writeFile(t, writer, "/order", randomData(100))
+	nn, _ := c.Transport.NameNode()
+	info, err := nn.Stat("/order")
+	if err != nil {
+		t.Fatal(err)
+	}
+	loc := info.Blocks[0]
+	before := append([]DataNodeInfo(nil), loc.Replicas...)
+	last := before[len(before)-1]
+	// With every replica but the reader's local one down, a read succeeds
+	// without a failover only if the local replica was tried first.
+	for i, dn := range c.DataNodes {
+		c.DataNodes[i].SetDown(dn.Info().ID != last.ID)
+	}
+	reader := NewClient(c.Transport, WithLocalNode(last.ID))
+	if _, err := reader.readBlock(loc); err != nil {
+		t.Fatal(err)
+	}
+	if got := reader.Stats().ReadFailovers; got != 0 {
+		t.Errorf("%d failovers: the local replica %s was not tried first", got, last.ID)
+	}
+	if !reflect.DeepEqual(loc.Replicas, before) {
+		t.Errorf("readBlock reordered the caller's replicas: %v, was %v", loc.Replicas, before)
 	}
 }

@@ -1,18 +1,39 @@
 package dfs
 
 import (
+	"bufio"
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
 )
 
-// The TCP transport carries one gob-encoded request/response pair per
-// round trip over a persistent connection. It exists so the DFS substrate
-// is demonstrably a distributed system (cmd/dfs runs namenode and
-// datanodes as separate processes) rather than a map behind interfaces.
+// The TCP transport carries one request/response pair per round trip over
+// a persistent connection. It exists so the DFS substrate is demonstrably a
+// distributed system (cmd/dfs runs namenode and datanodes as separate
+// processes) rather than a map behind interfaces.
+//
+// Every message is a gob-encoded rpcRequest or rpcResponse. Block bytes do
+// not ride inside the gob message: a WriteBlock request and a ReadBlock
+// response announce them in the message's Payload field and the bytes
+// follow the message as one raw frame,
+//
+//	| gob(rpcRequest{Method: "WriteBlock", Payload: n, ...}) | n raw bytes |
+//	| gob(rpcResponse{Payload: n, ...})                      | n raw bytes |
+//
+// which the receiver reads with a single io.ReadFull into a buffer of
+// exactly n bytes. n is bounded by MaxBlockPayload; a negative or larger
+// n, a frame announced on any other message, or a frame cut short closes
+// the connection, since the stream can no longer be trusted to be in step.
+// NameNode metadata RPCs carry no frame.
+
+// MaxBlockPayload is the largest raw block frame either side of the TCP
+// transport accepts, and so the largest block the transport can carry. It
+// bounds what one hostile length field can make a peer allocate.
+const MaxBlockPayload = 64 << 20
 
 // rpcRequest is the union of all request payloads; Method selects the
 // operation. A single fat struct keeps the gob stream self-describing
@@ -25,9 +46,11 @@ type rpcRequest struct {
 	Size      int64
 	DN        DataNodeInfo
 	Block     BlockID
-	Data      []byte
 	Pipeline  []DataNodeInfo
 	Blocks    []BlockID
+	// Payload is the length of the raw block frame that follows the
+	// message (WriteBlock only).
+	Payload int
 }
 
 // rpcResponse is the union of all response payloads. Err carries the
@@ -41,8 +64,96 @@ type rpcResponse struct {
 	Loc     BlockLocation
 	Info    FileInfo
 	Names   []string
-	Data    []byte
 	Blocks  []BlockID
+	// Payload is the length of the raw block frame that follows the
+	// message (a successful ReadBlock only).
+	Payload int
+}
+
+// rpcConn frames one connection: gob messages, each optionally followed by
+// the raw block frame it announces. The decoder reads through br, which
+// is an io.ByteReader, so gob consumes exactly its message and the frame
+// can be read from br right after it.
+type rpcConn struct {
+	w   io.Writer
+	br  *bufio.Reader
+	enc *gob.Encoder
+	dec *gob.Decoder
+}
+
+func newRPCConn(rw io.ReadWriter) *rpcConn {
+	br := bufio.NewReader(rw)
+	return &rpcConn{w: rw, br: br, enc: gob.NewEncoder(rw), dec: gob.NewDecoder(br)}
+}
+
+// checkFrameSize refuses a block too large to cross the transport, before
+// the peer would drop the connection over it.
+func checkFrameSize(id BlockID, block []byte) error {
+	if len(block) > MaxBlockPayload {
+		return fmt.Errorf("dfs: block %d of %d bytes exceeds the %d-byte frame bound", id, len(block), MaxBlockPayload)
+	}
+	return nil
+}
+
+// send writes one message and then the block frame it announced.
+func (c *rpcConn) send(msg any, frame []byte) error {
+	if err := c.enc.Encode(msg); err != nil {
+		return err
+	}
+	if len(frame) == 0 {
+		return nil
+	}
+	_, err := c.w.Write(frame)
+	return err
+}
+
+// recvFrame reads the n-byte block frame the message just decoded
+// announced. allowed says whether that message may carry one at all. Any
+// error leaves the stream out of step: the caller must drop the connection.
+func (c *rpcConn) recvFrame(n int, allowed bool) ([]byte, error) {
+	switch {
+	case n == 0:
+		return nil, nil
+	case !allowed:
+		return nil, fmt.Errorf("dfs: rpc: %d-byte block frame on a message that carries none", n)
+	case n < 0 || n > MaxBlockPayload:
+		return nil, fmt.Errorf("dfs: rpc: block frame of %d bytes outside [0, %d]", n, MaxBlockPayload)
+	}
+	frame := make([]byte, n)
+	if _, err := io.ReadFull(c.br, frame); err != nil {
+		return nil, fmt.Errorf("dfs: rpc: block frame cut short: %w", err)
+	}
+	return frame, nil
+}
+
+// recvRequest reads one request and its block frame.
+func (c *rpcConn) recvRequest() (*rpcRequest, []byte, error) {
+	var req rpcRequest
+	if err := c.dec.Decode(&req); err != nil {
+		return nil, nil, err
+	}
+	frame, err := c.recvFrame(req.Payload, req.Method == "WriteBlock")
+	if err != nil {
+		return nil, nil, err
+	}
+	return &req, frame, nil
+}
+
+// roundTrip sends one request with its block frame and reads the response
+// with its own.
+func (c *rpcConn) roundTrip(req *rpcRequest, frame []byte) (*rpcResponse, []byte, error) {
+	if err := c.send(req, frame); err != nil {
+		return nil, nil, err
+	}
+	var resp rpcResponse
+	if err := c.dec.Decode(&resp); err != nil {
+		return nil, nil, err
+	}
+	data, err := c.recvFrame(resp.Payload, req.Method == "ReadBlock" && resp.Err == "")
+	if err != nil {
+		return nil, nil, err
+	}
+	return &resp, data, nil
 }
 
 // setErr flattens err into the response, preserving sentinel identity via
@@ -119,21 +230,25 @@ func Serve(l net.Listener, nn NameNodeAPI, dn DataNodeAPI) error {
 	}
 }
 
-func serveConn(conn net.Conn, nn NameNodeAPI, dn DataNodeAPI) {
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
+// serveConn answers requests until the peer goes away or sends something
+// that is not a well-formed request; returning drops the connection.
+func serveConn(conn io.ReadWriter, nn NameNodeAPI, dn DataNodeAPI) {
+	c := newRPCConn(conn)
 	for {
-		var req rpcRequest
-		if err := dec.Decode(&req); err != nil {
-			return // EOF or broken peer: drop the connection
+		req, frame, err := c.recvRequest()
+		if err != nil {
+			return
 		}
-		var resp rpcResponse
+		var (
+			resp rpcResponse
+			data []byte
+		)
 		if nn != nil {
-			resp = dispatchNameNode(nn, &req)
+			resp = dispatchNameNode(nn, req)
 		} else {
-			resp = dispatchDataNode(dn, &req)
+			resp, data = dispatchDataNode(dn, req, frame)
 		}
-		if err := enc.Encode(&resp); err != nil {
+		if err := c.send(&resp, data); err != nil {
 			return
 		}
 	}
@@ -182,28 +297,33 @@ func dispatchNameNode(nn NameNodeAPI, req *rpcRequest) rpcResponse {
 	return resp
 }
 
-func dispatchDataNode(dn DataNodeAPI, req *rpcRequest) rpcResponse {
-	var resp rpcResponse
+// dispatchDataNode runs one DataNode request; frame is the block a
+// WriteBlock carried, the returned bytes the block a ReadBlock fetched.
+func dispatchDataNode(dn DataNodeAPI, req *rpcRequest, frame []byte) (resp rpcResponse, data []byte) {
 	switch req.Method {
 	case "WriteBlock":
-		resp.setErr(dn.WriteBlock(req.Block, req.Data, req.Pipeline))
+		resp.setErr(dn.WriteBlock(req.Block, frame, req.Pipeline))
 	case "ReadBlock":
-		data, err := dn.ReadBlock(req.Block)
-		resp.Data = data
+		block, err := dn.ReadBlock(req.Block)
+		if err == nil {
+			err = checkFrameSize(req.Block, block)
+		}
+		if err == nil {
+			data, resp.Payload = block, len(block)
+		}
 		resp.setErr(err)
 	case "DeleteBlock":
 		resp.setErr(dn.DeleteBlock(req.Block))
 	default:
 		resp.Err = fmt.Sprintf("dfs: unknown datanode method %q", req.Method)
 	}
-	return resp
+	return resp, data
 }
 
-// tcpConn is one pooled connection with its codecs.
+// tcpConn is one pooled connection with its framing.
 type tcpConn struct {
 	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
+	rpc  *rpcConn
 }
 
 // tcpPeer issues calls to one remote address, serializing requests over a
@@ -217,47 +337,49 @@ type tcpPeer struct {
 	c       *tcpConn
 }
 
-// call holds p.mu for the whole exchange: the gob encoder/decoder pair
-// is stateful and the connection carries one request at a time, so the
-// mutex IS the request pipeline. The I/O itself lives in callLocked,
-// which requires the caller to hold p.mu.
+// call issues a request that carries and fetches no block frame.
 func (p *tcpPeer) call(req *rpcRequest) (*rpcResponse, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.callLocked(req)
+	resp, _, err := p.exchange(req, nil)
+	return resp, err
 }
 
-func (p *tcpPeer) callLocked(req *rpcRequest) (*rpcResponse, error) {
+// exchange holds p.mu for the whole round trip: the gob encoder/decoder
+// pair is stateful and the connection carries one request at a time, so
+// the mutex IS the request pipeline. The I/O itself lives in
+// exchangeLocked, which requires the caller to hold p.mu.
+func (p *tcpPeer) exchange(req *rpcRequest, frame []byte) (*rpcResponse, []byte, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.exchangeLocked(req, frame)
+}
+
+func (p *tcpPeer) exchangeLocked(req *rpcRequest, frame []byte) (*rpcResponse, []byte, error) {
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
 		if p.c == nil {
 			conn, err := net.DialTimeout("tcp", p.addr, p.timeout)
 			if err != nil {
-				return nil, fmt.Errorf("dfs: dial %s: %w", p.addr, err)
+				return nil, nil, fmt.Errorf("dfs: dial %s: %w", p.addr, err)
 			}
-			p.c = &tcpConn{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}
+			p.c = &tcpConn{conn: conn, rpc: newRPCConn(conn)}
 		}
 		if p.timeout > 0 {
 			p.c.conn.SetDeadline(time.Now().Add(p.timeout))
 		}
-		var resp rpcResponse
-		if err := p.c.enc.Encode(req); err == nil {
-			if err = p.c.dec.Decode(&resp); err == nil {
-				if p.timeout > 0 {
-					p.c.conn.SetDeadline(time.Time{})
-				}
-				return &resp, resp.asError()
+		resp, data, err := p.c.rpc.roundTrip(req, frame)
+		if err == nil {
+			if p.timeout > 0 {
+				p.c.conn.SetDeadline(time.Time{})
 			}
-			lastErr = err
-		} else {
-			lastErr = err
+			return resp, data, resp.asError()
 		}
-		// Stale, broken, or timed-out connection: drop it and retry once
-		// with a fresh dial.
+		lastErr = err
+		// Stale, broken, timed-out or out-of-step connection: drop it and
+		// retry once with a fresh dial.
 		p.c.conn.Close()
 		p.c = nil
 	}
-	return nil, fmt.Errorf("dfs: rpc to %s: %w", p.addr, lastErr)
+	return nil, nil, fmt.Errorf("dfs: rpc to %s: %w", p.addr, lastErr)
 }
 
 func (p *tcpPeer) close() {
@@ -425,16 +547,16 @@ type tcpDataNode struct{ peer *tcpPeer }
 var _ DataNodeAPI = (*tcpDataNode)(nil)
 
 func (d *tcpDataNode) WriteBlock(id BlockID, data []byte, pipeline []DataNodeInfo) error {
-	_, err := d.peer.call(&rpcRequest{Method: "WriteBlock", Block: id, Data: data, Pipeline: pipeline})
+	if err := checkFrameSize(id, data); err != nil {
+		return err
+	}
+	_, _, err := d.peer.exchange(&rpcRequest{Method: "WriteBlock", Block: id, Pipeline: pipeline, Payload: len(data)}, data)
 	return err
 }
 
 func (d *tcpDataNode) ReadBlock(id BlockID) ([]byte, error) {
-	resp, err := d.peer.call(&rpcRequest{Method: "ReadBlock", Block: id})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Data, nil
+	_, data, err := d.peer.exchange(&rpcRequest{Method: "ReadBlock", Block: id}, nil)
+	return data, err
 }
 
 func (d *tcpDataNode) DeleteBlock(id BlockID) error {

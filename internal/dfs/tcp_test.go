@@ -153,3 +153,82 @@ func TestTCPRemoteCheckpointRestore(t *testing.T) {
 		t.Errorf("finished at %d steps, want 20", restored.Steps())
 	}
 }
+
+// A chain of four images over real TCP: every round trip dumps through one
+// node's client and restores through the other's, alternating, so each
+// restore walks a chain whose links were written from both sides. The task
+// that was preempted four times must finish exactly as one that never was.
+func TestTCPChainRestoreAlternatingClients(t *testing.T) {
+	transport, _ := startTCPCluster(t, 3, 2)
+	reg := proc.NewRegistry()
+	reg.Register(proc.FillProgramName, func() proc.Program { return proc.FillProgram{} })
+	engine := checkpoint.NewEngine(reg)
+	newTask := func() *proc.Process {
+		p, err := proc.New("task", proc.FillProgram{}, 32*proc.PageSize, 32*proc.PageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		proc.ConfigureFill(p, 40, 3)
+		return p
+	}
+	finish := func(p *proc.Process) uint64 {
+		for {
+			done, err := p.Step()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if done {
+				sum, err := proc.FillChecksum(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sum
+			}
+		}
+	}
+	want := finish(newTask())
+
+	// A block size that is no multiple of the page record keeps chunked
+	// reads straddling block boundaries.
+	clients := []*Client{
+		NewClient(transport, WithBlockSize(3000), WithLocalNode("dn-0")),
+		NewClient(transport, WithBlockSize(3000), WithLocalNode("dn-2")),
+	}
+	p := newTask()
+	parent := ""
+	for k := 0; k < 4; k++ {
+		for i := 0; i < 5; i++ {
+			if _, err := p.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := p.Suspend(); err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("/ckpt/chain-%d", k)
+		if _, err := engine.Dump(p, clients[k%2], name, checkpoint.DumpOpts{Incremental: k > 0, Parent: parent}); err != nil {
+			t.Fatal(err)
+		}
+		p.Kill()
+		var (
+			info *checkpoint.ImageInfo
+			err  error
+		)
+		if p, info, err = engine.Restore(clients[(k+1)%2], name); err != nil {
+			t.Fatalf("restore of link %d: %v", k, err)
+		}
+		if info.Steps != uint64(5*(k+1)) {
+			t.Errorf("link %d restored at step %d, want %d", k, info.Steps, 5*(k+1))
+		}
+		parent = name
+	}
+	if got := finish(p); got != want {
+		t.Errorf("task resumed through a chain of 4 finished with %x, undisturbed %x", got, want)
+	}
+	if err := checkpoint.RemoveChain(clients[0], parent); err != nil {
+		t.Fatal(err)
+	}
+	if left, err := clients[1].List("/ckpt/"); err != nil || len(left) != 0 {
+		t.Errorf("RemoveChain left %v behind (%v)", left, err)
+	}
+}

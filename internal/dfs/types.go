@@ -14,9 +14,10 @@
 // decommissions and re-replicates dead DataNodes.
 //
 // Two transports are provided: an in-process transport used by the
-// event-driven cluster emulation, and a TCP transport with gob-encoded
-// frames used by cmd/dfs and the integration tests, which keeps the
-// substrate honestly distributed.
+// event-driven cluster emulation, and a TCP transport (gob-encoded
+// messages, block bytes as raw length-bounded frames; see tcp.go) used by
+// cmd/dfs and the integration tests, which keeps the substrate honestly
+// distributed.
 package dfs
 
 import (
