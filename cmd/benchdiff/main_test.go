@@ -144,7 +144,9 @@ PASS
 func TestCompareScaleMode(t *testing.T) {
 	dir := t.TempDir()
 	base := emitTo(t, dir, "scale-base", scaleOutput)
-	opts := func(ratio float64) cmpOpts { return cmpOpts{maxRegress: 0.20, metricTol: 1e-6, scale: true, minRateRatio: ratio} }
+	opts := func(ratio float64) cmpOpts {
+		return cmpOpts{maxRegress: 0.20, metricTol: 1e-6, scale: true, minRateRatio: ratio}
+	}
 
 	cases := []struct {
 		name    string

@@ -9,8 +9,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"preemptsched/internal/core"
 	"preemptsched/internal/cluster"
+	"preemptsched/internal/core"
 )
 
 // LoadConfig parameterizes one open-loop run against a daemon.

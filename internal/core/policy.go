@@ -20,7 +20,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"preemptsched/internal/cluster"
@@ -172,44 +171,85 @@ func DecidePreemption(policy Policy, c Candidate, dev *storage.Device, now sim.T
 	}
 }
 
-// SelectVictims implements cost-aware eviction (Section 5.2.2): it orders
-// candidates by priority (lowest first, so high-priority work is
-// preempted last) and, within a priority, by estimated checkpoint time
-// (cheapest first), then takes candidates until their combined freed
-// resources cover need. The boolean result is false when even preempting
-// every candidate would not free enough, in which case no victims are
-// returned.
+// VictimKey is what the eviction order reads of one preemption candidate.
+type VictimKey struct {
+	Priority cluster.Priority
+	// Cost is the estimated checkpoint overhead of evicting the candidate;
+	// a cost-blind caller leaves every Cost zero and gets pure priority
+	// order.
+	Cost time.Duration
+	// Demand is what evicting the candidate frees.
+	Demand cluster.Resources
+}
+
+// VictimScratch is the working memory of cost-aware eviction (Section
+// 5.2.2), owned by the caller and reused across calls so a victim scan
+// allocates nothing once warm. The caller truncates Keys, appends one key
+// per candidate in its tie-break order (task-ID order in both schedulers)
+// and calls Select.
+type VictimScratch struct {
+	Keys  []VictimKey
+	order []int
+}
+
+// Select orders the candidates by priority (lowest first, so high-priority
+// work is preempted last) and, within a priority, by cost (cheapest
+// first), ties staying in Keys order, then takes candidates until their
+// combined demand covers need. It returns the chosen indices into Keys in
+// eviction order and their summed cost; ok is false, with no indices, when
+// even evicting every candidate would not cover need. The indices alias
+// the scratch and are valid until the next Select.
 //
-// devFor maps a candidate to the storage device its dump would use, which
-// is how per-node checkpoint queue depth influences victim choice.
-func SelectVictims(cands []Candidate, need cluster.Resources, now sim.Time, devFor func(Candidate) *storage.Device) ([]Candidate, bool) {
-	type scored struct {
-		c    Candidate
-		cost time.Duration
-	}
-	scoredCands := make([]scored, len(cands))
-	for i, c := range cands {
-		scoredCands[i] = scored{c: c, cost: CheckpointOverhead(c, devFor(c), now)}
-	}
-	sort.SliceStable(scoredCands, func(i, j int) bool {
-		if scoredCands[i].c.Priority != scoredCands[j].c.Priority {
-			return scoredCands[i].c.Priority < scoredCands[j].c.Priority
+// The sort is a stable insertion sort: candidates are the tasks of one
+// node, a handful to a few dozen, where it beats a general stable sort
+// and needs no swap closure.
+func (vs *VictimScratch) Select(need cluster.Resources) (idx []int, cost time.Duration, ok bool) {
+	keys, order := vs.Keys, vs.order[:0]
+	for i := range keys {
+		k := &keys[i]
+		j := len(order)
+		order = append(order, i)
+		for ; j > 0; j-- {
+			p := &keys[order[j-1]]
+			if p.Priority < k.Priority || p.Priority == k.Priority && p.Cost <= k.Cost {
+				break
+			}
+			order[j] = order[j-1]
 		}
-		return scoredCands[i].cost < scoredCands[j].cost
-	})
-	var (
-		freed   cluster.Resources
-		victims []Candidate
-	)
-	for _, s := range scoredCands {
-		if need.Fits(freed) {
-			break
-		}
-		victims = append(victims, s.c)
-		freed = freed.Add(s.c.Demand)
+		order[j] = i
+	}
+	vs.order = order
+	var freed cluster.Resources
+	n := 0
+	for ; n < len(order) && !need.Fits(freed); n++ {
+		k := &keys[order[n]]
+		freed = freed.Add(k.Demand)
+		cost += k.Cost
 	}
 	if !need.Fits(freed) {
-		return nil, false
+		return nil, 0, false
+	}
+	return order[:n], cost, true
+}
+
+// SelectVictims is Select for a caller that holds Candidates and no
+// scratch: each candidate is scored once with CheckpointOverhead on the
+// device devFor maps it to — which is how per-node checkpoint queue depth
+// influences victim choice — and the chosen candidates come back in
+// eviction order. The boolean result is false when even preempting every
+// candidate would not free enough, in which case no victims are returned.
+func SelectVictims(cands []Candidate, need cluster.Resources, now sim.Time, devFor func(Candidate) *storage.Device) ([]Candidate, bool) {
+	vs := VictimScratch{Keys: make([]VictimKey, len(cands))}
+	for i, c := range cands {
+		vs.Keys[i] = VictimKey{Priority: c.Priority, Cost: CheckpointOverhead(c, devFor(c), now), Demand: c.Demand}
+	}
+	idx, _, ok := vs.Select(need)
+	if !ok || len(idx) == 0 {
+		return nil, ok
+	}
+	victims := make([]Candidate, len(idx))
+	for i, j := range idx {
+		victims[i] = cands[j]
 	}
 	return victims, true
 }

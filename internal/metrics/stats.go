@@ -1,89 +1,13 @@
 // Package metrics provides the measurement plumbing shared by the
-// simulator, the mini-YARN framework, and the experiment harness: streaming
-// summary statistics, sample distributions with quantiles and CDFs, and
-// plain-text table rendering for experiment output.
+// simulator, the mini-YARN framework, and the experiment harness: sample
+// distributions with quantiles and CDFs, and plain-text table rendering for
+// experiment output.
 package metrics
 
 import (
 	"math"
 	"sort"
 )
-
-// Summary accumulates count/mean/variance/min/max in one pass using
-// Welford's algorithm, so long simulations do not need to retain samples
-// when only moments are reported.
-type Summary struct {
-	n        int64
-	mean, m2 float64
-	min, max float64
-}
-
-// Add incorporates one observation.
-func (s *Summary) Add(x float64) {
-	s.n++
-	if s.n == 1 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
-	d := x - s.mean
-	s.mean += d / float64(s.n)
-	s.m2 += d * (x - s.mean)
-}
-
-// Merge folds other into s, preserving exact count and mean and the
-// parallel-variance combination of m2.
-func (s *Summary) Merge(other Summary) {
-	if other.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = other
-		return
-	}
-	n := s.n + other.n
-	d := other.mean - s.mean
-	s.m2 += other.m2 + d*d*float64(s.n)*float64(other.n)/float64(n)
-	s.mean += d * float64(other.n) / float64(n)
-	if other.min < s.min {
-		s.min = other.min
-	}
-	if other.max > s.max {
-		s.max = other.max
-	}
-	s.n = n
-}
-
-// N returns the number of observations.
-func (s *Summary) N() int64 { return s.n }
-
-// Mean returns the sample mean, or 0 with no observations.
-func (s *Summary) Mean() float64 { return s.mean }
-
-// Sum returns n*mean.
-func (s *Summary) Sum() float64 { return s.mean * float64(s.n) }
-
-// Min returns the smallest observation, or 0 with no observations.
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest observation, or 0 with no observations.
-func (s *Summary) Max() float64 { return s.max }
-
-// Variance returns the unbiased sample variance.
-func (s *Summary) Variance() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.n-1)
-}
-
-// Stddev returns the sample standard deviation.
-func (s *Summary) Stddev() float64 { return math.Sqrt(s.Variance()) }
 
 // Dist retains every sample to answer quantile and CDF queries. Experiment
 // populations here are at most a few hundred thousand points, so exact
@@ -181,42 +105,3 @@ func (d *Dist) FractionBelow(x float64) float64 {
 	}
 	return float64(i) / float64(len(d.xs))
 }
-
-// Histogram counts observations into fixed-width buckets over [lo, hi).
-// Values outside the range land in the first or last bucket.
-type Histogram struct {
-	lo, width float64
-	counts    []int64
-	total     int64
-}
-
-// NewHistogram builds a histogram with n buckets spanning [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("metrics: invalid histogram shape")
-	}
-	return &Histogram{lo: lo, width: (hi - lo) / float64(n), counts: make([]int64, n)}
-}
-
-// Add counts one observation.
-func (h *Histogram) Add(x float64) {
-	i := int((x - h.lo) / h.width)
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.counts) {
-		i = len(h.counts) - 1
-	}
-	h.counts[i]++
-	h.total++
-}
-
-// Counts returns the per-bucket counts (not a copy; callers must not
-// mutate).
-func (h *Histogram) Counts() []int64 { return h.counts }
-
-// Total returns the number of observations.
-func (h *Histogram) Total() int64 { return h.total }
-
-// BucketLow returns the inclusive lower bound of bucket i.
-func (h *Histogram) BucketLow(i int) float64 { return h.lo + float64(i)*h.width }

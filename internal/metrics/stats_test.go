@@ -7,76 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestSummaryBasics(t *testing.T) {
-	var s Summary
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		s.Add(x)
-	}
-	if s.N() != 8 {
-		t.Errorf("N = %d", s.N())
-	}
-	if s.Mean() != 5 {
-		t.Errorf("Mean = %v", s.Mean())
-	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Errorf("Min/Max = %v/%v", s.Min(), s.Max())
-	}
-	// Population variance of this classic set is 4; sample variance 32/7.
-	if got, want := s.Variance(), 32.0/7.0; math.Abs(got-want) > 1e-12 {
-		t.Errorf("Variance = %v, want %v", got, want)
-	}
-	if got := s.Sum(); got != 40 {
-		t.Errorf("Sum = %v", got)
-	}
-}
-
-func TestSummaryEmpty(t *testing.T) {
-	var s Summary
-	if s.Mean() != 0 || s.Variance() != 0 || s.Stddev() != 0 || s.N() != 0 {
-		t.Error("empty summary should report zeros")
-	}
-}
-
-// Property: merging two summaries equals summarizing the concatenation.
-func TestSummaryMergeProperty(t *testing.T) {
-	f := func(a, b []float64) bool {
-		clean := func(xs []float64) []float64 {
-			out := xs[:0]
-			for _, x := range xs {
-				if !math.IsNaN(x) && !math.IsInf(x, 0) && math.Abs(x) < 1e6 {
-					out = append(out, x)
-				}
-			}
-			return out
-		}
-		a, b = clean(a), clean(b)
-		var sa, sb, all Summary
-		for _, x := range a {
-			sa.Add(x)
-			all.Add(x)
-		}
-		for _, x := range b {
-			sb.Add(x)
-			all.Add(x)
-		}
-		sa.Merge(sb)
-		if sa.N() != all.N() {
-			return false
-		}
-		if all.N() == 0 {
-			return true
-		}
-		close := func(x, y float64) bool {
-			return math.Abs(x-y) <= 1e-6*(1+math.Abs(x)+math.Abs(y))
-		}
-		return close(sa.Mean(), all.Mean()) && close(sa.Variance(), all.Variance()) &&
-			sa.Min() == all.Min() && sa.Max() == all.Max()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestDistQuantiles(t *testing.T) {
 	var d Dist
 	for i := 1; i <= 100; i++ {
@@ -165,34 +95,6 @@ func TestDistQuantileMonotoneProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 5, 9.9, 10, 100} {
-		h.Add(x)
-	}
-	want := []int64{3, 1, 1, 0, 3}
-	for i, w := range want {
-		if h.Counts()[i] != w {
-			t.Errorf("bucket %d = %d, want %d (all: %v)", i, h.Counts()[i], w, h.Counts())
-		}
-	}
-	if h.Total() != 8 {
-		t.Errorf("Total = %d", h.Total())
-	}
-	if h.BucketLow(2) != 4 {
-		t.Errorf("BucketLow(2) = %v", h.BucketLow(2))
-	}
-}
-
-func TestHistogramPanicsOnBadShape(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	NewHistogram(5, 5, 3)
 }
 
 func TestTableRendering(t *testing.T) {

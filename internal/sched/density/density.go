@@ -233,4 +233,3 @@ func StandardCells(seed int64) []Spec {
 		mk("10k-nodes", 10_000, 1_000_000),
 	}
 }
-

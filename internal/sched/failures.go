@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"sort"
 	"time"
 
 	"preemptsched/internal/cluster"
@@ -30,12 +29,12 @@ func (s *Simulator) failNode(f NodeFailure, now sim.Time) {
 	s.res.NodeFailures++
 	s.journalNodeDown(n, now)
 	s.probe(ProbeNodeDown, cluster.TaskID{}, n.id, now)
-	for _, id := range downSortedRunning(n) {
-		t, ok := n.running[id]
-		if !ok {
-			continue
-		}
-		s.fenceTask(t, n, now)
+	// Fencing removes tasks from n.running, so walk a snapshot; candScratch
+	// is idle outside a victim scan.
+	snapshot := append(s.candScratch[:0], n.running...)
+	s.candScratch = snapshot[:0]
+	for _, t := range snapshot {
+		s.fenceTask(t, now)
 	}
 	// Waiters parked on the dead node's capacity must not keep waiting
 	// for dumps that will never free it.
@@ -59,17 +58,13 @@ func (s *Simulator) failNode(f NodeFailure, now sim.Time) {
 // attempt-local progress; a restoring task loses only the read in flight
 // (its image is intact); a checkpointing task is left alone — its dump is
 // already draining to replicated storage and vacate will requeue it.
-func (s *Simulator) fenceTask(t *taskRT, n *node, now sim.Time) {
+func (s *Simulator) fenceTask(t *taskRT, now sim.Time) {
+	n := t.node
 	switch t.phase {
 	case phaseCheckpointing:
 		return
 	case phaseRestoring:
-		s.inFlight--
-		s.probe(ProbeFence, t.spec.ID, n.id, now)
-		n.release(now, t.spec.Demand)
-		s.account(t, -1)
-		delete(n.running, t.spec.ID)
-		t.node = nil
+		s.leave(t, ProbeFence, now)
 		s.rescheduleFailed(t, n, 0, now)
 	case phaseRunning:
 		lost := t.unsavedProgress(now)
@@ -80,12 +75,7 @@ func (s *Simulator) fenceTask(t *taskRT, n *node, now sim.Time) {
 		cores := float64(t.spec.Demand.CPUMillis) / 1000
 		s.res.WastedCPUHours += cores * lost.Hours()
 		s.res.FailureWasteHours += cores * lost.Hours()
-		s.inFlight--
-		s.probe(ProbeFence, t.spec.ID, n.id, now)
-		n.release(now, t.spec.Demand)
-		s.account(t, -1)
-		delete(n.running, t.spec.ID)
-		t.node = nil
+		s.leave(t, ProbeFence, now)
 		s.rescheduleFailed(t, n, lost, now)
 	}
 }
@@ -110,20 +100,4 @@ func (s *Simulator) recoverNode(n *node, at sim.Time) {
 	s.journalNodeRecovered(n, at)
 	s.probe(ProbeNodeUp, cluster.TaskID{}, n.id, at)
 	s.requestSchedule(at)
-}
-
-// downSortedRunning snapshots a node's running-task IDs in deterministic
-// order, so fencing visits tasks identically across runs.
-func downSortedRunning(n *node) []cluster.TaskID {
-	ids := make([]cluster.TaskID, 0, len(n.running))
-	for id := range n.running {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		if ids[i].Job != ids[j].Job {
-			return ids[i].Job < ids[j].Job
-		}
-		return ids[i].Index < ids[j].Index
-	})
-	return ids
 }

@@ -169,3 +169,52 @@ func TestNodeFailureValidation(t *testing.T) {
 		}
 	}
 }
+
+// GIVEN a node whose tasks were placed in an order other than task-ID
+// order (the queue places by priority first),
+// WHEN the node fails,
+// THEN its tasks are fenced in ascending task-ID order — the order that
+// fixes their queue sequence numbers and hence everything after it.
+func TestFailNodeFencesInTaskIDOrder(t *testing.T) {
+	job := func(id cluster.JobID, prio cluster.Priority, tasks int) cluster.JobSpec {
+		j := cluster.JobSpec{ID: id, Priority: prio}
+		for i := 0; i < tasks; i++ {
+			j.Tasks = append(j.Tasks, cluster.TaskSpec{
+				ID:           cluster.TaskID{Job: id, Index: int32(i)},
+				Priority:     prio,
+				Demand:       cluster.Resources{CPUMillis: cluster.Cores(1), MemBytes: cluster.GiB(2)},
+				MemFootprint: cluster.GiB(1),
+				Duration:     10 * time.Minute,
+			})
+		}
+		return j
+	}
+	cfg := DefaultConfig(core.PolicyKill, storage.SSD)
+	cfg.Nodes = 1
+	cfg.NodeCapacity = cluster.Resources{CPUMillis: cluster.Cores(8), MemBytes: cluster.GiB(32)}
+	cfg.NodeFailures = []NodeFailure{{Node: 0, At: time.Minute, RecoverAfter: time.Minute}}
+	var placed, fenced []cluster.TaskID
+	cfg.Probe = func(ev ProbeEvent) {
+		switch {
+		case ev.Kind == ProbePlace && ev.At == 0:
+			placed = append(placed, ev.Task)
+		case ev.Kind == ProbeFence:
+			fenced = append(fenced, ev.Task)
+		}
+	}
+	// Placement order at t=0 is job 5, then 9, then 2.
+	if _, err := Run(cfg, []cluster.JobSpec{job(2, 0, 3), job(5, 10, 2), job(9, 5, 2)}); err != nil {
+		t.Fatal(err)
+	}
+	if len(fenced) != 7 || len(placed) != 7 {
+		t.Fatalf("placed %v, fenced %v; want all 7 tasks in both", placed, fenced)
+	}
+	if !taskIDLess(placed[len(placed)-1], placed[0]) {
+		t.Fatalf("placement order %v is already ID order; the scenario proves nothing", placed)
+	}
+	for i := 1; i < len(fenced); i++ {
+		if !taskIDLess(fenced[i-1], fenced[i]) {
+			t.Fatalf("fence order %v is not ascending task-ID order", fenced)
+		}
+	}
+}

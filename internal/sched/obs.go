@@ -21,7 +21,7 @@ func (s *Simulator) scoreCandidates(n *node, t *taskRT, victims []*taskRT, now s
 	for _, v := range victims {
 		chosen[v.spec.ID] = true
 	}
-	cands := s.preemptableOn(n, t, now)
+	cands := s.preemptableOn(n, t)
 	scores := make([]obs.CandidateScore, len(cands))
 	for i, v := range cands {
 		scores[i] = obs.CandidateScore{

@@ -50,8 +50,6 @@ type taskRT struct {
 	// queuedAt is when the task (re)entered the pending queue.
 	queuedAt sim.Time
 	seq      uint64
-	// index is the heap position while queued.
-	index int
 	// completion is the pending completion timer while running.
 	completion *sim.Timer
 	// evictions counts preemptions suffered, for the eviction-threshold
@@ -123,7 +121,10 @@ type node struct {
 	used     cluster.Resources
 	reserved cluster.Resources
 	device   *storage.Device
-	running  map[cluster.TaskID]*taskRT
+	// running holds every task occupying the node — running, checkpointing
+	// or restoring — in ascending task-ID order, so victim scans and failure
+	// fencing visit tasks in their deterministic order without sorting.
+	running []*taskRT
 	// down marks a machine taken out by a seeded NodeFailure; it offers
 	// no capacity until (and unless) its recovery event fires.
 	down bool
@@ -133,7 +134,7 @@ type node struct {
 	idx *nodeIndex
 	// byPrio counts phaseRunning tasks per priority and prioMask keeps a
 	// bit set per non-empty priority, so victim scans can reject a node
-	// without iterating its running map.
+	// without iterating its running set.
 	byPrio   [int(cluster.MaxPriority) + 1]uint16
 	prioMask uint16
 
@@ -164,6 +165,38 @@ func (n *node) touch() {
 }
 
 func (n *node) free() cluster.Resources { return n.cap.Sub(n.used) }
+
+// taskIDLess is the deterministic task order: job, then index.
+func taskIDLess(a, b cluster.TaskID) bool {
+	if a.Job != b.Job {
+		return a.Job < b.Job
+	}
+	return a.Index < b.Index
+}
+
+// addRunning inserts t at its task-ID position, searching from the back:
+// placements arrive in roughly ascending ID order.
+func (n *node) addRunning(t *taskRT) {
+	i := len(n.running)
+	n.running = append(n.running, t)
+	for ; i > 0 && taskIDLess(t.spec.ID, n.running[i-1].spec.ID); i-- {
+		n.running[i] = n.running[i-1]
+	}
+	n.running[i] = t
+}
+
+// removeRunning drops t from the set; an absent t is a no-op.
+func (n *node) removeRunning(t *taskRT) {
+	for i, r := range n.running {
+		if r == t {
+			last := len(n.running) - 1
+			copy(n.running[i:], n.running[i+1:])
+			n.running[last] = nil
+			n.running = n.running[:last]
+			return
+		}
+	}
+}
 
 // availableFor is the capacity task t may claim on n: free capacity minus
 // outstanding preemption reservations, except that t's own reservation on
@@ -219,7 +252,7 @@ func (n *node) release(now sim.Time, r cluster.Resources) {
 	n.touch()
 }
 
-// pendingQueue is an indexed binary min-heap of waiting tasks ordered by
+// pendingQueue is a binary min-heap of waiting tasks ordered by
 // (priority desc, queue entry asc, seq). Like sim's event queue it is
 // hand-specialized: the key is a total order (seq breaks every tie), so
 // pop order — and therefore simulation output — is identical to the old
@@ -248,11 +281,9 @@ func (q *pendingQueue) push(t *taskRT) {
 			break
 		}
 		h[i] = h[parent]
-		h[i].index = i
 		i = parent
 	}
 	h[i] = t
-	t.index = i
 	*q = h
 }
 
@@ -278,13 +309,10 @@ func (q *pendingQueue) pop() *taskRT {
 				break
 			}
 			h[i] = h[kid]
-			h[i].index = i
 			i = kid
 		}
 		h[i] = last
-		last.index = i
 	}
-	t.index = -1
 	return t
 }
 
@@ -303,17 +331,26 @@ type Simulator struct {
 	queue   pendingQueue
 	jobs    []*jobRT
 	seq     uint64
-	// candScratch and batchScratch are reused across victim scans and
-	// scheduling passes so the hot loop stays allocation-free.
-	candScratch  []*taskRT
-	batchScratch []*taskRT
-	skipScratch  []*taskRT
+	// The scratch buffers below are reused across victim scans and
+	// scheduling passes so the hot loop stays allocation-free. candScratch
+	// and keyScratch describe the node being scanned — every preemptableOn
+	// overwrites the first, every node visit of chooseVictims the second;
+	// victimScratch holds the scan's incumbent victim set, which only
+	// chooseVictims writes, so it outlives later scans of other nodes and
+	// scoreCandidates' rescan under a Recorder.
+	candScratch   []*taskRT
+	keyScratch    core.VictimScratch
+	victimScratch []*taskRT
+	batchScratch  []*taskRT
+	skipScratch   []*taskRT
+	failedScratch []cluster.Resources
 
 	res             *Result
 	totalImageBytes int64
-	// rescheduled guards against redundant trySchedule passes at one
-	// instant.
+	// schedulePending guards against redundant trySchedule passes at one
+	// instant; runPass is the one event handler every trigger schedules.
 	schedulePending bool
+	runPass         func(sim.Time)
 	// decisions counts scheduling decisions: successful placements plus
 	// preemption verdicts. inFlight counts tasks holding node resources.
 	// Both feed the Probe/Sample surface (probe.go).
@@ -331,7 +368,7 @@ type Simulator struct {
 		restoreQueue, restoreRead, restoreTotal, restoreTransfer obs.Histogram
 		predumpQueue, predumpTotal                               obs.Histogram
 		restoreLocal, restoreRemote                              obs.Counter
-		decision [int(core.ActionCheckpointIncremental) + 1]obs.Counter
+		decision                                                 [int(core.ActionCheckpointIncremental) + 1]obs.Counter
 	}
 	// userUsage and bandUsage track allocated resources per tenant and
 	// per priority band for the fair-share and capacity disciplines.
@@ -460,68 +497,7 @@ func Run(cfg Config, jobs []cluster.JobSpec) (*Result, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	s := &Simulator{
-		cfg:       cfg,
-		reg:       cfg.Metrics,
-		rec:       cfg.Recorder,
-		engine:    sim.NewEngine(),
-		userUsage: make(map[string]cluster.Resources),
-		totalCap:  cfg.NodeCapacity.Scale(float64(cfg.Nodes)),
-	}
-
-	storageName := cfg.StorageKind.String()
-	if cfg.CustomBandwidth > 0 {
-		storageName = fmt.Sprintf("%.1fGB/s", cfg.CustomBandwidth/1e9)
-	}
-	s.res = &Result{
-		Policy:            cfg.Policy,
-		Storage:           storageName,
-		JobResponseSec:    make(map[cluster.Band]*Dist),
-		JobResponseAllSec: &Dist{},
-		JobResponseByUser: make(map[string]*Dist),
-	}
-	for b := 0; b < cluster.NumBands; b++ {
-		s.res.JobResponseSec[cluster.Band(b)] = &Dist{}
-	}
-
-	for i := 0; i < cfg.Nodes; i++ {
-		var dev *storage.Device
-		if cfg.CustomBandwidth > 0 {
-			dev = storage.NewCustomDevice(cfg.CustomBandwidth, 0)
-		} else {
-			dev = storage.NewDevice(cfg.StorageKind)
-		}
-		s.nodes = append(s.nodes, &node{
-			id:      cluster.NodeID(i),
-			cap:     cfg.NodeCapacity,
-			device:  dev,
-			running: make(map[cluster.TaskID]*taskRT),
-			meter:   energy.NewMeter(cfg.EnergyModel),
-		})
-	}
-	s.nodeIdx = newNodeIndex(cfg.Nodes)
-	for _, n := range s.nodes {
-		n.idx = s.nodeIdx
-		n.touch()
-	}
-	if s.reg != nil {
-		s.hm.dumpQueue = s.reg.Histogram("sched.dump.queue.seconds")
-		s.hm.dumpWrite = s.reg.Histogram("sched.dump.write.seconds")
-		s.hm.dumpTotal = s.reg.Histogram("sched.dump.total.seconds")
-		s.hm.restoreQueue = s.reg.Histogram("sched.restore.queue.seconds")
-		s.hm.restoreRead = s.reg.Histogram("sched.restore.read.seconds")
-		s.hm.restoreTotal = s.reg.Histogram("sched.restore.total.seconds")
-		s.hm.restoreTransfer = s.reg.Histogram("sched.restore.transfer.seconds")
-		s.hm.predumpQueue = s.reg.Histogram("sched.predump.queue.seconds")
-		s.hm.predumpTotal = s.reg.Histogram("sched.predump.total.seconds")
-		s.hm.restoreLocal = s.reg.Counter("sched.policy.restore.local")
-		s.hm.restoreRemote = s.reg.Counter("sched.policy.restore.remote")
-		for a := core.ActionKill; a <= core.ActionCheckpointIncremental; a++ {
-			//lint:ignore metricname the suffix is a closed PreemptAction enum, one counter per verdict
-			s.hm.decision[a] = s.reg.Counter("sched.policy.decision." + a.String())
-		}
-	}
-
+	s := newSimulator(cfg)
 	for i := range jobs {
 		spec := &jobs[i]
 		if err := spec.Validate(); err != nil {
@@ -534,7 +510,7 @@ func Run(cfg Config, jobs []cluster.JobSpec) (*Result, error) {
 			if !ts.Demand.Fits(cfg.NodeCapacity) {
 				return nil, fmt.Errorf("sched: task %v demand %v exceeds node capacity %v", ts.ID, ts.Demand, cfg.NodeCapacity)
 			}
-			t := &taskRT{spec: ts, job: j, remaining: ts.Duration, index: -1}
+			t := &taskRT{spec: ts, job: j, remaining: ts.Duration}
 			s.engine.At(ts.Submit, func(now sim.Time) {
 				s.enqueue(t, now)
 				s.requestSchedule(now)
@@ -562,6 +538,76 @@ func Run(cfg Config, jobs []cluster.JobSpec) (*Result, error) {
 	return s.res, nil
 }
 
+// newSimulator builds the cluster — nodes, devices, first-fit index, metric
+// handles — for a validated, defaulted cfg, with no work loaded.
+func newSimulator(cfg Config) *Simulator {
+	s := &Simulator{
+		cfg:       cfg,
+		reg:       cfg.Metrics,
+		rec:       cfg.Recorder,
+		engine:    sim.NewEngine(),
+		userUsage: make(map[string]cluster.Resources),
+		totalCap:  cfg.NodeCapacity.Scale(float64(cfg.Nodes)),
+	}
+	s.runPass = func(now sim.Time) {
+		s.schedulePending = false
+		s.trySchedule(now)
+	}
+
+	storageName := cfg.StorageKind.String()
+	if cfg.CustomBandwidth > 0 {
+		storageName = fmt.Sprintf("%.1fGB/s", cfg.CustomBandwidth/1e9)
+	}
+	s.res = &Result{
+		Policy:            cfg.Policy,
+		Storage:           storageName,
+		JobResponseSec:    make(map[cluster.Band]*Dist),
+		JobResponseAllSec: &Dist{},
+		JobResponseByUser: make(map[string]*Dist),
+	}
+	for b := 0; b < cluster.NumBands; b++ {
+		s.res.JobResponseSec[cluster.Band(b)] = &Dist{}
+	}
+
+	for i := 0; i < cfg.Nodes; i++ {
+		var dev *storage.Device
+		if cfg.CustomBandwidth > 0 {
+			dev = storage.NewCustomDevice(cfg.CustomBandwidth, 0)
+		} else {
+			dev = storage.NewDevice(cfg.StorageKind)
+		}
+		s.nodes = append(s.nodes, &node{
+			id:     cluster.NodeID(i),
+			cap:    cfg.NodeCapacity,
+			device: dev,
+			meter:  energy.NewMeter(cfg.EnergyModel),
+		})
+	}
+	s.nodeIdx = newNodeIndex(cfg.Nodes)
+	for _, n := range s.nodes {
+		n.idx = s.nodeIdx
+		n.touch()
+	}
+	if s.reg != nil {
+		s.hm.dumpQueue = s.reg.Histogram("sched.dump.queue.seconds")
+		s.hm.dumpWrite = s.reg.Histogram("sched.dump.write.seconds")
+		s.hm.dumpTotal = s.reg.Histogram("sched.dump.total.seconds")
+		s.hm.restoreQueue = s.reg.Histogram("sched.restore.queue.seconds")
+		s.hm.restoreRead = s.reg.Histogram("sched.restore.read.seconds")
+		s.hm.restoreTotal = s.reg.Histogram("sched.restore.total.seconds")
+		s.hm.restoreTransfer = s.reg.Histogram("sched.restore.transfer.seconds")
+		s.hm.predumpQueue = s.reg.Histogram("sched.predump.queue.seconds")
+		s.hm.predumpTotal = s.reg.Histogram("sched.predump.total.seconds")
+		s.hm.restoreLocal = s.reg.Counter("sched.policy.restore.local")
+		s.hm.restoreRemote = s.reg.Counter("sched.policy.restore.remote")
+		for a := core.ActionKill; a <= core.ActionCheckpointIncremental; a++ {
+			//lint:ignore metricname the suffix is a closed PreemptAction enum, one counter per verdict
+			s.hm.decision[a] = s.reg.Counter("sched.policy.decision." + a.String())
+		}
+	}
+	return s
+}
+
 func (s *Simulator) enqueue(t *taskRT, now sim.Time) {
 	t.phase = phaseQueued
 	t.queuedAt = now
@@ -577,10 +623,7 @@ func (s *Simulator) requestSchedule(now sim.Time) {
 		return
 	}
 	s.schedulePending = true
-	s.engine.At(now, func(t sim.Time) {
-		s.schedulePending = false
-		s.trySchedule(t)
-	})
+	s.engine.At(now, s.runPass)
 }
 
 // popBatch removes up to ScanLimit tasks from the pending queue and
@@ -621,19 +664,11 @@ func (s *Simulator) trySchedule(now sim.Time) {
 		// later task dominating one of them cannot place either, so its
 		// node scan is skipped. Capped small: membership tests must stay
 		// cheaper than the scans they avoid.
-		failed []cluster.Resources
+		failed = s.failedScratch[:0]
 	)
-	dominated := func(d cluster.Resources) bool {
-		for _, f := range failed {
-			if f.CPUMillis <= d.CPUMillis && f.MemBytes <= d.MemBytes {
-				return true
-			}
-		}
-		return false
-	}
 	for _, t := range s.popBatch() {
 		placed := false
-		if !dominated(t.spec.Demand) {
+		if !dominatesAny(t.spec.Demand, failed) {
 			placed = s.place(t, now)
 			if !placed && len(failed) < 8 {
 				failed = append(failed, t.spec.Demand)
@@ -664,6 +699,18 @@ func (s *Simulator) trySchedule(now sim.Time) {
 		s.queue.push(t)
 	}
 	s.skipScratch = skipped[:0]
+	s.failedScratch = failed[:0]
+}
+
+// dominatesAny reports whether d is at least as large as some demand in
+// failed in both dimensions.
+func dominatesAny(d cluster.Resources, failed []cluster.Resources) bool {
+	for _, f := range failed {
+		if f.CPUMillis <= d.CPUMillis && f.MemBytes <= d.MemBytes {
+			return true
+		}
+	}
+	return false
 }
 
 // reserve parks t's demand on n until t is placed.
@@ -697,7 +744,7 @@ func (s *Simulator) place(t *taskRT, now sim.Time) bool {
 	s.unreserve(t)
 	target.alloc(now, t.spec.Demand)
 	s.account(t, +1)
-	target.running[t.spec.ID] = t
+	target.addRunning(t)
 	t.node = target
 	s.decisions++
 	s.inFlight++
@@ -811,12 +858,7 @@ func (s *Simulator) finishTask(t *taskRT, now sim.Time) {
 	t.completion = nil
 	s.journalTaskDone(t, now)
 	s.removeImages(t)
-	s.inFlight--
-	s.probe(ProbeFinish, t.spec.ID, t.node.id, now)
-	t.node.release(now, t.spec.Demand)
-	s.account(t, -1)
-	delete(t.node.running, t.spec.ID)
-	t.node = nil
+	s.leave(t, ProbeFinish, now)
 	s.res.TasksCompleted++
 
 	t.job.remaining--
@@ -832,6 +874,18 @@ func (s *Simulator) finishTask(t *taskRT, now sim.Time) {
 		s.res.JobResponseByUser[user].Add(resp)
 	}
 	s.requestSchedule(now)
+}
+
+// leave takes t off its node: the resources return, the books and the
+// node's running set drop it, and kind tells the Probe why.
+func (s *Simulator) leave(t *taskRT, kind ProbeKind, now sim.Time) {
+	n := t.node
+	s.inFlight--
+	s.probe(kind, t.spec.ID, n.id, now)
+	n.release(now, t.spec.Demand)
+	s.account(t, -1)
+	n.removeRunning(t)
+	t.node = nil
 }
 
 // chargeOverhead books checkpoint/restore time as wasted, overhead CPU.
@@ -890,20 +944,22 @@ func (s *Simulator) preemptFor(t *taskRT, now sim.Time) bool {
 }
 
 // chooseVictims finds a node where evicting discipline-eligible tasks
-// makes room for t, returning the victim set. Under the adaptive policy
-// the node and victims minimize checkpoint cost (cost-aware eviction);
-// otherwise the first eligible node and a naive priority-ordered victim
-// set are used, mirroring stock YARN.
+// makes room for t, returning the victim set in eviction order. Under the
+// adaptive policy every eligible node is scored and the node and victims
+// with the lowest summed checkpoint cost win (cost-aware eviction);
+// otherwise costs are zero, which leaves a priority-ordered victim set, and
+// the first feasible node is taken, mirroring stock YARN. The returned
+// slice aliases victimScratch and is valid until the next call.
 func (s *Simulator) chooseVictims(t *taskRT, now sim.Time) (*node, []*taskRT) {
 	adaptive := s.cfg.Policy == core.PolicyAdaptive && !s.cfg.NaiveVictimSelection
 	var (
 		bestNode *node
-		bestSet  []*taskRT
 		bestCost time.Duration
+		best     = s.victimScratch[:0]
 	)
 	// Under the priority discipline a node can only yield victims if some
 	// task with priority strictly below t's is running there; the per-node
-	// priority mask answers that in one AND, skipping the running-map walk
+	// priority mask answers that in one AND, skipping the running-set walk
 	// on (typically) almost every node.
 	var belowMask uint16
 	maskable := s.cfg.Discipline != DisciplineFairShare && s.cfg.Discipline != DisciplineCapacity
@@ -917,10 +973,19 @@ func (s *Simulator) chooseVictims(t *taskRT, now sim.Time) (*node, []*taskRT) {
 		if maskable && n.prioMask&belowMask == 0 {
 			continue
 		}
-		cands := s.preemptableOn(n, t, now)
+		cands := s.preemptableOn(n, t)
 		if len(cands) == 0 {
 			continue
 		}
+		keys := s.keyScratch.Keys[:0]
+		for _, v := range cands {
+			k := core.VictimKey{Priority: v.spec.Priority, Demand: v.spec.Demand}
+			if adaptive {
+				k.Cost = core.CheckpointOverhead(s.candidateFor(v, now), n.device, now)
+			}
+			keys = append(keys, k)
+		}
+		s.keyScratch.Keys = keys
 		need := t.spec.Demand.Sub(n.availableFor(t))
 		if need.CPUMillis < 0 {
 			need.CPUMillis = 0
@@ -928,24 +993,29 @@ func (s *Simulator) chooseVictims(t *taskRT, now sim.Time) (*node, []*taskRT) {
 		if need.MemBytes < 0 {
 			need.MemBytes = 0
 		}
-		set, cost, ok := s.selectOn(n, cands, need, now, adaptive)
+		idx, cost, ok := s.keyScratch.Select(need)
 		if !ok {
 			continue
 		}
-		if !adaptive {
-			return n, set
-		}
 		if bestNode == nil || cost < bestCost {
-			bestNode, bestSet, bestCost = n, set, cost
+			bestNode, bestCost = n, cost
+			best = best[:0]
+			for _, i := range idx {
+				best = append(best, cands[i])
+			}
+		}
+		if !adaptive {
+			break
 		}
 	}
-	return bestNode, bestSet
+	s.victimScratch = best[:0]
+	return bestNode, best
 }
 
 // preemptableOn lists running tasks on n that t may evict under the
-// active discipline, in deterministic task-ID order. The returned slice
-// aliases a per-simulator scratch buffer valid until the next call.
-func (s *Simulator) preemptableOn(n *node, t *taskRT, now sim.Time) []*taskRT {
+// active discipline, in task-ID order. The returned slice aliases
+// candScratch and is valid until the next call.
+func (s *Simulator) preemptableOn(n *node, t *taskRT) []*taskRT {
 	out := s.candScratch[:0]
 	for _, v := range n.running {
 		if v.phase == phaseRunning && !v.preCopying && s.canPreempt(t, v) {
@@ -953,58 +1023,7 @@ func (s *Simulator) preemptableOn(n *node, t *taskRT, now sim.Time) []*taskRT {
 		}
 	}
 	s.candScratch = out[:0]
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].spec.ID, out[j].spec.ID
-		if a.Job != b.Job {
-			return a.Job < b.Job
-		}
-		return a.Index < b.Index
-	})
 	return out
-}
-
-// selectOn picks victims on one node covering need. Adaptive mode uses
-// cost-aware selection (core.SelectVictims); baseline mode takes the
-// lowest-priority tasks in order.
-func (s *Simulator) selectOn(n *node, cands []*taskRT, need cluster.Resources, now sim.Time, adaptive bool) ([]*taskRT, time.Duration, bool) {
-	if adaptive {
-		byID := make(map[cluster.TaskID]*taskRT, len(cands))
-		coreCands := make([]core.Candidate, len(cands))
-		for i, v := range cands {
-			byID[v.spec.ID] = v
-			coreCands[i] = s.candidateFor(v, now)
-		}
-		sel, ok := core.SelectVictims(coreCands, need, now, func(core.Candidate) *storage.Device { return n.device })
-		if !ok {
-			return nil, 0, false
-		}
-		var cost time.Duration
-		set := make([]*taskRT, len(sel))
-		for i, c := range sel {
-			set[i] = byID[c.Task]
-			cost += core.CheckpointOverhead(c, n.device, now)
-		}
-		return set, cost, true
-	}
-	// Baseline: lowest priority first, insertion order within priority.
-	sort.SliceStable(cands, func(i, j int) bool {
-		return cands[i].spec.Priority < cands[j].spec.Priority
-	})
-	var (
-		freed cluster.Resources
-		set   []*taskRT
-	)
-	for _, v := range cands {
-		if need.Fits(freed) {
-			break
-		}
-		set = append(set, v)
-		freed = freed.Add(v.spec.Demand)
-	}
-	if !need.Fits(freed) {
-		return nil, 0, false
-	}
-	return set, 0, true
 }
 
 // candidateFor builds the Algorithm 1 input for a victim, honoring the
@@ -1035,12 +1054,7 @@ func (s *Simulator) preemptTask(v *taskRT, now sim.Time) {
 		cores := float64(v.spec.Demand.CPUMillis) / 1000
 		s.res.Kills++
 		s.res.WastedCPUHours += cores * v.unsavedProgress(now).Hours()
-		s.inFlight--
-		s.probe(ProbeKill, v.spec.ID, n.id, now)
-		n.release(now, v.spec.Demand)
-		s.account(v, -1)
-		delete(n.running, v.spec.ID)
-		v.node = nil
+		s.leave(v, ProbeKill, now)
 		s.enqueue(v, now)
 		s.requestSchedule(now)
 		return
@@ -1088,12 +1102,7 @@ func (s *Simulator) preemptTask(v *taskRT, now sim.Time) {
 func (s *Simulator) vacate(v *taskRT, n *node, at sim.Time) {
 	v.hasCheckpoint = true
 	v.ckptNode = n
-	s.inFlight--
-	s.probe(ProbeVacate, v.spec.ID, n.id, at)
-	n.release(at, v.spec.Demand)
-	s.account(v, -1)
-	delete(n.running, v.spec.ID)
-	v.node = nil
+	s.leave(v, ProbeVacate, at)
 	s.enqueue(v, at)
 	s.requestSchedule(at)
 }

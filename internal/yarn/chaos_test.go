@@ -77,7 +77,7 @@ func TestChaosCrashAndRPCDrops(t *testing.T) {
 	// mirrored under faults.injected.*, with the absorption work visible as
 	// live dfs.client.* counters that agree with the Result's tallies.
 	snap := r.Metrics
-	if got := snap.Counter("faults.injected."+faults.ModeNodeCrashes); got != 1 {
+	if got := snap.Counter("faults.injected." + faults.ModeNodeCrashes); got != 1 {
 		t.Errorf("faults.injected.node.crashes = %d, want 1", got)
 	}
 	if snap.Counter("faults.injected."+faults.ModeDataNodeRPCErrors) == 0 {
@@ -162,7 +162,7 @@ func TestChaosBitRotConvergence(t *testing.T) {
 	// each detection (reader checksum miss or scrubber find) became a
 	// quarantine, and each quarantine was healed by re-replication.
 	snap := r.Metrics
-	injected := snap.Counter("faults.injected."+faults.ModeBitFlips)
+	injected := snap.Counter("faults.injected." + faults.ModeBitFlips)
 	if injected == 0 {
 		t.Fatal("BitFlipRate=1 injected nothing")
 	}
@@ -273,7 +273,7 @@ func TestDumpFailureDegradesToKill(t *testing.T) {
 	// the Preemption Manager absorbed by degrading to a kill: each dump
 	// attempt performs a single store Create, so the two counters match.
 	snap := r.Metrics
-	injected := snap.Counter("faults.injected."+faults.ModeStoreCreateErrors)
+	injected := snap.Counter("faults.injected." + faults.ModeStoreCreateErrors)
 	failures := snap.Counter("yarn.dump.failures")
 	if injected == 0 || injected != failures {
 		t.Errorf("injected store.create.errors (%d) != absorbed dump failures (%d)", injected, failures)
@@ -310,7 +310,7 @@ func TestPreCopyDumpFailureDegradesToKill(t *testing.T) {
 	}
 
 	snap := r.Metrics
-	injected := snap.Counter("faults.injected."+faults.ModeStoreCreateErrors)
+	injected := snap.Counter("faults.injected." + faults.ModeStoreCreateErrors)
 	failures := snap.Counter("yarn.dump.failures")
 	if injected == 0 || injected != failures {
 		t.Errorf("injected store.create.errors (%d) != absorbed dump failures (%d)", injected, failures)
@@ -347,7 +347,7 @@ func TestTornDumpDegradesGracefully(t *testing.T) {
 	// With TornWriteRate=1 every dump's image writer tears exactly once, so
 	// injected tears and absorbed dump failures must agree.
 	snap := r.Metrics
-	injected := snap.Counter("faults.injected."+faults.ModeTornWrites)
+	injected := snap.Counter("faults.injected." + faults.ModeTornWrites)
 	failures := snap.Counter("yarn.dump.failures")
 	if injected == 0 || injected != failures {
 		t.Errorf("injected torn.writes (%d) != absorbed dump failures (%d)", injected, failures)
