@@ -2,10 +2,7 @@ package main
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"preemptsched/internal/cluster"
 	"preemptsched/internal/core"
@@ -55,36 +52,12 @@ func sweepSpecs(policies []core.Policy, kinds []storage.Kind) []sweepSpec {
 // even when some fail, so a sweep report always covers the full matrix.
 func runSweep(specs []sweepSpec, parallel int, run func(sweepSpec) (*yarn.Result, error)) []sweepOutcome {
 	out := make([]sweepOutcome, len(specs))
-	if parallel <= 0 {
-		parallel = runtime.GOMAXPROCS(0)
-	}
-	if parallel > len(specs) {
-		parallel = len(specs)
-	}
-	if parallel <= 1 {
-		for i, spec := range specs {
-			r, err := run(spec)
-			out[i] = sweepOutcome{spec: spec, r: r, err: err}
-		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < parallel; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(specs) {
-					return
-				}
-				r, err := run(specs[i])
-				out[i] = sweepOutcome{spec: specs[i], r: r, err: err}
-			}
-		}()
-	}
-	wg.Wait()
+	// Each outcome keeps its own error; the caller reports them in order.
+	_ = core.ForEachIndex(len(specs), parallel, func(i int) error {
+		r, err := run(specs[i])
+		out[i] = sweepOutcome{spec: specs[i], r: r, err: err}
+		return nil
+	})
 	return out
 }
 
@@ -168,7 +141,7 @@ func parseKind(s string) (storage.Kind, error) {
 func runSweepMode(specs []sweepSpec, parallel int,
 	makeRun func(core.Policy, storage.Kind) (yarn.Config, []cluster.JobSpec, error),
 	reportBase string) error {
-	fmt.Printf("sweeping %d policy × storage combinations (parallel=%d)\n\n", len(specs), effectiveWorkers(parallel, len(specs)))
+	fmt.Printf("sweeping %d policy × storage combinations (parallel=%d)\n\n", len(specs), core.Workers(parallel, len(specs)))
 	outcomes := runSweep(specs, parallel, func(spec sweepSpec) (*yarn.Result, error) {
 		cfg, jobs, err := makeRun(spec.policy, spec.kind)
 		if err != nil {
@@ -192,15 +165,4 @@ func runSweepMode(specs []sweepSpec, parallel int,
 	}
 	fmt.Println(sweepTable(outcomes).String())
 	return firstErr
-}
-
-// effectiveWorkers mirrors runSweep's pool sizing for display.
-func effectiveWorkers(parallel, n int) int {
-	if parallel <= 0 {
-		parallel = runtime.GOMAXPROCS(0)
-	}
-	if parallel > n {
-		parallel = n
-	}
-	return parallel
 }

@@ -331,6 +331,11 @@ func printRecord(r obs.Record, focus string) {
 			fmt.Fprintln(out, line+flagNames(r.Flags))
 			return
 		}
+		if r.Task == "" && r.Node == "" {
+			// A subsystem marker (the daemon's drain-begin / drain-end).
+			fmt.Fprintf(out, "T=%-12s %s (%s)\n", fdur(r.At), r.Name, r.Source)
+			return
+		}
 		line := fmt.Sprintf("T=%-12s %s: task %s on %s", fdur(r.At), r.Name, r.Task, r.Node)
 		if r.Bytes > 0 {
 			line += fmt.Sprintf(", %d bytes", r.Bytes)

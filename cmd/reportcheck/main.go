@@ -35,6 +35,7 @@ import (
 
 	"preemptsched/internal/faults"
 	"preemptsched/internal/obs"
+	"preemptsched/internal/report"
 )
 
 func main() {
@@ -66,45 +67,30 @@ func run(schemaPath, reportPath string, integrity, slo, failures bool) error {
 	if err := obs.ValidateJSONSchemaBytes(schema, doc); err != nil {
 		return err
 	}
+	// The contracts read the document back through the type that wrote it.
+	var rep report.Report
+	if err := json.Unmarshal(doc, &rep); err != nil {
+		return err
+	}
 	if integrity {
-		if err := checkIntegrity(doc); err != nil {
+		if err := checkIntegrity(rep); err != nil {
 			return err
 		}
 	}
 	if slo {
-		if err := checkSLO(doc); err != nil {
+		if err := checkSLO(rep); err != nil {
 			return err
 		}
 	}
 	if failures {
-		return checkFailures(doc)
+		return checkFailures(rep)
 	}
 	return nil
 }
 
-// integrityReport is the slice of the report the chaos contract reads.
-type integrityReport struct {
-	Aborted     bool             `json:"aborted"`
-	AbortReason string           `json:"abort_reason"`
-	Counts      map[string]int64 `json:"counts"`
-	Integrity   struct {
-		CorruptReads          int64 `json:"corrupt_reads"`
-		ReplicasQuarantined   int64 `json:"replicas_quarantined"`
-		CorruptReReplicated   int64 `json:"corrupt_rereplicated"`
-		CorruptDegraded       int64 `json:"corrupt_degraded"`
-		CorruptLost           int64 `json:"corrupt_lost"`
-		ScrubRuns             int64 `json:"scrub_runs"`
-		ScrubCorruptFound     int64 `json:"scrub_corrupt_found"`
-		FinalScrubCorrupt     int64 `json:"final_scrub_corrupt"`
-		RestoreVerifyFailures int64 `json:"restore_verify_failures"`
-	} `json:"integrity"`
-}
-
-func checkIntegrity(doc []byte) error {
-	var rep integrityReport
-	if err := json.Unmarshal(doc, &rep); err != nil {
-		return err
-	}
+// checkIntegrity asserts the corruption-chaos contract on the report's
+// integrity counters.
+func checkIntegrity(rep report.Report) error {
 	if rep.Aborted {
 		return fmt.Errorf("integrity: run did not complete: %s", rep.AbortReason)
 	}
@@ -142,36 +128,11 @@ func checkIntegrity(doc []byte) error {
 	return nil
 }
 
-// failuresReport is the slice of the report the node-churn contract
-// reads.
-type failuresReport struct {
-	Aborted     bool             `json:"aborted"`
-	AbortReason string           `json:"abort_reason"`
-	Counts      map[string]int64 `json:"counts"`
-	Failures    struct {
-		NodeFailures          int64   `json:"node_failures"`
-		NodeRecoveries        int64   `json:"node_recoveries"`
-		TasksRescheduled      int64   `json:"tasks_rescheduled"`
-		FailureRestores       int64   `json:"failure_restores"`
-		FailureRestarts       int64   `json:"failure_restarts"`
-		FailureWasteCoreHours float64 `json:"failure_waste_core_hours"`
-	} `json:"failures"`
-	SLO struct {
-		WasteCoreHours           float64 `json:"waste_core_hours"`
-		WasteFailureCoreHours    float64 `json:"waste_failure_core_hours"`
-		WastePreemptionCoreHours float64 `json:"waste_preemption_core_hours"`
-	} `json:"slo"`
-}
-
 // checkFailures asserts the node-churn recovery contract: the run
 // survived real node loss with settled books, every displaced task is
 // accounted for, and the failure-blame split agrees between the
 // failures object, the batch counters, and the SLO snapshot.
-func checkFailures(doc []byte) error {
-	var rep failuresReport
-	if err := json.Unmarshal(doc, &rep); err != nil {
-		return err
-	}
+func checkFailures(rep report.Report) error {
 	if rep.Aborted {
 		return fmt.Errorf("failures: run did not complete: %s", rep.AbortReason)
 	}
@@ -215,41 +176,12 @@ func checkFailures(doc []byte) error {
 	return nil
 }
 
-// sloBand is one band's response-time summary inside the report.
-type sloBand struct {
-	Count int64   `json:"count"`
-	Mean  float64 `json:"mean"`
-	P50   float64 `json:"p50"`
-	P95   float64 `json:"p95"`
-	P99   float64 `json:"p99"`
-	Max   float64 `json:"max"`
-}
-
-// sloReport is the slice of the report the SLO contract reads.
-type sloReport struct {
-	Counts map[string]int64 `json:"counts"`
-	SLO    struct {
-		WasteCoreHours      float64            `json:"waste_core_hours"`
-		UsefulCoreHours     float64            `json:"useful_core_hours"`
-		WasteFraction       float64            `json:"waste_fraction"`
-		KillDecisions       int64              `json:"kill_decisions"`
-		CheckpointDecisions int64              `json:"checkpoint_decisions"`
-		FallbackKills       int64              `json:"fallback_kills"`
-		CheckpointHitRate   float64            `json:"checkpoint_hit_rate"`
-		Response            map[string]sloBand `json:"response_seconds"`
-	} `json:"slo"`
-}
-
 // checkSLO asserts that the report's live-SLO snapshot agrees with the
 // batch counters published by the same run: the incremental engine must
 // count every decision the Preemption Manager counted, the derived
 // ratios must recompute from their inputs, and each band's percentile
 // summary must be internally consistent.
-func checkSLO(doc []byte) error {
-	var rep sloReport
-	if err := json.Unmarshal(doc, &rep); err != nil {
-		return err
-	}
+func checkSLO(rep report.Report) error {
 	s := rep.SLO
 	const eps = 1e-9
 	kills := rep.Counts["yarn.policy.decision.kill"]

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"runtime/metrics"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -431,13 +432,24 @@ func (d *Daemon) sample(stop <-chan struct{}) {
 		case <-stop:
 			return
 		case <-t.C:
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
 			d.reg.SetGauge("clusterd.goroutines", float64(runtime.NumGoroutine()))
-			d.reg.SetGauge("clusterd.heap.bytes", float64(ms.HeapAlloc))
+			d.reg.SetGauge("clusterd.heap.bytes", float64(heapBytes()))
 			d.slo.PublishGauges(d.reg)
 		}
 	}
+}
+
+// heapBytes is the memory occupied by heap objects, live or not yet swept
+// — what runtime.MemStats.HeapAlloc reports — read through runtime/metrics,
+// which unlike runtime.ReadMemStats does not stop the world: clients poll
+// Stats while the daemon is serving.
+func heapBytes() uint64 {
+	sample := [1]metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+	metrics.Read(sample[:])
+	if sample[0].Value.Kind() != metrics.KindUint64 {
+		return 0
+	}
+	return sample[0].Value.Uint64()
 }
 
 // Stats snapshots the daemon's books.
@@ -445,8 +457,6 @@ func (d *Daemon) Stats() Stats {
 	d.mu.Lock()
 	state := d.state
 	d.mu.Unlock()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
 	st := Stats{
 		State:           state,
 		Submitted:       d.submitted.Load(),
@@ -458,7 +468,7 @@ func (d *Daemon) Stats() Stats {
 		QueueDepth:      len(d.queue),
 		InFlight:        len(d.inflight),
 		Goroutines:      runtime.NumGoroutine(),
-		HeapBytes:       ms.HeapAlloc,
+		HeapBytes:       heapBytes(),
 		VirtualNowNS:    int64(d.svc.Now()),
 	}
 	if h, ok := d.reg.Snapshot().Histograms["clusterd.admission.seconds"]; ok {
@@ -487,10 +497,8 @@ func (d *Daemon) Shutdown(ctx context.Context) error {
 	d.state = StateDraining
 	close(d.queue)
 	d.mu.Unlock()
-	d.rec.Append(obs.Record{
-		Kind: obs.RecEvent, At: time.Duration(d.svc.Now()),
-		Source: "clusterd", Name: "drain-begin",
-	})
+	jrn := d.rec.Emitter("clusterd")
+	jrn.Marker(d.svc.Now(), "drain-begin")
 
 	// Everything admitted reaches the engine, then the engine drains.
 	d.dispatchWG.Wait()
@@ -505,10 +513,7 @@ func (d *Daemon) Shutdown(ctx context.Context) error {
 		d.svc.Abort()
 		<-drained
 	}
-	d.rec.Append(obs.Record{
-		Kind: obs.RecEvent, At: time.Duration(d.svc.Now()),
-		Source: "clusterd", Name: "drain-end",
-	})
+	jrn.Marker(d.svc.Now(), "drain-end")
 
 	// Lost-job audit: after a full drain nothing may be outstanding.
 	d.mu.Lock()

@@ -293,3 +293,32 @@ func TestSoakWithFaults(t *testing.T) {
 		t.Errorf("post-drain lost=%d double=%d", st.Lost, st.DoubleCompleted)
 	}
 }
+
+// GIVEN Stats.HeapBytes and the clusterd.heap.bytes gauge now read
+// through runtime/metrics instead of the stop-the-world ReadMemStats,
+// WHEN the process holds a known amount of extra heap,
+// THEN the reading moves by at least that much and stays in step with
+// MemStats.HeapAlloc, so the soak's growth check keeps its meaning.
+func TestHeapBytesTracksHeapAlloc(t *testing.T) {
+	// A full collection on each side of the allocation leaves no garbage
+	// in either reading, whatever ran before this test.
+	runtime.GC()
+	before := heapBytes()
+	if before == 0 {
+		t.Fatal("heapBytes read 0: runtime/metrics does not export /memory/classes/heap/objects:bytes")
+	}
+	const slab = 32 << 20
+	held := make([]byte, slab)
+	runtime.GC()
+	after := heapBytes()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	runtime.KeepAlive(held)
+	const slack = 4 << 20
+	if grew := int64(after) - int64(before); grew < slab-slack || grew > slab+slack {
+		t.Errorf("heapBytes %d -> %d with %d more bytes held", before, after, slab)
+	}
+	if diff := int64(ms.HeapAlloc) - int64(after); diff < -slack || diff > slack {
+		t.Errorf("heapBytes %d vs MemStats.HeapAlloc %d: more than 4 MiB apart", after, ms.HeapAlloc)
+	}
+}

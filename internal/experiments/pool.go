@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"preemptsched/internal/core"
 	"preemptsched/internal/storage"
@@ -11,12 +9,11 @@ import (
 
 // The evaluation is a matrix of independent runs — (figure, policy,
 // storage kind, scale) tuples that share nothing but the memoization
-// layer. runParallel is the bounded worker pool that fans them out.
-// Determinism is preserved by construction: workers claim task indices
-// from an atomic counter (so scheduling order is arbitrary), but every
-// task writes only its own result slot and all rendering happens
-// sequentially in canonical index order afterwards. The only
-// schedule-dependent quantity is wall time.
+// layer. runParallel fans them out over core.ForEachIndex, the bounded
+// index-claiming pool. Determinism is preserved by construction: which
+// worker runs which task is arbitrary, but every task writes only its own
+// result slot and all rendering happens sequentially in canonical index
+// order afterwards. The only schedule-dependent quantity is wall time.
 
 // runParallel executes tasks on up to workers goroutines. It returns the
 // error of the lowest-indexed failing task, so the reported failure is
@@ -26,41 +23,7 @@ import (
 // unpredictable prefix, and cheap tasks are cheaper than schedule-shaped
 // state.
 func runParallel(workers int, tasks []func() error) error {
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	if workers <= 1 {
-		var first error
-		for _, task := range tasks {
-			if err := task(); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
-	}
-	errs := make([]error, len(tasks))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(tasks) {
-					return
-				}
-				errs[i] = tasks[i]()
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return core.ForEachIndex(len(tasks), workers, func(i int) error { return tasks[i]() })
 }
 
 // workers resolves Options.Parallel: 0 means one worker per available

@@ -10,13 +10,14 @@ import (
 // cmd/explain: in the scheduler layers (internal/sched, internal/yarn),
 // every function that asks Algorithm 1 for a verdict — a call to
 // core.DecidePreemption — must journal that verdict in the same function
-// body, either through the layer's recordDecision helper or by appending
-// to the flight recorder directly. A decision that is acted on but never
-// journaled leaves a hole in the journal: the kill happens, and
-// "explain" cannot say why.
+// body through the one decision appender, obs.Emitter.Decision. A
+// decision that is acted on but never journaled leaves a hole in the
+// journal: the kill happens, and "explain" cannot say why. (The invariant
+// cannot be made structural: benchmarks outside these layers call
+// core.DecidePreemption directly.)
 var DecisionLog = &Analyzer{
 	Name: "decisionlog",
-	Doc:  "Algorithm 1 verdicts in scheduler code must be journaled (recordDecision or Recorder.Append)",
+	Doc:  "Algorithm 1 verdicts in scheduler code must be journaled (obs.Emitter.Decision)",
 	Run:  runDecisionLog,
 }
 
@@ -69,7 +70,7 @@ func runDecisionLog(pass *Pass) error {
 				continue
 			}
 			for _, call := range decides {
-				pass.Reportf(call.Pos(), "core.DecidePreemption verdict is never journaled: call recordDecision (or Recorder.Append) in the same function so cmd/explain can reconstruct it")
+				pass.Reportf(call.Pos(), "core.DecidePreemption verdict is never journaled: call obs.Emitter.Decision in the same function so cmd/explain can reconstruct it")
 			}
 		}
 	}
@@ -77,14 +78,7 @@ func runDecisionLog(pass *Pass) error {
 }
 
 // isDecisionJournal reports whether fn writes the verdict to the
-// provenance journal: the per-layer recordDecision helper, or the
-// flight recorder's Append itself.
+// provenance journal: the flight recorder's decision appender.
 func isDecisionJournal(fn *types.Func) bool {
-	if fn == nil {
-		return false
-	}
-	if fn.Name() == "recordDecision" && recvType(fn) != nil {
-		return true
-	}
-	return fn.Name() == "Append" && typeIs(recvType(fn), obsPackage, "Recorder")
+	return fn != nil && fn.Name() == "Decision" && typeIs(recvType(fn), obsPackage, "Emitter")
 }

@@ -4,47 +4,55 @@
 package yarn
 
 import (
+	"preemptsched/internal/cluster"
 	"preemptsched/internal/core"
 	"preemptsched/internal/obs"
 )
 
-type cluster struct {
+type scheduler struct {
+	jrn obs.Emitter
 	rec *obs.Recorder
-}
-
-func (c *cluster) recordDecision(action core.PreemptAction) {
-	c.rec.Append(obs.Record{Kind: obs.RecDecision, Name: action.String()})
 }
 
 // silentKill decides and acts without journaling — the hole explain
 // cannot see past.
-func (c *cluster) silentKill() {
+func (s *scheduler) silentKill() {
 	action := core.DecidePreemption(core.PolicyKill, core.Candidate{}, nil, 0) // want "verdict is never journaled"
 	_ = action
 }
 
-// viaHelper journals through the layer's recordDecision method.
-func (c *cluster) viaHelper() {
+// viaAppender journals through the decision appender.
+func (s *scheduler) viaAppender() {
 	action := core.DecidePreemption(core.PolicyKill, core.Candidate{}, nil, 0)
-	c.recordDecision(action)
+	s.jrn.Decision(0, action.String(), cluster.TaskID{}, 0, 0, 0, 0, 0)
 }
 
-// viaRecorder appends to the flight recorder directly.
-func (c *cluster) viaRecorder() {
-	action := core.DecidePreemption(core.PolicyKill, core.Candidate{}, nil, 0)
-	c.rec.Append(obs.Record{Kind: obs.RecDecision, Name: action.String()})
+// recordDecision is a layer-local helper. Whatever it does inside, the
+// function that took the verdict did not call the appender itself.
+func (s *scheduler) recordDecision(action core.PreemptAction) {
+	s.jrn.Decision(0, action.String(), cluster.TaskID{}, 0, 0, 0, 0, 0)
 }
 
-// recordDecision is a free function, not the layer helper: naming alone
-// does not journal anything.
-func recordDecision(action core.PreemptAction) { _ = action }
-
-func (c *cluster) viaImpostor() {
+func (s *scheduler) viaHelper() {
 	action := core.DecidePreemption(core.PolicyKill, core.Candidate{}, nil, 0) // want "verdict is never journaled"
-	recordDecision(action)
+	s.recordDecision(action)
+}
+
+// viaRawAppend hand-builds a record: that is not the decision shape's one
+// definition, so it does not count.
+func (s *scheduler) viaRawAppend() {
+	action := core.DecidePreemption(core.PolicyKill, core.Candidate{}, nil, 0) // want "verdict is never journaled"
+	s.rec.Append(obs.Record{Kind: obs.RecDecision, Name: action.String()})
+}
+
+// otherAppender journals something, but not the verdict.
+func (s *scheduler) otherAppender() {
+	action := core.DecidePreemption(core.PolicyKill, core.Candidate{}, nil, 0) // want "verdict is never journaled"
+	_ = action
+	s.jrn.TaskDone(0, cluster.TaskID{}, 0, 0)
 }
 
 // noDecision never consults Algorithm 1 — nothing to journal.
-func (c *cluster) noDecision() {
-	c.rec.Append(obs.Record{Kind: obs.RecEvent, Name: "task-done"})
+func (s *scheduler) noDecision() {
+	s.jrn.TaskDone(0, cluster.TaskID{}, 0, 0)
 }

@@ -22,9 +22,8 @@ type SLOTracker struct {
 	resp          map[string]*hist
 }
 
-// sloBands mirrors cluster.Band.String() (kept as literals so obs does
-// not grow a dependency on the cluster package): the paper's three
-// priority bands plus the cross-band aggregate.
+// sloBands mirrors cluster.Band.String(): the paper's three priority
+// bands plus the cross-band aggregate.
 var sloBands = []string{"all", "low", "medium", "high"}
 
 // NewSLOTracker returns a tracker with the standard band set

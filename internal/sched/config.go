@@ -120,10 +120,6 @@ type Config struct {
 	// detection delay is a deliberate simplification; the yarn layer
 	// models it.
 	NodeFailures []NodeFailure
-	// Metrics, when non-nil, receives sched.* policy-decision counters
-	// and dump/restore latency histograms (virtual time). Nil — the
-	// default — keeps the hot loop free of instrumentation.
-	Metrics *obs.Registry
 	// Recorder, when non-nil, receives the decision-provenance journal:
 	// one record per victim selection, Algorithm 1 verdict, dump,
 	// restore, and task completion. Nil keeps the hot loop journal-free.

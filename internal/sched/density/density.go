@@ -3,11 +3,9 @@ package density
 import (
 	"fmt"
 	"io"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
+	"preemptsched/internal/core"
 	"preemptsched/internal/sched"
 )
 
@@ -142,42 +140,12 @@ func Run(sp Spec) (*CellResult, error) {
 // deterministic fields is byte-identical at every parallelism level. On
 // error the lowest-indexed failure is returned, mirroring sched.RunMany.
 func RunCells(cells []Spec, parallel int) ([]*CellResult, error) {
-	if parallel <= 0 {
-		parallel = runtime.GOMAXPROCS(0)
-	}
-	if parallel > len(cells) {
-		parallel = len(cells)
-	}
 	results := make([]*CellResult, len(cells))
-	errs := make([]error, len(cells))
-	if parallel <= 1 {
-		for i, sp := range cells {
-			results[i], errs[i] = Run(sp)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < parallel; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(cells) {
-						return
-					}
-					results[i], errs[i] = Run(cells[i])
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return results, err
-		}
-	}
-	return results, nil
+	err := core.ForEachIndex(len(cells), parallel, func(i int) (err error) {
+		results[i], err = Run(cells[i])
+		return err
+	})
+	return results, err
 }
 
 // Render writes the human-readable report. With timing=false only the

@@ -27,7 +27,7 @@ func (s *Simulator) failNode(f NodeFailure, now sim.Time) {
 	n.touch()
 	n.settleEnergy(now)
 	s.res.NodeFailures++
-	s.journalNodeDown(n, now)
+	s.jrn.NodeDown(now, int(n.id), 0)
 	s.probe(ProbeNodeDown, cluster.TaskID{}, n.id, now)
 	// Fencing removes tasks from n.running, so walk a snapshot; candScratch
 	// is idle outside a victim scan.
@@ -84,7 +84,8 @@ func (s *Simulator) fenceTask(t *taskRT, now sim.Time) {
 func (s *Simulator) rescheduleFailed(t *taskRT, n *node, lost time.Duration, now sim.Time) {
 	t.failedOver = true
 	s.res.TasksRescheduled++
-	s.journalTaskRescheduled(t, n, lost, now)
+	s.jrn.TaskRescheduled(now, t.spec.ID, int(n.id), t.spec.Priority, lost)
+	t.trip.Abandon()
 	s.enqueue(t, now)
 }
 
@@ -97,7 +98,7 @@ func (s *Simulator) recoverNode(n *node, at sim.Time) {
 	n.touch()
 	s.res.NodeRecoveries++
 	s.totalCap = s.totalCap.Add(n.cap)
-	s.journalNodeRecovered(n, at)
+	s.jrn.NodeRecovered(at, int(n.id))
 	s.probe(ProbeNodeUp, cluster.TaskID{}, n.id, at)
 	s.requestSchedule(at)
 }

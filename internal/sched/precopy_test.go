@@ -1,11 +1,13 @@
 package sched
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
 	"preemptsched/internal/cluster"
 	"preemptsched/internal/core"
+	"preemptsched/internal/obs"
 	"preemptsched/internal/storage"
 	"preemptsched/internal/trace"
 )
@@ -91,5 +93,47 @@ func TestPreCopyConservationAndDeterminism(t *testing.T) {
 	}
 	if a.Makespan != b.Makespan || a.PreCopies != b.PreCopies || a.WastedCPUHours != b.WastedCPUHours {
 		t.Error("pre-copy runs not deterministic")
+	}
+}
+
+// GIVEN a pre-copy checkpoint under a flight recorder — a pre-dump while
+// the victim runs, then a freeze dump of the delta,
+// WHEN the round trip is journaled,
+// THEN it reads as the yarn layer's does (one definition per shape,
+// DESIGN.md §13): both dump windows carry the verdict's estimate, and the
+// restore's Actual is pre-dump + freeze dump + its own window, since the
+// estimate prices the bulk write the pre-dump performed.
+func TestPreCopyRoundTripJournal(t *testing.T) {
+	cfg := oneCoreConfig(core.PolicyCheckpoint, storage.SSD)
+	cfg.CustomBandwidth = 1e9
+	cfg.PreCopy = true
+	cfg.Recorder = obs.NewRecorder(0, 0)
+	if _, err := Run(cfg, twoJobScenario()); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := cfg.Recorder.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	j, err := obs.ReadJournal(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byName := make(map[string]obs.Record)
+	for _, r := range j.Records {
+		byName[r.Name] = r
+	}
+	verdict, pre, dump, restore := byName["checkpoint-full"], byName["pre-dump"], byName["dump"], byName["restore"]
+	if verdict.Est == 0 || pre.Actual == 0 || dump.Actual == 0 || restore.Actual == 0 {
+		t.Fatalf("journal lacks a full pre-copy round trip: %+v", j.Records)
+	}
+	if pre.Est != verdict.Est || dump.Est != verdict.Est || restore.Est != verdict.Est {
+		t.Errorf("estimates pre-dump %v, dump %v, restore %v; want the verdict's %v on all three",
+			pre.Est, dump.Est, restore.Est, verdict.Est)
+	}
+	window := restore.Actual - pre.Actual - dump.Actual
+	if want := time.Duration(float64(restore.Bytes) / 1e9 * float64(time.Second)); window != want {
+		t.Errorf("restore actual %v leaves %v after the dump windows %v + %v, want the %v image read",
+			restore.Actual, window, pre.Actual, dump.Actual, want)
 	}
 }

@@ -55,22 +55,20 @@ type taskRT struct {
 	// evictions counts preemptions suffered, for the eviction-threshold
 	// policy.
 	evictions int
-	// estOverhead is the Algorithm 1 checkpoint-overhead estimate stashed
-	// at decision time; the provenance journal compares it against the
-	// measured dump and restore windows. Only maintained under a Recorder.
-	estOverhead time.Duration
-	// dumpCost is the measured duration of the latest dump, folded into
-	// the restore event's actual round-trip cost.
-	dumpCost time.Duration
-	// preCopying marks a running task whose state is being pre-dumped; it
-	// is not eligible as a further preemption victim until frozen.
-	preCopying bool
+	// trip pairs the Algorithm 1 estimate of the task's open checkpoint
+	// round trip with its measured dump and restore windows.
+	trip obs.RoundTrip
 	// reservedOn is the node holding a capacity reservation for this
 	// waiting task while its preemption victims drain their checkpoint
 	// dumps. It prevents backfilling work from stealing the vacated
 	// resources and prevents issuing a second round of preemptions for
 	// the same waiter.
 	reservedOn *node
+	// preCopying marks a running task whose state is being pre-dumped; it
+	// is not eligible as a further preemption victim until frozen. It
+	// shares a word with failedOver: there is one taskRT per task and the
+	// struct sits at an allocator size-class boundary.
+	preCopying bool
 	// failedOver marks a task displaced by a node failure; its next
 	// placement is attributed as a failure restore or restart.
 	failedOver bool
@@ -319,11 +317,9 @@ func (q *pendingQueue) pop() *taskRT {
 // Simulator executes one run.
 type Simulator struct {
 	cfg Config
-	// reg is Config.Metrics; a nil registry makes every instrumentation
-	// call a no-op pointer test.
-	reg *obs.Registry
-	// rec is Config.Recorder; nil keeps the journal paths no-ops.
-	rec    *obs.Recorder
+	// jrn appends to Config.Recorder; without one every appender is a
+	// no-op.
+	jrn    obs.Emitter
 	engine *sim.Engine
 	nodes  []*node
 	// nodeIdx answers pickNode's first-fit query in O(log nodes).
@@ -359,17 +355,6 @@ type Simulator struct {
 	// runningByPrio counts phaseRunning tasks per priority so preemption
 	// feasibility is an O(12) check instead of a cluster scan.
 	runningByPrio [int(cluster.MaxPriority) + 1]int
-	// hm holds pre-resolved metric handles for per-event hot paths, so a
-	// dump or verdict records through one atomic slot instead of a
-	// name-keyed map lookup under the registry lock. All handles are
-	// no-op zero values when Config.Metrics is nil.
-	hm struct {
-		dumpQueue, dumpWrite, dumpTotal                          obs.Histogram
-		restoreQueue, restoreRead, restoreTotal, restoreTransfer obs.Histogram
-		predumpQueue, predumpTotal                               obs.Histogram
-		restoreLocal, restoreRemote                              obs.Counter
-		decision                                                 [int(core.ActionCheckpointIncremental) + 1]obs.Counter
-	}
 	// userUsage and bandUsage track allocated resources per tenant and
 	// per priority band for the fair-share and capacity disciplines.
 	userUsage map[string]cluster.Resources
@@ -538,13 +523,12 @@ func Run(cfg Config, jobs []cluster.JobSpec) (*Result, error) {
 	return s.res, nil
 }
 
-// newSimulator builds the cluster — nodes, devices, first-fit index, metric
-// handles — for a validated, defaulted cfg, with no work loaded.
+// newSimulator builds the cluster — nodes, devices, first-fit index — for
+// a validated, defaulted cfg, with no work loaded.
 func newSimulator(cfg Config) *Simulator {
 	s := &Simulator{
 		cfg:       cfg,
-		reg:       cfg.Metrics,
-		rec:       cfg.Recorder,
+		jrn:       cfg.Recorder.Emitter("sched"),
 		engine:    sim.NewEngine(),
 		userUsage: make(map[string]cluster.Resources),
 		totalCap:  cfg.NodeCapacity.Scale(float64(cfg.Nodes)),
@@ -587,23 +571,6 @@ func newSimulator(cfg Config) *Simulator {
 	for _, n := range s.nodes {
 		n.idx = s.nodeIdx
 		n.touch()
-	}
-	if s.reg != nil {
-		s.hm.dumpQueue = s.reg.Histogram("sched.dump.queue.seconds")
-		s.hm.dumpWrite = s.reg.Histogram("sched.dump.write.seconds")
-		s.hm.dumpTotal = s.reg.Histogram("sched.dump.total.seconds")
-		s.hm.restoreQueue = s.reg.Histogram("sched.restore.queue.seconds")
-		s.hm.restoreRead = s.reg.Histogram("sched.restore.read.seconds")
-		s.hm.restoreTotal = s.reg.Histogram("sched.restore.total.seconds")
-		s.hm.restoreTransfer = s.reg.Histogram("sched.restore.transfer.seconds")
-		s.hm.predumpQueue = s.reg.Histogram("sched.predump.queue.seconds")
-		s.hm.predumpTotal = s.reg.Histogram("sched.predump.total.seconds")
-		s.hm.restoreLocal = s.reg.Counter("sched.policy.restore.local")
-		s.hm.restoreRemote = s.reg.Counter("sched.policy.restore.remote")
-		for a := core.ActionKill; a <= core.ActionCheckpointIncremental; a++ {
-			//lint:ignore metricname the suffix is a closed PreemptAction enum, one counter per verdict
-			s.hm.decision[a] = s.reg.Counter("sched.policy.decision." + a.String())
-		}
 	}
 	return s
 }
@@ -827,17 +794,24 @@ func (s *Simulator) startRestore(t *taskRT, target *node, now sim.Time) {
 		s.res.RemoteRestores++
 	}
 	s.res.Restores++
-	var start, done sim.Time
+	var done sim.Time
 	if !remote && target.device.Kind() == storage.NVRAM {
 		// Byte-addressable local resume: pages are remapped from
 		// persistent memory, not read back through a file system.
-		start, done = target.device.Reserve(now, target.device.ReadTime(0))
+		_, done = target.device.Reserve(now, target.device.ReadTime(0))
 	} else {
-		start, done = target.device.ReserveRead(now+transfer, t.spec.MemFootprint)
+		_, done = target.device.ReserveRead(now+transfer, t.spec.MemFootprint)
 	}
-	s.recordRestore(remote, transfer, now, start, done)
-	s.journalRestore(t, target, remote, now, done)
 	overhead := time.Duration(done - now)
+	var flags uint32
+	if remote {
+		flags |= obs.FlagRemote
+	}
+	if t.failedOver {
+		flags |= obs.FlagFailure
+	}
+	est, actual := t.trip.Close(overhead)
+	s.jrn.Restore(now, t.spec.ID, int(target.id), t.spec.Priority, est, actual, t.spec.MemFootprint, flags, 0)
 	s.chargeOverhead(t, overhead)
 	s.engine.At(done, func(at sim.Time) {
 		// The target may have failed during the read; the fence already
@@ -856,7 +830,7 @@ func (s *Simulator) finishTask(t *taskRT, now sim.Time) {
 	s.unmarkRunning(t)
 	t.phase = phaseDone
 	t.completion = nil
-	s.journalTaskDone(t, now)
+	s.jrn.TaskDone(now, t.spec.ID, int(t.node.id), t.spec.Priority)
 	s.removeImages(t)
 	s.leave(t, ProbeFinish, now)
 	s.res.TasksCompleted++
@@ -895,36 +869,6 @@ func (s *Simulator) chargeOverhead(t *taskRT, d time.Duration) {
 	s.res.OverheadCPUHours += cores * d.Hours()
 }
 
-// recordDump splits one checkpoint write into queue/write/total latencies:
-// now is the enqueue instant, start when the device begins the write, done
-// its completion. All three are virtual time.
-func (s *Simulator) recordDump(now, start, done sim.Time) {
-	if s.reg == nil {
-		return
-	}
-	s.hm.dumpQueue.ObserveDuration(time.Duration(start - now))
-	s.hm.dumpWrite.ObserveDuration(time.Duration(done - start))
-	s.hm.dumpTotal.ObserveDuration(time.Duration(done - now))
-}
-
-// recordRestore mirrors recordDump for the read side and counts the
-// Algorithm 2 placement outcome. transfer is the network shipping time
-// preceding the read when the image is remote.
-func (s *Simulator) recordRestore(remote bool, transfer time.Duration, now, start, done sim.Time) {
-	if s.reg == nil {
-		return
-	}
-	if remote {
-		s.hm.restoreRemote.Inc()
-		s.hm.restoreTransfer.ObserveDuration(transfer)
-	} else {
-		s.hm.restoreLocal.Inc()
-	}
-	s.hm.restoreQueue.ObserveDuration(time.Duration(start-now) - transfer)
-	s.hm.restoreRead.ObserveDuration(time.Duration(done - start))
-	s.hm.restoreTotal.ObserveDuration(time.Duration(done - now))
-}
-
 // preemptFor vacates lower-priority work for t. It reports whether any
 // preemption was initiated.
 func (s *Simulator) preemptFor(t *taskRT, now sim.Time) bool {
@@ -932,8 +876,8 @@ func (s *Simulator) preemptFor(t *taskRT, now sim.Time) bool {
 	if target == nil {
 		return false
 	}
-	if s.rec != nil {
-		s.recordSelection(t, target, s.scoreCandidates(target, t, victims, now), now)
+	if s.jrn.On() {
+		s.jrn.Selection(now, t.spec.ID, int(target.id), t.spec.Priority, s.scoreCandidates(target, t, victims, now))
 	}
 	s.reserve(t, target)
 	for _, v := range victims {
@@ -1043,11 +987,14 @@ func (s *Simulator) preemptTask(v *taskRT, now sim.Time) {
 	s.decisions++
 	cand := s.candidateFor(v, now)
 	action := core.DecidePreemption(s.cfg.Policy, cand, n.device, now)
-	s.hm.decision[action].Inc()
-	s.recordDecision(v, n, action, cand, now)
+	// The journal keeps the checkpoint cost the verdict weighed even for a
+	// kill, so explain can say what the kill avoided.
+	est := core.CheckpointOverhead(cand, n.device, now)
+	s.jrn.Decision(now, action.String(), v.spec.ID, int(n.id), v.spec.Priority, v.unsavedProgress(now), est, 0)
 
 	if !action.IsCheckpoint() {
 		// Kill: unsaved progress is lost; resources free immediately.
+		v.trip.Abandon()
 		s.engine.Cancel(v.completion)
 		v.completion = nil
 		s.unmarkRunning(v)
@@ -1060,6 +1007,7 @@ func (s *Simulator) preemptTask(v *taskRT, now sim.Time) {
 		return
 	}
 
+	v.trip.Open(est)
 	s.probe(ProbeCheckpoint, v.spec.ID, n.id, now)
 	s.res.Checkpoints++
 	if action == core.ActionCheckpointIncremental {
@@ -1083,18 +1031,25 @@ func (s *Simulator) preemptTask(v *taskRT, now sim.Time) {
 		v.remaining = 0
 	}
 	dumpBytes := cand.DumpBytes()
-	start, done := n.device.ReserveWrite(now, dumpBytes)
-	s.recordDump(now, start, done)
+	_, done := n.device.ReserveWrite(now, dumpBytes)
 	var dumpFlags uint32
 	if action == core.ActionCheckpointIncremental {
 		dumpFlags |= obs.FlagIncremental
 	}
-	s.journalDump(v, dumpBytes, dumpFlags, now, done)
+	s.dumped(v, dumpBytes, dumpFlags, now, done)
 	s.chargeOverhead(v, time.Duration(done-now))
 	s.trackImage(v, action, dumpBytes)
 	s.engine.At(done, func(at sim.Time) {
 		s.vacate(v, n, at)
 	})
+}
+
+// dumped extends v's round trip by the dump window [now, done] and
+// journals it.
+func (s *Simulator) dumped(v *taskRT, bytes int64, flags uint32, now, done sim.Time) {
+	window := time.Duration(done - now)
+	v.trip.Dumped(window, 0)
+	s.jrn.Dump(now, v.spec.ID, int(v.node.id), v.spec.Priority, v.trip.Est(), window, bytes, flags, 0)
 }
 
 // vacate finalizes a checkpointed victim: its image is durable, its
@@ -1116,10 +1071,9 @@ func (s *Simulator) startPreCopy(v *taskRT, cand core.Candidate, now sim.Time) {
 	s.res.PreCopies++
 	v.preCopying = true
 	preBytes := cand.DumpBytes()
-	preStart, preDone := n.device.ReserveWrite(now, preBytes)
-	s.hm.predumpQueue.ObserveDuration(time.Duration(preStart - now))
-	s.hm.predumpTotal.ObserveDuration(time.Duration(preDone - now))
-	s.journalPreDump(v, preBytes, now, preDone)
+	_, preDone := n.device.ReserveWrite(now, preBytes)
+	v.trip.Dumped(time.Duration(preDone-now), 0)
+	s.jrn.PreDump(now, v.spec.ID, int(n.id), v.spec.Priority, v.trip.Est(), time.Duration(preDone-now), preBytes, 0)
 	preAction := core.ActionCheckpointFull
 	if cand.HasCheckpoint {
 		preAction = core.ActionCheckpointIncremental
@@ -1151,9 +1105,8 @@ func (s *Simulator) startPreCopy(v *taskRT, cand core.Candidate, now sim.Time) {
 			frac = 1
 		}
 		delta := int64(frac * float64(v.spec.MemFootprint))
-		start, done := n.device.ReserveWrite(at, delta)
-		s.recordDump(at, start, done)
-		s.journalDump(v, delta, obs.FlagIncremental|obs.FlagPreCopy, at, done)
+		_, done := n.device.ReserveWrite(at, delta)
+		s.dumped(v, delta, obs.FlagIncremental|obs.FlagPreCopy, at, done)
 		s.chargeOverhead(v, time.Duration(done-at))
 		s.trackImage(v, core.ActionCheckpointIncremental, delta)
 		s.engine.At(done, func(end sim.Time) {

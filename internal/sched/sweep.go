@@ -1,11 +1,8 @@
 package sched
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-
 	"preemptsched/internal/cluster"
+	"preemptsched/internal/core"
 )
 
 // RunSpec is one independent simulation in a sweep: a sized configuration
@@ -28,40 +25,10 @@ type RunSpec struct {
 // spec (the one a sequential sweep would hit first) alongside the
 // results gathered so far; results[i] is nil for specs that failed.
 func RunMany(specs []RunSpec, parallel int) ([]*Result, error) {
-	if parallel <= 0 {
-		parallel = runtime.GOMAXPROCS(0)
-	}
-	if parallel > len(specs) {
-		parallel = len(specs)
-	}
 	results := make([]*Result, len(specs))
-	errs := make([]error, len(specs))
-	if parallel <= 1 {
-		for i, spec := range specs {
-			results[i], errs[i] = Run(spec.Config, spec.Jobs)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < parallel; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(specs) {
-						return
-					}
-					results[i], errs[i] = Run(specs[i].Config, specs[i].Jobs)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return results, err
-		}
-	}
-	return results, nil
+	err := core.ForEachIndex(len(specs), parallel, func(i int) (err error) {
+		results[i], err = Run(specs[i].Config, specs[i].Jobs)
+		return err
+	})
+	return results, err
 }

@@ -58,12 +58,11 @@ type taskRun struct {
 	// it is not eligible for further preemption until frozen.
 	preCopying bool
 
-	// estOverhead holds the Algorithm 1 overhead estimate captured at the
-	// checkpoint decision; it is compared against the actual dump+restore
-	// cost when the task resumes, then cleared. dumpCost accumulates the
-	// device time of the dump window(s) of the current checkpoint.
-	estOverhead time.Duration
-	dumpCost    time.Duration
+	// trip pairs the Algorithm 1 estimate of the task's open checkpoint
+	// round trip with its measured dump and restore windows, and remembers
+	// the newest dump span, which parents the queue-wait and restore spans
+	// of the same lifecycle.
+	trip obs.RoundTrip
 
 	// failedAt is when the task's container actually died in an NM crash;
 	// the RM only learns (and charges the loss) at the liveness sweep.
@@ -72,9 +71,6 @@ type taskRun struct {
 	// rather than to a preemption.
 	failedAt   sim.Time
 	failedOver bool
-	// lastCkptSpan is the dump span of the newest checkpoint, used to
-	// parent the queue-wait and restore spans of the same lifecycle.
-	lastCkptSpan obs.SpanID
 }
 
 // imageLink is one image of a checkpoint chain together with the logical
@@ -364,7 +360,9 @@ func (am *AppMaster) killFallback(t *taskRun, n *NodeManager, lost time.Duration
 	am.c.res.FallbackKills++
 	am.c.res.Kills++
 	am.c.addWaste(coresOf(t) * lost.Hours())
-	am.c.recordKillFallback(t, n, lost, now)
+	am.c.slo.CountFallbackKill()
+	am.c.jrn.KillFallback(now, t.spec.ID, n.id, t.spec.Priority, lost)
+	t.trip.Abandon()
 	t.process.Kill()
 	t.process = nil
 	n.releaseSlot(now, t)
@@ -430,7 +428,8 @@ func (am *AppMaster) requeueAfterFailure(t *taskRun, n *NodeManager, lost time.D
 	t.failedOver = true
 	t.failedAt = 0
 	am.c.res.TasksRescheduled++
-	am.c.recordTaskRescheduled(t, n, lost, now)
+	am.c.jrn.TaskRescheduled(now, t.spec.ID, n.id, t.spec.Priority, lost)
+	t.trip.Abandon()
 	pref := -1
 	if t.hasImage && t.imageNode != n.id {
 		pref = t.imageNode
@@ -464,14 +463,20 @@ func (am *AppMaster) onPreempt(t *taskRun, now sim.Time) {
 		panic(fmt.Sprintf("yarn: advance %v: %v", t.spec.ID, err))
 	}
 
-	action := core.DecidePreemption(am.c.cfg.Policy, t.candidate(now), n.device, now)
+	cand := t.candidate(now)
+	action := core.DecidePreemption(am.c.cfg.Policy, cand, n.device, now)
+	// The Algorithm 1 estimate the verdict weighed: a checkpoint opens a
+	// round trip with it so its error against the actual dump + restore is
+	// measurable, and the journal keeps it for kills too, to answer "why
+	// kill instead of checkpoint".
+	est := core.CheckpointOverhead(cand, n.device, now)
 	if action.IsCheckpoint() {
-		// Capture the Algorithm 1 estimate the decision was based on, so
-		// its error against the actual dump+restore cost is measurable.
-		t.estOverhead = core.CheckpointOverhead(t.candidate(now), n.device, now)
-		t.dumpCost = 0
+		t.trip.Open(est)
+	} else {
+		t.trip.Abandon()
 	}
-	am.c.recordDecision(t, n, action, now)
+	span := am.c.observeDecision(t, n, action, now)
+	am.c.jrn.Decision(now, action.String(), t.spec.ID, n.id, t.spec.Priority, t.unsavedProgress(now), est, span)
 
 	if action.IsCheckpoint() && am.c.cfg.PreCopy {
 		am.startPreCopyCheckpoint(t, n, now)
@@ -541,7 +546,6 @@ func (am *AppMaster) onPreempt(t *taskRun, now sim.Time) {
 	am.c.sampleDFSUsage()
 
 	start, done := n.device.ReserveWrite(now, info.LogicalBytes)
-	t.dumpCost = time.Duration(done - now)
 	am.c.recordDump(t, n, name, info.LogicalBytes, incremental, now, start, done)
 	am.c.chargeOverhead(t, time.Duration(done-now))
 	am.c.engine.At(done, func(at sim.Time) {
@@ -626,7 +630,6 @@ func (am *AppMaster) startPreCopyCheckpoint(t *taskRun, n *NodeManager, now sim.
 	am.c.sampleDFSUsage()
 
 	preStart, preDone := n.device.ReserveWrite(now, info.LogicalBytes)
-	t.dumpCost = time.Duration(preDone - now)
 	am.c.recordPreDump(t, n, preName, info.LogicalBytes, now, preStart, preDone)
 	am.c.engine.At(preDone, func(at sim.Time) {
 		if t.state != stateRunning || !t.preCopying {
@@ -672,7 +675,6 @@ func (am *AppMaster) startPreCopyCheckpoint(t *taskRun, n *NodeManager, now sim.
 		am.c.sampleDFSUsage()
 
 		start, done := n.device.ReserveWrite(at, dinfo.LogicalBytes)
-		t.dumpCost += time.Duration(done - at)
 		am.c.recordDump(t, n, deltaName, dinfo.LogicalBytes, true, at, start, done)
 		am.c.chargeOverhead(t, time.Duration(done-at))
 		am.c.engine.At(done, func(end sim.Time) {
@@ -706,7 +708,7 @@ func (am *AppMaster) onComplete(t *taskRun, now sim.Time) {
 	t.node = nil
 	am.discardImages(t, n)
 	t.process = nil
-	am.c.recordTaskDone(t, n, now)
+	am.c.jrn.TaskDone(now, t.spec.ID, n.id, t.spec.Priority)
 
 	am.left--
 	if am.left == 0 {

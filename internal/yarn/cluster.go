@@ -39,12 +39,12 @@ type Cluster struct {
 	// tracer records lifecycle spans in virtual time; nil disables
 	// tracing. reg is never nil inside Run: a private registry is built
 	// when the caller does not supply one, so Result.Metrics is always
-	// populated. rec is the flight recorder (nil disables journaling);
-	// slo is the live SLO tracker and, like reg, is never nil inside
-	// Run.
+	// populated. jrn appends to the flight recorder (a no-op without
+	// one); slo is the live SLO tracker and, like reg, is never nil
+	// inside Run.
 	tracer *obs.Tracer
 	reg    *obs.Registry
-	rec    *obs.Recorder
+	jrn    obs.Emitter
 	slo    *obs.SLOTracker
 	// hm holds pre-resolved handles for the per-event metric paths (see
 	// resolveHandles in obs.go); reg stays the sink for everything cold.
@@ -204,7 +204,7 @@ func newCluster(cfg Config, tcpDFS bool) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 
 	c := &Cluster{cfg: cfg, engine: sim.NewEngine(), tracer: cfg.Tracer, reg: cfg.Metrics,
-		rec: cfg.Recorder, slo: cfg.SLO,
+		jrn: cfg.Recorder.Emitter("yarn"), slo: cfg.SLO,
 		jobDone: make(map[cluster.JobID]func(JobDone))}
 	if c.reg == nil {
 		c.reg = obs.NewRegistry()

@@ -1,0 +1,114 @@
+package yarn
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"testing"
+	"time"
+
+	"preemptsched/internal/cluster"
+	"preemptsched/internal/core"
+	"preemptsched/internal/faults"
+	"preemptsched/internal/obs"
+	"preemptsched/internal/storage"
+	"preemptsched/internal/workload"
+)
+
+// journalWorkload is a contended slice of the Facebook mix: enough
+// production arrivals on a 3 x 2 cluster that every leg below preempts
+// repeatedly.
+func journalWorkload(t *testing.T) []cluster.JobSpec {
+	t.Helper()
+	wc := workload.DefaultFacebookConfig()
+	wc.Jobs = 12
+	wc.TotalTasks = 200
+	jobs, err := workload.Facebook(wc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return jobs
+}
+
+// GIVEN a seeded contended run through the RM/AM/NM path with a flight
+// recorder attached,
+// WHEN the run's .pjl journal is serialized,
+// THEN it is byte for byte the journal the hand-written obs.Record
+// literals in yarn/obs.go wrote: the checkpoint and adaptive digests were
+// taken at the commit before obs.Emitter replaced them (neither leg
+// restores after a kill, a kill-fallback or a failure). The precopy-chaos
+// digest was 41e4a475… there; the round-trip pairing fix moved three of
+// its records — the restores of tasks 6/6, 6/16 and 6/4, each the first
+// after a kill-fallback, which lost the failed dump's estimate and the
+// pre-dump window (TestKillFallbackLeavesNoEstimate, DESIGN.md §13).
+func TestJournalMatchesHandWrittenRecords(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		cfg    func() Config
+		want   []string // event/decision names the leg must contain
+		sha256 string
+	}{
+		{
+			name:   "checkpoint",
+			cfg:    func() Config { return DefaultConfig(core.PolicyCheckpoint, storage.SSD) },
+			want:   []string{"victim-selection", "checkpoint-full", "dump", "restore", "task-done"},
+			sha256: "e4ee90028a8ac697e3629786c7690a5c18a48f9242e2fa3faf90cc66f818edb9",
+		},
+		{
+			name:   "adaptive",
+			cfg:    func() Config { return DefaultConfig(core.PolicyAdaptive, storage.HDD) },
+			want:   []string{"victim-selection", "kill", "checkpoint-full", "dump", "restore", "task-done"},
+			sha256: "3d35cb39d6b3e8aad9cc30f6829a9cab082a1a432f48fba004f3bf8f27ea05e2",
+		},
+		{
+			name: "precopy-chaos",
+			cfg: func() Config {
+				cfg := DefaultConfig(core.PolicyCheckpoint, storage.SSD)
+				cfg.PreCopy = true
+				cfg.Faults = &faults.Plan{
+					Seed:           3,
+					CreateFailRate: 0.3,
+					NMCrashAt:      6 * time.Minute,
+					NMCrashNode:    1,
+				}
+				return cfg
+			},
+			want:   []string{"pre-dump", "dump", "kill-fallback", "node-down", "task-rescheduled", "restore", "task-done"},
+			sha256: "55064fcb627252cc5220df860f192de7470c287fea02c273d47246b7a21c6d87",
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg()
+			cfg.Nodes = 3
+			cfg.ContainersPerNode = 2
+			cfg.Recorder = obs.NewRecorder(1<<20, 64)
+			if _, err := Run(cfg, journalWorkload(t)); err != nil {
+				t.Fatal(err)
+			}
+			if cfg.Recorder.Dropped() != 0 {
+				t.Fatalf("%d records dropped; want the whole journal retained", cfg.Recorder.Dropped())
+			}
+			var buf bytes.Buffer
+			if _, err := cfg.Recorder.WriteTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			j, err := obs.ReadJournal(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			seen := make(map[string]int)
+			for _, r := range j.Records {
+				seen[r.Name]++
+			}
+			for _, name := range tc.want {
+				if seen[name] == 0 {
+					t.Errorf("leg journals no %q record (saw %v)", name, seen)
+				}
+			}
+			sum := sha256.Sum256(buf.Bytes())
+			if got := hex.EncodeToString(sum[:]); got != tc.sha256 {
+				t.Errorf("journal sha256 %s (%d bytes, %v), want %s", got, buf.Len(), seen, tc.sha256)
+			}
+		})
+	}
+}

@@ -3,16 +3,12 @@ package yarn
 import (
 	"fmt"
 	"math"
-	"strconv"
 	"time"
 
 	"preemptsched/internal/core"
 	"preemptsched/internal/obs"
 	"preemptsched/internal/sim"
 )
-
-// nodeName is the span process-track label for a NodeManager.
-func nodeName(id int) string { return "node-" + strconv.Itoa(id) }
 
 // yarnHandles carries pre-resolved registry handles for the metrics hit
 // on every dump, restore, verdict, or container grant, replacing a
@@ -50,65 +46,21 @@ func (c *Cluster) resolveHandles() {
 	}
 }
 
-// recordDecision books one Preemption Manager verdict: a policy-decision
-// counter keyed by the chosen action, an instant span on the victim's
-// track carrying the unsaved progress and the Algorithm 1 estimate, the
-// live SLO hit-rate tally, and a provenance record in the flight
-// recorder keyed to that span.
-func (c *Cluster) recordDecision(t *taskRun, n *NodeManager, action core.PreemptAction, now sim.Time) {
+// observeDecision books one Preemption Manager verdict in the yarn-only
+// sinks — a policy-decision counter keyed by the chosen action, the live
+// SLO hit-rate tally, and an instant span on the victim's track carrying
+// the unsaved progress and the open round trip's estimate — and returns
+// the span, which keys the journal's decision record to it.
+func (c *Cluster) observeDecision(t *taskRun, n *NodeManager, action core.PreemptAction, now sim.Time) obs.SpanID {
 	c.hm.decision[action].Inc()
 	c.slo.CountDecision(action.IsCheckpoint())
-	var span obs.SpanID
-	if c.tracer != nil {
-		span = c.tracer.Instant("sched", "policy-decision", nodeName(n.id), t.spec.ID.String(), 0, time.Duration(now),
-			obs.String("action", action.String()),
-			obs.DurationMS("unsaved_ms", t.unsavedProgress(now)),
-			obs.DurationMS("est_overhead_ms", t.estOverhead))
+	if c.tracer == nil {
+		return 0
 	}
-	if c.rec != nil {
-		est := t.estOverhead
-		if est == 0 {
-			// Kill decisions record no estimate on the task; recompute the
-			// Algorithm 1 overhead the comparison was made against so the
-			// journal can answer "why kill instead of checkpoint".
-			est = core.CheckpointOverhead(t.candidate(now), n.device, now)
-		}
-		c.rec.Append(obs.Record{
-			Kind: obs.RecDecision, At: time.Duration(now), Source: "yarn",
-			Name: action.String(), Task: t.spec.ID.String(), Node: nodeName(n.id),
-			Priority: int(t.spec.Priority), Unsaved: t.unsavedProgress(now),
-			Est: est, Span: uint64(span),
-		})
-	}
-}
-
-// recordSelection journals one victim-selection pass: the full scored
-// candidate set the RM ranked while finding room for claimant, with the
-// chosen victim marked. Only called when the flight recorder is on.
-func (c *Cluster) recordSelection(claimant *taskRun, n *NodeManager, cands []obs.CandidateScore, now sim.Time) {
-	if c.rec == nil {
-		return
-	}
-	c.rec.Append(obs.Record{
-		Kind: obs.RecSelection, At: time.Duration(now), Source: "yarn",
-		Name: "victim-selection", Claimant: claimant.spec.ID.String(),
-		Node: nodeName(n.id), Priority: int(claimant.spec.Priority),
-		Candidates: cands,
-	})
-}
-
-// recordKillFallback journals a checkpoint decision that degraded to a
-// kill (failed dump), carrying the progress lost.
-func (c *Cluster) recordKillFallback(t *taskRun, n *NodeManager, lost time.Duration, now sim.Time) {
-	c.slo.CountFallbackKill()
-	if c.rec == nil {
-		return
-	}
-	c.rec.Append(obs.Record{
-		Kind: obs.RecEvent, At: time.Duration(now), Source: "yarn",
-		Name: "kill-fallback", Task: t.spec.ID.String(), Node: nodeName(n.id),
-		Priority: int(t.spec.Priority), Unsaved: lost, Flags: obs.FlagFallback,
-	})
+	return c.tracer.Instant("sched", "policy-decision", obs.NodeName(n.id), t.spec.ID.String(), 0, time.Duration(now),
+		obs.String("action", action.String()),
+		obs.DurationMS("unsaved_ms", t.unsavedProgress(now)),
+		obs.DurationMS("est_overhead_ms", t.trip.Est()))
 }
 
 // recordDump books one checkpoint dump window [now, done] with the device
@@ -123,26 +75,18 @@ func (c *Cluster) recordDump(t *taskRun, n *NodeManager, image string, bytes int
 	c.reg.MaxGauge(fmt.Sprintf("yarn.node.%d.ckpt.queue.peak.seconds", n.id), time.Duration(start-now).Seconds())
 	var span obs.SpanID
 	if c.tracer != nil {
-		pid, tid := nodeName(n.id), t.spec.ID.String()
+		pid, tid := obs.NodeName(n.id), t.spec.ID.String()
 		span = c.tracer.Complete("checkpoint", "dump", pid, tid, 0, time.Duration(now), time.Duration(done),
 			obs.Int64("bytes", bytes), obs.Bool("incremental", incremental), obs.String("image", image))
 		c.tracer.Complete("checkpoint", "dump-queue", pid, tid, span, time.Duration(now), time.Duration(start))
 		c.tracer.Complete("checkpoint", "dump-write", pid, tid, span, time.Duration(start), time.Duration(done))
-		t.lastCkptSpan = span
 	}
-	if c.rec != nil {
-		flags := uint32(0)
-		if incremental {
-			flags |= obs.FlagIncremental
-		}
-		c.rec.Append(obs.Record{
-			Kind: obs.RecEvent, At: time.Duration(now), Source: "yarn",
-			Name: "dump", Task: t.spec.ID.String(), Node: nodeName(n.id),
-			Priority: int(t.spec.Priority), Est: t.estOverhead,
-			Actual: time.Duration(done - now), Bytes: bytes,
-			Span: uint64(span), Flags: flags,
-		})
+	t.trip.Dumped(time.Duration(done-now), span)
+	flags := uint32(0)
+	if incremental {
+		flags |= obs.FlagIncremental
 	}
+	c.jrn.Dump(now, t.spec.ID, n.id, t.spec.Priority, t.trip.Est(), time.Duration(done-now), bytes, flags, span)
 }
 
 // recordPreDump books the pre-copy write window, during which the victim
@@ -151,35 +95,14 @@ func (c *Cluster) recordPreDump(t *taskRun, n *NodeManager, image string, bytes 
 	c.hm.predumpTotal.ObserveDuration(time.Duration(done - now))
 	var span obs.SpanID
 	if c.tracer != nil {
-		pid, tid := nodeName(n.id), t.spec.ID.String()
+		pid, tid := obs.NodeName(n.id), t.spec.ID.String()
 		span = c.tracer.Complete("checkpoint", "pre-dump", pid, tid, 0, time.Duration(now), time.Duration(done),
 			obs.Int64("bytes", bytes), obs.String("image", image))
 		c.tracer.Complete("checkpoint", "dump-queue", pid, tid, span, time.Duration(now), time.Duration(start))
 		c.tracer.Complete("checkpoint", "dump-write", pid, tid, span, time.Duration(start), time.Duration(done))
-		t.lastCkptSpan = span
 	}
-	if c.rec != nil {
-		c.rec.Append(obs.Record{
-			Kind: obs.RecEvent, At: time.Duration(now), Source: "yarn",
-			Name: "pre-dump", Task: t.spec.ID.String(), Node: nodeName(n.id),
-			Priority: int(t.spec.Priority), Est: t.estOverhead,
-			Actual: time.Duration(done - now), Bytes: bytes,
-			Span: uint64(span), Flags: obs.FlagPreCopy,
-		})
-	}
-}
-
-// recordTaskDone journals a task completing its final step, closing its
-// timeline in the flight recorder.
-func (c *Cluster) recordTaskDone(t *taskRun, n *NodeManager, now sim.Time) {
-	if c.rec == nil {
-		return
-	}
-	c.rec.Append(obs.Record{
-		Kind: obs.RecEvent, At: time.Duration(now), Source: "yarn",
-		Name: "task-done", Task: t.spec.ID.String(), Node: nodeName(n.id),
-		Priority: int(t.spec.Priority),
-	})
+	t.trip.Dumped(time.Duration(done-now), span)
+	c.jrn.PreDump(now, t.spec.ID, n.id, t.spec.Priority, t.trip.Est(), time.Duration(done-now), bytes, span)
 }
 
 // recordContainerWait books the time a granted request spent queued at the
@@ -191,8 +114,8 @@ func (c *Cluster) recordContainerWait(req *request, n *NodeManager, now sim.Time
 	if c.tracer == nil || (wait <= 0 && !req.task.hasImage) {
 		return
 	}
-	c.tracer.Complete("sched", "queue-wait", nodeName(n.id), req.task.spec.ID.String(),
-		req.task.lastCkptSpan, time.Duration(req.queuedAt), time.Duration(now))
+	c.tracer.Complete("sched", "queue-wait", obs.NodeName(n.id), req.task.spec.ID.String(),
+		req.task.trip.Span(), time.Duration(req.queuedAt), time.Duration(now))
 }
 
 // recordRestore books one restore window [now, done]: transfer (remote
@@ -212,21 +135,18 @@ func (c *Cluster) recordRestore(t *taskRun, n *NodeManager, remote bool, transfe
 	} else {
 		c.hm.restoreLocal.Inc()
 	}
-	// The full checkpoint round trip is dump + restore; est was captured
-	// at decision time and is compared (then cleared) here.
-	est := t.estOverhead
-	actual := t.dumpCost + time.Duration(done-now)
-	if est > 0 {
-		if actual > 0 {
-			relerr := math.Abs(est.Seconds()-actual.Seconds()) / actual.Seconds()
-			c.hm.estimateRelerr.Observe(relerr)
-		}
-		t.estOverhead = 0
+	// This restore closes the round trip that wrote the image it reads, if
+	// one is still open: only then is there an estimate to hold against
+	// the measured dump + restore.
+	est, actual := t.trip.Close(time.Duration(done - now))
+	if est > 0 && actual > 0 {
+		relerr := math.Abs(est.Seconds()-actual.Seconds()) / actual.Seconds()
+		c.hm.estimateRelerr.Observe(relerr)
 	}
 	var span obs.SpanID
 	if c.tracer != nil {
-		pid, tid := nodeName(n.id), t.spec.ID.String()
-		span = c.tracer.Complete("restore", "restore", pid, tid, t.lastCkptSpan,
+		pid, tid := obs.NodeName(n.id), t.spec.ID.String()
+		span = c.tracer.Complete("restore", "restore", pid, tid, t.trip.Span(),
 			time.Duration(now), time.Duration(done), obs.Bool("remote", remote))
 		if remote {
 			c.tracer.Complete("restore", "restore-transfer", pid, tid, span, time.Duration(now), time.Duration(arrive))
@@ -234,21 +154,14 @@ func (c *Cluster) recordRestore(t *taskRun, n *NodeManager, remote bool, transfe
 		c.tracer.Complete("restore", "restore-queue", pid, tid, span, time.Duration(arrive), time.Duration(start))
 		c.tracer.Complete("restore", "restore-read", pid, tid, span, time.Duration(start), time.Duration(done))
 	}
-	if c.rec != nil {
-		flags := uint32(0)
-		if remote {
-			flags |= obs.FlagRemote
-		}
-		if t.failedOver {
-			flags |= obs.FlagFailure
-		}
-		c.rec.Append(obs.Record{
-			Kind: obs.RecEvent, At: time.Duration(now), Source: "yarn",
-			Name: "restore", Task: t.spec.ID.String(), Node: nodeName(n.id),
-			Priority: int(t.spec.Priority), Est: est, Actual: actual,
-			Bytes: t.spec.MemFootprint, Span: uint64(span), Flags: flags,
-		})
+	flags := uint32(0)
+	if remote {
+		flags |= obs.FlagRemote
 	}
+	if t.failedOver {
+		flags |= obs.FlagFailure
+	}
+	c.jrn.Restore(now, t.spec.ID, n.id, t.spec.Priority, est, actual, t.spec.MemFootprint, flags, span)
 }
 
 // recordNodeDown journals the liveness sweep declaring a node dead. The
@@ -256,45 +169,19 @@ func (c *Cluster) recordRestore(t *taskRun, n *NodeManager, remote bool, transfe
 // the node had been silent.
 func (c *Cluster) recordNodeDown(n *NodeManager, now sim.Time) {
 	if c.tracer != nil {
-		c.tracer.Instant("liveness", "node-down", nodeName(n.id), "", 0, time.Duration(now),
+		c.tracer.Instant("liveness", "node-down", obs.NodeName(n.id), "", 0, time.Duration(now),
 			obs.Bool("crashed", n.crashed))
 	}
-	if c.rec == nil {
-		return
-	}
-	c.rec.Append(obs.Record{
-		Kind: obs.RecEvent, At: time.Duration(now), Source: "yarn",
-		Name: "node-down", Node: nodeName(n.id),
-		Unsaved: time.Duration(now - n.lastBeat), Flags: obs.FlagFailure,
-	})
+	c.jrn.NodeDown(now, n.id, time.Duration(now-n.lastBeat))
 }
 
 // recordNodeRecovered journals a declared-dead node whose heartbeat came
 // back (healed partition).
 func (c *Cluster) recordNodeRecovered(n *NodeManager, now sim.Time) {
 	if c.tracer != nil {
-		c.tracer.Instant("liveness", "node-recovered", nodeName(n.id), "", 0, time.Duration(now))
+		c.tracer.Instant("liveness", "node-recovered", obs.NodeName(n.id), "", 0, time.Duration(now))
 	}
-	if c.rec == nil {
-		return
-	}
-	c.rec.Append(obs.Record{
-		Kind: obs.RecEvent, At: time.Duration(now), Source: "yarn",
-		Name: "node-recovered", Node: nodeName(n.id),
-	})
-}
-
-// recordTaskRescheduled journals one task fenced off a dead node and
-// requeued; Unsaved carries the progress the failure cost it.
-func (c *Cluster) recordTaskRescheduled(t *taskRun, n *NodeManager, lost time.Duration, now sim.Time) {
-	if c.rec == nil {
-		return
-	}
-	c.rec.Append(obs.Record{
-		Kind: obs.RecEvent, At: time.Duration(now), Source: "yarn",
-		Name: "task-rescheduled", Task: t.spec.ID.String(), Node: nodeName(n.id),
-		Priority: int(t.spec.Priority), Unsaved: lost, Flags: obs.FlagFailure,
-	})
+	c.jrn.NodeRecovered(now, n.id)
 }
 
 // finishMetrics mirrors the run's Result counters into the registry in one

@@ -226,7 +226,7 @@ func (rm *ResourceManager) preemptFor(req *request, now sim.Time) bool {
 		return cands[i].t.seq < cands[j].t.seq
 	})
 	victim := cands[0]
-	if rm.c.rec != nil {
+	if rm.c.jrn.On() {
 		scores := make([]obs.CandidateScore, len(cands))
 		for i, sc := range cands {
 			scores[i] = obs.CandidateScore{
@@ -237,7 +237,7 @@ func (rm *ResourceManager) preemptFor(req *request, now sim.Time) bool {
 				Chosen:   i == 0,
 			}
 		}
-		rm.c.recordSelection(req.task, victim.n, scores, now)
+		rm.c.jrn.Selection(now, req.task.spec.ID, victim.n.id, req.task.spec.Priority, scores)
 	}
 	rm.reserve(req, victim.n)
 	rm.c.res.Preemptions++
