@@ -139,38 +139,76 @@ func TestProgramRunsToCompletion(t *testing.T) {
 	}
 }
 
+// GIVEN a k-means process and the library run on the same generated
+// dataset from the same initial centroids,
+// WHEN both advance one Lloyd iteration at a time,
+// THEN after every iteration the centroids and the centroid movement in
+// process memory are bit for bit (math.Float64bits) what Iterate computed:
+// reading points through the word accessors into one backing array changes
+// no operand and no order of arithmetic.
 func TestProgramMatchesLibrary(t *testing.T) {
-	// The in-process program must compute exactly what the library computes
-	// on the same dataset.
 	const n, dims, k, iters, seed = 90, 3, 3, 5, 7
 	p, err := NewProcess("km", n, dims, k, iters, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for {
+	pts := GeneratePoints(sim.NewRNG(seed), n, dims, k)
+	want := make([][]float64, k)
+	for c := range want {
+		want[c] = append([]float64(nil), pts[c]...)
+	}
+	assign := make([]int, n)
+	for iter := 1; ; iter++ {
 		done, err := p.Step()
 		if err != nil {
 			t.Fatal(err)
 		}
+		wantMoved := Iterate(pts, want, assign)
+		got, err := Centroids(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := range want {
+			for d := range want[c] {
+				if math.Float64bits(got[c][d]) != math.Float64bits(want[c][d]) {
+					t.Fatalf("iteration %d: centroid[%d][%d] = %v, library says %v", iter, c, d, got[c][d], want[c][d])
+				}
+			}
+		}
+		if moved, err := LastMovement(p); err != nil || math.Float64bits(moved) != math.Float64bits(wantMoved) {
+			t.Fatalf("iteration %d: movement %v (%v), library says %v", iter, moved, err, wantMoved)
+		}
 		if done {
+			if iter != iters {
+				t.Fatalf("done after %d iterations, want %d", iter, iters)
+			}
 			break
 		}
 	}
-	got, err := Centroids(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := GeneratePoints(sim.NewRNG(seed), n, dims, k)
-	want, err := Run(pts, Config{K: k, MaxIters: iters})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c := range want.Centroids {
-		for d := range want.Centroids[c] {
-			if math.Abs(got[c][d]-want.Centroids[c][d]) > 1e-9 {
-				t.Fatalf("centroid[%d][%d] = %v, library says %v", c, d, got[c][d], want.Centroids[c][d])
-			}
+}
+
+// GIVEN two k-means processes that differ only in the number of points,
+// WHEN each runs one step,
+// THEN both allocate the same number of objects: a step's buffers are a
+// fixed handful of arrays, not one slice per point.
+func TestStepAllocationsIndependentOfPoints(t *testing.T) {
+	perStep := func(points int) float64 {
+		p, err := NewProcess("km", points, 4, 5, 1000, 11)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := p.Step(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := perStep(50), perStep(5000)
+	if small != large {
+		t.Errorf("a step over 50 points allocates %.0f objects, over 5000 points %.0f", small, large)
+	}
+	if large > 20 {
+		t.Errorf("a step allocates %.0f objects", large)
 	}
 }
 

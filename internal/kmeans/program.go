@@ -115,27 +115,15 @@ func (Program) Step(p *proc.Process) (bool, error) {
 		maxIters = 1
 	}
 
-	points := make([][]float64, n)
-	for i := range points {
-		points[i] = make([]float64, dims)
-		for d := range points[i] {
-			v, err := m.ReadF64(pointsOff + int64(i*dims+d)*8)
-			if err != nil {
-				return false, err
-			}
-			points[i][d] = v
-		}
+	// One flat backing array per region, sliced into rows: the allocation
+	// count of a step does not depend on the number of points.
+	points, err := readRows(m, pointsOff, n, dims)
+	if err != nil {
+		return false, err
 	}
-	centroids := make([][]float64, k)
-	for c := range centroids {
-		centroids[c] = make([]float64, dims)
-		for d := range centroids[c] {
-			v, err := m.ReadF64(centroidsOff + int64(c*dims+d)*8)
-			if err != nil {
-				return false, err
-			}
-			centroids[c][d] = v
-		}
+	centroids, err := readRows(m, centroidsOff, k, dims)
+	if err != nil {
+		return false, err
 	}
 
 	assign := make([]int, n)
@@ -164,16 +152,23 @@ func Centroids(p *proc.Process) ([][]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([][]float64, k)
-	for c := range out {
-		out[c] = make([]float64, dims)
-		for d := range out[c] {
-			v, err := p.Memory().ReadF64(centroidsOff + int64(c*dims+d)*8)
-			if err != nil {
-				return nil, err
-			}
-			out[c][d] = v
+	return readRows(p.Memory(), centroidsOff, k, dims)
+}
+
+// readRows reads rows × dims float64 values stored row-major at off into
+// one backing array and returns it sliced into rows.
+func readRows(m *proc.Memory, off int64, rows, dims int) ([][]float64, error) {
+	flat := make([]float64, rows*dims)
+	for i := range flat {
+		v, err := m.ReadF64(off + int64(i)*8)
+		if err != nil {
+			return nil, err
 		}
+		flat[i] = v
+	}
+	out := make([][]float64, rows)
+	for r := range out {
+		out[r] = flat[r*dims : (r+1)*dims : (r+1)*dims]
 	}
 	return out, nil
 }

@@ -25,6 +25,9 @@ import (
 // page size CRIU's soft-dirty tracking works at.
 const PageSize = 4096
 
+// wordSize is the width of the ReadU64/WriteU64 accessors.
+const wordSize = 8
+
 // Memory is a paged address space with soft-dirty tracking.
 type Memory struct {
 	pages        [][]byte
@@ -86,10 +89,27 @@ func (m *Memory) SetPage(i int, data []byte) error {
 	return nil
 }
 
+// inRange reports whether the n bytes at off lie inside the backing. The
+// subtraction cannot wrap the way off+n does for offsets near MaxInt64.
+func (m *Memory) inRange(off int64, n int) bool {
+	return off >= 0 && off <= m.RealBytes()-int64(n)
+}
+
+// wordInPage returns the page holding the whole word at off, and the
+// word's offset within it; ok is false for a word that straddles two pages
+// or starts outside memory, which the byte-granular path handles (or
+// rejects). RealBytes is a whole number of pages, so a word that starts in
+// range and does not straddle also ends in range.
+func (m *Memory) wordInPage(off int64) (page, in int, ok bool) {
+	u := uint64(off) // a negative offset becomes one far past the end
+	page, in = int(u/PageSize), int(u%PageSize)
+	return page, in, u < uint64(m.RealBytes()) && in <= PageSize-wordSize
+}
+
 // ReadAt copies len(p) bytes starting at offset off into p.
 func (m *Memory) ReadAt(p []byte, off int64) error {
-	if off < 0 || off+int64(len(p)) > m.RealBytes() {
-		return fmt.Errorf("proc: read [%d, %d) outside memory of %d bytes", off, off+int64(len(p)), m.RealBytes())
+	if !m.inRange(off, len(p)) {
+		return fmt.Errorf("proc: read of %d bytes at offset %d outside memory of %d bytes", len(p), off, m.RealBytes())
 	}
 	for len(p) > 0 {
 		page := int(off / PageSize)
@@ -105,8 +125,8 @@ func (m *Memory) ReadAt(p []byte, off int64) error {
 // every touched page — the analogue of the kernel page-fault path CRIU
 // hooks for incremental checkpoints.
 func (m *Memory) WriteAt(p []byte, off int64) error {
-	if off < 0 || off+int64(len(p)) > m.RealBytes() {
-		return fmt.Errorf("proc: write [%d, %d) outside memory of %d bytes", off, off+int64(len(p)), m.RealBytes())
+	if !m.inRange(off, len(p)) {
+		return fmt.Errorf("proc: write of %d bytes at offset %d outside memory of %d bytes", len(p), off, m.RealBytes())
 	}
 	for len(p) > 0 {
 		page := int(off / PageSize)
@@ -121,7 +141,10 @@ func (m *Memory) WriteAt(p []byte, off int64) error {
 
 // ReadU64 reads a big-endian uint64 at off.
 func (m *Memory) ReadU64(off int64) (uint64, error) {
-	var buf [8]byte
+	if page, in, ok := m.wordInPage(off); ok {
+		return binary.BigEndian.Uint64(m.pages[page][in:]), nil
+	}
+	var buf [wordSize]byte
 	if err := m.ReadAt(buf[:], off); err != nil {
 		return 0, err
 	}
@@ -130,7 +153,12 @@ func (m *Memory) ReadU64(off int64) (uint64, error) {
 
 // WriteU64 writes a big-endian uint64 at off.
 func (m *Memory) WriteU64(off int64, v uint64) error {
-	var buf [8]byte
+	if page, in, ok := m.wordInPage(off); ok {
+		binary.BigEndian.PutUint64(m.pages[page][in:], v)
+		m.dirty[page] = true
+		return nil
+	}
+	var buf [wordSize]byte
 	binary.BigEndian.PutUint64(buf[:], v)
 	return m.WriteAt(buf[:], off)
 }

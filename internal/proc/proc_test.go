@@ -2,6 +2,9 @@ package proc
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -75,6 +78,25 @@ func TestMemoryBounds(t *testing.T) {
 	}
 	if err := m.WriteAt(make([]byte, 1), -1); err == nil {
 		t.Error("negative offset accepted")
+	}
+	// off+len wraps negative for offsets near MaxInt64; the range check
+	// must reject them rather than index a page that does not exist.
+	for _, off := range []int64{math.MaxInt64, math.MaxInt64 - 3, math.MaxInt64 - 7, math.MaxInt64 - PageSize} {
+		if err := m.ReadAt(make([]byte, 8), off); err == nil {
+			t.Errorf("read at offset %d accepted", off)
+		}
+		if err := m.WriteAt(make([]byte, 8), off); err == nil {
+			t.Errorf("write at offset %d accepted", off)
+		}
+		if _, err := m.ReadU64(off); err == nil {
+			t.Errorf("ReadU64 at offset %d accepted", off)
+		}
+		if err := m.WriteU64(off, 1); err == nil {
+			t.Errorf("WriteU64 at offset %d accepted", off)
+		}
+	}
+	if err := m.ReadAt(make([]byte, PageSize+1), 0); err == nil {
+		t.Error("read longer than memory accepted")
 	}
 	if err := m.SetPage(1, make([]byte, PageSize)); err == nil {
 		t.Error("SetPage out of range accepted")
@@ -158,6 +180,91 @@ func TestU64F64Helpers(t *testing.T) {
 	if v, _ := m.ReadF64(24); v != 3.25 {
 		t.Errorf("ReadF64 = %v", v)
 	}
+}
+
+// The word accessors as they stood before the in-page fast path: a
+// byte-granular copy through ReadAt/WriteAt.
+func referenceReadU64(m *Memory, off int64) (uint64, error) {
+	var buf [8]byte
+	if err := m.ReadAt(buf[:], off); err != nil {
+		return 0, err
+	}
+	return binary.BigEndian.Uint64(buf[:]), nil
+}
+
+func referenceWriteU64(m *Memory, off int64, v uint64) error {
+	var buf [8]byte
+	binary.BigEndian.PutUint64(buf[:], v)
+	return m.WriteAt(buf[:], off)
+}
+
+// GIVEN two three-page memories with the same contents,
+// WHEN a word is read or written at every offset — inside a page, the last
+// word of a page, a word straddling two pages, the last word of memory,
+// negative, past the end, near MaxInt64 —
+// THEN ReadU64/WriteU64 return the value or the error ReadAt/WriteAt do,
+// leave the same bytes behind, and dirty exactly the pages the word touches.
+func TestWordAccessMatchesByteAccess(t *testing.T) {
+	const pages = 3
+	word, byteWise := mustPatterned(t, pages), mustPatterned(t, pages)
+	offsets := []int64{math.MinInt64, math.MinInt64 + 1, math.MaxInt64, math.MaxInt64 - 3, math.MaxInt64 - 7, math.MaxInt64 - 8}
+	for off := int64(-16); off < pages*PageSize+16; off++ {
+		offsets = append(offsets, off)
+	}
+	sameErr := func(a, b error) bool {
+		return (a == nil) == (b == nil) && (a == nil || a.Error() == b.Error())
+	}
+	for _, off := range offsets {
+		got, gotErr := word.ReadU64(off)
+		want, wantErr := referenceReadU64(byteWise, off)
+		if got != want || !sameErr(gotErr, wantErr) {
+			t.Fatalf("ReadU64(%d) = %#x, %v; byte-wise %#x, %v", off, got, gotErr, want, wantErr)
+		}
+
+		word.ClearSoftDirty()
+		byteWise.ClearSoftDirty()
+		v := uint64(off)*0x9E3779B97F4A7C15 + 1
+		gotErr, wantErr = word.WriteU64(off, v), referenceWriteU64(byteWise, off, v)
+		if !sameErr(gotErr, wantErr) {
+			t.Fatalf("WriteU64(%d) = %v; byte-wise %v", off, gotErr, wantErr)
+		}
+		var touched []int
+		if wantErr == nil {
+			touched = append(touched, int(off/PageSize))
+			if last := int((off + 7) / PageSize); last != touched[0] {
+				touched = append(touched, last)
+			}
+		}
+		if got := word.DirtyPages(); !reflect.DeepEqual(got, touched) || !reflect.DeepEqual(byteWise.DirtyPages(), touched) {
+			t.Fatalf("WriteU64(%d) dirtied pages %v, byte-wise %v, want %v", off, got, byteWise.DirtyPages(), touched)
+		}
+		for pg := 0; pg < pages; pg++ {
+			if !bytes.Equal(word.Page(pg), byteWise.Page(pg)) {
+				t.Fatalf("WriteU64(%d): page %d differs from the byte-wise write", off, pg)
+			}
+		}
+		if wantErr == nil {
+			if back, err := word.ReadU64(off); err != nil || back != v {
+				t.Fatalf("ReadU64(%d) after write = %#x, %v; want %#x", off, back, err, v)
+			}
+		}
+	}
+}
+
+func mustPatterned(t *testing.T, pages int) *Memory {
+	t.Helper()
+	m, err := NewMemory(int64(pages)*PageSize, int64(pages)*PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, m.RealBytes())
+	for i := range buf {
+		buf[i] = byte(i*131 + i>>8)
+	}
+	if err := m.WriteAt(buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 func TestProcessLifecycle(t *testing.T) {

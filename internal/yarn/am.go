@@ -3,7 +3,7 @@ package yarn
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"hash/crc32"
 	"time"
 
 	"preemptsched/internal/checkpoint"
@@ -729,12 +729,17 @@ func coresOf(t *taskRun) float64 {
 	return float64(t.spec.Demand.CPUMillis) / 1000
 }
 
-// checksumProcess hashes the full real memory of a finished process.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// checksumProcess digests the full real memory of a finished process: two
+// hardware-assisted CRC-32s streamed over the pages, Castagnoli in the high
+// word and IEEE in the low, so no two bit flips cancel.
 func checksumProcess(p *proc.Process) uint64 {
-	h := fnv.New64a()
 	mem := p.Memory()
+	var hi, lo uint32
 	for i := 0; i < mem.NumPages(); i++ {
-		h.Write(mem.Page(i))
+		hi = crc32.Update(hi, castagnoli, mem.Page(i))
+		lo = crc32.Update(lo, crc32.IEEETable, mem.Page(i))
 	}
-	return h.Sum64()
+	return uint64(hi)<<32 | uint64(lo)
 }

@@ -1,11 +1,6 @@
 package yarn
 
-import (
-	"sort"
-
-	"preemptsched/internal/cluster"
-	"preemptsched/internal/sim"
-)
+import "preemptsched/internal/sim"
 
 // This file is the compute-node fault domain: NMs heartbeat the RM on the
 // virtual clock, a periodic RM sweep declares silent nodes dead after
@@ -177,9 +172,8 @@ func (c *Cluster) crashNM(now sim.Time) {
 	if c.injector != nil {
 		c.injector.NoteNMCrash()
 	}
-	for _, id := range sortedRunning(n) {
-		t := n.running[id]
-		if t == nil || t.state != stateRunning {
+	for _, t := range n.running {
+		if t.state != stateRunning {
 			continue
 		}
 		c.engine.Cancel(t.completion)
@@ -200,11 +194,8 @@ func (c *Cluster) declareNodeDead(n *NodeManager, now sim.Time) {
 	n.deadDeclared = true
 	c.res.NodeFailures++
 	c.recordNodeDown(n, now)
-	for _, id := range sortedRunning(n) {
-		t, ok := n.running[id]
-		if !ok {
-			continue
-		}
+	// Fencing releases slots, which edits n.running: walk a snapshot.
+	for _, t := range append([]*taskRun(nil), n.running...) {
 		t.am.onNodeFailure(t, n, now)
 	}
 	c.rm.dropReservations(n)
@@ -218,20 +209,4 @@ func (c *Cluster) nodeRecovered(n *NodeManager, now sim.Time) {
 	c.res.NodeRecoveries++
 	c.recordNodeRecovered(n, now)
 	c.rm.schedulePass(now)
-}
-
-// sortedRunning snapshots a node's running-task IDs in deterministic
-// order, so fencing visits tasks identically across runs.
-func sortedRunning(n *NodeManager) []cluster.TaskID {
-	ids := make([]cluster.TaskID, 0, len(n.running))
-	for id := range n.running {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		if ids[i].Job != ids[j].Job {
-			return ids[i].Job < ids[j].Job
-		}
-		return ids[i].Index < ids[j].Index
-	})
-	return ids
 }

@@ -1,7 +1,9 @@
 package yarn
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"preemptsched/internal/cluster"
@@ -30,7 +32,9 @@ type NodeManager struct {
 	// store faults.
 	store storage.Store
 
-	running map[cluster.TaskID]*taskRun
+	// running holds the node's containers in ascending task-ID order;
+	// allocSlot and releaseSlot are its only writers.
+	running []*taskRun
 
 	meter      *energy.Meter
 	lastChange sim.Time
@@ -47,13 +51,12 @@ type NodeManager struct {
 
 func newNodeManager(id int, cfg Config, dev *storage.Device, cli *dfs.Client, store storage.Store) *NodeManager {
 	return &NodeManager{
-		id:      id,
-		slots:   cfg.ContainersPerNode,
-		device:  dev,
-		dfsCli:  cli,
-		store:   store,
-		running: make(map[cluster.TaskID]*taskRun),
-		meter:   energy.NewMeter(cfg.EnergyModel),
+		id:     id,
+		slots:  cfg.ContainersPerNode,
+		device: dev,
+		dfsCli: cli,
+		store:  store,
+		meter:  energy.NewMeter(cfg.EnergyModel),
 	}
 }
 
@@ -99,7 +102,8 @@ func (nm *NodeManager) allocSlot(now sim.Time, t *taskRun) {
 	if nm.usedSlots > nm.slots {
 		panic(fmt.Sprintf("yarn: node %d over-allocated (%d/%d)", nm.id, nm.usedSlots, nm.slots))
 	}
-	nm.running[t.spec.ID] = t
+	i, _ := nm.runningIndex(t.spec.ID)
+	nm.running = slices.Insert(nm.running, i, t)
 }
 
 func (nm *NodeManager) releaseSlot(now sim.Time, t *taskRun) {
@@ -108,5 +112,15 @@ func (nm *NodeManager) releaseSlot(now sim.Time, t *taskRun) {
 	if nm.usedSlots < 0 {
 		panic(fmt.Sprintf("yarn: node %d released into negative", nm.id))
 	}
-	delete(nm.running, t.spec.ID)
+	if i, held := nm.runningIndex(t.spec.ID); held {
+		nm.running = slices.Delete(nm.running, i, i+1)
+	}
+}
+
+// runningIndex is the position of task id in running and whether it is
+// there; if not, the position that keeps the order (job, then index).
+func (nm *NodeManager) runningIndex(id cluster.TaskID) (int, bool) {
+	return slices.BinarySearchFunc(nm.running, id, func(r *taskRun, id cluster.TaskID) int {
+		return cmp.Or(cmp.Compare(r.spec.ID.Job, id.Job), cmp.Compare(r.spec.ID.Index, id.Index))
+	})
 }

@@ -1,11 +1,11 @@
 package yarn
 
 import (
+	"cmp"
 	"container/heap"
-	"sort"
+	"slices"
 	"time"
 
-	"preemptsched/internal/cluster"
 	"preemptsched/internal/core"
 	"preemptsched/internal/obs"
 	"preemptsched/internal/sim"
@@ -19,7 +19,6 @@ type request struct {
 	preferred int
 	queuedAt  sim.Time
 	seq       uint64
-	index     int
 	// reservedOn holds the node where victims are vacating for this
 	// request.
 	reservedOn *NodeManager
@@ -37,22 +36,13 @@ func (q requestQueue) Less(i, j int) bool {
 	}
 	return q[i].seq < q[j].seq
 }
-func (q requestQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-func (q *requestQueue) Push(x any) {
-	r := x.(*request)
-	r.index = len(*q)
-	*q = append(*q, r)
-}
+func (q requestQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (q *requestQueue) Push(x any)   { *q = append(*q, x.(*request)) }
 func (q *requestQueue) Pop() any {
 	old := *q
 	n := len(old)
 	r := old[n-1]
 	old[n-1] = nil
-	r.index = -1
 	*q = old[:n-1]
 	return r
 }
@@ -68,6 +58,8 @@ type ResourceManager struct {
 	passPending bool
 	// scanLimit bounds requests examined per allocation pass.
 	scanLimit int
+	// skipScratch backs pass's list of requests it could not serve.
+	skipScratch []*request
 }
 
 func newResourceManager(c *Cluster) *ResourceManager {
@@ -77,7 +69,7 @@ func newResourceManager(c *Cluster) *ResourceManager {
 // RequestContainer enqueues a container request (step 1/5 of the paper's
 // Fig. 7 protocol).
 func (rm *ResourceManager) RequestContainer(t *taskRun, preferred int, now sim.Time) {
-	req := &request{task: t, preferred: preferred, queuedAt: now, seq: rm.seq, index: -1}
+	req := &request{task: t, preferred: preferred, queuedAt: now, seq: rm.seq}
 	rm.seq++
 	heap.Push(&rm.queue, req)
 	rm.schedulePass(now)
@@ -97,7 +89,7 @@ func (rm *ResourceManager) schedulePass(now sim.Time) {
 
 func (rm *ResourceManager) pass(now sim.Time) {
 	scanned := 0
-	var skipped []*request
+	skipped := rm.skipScratch[:0]
 	for len(rm.queue) > 0 && scanned < rm.scanLimit {
 		req := heap.Pop(&rm.queue).(*request)
 		scanned++
@@ -114,6 +106,7 @@ func (rm *ResourceManager) pass(now sim.Time) {
 	for _, req := range skipped {
 		heap.Push(&rm.queue, req)
 	}
+	rm.skipScratch = skipped[:0]
 }
 
 // place grants a slot to req if one is available, honoring the AM's node
@@ -171,19 +164,27 @@ func (rm *ResourceManager) unreserve(req *request) {
 	req.reservedOn = nil
 }
 
-// preemptFor selects one victim container with strictly lower priority
-// than req and dispatches a ContainerPreemptEvent to its AM. Under the
-// adaptive policy victims are chosen cost-aware (lowest estimated
-// checkpoint time first, Section 5.2.2); otherwise lowest priority and
-// oldest first, mirroring stock YARN.
-func (rm *ResourceManager) preemptFor(req *request, now sim.Time) bool {
-	type scored struct {
-		t    *taskRun
-		n    *NodeManager
-		cost time.Duration
-	}
+// scored is one preemption candidate: a running container, its node, and
+// its estimated checkpoint cost (zero unless the policy is adaptive).
+type scored struct {
+	t    *taskRun
+	n    *NodeManager
+	cost time.Duration
+}
+
+// compare is the eviction order: lowest priority, then lowest estimated
+// checkpoint cost (Section 5.2.2), then oldest task, mirroring stock YARN.
+// Task seq is unique, so the order is total: its minimum is the head of a
+// stable sort whatever order candidates are visited in.
+func (a scored) compare(b scored) int {
+	return cmp.Or(cmp.Compare(a.t.spec.Priority, b.t.spec.Priority),
+		cmp.Compare(a.cost, b.cost), cmp.Compare(a.t.seq, b.t.seq))
+}
+
+// eachCandidate visits every container req may preempt: running, not
+// mid-pre-copy, of strictly lower priority, on a live node.
+func (rm *ResourceManager) eachCandidate(req *request, now sim.Time, visit func(scored)) {
 	adaptive := rm.c.cfg.Policy == core.PolicyAdaptive
-	var cands []scored
 	prio := req.task.spec.Priority
 	for _, n := range rm.c.nodes {
 		if n.crashed || n.deadDeclared {
@@ -191,18 +192,7 @@ func (rm *ResourceManager) preemptFor(req *request, now sim.Time) bool {
 			// frees nothing.
 			continue
 		}
-		ids := make([]cluster.TaskID, 0, len(n.running))
-		for id := range n.running {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool {
-			if ids[i].Job != ids[j].Job {
-				return ids[i].Job < ids[j].Job
-			}
-			return ids[i].Index < ids[j].Index
-		})
-		for _, id := range ids {
-			v := n.running[id]
+		for _, v := range n.running {
 			if v.state != stateRunning || v.preCopying || v.spec.Priority >= prio {
 				continue
 			}
@@ -210,37 +200,49 @@ func (rm *ResourceManager) preemptFor(req *request, now sim.Time) bool {
 			if adaptive {
 				cost = core.CheckpointOverhead(v.candidate(now), n.device, now)
 			}
-			cands = append(cands, scored{t: v, n: n, cost: cost})
+			visit(scored{t: v, n: n, cost: cost})
 		}
 	}
-	if len(cands) == 0 {
+}
+
+// preemptFor picks a victim container for req, reserves the victim's node
+// for req and dispatches a ContainerPreemptEvent to the victim's AM.
+func (rm *ResourceManager) preemptFor(req *request, now sim.Time) bool {
+	victim, ok := rm.chooseVictim(req, now)
+	if !ok {
 		return false
-	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		if cands[i].t.spec.Priority != cands[j].t.spec.Priority {
-			return cands[i].t.spec.Priority < cands[j].t.spec.Priority
-		}
-		if adaptive && cands[i].cost != cands[j].cost {
-			return cands[i].cost < cands[j].cost
-		}
-		return cands[i].t.seq < cands[j].t.seq
-	})
-	victim := cands[0]
-	if rm.c.jrn.On() {
-		scores := make([]obs.CandidateScore, len(cands))
-		for i, sc := range cands {
-			scores[i] = obs.CandidateScore{
-				Task:     sc.t.spec.ID.String(),
-				Priority: int(sc.t.spec.Priority),
-				Cost:     sc.cost,
-				Unsaved:  sc.t.unsavedProgress(now),
-				Chosen:   i == 0,
-			}
-		}
-		rm.c.jrn.Selection(now, req.task.spec.ID, victim.n.id, req.task.spec.Priority, scores)
 	}
 	rm.reserve(req, victim.n)
 	rm.c.res.Preemptions++
 	victim.t.am.onPreempt(victim.t, now)
 	return true
+}
+
+// chooseVictim returns the candidate first in eviction order: one scan
+// keeping the minimum. Only a call that finds one journals (and allocates):
+// every candidate weighed, in eviction order, the victim at the head.
+func (rm *ResourceManager) chooseVictim(req *request, now sim.Time) (victim scored, ok bool) {
+	rm.eachCandidate(req, now, func(c scored) {
+		if !ok || c.compare(victim) < 0 {
+			victim, ok = c, true
+		}
+	})
+	if !ok || !rm.c.jrn.On() {
+		return victim, ok
+	}
+	var cands []scored
+	rm.eachCandidate(req, now, func(c scored) { cands = append(cands, c) })
+	slices.SortFunc(cands, scored.compare)
+	scores := make([]obs.CandidateScore, len(cands))
+	for i, sc := range cands {
+		scores[i] = obs.CandidateScore{
+			Task:     sc.t.spec.ID.String(),
+			Priority: int(sc.t.spec.Priority),
+			Cost:     sc.cost,
+			Unsaved:  sc.t.unsavedProgress(now),
+			Chosen:   i == 0,
+		}
+	}
+	rm.c.jrn.Selection(now, req.task.spec.ID, victim.n.id, req.task.spec.Priority, scores)
+	return victim, ok
 }
