@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -177,4 +179,26 @@ func TestUnitHelpers(t *testing.T) {
 	if MiB(1) != 1<<20 {
 		t.Errorf("MiB(1) = %d", MiB(1))
 	}
+}
+
+// TaskID.String is built with strconv into a stack buffer; it must stay
+// byte-equal to the "%d/%d" it replaced, at every width the two fields can
+// take, and cost only the string it returns.
+func TestTaskIDString(t *testing.T) {
+	jobs := []JobID{0, 1, -1, 7, 1_000_003, math.MaxInt64, math.MinInt64}
+	indices := []int32{0, 1, -1, 42, math.MaxInt32, math.MinInt32}
+	for _, job := range jobs {
+		for _, index := range indices {
+			id := TaskID{Job: job, Index: index}
+			if got, want := id.String(), fmt.Sprintf("%d/%d", job, index); got != want {
+				t.Errorf("String() = %q, want %q", got, want)
+			}
+		}
+	}
+	id := TaskID{Job: math.MinInt64, Index: math.MinInt32} // the longest rendering
+	var sink string
+	if allocs := testing.AllocsPerRun(100, func() { sink = id.String() }); allocs != 1 {
+		t.Errorf("String() makes %.0f allocations, want 1 (the string)", allocs)
+	}
+	_ = sink
 }

@@ -1,0 +1,77 @@
+//go:build !race
+
+package kmeans
+
+import (
+	"testing"
+
+	"preemptsched/internal/proc"
+)
+
+// The allocation pins live behind !race: the scratch is a sync.Pool, and
+// under the race detector a pool drops a share of what is put into it by
+// design, so a warm step would allocate at random.
+
+func mustProcess(t *testing.T, points, dims, k int) *proc.Process {
+	t.Helper()
+	p, err := NewProcess("km", points, dims, k, 1<<40, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+func stepAllocs(t *testing.T, procs ...*proc.Process) float64 {
+	t.Helper()
+	step := func() {
+		for _, p := range procs {
+			if _, err := p.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	step() // warm: the pooled scratch grows to the largest shape once
+	return testing.AllocsPerRun(50, step)
+}
+
+// GIVEN a k-means process whose first step has run,
+// WHEN it steps again — at the default task shape, at service-stream's, and
+// alternating a large shape with a small one —
+// THEN the step allocates nothing: points are decoded a chunk at a time
+// into pooled scratch, and the kernel's sums and counts live there too.
+func TestWarmStepAllocatesNothing(t *testing.T) {
+	for _, shape := range [][3]int{{240, 4, 4}, {8, 2, 2}} {
+		if allocs := stepAllocs(t, mustProcess(t, shape[0], shape[1], shape[2])); allocs != 0 {
+			t.Errorf("a warm step at %v allocates %.0f objects", shape, allocs)
+		}
+	}
+	if allocs := stepAllocs(t, mustProcess(t, 5000, 8, 16), mustProcess(t, 8, 2, 2)); allocs != 0 {
+		t.Errorf("alternating a large and a small shape allocates %.0f objects per pair of steps", allocs)
+	}
+}
+
+// GIVEN two k-means processes that differ only in the number of points,
+// WHEN each runs one step,
+// THEN both allocate the same number of objects — none.
+func TestStepAllocationsIndependentOfPoints(t *testing.T) {
+	small, large := stepAllocs(t, mustProcess(t, 50, 4, 5)), stepAllocs(t, mustProcess(t, 5000, 4, 5))
+	if small != large || large != 0 {
+		t.Errorf("a step over 50 points allocates %.0f objects, over 5000 points %.0f", small, large)
+	}
+}
+
+// GIVEN a warm scratch pool,
+// WHEN processes of 50 and of 5000 points are created,
+// THEN both cost the same handful of objects (process, address space, its
+// backing array and dirty map, the stream): the dataset is drawn a chunk at
+// a time straight into process memory, not into one slice per point.
+func TestNewProcessAllocationsIndependentOfPoints(t *testing.T) {
+	create := func(points int) float64 {
+		mustProcess(t, points, 4, 5)
+		return testing.AllocsPerRun(20, func() { mustProcess(t, points, 4, 5) })
+	}
+	small, large := create(50), create(5000)
+	if small != large || large > 8 {
+		t.Errorf("creating a process of 50 points allocates %.0f objects, of 5000 points %.0f", small, large)
+	}
+}

@@ -13,6 +13,8 @@ package kmeans
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"preemptsched/internal/sim"
 )
@@ -74,38 +76,91 @@ func Run(points [][]float64, cfg Config) (*Result, error) {
 // nearest centroid, then recompute centroids as cluster means. It returns
 // the largest squared distance any centroid moved.
 func Iterate(points, centroids [][]float64, assign []int) float64 {
-	k := len(centroids)
 	dims := len(centroids[0])
-	sums := make([][]float64, k)
-	for i := range sums {
-		sums[i] = make([]float64, dims)
+	it := lloydPool.Get().(*lloyd)
+	defer lloydPool.Put(it)
+	it.begin(len(centroids), dims)
+	for c, row := range centroids {
+		copy(it.centroids[c*dims:(c+1)*dims], row)
 	}
-	counts := make([]int, k)
 	for i, p := range points {
-		best, bestD := 0, math.MaxFloat64
-		for c := range centroids {
-			d := SquaredDistance(p, centroids[c])
-			if d < bestD {
-				best, bestD = c, d
-			}
-		}
-		assign[i] = best
-		counts[best]++
-		for d := range p {
-			sums[best][d] += p[d]
+		assign[i] = it.add(p)
+	}
+	moved := it.recentre()
+	for c, row := range centroids {
+		copy(row, it.centroids[c*dims:(c+1)*dims])
+	}
+	return moved
+}
+
+// lloyd is one Lloyd iteration over row-major centroids: the kernel the
+// library and the virtual-process program share, and its scratch. Values
+// are pooled, so a warm iteration allocates nothing. Nothing in one may be
+// read before it is written in the same iteration — begin zeroes the sums
+// and counts, the caller fills centroids and rows whole — so whatever an
+// earlier iteration (of any process, of any shape) left behind is never
+// observed, and a process's state stays in its memory and registers alone.
+type lloyd struct {
+	dims      int
+	centroids []float64 // k × dims
+	sums      []float64 // k × dims: per cluster, the sum of the points added
+	counts    []int     // k: points added per cluster
+	rows      []float64 // rowChunk(dims) × dims: points on their way to or from process memory
+}
+
+var lloydPool = sync.Pool{New: func() any { return new(lloyd) }}
+
+// rowChunk is how many dims-wide points the program moves through
+// lloyd.rows at a time: 8 KiB of them, and never less than one.
+func rowChunk(dims int) int { return max(1, 1024/dims) }
+
+// begin sizes the scratch for k clusters of dims-wide points, reusing what
+// capacity it has, and zeroes the accumulators.
+func (l *lloyd) begin(k, dims int) {
+	l.dims = dims
+	kd, chunk := k*dims, rowChunk(dims)*dims
+	l.centroids = slices.Grow(l.centroids[:0], kd)[:kd]
+	l.sums = slices.Grow(l.sums[:0], kd)[:kd]
+	l.counts = slices.Grow(l.counts[:0], k)[:k]
+	l.rows = slices.Grow(l.rows[:0], chunk)[:chunk]
+	clear(l.sums)
+	clear(l.counts)
+}
+
+// add assigns p to its nearest centroid (the lowest-numbered one on a tie)
+// and returns that cluster.
+func (l *lloyd) add(p []float64) int {
+	best, bestD := 0, math.MaxFloat64
+	for c := range l.counts {
+		d := SquaredDistance(p, l.centroids[c*l.dims:(c+1)*l.dims])
+		if d < bestD {
+			best, bestD = c, d
 		}
 	}
+	l.counts[best]++
+	sums := l.sums[best*l.dims : (best+1)*l.dims]
+	for d, v := range p {
+		sums[d] += v
+	}
+	return best
+}
+
+// recentre moves every centroid to the mean of the points added to its
+// cluster and returns the largest squared distance one moved.
+func (l *lloyd) recentre() float64 {
 	var maxMove float64
-	for c := range centroids {
-		if counts[c] == 0 {
+	for c, count := range l.counts {
+		if count == 0 {
 			continue // keep an empty cluster's centroid in place
 		}
+		centroid := l.centroids[c*l.dims : (c+1)*l.dims]
+		sums := l.sums[c*l.dims : (c+1)*l.dims]
 		var move float64
-		for d := range centroids[c] {
-			next := sums[c][d] / float64(counts[c])
-			diff := next - centroids[c][d]
+		for d := range centroid {
+			next := sums[d] / float64(count)
+			diff := next - centroid[d]
 			move += diff * diff
-			centroids[c][d] = next
+			centroid[d] = next
 		}
 		if move > maxMove {
 			maxMove = move
@@ -137,21 +192,37 @@ func Inertia(points, centroids [][]float64, assign []int) float64 {
 // well-separated Gaussian blobs, producing a dataset where clustering has a
 // meaningful answer. It is deterministic for a given RNG.
 func GeneratePoints(rng *sim.RNG, n, dims, k int) [][]float64 {
-	centers := make([][]float64, k)
-	for c := range centers {
-		centers[c] = make([]float64, dims)
-		for d := range centers[c] {
-			centers[c][d] = rng.Bounded(-50, 50)
+	centres := make([]float64, k*dims)
+	drawCentres(rng, centres)
+	flat := make([]float64, n*dims)
+	drawPoints(rng, centres, dims, 0, flat)
+	return rowsOf(flat, dims)
+}
+
+// drawCentres draws the blob centres, the first draws of a dataset.
+func drawCentres(rng *sim.RNG, centres []float64) {
+	for i := range centres {
+		centres[i] = rng.Bounded(-50, 50)
+	}
+}
+
+// drawPoints draws the dataset's points first, first+1, … into the
+// dims-wide rows, point i around centre i mod k.
+func drawPoints(rng *sim.RNG, centres []float64, dims, first int, rows []float64) {
+	k := len(centres) / dims
+	for i := first; len(rows) > 0; i, rows = i+1, rows[dims:] {
+		c := centres[(i%k)*dims:]
+		for d := range rows[:dims] {
+			rows[d] = c[d] + rng.NormFloat64()*2
 		}
 	}
-	points := make([][]float64, n)
-	for i := range points {
-		c := centers[i%k]
-		p := make([]float64, dims)
-		for d := range p {
-			p[d] = c[d] + rng.NormFloat64()*2
-		}
-		points[i] = p
+}
+
+// rowsOf slices a row-major array into its dims-wide rows.
+func rowsOf(flat []float64, dims int) [][]float64 {
+	out := make([][]float64, len(flat)/dims)
+	for r := range out {
+		out[r] = flat[r*dims : (r+1)*dims : (r+1)*dims]
 	}
-	return points
+	return out
 }

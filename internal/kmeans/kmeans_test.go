@@ -2,6 +2,7 @@ package kmeans
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"preemptsched/internal/checkpoint"
@@ -93,17 +94,33 @@ func TestEmptyClusterKeepsCentroid(t *testing.T) {
 }
 
 func TestGeneratePointsDeterministic(t *testing.T) {
-	a := GeneratePoints(sim.NewRNG(5), 100, 3, 4)
-	b := GeneratePoints(sim.NewRNG(5), 100, 3, 4)
-	for i := range a {
-		for d := range a[i] {
-			if a[i][d] != b[i][d] {
-				t.Fatal("same seed, different dataset")
+	same := func(a, b [][]float64) bool {
+		for i := range a {
+			for d := range a[i] {
+				if a[i][d] != b[i][d] {
+					return false
+				}
 			}
 		}
+		return true
 	}
-	if len(a) != 100 || len(a[0]) != 3 {
-		t.Errorf("shape %dx%d", len(a), len(a[0]))
+	// Either kind of source gives one dataset per seed; the two kinds are
+	// different sequences, so they give different datasets.
+	a, b := GeneratePoints(sim.NewRNG(5), 100, 3, 4), GeneratePoints(sim.NewRNG(5), 100, 3, 4)
+	sa, sb := GeneratePoints(sim.NewStream(5), 100, 3, 4), GeneratePoints(sim.NewStream(5), 100, 3, 4)
+	if !same(a, b) || !same(sa, sb) {
+		t.Fatal("same seed, different dataset")
+	}
+	if same(a, sa) {
+		t.Error("NewRNG and NewStream drew the same dataset")
+	}
+	if len(a) != 100 || len(a[0]) != 3 || len(sa) != 100 || len(sa[0]) != 3 {
+		t.Errorf("shape %dx%d, %dx%d", len(a), len(a[0]), len(sa), len(sa[0]))
+	}
+	// Rows are views of one array; growing one must not write into the next.
+	next := a[1][0]
+	if _ = append(a[0], -1); a[1][0] != next {
+		t.Error("append on a row overwrote the next row")
 	}
 }
 
@@ -152,7 +169,7 @@ func TestProgramMatchesLibrary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts := GeneratePoints(sim.NewRNG(seed), n, dims, k)
+	pts := GeneratePoints(sim.NewStream(seed), n, dims, k)
 	want := make([][]float64, k)
 	for c := range want {
 		want[c] = append([]float64(nil), pts[c]...)
@@ -187,28 +204,50 @@ func TestProgramMatchesLibrary(t *testing.T) {
 	}
 }
 
-// GIVEN two k-means processes that differ only in the number of points,
-// WHEN each runs one step,
-// THEN both allocate the same number of objects: a step's buffers are a
-// fixed handful of arrays, not one slice per point.
-func TestStepAllocationsIndependentOfPoints(t *testing.T) {
-	perStep := func(points int) float64 {
-		p, err := NewProcess("km", points, 4, 5, 1000, 11)
+// GIVEN a large and a small k-means process stepped alternately on one
+// goroutine, so each step finds the pooled scratch as the other shape left
+// it — longer than it needs after the large one, full of the large one's
+// centroids, sums and points,
+// WHEN both run to completion,
+// THEN each holds, bit for bit, the centroids kmeans.Run computes from the
+// same dataset: nothing in the scratch is read before it is written.
+func TestStaleScratchIsNeverObserved(t *testing.T) {
+	const iters = 6
+	shapes := []struct {
+		n, dims, k int
+		seed       int64
+	}{{500, 6, 7, 31}, {8, 2, 2, 32}, {240, 4, 4, 33}, {9, 1, 3, 34}, {40, 300, 2, 35}, {5, 1500, 2, 36}}
+	procs := make([]*proc.Process, len(shapes))
+	for i, sh := range shapes {
+		p, err := NewProcess("km", sh.n, sh.dims, sh.k, iters, sh.seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return testing.AllocsPerRun(20, func() {
+		procs[i] = p
+	}
+	for iter := 0; iter < iters; iter++ {
+		for _, p := range procs {
 			if _, err := p.Step(); err != nil {
 				t.Fatal(err)
 			}
-		})
+		}
 	}
-	small, large := perStep(50), perStep(5000)
-	if small != large {
-		t.Errorf("a step over 50 points allocates %.0f objects, over 5000 points %.0f", small, large)
-	}
-	if large > 20 {
-		t.Errorf("a step allocates %.0f objects", large)
+	for i, sh := range shapes {
+		want, err := Run(GeneratePoints(sim.NewStream(sh.seed), sh.n, sh.dims, sh.k), Config{K: sh.k, MaxIters: iters})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Centroids(procs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := range want.Centroids {
+			for d := range want.Centroids[c] {
+				if math.Float64bits(got[c][d]) != math.Float64bits(want.Centroids[c][d]) {
+					t.Fatalf("shape %+v: centroid[%d][%d] = %v, Run says %v", sh, c, d, got[c][d], want.Centroids[c][d])
+				}
+			}
+		}
 	}
 }
 
@@ -287,6 +326,49 @@ func TestProgramBadConfiguration(t *testing.T) {
 	}
 	if _, err := NewProcess("km", 10, 2, 20, 5, 1); err == nil {
 		t.Error("k > n accepted")
+	}
+}
+
+// GIVEN registers whose n·dims or k·dims product wraps int64 (or whose sum
+// does), as a corrupt checkpoint image or a careless caller can supply,
+// WHEN a process is initialised from them, or rebuilt around them and
+// stepped,
+// THEN layout answers "kmeans: needs …" instead of sizing a buffer from the
+// wrapped product — and a configuration that fills the memory to its last
+// word is still accepted.
+func TestLayoutRejectsOverflowingShapes(t *testing.T) {
+	const real = 3 * proc.PageSize // 1024 float64s after the header page
+	hostile := [][3]uint64{
+		{1 << 62, 4, 1},                   // n·dims wraps to 0
+		{3, 1 << 62, 1},                   // n·dims wraps negative
+		{1 << 61, 8, 1 << 61},             // both products wrap to 0
+		{1 << 60, 2, 1},                   // n·dims·8 wraps to 0
+		{math.MaxInt64, 1, math.MaxInt64}, // n+k wraps
+		{1021, 1, 4},                      // one word too many, no wrap
+	}
+	for _, h := range hostile {
+		configure := func(p *proc.Process) { Configure(p, h[0], h[1], h[2], 5, 1) }
+		_, err := proc.NewWithSetup("km", Program{}, real, real, configure)
+		if err == nil || !strings.Contains(err.Error(), "kmeans: needs") {
+			t.Errorf("Init with n=%d dims=%d k=%d: %v", h[0], h[1], h[2], err)
+		}
+
+		mem, err := proc.NewMemory(real, real)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := proc.Rebuild("km", Program{}, mem, proc.Registers{}, 0)
+		configure(p)
+		if _, err := p.Step(); err == nil || !strings.Contains(err.Error(), "kmeans: needs") {
+			t.Errorf("Step with n=%d dims=%d k=%d: %v", h[0], h[1], h[2], err)
+		}
+	}
+	p, err := proc.NewWithSetup("km", Program{}, real, real, func(p *proc.Process) { Configure(p, 1020, 1, 4, 1, 1) })
+	if err != nil {
+		t.Fatalf("a shape that exactly fills the memory: %v", err)
+	}
+	if done, err := p.Step(); err != nil || !done {
+		t.Fatalf("step over a full memory: done=%v err=%v", done, err)
 	}
 }
 

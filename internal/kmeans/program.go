@@ -60,37 +60,41 @@ func layout(p *proc.Process) (n, dims, k int, centroidsOff int64, err error) {
 	if n <= 0 || dims <= 0 || k <= 0 || k > n {
 		return 0, 0, 0, 0, fmt.Errorf("kmeans: bad configuration n=%d dims=%d k=%d", n, dims, k)
 	}
-	centroidsOff = pointsOff + int64(n*dims)*8
-	need := centroidsOff + int64(k*dims)*8
-	if need > p.Memory().RealBytes() {
-		return 0, 0, 0, 0, fmt.Errorf("kmeans: needs %d bytes, process has %d", need, p.Memory().RealBytes())
+	// Registers reach Step from checkpoint images, so (n+k)·dims is compared
+	// against the memory by division: the product of hostile values wraps.
+	words := (p.Memory().RealBytes() - pointsOff) / 8
+	if int64(n) > words || int64(dims) > words/int64(n+k) {
+		return 0, 0, 0, 0, fmt.Errorf("kmeans: needs %d+%d rows of %d float64s after the header page, process has %d bytes", n, k, dims, p.Memory().RealBytes())
 	}
-	return n, dims, k, centroidsOff, nil
+	return n, dims, k, pointsOff + int64(n*dims)*8, nil
 }
 
-// Init implements proc.Program: generate the dataset and the initial
-// centroids directly into process memory.
+// Init implements proc.Program: generate the dataset, in GeneratePoints'
+// draw order, and the initial centroids directly into process memory.
 func (Program) Init(p *proc.Process) error {
 	n, dims, k, centroidsOff, err := layout(p)
 	if err != nil {
 		return err
 	}
 	m := p.Memory()
-	rng := sim.NewRNG(int64(p.Registers().R[4]))
-	pts := GeneratePoints(rng, n, dims, k)
-	for i, pt := range pts {
-		for d, v := range pt {
-			if err := m.WriteF64(pointsOff+int64(i*dims+d)*8, v); err != nil {
-				return err
-			}
+	rng := sim.NewStream(int64(p.Registers().R[4]))
+	it := lloydPool.Get().(*lloyd)
+	defer lloydPool.Put(it)
+	it.begin(k, dims)
+	drawCentres(rng, it.centroids)
+	for first, chunk := 0, rowChunk(dims); first < n; first += chunk {
+		rows := it.rows[:min(chunk, n-first)*dims]
+		drawPoints(rng, it.centroids, dims, first, rows)
+		if err := m.WriteF64s(rows, pointsOff+int64(first*dims)*8); err != nil {
+			return err
 		}
 	}
-	for c := 0; c < k; c++ {
-		for d := 0; d < dims; d++ {
-			if err := m.WriteF64(centroidsOff+int64(c*dims+d)*8, pts[c][d]); err != nil {
-				return err
-			}
-		}
+	// The initial centroids are the first k points.
+	if err := m.ReadF64s(it.centroids, pointsOff); err != nil {
+		return err
+	}
+	if err := m.WriteF64s(it.centroids, centroidsOff); err != nil {
+		return err
 	}
 	if err := m.WriteU64(hdrOffIter, 0); err != nil {
 		return err
@@ -115,26 +119,25 @@ func (Program) Step(p *proc.Process) (bool, error) {
 		maxIters = 1
 	}
 
-	// One flat backing array per region, sliced into rows: the allocation
-	// count of a step does not depend on the number of points.
-	points, err := readRows(m, pointsOff, n, dims)
-	if err != nil {
+	it := lloydPool.Get().(*lloyd)
+	defer lloydPool.Put(it)
+	it.begin(k, dims)
+	if err := m.ReadF64s(it.centroids, centroidsOff); err != nil {
 		return false, err
 	}
-	centroids, err := readRows(m, centroidsOff, k, dims)
-	if err != nil {
-		return false, err
-	}
-
-	assign := make([]int, n)
-	moved := Iterate(points, centroids, assign)
-
-	for c := range centroids {
-		for d := range centroids[c] {
-			if err := m.WriteF64(centroidsOff+int64(c*dims+d)*8, centroids[c][d]); err != nil {
-				return false, err
-			}
+	for first, chunk := 0, rowChunk(dims); first < n; first += chunk {
+		rows := it.rows[:min(chunk, n-first)*dims]
+		if err := m.ReadF64s(rows, pointsOff+int64(first*dims)*8); err != nil {
+			return false, err
 		}
+		for ; len(rows) > 0; rows = rows[dims:] {
+			it.add(rows[:dims])
+		}
+	}
+	moved := it.recentre()
+
+	if err := m.WriteF64s(it.centroids, centroidsOff); err != nil {
+		return false, err
 	}
 	if err := m.WriteF64(hdrOffMove, moved); err != nil {
 		return false, err
@@ -152,25 +155,11 @@ func Centroids(p *proc.Process) ([][]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return readRows(p.Memory(), centroidsOff, k, dims)
-}
-
-// readRows reads rows × dims float64 values stored row-major at off into
-// one backing array and returns it sliced into rows.
-func readRows(m *proc.Memory, off int64, rows, dims int) ([][]float64, error) {
-	flat := make([]float64, rows*dims)
-	for i := range flat {
-		v, err := m.ReadF64(off + int64(i)*8)
-		if err != nil {
-			return nil, err
-		}
-		flat[i] = v
+	flat := make([]float64, k*dims)
+	if err := p.Memory().ReadF64s(flat, centroidsOff); err != nil {
+		return nil, err
 	}
-	out := make([][]float64, rows)
-	for r := range out {
-		out[r] = flat[r*dims : (r+1)*dims : (r+1)*dims]
-	}
-	return out, nil
+	return rowsOf(flat, dims), nil
 }
 
 // Iterations reads the completed-iteration counter from process memory.

@@ -106,11 +106,14 @@ func layout(p *proc.Process) (inputLen, chunk int64, buckets int64, tableOff int
 	if inputLen <= 0 || chunk <= 0 || buckets <= 0 || buckets&(buckets-1) != 0 {
 		return 0, 0, 0, 0, fmt.Errorf("mapreduce: bad configuration input=%d chunk=%d buckets=%d", inputLen, chunk, buckets)
 	}
-	tableOff = inputOff + inputLen
-	if tableOff+buckets*16 > p.Memory().RealBytes() {
-		return 0, 0, 0, 0, fmt.Errorf("mapreduce: needs %d bytes, process has %d", tableOff+buckets*16, p.Memory().RealBytes())
+	// Registers reach Step from checkpoint images, so each region is
+	// compared against what is left of the memory: the sum of hostile
+	// values wraps.
+	left := p.Memory().RealBytes() - inputOff
+	if inputLen > left || buckets > (left-inputLen)/16 {
+		return 0, 0, 0, 0, fmt.Errorf("mapreduce: needs %d input bytes and %d 16-byte buckets after the header page, process has %d bytes", inputLen, buckets, p.Memory().RealBytes())
 	}
-	return inputLen, chunk, buckets, tableOff, nil
+	return inputLen, chunk, buckets, inputOff + inputLen, nil
 }
 
 // Init implements proc.Program: generate the corpus into process memory.
@@ -119,7 +122,7 @@ func (Program) Init(p *proc.Process) error {
 	if err != nil {
 		return err
 	}
-	rng := sim.NewRNG(int64(p.Registers().R[2]))
+	rng := sim.NewStream(int64(p.Registers().R[2]))
 	m := p.Memory()
 	buf := make([]byte, 0, inputLen)
 	for int64(len(buf)) < inputLen {

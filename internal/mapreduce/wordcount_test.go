@@ -1,6 +1,8 @@
 package mapreduce
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"preemptsched/internal/checkpoint"
@@ -186,6 +188,47 @@ func TestWordCountLogicalScaling(t *testing.T) {
 	}
 	if p.Memory().LogicalBytes() != 1<<30 {
 		t.Errorf("logical = %d", p.Memory().LogicalBytes())
+	}
+	runToEnd(t, p)
+}
+
+// GIVEN registers whose inputOff+inputLen (or the bucket table on top of
+// it) wraps int64, as a corrupt checkpoint image can supply,
+// WHEN a process is initialised from them, or rebuilt around them and
+// stepped,
+// THEN layout answers "mapreduce: needs …" instead of sizing a buffer from
+// the hostile length — and a job that fills the memory to its last bucket
+// is still accepted.
+func TestLayoutRejectsOverflowingShapes(t *testing.T) {
+	const real = 3 * proc.PageSize
+	hostile := [][2]uint64{ // input bytes (also the chunk), buckets
+		{math.MaxInt64 - 100, 16},         // inputOff+inputLen wraps
+		{math.MaxInt64, 1},                // likewise, by more
+		{100, 1 << 60},                    // buckets·16 wraps to 0
+		{proc.PageSize, 1 << 62},          // buckets·16 wraps to 0 twice over
+		{2*proc.PageSize - 64*16 + 1, 64}, // one byte too many, no wrap
+	}
+	for _, h := range hostile {
+		configure := func(p *proc.Process) { Configure(p, h[0], h[0], 1, h[1]) }
+		_, err := proc.NewWithSetup("wc", Program{}, real, real, configure)
+		if err == nil || !strings.Contains(err.Error(), "mapreduce: needs") {
+			t.Errorf("Init with input=%d buckets=%d: %v", h[0], h[1], err)
+		}
+
+		mem, err := proc.NewMemory(real, real)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := proc.Rebuild("wc", Program{}, mem, proc.Registers{}, 0)
+		configure(p)
+		if _, err := p.Step(); err == nil || !strings.Contains(err.Error(), "mapreduce: needs") {
+			t.Errorf("Step with input=%d buckets=%d: %v", h[0], h[1], err)
+		}
+	}
+	fits := func(p *proc.Process) { Configure(p, 2*proc.PageSize-64*16, 1024, 1, 64) }
+	p, err := proc.NewWithSetup("wc", Program{}, real, real, fits)
+	if err != nil {
+		t.Fatalf("a job that exactly fills the memory: %v", err)
 	}
 	runToEnd(t, p)
 }

@@ -2,12 +2,12 @@
 // unit the checkpoint engine suspends and resumes.
 //
 // A virtual process stands in for the Linux process CRIU operates on. It
-// has a register file, paged memory with per-page soft-dirty bits (the
-// mechanism CRIU's incremental dumps rely on, Section 4.1 of the paper),
-// and a Program that advances the computation in cooperative steps. All
-// mutable program state must live in process memory or registers; that is
-// what makes checkpointing transparent — the engine dumps pages without
-// knowing what the program is.
+// has a register file, paged memory (one backing array, page views) with
+// per-page soft-dirty bits (the mechanism CRIU's incremental dumps rely on,
+// Section 4.1 of the paper), and a Program that advances the computation
+// in cooperative steps. All mutable program state must live in process
+// memory or registers; that is what makes checkpointing transparent — the
+// engine dumps pages without knowing what the program is.
 //
 // Because real cluster tasks in the paper have multi-gigabyte footprints, a
 // Memory can declare a logical footprint larger than its real backing
@@ -28,9 +28,9 @@ const PageSize = 4096
 // wordSize is the width of the ReadU64/WriteU64 accessors.
 const wordSize = 8
 
-// Memory is a paged address space with soft-dirty tracking.
+// Memory is one backing array viewed as soft-dirty-tracked pages.
 type Memory struct {
-	pages        [][]byte
+	data         []byte
 	dirty        []bool
 	logicalBytes int64
 }
@@ -46,46 +46,42 @@ func NewMemory(realBytes, logicalBytes int64) (*Memory, error) {
 		return nil, fmt.Errorf("proc: logical size %d below real size %d", logicalBytes, realBytes)
 	}
 	n := int((realBytes + PageSize - 1) / PageSize)
-	if rounded := int64(n) * PageSize; logicalBytes < rounded {
-		// Page rounding may push the real size past the declared logical
-		// footprint; the footprint can never be below the backing.
-		logicalBytes = rounded
-	}
+	// Page rounding may push the real size past the declared logical
+	// footprint; the footprint can never be below the backing.
+	logicalBytes = max(logicalBytes, int64(n)*PageSize)
 	m := &Memory{
-		pages:        make([][]byte, n),
+		data:         make([]byte, n*PageSize),
 		dirty:        make([]bool, n),
 		logicalBytes: logicalBytes,
 	}
-	for i := range m.pages {
-		m.pages[i] = make([]byte, PageSize)
-		m.dirty[i] = true // freshly mapped pages must be in the first dump
-	}
+	m.MarkAllDirty() // freshly mapped pages must be in the first dump
 	return m, nil
 }
 
 // NumPages returns the number of real backing pages.
-func (m *Memory) NumPages() int { return len(m.pages) }
+func (m *Memory) NumPages() int { return len(m.dirty) }
 
 // RealBytes returns the backing size in bytes.
-func (m *Memory) RealBytes() int64 { return int64(len(m.pages)) * PageSize }
+func (m *Memory) RealBytes() int64 { return int64(len(m.data)) }
 
 // LogicalBytes returns the declared footprint used for time accounting.
 func (m *Memory) LogicalBytes() int64 { return m.logicalBytes }
 
-// Page returns a read-only view of page i. Callers must not mutate it;
-// mutations must go through WriteAt so dirty tracking stays correct.
-func (m *Memory) Page(i int) []byte { return m.pages[i] }
+// Page returns a read-only view of page i, capped so an append cannot reach
+// page i+1. Callers must not mutate it; mutations must go through WriteAt
+// so dirty tracking stays correct.
+func (m *Memory) Page(i int) []byte { return m.data[i*PageSize : (i+1)*PageSize : (i+1)*PageSize] }
 
 // SetPage replaces the contents of page i without marking it dirty. It is
 // used by restore, which reconstructs a clean address space.
 func (m *Memory) SetPage(i int, data []byte) error {
-	if i < 0 || i >= len(m.pages) {
-		return fmt.Errorf("proc: page %d out of range [0,%d)", i, len(m.pages))
+	if i < 0 || i >= len(m.dirty) {
+		return fmt.Errorf("proc: page %d out of range [0,%d)", i, len(m.dirty))
 	}
 	if len(data) != PageSize {
 		return fmt.Errorf("proc: page data length %d != %d", len(data), PageSize)
 	}
-	copy(m.pages[i], data)
+	copy(m.Page(i), data)
 	return nil
 }
 
@@ -95,72 +91,83 @@ func (m *Memory) inRange(off int64, n int) bool {
 	return off >= 0 && off <= m.RealBytes()-int64(n)
 }
 
-// wordInPage returns the page holding the whole word at off, and the
-// word's offset within it; ok is false for a word that straddles two pages
-// or starts outside memory, which the byte-granular path handles (or
-// rejects). RealBytes is a whole number of pages, so a word that starts in
-// range and does not straddle also ends in range.
-func (m *Memory) wordInPage(off int64) (page, in int, ok bool) {
-	u := uint64(off) // a negative offset becomes one far past the end
-	page, in = int(u/PageSize), int(u%PageSize)
-	return page, in, u < uint64(m.RealBytes()) && in <= PageSize-wordSize
+// outside is the error every accessor returns for a range inRange rejects.
+func (m *Memory) outside(op string, off int64, n int) error {
+	return fmt.Errorf("proc: %s of %d bytes at offset %d outside memory of %d bytes", op, n, off, m.RealBytes())
+}
+
+// touch sets the soft-dirty bit of every page the n in-range bytes at off
+// lie on — the analogue of the kernel page-fault path CRIU hooks for
+// incremental checkpoints.
+func (m *Memory) touch(off int64, n int) {
+	for end := off + int64(n); off < end; off = (off/PageSize + 1) * PageSize {
+		m.dirty[off/PageSize] = true
+	}
 }
 
 // ReadAt copies len(p) bytes starting at offset off into p.
 func (m *Memory) ReadAt(p []byte, off int64) error {
 	if !m.inRange(off, len(p)) {
-		return fmt.Errorf("proc: read of %d bytes at offset %d outside memory of %d bytes", len(p), off, m.RealBytes())
+		return m.outside("read", off, len(p))
 	}
-	for len(p) > 0 {
-		page := int(off / PageSize)
-		in := int(off % PageSize)
-		n := copy(p, m.pages[page][in:])
-		p = p[n:]
-		off += int64(n)
-	}
+	copy(p, m.data[off:])
 	return nil
 }
 
-// WriteAt copies p into memory at offset off, setting the soft-dirty bit of
-// every touched page — the analogue of the kernel page-fault path CRIU
-// hooks for incremental checkpoints.
+// WriteAt copies p into memory at offset off, dirtying every page it touches.
 func (m *Memory) WriteAt(p []byte, off int64) error {
 	if !m.inRange(off, len(p)) {
-		return fmt.Errorf("proc: write of %d bytes at offset %d outside memory of %d bytes", len(p), off, m.RealBytes())
+		return m.outside("write", off, len(p))
 	}
-	for len(p) > 0 {
-		page := int(off / PageSize)
-		in := int(off % PageSize)
-		n := copy(m.pages[page][in:], p)
-		m.dirty[page] = true
-		p = p[n:]
-		off += int64(n)
-	}
+	copy(m.data[off:], p)
+	m.touch(off, len(p))
 	return nil
 }
 
 // ReadU64 reads a big-endian uint64 at off.
 func (m *Memory) ReadU64(off int64) (uint64, error) {
-	if page, in, ok := m.wordInPage(off); ok {
-		return binary.BigEndian.Uint64(m.pages[page][in:]), nil
+	if !m.inRange(off, wordSize) {
+		return 0, m.outside("read", off, wordSize)
 	}
-	var buf [wordSize]byte
-	if err := m.ReadAt(buf[:], off); err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint64(buf[:]), nil
+	return binary.BigEndian.Uint64(m.data[off:]), nil
 }
 
-// WriteU64 writes a big-endian uint64 at off.
+// WriteU64 writes a big-endian uint64 at off, dirtying both pages of a
+// word that straddles a boundary.
 func (m *Memory) WriteU64(off int64, v uint64) error {
-	if page, in, ok := m.wordInPage(off); ok {
-		binary.BigEndian.PutUint64(m.pages[page][in:], v)
-		m.dirty[page] = true
-		return nil
+	if !m.inRange(off, wordSize) {
+		return m.outside("write", off, wordSize)
 	}
-	var buf [wordSize]byte
-	binary.BigEndian.PutUint64(buf[:], v)
-	return m.WriteAt(buf[:], off)
+	binary.BigEndian.PutUint64(m.data[off:], v)
+	m.touch(off, wordSize)
+	return nil
+}
+
+// ReadF64s reads len(dst) consecutive float64s starting at off into dst,
+// under one range check.
+func (m *Memory) ReadF64s(dst []float64, off int64) error {
+	if !m.inRange(off, len(dst)*wordSize) {
+		return m.outside("read", off, len(dst)*wordSize)
+	}
+	src := m.data[off:]
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.BigEndian.Uint64(src[i*wordSize:]))
+	}
+	return nil
+}
+
+// WriteF64s writes src as consecutive float64s starting at off, under one
+// range check, dirtying every touched page.
+func (m *Memory) WriteF64s(src []float64, off int64) error {
+	if !m.inRange(off, len(src)*wordSize) {
+		return m.outside("write", off, len(src)*wordSize)
+	}
+	dst := m.data[off:]
+	for i, v := range src {
+		binary.BigEndian.PutUint64(dst[i*wordSize:], math.Float64bits(v))
+	}
+	m.touch(off, len(src)*wordSize)
+	return nil
 }
 
 // ReadF64 reads a float64 at off.
@@ -198,11 +205,7 @@ func (m *Memory) DirtyCount() int {
 
 // ClearSoftDirty resets every soft-dirty bit, as CRIU does after a dump so
 // the next dump captures only subsequent writes.
-func (m *Memory) ClearSoftDirty() {
-	for i := range m.dirty {
-		m.dirty[i] = false
-	}
-}
+func (m *Memory) ClearSoftDirty() { clear(m.dirty) }
 
 // MarkAllDirty sets every soft-dirty bit, forcing the next dump to be full.
 func (m *Memory) MarkAllDirty() {
@@ -215,9 +218,6 @@ func (m *Memory) MarkAllDirty() {
 // dirty pages represents: the dirty fraction of the real pages scaled to
 // the logical footprint.
 func (m *Memory) LogicalDirtyBytes() int64 {
-	if len(m.pages) == 0 {
-		return 0
-	}
-	frac := float64(m.DirtyCount()) / float64(len(m.pages))
+	frac := float64(m.DirtyCount()) / float64(len(m.dirty))
 	return int64(frac * float64(m.logicalBytes))
 }

@@ -11,20 +11,60 @@ import (
 type RNG struct {
 	*rand.Rand
 	seed int64
+	// mix is the source behind Rand when stream is set; it lives in the RNG
+	// so a stream costs no allocation of its own.
+	mix    splitMix64
+	stream bool
 }
 
-// NewRNG returns a deterministic source seeded with seed.
+// NewRNG returns a deterministic source seeded with seed. Its sequence is
+// math/rand's, which every trace, golden report and exact benchmark count
+// pins; seeding it costs 607 words, so it is for streams made once per run.
 func NewRNG(seed int64) *RNG {
 	return &RNG{Rand: rand.New(rand.NewSource(seed)), seed: seed}
 }
 
+// NewStream returns a deterministic source that costs nothing to seed, for
+// streams made once per virtual process (a task's dataset). Its sequence
+// differs from NewRNG's for the same seed and is pinned by no golden file.
+func NewStream(seed int64) *RNG {
+	r := &RNG{seed: seed, mix: splitMix64(seed), stream: true}
+	r.Rand = rand.New(&r.mix)
+	return r
+}
+
+// splitMix64 is Steele, Lea and Flood's SplitMix64 generator: a Weyl
+// sequence through a 64-bit finalizer. The finalizer is a bijection, so
+// distinct seeds give distinct first draws and a stream never repeats a
+// value within its 2^64 period.
+type splitMix64 uint64
+
+var _ rand.Source64 = (*splitMix64)(nil)
+
+func (s *splitMix64) Seed(seed int64) { *s = splitMix64(seed) }
+
+func (s *splitMix64) Uint64() uint64 {
+	*s += 0x9E3779B97F4A7C15
+	z := uint64(*s)
+	z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
+	z = (z ^ z>>27) * 0x94D049BB133111EB
+	return z ^ z>>31
+}
+
+func (s *splitMix64) Int63() int64 { return int64(s.Uint64() >> 1) }
+
 // Seed returns the seed the RNG was constructed with.
 func (r *RNG) Seed() int64 { return r.seed }
 
-// Fork derives an independent child stream. Deriving children rather than
-// sharing one stream keeps module A's draw count from perturbing module B.
+// Fork derives an independent child stream of the parent's kind. Deriving
+// children rather than sharing one stream keeps module A's draw count from
+// perturbing module B.
 func (r *RNG) Fork(label int64) *RNG {
-	return NewRNG(r.seed*1000003 + label*7919 + 12345)
+	seed := r.seed*1000003 + label*7919 + 12345
+	if r.stream {
+		return NewStream(seed)
+	}
+	return NewRNG(seed)
 }
 
 // Exp returns an exponentially distributed value with the given mean.
