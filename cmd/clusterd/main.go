@@ -49,7 +49,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -64,19 +63,6 @@ func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "clusterd:", err)
 		os.Exit(1)
-	}
-}
-
-func parseKind(s string) (storage.Kind, error) {
-	switch strings.ToLower(s) {
-	case "hdd":
-		return storage.HDD, nil
-	case "ssd":
-		return storage.SSD, nil
-	case "nvm", "pmfs":
-		return storage.NVM, nil
-	default:
-		return 0, fmt.Errorf("unknown storage %q (want hdd|ssd|nvm)", s)
 	}
 }
 
@@ -115,7 +101,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	kind, err := parseKind(*storageFlag)
+	kind, err := storage.ParseKind(*storageFlag)
 	if err != nil {
 		return err
 	}

@@ -300,7 +300,7 @@ func run() error {
 		fmt.Println()
 	}
 	fmt.Printf("overheads:       CPU %.2f%%, I/O %.2f%%\n",
-		100*r.CPUOverheadFraction(), 100*r.IOOverheadFraction(cfg.Nodes))
+		100*r.CPUOverheadFraction(), 100*r.IOOverheadFraction())
 	fmt.Printf("checkpoint data: peak %.1f GiB logical, %.1f MiB real bytes in DFS\n",
 		float64(r.PeakImageBytes)/float64(cluster.GiB(1)), float64(r.DFSStoredBytes)/float64(cluster.MiB(1)))
 

@@ -112,26 +112,13 @@ func parsePolicies(s string) ([]core.Policy, error) {
 func parseKinds(s string) ([]storage.Kind, error) {
 	var out []storage.Kind
 	for _, part := range strings.Split(s, ",") {
-		k, err := parseKind(strings.TrimSpace(part))
+		k, err := storage.ParseKind(strings.TrimSpace(part))
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, k)
 	}
 	return out, nil
-}
-
-func parseKind(s string) (storage.Kind, error) {
-	switch strings.ToLower(s) {
-	case "hdd":
-		return storage.HDD, nil
-	case "ssd":
-		return storage.SSD, nil
-	case "nvm", "pmfs":
-		return storage.NVM, nil
-	default:
-		return 0, fmt.Errorf("unknown storage %q", s)
-	}
 }
 
 // runSweepMode executes the full matrix and renders the canonical

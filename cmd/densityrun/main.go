@@ -88,7 +88,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	kind, err := parseStorage(*storageKind)
+	kind, err := storage.ParseKind(*storageKind)
 	if err != nil {
 		return err
 	}
@@ -192,20 +192,5 @@ func parsePolicy(s string) (core.Policy, error) {
 		return core.PolicyAdaptive, nil
 	default:
 		return 0, fmt.Errorf("unknown policy %q", s)
-	}
-}
-
-func parseStorage(s string) (storage.Kind, error) {
-	switch strings.ToLower(s) {
-	case "hdd":
-		return storage.HDD, nil
-	case "ssd":
-		return storage.SSD, nil
-	case "nvm":
-		return storage.NVM, nil
-	case "nvram":
-		return storage.NVRAM, nil
-	default:
-		return 0, fmt.Errorf("unknown storage %q", s)
 	}
 }

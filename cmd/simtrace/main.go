@@ -29,21 +29,6 @@ func main() {
 	}
 }
 
-func parseKind(s string) (storage.Kind, error) {
-	switch strings.ToLower(s) {
-	case "hdd":
-		return storage.HDD, nil
-	case "ssd":
-		return storage.SSD, nil
-	case "nvm", "pmfs":
-		return storage.NVM, nil
-	case "nvram":
-		return storage.NVRAM, nil
-	default:
-		return 0, fmt.Errorf("unknown storage %q (want hdd|ssd|nvm|nvram)", s)
-	}
-}
-
 func parseDiscipline(s string) (sched.Discipline, error) {
 	switch strings.ToLower(s) {
 	case "priority":
@@ -74,7 +59,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	kind, err := parseKind(*storageFlag)
+	kind, err := storage.ParseKind(*storageFlag)
 	if err != nil {
 		return err
 	}

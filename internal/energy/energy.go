@@ -23,6 +23,14 @@ func DefaultModel() Model {
 	return Model{IdleWatts: 100, PeakWatts: 300}
 }
 
+// Validate rejects a model whose peak draw is below its idle draw.
+func (m Model) Validate() error {
+	if m.PeakWatts < m.IdleWatts {
+		return fmt.Errorf("energy: peak %v W below idle %v W", m.PeakWatts, m.IdleWatts)
+	}
+	return nil
+}
+
 // Power returns the wattage at utilization u in [0, 1]; u is clamped.
 func (m Model) Power(u float64) float64 {
 	if u < 0 {
@@ -40,10 +48,10 @@ type Meter struct {
 	joules float64
 }
 
-// NewMeter returns a meter using model.
+// NewMeter returns a meter using model, which the caller has validated.
 func NewMeter(model Model) *Meter {
-	if model.PeakWatts < model.IdleWatts {
-		panic(fmt.Sprintf("energy: peak %v below idle %v", model.PeakWatts, model.IdleWatts))
+	if err := model.Validate(); err != nil {
+		panic(err)
 	}
 	return &Meter{model: model}
 }

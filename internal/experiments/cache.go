@@ -10,12 +10,27 @@ import (
 	"preemptsched/internal/yarn"
 )
 
+// substrate is where a run of the shared (policy, storage) matrix
+// executes. Both report a core.Outcome, so a figure the paper draws on
+// each (wastage, energy, response) is one function of the substrate.
+type substrate int
+
+const (
+	// simulator is the trace-driven simulation of the one-day Google-trace
+	// slice (internal/sched; Fig. 3/5).
+	simulator substrate = iota + 1
+	// framework is the Facebook-derived workload on the mini-YARN
+	// framework with real processes and a real DFS (internal/yarn;
+	// Fig. 8-12).
+	framework
+)
+
 // Several figures share underlying runs (Fig. 3a/3b/3c all need the same
 // four simulations; Fig. 8-12 reuse framework runs; all five Section 2
 // tables read one trace analysis). Runs are pure functions of
-// (Options, policy, kind), so they are memoized here. The caches are
-// package-level by design: they hold immutable results keyed by
-// value-comparable inputs.
+// (Options, substrate, policy, kind), so they are memoized here. The
+// caches are package-level by design: they hold immutable results keyed
+// by value-comparable inputs.
 //
 // Under the parallel harness several figures request the same run at
 // once, so the memoization is singleflight-shaped: the first requester
@@ -25,9 +40,22 @@ import (
 // channel closes, so waiters see the error but later callers retry —
 // runs are deterministic, which keeps the retry's error identical.
 type runKey struct {
-	opts   Options
+	opts Options
+	request
+}
+
+// policyKind names one underlying run of the shared matrix.
+type policyKind struct {
 	policy core.Policy
 	kind   storage.Kind
+}
+
+// request names one shared, memoized input of the evaluation: a run of
+// the matrix on a substrate, or — the zero request — the Section 2
+// trace analysis.
+type request struct {
+	s substrate
+	policyKind
 }
 
 // analysisKey identifies one Section 2 trace analysis.
@@ -81,8 +109,7 @@ func (c *memo[K, V]) reset() {
 }
 
 var (
-	simCache      memo[runKey, *sched.Result]
-	yarnCache     memo[runKey, *yarn.Result]
+	runCache      memo[runKey, *core.Outcome]
 	analysisCache memo[analysisKey, *trace.Analysis]
 )
 
@@ -94,15 +121,33 @@ func (o Options) cacheKey() Options {
 	return o
 }
 
-func cachedSimRun(o Options, policy core.Policy, kind storage.Kind) (*sched.Result, error) {
-	return simCache.do(runKey{opts: o.cacheKey(), policy: policy, kind: kind}, func() (*sched.Result, error) {
-		return simRunUncached(o, policy, kind)
-	})
-}
-
-func cachedYarnRun(o Options, policy core.Policy, kind storage.Kind) (*yarn.Result, error) {
-	return yarnCache.do(runKey{opts: o.cacheKey(), policy: policy, kind: kind}, func() (*yarn.Result, error) {
-		return yarnRunUncached(o, policy, kind)
+// run executes (or returns the memoized outcome of) the substrate's
+// workload under the request's policy/storage, on a cluster sized to the
+// workload.
+func (r request) run(o Options) (*core.Outcome, error) {
+	return runCache.do(runKey{o.cacheKey(), r}, func() (*core.Outcome, error) {
+		if r.s == simulator {
+			spec, err := simSpecWith(o, r.policy, r.kind, nil)
+			if err != nil {
+				return nil, err
+			}
+			res, err := sched.Run(spec.Config, spec.Jobs)
+			if err != nil {
+				return nil, err
+			}
+			return &res.Outcome, nil
+		}
+		jobs, err := o.yarnJobs()
+		if err != nil {
+			return nil, err
+		}
+		cfg := yarn.DefaultConfig(r.policy, r.kind)
+		o.yarnCluster(jobs, &cfg)
+		res, err := yarn.Run(cfg, jobs)
+		if err != nil {
+			return nil, err
+		}
+		return &res.Outcome, nil
 	})
 }
 
@@ -124,7 +169,6 @@ func (o Options) traceAnalysis() (*trace.Analysis, error) {
 // evaluation rather than reading a warm cache; it must not be called
 // concurrently with figure generation.
 func ResetRunCache() {
-	simCache.reset()
-	yarnCache.reset()
+	runCache.reset()
 	analysisCache.reset()
 }

@@ -48,70 +48,31 @@ func oneTable(f func(Options) (*metrics.Table, error)) func(Options) (string, er
 	}
 }
 
-// generators is every Fig*/Ext*/Table* entry point plus the full report.
-var generators = []struct {
+// generator renders one named artefact to text.
+type generator struct {
 	name   string
 	render func(Options) (string, error)
-}{
-	{"Fig1a", oneTable(Fig1a)},
-	{"Fig1b", oneTable(Fig1b)},
-	{"Fig1c", oneTable(Fig1c)},
-	{"Table1", oneTable(Table1)},
-	{"Table2", oneTable(Table2)},
-	{"Fig2a", oneTable(Fig2a)},
-	{"Fig2b", oneTable(Fig2b)},
-	{"Table3", oneTable(Table3)},
-	{"Fig3a", oneTable(Fig3a)},
-	{"Fig3b", oneTable(Fig3b)},
-	{"Fig3c", oneTable(Fig3c)},
-	{"Fig4", func(o Options) (string, error) {
-		h, l, e, err := Fig4(o)
-		if err != nil {
-			return "", err
-		}
-		return renderTables(h, l, e), nil
-	}},
-	{"Fig5", oneTable(Fig5)},
-	{"Fig6", func(o Options) (string, error) {
-		h, l, e, err := Fig6(o)
-		if err != nil {
-			return "", err
-		}
-		return renderTables(h, l, e), nil
-	}},
-	{"Fig8a", oneTable(Fig8a)},
-	{"Fig8b", oneTable(Fig8b)},
-	{"Fig8c", oneTable(Fig8c)},
-	{"Fig9", oneTable(Fig9)},
-	{"Fig10", oneTable(Fig10)},
-	{"Fig11", func(o Options) (string, error) {
-		tbs, err := Fig11(o)
-		if err != nil {
-			return "", err
-		}
-		return renderTables(tbs...), nil
-	}},
-	{"Fig12", func(o Options) (string, error) {
-		cpuT, ioT, err := Fig12(o)
-		if err != nil {
-			return "", err
-		}
-		return renderTables(cpuT, ioT), nil
-	}},
-	{"ExtDisciplines", oneTable(ExtDisciplines)},
-	{"ExtPreCopy", oneTable(ExtPreCopy)},
-	{"ExtNVRAM", oneTable(ExtNVRAM)},
-	{"ExtEvictionThreshold", oneTable(ExtEvictionThreshold)},
-	{"ExtNodeChurn", oneTable(ExtNodeChurn)},
-	{"SimSummary", oneTable(SimSummary)},
-	{"YarnSummary", oneTable(YarnSummary)},
-	{"RunAll", func(o Options) (string, error) {
+}
+
+// generators is every catalog entry plus the full report.
+func generators() []generator {
+	var gens []generator
+	for _, f := range Catalog {
+		gens = append(gens, generator{f.Name, func(o Options) (string, error) {
+			tbs, err := f.Tables(o)
+			if err != nil {
+				return "", err
+			}
+			return renderTables(tbs...), nil
+		}})
+	}
+	return append(gens, generator{"RunAll", func(o Options) (string, error) {
 		var sb strings.Builder
 		if err := RunAll(o, &sb); err != nil {
 			return "", err
 		}
 		return sb.String(), nil
-	}},
+	}})
 }
 
 // renderAllAt renders every generator starting from a cold cache at the
@@ -121,8 +82,8 @@ func renderAllAt(t *testing.T, o Options, parallel int) map[string]string {
 	t.Helper()
 	ResetRunCache()
 	o.Parallel = parallel
-	out := make(map[string]string, len(generators))
-	for _, g := range generators {
+	out := make(map[string]string)
+	for _, g := range generators() {
 		s, err := g.render(o)
 		if err != nil {
 			t.Fatalf("parallel=%d %s: %v", parallel, g.name, err)
@@ -139,7 +100,7 @@ func TestDeterminismAcrossParallelism(t *testing.T) {
 	o := tinyOptions()
 	seq := renderAllAt(t, o, 1)
 	par := renderAllAt(t, o, 8)
-	for _, g := range generators {
+	for _, g := range generators() {
 		if seq[g.name] != par[g.name] {
 			t.Errorf("%s: output differs between -parallel=1 and -parallel=8\n--- parallel=1 ---\n%s\n--- parallel=8 ---\n%s",
 				g.name, seq[g.name], par[g.name])

@@ -32,15 +32,6 @@ func simSpecWith(o Options, policy core.Policy, kind storage.Kind, mutate func(*
 	return sched.RunSpec{Config: cfg, Jobs: jobs}, nil
 }
 
-// simRunWith runs one such mutated configuration synchronously.
-func simRunWith(o Options, policy core.Policy, kind storage.Kind, mutate func(*sched.Config)) (*sched.Result, error) {
-	spec, err := simSpecWith(o, policy, kind, mutate)
-	if err != nil {
-		return nil, err
-	}
-	return sched.Run(spec.Config, spec.Jobs)
-}
-
 // extSweep builds and executes one spec per mutation through the sharded
 // sweep, returning spec-ordered results.
 func extSweep(o Options, policy core.Policy, kind storage.Kind, mutations []func(*sched.Config)) ([]*sched.Result, error) {
@@ -86,11 +77,10 @@ func ExtPreCopy(o Options) (*metrics.Table, error) {
 		"storage", "mode", "resp_low_s", "overhead_core_h", "io_device_h")
 	// Stop-and-copy rows reuse the shared Fig. 3/5 runs; the pre-copy rows
 	// are a three-spec sharded sweep of their own.
-	var chkPairs []policyKind
-	for _, kind := range storageKinds {
-		chkPairs = append(chkPairs, policyKind{core.PolicyCheckpoint, kind})
+	stops, err := fetch(o, simulator, basicPairs())
+	if err != nil {
+		return nil, err
 	}
-	warmSim(o, chkPairs)
 	specs := make([]sched.RunSpec, len(storageKinds))
 	for i, kind := range storageKinds {
 		spec, err := simSpecWith(o, core.PolicyCheckpoint, kind, func(c *sched.Config) { c.PreCopy = true })
@@ -104,29 +94,26 @@ func ExtPreCopy(o Options) (*metrics.Table, error) {
 		return nil, err
 	}
 	for i, kind := range storageKinds {
-		stop, err := simRun(o, core.PolicyCheckpoint, kind)
-		if err != nil {
-			return nil, err
-		}
-		pre := pres[i]
+		stop, pre := stops[i], pres[i]
 		tb.AddRow(kind.String(), "stop-and-copy", stop.MeanResponse(cluster.BandFree), stop.OverheadCPUHours, stop.IOBusyHours)
 		tb.AddRow(kind.String(), "pre-copy", pre.MeanResponse(cluster.BandFree), pre.OverheadCPUHours, pre.IOBusyHours)
 	}
 	return tb, nil
 }
 
+// nvmModePairs is basic checkpointing on NVM as a file system (PMFS) and
+// as virtual memory.
+var nvmModePairs = []policyKind{{core.PolicyCheckpoint, storage.NVM}, {core.PolicyCheckpoint, storage.NVRAM}}
+
 // ExtNVRAM compares NVM-as-file-system (PMFS) with NVM-as-virtual-memory.
 func ExtNVRAM(o Options) (*metrics.Table, error) {
 	tb := metrics.NewTable("Ext — PMFS vs NVM-as-virtual-memory (basic policy)",
 		"mode", "resp_low_s", "resp_high_s", "io_device_h", "wasted_core_h")
-	pmfs, err := simRun(o, core.PolicyCheckpoint, storage.NVM)
+	runs, err := fetch(o, simulator, nvmModePairs)
 	if err != nil {
 		return nil, err
 	}
-	nvram, err := simRunWith(o, core.PolicyCheckpoint, storage.NVRAM, nil)
-	if err != nil {
-		return nil, err
-	}
+	pmfs, nvram := runs[0], runs[1]
 	tb.AddRow("PMFS", pmfs.MeanResponse(cluster.BandFree), pmfs.MeanResponse(cluster.BandProduction), pmfs.IOBusyHours, pmfs.WastedCPUHours)
 	tb.AddRow("NVRAM", nvram.MeanResponse(cluster.BandFree), nvram.MeanResponse(cluster.BandProduction), nvram.IOBusyHours, nvram.WastedCPUHours)
 	return tb, nil

@@ -4,147 +4,54 @@ import (
 	"preemptsched/internal/cluster"
 	"preemptsched/internal/core"
 	"preemptsched/internal/metrics"
-	"preemptsched/internal/storage"
-	"preemptsched/internal/yarn"
 )
-
-// yarnRun executes (or returns the memoized result of) the
-// Facebook-derived workload on the mini-YARN framework under one
-// policy/storage.
-func yarnRun(o Options, policy core.Policy, kind storage.Kind) (*yarn.Result, error) {
-	return cachedYarnRun(o, policy, kind)
-}
-
-func yarnRunUncached(o Options, policy core.Policy, kind storage.Kind) (*yarn.Result, error) {
-	jobs, err := o.yarnJobs()
-	if err != nil {
-		return nil, err
-	}
-	cfg := yarn.DefaultConfig(policy, kind)
-	o.yarnCluster(jobs, &cfg)
-	return yarn.Run(cfg, jobs)
-}
 
 // Fig8a regenerates framework CPU wastage: kill vs checkpointing on each
 // storage medium.
 func Fig8a(o Options) (*metrics.Table, error) {
-	warmYarn(o, killChkPairs())
-	tb := metrics.NewTable("Fig 8a — Resource wastage (framework)",
-		"policy", "wasted_core_hours", "waste_pct_of_usage")
-	kill, err := yarnRun(o, core.PolicyKill, storage.SSD)
-	if err != nil {
-		return nil, err
-	}
-	tb.AddRow("Kill", kill.WastedCPUHours, 100*kill.WasteFraction())
-	for _, kind := range storageKinds {
-		r, err := yarnRun(o, core.PolicyCheckpoint, kind)
-		if err != nil {
-			return nil, err
-		}
-		tb.AddRow("Chk-"+kind.String(), r.WastedCPUHours, 100*r.WasteFraction())
-	}
-	return tb, nil
+	return wastageTable(o, framework, "Fig 8a — Resource wastage (framework)")
 }
 
 // Fig8b regenerates framework energy consumption.
 func Fig8b(o Options) (*metrics.Table, error) {
-	warmYarn(o, killChkPairs())
-	tb := metrics.NewTable("Fig 8b — Energy consumption (framework)", "policy", "energy_kwh")
-	kill, err := yarnRun(o, core.PolicyKill, storage.SSD)
-	if err != nil {
-		return nil, err
-	}
-	tb.AddRow("Kill", kill.EnergyKWh)
-	for _, kind := range storageKinds {
-		r, err := yarnRun(o, core.PolicyCheckpoint, kind)
-		if err != nil {
-			return nil, err
-		}
-		tb.AddRow("Chk-"+kind.String(), r.EnergyKWh)
-	}
-	return tb, nil
+	return energyTable(o, framework, "Fig 8b — Energy consumption (framework)")
 }
 
 // Fig8c regenerates per-class mean job response times on the framework.
 func Fig8c(o Options) (*metrics.Table, error) {
-	warmYarn(o, killChkPairs())
-	tb := metrics.NewTable("Fig 8c — Job response time (framework, seconds)",
-		"policy", "low_priority", "high_priority")
-	kill, err := yarnRun(o, core.PolicyKill, storage.SSD)
-	if err != nil {
-		return nil, err
-	}
-	tb.AddRow("Kill", kill.MeanResponse(cluster.BandFree), kill.MeanResponse(cluster.BandProduction))
-	for _, kind := range storageKinds {
-		r, err := yarnRun(o, core.PolicyCheckpoint, kind)
-		if err != nil {
-			return nil, err
-		}
-		tb.AddRow("Chk-"+kind.String(), r.MeanResponse(cluster.BandFree), r.MeanResponse(cluster.BandProduction))
-	}
-	return tb, nil
-}
-
-// cdfTable renders response-time CDFs (seconds at each decile) for a set
-// of labelled results.
-func cdfTable(title string, labels []string, results []*yarn.Result) *metrics.Table {
-	cols := append([]string{"cum_fraction"}, labels...)
-	tb := metrics.NewTable(title, cols...)
-	const k = 10
-	curves := make([][]metrics.CDFPoint, len(results))
-	for i, r := range results {
-		curves[i] = r.JobResponseAllSec.CDF(k)
-	}
-	for i := 0; i < k; i++ {
-		row := []any{float64(i+1) / k}
-		for _, c := range curves {
-			if i < len(c) {
-				row = append(row, c[i].X)
-			} else {
-				row = append(row, 0.0)
-			}
-		}
-		tb.AddRow(row...)
-	}
-	return tb
+	return runTable(o, framework, killChkPairs(), "Fig 8c — Job response time (framework, seconds)",
+		[]string{"policy", "low_priority", "high_priority"},
+		func(pk policyKind, r *core.Outcome) []any {
+			return []any{pk.label(), r.MeanResponse(cluster.BandFree), r.MeanResponse(cluster.BandProduction)}
+		})
 }
 
 // Fig9 regenerates the response-time CDF of kill vs checkpoint-based
 // preemption on the three media.
 func Fig9(o Options) (*metrics.Table, error) {
-	warmYarn(o, killChkPairs())
-	kill, err := yarnRun(o, core.PolicyKill, storage.SSD)
+	pairs := killChkPairs()
+	runs, err := fetch(o, framework, pairs)
 	if err != nil {
 		return nil, err
 	}
-	labels := []string{"Kill"}
-	results := []*yarn.Result{kill}
-	for _, kind := range storageKinds {
-		r, err := yarnRun(o, core.PolicyCheckpoint, kind)
-		if err != nil {
-			return nil, err
-		}
-		labels = append(labels, "Chk-"+kind.String())
-		results = append(results, r)
+	labels := make([]string, len(pairs))
+	for i, pk := range pairs {
+		labels[i] = pk.label()
 	}
-	return cdfTable("Fig 9 — Job response time CDF (framework, seconds)", labels, results), nil
+	return cdfTable("Fig 9 — Job response time CDF (framework, seconds)", labels, runs), nil
 }
 
 // Fig10 regenerates basic vs adaptive mean response times per storage
 // medium on the framework.
 func Fig10(o Options) (*metrics.Table, error) {
-	warmYarn(o, basicAdaptivePairs())
+	runs, err := fetch(o, framework, basicAdaptivePairs())
+	if err != nil {
+		return nil, err
+	}
 	tb := metrics.NewTable("Fig 10 — Basic vs adaptive preemption (framework, seconds)",
 		"storage", "policy", "low_priority", "high_priority")
-	for _, kind := range storageKinds {
-		basic, err := yarnRun(o, core.PolicyCheckpoint, kind)
-		if err != nil {
-			return nil, err
-		}
-		adaptive, err := yarnRun(o, core.PolicyAdaptive, kind)
-		if err != nil {
-			return nil, err
-		}
+	for i, kind := range storageKinds {
+		basic, adaptive := runs[2*i], runs[2*i+1]
 		tb.AddRow(kind.String(), "basic", basic.MeanResponse(cluster.BandFree), basic.MeanResponse(cluster.BandProduction))
 		tb.AddRow(kind.String(), "adaptive", adaptive.MeanResponse(cluster.BandFree), adaptive.MeanResponse(cluster.BandProduction))
 	}
@@ -154,25 +61,17 @@ func Fig10(o Options) (*metrics.Table, error) {
 // Fig11 regenerates the kill/basic/adaptive response-time CDFs per
 // storage medium.
 func Fig11(o Options) ([]*metrics.Table, error) {
-	warmYarn(o, paperMatrix())
-	kill, err := yarnRun(o, core.PolicyKill, storage.SSD)
+	runs, err := fetch(o, framework, paperMatrix())
 	if err != nil {
 		return nil, err
 	}
+	kill, perKind := runs[0], runs[1:]
 	var tables []*metrics.Table
-	for _, kind := range storageKinds {
-		basic, err := yarnRun(o, core.PolicyCheckpoint, kind)
-		if err != nil {
-			return nil, err
-		}
-		adaptive, err := yarnRun(o, core.PolicyAdaptive, kind)
-		if err != nil {
-			return nil, err
-		}
+	for i, kind := range storageKinds {
 		tables = append(tables, cdfTable(
 			"Fig 11 ("+kind.String()+") — Response time CDF kill/basic/adaptive (seconds)",
 			[]string{"Kill", "Basic", "Adaptive"},
-			[]*yarn.Result{kill, basic, adaptive}))
+			[]*core.Outcome{kill, perKind[2*i], perKind[2*i+1]}))
 	}
 	return tables, nil
 }
@@ -180,28 +79,18 @@ func Fig11(o Options) ([]*metrics.Table, error) {
 // Fig12 regenerates the checkpointing overhead panels: CPU overhead
 // (12a) and I/O overhead (12b) for basic vs adaptive on each medium.
 func Fig12(o Options) (cpuT, ioT *metrics.Table, err error) {
-	warmYarn(o, basicAdaptivePairs())
+	runs, err := fetch(o, framework, basicAdaptivePairs())
+	if err != nil {
+		return nil, nil, err
+	}
 	cpuT = metrics.NewTable("Fig 12a — CPU overhead of checkpointing (%)",
 		"storage", "basic", "adaptive")
 	ioT = metrics.NewTable("Fig 12b — I/O overhead of checkpointing (%)",
 		"storage", "basic", "adaptive")
-	jobs, err := o.yarnJobs()
-	if err != nil {
-		return nil, nil, err
-	}
-	sized := yarn.DefaultConfig(core.PolicyCheckpoint, storage.SSD)
-	o.yarnCluster(jobs, &sized)
-	for _, kind := range storageKinds {
-		basic, err := yarnRun(o, core.PolicyCheckpoint, kind)
-		if err != nil {
-			return nil, nil, err
-		}
-		adaptive, err := yarnRun(o, core.PolicyAdaptive, kind)
-		if err != nil {
-			return nil, nil, err
-		}
+	for i, kind := range storageKinds {
+		basic, adaptive := runs[2*i], runs[2*i+1]
 		cpuT.AddRow(kind.String(), 100*basic.CPUOverheadFraction(), 100*adaptive.CPUOverheadFraction())
-		ioT.AddRow(kind.String(), 100*basic.IOOverheadFraction(sized.Nodes), 100*adaptive.IOOverheadFraction(sized.Nodes))
+		ioT.AddRow(kind.String(), 100*basic.IOOverheadFraction(), 100*adaptive.IOOverheadFraction())
 	}
 	return cpuT, ioT, nil
 }
@@ -209,32 +98,12 @@ func Fig12(o Options) (cpuT, ioT *metrics.Table, err error) {
 // YarnSummary reports the absolute framework outcomes backing Figures
 // 8-12, for EXPERIMENTS.md.
 func YarnSummary(o Options) (*metrics.Table, error) {
-	warmYarn(o, paperMatrix())
-	tb := metrics.NewTable("Framework run summary",
-		"policy", "storage", "wasted_core_hours", "energy_kwh",
-		"resp_low_s", "resp_high_s", "preemptions", "kills", "checkpoints",
-		"incremental", "restores", "remote_restores", "peak_image_gib")
-	add := func(policy core.Policy, kind storage.Kind) error {
-		r, err := yarnRun(o, policy, kind)
-		if err != nil {
-			return err
-		}
-		tb.AddRow(policy.String(), kind.String(), r.WastedCPUHours, r.EnergyKWh,
-			r.MeanResponse(cluster.BandFree), r.MeanResponse(cluster.BandProduction),
-			r.Preemptions, r.Kills, r.Checkpoints, r.IncrementalCheckpoints,
-			r.Restores, r.RemoteRestores, float64(r.PeakImageBytes)/float64(cluster.GiB(1)))
-		return nil
-	}
-	if err := add(core.PolicyKill, storage.SSD); err != nil {
-		return nil, err
-	}
-	for _, kind := range storageKinds {
-		if err := add(core.PolicyCheckpoint, kind); err != nil {
-			return nil, err
-		}
-		if err := add(core.PolicyAdaptive, kind); err != nil {
-			return nil, err
-		}
-	}
-	return tb, nil
+	return summaryTable(o, framework, "Framework run summary",
+		[]string{"resp_low_s", "resp_high_s", "preemptions", "kills", "checkpoints",
+			"incremental", "restores", "remote_restores", "peak_image_gib"},
+		func(r *core.Outcome) []any {
+			return []any{r.MeanResponse(cluster.BandFree), r.MeanResponse(cluster.BandProduction),
+				r.Preemptions, r.Kills, r.Checkpoints, r.IncrementalCheckpoints,
+				r.Restores, r.RemoteRestores, float64(r.PeakImageBytes) / float64(cluster.GiB(1))}
+		})
 }

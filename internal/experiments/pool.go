@@ -35,34 +35,30 @@ func (o Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// policyKind names one underlying run of the shared matrix.
-type policyKind struct {
-	policy core.Policy
-	kind   storage.Kind
-}
-
 // paperMatrix is the (policy, storage) set behind Figures 3/5 and 8-12:
-// the kill baseline plus basic and adaptive checkpointing on each medium.
+// the kill baseline, then basicAdaptivePairs.
 func paperMatrix() []policyKind {
-	pairs := []policyKind{{core.PolicyKill, storage.SSD}}
-	for _, kind := range storageKinds {
-		pairs = append(pairs,
-			policyKind{core.PolicyCheckpoint, kind},
-			policyKind{core.PolicyAdaptive, kind})
-	}
-	return pairs
+	return append([]policyKind{{core.PolicyKill, storage.SSD}}, basicAdaptivePairs()...)
 }
 
-// killChkPairs is the kill-vs-basic-checkpointing subset (Fig. 3, 8, 9).
-func killChkPairs() []policyKind {
-	pairs := []policyKind{{core.PolicyKill, storage.SSD}}
+// basicPairs is basic checkpointing on each medium, in storageKinds
+// order.
+func basicPairs() []policyKind {
+	var pairs []policyKind
 	for _, kind := range storageKinds {
 		pairs = append(pairs, policyKind{core.PolicyCheckpoint, kind})
 	}
 	return pairs
 }
 
-// basicAdaptivePairs is the basic-vs-adaptive subset (Fig. 5, 10, 12).
+// killChkPairs is the kill-vs-basic-checkpointing subset (Fig. 3, 8, 9):
+// the kill baseline, then basicPairs.
+func killChkPairs() []policyKind {
+	return append([]policyKind{{core.PolicyKill, storage.SSD}}, basicPairs()...)
+}
+
+// basicAdaptivePairs is the basic-vs-adaptive subset (Fig. 5, 10, 12):
+// per medium in storageKinds order, basic then adaptive.
 func basicAdaptivePairs() []policyKind {
 	var pairs []policyKind
 	for _, kind := range storageKinds {
@@ -73,61 +69,75 @@ func basicAdaptivePairs() []policyKind {
 	return pairs
 }
 
-// warmSim executes the given simulator runs through the pool so the
-// sequential table assembly that follows hits the memo cache. Errors are
-// deliberately dropped here: failed runs are not cached, so the
-// sequential pass re-encounters the same deterministic error and reports
-// it with its canonical figure label.
-func warmSim(o Options, pairs []policyKind) {
-	tasks := make([]func() error, len(pairs))
-	for i, pk := range pairs {
-		pk := pk
-		tasks[i] = func() error {
-			_, err := simRun(o, pk.policy, pk.kind)
-			return err
-		}
+// label is the run's name in the paper's legends.
+func (pk policyKind) label() string {
+	if pk.policy == core.PolicyKill {
+		return "Kill"
 	}
-	_ = runParallel(o.workers(), tasks)
+	return "Chk-" + pk.kind.String()
 }
 
-// warmYarn is warmSim for the mini-YARN framework runs.
-func warmYarn(o Options, pairs []policyKind) {
-	tasks := make([]func() error, len(pairs))
+// traceStudy is what the Section 2 figures read.
+var traceStudy = []request{{}}
+
+// on lists pairs as requests for their runs on s.
+func on(s substrate, pairs []policyKind) []request {
+	reqs := make([]request, len(pairs))
 	for i, pk := range pairs {
-		pk := pk
-		tasks[i] = func() error {
-			_, err := yarnRun(o, pk.policy, pk.kind)
-			return err
-		}
+		reqs[i] = request{s, pk}
 	}
-	_ = runParallel(o.workers(), tasks)
+	return reqs
 }
 
-// warmAll fans the entire shared-run matrix — the Section 2 trace
-// analysis plus every simulator and framework run the figures reuse —
-// across one pool so RunAll's sequential rendering phase only ever reads
-// the memo cache. One flat task list (rather than warmSim then warmYarn)
-// keeps every worker busy until the global tail: the slowest run overlaps
-// cheap ones instead of gating a phase barrier.
-func warmAll(o Options) {
+// prefetch executes the requests through the pool, each distinct one
+// once, so the sequential table assembly that follows hits the memo
+// cache. One flat task list keeps every worker busy until the global
+// tail: the slowest run overlaps cheap ones instead of gating a phase
+// barrier. Errors are deliberately dropped here: failed runs are not
+// cached, so the sequential pass re-encounters the same deterministic
+// error and reports it with its canonical figure label.
+func prefetch(o Options, reqs []request) {
 	var tasks []func() error
-	tasks = append(tasks, func() error {
-		_, err := o.traceAnalysis()
-		return err
-	})
-	for _, pk := range paperMatrix() {
-		pk := pk
-		tasks = append(tasks, func() error {
-			_, err := simRun(o, pk.policy, pk.kind)
-			return err
-		})
-	}
-	for _, pk := range paperMatrix() {
-		pk := pk
-		tasks = append(tasks, func() error {
-			_, err := yarnRun(o, pk.policy, pk.kind)
+	queued := make(map[request]bool)
+	for _, r := range reqs {
+		if queued[r] {
+			continue
+		}
+		queued[r] = true
+		tasks = append(tasks, func() (err error) {
+			if r.s == 0 {
+				_, err = o.traceAnalysis()
+			} else {
+				_, err = r.run(o)
+			}
 			return err
 		})
 	}
 	_ = runParallel(o.workers(), tasks)
+}
+
+// fetch returns the outcomes of pairs on s, in pair order, running the
+// ones not yet memoized through the pool.
+func fetch(o Options, s substrate, pairs []policyKind) ([]*core.Outcome, error) {
+	reqs := on(s, pairs)
+	prefetch(o, reqs)
+	runs := make([]*core.Outcome, len(reqs))
+	for i, r := range reqs {
+		var err error
+		if runs[i], err = r.run(o); err != nil {
+			return nil, err
+		}
+	}
+	return runs, nil
+}
+
+// warmAll fans out everything the catalog's figures read — the trace
+// analysis plus every shared simulator and framework run — so RunAll's
+// sequential rendering phase only ever reads the memo cache.
+func warmAll(o Options) {
+	var reqs []request
+	for _, f := range Catalog {
+		reqs = append(reqs, f.reads...)
+	}
+	prefetch(o, reqs)
 }

@@ -11,88 +11,43 @@ import (
 	"preemptsched/internal/workload"
 )
 
-// simRun executes (or returns the memoized result of) the one-day trace
-// simulation under one policy/storage.
-func simRun(o Options, policy core.Policy, kind storage.Kind) (*sched.Result, error) {
-	return cachedSimRun(o, policy, kind)
-}
-
-func simRunUncached(o Options, policy core.Policy, kind storage.Kind) (*sched.Result, error) {
-	jobs, err := o.simJobs()
-	if err != nil {
-		return nil, err
-	}
-	cfg := sched.DefaultConfig(policy, kind)
-	o.simCluster(jobs, &cfg)
-	return sched.Run(cfg, jobs)
-}
-
 // storageKinds is the paper's device sweep order.
 var storageKinds = []storage.Kind{storage.HDD, storage.SSD, storage.NVM}
 
 // Fig3a regenerates wasted CPU capacity under kill vs checkpoint-based
 // preemption on each storage medium.
 func Fig3a(o Options) (*metrics.Table, error) {
-	warmSim(o, killChkPairs())
-	tb := metrics.NewTable("Fig 3a — Resource wastage (trace-driven sim)",
-		"policy", "wasted_core_hours", "waste_pct_of_usage")
-	kill, err := simRun(o, core.PolicyKill, storage.SSD)
-	if err != nil {
-		return nil, err
-	}
-	tb.AddRow("Kill", kill.WastedCPUHours, 100*kill.WasteFraction())
-	for _, kind := range storageKinds {
-		r, err := simRun(o, core.PolicyCheckpoint, kind)
-		if err != nil {
-			return nil, err
-		}
-		tb.AddRow("Chk-"+kind.String(), r.WastedCPUHours, 100*r.WasteFraction())
-	}
-	return tb, nil
+	return wastageTable(o, simulator, "Fig 3a — Resource wastage (trace-driven sim)")
 }
 
 // Fig3b regenerates total energy consumption for the same four policies.
 func Fig3b(o Options) (*metrics.Table, error) {
-	warmSim(o, killChkPairs())
-	tb := metrics.NewTable("Fig 3b — Energy consumption (trace-driven sim)",
-		"policy", "energy_kwh")
-	kill, err := simRun(o, core.PolicyKill, storage.SSD)
-	if err != nil {
-		return nil, err
-	}
-	tb.AddRow("Kill", kill.EnergyKWh)
-	for _, kind := range storageKinds {
-		r, err := simRun(o, core.PolicyCheckpoint, kind)
-		if err != nil {
-			return nil, err
-		}
-		tb.AddRow("Chk-"+kind.String(), r.EnergyKWh)
-	}
-	return tb, nil
+	return energyTable(o, simulator, "Fig 3b — Energy consumption (trace-driven sim)")
 }
 
 // Fig3c regenerates per-band job response times normalized to the
 // kill-based policy.
 func Fig3c(o Options) (*metrics.Table, error) {
-	warmSim(o, killChkPairs())
-	kill, err := simRun(o, core.PolicyKill, storage.SSD)
+	pairs := killChkPairs()
+	runs, err := fetch(o, simulator, pairs)
 	if err != nil {
 		return nil, err
 	}
 	tb := metrics.NewTable("Fig 3c — Normalized response time vs kill (trace-driven sim)",
 		"policy", "low_priority", "medium_priority", "high_priority")
 	tb.AddRow("Kill", 1.0, 1.0, 1.0)
-	for _, kind := range storageKinds {
-		r, err := simRun(o, core.PolicyCheckpoint, kind)
-		if err != nil {
-			return nil, err
-		}
-		tb.AddRow("Chk-"+kind.String(),
-			norm(r.MeanResponse(cluster.BandFree), kill.MeanResponse(cluster.BandFree)),
-			norm(r.MeanResponse(cluster.BandMiddle), kill.MeanResponse(cluster.BandMiddle)),
-			norm(r.MeanResponse(cluster.BandProduction), kill.MeanResponse(cluster.BandProduction)))
+	for i, r := range runs[1:] {
+		low, med, high := normResponse(r, runs[0])
+		tb.AddRow(pairs[i+1].label(), low, med, high)
 	}
 	return tb, nil
+}
+
+// normResponse is r's mean response per band as a fraction of base's.
+func normResponse(r, base *core.Outcome) (low, med, high float64) {
+	return norm(r.MeanResponse(cluster.BandFree), base.MeanResponse(cluster.BandFree)),
+		norm(r.MeanResponse(cluster.BandMiddle), base.MeanResponse(cluster.BandMiddle)),
+		norm(r.MeanResponse(cluster.BandProduction), base.MeanResponse(cluster.BandProduction))
 }
 
 func norm(x, base float64) float64 {
@@ -190,23 +145,17 @@ func Fig6(o Options) (highT, lowT, energyT *metrics.Table, err error) {
 // simulator: per-band response times of the adaptive policy normalized to
 // basic checkpoint-based preemption, one panel per storage medium.
 func Fig5(o Options) (*metrics.Table, error) {
-	warmSim(o, basicAdaptivePairs())
+	runs, err := fetch(o, simulator, basicAdaptivePairs())
+	if err != nil {
+		return nil, err
+	}
 	tb := metrics.NewTable("Fig 5 — Adaptive vs basic checkpointing (sim), response normalized to basic",
 		"storage", "policy", "low_priority", "medium_priority", "high_priority")
-	for _, kind := range storageKinds {
-		basic, err := simRun(o, core.PolicyCheckpoint, kind)
-		if err != nil {
-			return nil, err
-		}
-		adaptive, err := simRun(o, core.PolicyAdaptive, kind)
-		if err != nil {
-			return nil, err
-		}
+	for i, kind := range storageKinds {
+		basic, adaptive := runs[2*i], runs[2*i+1]
 		tb.AddRow(kind.String(), "basic", 1.0, 1.0, 1.0)
-		tb.AddRow(kind.String(), "adaptive",
-			norm(adaptive.MeanResponse(cluster.BandFree), basic.MeanResponse(cluster.BandFree)),
-			norm(adaptive.MeanResponse(cluster.BandMiddle), basic.MeanResponse(cluster.BandMiddle)),
-			norm(adaptive.MeanResponse(cluster.BandProduction), basic.MeanResponse(cluster.BandProduction)))
+		low, med, high := normResponse(adaptive, basic)
+		tb.AddRow(kind.String(), "adaptive", low, med, high)
 	}
 	return tb, nil
 }
@@ -214,30 +163,10 @@ func Fig5(o Options) (*metrics.Table, error) {
 // SimSummary reports the absolute per-policy outcomes backing Figures 3
 // and 5, for EXPERIMENTS.md.
 func SimSummary(o Options) (*metrics.Table, error) {
-	warmSim(o, paperMatrix())
-	tb := metrics.NewTable("Trace-driven simulation summary",
-		"policy", "storage", "wasted_core_hours", "energy_kwh",
-		"resp_low_s", "resp_med_s", "resp_high_s", "preemptions", "kills", "checkpoints", "restores")
-	add := func(policy core.Policy, kind storage.Kind) error {
-		r, err := simRun(o, policy, kind)
-		if err != nil {
-			return err
-		}
-		tb.AddRow(policy.String(), kind.String(), r.WastedCPUHours, r.EnergyKWh,
-			r.MeanResponse(cluster.BandFree), r.MeanResponse(cluster.BandMiddle), r.MeanResponse(cluster.BandProduction),
-			r.Preemptions, r.Kills, r.Checkpoints, r.Restores)
-		return nil
-	}
-	if err := add(core.PolicyKill, storage.SSD); err != nil {
-		return nil, err
-	}
-	for _, kind := range storageKinds {
-		if err := add(core.PolicyCheckpoint, kind); err != nil {
-			return nil, err
-		}
-		if err := add(core.PolicyAdaptive, kind); err != nil {
-			return nil, err
-		}
-	}
-	return tb, nil
+	return summaryTable(o, simulator, "Trace-driven simulation summary",
+		[]string{"resp_low_s", "resp_med_s", "resp_high_s", "preemptions", "kills", "checkpoints", "restores"},
+		func(r *core.Outcome) []any {
+			return []any{r.MeanResponse(cluster.BandFree), r.MeanResponse(cluster.BandMiddle), r.MeanResponse(cluster.BandProduction),
+				r.Preemptions, r.Kills, r.Checkpoints, r.Restores}
+		})
 }

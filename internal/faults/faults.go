@@ -160,18 +160,22 @@ func (p Plan) HasNMFaults() bool {
 // Validate rejects plans whose probabilities or node-fault shapes are
 // out of range. The zero value is valid (and injects nothing).
 func (p Plan) Validate() error {
-	rates := map[string]float64{
-		"RPCErrorRate":       p.RPCErrorRate,
-		"NameNodeErrorRate":  p.NameNodeErrorRate,
-		"BitFlipRate":        p.BitFlipRate,
-		"CreateFailRate":     p.CreateFailRate,
-		"TornWriteRate":      p.TornWriteRate,
-		"SilentTruncateRate": p.SilentTruncateRate,
-		"HeartbeatDropRate":  p.HeartbeatDropRate,
-	}
-	for name, r := range rates {
-		if r < 0 || r > 1 {
-			return fmt.Errorf("faults: %s %v is outside [0,1]", name, r)
+	// Slices, not maps: with two fields out of range the error must name
+	// the same one — the first declared — on every run.
+	for _, f := range []struct {
+		name string
+		rate float64
+	}{
+		{"RPCErrorRate", p.RPCErrorRate},
+		{"NameNodeErrorRate", p.NameNodeErrorRate},
+		{"BitFlipRate", p.BitFlipRate},
+		{"CreateFailRate", p.CreateFailRate},
+		{"TornWriteRate", p.TornWriteRate},
+		{"SilentTruncateRate", p.SilentTruncateRate},
+		{"HeartbeatDropRate", p.HeartbeatDropRate},
+	} {
+		if f.rate < 0 || f.rate > 1 {
+			return fmt.Errorf("faults: %s %v is outside [0,1]", f.name, f.rate)
 		}
 	}
 	if p.NMCrashNode < 0 {
@@ -180,13 +184,16 @@ func (p Plan) Validate() error {
 	if p.NMPartitionNode < 0 {
 		return fmt.Errorf("faults: NMPartitionNode %d is negative", p.NMPartitionNode)
 	}
-	for name, d := range map[string]time.Duration{
-		"NMCrashAt":      p.NMCrashAt,
-		"NMPartitionAt":  p.NMPartitionAt,
-		"NMPartitionFor": p.NMPartitionFor,
+	for _, f := range []struct {
+		name string
+		d    time.Duration
+	}{
+		{"NMCrashAt", p.NMCrashAt},
+		{"NMPartitionAt", p.NMPartitionAt},
+		{"NMPartitionFor", p.NMPartitionFor},
 	} {
-		if d < 0 {
-			return fmt.Errorf("faults: %s %v is negative", name, d)
+		if f.d < 0 {
+			return fmt.Errorf("faults: %s %v is negative", f.name, f.d)
 		}
 	}
 	return nil

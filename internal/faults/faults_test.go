@@ -206,3 +206,28 @@ func TestInjectedIsTransient(t *testing.T) {
 		t.Fatalf("injected fault classified permanent: %v", err)
 	}
 }
+
+// TestPlanValidateNamesFirstDeclaredField: with two fields out of range
+// the error names the one declared first in Plan, on every run — the
+// message is an artefact like any other and must not depend on map order.
+func TestPlanValidateNamesFirstDeclaredField(t *testing.T) {
+	cases := []struct {
+		name string
+		plan Plan
+		want string
+	}{
+		{"two bad rates", Plan{HeartbeatDropRate: 2, BitFlipRate: -1}, "faults: BitFlipRate -1 is outside [0,1]"},
+		{"two bad durations", Plan{NMPartitionFor: -1, NMCrashAt: -2}, "faults: NMCrashAt -2ns is negative"},
+	}
+	for _, tc := range cases {
+		for i := 0; i < 100; i++ {
+			err := tc.plan.Validate()
+			if err == nil || err.Error() != tc.want {
+				t.Fatalf("%s, run %d: Validate() = %v, want %q", tc.name, i, err, tc.want)
+			}
+		}
+	}
+	if err := (Plan{RPCErrorRate: 0.5, NMCrashAt: 1}).Validate(); err != nil {
+		t.Errorf("valid plan rejected: %v", err)
+	}
+}

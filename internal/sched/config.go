@@ -185,8 +185,11 @@ func (c Config) Validate() error {
 	if c.MaxEvictionsPerTask < 0 {
 		return fmt.Errorf("sched: negative eviction cap")
 	}
-	if c.CustomBandwidth < 0 {
-		return fmt.Errorf("sched: negative custom bandwidth")
+	if _, err := storage.NewNodeDevice(c.StorageKind, c.CustomBandwidth); err != nil {
+		return fmt.Errorf("sched: %w", err)
+	}
+	if err := c.EnergyModel.Validate(); err != nil {
+		return fmt.Errorf("sched: %w", err)
 	}
 	if c.DirtyFloor < 0 || c.DirtyFloor > 1 {
 		return fmt.Errorf("sched: DirtyFloor=%v outside [0,1]", c.DirtyFloor)
@@ -228,55 +231,15 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Result aggregates a simulation run's outcomes; its fields are the
-// quantities the paper's figures report.
+// Result is a simulation run's outcome: the quantities the paper's figures
+// report on both substrates (core.Outcome) plus what only the trace
+// simulator measures.
 type Result struct {
-	Policy   core.Policy
-	Storage  string
-	Makespan time.Duration
+	core.Outcome
 
-	// WastedCPUHours is core-hours consumed without producing retained
-	// progress: killed partial runs plus checkpoint/restore overhead.
-	WastedCPUHours float64
-	// UsefulCPUHours is core-hours of retained compute.
-	UsefulCPUHours float64
-	// OverheadCPUHours is the checkpoint/restore share of waste (Fig. 12a).
-	OverheadCPUHours float64
-	// EnergyKWh is total cluster energy (Fig. 3b / 8b).
-	EnergyKWh float64
-
-	// JobResponseSec holds per-band job response times in seconds
-	// (queueing + execution, Fig. 3c / 8c) plus an all-jobs distribution
-	// for CDFs (Fig. 9 / 11).
-	JobResponseSec    map[cluster.Band]*Dist
-	JobResponseAllSec *Dist
 	// JobResponseByUser holds per-tenant response times, the input to
 	// fairness comparisons across scheduling disciplines.
 	JobResponseByUser map[string]*Dist
-
-	Preemptions            int
-	Kills                  int
-	Checkpoints            int
-	IncrementalCheckpoints int
-	// PreCopies counts checkpoints taken with the pre-copy optimization.
-	PreCopies      int
-	Restores       int
-	RemoteRestores int
-	TasksCompleted int
-
-	// NodeFailures counts seeded machine outages applied; NodeRecoveries
-	// counts machines that came back.
-	NodeFailures   int
-	NodeRecoveries int
-	// TasksRescheduled counts tasks displaced by a node failure and
-	// requeued; each is later accounted as a FailureRestore (resumed from
-	// a surviving checkpoint image) or a FailureRestart (from scratch).
-	TasksRescheduled int
-	FailureRestores  int
-	FailureRestarts  int
-	// FailureWasteHours is the share of WastedCPUHours attributable to
-	// node failures: progress that died with the machine.
-	FailureWasteHours float64
 
 	// Decisions counts scheduling decisions: successful placements plus
 	// preemption verdicts. EventsFired is the total number of
@@ -284,49 +247,6 @@ type Result struct {
 	// the numerators of the density suite's sustained-rate metrics.
 	Decisions   uint64
 	EventsFired uint64
-
-	// IOBusyHours is device-hours spent on checkpoint I/O (Fig. 12b).
-	IOBusyHours float64
-	// PeakImageBytes is the high-water mark of stored checkpoint state
-	// (Section 5.3.3 storage overhead).
-	PeakImageBytes int64
-}
-
-// WasteFraction returns waste over total consumed CPU.
-func (r *Result) WasteFraction() float64 {
-	total := r.WastedCPUHours + r.UsefulCPUHours
-	if total == 0 {
-		return 0
-	}
-	return r.WastedCPUHours / total
-}
-
-// CPUOverheadFraction is checkpoint/restore core-hours over all consumed
-// core-hours (Fig. 12a's y-axis).
-func (r *Result) CPUOverheadFraction() float64 {
-	total := r.WastedCPUHours + r.UsefulCPUHours
-	if total == 0 {
-		return 0
-	}
-	return r.OverheadCPUHours / total
-}
-
-// IOOverheadFraction is checkpoint-device busy time over total
-// device-time (Fig. 12b's y-axis).
-func (r *Result) IOOverheadFraction(nodes int) float64 {
-	if r.Makespan <= 0 || nodes <= 0 {
-		return 0
-	}
-	return r.IOBusyHours / (r.Makespan.Hours() * float64(nodes))
-}
-
-// MeanResponse returns the mean job response time for a band, in seconds.
-func (r *Result) MeanResponse(b cluster.Band) float64 {
-	d := r.JobResponseSec[b]
-	if d == nil {
-		return 0
-	}
-	return d.Mean()
 }
 
 // FairnessIndex returns Jain's fairness index over per-user mean response

@@ -72,9 +72,7 @@ func (s *Simulator) fenceTask(t *taskRT, now sim.Time) {
 		t.completion = nil
 		t.preCopying = false
 		s.unmarkRunning(t)
-		cores := float64(t.spec.Demand.CPUMillis) / 1000
-		s.res.WastedCPUHours += cores * lost.Hours()
-		s.res.FailureWasteHours += cores * lost.Hours()
+		s.res.ChargeFailureWaste(t.spec, lost)
 		s.leave(t, ProbeFence, now)
 		s.rescheduleFailed(t, n, lost, now)
 	}

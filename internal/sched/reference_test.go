@@ -131,7 +131,10 @@ func referenceChooseVictims(s *Simulator, t *taskRT, now sim.Time) (*node, []*ta
 // down node and a standing reservation. It returns the simulator, the
 // instant the books describe, and waiting tasks to choose victims for.
 func randomBook(rng *rand.Rand, cfg Config) (*Simulator, sim.Time, []*taskRT) {
-	s := newSimulator(cfg.withDefaults())
+	s, err := newSimulator(cfg.withDefaults())
+	if err != nil {
+		panic(err)
+	}
 	now := sim.Time(time.Hour)
 	users := []string{"ada", "bob", "cy", ""}
 	demands := []cluster.Resources{

@@ -341,8 +341,7 @@ type Simulator struct {
 	skipScratch   []*taskRT
 	failedScratch []cluster.Resources
 
-	res             *Result
-	totalImageBytes int64
+	res *Result
 	// schedulePending guards against redundant trySchedule passes at one
 	// instant; runPass is the one event handler every trigger schedules.
 	schedulePending bool
@@ -482,7 +481,10 @@ func Run(cfg Config, jobs []cluster.JobSpec) (*Result, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	s := newSimulator(cfg)
+	s, err := newSimulator(cfg)
+	if err != nil {
+		return nil, err
+	}
 	for i := range jobs {
 		spec := &jobs[i]
 		if err := spec.Validate(); err != nil {
@@ -517,15 +519,14 @@ func Run(cfg Config, jobs []cluster.JobSpec) (*Result, error) {
 	s.res.EventsFired = s.engine.Fired()
 	for _, n := range s.nodes {
 		n.settleEnergy(end)
-		s.res.EnergyKWh += n.meter.KWh()
-		s.res.IOBusyHours += n.device.BusyTime().Hours()
+		s.res.CloseNode(n.meter, n.device)
 	}
 	return s.res, nil
 }
 
 // newSimulator builds the cluster — nodes, devices, first-fit index — for
 // a validated, defaulted cfg, with no work loaded.
-func newSimulator(cfg Config) *Simulator {
+func newSimulator(cfg Config) (*Simulator, error) {
 	s := &Simulator{
 		cfg:       cfg,
 		jrn:       cfg.Recorder.Emitter("sched"),
@@ -538,27 +539,10 @@ func newSimulator(cfg Config) *Simulator {
 		s.trySchedule(now)
 	}
 
-	storageName := cfg.StorageKind.String()
-	if cfg.CustomBandwidth > 0 {
-		storageName = fmt.Sprintf("%.1fGB/s", cfg.CustomBandwidth/1e9)
-	}
-	s.res = &Result{
-		Policy:            cfg.Policy,
-		Storage:           storageName,
-		JobResponseSec:    make(map[cluster.Band]*Dist),
-		JobResponseAllSec: &Dist{},
-		JobResponseByUser: make(map[string]*Dist),
-	}
-	for b := 0; b < cluster.NumBands; b++ {
-		s.res.JobResponseSec[cluster.Band(b)] = &Dist{}
-	}
-
 	for i := 0; i < cfg.Nodes; i++ {
-		var dev *storage.Device
-		if cfg.CustomBandwidth > 0 {
-			dev = storage.NewCustomDevice(cfg.CustomBandwidth, 0)
-		} else {
-			dev = storage.NewDevice(cfg.StorageKind)
+		dev, err := storage.NewNodeDevice(cfg.StorageKind, cfg.CustomBandwidth)
+		if err != nil {
+			return nil, fmt.Errorf("sched: %w", err)
 		}
 		s.nodes = append(s.nodes, &node{
 			id:     cluster.NodeID(i),
@@ -567,12 +551,16 @@ func newSimulator(cfg Config) *Simulator {
 			meter:  energy.NewMeter(cfg.EnergyModel),
 		})
 	}
+	s.res = &Result{
+		Outcome:           core.NewOutcome(cfg.Policy, s.nodes[0].device.Label(), cfg.Nodes),
+		JobResponseByUser: make(map[string]*Dist),
+	}
 	s.nodeIdx = newNodeIndex(cfg.Nodes)
 	for _, n := range s.nodes {
 		n.idx = s.nodeIdx
 		n.touch()
 	}
-	return s
+	return s, nil
 }
 
 func (s *Simulator) enqueue(t *taskRT, now sim.Time) {
@@ -812,7 +800,7 @@ func (s *Simulator) startRestore(t *taskRT, target *node, now sim.Time) {
 	}
 	est, actual := t.trip.Close(overhead)
 	s.jrn.Restore(now, t.spec.ID, int(target.id), t.spec.Priority, est, actual, t.spec.MemFootprint, flags, 0)
-	s.chargeOverhead(t, overhead)
+	s.res.ChargeOverhead(t.spec, overhead)
 	s.engine.At(done, func(at sim.Time) {
 		// The target may have failed during the read; the fence already
 		// requeued t, and this resume must not resurrect it there.
@@ -825,8 +813,7 @@ func (s *Simulator) startRestore(t *taskRT, target *node, now sim.Time) {
 
 // finishTask completes t, releasing resources and recording metrics.
 func (s *Simulator) finishTask(t *taskRT, now sim.Time) {
-	cores := float64(t.spec.Demand.CPUMillis) / 1000
-	s.res.UsefulCPUHours += cores * t.spec.Duration.Hours()
+	s.res.ChargeUseful(t.spec)
 	s.unmarkRunning(t)
 	t.phase = phaseDone
 	t.completion = nil
@@ -838,9 +825,7 @@ func (s *Simulator) finishTask(t *taskRT, now sim.Time) {
 	t.job.remaining--
 	if t.job.remaining == 0 {
 		t.job.finish = now
-		resp := time.Duration(now - t.job.spec.Submit).Seconds()
-		s.res.JobResponseSec[t.job.spec.Band()].Add(resp)
-		s.res.JobResponseAllSec.Add(resp)
+		resp := s.res.JobDone(t.job.spec, now)
 		user := userOf(t)
 		if s.res.JobResponseByUser[user] == nil {
 			s.res.JobResponseByUser[user] = &Dist{}
@@ -860,13 +845,6 @@ func (s *Simulator) leave(t *taskRT, kind ProbeKind, now sim.Time) {
 	s.account(t, -1)
 	n.removeRunning(t)
 	t.node = nil
-}
-
-// chargeOverhead books checkpoint/restore time as wasted, overhead CPU.
-func (s *Simulator) chargeOverhead(t *taskRT, d time.Duration) {
-	cores := float64(t.spec.Demand.CPUMillis) / 1000
-	s.res.WastedCPUHours += cores * d.Hours()
-	s.res.OverheadCPUHours += cores * d.Hours()
 }
 
 // preemptFor vacates lower-priority work for t. It reports whether any
@@ -998,9 +976,8 @@ func (s *Simulator) preemptTask(v *taskRT, now sim.Time) {
 		s.engine.Cancel(v.completion)
 		v.completion = nil
 		s.unmarkRunning(v)
-		cores := float64(v.spec.Demand.CPUMillis) / 1000
 		s.res.Kills++
-		s.res.WastedCPUHours += cores * v.unsavedProgress(now).Hours()
+		s.res.ChargeWaste(v.spec, v.unsavedProgress(now))
 		s.leave(v, ProbeKill, now)
 		s.enqueue(v, now)
 		s.requestSchedule(now)
@@ -1037,7 +1014,7 @@ func (s *Simulator) preemptTask(v *taskRT, now sim.Time) {
 		dumpFlags |= obs.FlagIncremental
 	}
 	s.dumped(v, dumpBytes, dumpFlags, now, done)
-	s.chargeOverhead(v, time.Duration(done-now))
+	s.res.ChargeOverhead(v.spec, time.Duration(done-now))
 	s.trackImage(v, action, dumpBytes)
 	s.engine.At(done, func(at sim.Time) {
 		s.vacate(v, n, at)
@@ -1107,7 +1084,7 @@ func (s *Simulator) startPreCopy(v *taskRT, cand core.Candidate, now sim.Time) {
 		delta := int64(frac * float64(v.spec.MemFootprint))
 		_, done := n.device.ReserveWrite(at, delta)
 		s.dumped(v, delta, obs.FlagIncremental|obs.FlagPreCopy, at, done)
-		s.chargeOverhead(v, time.Duration(done-at))
+		s.res.ChargeOverhead(v.spec, time.Duration(done-at))
 		s.trackImage(v, core.ActionCheckpointIncremental, delta)
 		s.engine.At(done, func(end sim.Time) {
 			s.vacate(v, n, end)
@@ -1115,23 +1092,20 @@ func (s *Simulator) startPreCopy(v *taskRT, cand core.Candidate, now sim.Time) {
 	})
 }
 
-// trackImage maintains the storage-overhead high-water mark.
+// trackImage books a dump into v's image chain: a full image replaces
+// the chain, an incremental one extends it.
 func (s *Simulator) trackImage(v *taskRT, action core.PreemptAction, dumpBytes int64) {
 	if action == core.ActionCheckpointFull {
-		s.totalImageBytes -= v.imageBytes
+		s.res.AddImageBytes(dumpBytes - v.imageBytes)
 		v.imageBytes = dumpBytes
-		s.totalImageBytes += dumpBytes
 	} else {
+		s.res.AddImageBytes(dumpBytes)
 		v.imageBytes += dumpBytes
-		s.totalImageBytes += dumpBytes
-	}
-	if s.totalImageBytes > s.res.PeakImageBytes {
-		s.res.PeakImageBytes = s.totalImageBytes
 	}
 }
 
 func (s *Simulator) removeImages(v *taskRT) {
-	s.totalImageBytes -= v.imageBytes
+	s.res.AddImageBytes(-v.imageBytes)
 	v.imageBytes = 0
 	v.hasCheckpoint = false
 	v.ckptNode = nil

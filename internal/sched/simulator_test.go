@@ -7,6 +7,7 @@ import (
 
 	"preemptsched/internal/cluster"
 	"preemptsched/internal/core"
+	"preemptsched/internal/energy"
 	"preemptsched/internal/storage"
 	"preemptsched/internal/trace"
 )
@@ -302,11 +303,25 @@ func TestConfigValidation(t *testing.T) {
 		{Nodes: 1, NodeCapacity: cluster.Resources{CPUMillis: 1, MemBytes: 1}, Policy: 0},
 		{Nodes: 1, NodeCapacity: cluster.Resources{CPUMillis: 1, MemBytes: 1}, Policy: core.PolicyKill, CustomBandwidth: -1},
 		{Nodes: 1, NodeCapacity: cluster.Resources{CPUMillis: 1, MemBytes: 1}, Policy: core.PolicyKill, DirtyFloor: 2},
+		// What construction cannot build is an error, not a panic: no
+		// preset for the kind, and an inverted energy model.
+		{Nodes: 1, NodeCapacity: cluster.Resources{CPUMillis: 1, MemBytes: 1}, Policy: core.PolicyKill},
+		{Nodes: 1, NodeCapacity: cluster.Resources{CPUMillis: 1, MemBytes: 1}, Policy: core.PolicyKill, StorageKind: storage.Custom},
+		{Nodes: 1, NodeCapacity: cluster.Resources{CPUMillis: 1, MemBytes: 1}, Policy: core.PolicyKill, StorageKind: storage.SSD,
+			EnergyModel: energy.Model{IdleWatts: 300, PeakWatts: 100}},
 	}
 	for i, cfg := range bad {
 		if _, err := Run(cfg, jobs); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
+	}
+	// A custom bandwidth stands in for the kind, whatever it says.
+	custom := oneCoreConfig(core.PolicyCheckpoint, 0)
+	custom.CustomBandwidth = 2e9
+	if r, err := Run(custom, twoJobScenario()); err != nil {
+		t.Errorf("custom-bandwidth run: %v", err)
+	} else if r.Storage != "2.0GB/s" {
+		t.Errorf("custom-bandwidth run labelled %q", r.Storage)
 	}
 	// Oversized task demand must be rejected.
 	cfg := oneCoreConfig(core.PolicyKill, storage.SSD)

@@ -17,6 +17,7 @@ package storage
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"preemptsched/internal/sim"
@@ -89,21 +90,58 @@ const (
 	nvramReadBW  = 8000e6
 )
 
-// NewDevice returns a device of the given preset kind. Custom kinds must
-// use NewCustomDevice.
-func NewDevice(kind Kind) *Device {
+// ParseKind converts a CLI string to a preset Kind, case-insensitively;
+// "pmfs" names NVM by the file system the paper exposes it through.
+func ParseKind(s string) (Kind, error) {
+	switch strings.ToLower(s) {
+	case "hdd":
+		return HDD, nil
+	case "ssd":
+		return SSD, nil
+	case "nvm", "pmfs":
+		return NVM, nil
+	case "nvram":
+		return NVRAM, nil
+	default:
+		return 0, fmt.Errorf("storage: unknown kind %q (want hdd|ssd|nvm|pmfs|nvram)", s)
+	}
+}
+
+// NewNodeDevice builds the checkpoint device a scheduler attaches to one
+// of its nodes: a symmetric device of customBW bytes/second when customBW
+// is positive (the paper's sensitivity sweeps), the preset of kind
+// otherwise. Validating a configuration is calling it and dropping the
+// device.
+func NewNodeDevice(kind Kind, customBW float64) (*Device, error) {
+	if customBW < 0 {
+		return nil, fmt.Errorf("storage: negative custom bandwidth %v", customBW)
+	}
+	if customBW > 0 {
+		return NewCustomDevice(customBW, 0), nil
+	}
 	switch kind {
 	case HDD:
-		return &Device{kind: HDD, writeBW: hddWriteBW, readBW: hddReadBW, opLatency: 8 * time.Millisecond}
+		return &Device{kind: HDD, writeBW: hddWriteBW, readBW: hddReadBW, opLatency: 8 * time.Millisecond}, nil
 	case SSD:
-		return &Device{kind: SSD, writeBW: ssdWriteBW, readBW: ssdReadBW, opLatency: 100 * time.Microsecond}
+		return &Device{kind: SSD, writeBW: ssdWriteBW, readBW: ssdReadBW, opLatency: 100 * time.Microsecond}, nil
 	case NVM:
-		return &Device{kind: NVM, writeBW: nvmWriteBW, readBW: nvmReadBW, opLatency: time.Microsecond}
+		return &Device{kind: NVM, writeBW: nvmWriteBW, readBW: nvmReadBW, opLatency: time.Microsecond}, nil
 	case NVRAM:
-		return &Device{kind: NVRAM, writeBW: nvramWriteBW, readBW: nvramReadBW, opLatency: 100 * time.Nanosecond}
+		return &Device{kind: NVRAM, writeBW: nvramWriteBW, readBW: nvramReadBW, opLatency: 100 * time.Nanosecond}, nil
 	default:
-		panic(fmt.Sprintf("storage: NewDevice(%v): use NewCustomDevice", kind))
+		return nil, fmt.Errorf("storage: %v is not a preset kind (want HDD|SSD|NVM|NVRAM, or a custom bandwidth)", kind)
 	}
+}
+
+// NewDevice returns a device of the given preset kind, for callers that
+// name the kind in code; it panics on anything else. Custom kinds must
+// use NewCustomDevice.
+func NewDevice(kind Kind) *Device {
+	d, err := NewNodeDevice(kind, 0)
+	if err != nil {
+		panic(err)
+	}
+	return d
 }
 
 // NewCustomDevice returns a device with identical read and write bandwidth
@@ -113,6 +151,15 @@ func NewCustomDevice(bandwidth float64, opLatency time.Duration) *Device {
 		panic("storage: non-positive bandwidth")
 	}
 	return &Device{kind: Custom, writeBW: bandwidth, readBW: bandwidth, opLatency: opLatency}
+}
+
+// Label names the device in results: its kind, or its rate for a custom
+// device.
+func (d *Device) Label() string {
+	if d.kind == Custom {
+		return fmt.Sprintf("%.1fGB/s", d.writeBW/1e9)
+	}
+	return d.kind.String()
 }
 
 // Kind returns the device's media class.

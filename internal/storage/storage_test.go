@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"io"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -114,6 +115,52 @@ func TestNewDevicePanics(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// TestParseKindRoundTrip: every preset kind parses back from its own
+// String, in any case; the flag spellings are exactly the documented set.
+func TestParseKindRoundTrip(t *testing.T) {
+	for _, k := range []Kind{HDD, SSD, NVM, NVRAM} {
+		for _, s := range []string{k.String(), strings.ToLower(k.String())} {
+			if got, err := ParseKind(s); err != nil || got != k {
+				t.Errorf("ParseKind(%q) = %v, %v; want %v", s, got, err, k)
+			}
+		}
+	}
+	if got, err := ParseKind("PMFS"); err != nil || got != NVM {
+		t.Errorf("ParseKind(PMFS) = %v, %v; want NVM", got, err)
+	}
+	for _, s := range []string{"", "custom", "Kind(0)", "floppy", " ssd"} {
+		if got, err := ParseKind(s); err == nil {
+			t.Errorf("ParseKind(%q) = %v, want an error", s, got)
+		}
+	}
+}
+
+// TestNewNodeDevice: the constructor both schedulers build node devices
+// (and validate their configuration) with returns the preset, or the
+// custom device that overrides it, or an error — never a panic.
+func TestNewNodeDevice(t *testing.T) {
+	for _, k := range []Kind{HDD, SSD, NVM, NVRAM} {
+		d, err := NewNodeDevice(k, 0)
+		if err != nil || d.Kind() != k || d.Label() != k.String() || *d != *NewDevice(k) {
+			t.Errorf("NewNodeDevice(%v, 0) = %+v, %v", k, d, err)
+		}
+	}
+	for _, k := range []Kind{0, SSD, Custom} {
+		d, err := NewNodeDevice(k, 2.5e9)
+		if err != nil || d.Kind() != Custom || d.WriteBW() != 2.5e9 || d.ReadBW() != 2.5e9 || d.Label() != "2.5GB/s" {
+			t.Errorf("NewNodeDevice(%v, 2.5e9) = %+v, %v", k, d, err)
+		}
+	}
+	for _, bad := range []struct {
+		kind Kind
+		bw   float64
+	}{{0, 0}, {Custom, 0}, {Kind(99), 0}, {SSD, -1}} {
+		if d, err := NewNodeDevice(bad.kind, bad.bw); err == nil {
+			t.Errorf("NewNodeDevice(%v, %v) = %+v, want an error", bad.kind, bad.bw, d)
+		}
 	}
 }
 

@@ -258,7 +258,7 @@ func (am *AppMaster) restoreOrFallback(t *taskRun, n *NodeManager, at sim.Time) 
 			// waste.
 			restored := time.Duration(float64(t.spec.Duration) * float64(info.Steps) / float64(t.totalSteps))
 			if restored < t.banked {
-				am.c.addWaste(coresOf(t) * (t.banked - restored).Hours())
+				am.c.chargeWaste(t, t.banked-restored)
 				t.banked = restored
 			}
 			t.process = p
@@ -283,7 +283,7 @@ func (am *AppMaster) restoreOrFallback(t *taskRun, n *NodeManager, at sim.Time) 
 		am.c.res.FailureRestarts++
 	}
 	am.discardImages(t, n)
-	am.c.addWaste(coresOf(t) * t.banked.Hours())
+	am.c.chargeWaste(t, t.banked)
 	t.banked = 0
 	fresh, perr := am.newProcess(t)
 	if perr != nil {
@@ -305,7 +305,7 @@ func (am *AppMaster) dropTipImage(t *taskRun, n *NodeManager) {
 	_ = n.store.Remove(tip.name)
 	_ = n.store.Remove(checkpoint.ManifestName(tip.name))
 	t.imageBytes -= tip.bytes
-	am.c.addImageBytes(-tip.bytes)
+	am.c.res.AddImageBytes(-tip.bytes)
 	if len(t.chain) == 0 {
 		t.hasImage = false
 		t.imageName = ""
@@ -328,7 +328,7 @@ func (am *AppMaster) discardImages(t *taskRun, n *NodeManager) {
 		_ = n.store.Remove(t.imageName)
 		_ = n.store.Remove(checkpoint.ManifestName(t.imageName))
 	}
-	am.c.addImageBytes(-t.imageBytes)
+	am.c.res.AddImageBytes(-t.imageBytes)
 	t.imageBytes = 0
 	t.hasImage = false
 	t.imageName = ""
@@ -339,7 +339,7 @@ func (am *AppMaster) discardImages(t *taskRun, n *NodeManager) {
 // recordFullImage books a freshly written full image as the task's whole
 // chain.
 func (am *AppMaster) recordFullImage(t *taskRun, name string, bytes int64) {
-	am.c.addImageBytes(bytes - t.imageBytes)
+	am.c.res.AddImageBytes(bytes - t.imageBytes)
 	t.imageBytes = bytes
 	t.chain = []imageLink{{name: name, bytes: bytes}}
 }
@@ -347,7 +347,7 @@ func (am *AppMaster) recordFullImage(t *taskRun, name string, bytes int64) {
 // recordDeltaImage books an incremental image appended to the chain.
 func (am *AppMaster) recordDeltaImage(t *taskRun, name string, bytes int64) {
 	t.imageBytes += bytes
-	am.c.addImageBytes(bytes)
+	am.c.res.AddImageBytes(bytes)
 	t.chain = append(t.chain, imageLink{name: name, bytes: bytes})
 }
 
@@ -358,11 +358,18 @@ func (am *AppMaster) recordDeltaImage(t *taskRun, name string, bytes int64) {
 func (am *AppMaster) killFallback(t *taskRun, n *NodeManager, lost time.Duration, now sim.Time) {
 	am.c.res.DumpFailures++
 	am.c.res.FallbackKills++
-	am.c.res.Kills++
-	am.c.addWaste(coresOf(t) * lost.Hours())
 	am.c.slo.CountFallbackKill()
 	am.c.jrn.KillFallback(now, t.spec.ID, n.id, t.spec.Priority, lost)
 	t.trip.Abandon()
+	am.kill(t, n, lost, now)
+}
+
+// kill is the kill-based preemption itself: the victim's process dies,
+// the compute it had not banked is charged as waste, its slot frees at
+// once, and it re-queues preferring the node that holds its last image.
+func (am *AppMaster) kill(t *taskRun, n *NodeManager, lost time.Duration, now sim.Time) {
+	am.c.res.Kills++
+	am.c.chargeWaste(t, lost)
 	t.process.Kill()
 	t.process = nil
 	n.releaseSlot(now, t)
@@ -414,7 +421,7 @@ func (am *AppMaster) onNodeFailure(t *taskRun, n *NodeManager, now sim.Time) {
 			t.process = nil
 		}
 		n.releaseSlot(now, t)
-		am.c.addFailureWaste(coresOf(t) * lost.Hours())
+		am.c.slo.AddFailureWaste(am.c.res.ChargeFailureWaste(t.spec, lost))
 		am.requeueAfterFailure(t, n, lost, now)
 	}
 }
@@ -486,21 +493,8 @@ func (am *AppMaster) onPreempt(t *taskRun, now sim.Time) {
 	t.completion = nil
 
 	if !action.IsCheckpoint() {
-		// Kill: progress since the last checkpoint is lost; the slot frees
-		// immediately.
-		am.c.res.Kills++
-		am.c.addWaste(coresOf(t) * t.unsavedProgress(now).Hours())
-		t.process.Kill()
-		t.process = nil
-		n.releaseSlot(now, t)
-		t.node = nil
-		t.state = statePending
-		pref := -1
-		if t.hasImage {
-			pref = t.imageNode
-		}
-		am.c.rm.RequestContainer(t, pref, now)
-		am.c.rm.schedulePass(now)
+		// Progress since the last checkpoint is lost.
+		am.kill(t, n, t.unsavedProgress(now), now)
 		return
 	}
 
@@ -535,19 +529,8 @@ func (am *AppMaster) onPreempt(t *taskRun, now sim.Time) {
 	if incremental {
 		am.c.res.IncrementalCheckpoints++
 	}
-	am.c.afterDump(n.dfsCli, name)
 	t.process = nil // the frozen process lives on only as the image
-
-	if incremental {
-		am.recordDeltaImage(t, name, info.LogicalBytes)
-	} else {
-		am.recordFullImage(t, name, info.LogicalBytes)
-	}
-	am.c.sampleDFSUsage()
-
-	start, done := n.device.ReserveWrite(now, info.LogicalBytes)
-	am.c.recordDump(t, n, name, info.LogicalBytes, incremental, now, start, done)
-	am.c.chargeOverhead(t, time.Duration(done-now))
+	done := am.bookDump(t, n, name, info.LogicalBytes, incremental, false, now)
 	am.c.engine.At(done, func(at sim.Time) {
 		t.hasImage = true
 		t.imageName = name
@@ -558,6 +541,30 @@ func (am *AppMaster) onPreempt(t *taskRun, now sim.Time) {
 		am.maybeCompact(t, n, at)
 		am.c.rm.RequestContainer(t, n.id, at)
 	})
+}
+
+// bookDump books an image that was just written for real: the per-dump
+// hooks run, the image joins t's chain and the footprint accounting, and
+// the write is queued on the node's checkpoint device. preCopy says the
+// victim keeps executing through the write window; otherwise it is frozen
+// and the window is charged to its cores as overhead. It returns when the
+// write drains.
+func (am *AppMaster) bookDump(t *taskRun, n *NodeManager, name string, bytes int64, incremental, preCopy bool, now sim.Time) sim.Time {
+	am.c.afterDump(n.dfsCli, name)
+	if incremental {
+		am.recordDeltaImage(t, name, bytes)
+	} else {
+		am.recordFullImage(t, name, bytes)
+	}
+	am.c.sampleDFSUsage()
+	start, done := n.device.ReserveWrite(now, bytes)
+	if preCopy {
+		am.c.recordPreDump(t, n, name, bytes, now, start, done)
+	} else {
+		am.c.recordDump(t, n, name, bytes, incremental, now, start, done)
+		am.c.chargeOverhead(t, time.Duration(done-now))
+	}
+	return done
 }
 
 // maybeCompact merges a long incremental chain into one full image,
@@ -617,20 +624,11 @@ func (am *AppMaster) startPreCopyCheckpoint(t *taskRun, n *NodeManager, now sim.
 	if incremental {
 		am.c.res.IncrementalCheckpoints++
 	}
-	am.c.afterDump(n.dfsCli, preName)
-	if incremental {
-		am.recordDeltaImage(t, preName, info.LogicalBytes)
-	} else {
-		am.recordFullImage(t, preName, info.LogicalBytes)
-	}
 	t.hasImage = true
 	t.imageName = preName
 	t.imageNode = n.id
 	t.preCopying = true
-	am.c.sampleDFSUsage()
-
-	preStart, preDone := n.device.ReserveWrite(now, info.LogicalBytes)
-	am.c.recordPreDump(t, n, preName, info.LogicalBytes, now, preStart, preDone)
+	preDone := am.bookDump(t, n, preName, info.LogicalBytes, incremental, true, now)
 	am.c.engine.At(preDone, func(at sim.Time) {
 		if t.state != stateRunning || !t.preCopying {
 			// Completed during the window; images were (or will be)
@@ -668,15 +666,9 @@ func (am *AppMaster) startPreCopyCheckpoint(t *taskRun, n *NodeManager, now sim.
 			am.killFallback(t, n, lost, at)
 			return
 		}
-		am.c.afterDump(n.dfsCli, deltaName)
 		t.process = nil
-		am.recordDeltaImage(t, deltaName, dinfo.LogicalBytes)
 		t.imageName = deltaName
-		am.c.sampleDFSUsage()
-
-		start, done := n.device.ReserveWrite(at, dinfo.LogicalBytes)
-		am.c.recordDump(t, n, deltaName, dinfo.LogicalBytes, true, at, start, done)
-		am.c.chargeOverhead(t, time.Duration(done-at))
+		done := am.bookDump(t, n, deltaName, dinfo.LogicalBytes, true, false, at)
 		am.c.engine.At(done, func(end sim.Time) {
 			n.releaseSlot(end, t)
 			t.node = nil
@@ -698,7 +690,7 @@ func (am *AppMaster) onComplete(t *taskRun, now sim.Time) {
 			t.spec.ID, t.process.Steps(), t.totalSteps, t.process.State()))
 	}
 	am.c.res.TaskChecksums[t.spec.ID] = checksumProcess(t.process)
-	am.c.addUseful(coresOf(t) * t.spec.Duration.Hours())
+	am.c.slo.AddUseful(am.c.res.ChargeUseful(t.spec))
 	am.c.res.TasksCompleted++
 
 	t.state = stateDone
@@ -713,9 +705,7 @@ func (am *AppMaster) onComplete(t *taskRun, now sim.Time) {
 	am.left--
 	if am.left == 0 {
 		am.c.res.JobsCompleted++
-		resp := time.Duration(now - am.job.Submit).Seconds()
-		am.c.res.JobResponseSec[am.job.Band()].Add(resp)
-		am.c.res.JobResponseAllSec.Add(resp)
+		resp := am.c.res.JobDone(am.job, now)
 		am.c.slo.ObserveResponse(am.job.Band().String(), resp)
 		if fn := am.c.jobDone[am.job.ID]; fn != nil {
 			delete(am.c.jobDone, am.job.ID)
@@ -723,10 +713,6 @@ func (am *AppMaster) onComplete(t *taskRun, now sim.Time) {
 		}
 	}
 	am.c.rm.schedulePass(now)
-}
-
-func coresOf(t *taskRun) float64 {
-	return float64(t.spec.Demand.CPUMillis) / 1000
 }
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)

@@ -9,11 +9,11 @@ import (
 
 	"preemptsched/internal/checkpoint"
 	"preemptsched/internal/cluster"
+	"preemptsched/internal/core"
 	"preemptsched/internal/dfs"
 	"preemptsched/internal/faults"
 	"preemptsched/internal/kmeans"
 	"preemptsched/internal/mapreduce"
-	"preemptsched/internal/metrics"
 	"preemptsched/internal/obs"
 	"preemptsched/internal/proc"
 	"preemptsched/internal/sim"
@@ -52,9 +52,7 @@ type Cluster struct {
 
 	res     *Result
 	taskSeq uint64
-
-	imageBytes int64
-	dumps      int
+	dumps   int
 
 	// Node-liveness machinery (engine goroutine only). tasksSubmitted
 	// counts every task handed to the RM, so livenessShouldRun can tell
@@ -214,21 +212,6 @@ func newCluster(cfg Config, tcpDFS bool) (*Cluster, error) {
 	}
 	c.resolveHandles()
 
-	storageName := cfg.StorageKind.String()
-	if cfg.CustomBandwidth > 0 {
-		storageName = fmt.Sprintf("%.1fGB/s", cfg.CustomBandwidth/1e9)
-	}
-	c.res = &Result{
-		Policy:            cfg.Policy,
-		Storage:           storageName,
-		JobResponseSec:    make(map[cluster.Band]*metrics.Dist),
-		JobResponseAllSec: &metrics.Dist{},
-		TaskChecksums:     make(map[cluster.TaskID]uint64),
-	}
-	for b := 0; b < cluster.NumBands; b++ {
-		c.res.JobResponseSec[cluster.Band(b)] = &metrics.Dist{}
-	}
-
 	repl := cfg.Replication
 	if repl > cfg.Nodes {
 		repl = cfg.Nodes
@@ -251,11 +234,10 @@ func newCluster(cfg Config, tcpDFS bool) (*Cluster, error) {
 	c.ckpt.Instrument(c.reg)
 
 	for i := 0; i < cfg.Nodes; i++ {
-		var dev *storage.Device
-		if cfg.CustomBandwidth > 0 {
-			dev = storage.NewCustomDevice(cfg.CustomBandwidth, 0)
-		} else {
-			dev = storage.NewDevice(cfg.StorageKind)
+		dev, err := storage.NewNodeDevice(cfg.StorageKind, cfg.CustomBandwidth)
+		if err != nil {
+			c.close()
+			return nil, fmt.Errorf("yarn: %w", err)
 		}
 		opts := []dfs.ClientOption{dfs.WithLocalNode(fmt.Sprintf("dn-%d", i)), dfs.WithObserver(c.reg)}
 		if cfg.clientCtx != nil {
@@ -267,6 +249,10 @@ func newCluster(cfg Config, tcpDFS bool) (*Cluster, error) {
 			store = faults.WrapStore(cli, c.injector)
 		}
 		c.nodes = append(c.nodes, newNodeManager(i, cfg, dev, cli, store))
+	}
+	c.res = &Result{
+		Outcome:       core.NewOutcome(cfg.Policy, c.nodes[0].device.Label(), cfg.Nodes),
+		TaskChecksums: make(map[cluster.TaskID]uint64),
 	}
 	c.rm = newResourceManager(c)
 	return c, nil
@@ -290,8 +276,7 @@ func (c *Cluster) finish(end sim.Time) {
 	c.res.Makespan = time.Duration(end)
 	for _, n := range c.nodes {
 		n.settleEnergy(end)
-		c.res.EnergyKWh += n.meter.KWh()
-		c.res.IOBusyHours += n.device.BusyTime().Hours()
+		c.res.CloseNode(n.meter, n.device)
 		st := n.dfsCli.Stats()
 		c.res.DFSRetries += st.Retries
 		c.res.ReadFailovers += st.ReadFailovers
@@ -363,41 +348,16 @@ func (c *Cluster) programSteps() uint64 {
 	}
 }
 
-// chargeOverhead books checkpoint/restore time against a task's cores.
-func (c *Cluster) chargeOverhead(t *taskRun, d time.Duration) {
-	c.addWaste(coresOf(t) * d.Hours())
-	c.res.OverheadCPUHours += coresOf(t) * d.Hours()
+// chargeOverhead books a checkpoint/restore window against t's cores, in
+// the Result and — like every charge — for the same amount in the live
+// SLO tracker, so the two can never drift.
+func (c *Cluster) chargeOverhead(t *taskRun, window time.Duration) {
+	c.slo.AddWaste(c.res.ChargeOverhead(t.spec, window))
 }
 
-// addWaste books wasted core-hours in the Result and the live SLO
-// tracker in one step, so the two can never drift.
-func (c *Cluster) addWaste(coreHours float64) {
-	c.res.WastedCPUHours += coreHours
-	c.slo.AddWaste(coreHours)
-}
-
-// addFailureWaste books core-hours lost to a node failure: it lands in
-// the same waste totals as preemption waste, plus the failure-attributed
-// buckets, so reports can split blame between the scheduler and the
-// hardware.
-func (c *Cluster) addFailureWaste(coreHours float64) {
-	c.res.WastedCPUHours += coreHours
-	c.res.FailureWasteHours += coreHours
-	c.slo.AddFailureWaste(coreHours)
-}
-
-// addUseful books useful core-hours in the Result and the SLO tracker.
-func (c *Cluster) addUseful(coreHours float64) {
-	c.res.UsefulCPUHours += coreHours
-	c.slo.AddUseful(coreHours)
-}
-
-// addImageBytes tracks the logical checkpoint footprint high-water mark.
-func (c *Cluster) addImageBytes(delta int64) {
-	c.imageBytes += delta
-	if c.imageBytes > c.res.PeakImageBytes {
-		c.res.PeakImageBytes = c.imageBytes
-	}
+// chargeWaste books compute t lost to a kill or an image fallback.
+func (c *Cluster) chargeWaste(t *taskRun, lost time.Duration) {
+	c.slo.AddWaste(c.res.ChargeWaste(t.spec, lost))
 }
 
 // sampleDFSUsage records the real bytes resident in the DFS.

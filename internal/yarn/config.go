@@ -23,7 +23,6 @@ import (
 	"preemptsched/internal/core"
 	"preemptsched/internal/energy"
 	"preemptsched/internal/faults"
-	"preemptsched/internal/metrics"
 	"preemptsched/internal/obs"
 	"preemptsched/internal/storage"
 )
@@ -179,8 +178,15 @@ func (c Config) Validate() error {
 	default:
 		return fmt.Errorf("yarn: invalid policy %v", c.Policy)
 	}
-	if c.CustomBandwidth < 0 {
-		return fmt.Errorf("yarn: negative custom bandwidth")
+	dev, err := storage.NewNodeDevice(c.StorageKind, c.CustomBandwidth)
+	if err != nil {
+		return fmt.Errorf("yarn: %w", err)
+	}
+	if dev.Kind() == storage.NVRAM {
+		return fmt.Errorf("yarn: NVRAM storage is simulator-only: a local resume there remaps pages, and the framework reads every image back through the DFS")
+	}
+	if err := c.EnergyModel.Validate(); err != nil {
+		return fmt.Errorf("yarn: %w", err)
 	}
 	if c.Replication <= 0 {
 		return fmt.Errorf("yarn: replication %d must be positive", c.Replication)
@@ -251,31 +257,14 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Result aggregates one framework run; fields mirror the quantities of the
-// paper's Figures 8-12.
+// Result is one framework run's outcome: the quantities of the paper's
+// Figures 8-12 (core.Outcome, shared with the trace simulator) plus what
+// only a run on real processes and a real DFS can measure.
 type Result struct {
-	Policy   core.Policy
-	Storage  string
-	Makespan time.Duration
+	core.Outcome
 
-	WastedCPUHours   float64
-	UsefulCPUHours   float64
-	OverheadCPUHours float64
-	EnergyKWh        float64
-
-	JobResponseSec    map[cluster.Band]*metrics.Dist
-	JobResponseAllSec *metrics.Dist
-
-	Preemptions            int
-	Kills                  int
-	Checkpoints            int
-	IncrementalCheckpoints int
-	// PreCopies counts checkpoints taken with the pre-copy optimization.
-	PreCopies int
 	// Compactions counts chain-merge operations.
-	Compactions    int
-	Restores       int
-	RemoteRestores int
+	Compactions int
 	// RestoreFailures counts restore attempts that found a corrupt or
 	// unreadable image. Each failed attempt drops one link off the image
 	// chain: the next attempt targets the parent image (counted in
@@ -297,25 +286,8 @@ type Result struct {
 	DumpFailures int
 	// FallbackKills counts preemptions that degraded to a kill because
 	// the checkpoint dump failed. They are included in Kills.
-	FallbackKills  int
-	TasksCompleted int
-	JobsCompleted  int
-
-	// Compute-node fault domain. NodeFailures counts nodes the RM's
-	// liveness sweep declared dead (NM crash, partition, or dropped
-	// heartbeats); NodeRecoveries counts declared-dead nodes that
-	// re-registered after a partition healed. TasksRescheduled counts
-	// containers lost with their node and re-queued; of those,
-	// FailureRestores resumed from a checkpoint image and
-	// FailureRestarts started over from scratch (no usable image).
-	// FailureWasteHours is the slice of WastedCPUHours attributable to
-	// node failures rather than preemptions.
-	NodeFailures      int
-	NodeRecoveries    int
-	TasksRescheduled  int
-	FailureRestores   int
-	FailureRestarts   int
-	FailureWasteHours float64
+	FallbackKills int
+	JobsCompleted int
 
 	// DFS client resilience totals, summed over every node's client.
 	DFSRetries       int64
@@ -349,8 +321,6 @@ type Result struct {
 	// Config.Faults was set; nil otherwise.
 	FaultsInjected map[string]int64
 
-	IOBusyHours    float64
-	PeakImageBytes int64
 	// DFSStoredBytes is the real byte count resident in the DFS at the
 	// high-water mark (before logical scaling).
 	DFSStoredBytes int64
@@ -370,39 +340,4 @@ type Result struct {
 	// core-hours, per-band response-time percentiles, and the checkpoint
 	// hit-rate, maintained incrementally during the run.
 	SLO obs.SLOSnapshot
-}
-
-// WasteFraction returns wasted over total consumed CPU.
-func (r *Result) WasteFraction() float64 {
-	total := r.WastedCPUHours + r.UsefulCPUHours
-	if total == 0 {
-		return 0
-	}
-	return r.WastedCPUHours / total
-}
-
-// CPUOverheadFraction is the Fig. 12a metric.
-func (r *Result) CPUOverheadFraction() float64 {
-	total := r.WastedCPUHours + r.UsefulCPUHours
-	if total == 0 {
-		return 0
-	}
-	return r.OverheadCPUHours / total
-}
-
-// IOOverheadFraction is the Fig. 12b metric.
-func (r *Result) IOOverheadFraction(nodes int) float64 {
-	if r.Makespan <= 0 || nodes <= 0 {
-		return 0
-	}
-	return r.IOBusyHours / (r.Makespan.Hours() * float64(nodes))
-}
-
-// MeanResponse returns the mean job response time for a band, in seconds.
-func (r *Result) MeanResponse(b cluster.Band) float64 {
-	d := r.JobResponseSec[b]
-	if d == nil {
-		return 0
-	}
-	return d.Mean()
 }

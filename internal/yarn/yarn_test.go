@@ -1,11 +1,13 @@
 package yarn
 
 import (
+	"encoding/json"
 	"testing"
 	"time"
 
 	"preemptsched/internal/cluster"
 	"preemptsched/internal/core"
+	"preemptsched/internal/energy"
 	"preemptsched/internal/storage"
 	"preemptsched/internal/workload"
 )
@@ -265,11 +267,34 @@ func TestConfigValidationFramework(t *testing.T) {
 		func() Config { c := DefaultConfig(core.PolicyKill, storage.SSD); c.KMeansK = 0; return c }(),
 		func() Config { c := DefaultConfig(0, storage.SSD); return c }(),
 		func() Config { c := DefaultConfig(core.PolicyKill, storage.SSD); c.CustomBandwidth = -1; return c }(),
+		// What construction cannot build is an error, not a panic: no
+		// preset for the kind, an inverted energy model, and NVRAM, whose
+		// remap-on-local-resume rule only the simulator implements.
+		DefaultConfig(core.PolicyKill, 0),
+		DefaultConfig(core.PolicyKill, storage.Custom),
+		DefaultConfig(core.PolicyKill, storage.NVRAM),
+		func() Config {
+			c := DefaultConfig(core.PolicyKill, storage.SSD)
+			c.EnergyModel = energy.Model{IdleWatts: 300, PeakWatts: 100}
+			return c
+		}(),
 	}
 	for i, cfg := range bad {
 		if _, err := Run(cfg, jobs); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
+		if svc, err := NewService(cfg); err == nil {
+			svc.Abort()
+			t.Errorf("bad config %d accepted by NewService", i)
+		}
+	}
+	// A custom bandwidth stands in for the kind, whatever it says.
+	custom := tinyCluster(core.PolicyCheckpoint)
+	custom.StorageKind, custom.CustomBandwidth = 0, 2e9
+	if r, err := Run(custom, smallWorkload()); err != nil {
+		t.Errorf("custom-bandwidth run: %v", err)
+	} else if r.Storage != "2.0GB/s" {
+		t.Errorf("custom-bandwidth run labelled %q", r.Storage)
 	}
 	// Invalid job must be rejected.
 	badJob := smallWorkload()
@@ -316,5 +341,47 @@ func TestRemoteRestoreInFramework(t *testing.T) {
 	}
 	if r.TasksCompleted != 3 {
 		t.Errorf("completed %d of 3", r.TasksCompleted)
+	}
+}
+
+// TestResultJSONKeysStayTopLevel: Result embeds core.Outcome, and its
+// JSON form — clusterd's final report; CI's churn soak reads
+// result.NodeFailures — must keep every key it had when the shared
+// fields were declared inline, at the top level.
+func TestResultJSONKeysStayTopLevel(t *testing.T) {
+	r, err := Run(tinyCluster(core.PolicyCheckpoint), smallWorkload())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got map[string]json.RawMessage
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{
+		"BlocksLost", "BlocksReReplicated", "Checkpoints", "Compactions", "CorruptDegraded", "CorruptLost",
+		"CorruptReReplicated", "CorruptReads", "DFSRetries", "DFSStoredBytes", "DumpFailures", "EnergyKWh",
+		"FailureRestarts", "FailureRestores", "FailureWasteHours", "FallbackKills", "FaultsInjected",
+		"FinalScrubCorrupt", "IOBusyHours", "IncrementalCheckpoints", "JobResponseAllSec", "JobResponseSec",
+		"JobsCompleted", "Kills", "Makespan", "Metrics", "NodeFailures", "NodeRecoveries", "OverheadCPUHours",
+		"PeakImageBytes", "PipelineRebuilds", "Policy", "PreCopies", "Preemptions", "ReadFailovers",
+		"RemoteRestores", "ReplicasQuarantined", "RestoreFailures", "RestoreFallbacks", "RestoreRestarts",
+		"RestoreVerifyFailures", "Restores", "SLO", "ScrubBlocksChecked", "ScrubCorruptFound", "ScrubRuns",
+		"Storage", "TasksCompleted", "TasksRescheduled", "UsefulCPUHours", "WastedCPUHours",
+	} {
+		if _, ok := got[key]; !ok {
+			t.Errorf("Result JSON lost top-level key %q", key)
+		}
+	}
+	for _, key := range []string{"Outcome", "TaskChecksums"} {
+		if _, ok := got[key]; ok {
+			t.Errorf("Result JSON grew key %q", key)
+		}
+	}
+	if string(got["Checkpoints"]) != "1" || string(got["Nodes"]) != "1" {
+		t.Errorf("Checkpoints = %s, Nodes = %s; want 1, 1", got["Checkpoints"], got["Nodes"])
 	}
 }

@@ -1,6 +1,8 @@
 package preemptsched_test
 
 import (
+	"bytes"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -108,4 +110,34 @@ func TestExperimentOptionsViaFacade(t *testing.T) {
 	if !strings.Contains(sb.String(), "Table 1") {
 		t.Error("report missing Table 1")
 	}
+}
+
+// TestDefaultReportMatchesGolden regenerates the default-scale evaluation
+// and byte-compares it with the checked-in report_default.txt, so the
+// golden file every refactor claims to leave unchanged is enforced by the
+// suite instead of by hand. Regenerate the file with
+// `go run ./cmd/experiments -o report_default.txt` when a change is meant
+// to move it.
+func TestDefaultReportMatchesGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("renders the full default-scale evaluation")
+	}
+	want, err := os.ReadFile("report_default.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := preemptsched.RunAllExperiments(preemptsched.DefaultExperiments(), &got); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(got.Bytes(), want) {
+		return
+	}
+	gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gotLines) && i < len(wantLines); i++ {
+		if gotLines[i] != wantLines[i] {
+			t.Fatalf("report differs from report_default.txt at line %d:\n got: %s\nwant: %s", i+1, gotLines[i], wantLines[i])
+		}
+	}
+	t.Fatalf("report has %d lines, report_default.txt %d", len(gotLines), len(wantLines))
 }
