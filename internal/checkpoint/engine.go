@@ -236,7 +236,7 @@ func infoFromHeader(name string, h *Header, stored int64) *ImageInfo {
 
 // ReadInfo inspects an image without restoring it.
 func ReadInfo(store storage.Store, name string) (*ImageInfo, error) {
-	h, d, err := scanImage(store, name, false, nil)
+	h, d, err := scanImage(store, name, false, scratch)
 	if err != nil {
 		return nil, err
 	}
@@ -250,14 +250,71 @@ type pageRec struct {
 	data []byte
 }
 
+// arena is where a link's page records wait, in stored order, until every
+// verdict of the walk is in. Its storage follows the records as they arrive,
+// at most maxPageChunk per allocation: what the stream delivered, plus one.
+type arena struct {
+	pageSize int
+	left     int // records the header announces that have no slot yet
+	free     []byte
+	pages    []pageRec
+}
+
+// slot names the arena's next pageSize bytes for page idx.
+func (a *arena) slot(idx int) []byte {
+	if len(a.free) == 0 {
+		a.free = make([]byte, max(1, min(a.left, maxPageChunk/a.pageSize))*a.pageSize)
+	}
+	pg := a.free[:a.pageSize:a.pageSize]
+	a.free = a.free[a.pageSize:]
+	a.left--
+	a.pages = append(a.pages, pageRec{idx, pg})
+	return pg
+}
+
+// space is the address space a chain rebuilds: one flat array of pages,
+// which proc adopts as the process's memory, and which of them are written.
+type space struct {
+	data    []byte
+	seen    []bool
+	covered int
+}
+
+func newSpace(pages uint32) *space {
+	return &space{data: make([]byte, int(pages)*proc.PageSize), seen: make([]bool, pages)}
+}
+
+// slot names page idx of the space; a page named again is overwritten.
+func (s *space) slot(idx int) []byte {
+	if !s.seen[idx] {
+		s.seen[idx] = true
+		s.covered++
+	}
+	return s.data[idx*proc.PageSize : (idx+1)*proc.PageSize]
+}
+
+// placeable reports whether the walk, with the links above (tip first) read,
+// may read link h straight into a space: h ends the chain (a full dump, no
+// parent) in the tip's geometry, and the space is no larger than what the
+// chain stores — stored, the manifest's word on the size of h's object,
+// holds the records h announces, and those plus held, the page bytes above
+// keeps, cover the space. So no header field alone sizes the allocation.
+func placeable(h *Header, above []link, stored, held int64) bool {
+	return h.Parent == "" && !h.Incremental && h.PageSize == proc.PageSize &&
+		(len(above) == 0 || h.RealPages == above[0].h.RealPages) &&
+		int64(h.DumpedPages)*(4+proc.PageSize) <= stored &&
+		int64(h.DumpedPages)*proc.PageSize+held >= int64(h.RealPages)*proc.PageSize
+}
+
 // link is what the one read of one chain image established.
 type link struct {
 	name   string
 	h      *Header
 	stored int64
-	// pages holds the link's page records in stored order; nil unless the
-	// walk retains pages.
-	pages []pageRec
+	// The link's pages, in the arena or, for a placeable link, in placed;
+	// in neither unless the walk retains pages.
+	arena
+	placed *space
 	// verr is the manifest's verdict on the stored bytes; nil when they
 	// match or the image has no manifest (legacy dumps), and always nil on
 	// an unverified walk.
@@ -267,14 +324,16 @@ type link struct {
 // readChain walks the chain ending at name from tip to base, following
 // each image's parent pointer, and returns the links tip-first. Every
 // image is opened and read exactly once and must decode with a clean CRC;
-// with verify set every manifest is opened exactly once too and its
-// verdict recorded in the link, to be acted on base-first by the caller —
-// so a corrupt link anywhere in the chain is reported as ErrCorrupt ahead
-// of any ErrVerifyFailed. With keepPages set the links retain their page
-// records, up to the first link that fails verification: nothing at or
-// above it may be applied, so nothing more is held.
+// with verify set every manifest is opened exactly once too, ahead of the
+// image whose size it vouches for, and its verdict recorded in the link, to
+// be acted on base-first by the caller — so a corrupt link anywhere in the
+// chain is reported as ErrCorrupt ahead of any ErrVerifyFailed. With
+// keepPages set the links retain their pages, up to the first link that
+// fails verification: nothing at or above it may be applied, so nothing
+// more is held.
 func readChain(store storage.Store, name string, verify, keepPages bool) ([]link, error) {
 	var links []link
+	held := int64(0) // page bytes the links so far keep in arenas
 	seen := make(map[string]bool)
 	for cur := name; cur != ""; {
 		if len(links) >= maxChainDepth {
@@ -285,28 +344,37 @@ func readChain(store storage.Store, name string, verify, keepPages bool) ([]link
 		}
 		seen[cur] = true
 		l := link{name: cur}
-		var visit func(int, []byte)
-		if keepPages {
-			visit = func(idx int, page []byte) { l.pages = append(l.pages, pageRec{idx, page}) }
+		wantSum, wantSize, merr := "", int64(0), error(ErrNoManifest)
+		if verify {
+			wantSum, wantSize, merr = readManifest(store, cur)
 		}
-		h, d, err := scanImage(store, cur, verify, visit)
+		slots := scratch
+		if keepPages {
+			slots = func(h *Header) func(int) []byte {
+				if merr == nil && placeable(h, links, wantSize, held) {
+					l.placed = newSpace(h.RealPages)
+					return l.placed.slot
+				}
+				l.arena = arena{pageSize: int(h.PageSize), left: int(h.DumpedPages)}
+				return l.arena.slot
+			}
+		}
+		h, d, err := scanImage(store, cur, verify, slots)
 		if err != nil {
 			return nil, err
 		}
 		l.h, l.stored = h, d.size
-		if verify {
-			wantSum, wantSize, err := readManifest(store, cur)
-			if err == nil {
-				err = checkManifest(cur, d, wantSum, wantSize)
+		held += int64(len(l.pages)) * int64(h.PageSize)
+		if merr == nil {
+			merr = checkManifest(cur, d, wantSum, wantSize)
+		}
+		if merr != nil && !errors.Is(merr, ErrNoManifest) {
+			l.verr = merr
+			l.pages, l.placed = nil, nil
+			for i := range links {
+				links[i].pages = nil
 			}
-			if err != nil && !errors.Is(err, ErrNoManifest) {
-				l.verr = err
-				l.pages = nil
-				for i := range links {
-					links[i].pages = nil
-				}
-				keepPages = false
-			}
+			keepPages = false
 		}
 		links = append(links, l)
 		cur = h.Parent
@@ -330,16 +398,19 @@ func Chain(store storage.Store, name string) ([]string, error) {
 	return names, nil
 }
 
-// verifiedChain reads the chain ending at name with its pages, checks every
-// link against its manifest and the chain's structural invariants, and
-// returns the links base-first. Errors keep the precedence of the walk: a
-// link that fails decode or CRC is ErrCorrupt; otherwise the base-most
-// failing link decides, ErrVerifyFailed when its bytes differ from the
-// manifest, ErrCorrupt when it does not belong to this chain.
-func verifiedChain(store storage.Store, name string) ([]link, error) {
+// rebuild reads the chain ending at name with its pages, checks every link
+// against its manifest and the chain's structural invariants, and returns
+// the links base-first with the address space they add up to: the space the
+// walk placed the base in, else a fresh one, every arena laid over it
+// base-first, private to this call until every verdict is in. Errors keep
+// the precedence of the walk: a link that fails decode or CRC is
+// ErrCorrupt; otherwise the base-most failing link decides, ErrVerifyFailed
+// when its bytes differ from the manifest, ErrCorrupt when it does not
+// belong to this chain.
+func rebuild(store storage.Store, name string) ([]link, *space, error) {
 	links, err := readChain(store, name, true, true)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for i, j := 0, len(links)-1; i < j; i, j = i+1, j-1 {
 		links[i], links[j] = links[j], links[i]
@@ -347,20 +418,29 @@ func verifiedChain(store storage.Store, name string) ([]link, error) {
 	base := links[0].h
 	for i, l := range links {
 		if l.verr != nil {
-			return nil, l.verr
+			return nil, nil, l.verr
 		}
 		switch {
 		case i == 0 && l.h.Incremental:
-			return nil, fmt.Errorf("%w: chain base %q is incremental", ErrCorrupt, l.name)
+			return nil, nil, fmt.Errorf("%w: chain base %q is incremental", ErrCorrupt, l.name)
 		case l.h.PageSize != proc.PageSize:
-			return nil, fmt.Errorf("checkpoint: image %q page size %d unsupported", l.name, l.h.PageSize)
+			return nil, nil, fmt.Errorf("checkpoint: image %q page size %d unsupported", l.name, l.h.PageSize)
 		case l.h.ProcID != base.ProcID:
-			return nil, fmt.Errorf("%w: image %q is for process %q, chain is for %q", ErrCorrupt, l.name, l.h.ProcID, base.ProcID)
+			return nil, nil, fmt.Errorf("%w: image %q is for process %q, chain is for %q", ErrCorrupt, l.name, l.h.ProcID, base.ProcID)
 		case l.h.RealPages != base.RealPages:
-			return nil, fmt.Errorf("%w: image %q page count %d != base %d", ErrCorrupt, l.name, l.h.RealPages, base.RealPages)
+			return nil, nil, fmt.Errorf("%w: image %q page count %d != base %d", ErrCorrupt, l.name, l.h.RealPages, base.RealPages)
 		}
 	}
-	return links, nil
+	sp := links[0].placed
+	if sp == nil {
+		sp = newSpace(base.RealPages)
+	}
+	for _, l := range links {
+		for _, pg := range l.pages {
+			copy(sp.slot(pg.idx), pg.data)
+		}
+	}
+	return links, sp, nil
 }
 
 // Restore rebuilds a runnable process from the image chain ending at name.
@@ -387,36 +467,23 @@ func (e *Engine) Restore(store storage.Store, name string) (p *proc.Process, inf
 			e.obs.Inc("checkpoint.restores")
 		}()
 	}
-	links, err := verifiedChain(store, name)
+	links, sp, err := rebuild(store, name)
 	if err != nil {
 		return nil, nil, err
 	}
 	base, tip := links[0], links[len(links)-1]
-	mem, err := proc.NewMemory(int64(base.h.RealPages)*proc.PageSize, base.h.LogicalBytes)
+	mem, err := proc.AdoptMemory(sp.data, base.h.LogicalBytes)
 	if err != nil {
 		return nil, nil, fmt.Errorf("checkpoint: rebuild memory for %q: %w", base.name, err)
 	}
-	seen, covered := make([]bool, tip.h.RealPages), 0
-	for _, l := range links {
-		for _, pg := range l.pages {
-			if err := mem.SetPage(pg.idx, pg.data); err != nil {
-				return nil, nil, fmt.Errorf("checkpoint: apply page %d of %q: %w", pg.idx, l.name, err)
-			}
-			if !seen[pg.idx] {
-				seen[pg.idx] = true
-				covered++
-			}
-		}
-	}
-	if covered < len(seen) {
+	if sp.covered < len(sp.seen) {
 		// The base dump is always full, so every page must have been seen.
-		return nil, nil, fmt.Errorf("%w: restored only %d of %d pages", ErrCorrupt, covered, len(seen))
+		return nil, nil, fmt.Errorf("%w: restored only %d of %d pages", ErrCorrupt, sp.covered, len(sp.seen))
 	}
 	program, err := e.registry.New(tip.h.ProgramName)
 	if err != nil {
 		return nil, nil, fmt.Errorf("checkpoint: restore %q: %w", name, err)
 	}
-	mem.ClearSoftDirty()
 	regs := proc.Registers{PC: tip.h.PC, R: tip.h.Regs}
 	p = proc.Rebuild(tip.h.ProcID, program, mem, regs, tip.h.Steps)
 	return p, infoFromHeader(name, tip.h, tip.stored), nil
@@ -428,22 +495,13 @@ func (e *Engine) Restore(store storage.Store, name string) (p *proc.Process, inf
 // directories). The source chain is left in place; callers typically
 // RemoveChain it after a successful compact.
 func Compact(store storage.Store, name, dst string) (*ImageInfo, error) {
-	links, err := verifiedChain(store, name)
+	links, sp, err := rebuild(store, name)
 	if err != nil {
 		return nil, err
 	}
 	tip := links[len(links)-1].h
-	merged, covered := make([][]byte, tip.RealPages), 0
-	for _, l := range links {
-		for _, pg := range l.pages {
-			if merged[pg.idx] == nil {
-				covered++
-			}
-			merged[pg.idx] = pg.data
-		}
-	}
-	if covered != len(merged) {
-		return nil, fmt.Errorf("%w: compact covers %d of %d pages", ErrCorrupt, covered, len(merged))
+	if sp.covered != len(sp.seen) {
+		return nil, fmt.Errorf("%w: compact covers %d of %d pages", ErrCorrupt, sp.covered, len(sp.seen))
 	}
 
 	out := &Header{
@@ -457,7 +515,7 @@ func Compact(store storage.Store, name, dst string) (*ImageInfo, error) {
 		PageSize:     tip.PageSize,
 		DumpedPages:  tip.RealPages,
 	}
-	stored, err := writeImage(store, dst, out, func(i int) (int, []byte) { return i, merged[i] })
+	stored, err := writeImage(store, dst, out, func(i int) (int, []byte) { return i, sp.slot(i) })
 	if err != nil {
 		return nil, err
 	}

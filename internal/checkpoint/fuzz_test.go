@@ -5,7 +5,9 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
+	"reflect"
 	"testing"
 
 	"preemptsched/internal/proc"
@@ -88,9 +90,12 @@ func fuzzSeeds(t interface{ Fatal(...any) }) map[string][]byte {
 // FuzzReadImage throws arbitrary bytes at the single-pass image reader. The
 // contract under test: scanImage never panics, never over-allocates on
 // nonsense length fields, and either returns a decoded image or an error —
-// and on success the header invariants hold, every page handed to the
-// visitor is in range and page-sized, and the digest covers every stored
-// byte.
+// and on success the header invariants hold, every page handed to a slot is
+// in range and page-sized, and the digest covers every stored byte. Every
+// input is read through both slot kinds — an arena, and the flat space the
+// chain walk would place it in were len(data) an honest manifest's size
+// (scratch when the walk would refuse) — and both must report the same
+// header, digest and error and leave the same bytes in every page.
 func FuzzReadImage(f *testing.F) {
 	for _, data := range fuzzSeeds(f) {
 		f.Add(data)
@@ -99,13 +104,38 @@ func FuzzReadImage(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		store := storage.NewMemStore()
 		putObject(t, store, "img", data)
-		pages := make(map[int][]byte)
-		h, d, err := scanImage(store, "img", true, func(idx int, page []byte) { pages[idx] = page })
+		var kept arena
+		h, d, err := scanImage(store, "img", true, intoArena(&kept))
+		var placed *space
+		h2, d2, err2 := scanImage(store, "img", true, func(h *Header) func(int) []byte {
+			if !placeable(h, nil, int64(len(data)), 0) {
+				return scratch(h)
+			}
+			placed = newSpace(h.RealPages)
+			return placed.slot
+		})
+		if fmt.Sprint(err) != fmt.Sprint(err2) || d != d2 || !reflect.DeepEqual(h, h2) {
+			t.Fatalf("arena read: %+v %v %v\nplaced read: %+v %v %v", h, d.size, err, h2, d2.size, err2)
+		}
 		if err != nil {
 			if h != nil {
 				t.Error("scanImage returned a header alongside an error")
 			}
 			return
+		}
+		pages := make(map[int][]byte)
+		for _, pg := range kept.pages {
+			pages[pg.idx] = pg.data
+		}
+		if placed != nil {
+			if placed.covered != len(pages) {
+				t.Errorf("placed read covers %d pages, arena read %d", placed.covered, len(pages))
+			}
+			for idx, pg := range pages {
+				if !placed.seen[idx] || !bytes.Equal(placed.slot(idx), pg) {
+					t.Errorf("page %d differs between the placed and the arena read", idx)
+				}
+			}
 		}
 		if d.size != int64(len(data)) || d.sum != sha256.Sum256(data) {
 			t.Errorf("digest covers %d bytes (%x), stored %d (%x)", d.size, d.sum, len(data), sha256.Sum256(data))
@@ -140,7 +170,7 @@ func TestFuzzSeedsBehave(t *testing.T) {
 	for name, data := range fuzzSeeds(t) {
 		store := storage.NewMemStore()
 		putObject(t, store, "img", data)
-		_, _, err := scanImage(store, "img", false, nil)
+		_, _, err := scanImage(store, "img", false, scratch)
 		if name == "valid" {
 			if err != nil {
 				t.Fatalf("valid seed rejected: %v", err)

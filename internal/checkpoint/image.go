@@ -113,8 +113,8 @@ type imageDigest struct {
 	sum  [sha256.Size]byte // zero unless the scan was hashed
 }
 
-// maxPageChunk caps a single page-buffer allocation. Buffers are sized
-// from the image's own DumpedPages x PageSize, which a corrupt header
+// maxPageChunk caps a single page-buffer allocation. An arena's chunks are
+// sized from the image's own DumpedPages x PageSize, which a corrupt header
 // controls; the cap bounds what such a header can make the reader allocate
 // before the truncated stream is noticed.
 const maxPageChunk = 1 << 20
@@ -122,11 +122,12 @@ const maxPageChunk = 1 << 20
 // scanImage reads the image stored under name exactly once: one Open, one
 // sequential pass. It decodes the header, bounds-checks every page record,
 // verifies the CRC trailer and, with hashed set, digests every stored byte
-// (trailer and anything after it included) for the manifest check. Page
-// records are read many at a time into buffers sized from the header;
-// visit, when non-nil, receives each page as a slice of such a buffer and
-// may retain it. No error is returned alongside a header.
-func scanImage(store storage.Store, name string, hashed bool, visit func(idx int, page []byte)) (*Header, imageDigest, error) {
+// (trailer and anything after it included) for the manifest check. Each
+// record's page is read straight into the slot its caller names for it:
+// slots is shown the decoded header and returns the func that maps a
+// record's page index to the h.PageSize bytes to fill. No error is returned
+// alongside a header.
+func scanImage(store storage.Store, name string, hashed bool, slots func(h *Header) func(idx int) []byte) (*Header, imageDigest, error) {
 	r, err := store.Open(name)
 	if err != nil {
 		return nil, imageDigest{}, fmt.Errorf("checkpoint: open image %q: %w", name, err)
@@ -140,39 +141,21 @@ func scanImage(store storage.Store, name string, hashed bool, visit func(idx int
 	if err != nil {
 		return nil, imageDigest{}, fmt.Errorf("checkpoint: image %q: %w", name, err)
 	}
-	rec := 4 + int(h.PageSize)
-	perChunk := maxPageChunk / rec
-	if perChunk == 0 {
-		perChunk = 1
-	}
-	var buf []byte
-	for left := int(h.DumpedPages); left > 0; {
-		n := left
-		if n > perChunk {
-			n = perChunk
-		}
-		// Pages handed to a visitor live on in the buffer; without one the
-		// first buffer is reused for every chunk.
-		if visit != nil || buf == nil {
-			buf = make([]byte, n*rec)
-		}
-		chunk := buf[:n*rec]
-		if _, err := io.ReadFull(s, chunk); err != nil {
+	slot := slots(h)
+	tail := make([]byte, 512)
+	for left := h.DumpedPages; left > 0; left-- {
+		if _, err := io.ReadFull(s, tail[:4]); err != nil {
 			return nil, imageDigest{}, fmt.Errorf("%w: image %q: truncated page records: %v", ErrCorrupt, name, err)
 		}
-		for off := 0; off < len(chunk); off += rec {
-			idx := binary.BigEndian.Uint32(chunk[off:])
-			if idx >= h.RealPages {
-				return nil, imageDigest{}, fmt.Errorf("%w: image %q: page index %d out of range", ErrCorrupt, name, idx)
-			}
-			if visit != nil {
-				visit(int(idx), chunk[off+4:off+rec:off+rec])
-			}
+		idx := binary.BigEndian.Uint32(tail)
+		if idx >= h.RealPages {
+			return nil, imageDigest{}, fmt.Errorf("%w: image %q: page index %d out of range", ErrCorrupt, name, idx)
 		}
-		left -= n
+		if _, err := io.ReadFull(s, slot(int(idx))); err != nil {
+			return nil, imageDigest{}, fmt.Errorf("%w: image %q: truncated page records: %v", ErrCorrupt, name, err)
+		}
 	}
 	sum := s.crc // the trailer is hashed but is not part of its own CRC
-	tail := make([]byte, 512)
 	if _, err := io.ReadFull(s, tail[:4]); err != nil {
 		return nil, imageDigest{}, fmt.Errorf("%w: image %q: missing crc: %v", ErrCorrupt, name, err)
 	}
@@ -193,6 +176,12 @@ func scanImage(store storage.Store, name string, hashed bool, visit func(idx int
 		s.sha.Sum(d.sum[:0])
 	}
 	return h, d, nil
+}
+
+// scratch is the slots of a scan that keeps no page: one buffer for all.
+func scratch(h *Header) func(int) []byte {
+	page := make([]byte, h.PageSize)
+	return func(int) []byte { return page }
 }
 
 func writeString(w io.Writer, s string) error {

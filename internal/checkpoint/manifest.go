@@ -130,7 +130,7 @@ func VerifyImage(store storage.Store, image string) error {
 	if err != nil {
 		return err
 	}
-	_, got, err := scanImage(store, image, true, nil)
+	_, got, err := scanImage(store, image, true, scratch)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrVerifyFailed, err)
 	}

@@ -91,7 +91,7 @@ func TestVerifyImageCatchesSameLengthSwap(t *testing.T) {
 	r.Close()
 	mutateObject(t, store, "a", func([]byte) []byte { return stolen })
 
-	if _, _, err := scanImage(store, "a", false, nil); err != nil {
+	if _, _, err := scanImage(store, "a", false, scratch); err != nil {
 		t.Fatalf("replayed object is not self-consistent, test premise broken: %v", err)
 	}
 	if err := VerifyImage(store, "a"); !errors.Is(err, ErrVerifyFailed) {

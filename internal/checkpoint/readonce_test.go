@@ -1,10 +1,15 @@
 package checkpoint
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"preemptsched/internal/proc"
@@ -231,8 +236,12 @@ func requireSameRestore(t *testing.T, e *Engine, store storage.Store, name strin
 // TestRestoreMatchesReference is the differential test of the read-once
 // restore against the three-pass one it replaced: the fuzz seed corpus as
 // single images, and every kind of damage at every link of a depth-4
-// chain. want pins the expected outcome too, so the two
-// implementations cannot agree on a wrong answer unnoticed.
+// chain — including the shapes reading the base straight into the address
+// space could get wrong and a map of pages cannot: a page recorded twice, a
+// full dump that is not full, a full dump that names a parent, geometry
+// that changes along the chain, manifests that are absent or lie about the
+// size. want pins the expected outcome too, so the two implementations
+// cannot agree on a wrong answer unnoticed.
 func TestRestoreMatchesReference(t *testing.T) {
 	e := newTestEngine(t)
 
@@ -300,6 +309,57 @@ func TestRestoreMatchesReference(t *testing.T) {
 			}
 		}},
 	}
+	// Well-formed images (clean CRC, honest manifest) of the wrong shape.
+	reshape := func(name, class string, edit func(h *Header, recs []pageRec) []pageRec) mutation {
+		return mutation{name, always(class), func(t *testing.T, s storage.Store, names []string, k int) {
+			rewriteImage(t, s, names[k], edit)
+		}}
+	}
+	mutations = append(mutations,
+		// One record short: at link 0 a "full" dump with DumpedPages <
+		// RealPages, whose missing page only the links above supply.
+		reshape("short-one-record", "ok", func(_ *Header, recs []pageRec) []pageRec { return recs[:len(recs)-1] }),
+		// Not incremental, yet naming a parent: applied over it like any link.
+		reshape("full-flag-with-parent", "ok", func(h *Header, recs []pageRec) []pageRec {
+			h.Incremental = false
+			return recs
+		}),
+		reshape("other-page-count", "corrupt", func(h *Header, recs []pageRec) []pageRec {
+			h.RealPages++
+			h.LogicalBytes += proc.PageSize
+			return recs
+		}),
+		reshape("other-page-size", "other", func(h *Header, recs []pageRec) []pageRec {
+			h.PageSize /= 2
+			for i := range recs {
+				recs[i].data = recs[i].data[:h.PageSize]
+			}
+			return recs
+		}),
+	)
+	for name, delta := range map[string]int64{"manifest-overstates-size": 1 << 30, "manifest-understates-size": -1} {
+		delta := delta
+		mutations = append(mutations, mutation{name, always("verify-failed"), func(t *testing.T, s storage.Store, names []string, k int) {
+			sum, size, err := readManifest(s, names[k])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := writeManifest(s, names[k], sum, size+delta); err != nil {
+				t.Fatal(err)
+			}
+		}})
+	}
+	mutations = append(mutations, mutation{"incremental-flag", func(k int) string {
+		if k == 0 {
+			return "corrupt" // an incremental base
+		}
+		return "ok"
+	}, func(t *testing.T, s storage.Store, names []string, k int) {
+		rewriteImage(t, s, names[k], func(h *Header, recs []pageRec) []pageRec {
+			h.Incremental = true
+			return recs
+		})
+	}})
 	// Silent replacement: link k's bytes become another link's — still
 	// self-consistent, so only the manifest can tell. Replacing a link with
 	// a later one closes a parent cycle, which the walk must report as
@@ -339,6 +399,55 @@ func TestRestoreMatchesReference(t *testing.T) {
 		}
 	}
 
+	// A chain none of whose links has a manifest (a legacy dump throughout):
+	// nothing vouches for any size, every link waits in an arena.
+	t.Run("no-manifests", func(t *testing.T) {
+		store := storage.NewMemStore()
+		names := dumpChain(t, e, store, depth)
+		for _, name := range names {
+			if err := store.Remove(ManifestName(name)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := requireSameRestore(t, e, store, names[depth-1]); got != "ok" {
+			t.Errorf("outcome %q, want ok", got)
+		}
+	})
+
+	// One link reshaped where no link above hides what reading it did: a
+	// page recorded twice keeps the later record, in the base read in place
+	// and in a link kept in an arena alike, and a page the base lacks is
+	// supplied by the link above it or the restore is refused. (Link 1
+	// rewrites pages 0, 1 and 13-23, link 2 pages 0 and 2-13.)
+	reshaped := []struct {
+		name        string
+		depth, link int
+		want        string
+		edit        func(h *Header, recs []pageRec) []pageRec
+	}{
+		{"base-duplicate-record", 2, 0, "ok", func(_ *Header, recs []pageRec) []pageRec {
+			recs[23].idx = 5
+			return recs
+		}},
+		{"link-duplicate-record", 3, 1, "ok", func(_ *Header, recs []pageRec) []pageRec {
+			recs[len(recs)-1].idx = 14
+			return recs
+		}},
+		{"base-short-covered-above", 2, 0, "ok", func(_ *Header, recs []pageRec) []pageRec { return recs[:23] }},
+		{"base-short-uncovered", 2, 0, "corrupt", func(_ *Header, recs []pageRec) []pageRec { return append(recs[:5], recs[6:]...) }},
+		{"lone-base-short", 1, 0, "corrupt", func(_ *Header, recs []pageRec) []pageRec { return recs[:23] }},
+	}
+	for _, c := range reshaped {
+		t.Run(c.name, func(t *testing.T) {
+			store := storage.NewMemStore()
+			names := dumpChain(t, e, store, c.depth)
+			rewriteImage(t, store, names[c.link], c.edit)
+			if got := requireSameRestore(t, e, store, names[c.depth-1]); got != c.want {
+				t.Errorf("outcome %q, want %q", got, c.want)
+			}
+		})
+	}
+
 	// The same replacement where no manifest can object: a tip swapped for
 	// a different dump on the same parent restores, to the swapped state, in
 	// both implementations alike.
@@ -361,6 +470,116 @@ func TestRestoreMatchesReference(t *testing.T) {
 		}
 		if got := requireSameRestore(t, e, store, names[depth-1]); got != "ok" {
 			t.Errorf("outcome %q, want ok", got)
+		}
+	})
+}
+
+// intoArena is the slots of a scan that keeps every page record in kept, as
+// the chain walk does for a link it cannot place.
+func intoArena(kept *arena) func(*Header) func(int) []byte {
+	return func(h *Header) func(int) []byte {
+		*kept = arena{pageSize: int(h.PageSize), left: int(h.DumpedPages)}
+		return kept.slot
+	}
+}
+
+// rewriteImage republishes the image under name, honest manifest included,
+// after edit has changed its decoded header and its page records (in stored
+// order; DumpedPages follows the records returned).
+func rewriteImage(t *testing.T, store storage.Store, name string, edit func(h *Header, recs []pageRec) []pageRec) {
+	t.Helper()
+	var kept arena
+	h, _, err := scanImage(store, name, false, intoArena(&kept))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := edit(h, kept.pages)
+	h.DumpedPages = uint32(len(recs))
+	if _, err := writeImage(store, name, h, func(i int) (int, []byte) { return recs[i].idx, recs[i].data }); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Allocation bound of the placed read.
+// GIVEN a chain whose headers announce the largest address space a header
+// may (maxSanePages pages, 16 GiB) over a stream a few records long — with
+// a manifest that is honest about the short object, and with none,
+// WHEN it is restored,
+// THEN the restore fails as the three-pass reference does and has allocated
+// under 4 MiB: the flat array is sized on the manifest's word, an arena by
+// the records that arrive, and no header field alone sizes either. And
+// GIVEN an honest image under a manifest that overstates its size, THEN
+// nothing is restored and the error is ErrVerifyFailed, as in the reference.
+func TestRestoreAllocationIsBoundedByStoredBytes(t *testing.T) {
+	e := newTestEngine(t)
+	// A well-formed prefix: header, three whole records, then the stream
+	// ends where the fourth record should be.
+	forged := func(name, parent string) []byte {
+		var img bytes.Buffer
+		h := &Header{ProcID: "hostile", ProgramName: proc.FillProgramName, Parent: parent, Incremental: parent != "",
+			LogicalBytes: maxSanePages * proc.PageSize, RealPages: maxSanePages, PageSize: proc.PageSize, DumpedPages: maxSanePages}
+		if err := encodeHeader(&img, h); err != nil {
+			t.Fatal(err)
+		}
+		for idx := uint32(0); idx < 3; idx++ {
+			binary.Write(&img, binary.BigEndian, idx)
+			img.Write(make([]byte, proc.PageSize))
+		}
+		return img.Bytes()
+	}
+	for _, manifest := range []bool{true, false} {
+		for _, chained := range []bool{false, true} {
+			t.Run(fmt.Sprintf("manifest-%v/chained-%v", manifest, chained), func(t *testing.T) {
+				store := storage.NewMemStore()
+				tip := "base"
+				img := forged("base", "")
+				putObject(t, store, "base", img)
+				if manifest {
+					sum := sha256.Sum256(img)
+					if err := writeManifest(store, "base", hex.EncodeToString(sum[:]), int64(len(img))); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if chained {
+					// A tip of the same announced geometry above it, intact:
+					// one record, clean CRC, legacy (no manifest).
+					tip = "tip"
+					h := &Header{ProcID: "hostile", ProgramName: proc.FillProgramName, Parent: "base", Incremental: true,
+						LogicalBytes: maxSanePages * proc.PageSize, RealPages: maxSanePages, PageSize: proc.PageSize, DumpedPages: 1}
+					if _, err := writeImage(store, "tip", h, func(int) (int, []byte) { return 7, make([]byte, proc.PageSize) }); err != nil {
+						t.Fatal(err)
+					}
+					if err := store.Remove(ManifestName("tip")); err != nil {
+						t.Fatal(err)
+					}
+				}
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				_, _, err := e.Restore(store, tip)
+				runtime.ReadMemStats(&after)
+				if got := after.TotalAlloc - before.TotalAlloc; got >= 4<<20 {
+					t.Errorf("restore of a %d-byte object allocated %d bytes", len(img), got)
+				}
+				_, _, refErr := refRestore(e.registry, store, tip)
+				if errClass(err) != "corrupt" || errClass(refErr) != "corrupt" {
+					t.Errorf("error class %q, reference %q, want corrupt\n  %v\n  %v", errClass(err), errClass(refErr), err, refErr)
+				}
+			})
+		}
+	}
+
+	t.Run("overstated-size", func(t *testing.T) {
+		store := storage.NewMemStore()
+		names := dumpChain(t, e, store, 1)
+		sum, size, err := readManifest(store, names[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := writeManifest(store, names[0], sum, size+1<<30); err != nil {
+			t.Fatal(err)
+		}
+		if got := requireSameRestore(t, e, store, names[0]); got != "verify-failed" {
+			t.Errorf("outcome %q, want verify-failed", got)
 		}
 	})
 }

@@ -1,0 +1,29 @@
+package dfs
+
+import "sync"
+
+// blockList is the free list every block-sized buffer of the package comes
+// from and goes back to: the block a fileWriter fills, the one a fileReader
+// holds, the frame the TCP client reads a ReadBlock response into, the copy
+// an in-process DataNode.ReadBlock hands out. A buffer has one owner at a
+// time (DESIGN §9 has the table); one dropped, not given back, costs an
+// allocation, never correctness.
+var blockList sync.Pool
+
+// getBlock returns n bytes holding whatever their last owner left: every
+// user overwrites [0:n) before reading it. A listed buffer too small is
+// dropped, so the list converges on the sizes asked for; a miss allocates n.
+func getBlock(n int) []byte {
+	if b, _ := blockList.Get().(*[]byte); b != nil && cap(*b) >= n {
+		return (*b)[:n]
+	}
+	return make([]byte, n)
+}
+
+// putBlock gives b back; the caller must hold the only reference. Nothing
+// larger than DefaultBlockSize is kept (frames go up to MaxBlockPayload).
+func putBlock(b []byte) {
+	if cap(b) > 0 && cap(b) <= DefaultBlockSize {
+		blockList.Put(&b)
+	}
+}

@@ -1,7 +1,6 @@
 package dfs
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -212,8 +211,8 @@ type fileWriter struct {
 	client *Client
 	nn     NameNodeAPI
 	path   string
-	// buf holds the block being filled. It grows geometrically, but never
-	// past one block: a full block is flushed and the storage reused.
+	// buf holds the block being filled, in block-list storage capped at one
+	// block: a full block is flushed and the storage reused.
 	buf     []byte
 	size    int64
 	closed  bool
@@ -253,14 +252,11 @@ func (w *fileWriter) Write(p []byte) (int, error) {
 			take = room
 		}
 		if need := len(w.buf) + take; need > cap(w.buf) {
-			grown := 2 * cap(w.buf)
-			if grown < need {
-				grown = need
-			}
-			if grown > blockSize {
-				grown = blockSize
-			}
-			w.buf = append(make([]byte, 0, grown), w.buf...)
+			// Listed storage, or fresh storage sized by doubling, capped at one
+			// block. The outgrown buffer is left to the collector: listed, the
+			// rungs of a doubling ladder would only be popped and dropped.
+			next := getBlock(min(max(2*cap(w.buf), need), blockSize))
+			w.buf = next[:copy(next, w.buf):min(cap(next), blockSize)]
 		}
 		w.buf = append(w.buf, rest[:take]...)
 		rest = rest[take:]
@@ -268,6 +264,8 @@ func (w *fileWriter) Write(p []byte) (int, error) {
 		if len(w.buf) == blockSize {
 			if err := w.flushBlock(); err != nil {
 				w.aborted = err
+				putBlock(w.buf)
+				w.buf = nil
 				return len(p) - len(rest), err
 			}
 		}
@@ -351,6 +349,7 @@ func (w *fileWriter) Close() error {
 	if w.aborted != nil {
 		return w.aborted
 	}
+	defer func() { putBlock(w.buf); w.buf = nil }()
 	if len(w.buf) > 0 {
 		if err := w.flushBlock(); err != nil {
 			return err
@@ -365,7 +364,11 @@ type fileReader struct {
 	client *Client
 	info   FileInfo
 	next   int
-	cur    *bytes.Reader
+	// block is the block being read, the reader's own until it moves on or
+	// is closed; block[off:] is unread.
+	block  []byte
+	off    int
+	closed bool
 }
 
 // Open implements storage.Store.
@@ -378,7 +381,12 @@ func (c *Client) Open(name string) (io.ReadCloser, error) {
 }
 
 func (r *fileReader) Read(p []byte) (int, error) {
-	for r.cur == nil || r.cur.Len() == 0 {
+	if r.closed {
+		return 0, &PathError{Op: "read", Path: r.info.Path, Err: errors.New("file closed")}
+	}
+	for r.off == len(r.block) {
+		putBlock(r.block) // before fetching, which can then reuse it
+		r.block, r.off = nil, 0
 		if r.next >= len(r.info.Blocks) {
 			return 0, io.EOF
 		}
@@ -386,13 +394,20 @@ func (r *fileReader) Read(p []byte) (int, error) {
 		if err != nil {
 			return 0, &PathError{Op: "read", Path: r.info.Path, Err: err}
 		}
-		r.cur = bytes.NewReader(data)
+		r.block = data
 		r.next++
 	}
-	return r.cur.Read(p)
+	n := copy(p, r.block[r.off:])
+	r.off += n
+	return n, nil
 }
 
-func (r *fileReader) Close() error { return nil }
+// Close gives the block being read back; every later Read fails.
+func (r *fileReader) Close() error {
+	putBlock(r.block) // nothing once the block is gone: closing twice is harmless
+	r.block, r.closed = nil, true
+	return nil
+}
 
 // readBlock fetches a block, preferring the local replica, failing over
 // through the rest of the replica set, and retrying the whole set (with

@@ -1,6 +1,7 @@
 package dfs
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -11,7 +12,8 @@ import (
 // storedBlock is one replica at rest: the payload plus the per-chunk
 // CRC32C checksums computed when the bytes landed. Reads verify the
 // payload against the sums, so at-rest corruption is detected at the
-// first touch.
+// first touch. A replica is immutable (a slice in DataNode.blocks is replaced,
+// never written), so it is checksummed, verified and sent without the lock.
 type storedBlock struct {
 	data []byte
 	sums []uint32
@@ -63,20 +65,28 @@ func (d *DataNode) checkUp() error {
 	return nil
 }
 
-// WriteBlock implements DataNodeAPI: store locally with fresh checksums,
-// then forward to the next pipeline stage. A pipeline failure after the
-// local store leaves the block under-replicated but readable, matching
-// HDFS semantics.
+// WriteBlock implements DataNodeAPI: store a copy locally with fresh
+// checksums, then forward to the next pipeline stage. A pipeline failure
+// after the local store leaves the block under-replicated but readable,
+// matching HDFS semantics.
 func (d *DataNode) WriteBlock(id BlockID, data []byte, pipeline []DataNodeInfo) error {
+	return d.writeOwned(id, append([]byte(nil), data...), pipeline)
+}
+
+// writeOwned is WriteBlock for a caller that gives data away: the slice
+// itself becomes the stored replica and must never be written again.
+func (d *DataNode) writeOwned(id BlockID, data []byte, pipeline []DataNodeInfo) error {
+	b := storedBlock{data: data, sums: checksumChunks(data)}
 	d.mu.Lock()
-	if err := d.checkUp(); err != nil {
-		d.mu.Unlock()
-		return err
+	err := d.checkUp()
+	if err == nil {
+		d.blocks[id] = b
 	}
-	copied := append([]byte(nil), data...)
-	d.blocks[id] = storedBlock{data: copied, sums: checksumChunks(copied)}
 	reg := d.obs
 	d.mu.Unlock()
+	if err != nil {
+		return err
+	}
 	reg.Inc("dfs.datanode.block.writes")
 	reg.Add("dfs.datanode.bytes.written", int64(len(data)))
 
@@ -93,25 +103,52 @@ func (d *DataNode) WriteBlock(id BlockID, data []byte, pipeline []DataNodeInfo) 
 	return nil
 }
 
-// ReadBlock implements DataNodeAPI: the stored payload is re-verified
-// against its checksums before a single byte leaves the node.
-func (d *DataNode) ReadBlock(id BlockID) ([]byte, error) {
+// verified returns block id's replica as stored once it has passed its
+// checksums, holding the lock for the map access only.
+func (d *DataNode) verified(id BlockID) ([]byte, *obs.Registry, error) {
 	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if err := d.checkUp(); err != nil {
+	err := d.checkUp()
+	b, ok := d.blocks[id]
+	reg := d.obs
+	d.mu.RUnlock()
+	if err != nil {
+		return nil, reg, err
+	}
+	err = ErrBlockMissing
+	if ok {
+		err = verifyChunks(b.data, b.sums)
+	}
+	if err != nil {
+		return nil, reg, fmt.Errorf("dfs: datanode %s: block %d: %w", d.info.ID, id, err)
+	}
+	return b.data, reg, nil
+}
+
+// ReadBlock implements DataNodeAPI: the stored payload is re-verified
+// against its checksums before a single byte leaves the node. The caller
+// owns the returned copy, whose storage comes from the block list.
+func (d *DataNode) ReadBlock(id BlockID) ([]byte, error) {
+	stored, err := d.viewBlock(id)
+	if err != nil {
 		return nil, err
 	}
-	b, ok := d.blocks[id]
-	if !ok {
-		return nil, fmt.Errorf("dfs: datanode %s: block %d: %w", d.info.ID, id, ErrBlockMissing)
+	out := getBlock(len(stored))
+	copy(out, stored)
+	return out, nil
+}
+
+// viewBlock is ReadBlock without the copy: the verified replica itself,
+// which the caller must only read.
+func (d *DataNode) viewBlock(id BlockID) ([]byte, error) {
+	data, reg, err := d.verified(id)
+	switch {
+	case err == nil:
+		reg.Inc("dfs.datanode.block.reads")
+		reg.Add("dfs.datanode.bytes.read", int64(len(data)))
+	case errors.Is(err, ErrCorruptBlock):
+		reg.Inc("dfs.datanode.corrupt.reads")
 	}
-	if err := verifyChunks(b.data, b.sums); err != nil {
-		d.obs.Inc("dfs.datanode.corrupt.reads")
-		return nil, fmt.Errorf("dfs: datanode %s: block %d: %w", d.info.ID, id, err)
-	}
-	d.obs.Inc("dfs.datanode.block.reads")
-	d.obs.Add("dfs.datanode.bytes.read", int64(len(b.data)))
-	return append([]byte(nil), b.data...), nil
+	return data, err
 }
 
 // DeleteBlock implements DataNodeAPI.
@@ -129,19 +166,8 @@ func (d *DataNode) DeleteBlock(id BlockID) error {
 // returning the payload: nil for intact, ErrBlockMissing for absent,
 // ErrCorruptBlock identity for damaged. The scrubber's unit of work.
 func (d *DataNode) VerifyBlock(id BlockID) error {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if err := d.checkUp(); err != nil {
-		return err
-	}
-	b, ok := d.blocks[id]
-	if !ok {
-		return fmt.Errorf("dfs: datanode %s: block %d: %w", d.info.ID, id, ErrBlockMissing)
-	}
-	if err := verifyChunks(b.data, b.sums); err != nil {
-		return fmt.Errorf("dfs: datanode %s: block %d: %w", d.info.ID, id, err)
-	}
-	return nil
+	_, _, err := d.verified(id)
+	return err
 }
 
 // BlockIDs returns the IDs of all stored blocks, sorted — the payload of
@@ -160,7 +186,8 @@ func (d *DataNode) BlockIDs() []BlockID {
 // CorruptStoredBlock flips one bit of a stored block's payload without
 // touching its checksums — the at-rest bit-rot the fault injector and the
 // integrity tests drive. It reports whether the block existed. bit indexes
-// into the payload's bits and is clamped by modulo.
+// into the payload's bits and is clamped by modulo. The rotted payload is a
+// copy swapped in: a reader holding the replica keeps what it verified.
 func (d *DataNode) CorruptStoredBlock(id BlockID, bit int) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -172,7 +199,9 @@ func (d *DataNode) CorruptStoredBlock(id BlockID, bit int) bool {
 		bit = -bit
 	}
 	bit %= len(b.data) * 8
+	b.data = append([]byte(nil), b.data...)
 	b.data[bit/8] ^= 1 << (bit % 8)
+	d.blocks[id] = b
 	return true
 }
 

@@ -146,7 +146,7 @@ func FuzzRPCFrame(f *testing.F) {
 			} else if err != nil {
 				t.Fatalf("server output does not decode after %d responses: %v", responses, err)
 			}
-			if _, err := reader.recvFrame(resp.Payload, resp.Err == ""); err != nil {
+			if _, err := reader.recvFrame(resp.Payload, resp.Err == "", getBlock); err != nil {
 				t.Fatalf("response %d: %v", responses, err)
 			}
 			responses++

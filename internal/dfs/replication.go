@@ -148,7 +148,9 @@ func copyBlock(transport Transport, id BlockID, from, to DataNodeInfo) error {
 	if err != nil {
 		return fmt.Errorf("dfs: dial target %s: %w", to.ID, err)
 	}
-	if err := dst.WriteBlock(id, data, nil); err != nil {
+	err = dst.WriteBlock(id, data, nil)
+	putBlock(data)
+	if err != nil {
 		return fmt.Errorf("dfs: write block %d to %s: %w", id, to.ID, err)
 	}
 	return nil

@@ -25,10 +25,11 @@ import (
 //	| gob(rpcResponse{Payload: n, ...})                      | n raw bytes |
 //
 // which the receiver reads with a single io.ReadFull into a buffer of
-// exactly n bytes. n is bounded by MaxBlockPayload; a negative or larger
-// n, a frame announced on any other message, or a frame cut short closes
-// the connection, since the stream can no longer be trusted to be in step.
-// NameNode metadata RPCs carry no frame.
+// exactly n bytes — a fresh one on a server, where it becomes the stored
+// replica, a listed one on a client. n is bounded by MaxBlockPayload; a
+// negative or larger n, a frame announced on any other message, or a frame
+// cut short closes the connection, since the stream can no longer be
+// trusted to be in step. NameNode metadata RPCs carry no frame.
 
 // MaxBlockPayload is the largest raw block frame either side of the TCP
 // transport accepts, and so the largest block the transport can carry. It
@@ -108,9 +109,10 @@ func (c *rpcConn) send(msg any, frame []byte) error {
 }
 
 // recvFrame reads the n-byte block frame the message just decoded
-// announced. allowed says whether that message may carry one at all. Any
-// error leaves the stream out of step: the caller must drop the connection.
-func (c *rpcConn) recvFrame(n int, allowed bool) ([]byte, error) {
+// announced into a buffer from alloc. allowed says whether that message may
+// carry one at all. Any error leaves the stream out of step: the caller
+// must drop the connection.
+func (c *rpcConn) recvFrame(n int, allowed bool, alloc func(int) []byte) ([]byte, error) {
 	switch {
 	case n == 0:
 		return nil, nil
@@ -119,20 +121,20 @@ func (c *rpcConn) recvFrame(n int, allowed bool) ([]byte, error) {
 	case n < 0 || n > MaxBlockPayload:
 		return nil, fmt.Errorf("dfs: rpc: block frame of %d bytes outside [0, %d]", n, MaxBlockPayload)
 	}
-	frame := make([]byte, n)
+	frame := alloc(n)
 	if _, err := io.ReadFull(c.br, frame); err != nil {
 		return nil, fmt.Errorf("dfs: rpc: block frame cut short: %w", err)
 	}
 	return frame, nil
 }
 
-// recvRequest reads one request and its block frame.
+// recvRequest reads one request and its block frame, freshly allocated.
 func (c *rpcConn) recvRequest() (*rpcRequest, []byte, error) {
 	var req rpcRequest
 	if err := c.dec.Decode(&req); err != nil {
 		return nil, nil, err
 	}
-	frame, err := c.recvFrame(req.Payload, req.Method == "WriteBlock")
+	frame, err := c.recvFrame(req.Payload, req.Method == "WriteBlock", func(n int) []byte { return make([]byte, n) })
 	if err != nil {
 		return nil, nil, err
 	}
@@ -140,7 +142,7 @@ func (c *rpcConn) recvRequest() (*rpcRequest, []byte, error) {
 }
 
 // roundTrip sends one request with its block frame and reads the response
-// with its own.
+// with its own, a listed buffer the caller owns.
 func (c *rpcConn) roundTrip(req *rpcRequest, frame []byte) (*rpcResponse, []byte, error) {
 	if err := c.send(req, frame); err != nil {
 		return nil, nil, err
@@ -149,7 +151,7 @@ func (c *rpcConn) roundTrip(req *rpcRequest, frame []byte) (*rpcResponse, []byte
 	if err := c.dec.Decode(&resp); err != nil {
 		return nil, nil, err
 	}
-	data, err := c.recvFrame(resp.Payload, req.Method == "ReadBlock" && resp.Err == "")
+	data, err := c.recvFrame(resp.Payload, req.Method == "ReadBlock" && resp.Err == "", getBlock)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -298,13 +300,19 @@ func dispatchNameNode(nn NameNodeAPI, req *rpcRequest) rpcResponse {
 }
 
 // dispatchDataNode runs one DataNode request; frame is the block a
-// WriteBlock carried, the returned bytes the block a ReadBlock fetched.
+// WriteBlock carried, the returned bytes the block a ReadBlock fetched. A
+// *DataNode copies neither: it keeps the frame, allocated for this request,
+// as the replica, and answers from the stored replica, which is immutable.
 func dispatchDataNode(dn DataNodeAPI, req *rpcRequest, frame []byte) (resp rpcResponse, data []byte) {
+	write, read := dn.WriteBlock, dn.ReadBlock
+	if node, ok := dn.(*DataNode); ok {
+		write, read = node.writeOwned, node.viewBlock
+	}
 	switch req.Method {
 	case "WriteBlock":
-		resp.setErr(dn.WriteBlock(req.Block, frame, req.Pipeline))
+		resp.setErr(write(req.Block, frame, req.Pipeline))
 	case "ReadBlock":
-		block, err := dn.ReadBlock(req.Block)
+		block, err := read(req.Block)
 		if err == nil {
 			err = checkFrameSize(req.Block, block)
 		}

@@ -98,8 +98,10 @@ type NameNodeAPI interface {
 // DataNodeAPI is the block-transfer protocol.
 type DataNodeAPI interface {
 	// WriteBlock stores a block and forwards it to the remaining pipeline.
+	// data is lent for the call: the caller may reuse it once it returns.
 	WriteBlock(id BlockID, data []byte, pipeline []DataNodeInfo) error
-	// ReadBlock returns a block's contents.
+	// ReadBlock returns a block's contents in a slice that is the caller's
+	// alone from then on.
 	ReadBlock(id BlockID) ([]byte, error)
 	// DeleteBlock removes a block. Deleting an absent block is not an
 	// error, so reclamation is idempotent.

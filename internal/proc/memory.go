@@ -39,23 +39,41 @@ type Memory struct {
 // whole pages) that declares logicalBytes of footprint for time accounting.
 // logicalBytes must be at least realBytes.
 func NewMemory(realBytes, logicalBytes int64) (*Memory, error) {
-	if realBytes <= 0 {
-		return nil, fmt.Errorf("proc: non-positive real size %d", realBytes)
+	if err := checkSizes(realBytes, logicalBytes); err != nil {
+		return nil, err
 	}
-	if logicalBytes < realBytes {
-		return nil, fmt.Errorf("proc: logical size %d below real size %d", logicalBytes, realBytes)
-	}
-	n := int((realBytes + PageSize - 1) / PageSize)
+	n := (realBytes + PageSize - 1) / PageSize
 	// Page rounding may push the real size past the declared logical
 	// footprint; the footprint can never be below the backing.
-	logicalBytes = max(logicalBytes, int64(n)*PageSize)
-	m := &Memory{
-		data:         make([]byte, n*PageSize),
-		dirty:        make([]bool, n),
-		logicalBytes: logicalBytes,
+	m, err := AdoptMemory(make([]byte, n*PageSize), max(logicalBytes, n*PageSize))
+	if err != nil {
+		return nil, err
 	}
 	m.MarkAllDirty() // freshly mapped pages must be in the first dump
 	return m, nil
+}
+
+// AdoptMemory wraps data, whole pages the caller gives away, as a memory
+// of logicalBytes footprint with every soft-dirty bit clear: the address
+// space a restore has already filled. Sizes follow NewMemory's rules.
+func AdoptMemory(data []byte, logicalBytes int64) (*Memory, error) {
+	if err := checkSizes(int64(len(data)), logicalBytes); err != nil {
+		return nil, err
+	}
+	if len(data)%PageSize != 0 {
+		return nil, fmt.Errorf("proc: real size %d is not whole pages of %d", len(data), PageSize)
+	}
+	return &Memory{data: data, dirty: make([]bool, len(data)/PageSize), logicalBytes: logicalBytes}, nil
+}
+
+func checkSizes(realBytes, logicalBytes int64) error {
+	if realBytes <= 0 {
+		return fmt.Errorf("proc: non-positive real size %d", realBytes)
+	}
+	if logicalBytes < realBytes {
+		return fmt.Errorf("proc: logical size %d below real size %d", logicalBytes, realBytes)
+	}
+	return nil
 }
 
 // NumPages returns the number of real backing pages.

@@ -31,6 +31,41 @@ func TestNewMemoryValidation(t *testing.T) {
 	}
 }
 
+// AdoptMemory holds sizes to NewMemory's rules (same error text for the
+// same sizes), refuses a backing that is not whole pages, and otherwise
+// wraps the caller's array itself, every page clean.
+func TestAdoptMemory(t *testing.T) {
+	for _, sizes := range [][2]int64{{0, 100}, {2 * PageSize, PageSize}} {
+		_, want := NewMemory(sizes[0], sizes[1])
+		_, got := AdoptMemory(make([]byte, sizes[0]), sizes[1])
+		if want == nil || got == nil || got.Error() != want.Error() {
+			t.Errorf("sizes %v: AdoptMemory err %v, NewMemory err %v", sizes, got, want)
+		}
+	}
+	if _, err := AdoptMemory(make([]byte, PageSize+1), 1<<20); err == nil {
+		t.Error("a backing of a page and a byte was adopted")
+	}
+
+	data := make([]byte, 3*PageSize)
+	data[PageSize+7] = 0xAB
+	m, err := AdoptMemory(data, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.NumPages() != 3 || m.RealBytes() != 3*PageSize || m.LogicalBytes() != 1<<20 || m.DirtyCount() != 0 {
+		t.Errorf("adopted %d pages / %d bytes / %d logical, %d dirty", m.NumPages(), m.RealBytes(), m.LogicalBytes(), m.DirtyCount())
+	}
+	if m.Page(1)[7] != 0xAB {
+		t.Error("adopted memory does not show the bytes it was given")
+	}
+	if err := m.WriteU64(2*PageSize, 1); err != nil {
+		t.Fatal(err)
+	}
+	if data[2*PageSize+7] != 1 || !reflect.DeepEqual(m.DirtyPages(), []int{2}) {
+		t.Errorf("write through adopted memory: backing byte %d, dirty pages %v", data[2*PageSize+7], m.DirtyPages())
+	}
+}
+
 func TestMemoryRoundsUpToPages(t *testing.T) {
 	m, err := NewMemory(PageSize+1, 1<<20)
 	if err != nil {
