@@ -72,63 +72,30 @@ func run() error {
 	queue := flag.Int("queue", 64, "admission queue bound; beyond it submissions are rejected with retry-after")
 	maxInFlight := flag.Int("max-in-flight", 256, "max jobs dispatched into the engine at once")
 	retryAfter := flag.Duration("retry-after", 100*time.Millisecond, "backpressure hint returned with queue-full rejections")
-	nodes := flag.Int("nodes", 8, "NodeManager count")
-	slots := flag.Int("slots", 24, "containers per node")
 	policyFlag := flag.String("policy", "adaptive", "preemption policy: wait|kill|checkpoint|adaptive")
 	storageFlag := flag.String("storage", "ssd", "checkpoint storage: hdd|ssd|nvm")
 	replication := flag.Int("replication", 3, "DFS replication factor")
-	program := flag.String("program", "kmeans", "per-task application: kmeans|wordcount")
-	preCopy := flag.Bool("precopy", false, "use pre-copy checkpointing")
-	faultSeed := flag.Int64("fault-seed", 1, "fault-injection PRNG seed")
-	faultRPCRate := flag.Float64("fault-rpc-rate", 0, "probability a DataNode RPC fails")
-	faultNNRate := flag.Float64("fault-nn-rate", 0, "probability a NameNode RPC fails")
-	faultCreateRate := flag.Float64("fault-create-rate", 0, "probability a checkpoint store create fails")
-	faultTornRate := flag.Float64("fault-torn-rate", 0, "probability a checkpoint write tears short")
-	faultNMCrashNode := flag.Int("fault-nm-crash-node", 0, "NodeManager index that crashes at -fault-nm-crash-at")
-	faultNMCrashAt := flag.Duration("fault-nm-crash-at", 0, "virtual time the NodeManager crash fires (0 = never)")
-	faultNMPartitionNode := flag.Int("fault-nm-partition-node", 0, "NodeManager index partitioned from the RM at -fault-nm-partition-at")
-	faultNMPartitionAt := flag.Duration("fault-nm-partition-at", 0, "virtual time the RM<->NM partition opens (0 = never)")
-	faultNMPartitionFor := flag.Duration("fault-nm-partition-for", 0, "partition duration before it heals (0 = never heals)")
-	faultNMBeatDropRate := flag.Float64("fault-nm-beat-drop-rate", 0, "probability an NM heartbeat is dropped on the wire")
-	nmHeartbeatEvery := flag.Duration("nm-heartbeat-every", 0, "NM heartbeat interval on the virtual clock (0 = default 10s)")
-	nmHeartbeatTimeout := flag.Duration("nm-heartbeat-timeout", 0, "silence after which the RM declares a node dead (0 = auto-armed with NM faults)")
+	// The policy and storage the defaults are built with are placeholders
+	// until their own flags are parsed.
+	cc := yarn.DefaultConfig(core.PolicyAdaptive, storage.SSD)
+	cc.BindFlags(flag.CommandLine)
+	var plan faults.Plan
+	plan.BindFlags(flag.CommandLine)
 	drainTimeout := flag.Duration("drain-timeout", 2*time.Minute, "graceful drain deadline; past it DFS I/O is aborted and the drain converges on the kill path")
 	reportPath := flag.String("report", "", "write the final JSON report (daemon stats + cluster result) here on exit")
 	journalPath := flag.String("journal", "clusterd.journal", "flush the decision-provenance journal here on exit or panic (empty disables)")
 	flag.Parse()
 
-	policy, err := core.ParsePolicy(*policyFlag)
-	if err != nil {
+	var err error
+	if cc.Policy, err = core.ParsePolicy(*policyFlag); err != nil {
 		return err
 	}
-	kind, err := storage.ParseKind(*storageFlag)
-	if err != nil {
+	if cc.StorageKind, err = storage.ParseKind(*storageFlag); err != nil {
 		return err
 	}
-
-	cc := yarn.DefaultConfig(policy, kind)
-	cc.Nodes = *nodes
-	cc.ContainersPerNode = *slots
 	cc.Replication = *replication
-	cc.Program = *program
-	cc.PreCopy = *preCopy
-	cc.NMHeartbeatEvery = *nmHeartbeatEvery
-	cc.NMLivenessTimeout = *nmHeartbeatTimeout
-	if *faultRPCRate > 0 || *faultNNRate > 0 || *faultCreateRate > 0 || *faultTornRate > 0 ||
-		*faultNMCrashAt > 0 || *faultNMPartitionAt > 0 || *faultNMBeatDropRate > 0 {
-		cc.Faults = &faults.Plan{
-			Seed:              *faultSeed,
-			RPCErrorRate:      *faultRPCRate,
-			NameNodeErrorRate: *faultNNRate,
-			CreateFailRate:    *faultCreateRate,
-			TornWriteRate:     *faultTornRate,
-			NMCrashAt:         *faultNMCrashAt,
-			NMCrashNode:       *faultNMCrashNode,
-			NMPartitionAt:     *faultNMPartitionAt,
-			NMPartitionNode:   *faultNMPartitionNode,
-			NMPartitionFor:    *faultNMPartitionFor,
-			HeartbeatDropRate: *faultNMBeatDropRate,
-		}
+	if plan.Injects() {
+		cc.Faults = &plan
 	}
 
 	d, err := clusterd.Start(clusterd.Config{
@@ -151,7 +118,7 @@ func run() error {
 		}
 	}()
 	fmt.Printf("clusterd listening on %s (policy=%v storage=%s, queue=%d, max-in-flight=%d)\n",
-		d.Addr(), policy, kind, *queue, *maxInFlight)
+		d.Addr(), cc.Policy, cc.StorageKind, *queue, *maxInFlight)
 	if d.OpsAddr() != "" {
 		fmt.Printf("ops on http://%s/metrics /healthz /readyz /debug/pprof/\n", d.OpsAddr())
 	}

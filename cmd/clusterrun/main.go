@@ -93,31 +93,20 @@ func run() error {
 	parallel := flag.Int("parallel", 0, "sweep worker pool size (0 = one per CPU, 1 = sequential)")
 	jobs := flag.Int("jobs", 40, "number of jobs (paper: 40)")
 	tasks := flag.Int("tasks", 7000, "total tasks (paper: ~7000)")
-	nodes := flag.Int("nodes", 8, "NodeManager count (paper: 8)")
-	slots := flag.Int("slots", 24, "containers per node (paper: 24)")
 	seed := flag.Int64("seed", 21, "workload seed")
-	preCopy := flag.Bool("precopy", false, "use pre-copy checkpointing (dump while the victim runs)")
-	program := flag.String("program", "kmeans", "per-task application: kmeans|wordcount")
-	compactAfter := flag.Int("compact-after", 0, "merge image chains longer than this (0 = never)")
-	faultSeed := flag.Int64("fault-seed", 1, "fault-injection PRNG seed")
-	faultRPCRate := flag.Float64("fault-rpc-rate", 0, "probability a DataNode RPC fails")
-	faultNNRate := flag.Float64("fault-nn-rate", 0, "probability a NameNode RPC fails")
-	faultCrashNode := flag.String("fault-crash-node", "", "DataNode (e.g. dn-1) that crashes permanently")
-	faultCrashAfter := flag.Int("fault-crash-after", 0, "block writes the crash node accepts before dying")
-	faultCreateRate := flag.Float64("fault-create-rate", 0, "probability a checkpoint store create fails")
-	faultTornRate := flag.Float64("fault-torn-rate", 0, "probability a checkpoint write tears short")
-	faultBitFlipRate := flag.Float64("fault-bitflip-rate", 0, "probability a stored block replica gets a flipped bit")
-	faultBitFlipMax := flag.Int("fault-bitflip-max", 0, "max replicas of one block that may be bit-flipped (0 = default 1, a strict minority under 3-way replication)")
-	faultTruncateRate := flag.Float64("fault-truncate-rate", 0, "probability a checkpoint write is silently truncated (write still reports success)")
-	faultNMCrashNode := flag.Int("fault-nm-crash-node", 0, "NodeManager index that crashes at -fault-nm-crash-at")
-	faultNMCrashAt := flag.Duration("fault-nm-crash-at", 0, "virtual time the NodeManager crash fires (0 = never)")
-	faultNMPartitionNode := flag.Int("fault-nm-partition-node", 0, "NodeManager index partitioned from the RM at -fault-nm-partition-at")
-	faultNMPartitionAt := flag.Duration("fault-nm-partition-at", 0, "virtual time the RM<->NM partition opens (0 = never)")
-	faultNMPartitionFor := flag.Duration("fault-nm-partition-for", 0, "partition duration before it heals (0 = never heals)")
-	faultNMBeatDropRate := flag.Float64("fault-nm-beat-drop-rate", 0, "probability an NM heartbeat is dropped on the wire")
-	nmHeartbeatEvery := flag.Duration("nm-heartbeat-every", 0, "NM heartbeat interval on the virtual clock (0 = default 10s)")
-	nmHeartbeatTimeout := flag.Duration("nm-heartbeat-timeout", 0, "silence after which the RM declares a node dead (0 = auto-armed with NM faults)")
-	scrubEvery := flag.Int("scrub-every", 0, "run a full DataNode integrity scrub after every N checkpoint dumps (0 = never)")
+	// The policy and storage the defaults are built with are placeholders:
+	// makeRun sets each combination's own.
+	base := yarn.DefaultConfig(core.PolicyAdaptive, storage.NVM)
+	base.BindFlags(flag.CommandLine)
+	flag.IntVar(&base.CompactChainAfter, "compact-after", 0, "merge image chains longer than this (0 = never)")
+	flag.IntVar(&base.ScrubEveryNDumps, "scrub-every", 0, "run a full DataNode integrity scrub after every N checkpoint dumps (0 = never)")
+	var plan faults.Plan
+	plan.BindFlags(flag.CommandLine)
+	flag.StringVar(&plan.CrashNode, "fault-crash-node", "", "DataNode (e.g. dn-1) that crashes permanently")
+	flag.IntVar(&plan.CrashAfterWrites, "fault-crash-after", 0, "block writes the crash node accepts before dying")
+	flag.Float64Var(&plan.BitFlipRate, "fault-bitflip-rate", 0, "probability a stored block replica gets a flipped bit")
+	flag.IntVar(&plan.BitFlipMaxPerBlock, "fault-bitflip-max", 0, "max replicas of one block that may be bit-flipped (0 = default 1, a strict minority under 3-way replication)")
+	flag.Float64Var(&plan.SilentTruncateRate, "fault-truncate-rate", 0, "probability a checkpoint write is silently truncated (write still reports success)")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus text and JSON metrics on this HTTP address (e.g. :9090)")
 	metricsLinger := flag.Duration("metrics-linger", 0, "keep the metrics endpoint alive this long after the run ends")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this HTTP address")
@@ -148,36 +137,11 @@ func run() error {
 		if err != nil {
 			return yarn.Config{}, nil, err
 		}
-		cfg := yarn.DefaultConfig(policy, kind)
-		cfg.Nodes = *nodes
-		cfg.ContainersPerNode = *slots
-		cfg.PreCopy = *preCopy
-		cfg.Program = *program
-		cfg.CompactChainAfter = *compactAfter
-		cfg.ScrubEveryNDumps = *scrubEvery
-		cfg.NMHeartbeatEvery = *nmHeartbeatEvery
-		cfg.NMLivenessTimeout = *nmHeartbeatTimeout
-		if *faultRPCRate > 0 || *faultNNRate > 0 || *faultCrashNode != "" || *faultCreateRate > 0 ||
-			*faultTornRate > 0 || *faultBitFlipRate > 0 || *faultTruncateRate > 0 ||
-			*faultNMCrashAt > 0 || *faultNMPartitionAt > 0 || *faultNMBeatDropRate > 0 {
-			cfg.Faults = &faults.Plan{
-				Seed:               *faultSeed,
-				RPCErrorRate:       *faultRPCRate,
-				NameNodeErrorRate:  *faultNNRate,
-				CrashNode:          *faultCrashNode,
-				CrashAfterWrites:   *faultCrashAfter,
-				CreateFailRate:     *faultCreateRate,
-				TornWriteRate:      *faultTornRate,
-				BitFlipRate:        *faultBitFlipRate,
-				BitFlipMaxPerBlock: *faultBitFlipMax,
-				SilentTruncateRate: *faultTruncateRate,
-				NMCrashAt:          *faultNMCrashAt,
-				NMCrashNode:        *faultNMCrashNode,
-				NMPartitionAt:      *faultNMPartitionAt,
-				NMPartitionNode:    *faultNMPartitionNode,
-				NMPartitionFor:     *faultNMPartitionFor,
-				HeartbeatDropRate:  *faultNMBeatDropRate,
-			}
+		cfg := base
+		cfg.Policy, cfg.StorageKind = policy, kind
+		if plan.Injects() {
+			p := plan
+			cfg.Faults = &p
 		}
 		return cfg, jobSpecs, nil
 	}

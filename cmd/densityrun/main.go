@@ -84,7 +84,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	pol, err := parsePolicy(*policy)
+	pol, err := core.ParsePolicy(*policy)
 	if err != nil {
 		return err
 	}
@@ -178,19 +178,4 @@ func pickCells(names string, nodes, tasks, jobs int, seed int64) ([]density.Spec
 		out = append(out, sp)
 	}
 	return out, nil
-}
-
-func parsePolicy(s string) (core.Policy, error) {
-	switch strings.ToLower(s) {
-	case "wait":
-		return core.PolicyWait, nil
-	case "kill":
-		return core.PolicyKill, nil
-	case "checkpoint", "chk":
-		return core.PolicyCheckpoint, nil
-	case "adaptive":
-		return core.PolicyAdaptive, nil
-	default:
-		return 0, fmt.Errorf("unknown policy %q", s)
-	}
 }

@@ -5,32 +5,29 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"net"
-	"sync"
 	"time"
 
 	"preemptsched/internal/core"
+	"preemptsched/internal/wire"
 )
 
-// Client speaks the wire protocol over one lazily dialed, reused
-// connection. Every request runs under a deadline, transport failures
-// redial and retry with the shared capped-jitter backoff, and submit
-// retries honor the server's retry-after backpressure hint. Safe for
-// concurrent use; requests serialize on the connection.
+// Client speaks the wire protocol over the shared connection layer: one
+// lazily dialed, reused connection, a deadline per request, one redial on a
+// stale connection. On top of that transport failures retry with the shared
+// capped-jitter backoff, and submit retries honor the server's retry-after
+// backpressure hint. Safe for concurrent use; requests serialize on the
+// connection.
 type Client struct {
-	addr    string
-	timeout time.Duration
-	retries int
-	backoff core.Backoff
+	timeout time.Duration // of each request; read once, when NewClient builds peer
+	retrier *core.Retrier
+	peer    *wire.Peer[*jsonConn]
+}
 
-	connMu sync.Mutex
-	conn   net.Conn
-	dec    *json.Decoder
-	enc    *json.Encoder
-
-	rngMu sync.Mutex
-	rng   *rand.Rand
+// jsonConn frames one connection: one JSON object per line each way.
+type jsonConn struct {
+	enc *json.Encoder
+	dec *json.Decoder
 }
 
 // ClientOption configures a Client.
@@ -45,92 +42,57 @@ func WithRequestTimeout(d time.Duration) ClientOption {
 func WithClientRetry(attempts int, b core.Backoff) ClientOption {
 	return func(c *Client) {
 		if attempts > 0 {
-			c.retries = attempts
+			c.retrier.Attempts = attempts
 		}
-		c.backoff = b
+		c.retrier.Backoff = b
 	}
 }
 
 // WithClientSeed seeds the jitter source for reproducible pacing.
 func WithClientSeed(seed int64) ClientOption {
-	return func(c *Client) { c.rng = rand.New(rand.NewSource(seed)) }
+	return func(c *Client) { c.retrier.Seed(seed) }
 }
 
 // NewClient returns a client for the daemon at addr. No I/O happens
 // until the first request.
 func NewClient(addr string, opts ...ClientOption) *Client {
 	c := &Client{
-		addr:    addr,
 		timeout: 5 * time.Second,
-		retries: 5,
-		backoff: core.Backoff{Base: 20 * time.Millisecond, Cap: time.Second},
-		rng:     rand.New(rand.NewSource(1)),
+		retrier: core.NewRetrier(5, core.Backoff{Base: 20 * time.Millisecond, Cap: time.Second}, 1),
 	}
 	for _, o := range opts {
 		o(c)
 	}
+	c.peer = wire.NewPeer(addr, c.timeout, func(conn net.Conn) *jsonConn {
+		return &jsonConn{enc: json.NewEncoder(conn), dec: json.NewDecoder(bufio.NewReader(conn))}
+	})
 	return c
 }
 
-func (c *Client) intn(n int64) int64 {
-	c.rngMu.Lock()
-	defer c.rngMu.Unlock()
-	return c.rng.Int63n(n)
-}
-
-// exchange performs one request/response round trip under the configured
-// deadline, redialing once on a stale pooled connection — the same
-// one-redial pattern as the DFS tcpPeer. It holds connMu for the whole
-// exchange: the JSON encoder/decoder pair is stateful and the connection
-// carries one request at a time, so the mutex IS the request pipeline.
-// The I/O itself lives in exchangeLocked, which requires the caller to
-// hold connMu.
+// exchange performs one request/response round trip.
 func (c *Client) exchange(req *Request) (*Response, error) {
-	c.connMu.Lock()
-	defer c.connMu.Unlock()
-	return c.exchangeLocked(req)
-}
-
-func (c *Client) exchangeLocked(req *Request) (*Response, error) {
-	var lastErr error
-	for attempt := 0; attempt < 2; attempt++ {
-		if c.conn == nil {
-			conn, err := net.DialTimeout("tcp", c.addr, c.timeout)
-			if err != nil {
-				return nil, fmt.Errorf("clusterd: dial %s: %w", c.addr, err)
-			}
-			c.conn = conn
-			c.dec = json.NewDecoder(bufio.NewReader(conn))
-			c.enc = json.NewEncoder(conn)
+	var resp Response
+	if err := c.peer.RoundTrip(func(jc *jsonConn) error {
+		if err := jc.enc.Encode(req); err != nil {
+			return err
 		}
-		if c.timeout > 0 {
-			c.conn.SetDeadline(time.Now().Add(c.timeout))
-		}
-		var resp Response
-		if err := c.enc.Encode(req); err == nil {
-			if err = c.dec.Decode(&resp); err == nil {
-				if c.timeout > 0 {
-					c.conn.SetDeadline(time.Time{})
-				}
-				return &resp, nil
-			}
-			lastErr = err
-		} else {
-			lastErr = err
-		}
-		c.conn.Close()
-		c.conn = nil
+		resp = Response{} // a redial must not decode over what a half-decoded answer left behind
+		return jc.dec.Decode(&resp)
+	}); err != nil {
+		return nil, fmt.Errorf("clusterd: %w", err)
 	}
-	return nil, fmt.Errorf("clusterd: rpc to %s: %w", c.addr, lastErr)
+	return &resp, nil
 }
 
 // do runs one request with transport-level retries: each attempt is a
 // full deadline-bounded exchange, attempts are paced by the shared
-// backoff, and cancellation is honored between attempts.
-func (c *Client) do(ctx context.Context, req *Request) (*Response, error) {
-	var resp *Response
-	err := core.Retry(ctx, c.retries, c.backoff, c.intn, nil, nil, func() error {
-		var err error
+// backoff, and cancellation is honored before the first attempt and
+// between attempts.
+func (c *Client) do(ctx context.Context, req *Request) (resp *Response, err error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	err = c.retrier.Do(ctx, nil, nil, func() (err error) {
 		resp, err = c.exchange(req)
 		return err
 	})
@@ -170,9 +132,9 @@ func (c *Client) Submit(ctx context.Context, jr JobRequest) (*Response, error) {
 	req := &Request{Op: "submit", Job: &jr}
 	var last *Response
 	var lastErr error
-	for attempt := 0; attempt < c.retries; attempt++ {
+	for attempt := 0; attempt < c.retrier.Attempts; attempt++ {
 		if attempt > 0 {
-			d := c.backoff.Delay(attempt, c.intn)
+			d := c.retrier.Delay(attempt)
 			if last != nil {
 				if ra := time.Duration(last.RetryAfterMS) * time.Millisecond; ra > d {
 					d = ra
@@ -201,15 +163,5 @@ func (c *Client) Submit(ctx context.Context, jr JobRequest) (*Response, error) {
 	return last, lastErr
 }
 
-// Close drops the pooled connection. Detach under the lock, close
-// outside it: a Close racing an in-flight request must not deadlock
-// against exchange's critical section.
-func (c *Client) Close() {
-	c.connMu.Lock()
-	conn := c.conn
-	c.conn = nil
-	c.connMu.Unlock()
-	if conn != nil {
-		conn.Close()
-	}
-}
+// Close drops the pooled connection; a request in flight ends first.
+func (c *Client) Close() { c.peer.Close() }

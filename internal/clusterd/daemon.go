@@ -1,11 +1,12 @@
 package clusterd
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"net"
 	"runtime"
 	"runtime/metrics"
@@ -15,8 +16,13 @@ import (
 
 	"preemptsched/internal/cluster"
 	"preemptsched/internal/obs"
+	"preemptsched/internal/wire"
 	"preemptsched/internal/yarn"
 )
+
+// maxDurationMS is the longest task duration whose conversion to a
+// time.Duration does not wrap.
+const maxDurationMS = math.MaxInt64 / int64(time.Millisecond)
 
 // Config parameterizes a daemon.
 type Config struct {
@@ -39,7 +45,8 @@ type Config struct {
 	// Cluster shapes the underlying yarn.Service.
 	Cluster yarn.Config
 	// Metrics receives the daemon's and the cluster's telemetry; a
-	// private registry is built when nil.
+	// private registry is built when nil. The daemon's books are series of
+	// this registry, so two daemons must not be handed the same one.
 	Metrics *obs.Registry
 }
 
@@ -56,11 +63,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// queuedJob is one admitted-but-not-yet-dispatched job.
-type queuedJob struct {
-	spec cluster.JobSpec
-}
-
 // Daemon accepts job submissions on the wire protocol and runs them on a
 // yarn.Service. Its lifecycle is the drain state machine documented in
 // DESIGN.md §12: Serving → Draining (Shutdown called: no new admissions,
@@ -75,28 +77,25 @@ type Daemon struct {
 	ln       net.Listener
 	opsAddr  string
 	opsStop  func()
-	queue    chan queuedJob
+	queue    chan cluster.JobSpec // admitted, not yet dispatched
 	inflight chan struct{}
 
 	mu          sync.Mutex
 	state       string
-	conns       map[net.Conn]struct{}
 	outstanding map[cluster.JobID]struct{}
 
 	// firstLossErr keeps the first dispatch failure for the shutdown
 	// error: "N jobs lost" alone is undebuggable.
 	firstLossErr atomic.Value
 
-	submitted       atomic.Int64
-	admitted        atomic.Int64
-	rejected        atomic.Int64
-	completed       atomic.Int64
-	doubleCompleted atomic.Int64
-	lost            atomic.Int64
-	nextID          atomic.Int64
+	// m is the daemon's books: the registry series /metrics exports are
+	// the counters Stats reads, each fact counted once.
+	m      daemonMetrics
+	nextID atomic.Int64
 
-	acceptWG   sync.WaitGroup
-	connWG     sync.WaitGroup
+	// served yields wire.Serve's verdict once the listener is closed and
+	// every connection handler has returned.
+	served     chan error
 	dispatchWG sync.WaitGroup
 	samplerWG  sync.WaitGroup
 
@@ -105,6 +104,29 @@ type Daemon struct {
 
 	res      *yarn.Result
 	closeErr error
+}
+
+// daemonMetrics holds the pre-resolved handles of the per-job series.
+// Resolving a handle registers its series, so a scraper sees an explicit
+// zero rather than an absent one from the start: "jobs.lost 0" is the
+// soak's pass criterion and must be distinguishable from "never measured".
+type daemonMetrics struct {
+	submitted, admitted, rejected, shedFreeBand obs.Counter
+	completed, doubleCompleted, lost            obs.Counter
+	admission                                   obs.Histogram
+}
+
+func resolveMetrics(reg *obs.Registry) daemonMetrics {
+	return daemonMetrics{
+		submitted:       reg.Counter("clusterd.jobs.submitted"),
+		admitted:        reg.Counter("clusterd.jobs.admitted"),
+		rejected:        reg.Counter("clusterd.jobs.rejected"),
+		shedFreeBand:    reg.Counter("clusterd.jobs.shed.free.band"),
+		completed:       reg.Counter("clusterd.jobs.completed"),
+		doubleCompleted: reg.Counter("clusterd.jobs.double.completed"),
+		lost:            reg.Counter("clusterd.jobs.lost"),
+		admission:       reg.Histogram("clusterd.admission.seconds"),
+	}
 }
 
 // Start boots the cluster service, binds the wire listener (and the ops
@@ -130,12 +152,6 @@ func Start(cfg Config) (*Daemon, error) {
 		slo = obs.NewSLOTracker()
 		cfg.Cluster.SLO = slo
 	}
-	// Pre-register the invariant counters so a scraper sees an explicit
-	// zero rather than an absent series: "jobs.lost 0" is the soak's
-	// pass criterion and must be distinguishable from "never measured".
-	reg.Add("clusterd.jobs.lost", 0)
-	reg.Add("clusterd.jobs.double.completed", 0)
-
 	svc, err := yarn.NewService(cfg.Cluster)
 	if err != nil {
 		return nil, fmt.Errorf("clusterd: %w", err)
@@ -153,11 +169,12 @@ func Start(cfg Config) (*Daemon, error) {
 		slo:         slo,
 		svc:         svc,
 		ln:          ln,
-		queue:       make(chan queuedJob, cfg.QueueSize),
+		queue:       make(chan cluster.JobSpec, cfg.QueueSize),
 		inflight:    make(chan struct{}, cfg.MaxInFlight),
 		state:       StateServing,
-		conns:       make(map[net.Conn]struct{}),
 		outstanding: make(map[cluster.JobID]struct{}),
+		m:           resolveMetrics(reg),
+		served:      make(chan error, 1),
 		samplerStop: make(chan struct{}),
 		done:        make(chan struct{}),
 	}
@@ -174,8 +191,7 @@ func Start(cfg Config) (*Daemon, error) {
 	go d.dispatch(d.queue, d.inflight)
 	d.samplerWG.Add(1)
 	go d.sample(d.samplerStop)
-	d.acceptWG.Add(1)
-	go d.acceptLoop(&d.acceptWG)
+	go func() { d.served <- wire.Serve(ln, func(conn net.Conn) { d.serveConn(conn) }) }()
 	return d, nil
 }
 
@@ -194,43 +210,30 @@ func (d *Daemon) SLO() *obs.SLOTracker { return d.slo }
 
 // ready reports whether the daemon is admitting jobs; /readyz flips to
 // 503 the instant draining starts, before the wire listener goes away.
-func (d *Daemon) ready() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.state == StateServing
-}
+func (d *Daemon) ready() bool { return d.stateNow() == StateServing }
 
-// acceptLoop owns the wire listener until Shutdown closes it.
-func (d *Daemon) acceptLoop(wg *sync.WaitGroup) {
-	defer wg.Done()
-	for {
-		conn, err := d.ln.Accept()
-		if err != nil {
-			return
-		}
-		d.mu.Lock()
-		d.conns[conn] = struct{}{}
-		d.mu.Unlock()
-		d.connWG.Add(1)
-		go d.handleConn(&d.connWG, conn)
-	}
-}
-
-// handleConn serves one client's request/response stream.
-func (d *Daemon) handleConn(wg *sync.WaitGroup, conn net.Conn) {
-	defer wg.Done()
-	defer func() {
-		conn.Close()
-		d.mu.Lock()
-		delete(d.conns, conn)
-		d.mu.Unlock()
-	}()
-	dec := json.NewDecoder(bufio.NewReader(conn))
+// serveConn serves one client's request/response stream until the peer
+// goes away, the stream stops being well-formed requests, or Shutdown
+// closes the connection. An oversized request is answered before the
+// connection drops; anything else malformed just drops it.
+func (d *Daemon) serveConn(conn io.ReadWriter) {
+	// The JSON decoder buffers a whole value before it decodes any of it, so
+	// each request reads through a byte budget, refilled per request:
+	// without one, a single endless line is unbounded memory.
+	in := &io.LimitedReader{R: conn}
+	dec := json.NewDecoder(in)
 	enc := json.NewEncoder(conn)
 	for {
+		in.N = MaxRequestBytes
 		var req Request
 		if err := dec.Decode(&req); err != nil {
-			return // EOF, malformed stream, or forced close during stop
+			if in.N <= 0 { // the budget ran out, not the peer
+				_ = enc.Encode(&Response{
+					Error: fmt.Sprintf("clusterd: request longer than %d bytes", MaxRequestBytes),
+					State: d.stateNow(),
+				})
+			}
+			return
 		}
 		resp := d.handle(&req)
 		if err := enc.Encode(&resp); err != nil {
@@ -259,36 +262,33 @@ func (d *Daemon) stateNow() string {
 	return d.state
 }
 
-// admit is the admission decision: O(1) and non-blocking by
-// construction — validate, then either reserve a queue slot or reject
-// with a retry-after hint. It never waits on the engine, which is what
-// keeps the p99 admission latency inside the DESIGN.md §12 budget.
+// admit is the admission decision: O(1) in the daemon's load and
+// non-blocking by construction — validate, then either reserve a queue slot
+// or reject with a retry-after hint. It never waits on the engine, which is
+// what keeps the p99 admission latency inside the DESIGN.md §12 budget. An
+// ok answer means the job can run: what is queued has passed the engine's
+// own validation.
 func (d *Daemon) admit(jr *JobRequest) Response {
 	start := time.Now()
-	defer func() {
-		d.reg.ObserveDuration("clusterd.admission.seconds", time.Since(start))
-	}()
-	d.submitted.Add(1)
-	d.reg.Inc("clusterd.jobs.submitted")
+	defer func() { d.m.admission.ObserveDuration(time.Since(start)) }()
+	d.m.submitted.Inc()
 
+	reject := func(resp Response) Response {
+		d.m.rejected.Inc()
+		return resp
+	}
 	if jr == nil {
-		d.rejected.Add(1)
-		d.reg.Inc("clusterd.jobs.rejected")
-		return Response{Error: "clusterd: submit without job", State: d.stateNow()}
+		return reject(Response{Error: "clusterd: submit without job", State: d.stateNow()})
 	}
 	if err := jr.validate(); err != nil {
-		d.rejected.Add(1)
-		d.reg.Inc("clusterd.jobs.rejected")
-		return Response{Error: err.Error(), State: d.stateNow()}
+		return reject(Response{Error: err.Error(), State: d.stateNow()})
 	}
 
 	d.mu.Lock()
 	if d.state != StateServing {
 		state := d.state
 		d.mu.Unlock()
-		d.rejected.Add(1)
-		d.reg.Inc("clusterd.jobs.rejected")
-		return Response{Error: "clusterd: draining, not admitting", State: state}
+		return reject(Response{Error: "clusterd: draining, not admitting", State: state})
 	}
 	// Priority-aware shedding: once the queue crosses the high-water
 	// mark, free-band submissions are rejected while the reserved tail
@@ -297,35 +297,36 @@ func (d *Daemon) admit(jr *JobRequest) Response {
 	if cluster.BandOf(cluster.Priority(jr.Priority)) == cluster.BandFree &&
 		len(d.queue) >= d.cfg.QueueSize-d.paidReserve() {
 		d.mu.Unlock()
-		d.rejected.Add(1)
-		d.reg.Inc("clusterd.jobs.rejected")
-		d.reg.Inc("clusterd.jobs.shed.free.band")
-		return Response{
+		d.m.shedFreeBand.Inc()
+		return reject(Response{
 			Error:        "clusterd: queue saturated, free-band submissions shed first",
 			RetryAfterMS: d.cfg.RetryAfter.Milliseconds(),
 			State:        StateServing,
-		}
+		})
 	}
+	// The wire shape is checked above; whether the job it describes can run
+	// is the engine's to say, on the spec the engine will be handed.
 	id := cluster.JobID(d.nextID.Add(1))
 	spec := jr.spec(id)
+	if err := spec.Validate(); err != nil {
+		d.mu.Unlock()
+		return reject(Response{Error: "clusterd: " + err.Error(), State: StateServing})
+	}
 	select {
-	case d.queue <- queuedJob{spec: spec}:
+	case d.queue <- spec:
 		d.outstanding[id] = struct{}{}
 		depth := len(d.queue)
 		d.mu.Unlock()
-		d.admitted.Add(1)
-		d.reg.Inc("clusterd.jobs.admitted")
+		d.m.admitted.Inc()
 		d.reg.SetGauge("clusterd.queue.depth", float64(depth))
 		return Response{OK: true, JobID: int64(id), State: StateServing}
 	default:
 		d.mu.Unlock()
-		d.rejected.Add(1)
-		d.reg.Inc("clusterd.jobs.rejected")
-		return Response{
+		return reject(Response{
 			Error:        "clusterd: admission queue full",
 			RetryAfterMS: d.cfg.RetryAfter.Milliseconds(),
 			State:        StateServing,
-		}
+		})
 	}
 }
 
@@ -339,12 +340,14 @@ func (d *Daemon) paidReserve() int {
 	return r
 }
 
+// validate checks the wire shape: everything spec could not materialise
+// faithfully, or only at a cost the request has not earned.
 func (jr *JobRequest) validate() error {
-	if jr.Tasks <= 0 {
-		return fmt.Errorf("clusterd: job needs at least one task, got %d", jr.Tasks)
+	if jr.Tasks <= 0 || jr.Tasks > MaxJobTasks {
+		return fmt.Errorf("clusterd: job needs between 1 and %d tasks, got %d", MaxJobTasks, jr.Tasks)
 	}
-	if jr.DurationMS <= 0 {
-		return fmt.Errorf("clusterd: job needs a positive duration, got %dms", jr.DurationMS)
+	if jr.DurationMS <= 0 || jr.DurationMS > maxDurationMS {
+		return fmt.Errorf("clusterd: job needs a duration in (0, %d]ms, got %dms", int64(maxDurationMS), jr.DurationMS)
 	}
 	if p := cluster.Priority(jr.Priority); p < cluster.MinPriority || p > cluster.MaxPriority {
 		return fmt.Errorf("clusterd: priority %d outside [%d,%d]", jr.Priority, cluster.MinPriority, cluster.MaxPriority)
@@ -360,7 +363,8 @@ func (jr *JobRequest) spec(id cluster.JobID) cluster.JobSpec {
 	if foot <= 0 {
 		foot = cluster.GiB(1)
 	}
-	j := cluster.JobSpec{ID: id, Priority: cluster.Priority(jr.Priority), User: jr.User}
+	j := cluster.JobSpec{ID: id, Priority: cluster.Priority(jr.Priority), User: jr.User,
+		Tasks: make([]cluster.TaskSpec, 0, jr.Tasks)}
 	for i := 0; i < jr.Tasks; i++ {
 		j.Tasks = append(j.Tasks, cluster.TaskSpec{
 			ID:           cluster.TaskID{Job: id, Index: int32(i)},
@@ -378,13 +382,13 @@ func (jr *JobRequest) spec(id cluster.JobID) cluster.JobSpec {
 // in-flight token per job so at most MaxInFlight are outstanding. The
 // token is released by the job's completion callback, so a stalled engine
 // backs pressure up through the queue to rejections at the edge.
-func (d *Daemon) dispatch(queue <-chan queuedJob, inflight chan struct{}) {
+func (d *Daemon) dispatch(queue <-chan cluster.JobSpec, inflight chan struct{}) {
 	defer d.dispatchWG.Done()
-	for qj := range queue {
+	for spec := range queue {
 		inflight <- struct{}{}
 		d.reg.SetGauge("clusterd.queue.depth", float64(len(queue)))
-		id := qj.spec.ID
-		err := d.svc.Submit(qj.spec, func(done yarn.JobDone) {
+		id := spec.ID
+		err := d.svc.Submit(spec, func(done yarn.JobDone) {
 			<-inflight
 			d.complete(done.ID)
 		})
@@ -396,8 +400,7 @@ func (d *Daemon) dispatch(queue <-chan queuedJob, inflight chan struct{}) {
 			d.mu.Lock()
 			delete(d.outstanding, id)
 			d.mu.Unlock()
-			d.lost.Add(1)
-			d.reg.Inc("clusterd.jobs.lost")
+			d.m.lost.Inc()
 			d.firstLossErr.CompareAndSwap(nil, err)
 		}
 	}
@@ -413,12 +416,10 @@ func (d *Daemon) complete(id cluster.JobID) {
 	}
 	d.mu.Unlock()
 	if !ok {
-		d.doubleCompleted.Add(1)
-		d.reg.Inc("clusterd.jobs.double.completed")
+		d.m.doubleCompleted.Inc()
 		return
 	}
-	d.completed.Add(1)
-	d.reg.Inc("clusterd.jobs.completed")
+	d.m.completed.Inc()
 }
 
 // sample publishes runtime gauges (goroutines, heap) every interval so
@@ -454,27 +455,21 @@ func heapBytes() uint64 {
 
 // Stats snapshots the daemon's books.
 func (d *Daemon) Stats() Stats {
-	d.mu.Lock()
-	state := d.state
-	d.mu.Unlock()
-	st := Stats{
-		State:           state,
-		Submitted:       d.submitted.Load(),
-		Admitted:        d.admitted.Load(),
-		Rejected:        d.rejected.Load(),
-		Completed:       d.completed.Load(),
-		Lost:            d.lost.Load(),
-		DoubleCompleted: d.doubleCompleted.Load(),
+	return Stats{
+		State:           d.stateNow(),
+		Submitted:       d.m.submitted.Value(),
+		Admitted:        d.m.admitted.Value(),
+		Rejected:        d.m.rejected.Value(),
+		Completed:       d.m.completed.Value(),
+		Lost:            d.m.lost.Value(),
+		DoubleCompleted: d.m.doubleCompleted.Value(),
 		QueueDepth:      len(d.queue),
 		InFlight:        len(d.inflight),
 		Goroutines:      runtime.NumGoroutine(),
 		HeapBytes:       heapBytes(),
+		AdmissionP99Sec: d.m.admission.Snapshot().Quantile(0.99),
 		VirtualNowNS:    int64(d.svc.Now()),
 	}
-	if h, ok := d.reg.Snapshot().Histograms["clusterd.admission.seconds"]; ok {
-		st.AdmissionP99Sec = h.Quantile(0.99)
-	}
-	return st
 }
 
 // Result returns the cluster's aggregated result; valid after Shutdown.
@@ -519,31 +514,24 @@ func (d *Daemon) Shutdown(ctx context.Context) error {
 	d.mu.Lock()
 	for id := range d.outstanding {
 		delete(d.outstanding, id)
-		d.lost.Add(1)
-		d.reg.Inc("clusterd.jobs.lost")
+		d.m.lost.Inc()
 	}
 	d.mu.Unlock()
-	if n := d.lost.Load(); n > 0 && d.closeErr == nil {
+	if n := d.m.lost.Value(); n > 0 && d.closeErr == nil {
 		d.closeErr = fmt.Errorf("clusterd: %d jobs lost in drain", n)
 		if first, ok := d.firstLossErr.Load().(error); ok {
 			d.closeErr = fmt.Errorf("clusterd: %d jobs lost in drain (first: %w)", n, first)
 		}
 	}
 
-	// Edge teardown: wire listener, open conns, ops server, sampler.
-	d.ln.Close()
-	d.acceptWG.Wait()
+	// Edge teardown: wire listener and its open conns, ops server, sampler.
 	d.mu.Lock()
-	open := make([]net.Conn, 0, len(d.conns))
-	for c := range d.conns {
-		open = append(open, c)
-	}
 	d.state = StateStopped
 	d.mu.Unlock()
-	for _, c := range open {
-		c.Close()
+	d.ln.Close()
+	if err := <-d.served; err != nil && d.closeErr == nil {
+		d.closeErr = fmt.Errorf("clusterd: wire listener: %w", err)
 	}
-	d.connWG.Wait()
 	if d.opsStop != nil {
 		d.opsStop()
 	}

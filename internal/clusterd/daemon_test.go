@@ -144,8 +144,8 @@ func TestDaemonDrainMidStream(t *testing.T) {
 func TestAdmissionBackpressure(t *testing.T) {
 	d := &Daemon{
 		cfg:         Config{RetryAfter: 42 * time.Millisecond}.withDefaults(),
-		reg:         obs.NewRegistry(),
-		queue:       make(chan queuedJob, 1),
+		m:           resolveMetrics(obs.NewRegistry()),
+		queue:       make(chan cluster.JobSpec, 1),
 		state:       StateServing,
 		outstanding: make(map[cluster.JobID]struct{}),
 	}
@@ -172,7 +172,7 @@ func TestAdmissionBackpressure(t *testing.T) {
 	if resp := d.admit(&JobRequest{Tasks: 0, DurationMS: 1}); resp.OK || resp.RetryAfterMS != 0 {
 		t.Errorf("invalid job admit = %+v, want hard rejection", resp)
 	}
-	if got := d.rejected.Load(); got != 3 {
+	if got := d.m.rejected.Value(); got != 3 {
 		t.Errorf("rejected counter = %d, want 3", got)
 	}
 }
@@ -183,8 +183,8 @@ func TestAdmissionBackpressure(t *testing.T) {
 func TestPriorityAwareAdmission(t *testing.T) {
 	d := &Daemon{
 		cfg:         Config{QueueSize: 4, RetryAfter: 7 * time.Millisecond}.withDefaults(),
-		reg:         obs.NewRegistry(),
-		queue:       make(chan queuedJob, 4),
+		m:           resolveMetrics(obs.NewRegistry()),
+		queue:       make(chan cluster.JobSpec, 4),
 		state:       StateServing,
 		outstanding: make(map[cluster.JobID]struct{}),
 	}
@@ -221,7 +221,7 @@ func TestPriorityAwareAdmission(t *testing.T) {
 	if resp := d.admit(paid); resp.OK || strings.Contains(resp.Error, "free-band") {
 		t.Errorf("paid admit into a full queue = %+v, want plain queue-full rejection", resp)
 	}
-	if got := d.reg.Snapshot().Counters["clusterd.jobs.shed.free.band"]; got != 1 {
+	if got := d.m.shedFreeBand.Value(); got != 1 {
 		t.Errorf("shed counter = %d, want 1", got)
 	}
 }

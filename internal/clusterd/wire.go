@@ -6,10 +6,23 @@
 //
 // The package splits into the Daemon (bounded admission queue with
 // explicit backpressure, dispatcher, drain state machine), the wire
-// Client (per-request deadlines, capped jittered retry via
-// internal/core), and the LoadGen (seeded open-loop driver used by the
-// chaos soak).
+// Client (an internal/wire peer — per-request deadlines, one redial —
+// under core.Retrier's capped jittered retry), and the LoadGen (seeded
+// open-loop driver used by the chaos soak).
 package clusterd
+
+// Admission bounds. They are protocol constants, not knobs: a request
+// outside them is a hard rejection whatever the daemon's configuration.
+const (
+	// MaxRequestBytes bounds one request on the wire. A request that
+	// outgrows it is answered with an error and its connection dropped,
+	// since the rest of the stream is the tail of that request.
+	MaxRequestBytes = 64 << 10
+	// MaxJobTasks bounds the tasks of one job, and with it what one
+	// accepted request can make the daemon materialise. The paper's whole
+	// Facebook workload is 7,000 tasks over 40 jobs.
+	MaxJobTasks = 10_000
+)
 
 // Wire protocol: one JSON object per line in each direction over a plain
 // TCP connection. A connection carries any number of request/response

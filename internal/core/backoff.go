@@ -2,15 +2,14 @@ package core
 
 import (
 	"context"
+	"math/rand"
+	"sync"
 	"time"
 )
 
-// Backoff computes capped, jittered exponential retry delays. It is the
-// one retry-pacing policy every client path in the repo shares: the DFS
-// client's RPC retries, the cluster daemon's wire-protocol client, and the
-// load generator's resubmission loop all pace themselves with it, so "how
-// hard do we hammer a struggling server" is a single tunable instead of a
-// per-call-site accident.
+// Backoff computes capped, jittered exponential retry delays: the schedule
+// a Retrier paces itself with, so "how hard do we hammer a struggling
+// server" is one formula instead of a per-call-site accident.
 //
 // The delay before retry attempt n (1-based) is Base<<(n-1), capped at
 // Cap, plus up to one Base unit of uniform jitter. Full-window jitter
@@ -78,37 +77,72 @@ func Sleep(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// Retry runs op up to attempts times, pacing retries with b and stopping
-// early on success, on a non-retryable error, or when ctx is cancelled
-// (between attempts and during backoff sleeps — never mid-op). retryable
-// decides whether an error is worth another attempt; nil retries every
-// error. intn supplies jitter as in Backoff.Delay. onRetry, when non-nil,
-// observes each retry attempt (1-based) before its backoff sleep —
-// callers hang their retry counters there.
-func Retry(ctx context.Context, attempts int, b Backoff, intn func(int64) int64,
-	retryable func(error) bool, onRetry func(attempt int), op func() error) error {
-	if attempts < 1 {
-		attempts = 1
-	}
-	var err error
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			if onRetry != nil {
-				onRetry(attempt)
-			}
-			if serr := Sleep(ctx, b.Delay(attempt, intn)); serr != nil {
-				return err // cancelled mid-backoff: surface the op's error
-			}
+// Retrier is the one retry loop every client path in the repo runs: the DFS
+// client's RPC retries and its replica rounds, and the clusterd wire
+// client's transport retries. It owns the attempt budget, the Backoff that
+// paces it, and the seeded jitter source — seeded so a run's pacing replays,
+// mutex-guarded because retries from several goroutines share one client.
+// The clusterd client's Submit, whose pause also honors the server's
+// retry-after hint, keeps its own loop and draws its delays from Delay.
+type Retrier struct {
+	// Attempts is the budget per operation, the first try included; below
+	// one means one.
+	Attempts int
+	Backoff  Backoff
+
+	mu  sync.Mutex
+	rng *rand.Rand
+}
+
+// NewRetrier returns a retrier whose jitter draws replay from seed.
+func NewRetrier(attempts int, b Backoff, seed int64) *Retrier {
+	r := &Retrier{Attempts: attempts, Backoff: b}
+	r.Seed(seed)
+	return r
+}
+
+// Seed restarts the jitter source from seed.
+func (r *Retrier) Seed(seed int64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.rng = rand.New(rand.NewSource(seed))
+}
+
+func (r *Retrier) intn(n int64) int64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.rng.Int63n(n)
+}
+
+// Delay returns the jittered pause before retry attempt (1-based).
+func (r *Retrier) Delay(attempt int) time.Duration {
+	return r.Backoff.Delay(attempt, r.intn)
+}
+
+// Do runs op until it succeeds, fails with an error retryable rejects (nil
+// retries every error), or the budget is spent, pausing Delay between
+// attempts, and returns op's last error. onRetry, when non-nil, observes
+// each retry before its pause — callers hang their retry counters there.
+//
+// The first attempt always runs, cancelled context or not: the DFS clients
+// of a service being aborted rely on it, so that a pending dump fails on
+// its RPC and degrades to a kill instead of never being tried. A caller
+// that must not start on a cancelled context checks ctx itself. From then
+// on cancellation is honored before and during every pause — never mid-op —
+// and surfaces op's own error, which says more than ctx.Err does.
+func (r *Retrier) Do(ctx context.Context, retryable func(error) bool, onRetry func(), op func() error) error {
+	err := op()
+	for attempt := 1; attempt < r.Attempts; attempt++ {
+		if err == nil || (retryable != nil && !retryable(err)) {
+			break
 		}
-		if cerr := ctx.Err(); cerr != nil {
-			if err == nil {
-				err = cerr
-			}
-			return err
+		if onRetry != nil {
+			onRetry()
 		}
-		if err = op(); err == nil || (retryable != nil && !retryable(err)) {
-			return err
+		if Sleep(ctx, r.Delay(attempt)) != nil {
+			break
 		}
+		err = op()
 	}
 	return err
 }

@@ -60,9 +60,15 @@ func TestSleepHonorsCancellation(t *testing.T) {
 	}
 }
 
+// The Retrier contract, GIVEN/WHEN/THEN. Every client path in the repo
+// retries through this one loop, so each caller's observable rule is pinned
+// here or beside the caller (dfs: retry_test.go; clusterd: client_test.go).
+
+// GIVEN an op that fails twice and then succeeds WHEN it runs under a budget
+// of five THEN it is called three times and the result is success.
 func TestRetryStopsOnSuccess(t *testing.T) {
 	calls := 0
-	err := Retry(context.Background(), 5, Backoff{}, nil, nil, nil, func() error {
+	err := NewRetrier(5, Backoff{}, 1).Do(context.Background(), nil, nil, func() error {
 		calls++
 		if calls < 3 {
 			return errors.New("transient")
@@ -74,10 +80,12 @@ func TestRetryStopsOnSuccess(t *testing.T) {
 	}
 }
 
+// GIVEN an error the caller's classifier rejects WHEN the op returns it THEN
+// it comes back from the first attempt, identity intact.
 func TestRetryStopsOnPermanentError(t *testing.T) {
 	permanent := errors.New("permanent")
 	calls := 0
-	err := Retry(context.Background(), 5, Backoff{}, nil,
+	err := NewRetrier(5, Backoff{}, 1).Do(context.Background(),
 		func(err error) bool { return !errors.Is(err, permanent) }, nil,
 		func() error { calls++; return permanent })
 	if !errors.Is(err, permanent) || calls != 1 {
@@ -85,11 +93,14 @@ func TestRetryStopsOnPermanentError(t *testing.T) {
 	}
 }
 
+// GIVEN an op that always fails WHEN the budget is four THEN it runs four
+// times, onRetry sees the three retries, and the last error is returned. A
+// budget below one still buys the first attempt.
 func TestRetryExhaustsBudget(t *testing.T) {
 	transient := errors.New("transient")
 	calls, retries := 0, 0
-	err := Retry(context.Background(), 4, Backoff{}, nil, nil,
-		func(int) { retries++ },
+	err := NewRetrier(4, Backoff{}, 1).Do(context.Background(), nil,
+		func() { retries++ },
 		func() error { calls++; return transient })
 	if !errors.Is(err, transient) {
 		t.Fatalf("err = %v, want transient", err)
@@ -97,13 +108,21 @@ func TestRetryExhaustsBudget(t *testing.T) {
 	if calls != 4 || retries != 3 {
 		t.Fatalf("calls=%d retries=%d, want 4/3", calls, retries)
 	}
+	calls = 0
+	if err := NewRetrier(0, Backoff{}, 1).Do(context.Background(), nil, nil,
+		func() error { calls++; return transient }); !errors.Is(err, transient) || calls != 1 {
+		t.Fatalf("zero budget: err=%v calls=%d, want transient/1", err, calls)
+	}
 }
 
+// GIVEN a context cancelled while the first backoff is pending WHEN the
+// pause returns THEN no further attempt runs and the op's own error — not
+// ctx.Err — is what surfaces.
 func TestRetryCancelledBetweenAttempts(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	transient := errors.New("transient")
 	calls := 0
-	err := Retry(ctx, 100, Backoff{Base: time.Millisecond}, nil, nil, nil, func() error {
+	err := NewRetrier(100, Backoff{Base: time.Millisecond}, 1).Do(ctx, nil, nil, func() error {
 		calls++
 		cancel()
 		return transient
@@ -116,12 +135,45 @@ func TestRetryCancelledBetweenAttempts(t *testing.T) {
 	}
 }
 
-func TestRetryCancelledBeforeFirstAttempt(t *testing.T) {
+// GIVEN a context already cancelled WHEN Do is called THEN the first attempt
+// still runs — exactly one, since the first pause is refused — and its
+// result is the result. The DFS clients of an aborted service depend on it
+// (a dump must fail on its RPC to degrade to a kill); the clusterd client,
+// which must not start, checks its context itself
+// (clusterd.TestDoRefusesCancelledContext).
+func TestRetryFirstAttemptRunsOnCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	calls := 0
-	err := Retry(ctx, 3, Backoff{}, nil, nil, nil, func() error { calls++; return nil })
-	if !errors.Is(err, context.Canceled) || calls != 0 {
-		t.Fatalf("err=%v calls=%d, want context.Canceled/0", err, calls)
+	if err := NewRetrier(3, Backoff{}, 1).Do(ctx, nil, nil, func() error { calls++; return nil }); err != nil || calls != 1 {
+		t.Fatalf("succeeding op: err=%v calls=%d, want nil/1", err, calls)
+	}
+	transient := errors.New("transient")
+	calls = 0
+	if err := NewRetrier(3, Backoff{}, 1).Do(ctx, nil, nil, func() error { calls++; return transient }); !errors.Is(err, transient) || calls != 1 {
+		t.Fatalf("failing op: err=%v calls=%d, want transient/1", err, calls)
+	}
+}
+
+// GIVEN two retriers with one seed WHEN each draws its delays THEN the
+// sequences are equal, stay inside [schedule, schedule+Base], and a
+// different seed draws a different one: pacing replays from the seed.
+func TestRetrierDelayReplaysFromSeed(t *testing.T) {
+	b := Backoff{Base: time.Millisecond, Cap: 8 * time.Millisecond}
+	a, same, other := NewRetrier(4, b, 7), NewRetrier(4, b, 1), NewRetrier(4, b, 8)
+	same.Seed(7)
+	differs := false
+	for attempt := 1; attempt <= 16; attempt++ {
+		d := a.Delay(attempt)
+		if floor := b.Delay(attempt, nil); d < floor || d > floor+b.Base {
+			t.Fatalf("Delay(%d) = %v outside [%v, %v]", attempt, d, floor, floor+b.Base)
+		}
+		if s := same.Delay(attempt); s != d {
+			t.Fatalf("Delay(%d): %v vs %v from the same seed", attempt, d, s)
+		}
+		differs = differs || other.Delay(attempt) != d
+	}
+	if !differs {
+		t.Error("sixteen delays from seeds 7 and 8 are identical: the seed does not reach the jitter")
 	}
 }

@@ -5,9 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"preemptsched/internal/core"
@@ -59,26 +56,19 @@ type Client struct {
 	localID   string
 	blockSize int
 
-	// ctx bounds every retry loop: cancellation is checked before each
-	// attempt and interrupts backoff sleeps, so a draining daemon's
-	// clients stop retrying instead of sitting out the schedule.
+	// ctx bounds every retry loop: a cancelled context ends an operation
+	// at its next backoff pause (never before its first attempt), so a
+	// draining daemon's clients stop retrying instead of sitting out the
+	// schedule.
 	ctx     context.Context
-	retries int
-	backoff core.Backoff
-	// sleep, when non-nil, replaces the context-aware backoff pause; it
-	// exists for tests that must not spend real time.
-	sleep func(time.Duration)
+	retrier *core.Retrier
 
-	rngMu sync.Mutex
-	rng   *rand.Rand
-
-	retryCount       atomic.Int64
-	readFailovers    atomic.Int64
-	pipelineRebuilds atomic.Int64
-	corruptReads     atomic.Int64
-
-	// obs, when set, receives live dfs.client.* counters and block latency
-	// histograms in addition to the atomic Stats fields.
+	// n counts the recovery actions Stats reports, each in one slot: the
+	// observer's dfs.client.* series when there is one — shared, then, with
+	// every other client that observes the same registry — and private
+	// slots otherwise.
+	n struct{ retries, readFailovers, pipelineRebuilds, corruptReads obs.Counter }
+	// obs, when set, also receives the block latency histograms.
 	obs *obs.Registry
 }
 
@@ -104,17 +94,17 @@ func WithLocalNode(id string) ClientOption {
 func WithRetry(attempts int, backoff time.Duration) ClientOption {
 	return func(c *Client) {
 		if attempts >= 1 {
-			c.retries = attempts
+			c.retrier.Attempts = attempts
 		}
 		if backoff >= 0 {
-			c.backoff.Base = backoff
+			c.retrier.Backoff.Base = backoff
 		}
 	}
 }
 
 // WithContext bounds the client's retry loops by ctx: once it is
-// cancelled, in-flight operations stop retrying and backoff sleeps return
-// early. The default is context.Background (retry to budget exhaustion).
+// cancelled, operations stop retrying and backoff sleeps return early. The
+// default is context.Background (retry to budget exhaustion).
 func WithContext(ctx context.Context) ClientOption {
 	return func(c *Client) {
 		if ctx != nil {
@@ -124,7 +114,9 @@ func WithContext(ctx context.Context) ClientOption {
 }
 
 // WithObserver streams the client's recovery counters and per-block
-// read/write wall-clock latencies into reg as dfs.client.* metrics.
+// read/write wall-clock latencies into reg as dfs.client.* metrics. Clients
+// observing one registry count into the same series, and Stats on any of
+// them reports the shared totals.
 func WithObserver(reg *obs.Registry) ClientOption {
 	return func(c *Client) { c.obs = reg }
 }
@@ -135,14 +127,20 @@ func NewClient(transport Transport, opts ...ClientOption) *Client {
 		transport: transport,
 		blockSize: DefaultBlockSize,
 		ctx:       context.Background(),
-		retries:   DefaultRetries,
-		backoff:   core.Backoff{Base: DefaultBackoff, Cap: DefaultBackoffCap},
 		// Seeded jitter keeps the event-driven emulation deterministic.
-		rng: rand.New(rand.NewSource(1)),
+		retrier: core.NewRetrier(DefaultRetries, core.Backoff{Base: DefaultBackoff, Cap: DefaultBackoffCap}, 1),
 	}
 	for _, o := range opts {
 		o(c)
 	}
+	reg := c.obs
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
+	c.n.retries = reg.Counter("dfs.client.retries")
+	c.n.readFailovers = reg.Counter("dfs.client.read.failovers")
+	c.n.pipelineRebuilds = reg.Counter("dfs.client.pipeline.rebuilds")
+	c.n.corruptReads = reg.Counter("dfs.client.corrupt.reads")
 	return c
 }
 
@@ -151,58 +149,18 @@ var _ storage.Store = (*Client)(nil)
 // Stats returns a snapshot of the client's fault-recovery counters.
 func (c *Client) Stats() ClientStats {
 	return ClientStats{
-		Retries:          c.retryCount.Load(),
-		ReadFailovers:    c.readFailovers.Load(),
-		PipelineRebuilds: c.pipelineRebuilds.Load(),
-		CorruptReads:     c.corruptReads.Load(),
+		Retries:          c.n.retries.Value(),
+		ReadFailovers:    c.n.readFailovers.Value(),
+		PipelineRebuilds: c.n.pipelineRebuilds.Value(),
+		CorruptReads:     c.n.corruptReads.Value(),
 	}
 }
 
-// intn draws a jitter value from the client's seeded PRNG; it is the
-// core.Backoff jitter source, mutex-guarded because retries from several
-// goroutines share one client.
-func (c *Client) intn(n int64) int64 {
-	c.rngMu.Lock()
-	defer c.rngMu.Unlock()
-	return c.rng.Int63n(n)
-}
-
-// pause sleeps the capped-jitter backoff delay before retry attempt
-// (1-based), honoring context cancellation: a cancelled context returns
-// its error immediately, including mid-sleep.
-func (c *Client) pause(attempt int) error {
-	d := c.backoff.Delay(attempt, c.intn)
-	if c.sleep != nil { // test hook: no real time, but still cancellable
-		if err := c.ctx.Err(); err != nil {
-			return err
-		}
-		c.sleep(d)
-		return c.ctx.Err()
-	}
-	return core.Sleep(c.ctx, d)
-}
-
-// retry runs op up to the retry budget, backing off between attempts with
-// the shared capped-jitter schedule, and stops early on success, on a
-// permanent (semantic) error, or when the client's context is cancelled.
+// retry runs op under the client's retry budget, stopping early on success,
+// on a permanent (semantic) error, or when the client's context is
+// cancelled.
 func (c *Client) retry(op func() error) error {
-	var err error
-	for attempt := 0; attempt < c.retries; attempt++ {
-		if attempt > 0 {
-			c.retryCount.Add(1)
-			c.obs.Inc("dfs.client.retries")
-			if perr := c.pause(attempt); perr != nil {
-				if err == nil {
-					err = perr
-				}
-				return err
-			}
-		}
-		if err = op(); err == nil || !IsTransient(err) {
-			return err
-		}
-	}
-	return err
+	return c.retrier.Do(c.ctx, IsTransient, c.n.retries.Inc, op)
 }
 
 // fileWriter buffers written data and flushes whole blocks through the
@@ -332,8 +290,7 @@ func (c *Client) writeBlock(nn NameNodeAPI, path string, loc BlockLocation, data
 		return &PathError{Op: "write", Path: path,
 			Err: fmt.Errorf("block %d: no replica accepted the write: %w", loc.ID, pipeErr)}
 	}
-	c.pipelineRebuilds.Add(1)
-	c.obs.Inc("dfs.client.pipeline.rebuilds")
+	c.n.pipelineRebuilds.Inc()
 	if err := c.retry(func() error { return nn.ReportBlock(path, loc.ID, survivors) }); err != nil {
 		return &PathError{Op: "write", Path: path,
 			Err: fmt.Errorf("block %d: report rebuilt pipeline: %w", loc.ID, err)}
@@ -435,18 +392,13 @@ func (c *Client) readBlock(loc BlockLocation) ([]byte, error) {
 	// Replicas caught corrupt stay excluded for the remaining rounds:
 	// their damage is permanent, unlike a transiently unreachable node.
 	var corrupt map[string]bool
+	// A round that skips every replica has no error of its own: the last
+	// one seen, in whichever round, is what the read reports.
 	var lastErr error
-	for round := 0; round < c.retries; round++ {
-		if round > 0 {
-			c.retryCount.Add(1)
-			c.obs.Inc("dfs.client.retries")
-			if perr := c.pause(round); perr != nil {
-				if lastErr == nil {
-					lastErr = perr
-				}
-				break
-			}
-		}
+	var data []byte
+	rounds := 0
+	err := c.retrier.Do(c.ctx, nil, c.n.retries.Inc, func() error {
+		rounds++
 		for i, dn := range order {
 			if corrupt[dn.ID] {
 				continue
@@ -456,30 +408,31 @@ func (c *Client) readBlock(loc BlockLocation) ([]byte, error) {
 				lastErr = err
 				continue
 			}
-			data, err := api.ReadBlock(loc.ID)
-			if err == nil {
-				if i > 0 || round > 0 {
-					c.readFailovers.Add(1)
-					c.obs.Inc("dfs.client.read.failovers")
+			if data, err = api.ReadBlock(loc.ID); err == nil {
+				if i > 0 || rounds > 1 {
+					c.n.readFailovers.Inc()
 				}
-				return data, nil
+				return nil
 			}
 			if errors.Is(err, ErrCorruptBlock) {
 				if corrupt == nil {
 					corrupt = make(map[string]bool)
 				}
 				corrupt[dn.ID] = true
-				c.corruptReads.Add(1)
-				c.obs.Inc("dfs.client.corrupt.reads")
+				c.n.corruptReads.Inc()
 				c.reportBadReplica(loc.ID, dn)
 			}
 			lastErr = err
 		}
+		if lastErr == nil {
+			lastErr = fmt.Errorf("block %d has no replicas", loc.ID)
+		}
+		return lastErr
+	})
+	if err != nil {
+		return nil, fmt.Errorf("all replicas of block %d failed: %w", loc.ID, err)
 	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("block %d has no replicas", loc.ID)
-	}
-	return nil, fmt.Errorf("all replicas of block %d failed: %w", loc.ID, lastErr)
+	return data, nil
 }
 
 // reportBadReplica tells the NameNode one replica failed verification,

@@ -325,8 +325,8 @@ func TestHostileFrameDropsConnection(t *testing.T) {
 				conn.Close()
 			}
 		}()
-		peer := &tcpPeer{addr: l.Addr().String(), timeout: 10 * time.Second}
-		defer peer.close()
+		peer := NewTCPTransport("").peer(l.Addr().String())
+		defer peer.Close()
 		// exchange retries once on a fresh dial, which lands on the honest
 		// server: the hostile answer costs a connection, not the call.
 		_, data, err := peer.exchange(&rpcRequest{Method: "ReadBlock", Block: 1}, nil)
@@ -334,7 +334,7 @@ func TestHostileFrameDropsConnection(t *testing.T) {
 			t.Fatalf("read after a hostile frame = %q, %v", data, err)
 		}
 		l.Close()
-		peer.close()
+		peer.Close()
 		wg.Wait()
 		if accepted != 2 {
 			t.Errorf("%d connections accepted, want the hostile one and its replacement", accepted)

@@ -9,6 +9,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"preemptsched/internal/wire"
 )
 
 // The TCP transport carries one request/response pair per round trip over
@@ -188,48 +190,7 @@ func Serve(l net.Listener, nn NameNodeAPI, dn DataNodeAPI) error {
 	if (nn == nil) == (dn == nil) {
 		return errors.New("dfs: Serve requires exactly one of namenode or datanode")
 	}
-	var (
-		wg    sync.WaitGroup
-		mu    sync.Mutex
-		conns = make(map[net.Conn]struct{})
-	)
-	defer wg.Wait()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			// Shut down every open connection so the handler goroutines
-			// unblock from their pending reads instead of leaking. Snapshot
-			// under the lock, close outside it: a Close that blocks must
-			// not stall the handlers' own delete(conns, conn) bookkeeping.
-			mu.Lock()
-			open := make([]net.Conn, 0, len(conns))
-			for c := range conns {
-				open = append(open, c)
-			}
-			mu.Unlock()
-			for _, c := range open {
-				c.Close()
-			}
-			if errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		mu.Lock()
-		conns[conn] = struct{}{}
-		mu.Unlock()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				conn.Close()
-				mu.Lock()
-				delete(conns, conn)
-				mu.Unlock()
-			}()
-			serveConn(conn, nn, dn)
-		}()
-	}
+	return wire.Serve(l, func(conn net.Conn) { serveConn(conn, nn, dn) })
 }
 
 // serveConn answers requests until the peer goes away or sends something
@@ -328,78 +289,31 @@ func dispatchDataNode(dn DataNodeAPI, req *rpcRequest, frame []byte) (resp rpcRe
 	return resp, data
 }
 
-// tcpConn is one pooled connection with its framing.
-type tcpConn struct {
-	conn net.Conn
-	rpc  *rpcConn
-}
-
-// tcpPeer issues calls to one remote address, serializing requests over a
-// lazily dialed, reused connection and redialing after failures. Each RPC
-// runs under a read/write deadline so a hung peer fails the call instead
-// of wedging the client forever.
+// tcpPeer issues calls to one remote address over the shared connection
+// layer: one lazily dialed, reused connection, a deadline per round trip,
+// one redial after a transport or framing error.
 type tcpPeer struct {
-	addr    string
-	timeout time.Duration
-	mu      sync.Mutex
-	c       *tcpConn
+	*wire.Peer[*rpcConn]
 }
 
 // call issues a request that carries and fetches no block frame.
-func (p *tcpPeer) call(req *rpcRequest) (*rpcResponse, error) {
+func (p tcpPeer) call(req *rpcRequest) (*rpcResponse, error) {
 	resp, _, err := p.exchange(req, nil)
 	return resp, err
 }
 
-// exchange holds p.mu for the whole round trip: the gob encoder/decoder
-// pair is stateful and the connection carries one request at a time, so
-// the mutex IS the request pipeline. The I/O itself lives in
-// exchangeLocked, which requires the caller to hold p.mu.
-func (p *tcpPeer) exchange(req *rpcRequest, frame []byte) (*rpcResponse, []byte, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.exchangeLocked(req, frame)
-}
-
-func (p *tcpPeer) exchangeLocked(req *rpcRequest, frame []byte) (*rpcResponse, []byte, error) {
-	var lastErr error
-	for attempt := 0; attempt < 2; attempt++ {
-		if p.c == nil {
-			conn, err := net.DialTimeout("tcp", p.addr, p.timeout)
-			if err != nil {
-				return nil, nil, fmt.Errorf("dfs: dial %s: %w", p.addr, err)
-			}
-			p.c = &tcpConn{conn: conn, rpc: newRPCConn(conn)}
-		}
-		if p.timeout > 0 {
-			p.c.conn.SetDeadline(time.Now().Add(p.timeout))
-		}
-		resp, data, err := p.c.rpc.roundTrip(req, frame)
-		if err == nil {
-			if p.timeout > 0 {
-				p.c.conn.SetDeadline(time.Time{})
-			}
-			return resp, data, resp.asError()
-		}
-		lastErr = err
-		// Stale, broken, timed-out or out-of-step connection: drop it and
-		// retry once with a fresh dial.
-		p.c.conn.Close()
-		p.c = nil
+// exchange sends req with its block frame and returns the response with its
+// own. A transport failure comes back wrapped, the error a well-formed
+// response carries rehydrated.
+func (p tcpPeer) exchange(req *rpcRequest, frame []byte) (resp *rpcResponse, data []byte, err error) {
+	err = p.RoundTrip(func(c *rpcConn) (err error) {
+		resp, data, err = c.roundTrip(req, frame)
+		return err
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("dfs: %w", err)
 	}
-	return nil, nil, fmt.Errorf("dfs: rpc to %s: %w", p.addr, lastErr)
-}
-
-func (p *tcpPeer) close() {
-	// Detach under the lock, close outside it: Close on a connection with
-	// an RPC in flight must not deadlock against call's critical section.
-	p.mu.Lock()
-	c := p.c
-	p.c = nil
-	p.mu.Unlock()
-	if c != nil {
-		c.conn.Close()
-	}
+	return resp, data, resp.asError()
 }
 
 // DefaultRPCTimeout bounds each RPC round trip (dial, write, read). Large
@@ -410,41 +324,24 @@ const DefaultRPCTimeout = 30 * time.Second
 // TCPTransport resolves NameNode and DataNode stubs over TCP.
 type TCPTransport struct {
 	namenodeAddr string
-	timeout      time.Duration
 	mu           sync.Mutex
-	peers        map[string]*tcpPeer
-}
-
-// TCPOption configures a TCPTransport.
-type TCPOption func(*TCPTransport)
-
-// WithRPCTimeout overrides the per-RPC deadline; zero disables deadlines.
-func WithRPCTimeout(d time.Duration) TCPOption {
-	return func(t *TCPTransport) { t.timeout = d }
+	peers        map[string]tcpPeer
 }
 
 // NewTCPTransport returns a transport whose NameNode lives at
 // namenodeAddr.
-func NewTCPTransport(namenodeAddr string, opts ...TCPOption) *TCPTransport {
-	t := &TCPTransport{
-		namenodeAddr: namenodeAddr,
-		timeout:      DefaultRPCTimeout,
-		peers:        make(map[string]*tcpPeer),
-	}
-	for _, o := range opts {
-		o(t)
-	}
-	return t
+func NewTCPTransport(namenodeAddr string) *TCPTransport {
+	return &TCPTransport{namenodeAddr: namenodeAddr, peers: make(map[string]tcpPeer)}
 }
 
 var _ Transport = (*TCPTransport)(nil)
 
-func (t *TCPTransport) peer(addr string) *tcpPeer {
+func (t *TCPTransport) peer(addr string) tcpPeer {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	p, ok := t.peers[addr]
 	if !ok {
-		p = &tcpPeer{addr: addr, timeout: t.timeout}
+		p = tcpPeer{wire.NewPeer(addr, DefaultRPCTimeout, func(conn net.Conn) *rpcConn { return newRPCConn(conn) })}
 		t.peers[addr] = p
 	}
 	return p
@@ -468,12 +365,12 @@ func (t *TCPTransport) Close() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, p := range t.peers {
-		p.close()
+		p.Close()
 	}
-	t.peers = make(map[string]*tcpPeer)
+	t.peers = make(map[string]tcpPeer)
 }
 
-type tcpNameNode struct{ peer *tcpPeer }
+type tcpNameNode struct{ peer tcpPeer }
 
 var _ NameNodeAPI = (*tcpNameNode)(nil)
 
@@ -550,7 +447,7 @@ func (n *tcpNameNode) BlockReport(dn DataNodeInfo, blocks []BlockID) ([]BlockID,
 	return resp.Blocks, nil
 }
 
-type tcpDataNode struct{ peer *tcpPeer }
+type tcpDataNode struct{ peer tcpPeer }
 
 var _ DataNodeAPI = (*tcpDataNode)(nil)
 

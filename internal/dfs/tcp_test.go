@@ -232,3 +232,43 @@ func TestTCPChainRestoreAlternatingClients(t *testing.T) {
 		t.Errorf("RemoveChain left %v behind (%v)", left, err)
 	}
 }
+
+// GIVEN a warm TCP transport WHEN a metadata RPC and a block read cross it
+// THEN each allocates no more than it did through the package's own
+// exchangeLocked, before the shared wire.Peer: 19 objects for a Stat, 8 for a
+// ReadBlock (request and response encoding, server side included — the
+// connection layer's own share is zero, internal/wire's
+// TestWarmRoundTripAllocatesNothing). ckpt-dfs makes 122 such calls per op
+// against a 5 % allocation bound, so one stray object per call would show.
+func TestWarmRPCAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	transport, _ := startTCPCluster(t, 1, 1)
+	client := NewClient(transport, WithBlockSize(512), WithLocalNode("dn-0"))
+	writeFile(t, client, "/warm", randomData(300))
+	nn, err := transport.NameNode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := nn.Stat("/warm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dn, err := transport.DataNode(info.Blocks[0].Replicas[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(200, func() { nn.Stat("/warm") }); got > 19 {
+		t.Errorf("a warm Stat allocates %v objects, 19 before the shared peer", got)
+	}
+	if got := testing.AllocsPerRun(200, func() {
+		block, err := dn.ReadBlock(info.Blocks[0].ID)
+		if err != nil {
+			t.Error(err)
+		}
+		putBlock(block)
+	}); got > 8 {
+		t.Errorf("a warm ReadBlock allocates %v objects, 8 before the shared peer", got)
+	}
+}

@@ -62,7 +62,6 @@ func TestRetryPathPreservesSentinels(t *testing.T) {
 		sentinel := entry.err
 		t.Run(sentinel.Error(), func(t *testing.T) {
 			c := NewClient(nil, WithRetry(3, time.Nanosecond))
-			c.sleep = func(time.Duration) {}
 
 			var resp rpcResponse
 			resp.setErr(fmt.Errorf("datanode dn-1: %w", sentinel))

@@ -15,6 +15,7 @@ package faults
 
 import (
 	"errors"
+	"flag"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -155,6 +156,32 @@ type Plan struct {
 // an NM fault without a sweep would strand the node's tasks forever.
 func (p Plan) HasNMFaults() bool {
 	return p.NMCrashAt > 0 || p.NMPartitionAt > 0 || p.HeartbeatDropRate > 0
+}
+
+// Injects reports whether the plan injects anything at all. The zero value
+// does not, and neither does a plan that carries only a seed, node indexes,
+// caps or sizes — those shape faults, they do not arm one.
+func (p Plan) Injects() bool {
+	return p.RPCErrorRate > 0 || p.NameNodeErrorRate > 0 || p.RPCDelay > 0 || p.CrashNode != "" ||
+		p.BitFlipRate > 0 || p.CreateFailRate > 0 || p.TornWriteRate > 0 || p.SilentTruncateRate > 0 ||
+		p.StoreCrashAfterCreates > 0 || p.StoreDelay > 0 || p.HasNMFaults()
+}
+
+// BindFlags declares on fs the fault-injection flags cmd/clusterrun and
+// cmd/clusterd share, parsing into p. A binary with more of the plan to
+// offer binds its own flags to p's other fields.
+func (p *Plan) BindFlags(fs *flag.FlagSet) {
+	fs.Int64Var(&p.Seed, "fault-seed", 1, "fault-injection PRNG seed")
+	fs.Float64Var(&p.RPCErrorRate, "fault-rpc-rate", 0, "probability a DataNode RPC fails")
+	fs.Float64Var(&p.NameNodeErrorRate, "fault-nn-rate", 0, "probability a NameNode RPC fails")
+	fs.Float64Var(&p.CreateFailRate, "fault-create-rate", 0, "probability a checkpoint store create fails")
+	fs.Float64Var(&p.TornWriteRate, "fault-torn-rate", 0, "probability a checkpoint write tears short")
+	fs.IntVar(&p.NMCrashNode, "fault-nm-crash-node", 0, "NodeManager index that crashes at -fault-nm-crash-at")
+	fs.DurationVar(&p.NMCrashAt, "fault-nm-crash-at", 0, "virtual time the NodeManager crash fires (0 = never)")
+	fs.IntVar(&p.NMPartitionNode, "fault-nm-partition-node", 0, "NodeManager index partitioned from the RM at -fault-nm-partition-at")
+	fs.DurationVar(&p.NMPartitionAt, "fault-nm-partition-at", 0, "virtual time the RM<->NM partition opens (0 = never)")
+	fs.DurationVar(&p.NMPartitionFor, "fault-nm-partition-for", 0, "partition duration before it heals (0 = never heals)")
+	fs.Float64Var(&p.HeartbeatDropRate, "fault-nm-beat-drop-rate", 0, "probability an NM heartbeat is dropped on the wire")
 }
 
 // Validate rejects plans whose probabilities or node-fault shapes are

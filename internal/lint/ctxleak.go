@@ -6,12 +6,12 @@ import (
 )
 
 // CtxLeak flags goroutines started in the long-running server packages
-// (internal/dfs, internal/yarn, internal/obs, internal/clusterd) that
-// have no cancellation path: no context.Context in reach, no channel to
-// select or receive on, and no WaitGroup tracking their lifetime. Such
-// goroutines outlive Close/Shutdown, keep listeners and timers alive
-// across test cases, and are exactly the leak the -race chaos runs
-// intermittently trip over.
+// (internal/dfs, internal/yarn, internal/obs, internal/clusterd,
+// internal/wire) that have no cancellation path: no context.Context in
+// reach, no channel to select or receive on, and no WaitGroup tracking
+// their lifetime. Such goroutines outlive Close/Shutdown, keep listeners
+// and timers alive across test cases, and are exactly the leak the -race
+// chaos runs intermittently trip over.
 //
 // It also flags time.Sleep calls inside for-loops that observe no
 // cancellation signal — the classic fixed-delay retry/poll loop. A
@@ -36,6 +36,7 @@ var ctxLeakPackages = map[string]bool{
 	modulePrefix + "/internal/yarn":     true,
 	modulePrefix + "/internal/obs":      true,
 	modulePrefix + "/internal/clusterd": true,
+	modulePrefix + "/internal/wire":     true,
 }
 
 func runCtxLeak(pass *Pass) error {

@@ -89,6 +89,18 @@ func (h *hist) observe(v float64) {
 	h.mu.Unlock()
 }
 
+func (h *hist) snapshot() HistSnapshot {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return HistSnapshot{
+		Count:   h.count,
+		Sum:     h.sum,
+		Min:     h.min,
+		Max:     h.max,
+		Buckets: append([]uint64(nil), h.buckets[:]...),
+	}
+}
+
 // HistSnapshot is an immutable copy of a histogram.
 type HistSnapshot struct {
 	Count   uint64   `json:"count"`
@@ -248,6 +260,14 @@ func (c Counter) Add(delta int64) {
 	}
 }
 
+// Value reads the counter through the handle; zero for a no-op handle.
+func (c Counter) Value() int64 {
+	if c.v == nil {
+		return 0
+	}
+	return c.v.Load()
+}
+
 // Counter pre-resolves a counter handle for hot paths that would
 // otherwise pay a name lookup per increment.
 func (r *Registry) Counter(name string) Counter {
@@ -275,6 +295,15 @@ func (h Histogram) ObserveDuration(d time.Duration) {
 	}
 }
 
+// Snapshot copies the histogram through the handle — one histogram, where
+// Registry.Snapshot copies them all; empty for a no-op handle.
+func (h Histogram) Snapshot() HistSnapshot {
+	if h.h == nil {
+		return HistSnapshot{}
+	}
+	return h.h.snapshot()
+}
+
 // Histogram pre-resolves a histogram handle.
 func (r *Registry) Histogram(name string) Histogram {
 	if r == nil {
@@ -294,12 +323,7 @@ func (r *Registry) Histogram(name string) Histogram {
 func (r *Registry) Inc(name string) { r.Add(name, 1) }
 
 // Add adds delta to a counter.
-func (r *Registry) Add(name string, delta int64) {
-	if r == nil {
-		return
-	}
-	r.counters.Add(name, delta)
-}
+func (r *Registry) Add(name string, delta int64) { r.Counter(name).Add(delta) }
 
 // AddN merges a batch of counter increments under one lock acquisition.
 func (r *Registry) AddN(deltas map[string]int64) {
@@ -333,27 +357,10 @@ func (r *Registry) MaxGauge(name string, v float64) {
 }
 
 // Observe records v (in seconds for latency metrics) into a histogram.
-func (r *Registry) Observe(name string, v float64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	h := r.hists[name]
-	if h == nil {
-		h = &hist{}
-		r.hists[name] = h
-	}
-	r.mu.Unlock()
-	h.observe(v)
-}
+func (r *Registry) Observe(name string, v float64) { r.Histogram(name).Observe(v) }
 
 // ObserveDuration records a duration, in seconds, into a histogram.
-func (r *Registry) ObserveDuration(name string, d time.Duration) {
-	if r == nil {
-		return
-	}
-	r.Observe(name, d.Seconds())
-}
+func (r *Registry) ObserveDuration(name string, d time.Duration) { r.Observe(name, d.Seconds()) }
 
 // Snapshot copies every metric. It is safe to call concurrently with
 // recording.
@@ -378,16 +385,7 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	r.mu.Unlock()
 	for i, h := range hs {
-		h.mu.Lock()
-		s := HistSnapshot{
-			Count:   h.count,
-			Sum:     h.sum,
-			Min:     h.min,
-			Max:     h.max,
-			Buckets: append([]uint64(nil), h.buckets[:]...),
-		}
-		h.mu.Unlock()
-		snap.Histograms[names[i]] = s
+		snap.Histograms[names[i]] = h.snapshot()
 	}
 	return snap
 }

@@ -995,9 +995,21 @@ func (s *Simulator) preemptTask(v *taskRT, now sim.Time) {
 		return
 	}
 
-	// Stop-and-copy checkpoint: freeze now, bank progress, hold resources
-	// until the dump drains through the node's sequential checkpoint
-	// queue.
+	// Stop-and-copy checkpoint.
+	var dumpFlags uint32
+	if action == core.ActionCheckpointIncremental {
+		dumpFlags |= obs.FlagIncremental
+	}
+	s.freezeAndDump(v, action, cand.DumpBytes(), dumpFlags, now)
+}
+
+// freezeAndDump stops a running victim at now, banks the progress of its
+// current attempt, and writes bytes of image through the node's sequential
+// checkpoint queue, extending v's round trip by the dump window and
+// journaling it. The victim holds its resources — and is charged the window
+// as overhead — until the dump drains, then vacates.
+func (s *Simulator) freezeAndDump(v *taskRT, action core.PreemptAction, bytes int64, flags uint32, now sim.Time) {
+	n := v.node
 	s.engine.Cancel(v.completion)
 	v.completion = nil
 	s.unmarkRunning(v)
@@ -1007,26 +1019,15 @@ func (s *Simulator) preemptTask(v *taskRT, now sim.Time) {
 	if v.remaining < 0 {
 		v.remaining = 0
 	}
-	dumpBytes := cand.DumpBytes()
-	_, done := n.device.ReserveWrite(now, dumpBytes)
-	var dumpFlags uint32
-	if action == core.ActionCheckpointIncremental {
-		dumpFlags |= obs.FlagIncremental
-	}
-	s.dumped(v, dumpBytes, dumpFlags, now, done)
-	s.res.ChargeOverhead(v.spec, time.Duration(done-now))
-	s.trackImage(v, action, dumpBytes)
+	_, done := n.device.ReserveWrite(now, bytes)
+	window := time.Duration(done - now)
+	v.trip.Dumped(window, 0)
+	s.jrn.Dump(now, v.spec.ID, int(n.id), v.spec.Priority, v.trip.Est(), window, bytes, flags, 0)
+	s.res.ChargeOverhead(v.spec, window)
+	s.trackImage(v, action, bytes)
 	s.engine.At(done, func(at sim.Time) {
 		s.vacate(v, n, at)
 	})
-}
-
-// dumped extends v's round trip by the dump window [now, done] and
-// journals it.
-func (s *Simulator) dumped(v *taskRT, bytes int64, flags uint32, now, done sim.Time) {
-	window := time.Duration(done - now)
-	v.trip.Dumped(window, 0)
-	s.jrn.Dump(now, v.spec.ID, int(v.node.id), v.spec.Priority, v.trip.Est(), window, bytes, flags, 0)
 }
 
 // vacate finalizes a checkpointed victim: its image is durable, its
@@ -1064,31 +1065,15 @@ func (s *Simulator) startPreCopy(v *taskRT, cand core.Candidate, now sim.Time) {
 			return
 		}
 		v.preCopying = false
-		s.engine.Cancel(v.completion)
-		v.completion = nil
-		s.unmarkRunning(v)
-		// All progress up to the freeze is banked — including the
-		// pre-copy window, which is the whole point.
-		progress := v.unsavedProgress(at)
-		v.phase = phaseCheckpointing
-		v.remaining -= progress
-		if v.remaining < 0 {
-			v.remaining = 0
-		}
-		// The freeze dumps only pages written during the window.
-		window := time.Duration(at - now)
-		frac := float64(window) / float64(v.spec.Duration)
+		// The freeze dumps only the pages written during the window; all
+		// progress up to it is banked — including the window's, which is
+		// the whole point.
+		frac := float64(at-now) / float64(v.spec.Duration)
 		if frac > 1 {
 			frac = 1
 		}
 		delta := int64(frac * float64(v.spec.MemFootprint))
-		_, done := n.device.ReserveWrite(at, delta)
-		s.dumped(v, delta, obs.FlagIncremental|obs.FlagPreCopy, at, done)
-		s.res.ChargeOverhead(v.spec, time.Duration(done-at))
-		s.trackImage(v, core.ActionCheckpointIncremental, delta)
-		s.engine.At(done, func(end sim.Time) {
-			s.vacate(v, n, end)
-		})
+		s.freezeAndDump(v, core.ActionCheckpointIncremental, delta, obs.FlagIncremental|obs.FlagPreCopy, at)
 	})
 }
 

@@ -558,10 +558,8 @@ func (am *AppMaster) bookDump(t *taskRun, n *NodeManager, name string, bytes int
 	}
 	am.c.sampleDFSUsage()
 	start, done := n.device.ReserveWrite(now, bytes)
-	if preCopy {
-		am.c.recordPreDump(t, n, name, bytes, now, start, done)
-	} else {
-		am.c.recordDump(t, n, name, bytes, incremental, now, start, done)
+	am.c.recordDump(t, n, name, bytes, incremental, preCopy, now, start, done)
+	if !preCopy {
 		am.c.chargeOverhead(t, time.Duration(done-now))
 	}
 	return done

@@ -3,6 +3,7 @@ package yarn
 import (
 	"fmt"
 	"io"
+	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,10 +29,12 @@ type Cluster struct {
 	engine *sim.Engine
 	rm     *ResourceManager
 	nodes  []*NodeManager
-	dfsc   *dfs.Cluster
+	// dataNodes are the DFS's storage nodes, one per cluster node, whichever
+	// way they are reached.
+	dataNodes []*dfs.DataNode
 	// dfsView is the transport every client and DataNode actually uses:
-	// the raw in-process transport, or the fault injector's wrapper of it
-	// when Config.Faults is set.
+	// the in-process or TCP transport, or the fault injector's wrapper of
+	// it when Config.Faults is set.
 	dfsView  dfs.Transport
 	injector *faults.Injector
 	ckpt     *checkpoint.Engine
@@ -86,19 +89,50 @@ type Cluster struct {
 	serveWG  sync.WaitGroup
 }
 
-// buildDFS assembles the in-process DFS the checkpoints live in. With
-// fault injection configured, every client and every DataNode reaches the
-// cluster through the injector's transport wrapper, so pipeline forwarding
-// between DataNodes suffers the same faults client RPCs do; a crashed
-// DataNode is decommissioned at the NameNode and its blocks re-replicated
-// from surviving copies.
-func (c *Cluster) buildDFS(repl int) error {
-	inner := dfs.NewInProcTransport()
+// buildDFS assembles the DFS the checkpoints live in: one NameNode and one
+// DataNode per cluster node. The one thing tcp decides is how a node is
+// reached — as an entry of the in-process transport (batch runs), or behind
+// a loopback listener of its own that dfs.Serve answers on, through a pooled
+// TCP transport (service mode); listener and transport closes are
+// registered as cleanups, and close() waits for the serve goroutines via
+// serveWG. With fault injection configured, every client and every DataNode
+// reaches the cluster through the injector's transport wrapper, so pipeline
+// forwarding between DataNodes suffers the same faults client RPCs do; a
+// crashed DataNode is decommissioned at the NameNode and its blocks
+// re-replicated from surviving copies.
+func (c *Cluster) buildDFS(repl int, tcp bool) error {
 	nn := dfs.NewNameNode(repl)
 	nn.Instrument(c.reg)
-	inner.SetNameNode(nn)
 
-	var view dfs.Transport = inner
+	listen := func() (net.Listener, error) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err == nil {
+			c.cleanups = append(c.cleanups, func() { ln.Close() })
+		}
+		return ln, err
+	}
+	serve := func(ln net.Listener, nn dfs.NameNodeAPI, dn dfs.DataNodeAPI) {
+		c.serveWG.Add(1)
+		go func() {
+			defer c.serveWG.Done()
+			_ = dfs.Serve(ln, nn, dn)
+		}()
+	}
+
+	inproc := dfs.NewInProcTransport()
+	c.dfsView = inproc
+	if tcp {
+		ln, err := listen()
+		if err != nil {
+			return err
+		}
+		serve(ln, nn, nil)
+		tr := dfs.NewTCPTransport(ln.Addr().String())
+		c.cleanups = append(c.cleanups, tr.Close)
+		c.dfsView = tr
+	} else {
+		inproc.SetNameNode(nn)
+	}
 	if c.cfg.Faults != nil {
 		plan := *c.cfg.Faults
 		userOnCrash := plan.OnCrash
@@ -106,34 +140,47 @@ func (c *Cluster) buildDFS(repl int) error {
 			if userOnCrash != nil {
 				userOnCrash(id)
 			}
-			// The liveness monitor would notice the silent node at its
-			// next heartbeat sweep; the emulation collapses that delay
-			// into an immediate decommission.
+			// The liveness monitor would notice the silent node at its next
+			// heartbeat sweep; the emulation collapses that delay into an
+			// immediate decommission. The callback fires on whichever
+			// goroutine tripped the crashed DataNode — over TCP an RPC
+			// goroutine racing the engine — so the counts go to atomics and
+			// are folded into Result at finish.
 			if rep, err := nn.Decommission(id, c.dfsView); err == nil && rep != nil {
 				c.decomRecovered.Add(int64(rep.Recovered))
 				c.decomLost.Add(int64(rep.Lost))
 			}
 		}
 		c.injector = faults.NewInjector(plan)
-		view = faults.WrapTransport(inner, c.injector)
+		c.dfsView = faults.WrapTransport(c.dfsView, c.injector)
 	}
-	c.dfsView = view
 	// Self-healing (re-replication after a bad-replica report) runs over
 	// the same faulted view every other component uses, so healing copies
 	// are subject to the same injected chaos as the traffic that found the
 	// corruption.
-	nn.AttachTransport(view)
+	nn.AttachTransport(c.dfsView)
 
-	c.dfsc = &dfs.Cluster{NameNode: nn, Transport: inner}
 	for i := 0; i < c.cfg.Nodes; i++ {
 		info := dfs.DataNodeInfo{ID: fmt.Sprintf("dn-%d", i), Addr: fmt.Sprintf("dn-%d", i)}
-		dn := dfs.NewDataNode(info, view)
+		var ln net.Listener
+		if tcp {
+			var err error
+			if ln, err = listen(); err != nil {
+				return err
+			}
+			info.Addr = ln.Addr().String()
+		}
+		dn := dfs.NewDataNode(info, c.dfsView)
 		dn.Instrument(c.reg)
-		inner.AddDataNode(info, dn)
+		if tcp {
+			serve(ln, nil, dn)
+		} else {
+			inproc.AddDataNode(info, dn)
+		}
 		if err := nn.Register(info); err != nil {
 			return err
 		}
-		c.dfsc.DataNodes = append(c.dfsc.DataNodes, dn)
+		c.dataNodes = append(c.dataNodes, dn)
 	}
 	return nil
 }
@@ -184,7 +231,7 @@ func (c *Cluster) scrubAll() {
 	if err != nil {
 		return
 	}
-	for _, dn := range c.dfsc.DataNodes {
+	for _, dn := range c.dataNodes {
 		res := dn.ScrubOnce(nn)
 		c.res.ScrubRuns++
 		c.res.ScrubBlocksChecked += int64(res.Checked)
@@ -216,13 +263,7 @@ func newCluster(cfg Config, tcpDFS bool) (*Cluster, error) {
 	if repl > cfg.Nodes {
 		repl = cfg.Nodes
 	}
-	var err error
-	if tcpDFS {
-		err = c.buildTCPDFS(repl)
-	} else {
-		err = c.buildDFS(repl)
-	}
-	if err != nil {
+	if err := c.buildDFS(repl, tcpDFS); err != nil {
 		c.close()
 		return nil, fmt.Errorf("yarn: build dfs: %w", err)
 	}
@@ -277,12 +318,12 @@ func (c *Cluster) finish(end sim.Time) {
 	for _, n := range c.nodes {
 		n.settleEnergy(end)
 		c.res.CloseNode(n.meter, n.device)
-		st := n.dfsCli.Stats()
-		c.res.DFSRetries += st.Retries
-		c.res.ReadFailovers += st.ReadFailovers
-		c.res.PipelineRebuilds += st.PipelineRebuilds
-		c.res.CorruptReads += st.CorruptReads
 	}
+	// Every node's client counts into the one registry, so any one of them
+	// reports the cluster's totals.
+	st := c.nodes[0].dfsCli.Stats()
+	c.res.DFSRetries, c.res.ReadFailovers = st.Retries, st.ReadFailovers
+	c.res.PipelineRebuilds, c.res.CorruptReads = st.PipelineRebuilds, st.CorruptReads
 	c.res.BlocksReReplicated += int(c.decomRecovered.Swap(0))
 	c.res.BlocksLost += int(c.decomLost.Swap(0))
 	if c.injector != nil {
@@ -363,7 +404,7 @@ func (c *Cluster) chargeWaste(t *taskRun, lost time.Duration) {
 // sampleDFSUsage records the real bytes resident in the DFS.
 func (c *Cluster) sampleDFSUsage() {
 	var total int64
-	for _, dn := range c.dfsc.DataNodes {
+	for _, dn := range c.dataNodes {
 		total += dn.StoredBytes()
 	}
 	if total > c.res.DFSStoredBytes {

@@ -16,6 +16,7 @@ package yarn
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"time"
 
@@ -166,6 +167,19 @@ func DefaultConfig(policy core.Policy, kind storage.Kind) Config {
 		WordCountInput:    8192,
 		WordCountChunk:    512,
 	}
+}
+
+// BindFlags declares on fs the cluster-shape and liveness flags
+// cmd/clusterrun and cmd/clusterd share, parsing into c; c's values at the
+// call are the defaults the flags print. (The fault-injection flags the two
+// also share are faults.Plan.BindFlags.)
+func (c *Config) BindFlags(fs *flag.FlagSet) {
+	fs.IntVar(&c.Nodes, "nodes", c.Nodes, "NodeManager count (paper: 8)")
+	fs.IntVar(&c.ContainersPerNode, "slots", c.ContainersPerNode, "containers per node (paper: 24)")
+	fs.StringVar(&c.Program, "program", c.Program, "per-task application: kmeans|wordcount")
+	fs.BoolVar(&c.PreCopy, "precopy", c.PreCopy, "use pre-copy checkpointing (dump while the victim runs)")
+	fs.DurationVar(&c.NMHeartbeatEvery, "nm-heartbeat-every", c.NMHeartbeatEvery, "NM heartbeat interval on the virtual clock (0 = default 10s)")
+	fs.DurationVar(&c.NMLivenessTimeout, "nm-heartbeat-timeout", c.NMLivenessTimeout, "silence after which the RM declares a node dead (0 = auto-armed with NM faults)")
 }
 
 // Validate checks the configuration.

@@ -63,46 +63,46 @@ func (c *Cluster) observeDecision(t *taskRun, n *NodeManager, action core.Preemp
 		obs.DurationMS("est_overhead_ms", t.trip.Est()))
 }
 
-// recordDump books one checkpoint dump window [now, done] with the device
-// queue portion [now, start]: queue/write/total histograms, the per-node
-// queue-backlog high-water mark, and a dump span with dump-queue and
-// dump-write children.
-func (c *Cluster) recordDump(t *taskRun, n *NodeManager, image string, bytes int64, incremental bool, now, start, done sim.Time) {
-	c.hm.dumpQueue.ObserveDuration(time.Duration(start - now))
-	c.hm.dumpWrite.ObserveDuration(time.Duration(done - start))
-	c.hm.dumpTotal.ObserveDuration(time.Duration(done - now))
-	//lint:ignore metricname per-node gauge: the node id is part of the series identity
-	c.reg.MaxGauge(fmt.Sprintf("yarn.node.%d.ckpt.queue.peak.seconds", n.id), time.Duration(start-now).Seconds())
+// recordDump books one image write window [now, done] with the device
+// queue portion [now, start]: histograms, a span with dump-queue and
+// dump-write children, the round trip's dump leg and the journal record. A
+// stop-and-copy dump feeds the queue/write/total histograms and the per-node
+// queue-backlog high-water mark; a pre-copy write, during which the victim
+// keeps executing, has a histogram, a span name and a journal shape of its
+// own.
+func (c *Cluster) recordDump(t *taskRun, n *NodeManager, image string, bytes int64, incremental, preCopy bool, now, start, done sim.Time) {
+	total := time.Duration(done - now)
+	if preCopy {
+		c.hm.predumpTotal.ObserveDuration(total)
+	} else {
+		c.hm.dumpQueue.ObserveDuration(time.Duration(start - now))
+		c.hm.dumpWrite.ObserveDuration(time.Duration(done - start))
+		c.hm.dumpTotal.ObserveDuration(total)
+		//lint:ignore metricname per-node gauge: the node id is part of the series identity
+		c.reg.MaxGauge(fmt.Sprintf("yarn.node.%d.ckpt.queue.peak.seconds", n.id), time.Duration(start-now).Seconds())
+	}
 	var span obs.SpanID
 	if c.tracer != nil {
 		pid, tid := obs.NodeName(n.id), t.spec.ID.String()
-		span = c.tracer.Complete("checkpoint", "dump", pid, tid, 0, time.Duration(now), time.Duration(done),
-			obs.Int64("bytes", bytes), obs.Bool("incremental", incremental), obs.String("image", image))
+		if preCopy {
+			span = c.tracer.Complete("checkpoint", "pre-dump", pid, tid, 0, time.Duration(now), time.Duration(done),
+				obs.Int64("bytes", bytes), obs.String("image", image))
+		} else {
+			span = c.tracer.Complete("checkpoint", "dump", pid, tid, 0, time.Duration(now), time.Duration(done),
+				obs.Int64("bytes", bytes), obs.Bool("incremental", incremental), obs.String("image", image))
+		}
 		c.tracer.Complete("checkpoint", "dump-queue", pid, tid, span, time.Duration(now), time.Duration(start))
 		c.tracer.Complete("checkpoint", "dump-write", pid, tid, span, time.Duration(start), time.Duration(done))
 	}
-	t.trip.Dumped(time.Duration(done-now), span)
-	flags := uint32(0)
-	if incremental {
-		flags |= obs.FlagIncremental
+	t.trip.Dumped(total, span)
+	switch {
+	case preCopy:
+		c.jrn.PreDump(now, t.spec.ID, n.id, t.spec.Priority, t.trip.Est(), total, bytes, span)
+	case incremental:
+		c.jrn.Dump(now, t.spec.ID, n.id, t.spec.Priority, t.trip.Est(), total, bytes, obs.FlagIncremental, span)
+	default:
+		c.jrn.Dump(now, t.spec.ID, n.id, t.spec.Priority, t.trip.Est(), total, bytes, 0, span)
 	}
-	c.jrn.Dump(now, t.spec.ID, n.id, t.spec.Priority, t.trip.Est(), time.Duration(done-now), bytes, flags, span)
-}
-
-// recordPreDump books the pre-copy write window, during which the victim
-// keeps executing.
-func (c *Cluster) recordPreDump(t *taskRun, n *NodeManager, image string, bytes int64, now, start, done sim.Time) {
-	c.hm.predumpTotal.ObserveDuration(time.Duration(done - now))
-	var span obs.SpanID
-	if c.tracer != nil {
-		pid, tid := obs.NodeName(n.id), t.spec.ID.String()
-		span = c.tracer.Complete("checkpoint", "pre-dump", pid, tid, 0, time.Duration(now), time.Duration(done),
-			obs.Int64("bytes", bytes), obs.String("image", image))
-		c.tracer.Complete("checkpoint", "dump-queue", pid, tid, span, time.Duration(now), time.Duration(start))
-		c.tracer.Complete("checkpoint", "dump-write", pid, tid, span, time.Duration(start), time.Duration(done))
-	}
-	t.trip.Dumped(time.Duration(done-now), span)
-	c.jrn.PreDump(now, t.spec.ID, n.id, t.spec.Priority, t.trip.Est(), time.Duration(done-now), bytes, span)
 }
 
 // recordContainerWait books the time a granted request spent queued at the

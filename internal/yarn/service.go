@@ -4,12 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 
 	"preemptsched/internal/cluster"
-	"preemptsched/internal/dfs"
-	"preemptsched/internal/faults"
 	"preemptsched/internal/sim"
 )
 
@@ -240,75 +237,4 @@ func (s *Service) Close() (*Result, error) {
 func (s *Service) Abort() (*Result, error) {
 	s.cancel()
 	return s.Close()
-}
-
-// buildTCPDFS assembles the DFS over real loopback TCP: one NameNode
-// listener, one listener per DataNode, and a pooled TCP transport as the
-// view every client and DataNode dials through — wrapped by the fault
-// injector when Config.Faults is set, exactly as in buildDFS. Listener
-// closes are registered as cleanups; close() waits for the serve
-// goroutines via serveWG.
-func (c *Cluster) buildTCPDFS(repl int) error {
-	nn := dfs.NewNameNode(repl)
-	nn.Instrument(c.reg)
-	nnLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	c.cleanups = append(c.cleanups, func() { nnLn.Close() })
-	c.serveWG.Add(1)
-	go serveDFS(&c.serveWG, nnLn, nn, nil)
-
-	tr := dfs.NewTCPTransport(nnLn.Addr().String())
-	c.cleanups = append(c.cleanups, tr.Close)
-
-	var view dfs.Transport = tr
-	if c.cfg.Faults != nil {
-		plan := *c.cfg.Faults
-		userOnCrash := plan.OnCrash
-		plan.OnCrash = func(id string) {
-			if userOnCrash != nil {
-				userOnCrash(id)
-			}
-			// The callback fires on whichever RPC goroutine tripped the
-			// crashed DataNode, racing the engine goroutine — accumulate
-			// into atomics and fold into Result at finish.
-			if rep, err := nn.Decommission(id, c.dfsView); err == nil && rep != nil {
-				c.decomRecovered.Add(int64(rep.Recovered))
-				c.decomLost.Add(int64(rep.Lost))
-			}
-		}
-		c.injector = faults.NewInjector(plan)
-		view = faults.WrapTransport(tr, c.injector)
-	}
-	c.dfsView = view
-	nn.AttachTransport(view)
-
-	// Transport stays nil: it is the in-process handle, and every yarn-side
-	// consumer reaches the DFS through c.dfsView or c.dfsc.DataNodes.
-	c.dfsc = &dfs.Cluster{NameNode: nn}
-	for i := 0; i < c.cfg.Nodes; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		c.cleanups = append(c.cleanups, func() { ln.Close() })
-		info := dfs.DataNodeInfo{ID: fmt.Sprintf("dn-%d", i), Addr: ln.Addr().String()}
-		dn := dfs.NewDataNode(info, view)
-		dn.Instrument(c.reg)
-		c.serveWG.Add(1)
-		go serveDFS(&c.serveWG, ln, nil, dn)
-		if err := nn.Register(info); err != nil {
-			return err
-		}
-		c.dfsc.DataNodes = append(c.dfsc.DataNodes, dn)
-	}
-	return nil
-}
-
-// serveDFS runs one RPC listener until it closes; the WaitGroup is the
-// goroutine's lifecycle tie back to Cluster.close.
-func serveDFS(wg *sync.WaitGroup, ln net.Listener, nn dfs.NameNodeAPI, dn dfs.DataNodeAPI) {
-	defer wg.Done()
-	_ = dfs.Serve(ln, nn, dn)
 }
