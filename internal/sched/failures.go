@@ -38,9 +38,11 @@ func (s *Simulator) failNode(f NodeFailure, now sim.Time) {
 	}
 	// Waiters parked on the dead node's capacity must not keep waiting
 	// for dumps that will never free it.
-	for _, t := range s.queue {
-		if t.reservedOn == n {
-			s.unreserve(t)
+	for _, head := range s.queue.head {
+		for t := head; t != nil; t = t.qnext {
+			if t.reservedOn == n {
+				s.unreserve(t)
+			}
 		}
 	}
 	n.reserved = cluster.Resources{}

@@ -174,7 +174,7 @@ func TestNodeFailureValidation(t *testing.T) {
 // order (the queue places by priority first),
 // WHEN the node fails,
 // THEN its tasks are fenced in ascending task-ID order — the order that
-// fixes their queue sequence numbers and hence everything after it.
+// fixes their order in the pending queue and hence everything after it.
 func TestFailNodeFencesInTaskIDOrder(t *testing.T) {
 	job := func(id cluster.JobID, prio cluster.Priority, tasks int) cluster.JobSpec {
 		j := cluster.JobSpec{ID: id, Priority: prio}

@@ -111,7 +111,7 @@ func (s *Simulator) startSampler() {
 		s.cfg.OnSample(Sample{
 			At:        now,
 			InFlight:  s.inFlight,
-			Queued:    len(s.queue),
+			Queued:    s.queue.n,
 			Decisions: s.decisions,
 			Events:    s.engine.Fired(),
 		})

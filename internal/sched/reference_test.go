@@ -125,6 +125,90 @@ func referenceChooseVictims(s *Simulator, t *taskRT, now sim.Time) (*node, []*ta
 	return bestNode, bestSet, bestCost
 }
 
+// referenceQueue is the pending queue as it stood before it became one FIFO
+// per priority: a binary min-heap on (priority desc, queue entry asc, seq),
+// where seq numbers the enqueue calls. A pass popped its batch off it and
+// pushed back, under their old seq, the waiters it could not place. It is
+// the executable definition of the order pendingQueue must present.
+type referenceEntry struct {
+	t   *taskRT
+	seq uint64
+}
+
+type referenceQueue struct {
+	heap []referenceEntry
+	seq  uint64
+}
+
+func referenceBefore(a, b referenceEntry) bool {
+	if a.t.spec.Priority != b.t.spec.Priority {
+		return a.t.spec.Priority > b.t.spec.Priority
+	}
+	if a.t.queuedAt != b.t.queuedAt {
+		return a.t.queuedAt < b.t.queuedAt
+	}
+	return a.seq < b.seq
+}
+
+// enqueue is Simulator.enqueue's half of the old contract: a fresh seq.
+func (q *referenceQueue) enqueue(t *taskRT) {
+	q.push(referenceEntry{t, q.seq})
+	q.seq++
+}
+
+func (q *referenceQueue) push(e referenceEntry) {
+	h := q.heap
+	i := len(h)
+	h = append(h, e)
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !referenceBefore(e, h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = e
+	q.heap = h
+}
+
+func (q *referenceQueue) pop() referenceEntry {
+	h := q.heap
+	e := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h = h[:n]
+	q.heap = h
+	if n > 0 {
+		i := 0
+		for {
+			kid := 2*i + 1
+			if kid >= n {
+				break
+			}
+			if r := kid + 1; r < n && referenceBefore(h[r], h[kid]) {
+				kid = r
+			}
+			if !referenceBefore(h[kid], last) {
+				break
+			}
+			h[i] = h[kid]
+			i = kid
+		}
+		h[i] = last
+	}
+	return e
+}
+
+// book puts t on n the way place does, short of starting it: the caller
+// sets the phase.
+func book(s *Simulator, n *node, t *taskRT, now sim.Time) {
+	n.alloc(now, t.spec.Demand)
+	s.account(t, +1)
+	n.addRunning(t)
+	t.node = n
+}
+
 // randomBook fills a fresh simulator's node books the way a run in
 // progress would have: tasks placed in arbitrary ID order, in every
 // resource-holding phase, with checkpoint queues of different depths, a
@@ -166,10 +250,7 @@ func randomBook(rng *rand.Rand, cfg Config) (*Simulator, sim.Time, []*taskRT) {
 			if !t.spec.Demand.Fits(n.free()) {
 				continue
 			}
-			n.alloc(now, t.spec.Demand)
-			s.account(t, +1)
-			n.addRunning(t)
-			t.node = n
+			book(s, n, t, now)
 			t.evictions = rng.Intn(3)
 			t.hasCheckpoint = rng.Intn(3) == 0
 			switch rng.Intn(8) {

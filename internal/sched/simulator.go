@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"time"
 
@@ -18,7 +19,7 @@ import (
 type Dist = metrics.Dist
 
 // taskPhase is a task's runtime state.
-type taskPhase int
+type taskPhase uint8
 
 const (
 	phaseQueued taskPhase = iota + 1
@@ -33,7 +34,6 @@ type taskRT struct {
 	spec *cluster.TaskSpec
 	job  *jobRT
 
-	phase taskPhase
 	// remaining is the compute time still owed. It shrinks when progress
 	// is banked: at completion, or at checkpoint time.
 	remaining time.Duration
@@ -47,9 +47,10 @@ type taskRT struct {
 	// imageBytes is the logical size of the stored image chain.
 	imageBytes int64
 
-	// queuedAt is when the task (re)entered the pending queue.
-	queuedAt sim.Time
-	seq      uint64
+	// queuedAt is when the task (re)entered the pending queue; qprev and
+	// qnext link it into its priority's FIFO while it waits there.
+	queuedAt     sim.Time
+	qprev, qnext *taskRT
 	// completion is the pending completion timer while running.
 	completion *sim.Timer
 	// evictions counts preemptions suffered, for the eviction-threshold
@@ -64,10 +65,13 @@ type taskRT struct {
 	// resources and prevents issuing a second round of preemptions for
 	// the same waiter.
 	reservedOn *node
+	// phase, preCopying and failedOver share one word: there is one taskRT
+	// per task and at 144 bytes it exactly fills an allocator size class, so
+	// a field that opened another word would cost every task 16 bytes
+	// (TestTaskRTStaysInItsSizeClass).
+	phase taskPhase
 	// preCopying marks a running task whose state is being pre-dumped; it
-	// is not eligible as a further preemption victim until frozen. It
-	// shares a word with failedOver: there is one taskRT per task and the
-	// struct sits at an allocator size-class boundary.
+	// is not eligible as a further preemption victim until frozen.
 	preCopying bool
 	// failedOver marks a task displaced by a node failure; its next
 	// placement is attributed as a failure restore or restart.
@@ -250,68 +254,72 @@ func (n *node) release(now sim.Time, r cluster.Resources) {
 	n.touch()
 }
 
-// pendingQueue is a binary min-heap of waiting tasks ordered by
-// (priority desc, queue entry asc, seq). Like sim's event queue it is
-// hand-specialized: the key is a total order (seq breaks every tie), so
-// pop order — and therefore simulation output — is identical to the old
-// container/heap implementation, minus the interface-dispatch overhead
-// on a queue that every scheduling pass pops and refills.
-type pendingQueue []*taskRT
-
-// beforeTask is the strict queue ordering.
-func beforeTask(a, b *taskRT) bool {
-	if a.spec.Priority != b.spec.Priority {
-		return a.spec.Priority > b.spec.Priority
-	}
-	if a.queuedAt != b.queuedAt {
-		return a.queuedAt < b.queuedAt
-	}
-	return a.seq < b.seq
+// pendingQueue holds the waiting tasks in the order a pass examines them:
+// priority descending, then queue entry ascending, then enqueue order. It
+// is one intrusive FIFO per priority, linked through taskRT.qprev/qnext.
+// enqueue stamps queuedAt with the clock of the handler that calls it and
+// the engine never runs backwards, so within one priority arrival order is
+// key order: a push is an append, and a waiter a pass cannot place stays
+// where it is without being touched.
+type pendingQueue struct {
+	head, tail [int(cluster.MaxPriority) + 1]*taskRT
+	// mask has bit p set while priority p's list is non-empty.
+	mask uint16
+	n    int
 }
 
+// GIVEN the FIFO of t's priority, every waiter in it queued no later than
+// its tail,
+// WHEN t is pushed,
+// THEN t becomes the tail; a t queued before the tail would have to go
+// somewhere in the middle, which this queue cannot do, so it panics rather
+// than examine waiters out of order from then on.
 func (q *pendingQueue) push(t *taskRT) {
-	h := *q
-	i := len(h)
-	h = append(h, t)
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !beforeTask(t, h[parent]) {
-			break
+	p := t.spec.Priority
+	if tail := q.tail[p]; tail != nil {
+		if t.queuedAt < tail.queuedAt {
+			panic(fmt.Sprintf("sched: task %v queued at %v behind task %v queued at %v", t.spec.ID, t.queuedAt, tail.spec.ID, tail.queuedAt))
 		}
-		h[i] = h[parent]
-		i = parent
+		tail.qnext, t.qprev = t, tail
+	} else {
+		q.head[p] = t
+		q.mask |= 1 << uint(p)
 	}
-	h[i] = t
-	*q = h
+	q.tail[p] = t
+	q.n++
 }
 
-func (q *pendingQueue) pop() *taskRT {
-	h := *q
-	t := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h[n] = nil
-	h = h[:n]
-	*q = h
-	if n > 0 {
-		i := 0
-		for {
-			kid := 2*i + 1
-			if kid >= n {
-				break
-			}
-			if r := kid + 1; r < n && beforeTask(h[r], h[kid]) {
-				kid = r
-			}
-			if !beforeTask(h[kid], last) {
-				break
-			}
-			h[i] = h[kid]
-			i = kid
-		}
-		h[i] = last
+// remove unlinks a queued t from wherever it stands in its list.
+func (q *pendingQueue) remove(t *taskRT) {
+	p := t.spec.Priority
+	if t.qprev != nil {
+		t.qprev.qnext = t.qnext
+	} else {
+		q.head[p] = t.qnext
 	}
-	return t
+	if t.qnext != nil {
+		t.qnext.qprev = t.qprev
+	} else {
+		q.tail[p] = t.qprev
+	}
+	if q.head[p] == nil {
+		q.mask &^= 1 << uint(p)
+	}
+	t.qprev, t.qnext = nil, nil
+	q.n--
+}
+
+// window appends the first limit waiters in queue order to dst without
+// removing them.
+func (q *pendingQueue) window(dst []*taskRT, limit int) []*taskRT {
+	for m := q.mask; m != 0 && len(dst) < limit; {
+		p := bits.Len16(m) - 1
+		m &^= 1 << uint(p)
+		for t := q.head[p]; t != nil && len(dst) < limit; t = t.qnext {
+			dst = append(dst, t)
+		}
+	}
+	return dst
 }
 
 // Simulator executes one run.
@@ -326,7 +334,6 @@ type Simulator struct {
 	nodeIdx *nodeIndex
 	queue   pendingQueue
 	jobs    []*jobRT
-	seq     uint64
 	// The scratch buffers below are reused across victim scans and
 	// scheduling passes so the hot loop stays allocation-free. candScratch
 	// and keyScratch describe the node being scanned — every preemptableOn
@@ -338,7 +345,6 @@ type Simulator struct {
 	keyScratch    core.VictimScratch
 	victimScratch []*taskRT
 	batchScratch  []*taskRT
-	skipScratch   []*taskRT
 	failedScratch []cluster.Resources
 
 	res *Result
@@ -566,8 +572,6 @@ func newSimulator(cfg Config) (*Simulator, error) {
 func (s *Simulator) enqueue(t *taskRT, now sim.Time) {
 	t.phase = phaseQueued
 	t.queuedAt = now
-	t.seq = s.seq
-	s.seq++
 	s.queue.push(t)
 }
 
@@ -581,16 +585,15 @@ func (s *Simulator) requestSchedule(now sim.Time) {
 	s.engine.At(now, s.runPass)
 }
 
-// popBatch removes up to ScanLimit tasks from the pending queue and
-// orders them by the active discipline: heap (priority) order as popped,
-// most-underserved user first for fair share, largest band deficit first
-// for capacity.
-func (s *Simulator) popBatch() []*taskRT {
-	limit := s.cfg.ScanLimit
-	batch := s.batchScratch[:0]
-	for len(s.queue) > 0 && len(batch) < limit {
-		batch = append(batch, s.queue.pop())
-	}
+// scanBatch snapshots the first ScanLimit tasks of the pending queue, which
+// stay queued, and orders them by the active discipline: queue (priority)
+// order as found, most-underserved user first for fair share, largest band
+// deficit first for capacity. The batch is fixed here, before the pass
+// places anything: a task the pass itself sends back to the queue (a kill
+// victim, possibly one the same pass placed a moment earlier) waits for
+// the next pass.
+func (s *Simulator) scanBatch() []*taskRT {
+	batch := s.queue.window(s.batchScratch[:0], s.cfg.ScanLimit)
 	s.batchScratch = batch
 	switch s.cfg.Discipline {
 	case DisciplineFairShare:
@@ -613,15 +616,12 @@ func (s *Simulator) popBatch() []*taskRT {
 // trySchedule walks the pending queue in discipline order, placing what
 // fits and preempting for what does not (policy permitting).
 func (s *Simulator) trySchedule(now sim.Time) {
-	var (
-		skipped = s.skipScratch[:0]
-		// failed holds demands that could not be placed this pass; any
-		// later task dominating one of them cannot place either, so its
-		// node scan is skipped. Capped small: membership tests must stay
-		// cheaper than the scans they avoid.
-		failed = s.failedScratch[:0]
-	)
-	for _, t := range s.popBatch() {
+	// failed holds demands that could not be placed this pass; any later
+	// task dominating one of them cannot place either, so its node scan is
+	// skipped. Capped small: membership tests must stay cheaper than the
+	// scans they avoid.
+	failed := s.failedScratch[:0]
+	for _, t := range s.scanBatch() {
 		placed := false
 		if !dominatesAny(t.spec.Demand, failed) {
 			placed = s.place(t, now)
@@ -644,16 +644,9 @@ func (s *Simulator) trySchedule(now sim.Time) {
 			feasible && s.preemptFor(t, now) {
 			// Kill-based vacating frees resources synchronously; retry at
 			// once so backfilling tasks cannot steal them.
-			if s.place(t, now) {
-				continue
-			}
+			s.place(t, now)
 		}
-		skipped = append(skipped, t)
 	}
-	for _, t := range skipped {
-		s.queue.push(t)
-	}
-	s.skipScratch = skipped[:0]
 	s.failedScratch = failed[:0]
 }
 
@@ -689,13 +682,16 @@ func (s *Simulator) unreserve(t *taskRT) {
 	n.touch()
 }
 
-// place starts t on a node with free capacity, restoring from its
-// checkpoint when one exists. It reports whether placement happened.
+// place starts the queued task t on a node with free capacity, restoring
+// from its checkpoint when one exists. It reports whether placement
+// happened. A placed t leaves the pending queue here and not in a sweep at
+// the end of the pass: a later kill in the same pass may enqueue it again.
 func (s *Simulator) place(t *taskRT, now sim.Time) bool {
 	target := s.pickNode(t, now)
 	if target == nil {
 		return false
 	}
+	s.queue.remove(t)
 	s.unreserve(t)
 	target.alloc(now, t.spec.Demand)
 	s.account(t, +1)
