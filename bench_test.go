@@ -247,8 +247,8 @@ func BenchmarkRunAll(b *testing.B) { benchRunAll(b, 0) }
 
 // benchYarnPreempt runs one contended mini-YARN workload (2 nodes × 8
 // slots against 8 jobs / 240 tasks forces ~32 preemption decisions),
-// optionally with the decision-provenance flight recorder and the live
-// SLO engine attached — the always-on service-mode configuration.
+// optionally with the decision-provenance flight recorder attached — the
+// always-on service-mode configuration.
 func benchYarnPreempt(b *testing.B, record bool) {
 	wc := workload.DefaultFacebookConfig()
 	wc.Seed = 21
@@ -268,7 +268,6 @@ func benchYarnPreempt(b *testing.B, record bool) {
 		if record {
 			rec = obs.NewRecorder(0, 0)
 			cfg.Recorder = rec
-			cfg.SLO = obs.NewSLOTracker()
 		}
 		r, err := yarn.Run(cfg, jobs)
 		if err != nil {

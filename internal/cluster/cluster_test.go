@@ -164,6 +164,12 @@ func TestJobAggregates(t *testing.T) {
 	if got := j.TotalWork(); got != 3*time.Minute {
 		t.Errorf("TotalWork = %v", got)
 	}
+	// Durations whose sum wraps int64 saturate: the horizon check in
+	// yarn.Service.Reserve compares this sum, and a wrapped one would pass it.
+	j.Tasks[0].Duration, j.Tasks[1].Duration = math.MaxInt64-1, 2
+	if got := j.TotalWork(); got != math.MaxInt64 {
+		t.Errorf("TotalWork of a wrapping sum = %v, want it saturated", got)
+	}
 	if j.Band() != BandMiddle {
 		t.Errorf("Band = %v, want medium", j.Band())
 	}

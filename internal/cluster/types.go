@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"time"
 )
@@ -130,11 +131,15 @@ func (j *JobSpec) TotalDemand() Resources {
 }
 
 // TotalWork sums task durations; this is the job's core-seconds of useful
-// compute at one core per task.
+// compute at one core per task, and the time one slot would need for it.
+// Durations are positive in a valid spec, so a sum that wrapped is negative:
+// it saturates.
 func (j *JobSpec) TotalWork() time.Duration {
 	var d time.Duration
 	for i := range j.Tasks {
-		d += j.Tasks[i].Duration
+		if d += j.Tasks[i].Duration; d < 0 {
+			return math.MaxInt64
+		}
 	}
 	return d
 }

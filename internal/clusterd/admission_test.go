@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"preemptsched/internal/cluster"
+	"preemptsched/internal/obs"
+	"preemptsched/internal/yarn"
 )
 
 // rawExchange writes one request line as given and reads one reply line.
@@ -120,30 +122,137 @@ func TestAdmittedMeansRunnable(t *testing.T) {
 	}
 }
 
-// GIVEN the protocol's bounds WHEN a job sits exactly on them THEN it is
-// admitted, and what is queued is the spec the engine validates: MaxJobTasks
-// tasks, the longest duration that converts without wrapping. (Driven
-// through admit on a daemon without an engine: running ten thousand k-means
-// processes is not what this pins.)
-func TestAdmissionBoundsAreInclusive(t *testing.T) {
-	d := &Daemon{
-		cfg:         Config{}.withDefaults(),
-		queue:       make(chan cluster.JobSpec, 1),
+// GIVEN a serving daemon on one node with one slot WHEN a client submits the
+// job ROADMAP's proof-harness item (e) describes — 10,000 tasks of 150 years,
+// which passes JobRequest.validate and JobSpec.Validate, and whose serial
+// work carries the int64 virtual clock past its end — THEN it is a hard
+// rejection that names the horizon, the same connection still answers ping,
+// a runnable job submitted next completes, and the drain is clean. At the
+// parent commit the job is answered ok and sim.Engine panics on the
+// service's loop goroutine ("event scheduled in the past"): one request
+// takes the daemon down.
+func TestHorizonRejectionKeepsTheDaemonUp(t *testing.T) {
+	cfg := testConfig()
+	cfg.Cluster.Nodes, cfg.Cluster.ContainersPerNode = 1, 1
+	d, err := Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", d.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	br := bufio.NewReader(conn)
+
+	for _, line := range []string{
+		`{"op":"submit","job":{"priority":1,"tasks":10000,"duration_ms":4730400000000}}`,
+		// Two such tasks are already too many, and so is one of them on top of
+		// nothing: 150 years is past the horizon by itself.
+		`{"op":"submit","job":{"priority":1,"tasks":2,"duration_ms":4730400000000}}`,
+		`{"op":"submit","job":{"priority":11,"tasks":1,"duration_ms":4730400000000}}`,
+	} {
+		resp := rawExchange(t, conn, br, line)
+		if resp.OK || resp.RetryAfterMS != 0 || resp.JobID != 0 || !strings.Contains(resp.Error, "horizon") {
+			t.Fatalf("answer to %s = %+v, want a hard rejection naming the horizon", line, resp)
+		}
+	}
+	if resp := rawExchange(t, conn, br, `{"op":"ping"}`); !resp.OK || resp.State != StateServing {
+		t.Fatalf("ping after the rejections = %+v, want ok from a serving daemon", resp)
+	}
+	if resp := rawExchange(t, conn, br, `{"op":"submit","job":{"priority":1,"tasks":2,"duration_ms":1000}}`); !resp.OK {
+		t.Fatalf("runnable job after the rejections: %+v", resp)
+	}
+	if err := d.Shutdown(context.Background()); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	st := d.Stats()
+	if st.Submitted != 4 || st.Rejected != 3 || st.Admitted != 1 || st.Completed != 1 || st.Lost != 0 {
+		t.Errorf("books: submitted=%d rejected=%d admitted=%d completed=%d lost=%d, want 4/3/1/1/0",
+			st.Submitted, st.Rejected, st.Admitted, st.Completed, st.Lost)
+	}
+}
+
+// bareDaemon is a daemon around a real yarn.Service with no listener and no
+// dispatcher: what admit queues stays queued for the test to inspect.
+func bareDaemon(t *testing.T, cfg Config) *Daemon {
+	t.Helper()
+	svc, err := yarn.NewService(testConfig().Cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { svc.Close() })
+	cfg = cfg.withDefaults()
+	return &Daemon{
+		cfg:         cfg,
+		svc:         svc,
+		m:           resolveMetrics(obs.NewRegistry()),
+		queue:       make(chan cluster.JobSpec, cfg.QueueSize),
 		state:       StateServing,
 		outstanding: make(map[cluster.JobID]struct{}),
 	}
-	resp := d.admit(&JobRequest{Priority: 11, Tasks: MaxJobTasks, DurationMS: maxDurationMS, MemFootprintBytes: cluster.GiB(2)})
-	if !resp.OK {
-		t.Fatalf("job on the admission bounds rejected: %+v", resp)
+}
+
+// GIVEN the protocol's bounds WHEN a job sits exactly on them THEN it is
+// admitted, and what is queued is the spec the engine validates: MaxJobTasks
+// tasks whose serial work is as long as the engine's horizon is far, or one
+// task that long. A millisecond more per task is refused. (Driven through
+// admit on a daemon without a dispatcher: running ten thousand k-means
+// processes is not what this pins.)
+func TestAdmissionBoundsAreInclusive(t *testing.T) {
+	horizonMS := yarn.Horizon.Milliseconds()
+	for _, tc := range []struct {
+		name  string
+		tasks int
+		ms    int64
+	}{
+		{"MaxJobTasks tasks, together as long as the horizon", MaxJobTasks, horizonMS / MaxJobTasks},
+		{"one task as long as the horizon", 1, horizonMS},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := bareDaemon(t, Config{QueueSize: 1})
+			over := d.admit(&JobRequest{Priority: 11, Tasks: tc.tasks, DurationMS: tc.ms + 1, MemFootprintBytes: cluster.GiB(2)})
+			if over.OK || over.RetryAfterMS != 0 || !strings.Contains(over.Error, "horizon") {
+				t.Fatalf("job a millisecond a task over the horizon: %+v, want a hard rejection naming it", over)
+			}
+			resp := d.admit(&JobRequest{Priority: 11, Tasks: tc.tasks, DurationMS: tc.ms, MemFootprintBytes: cluster.GiB(2)})
+			if !resp.OK {
+				t.Fatalf("job on the admission bounds rejected: %+v", resp)
+			}
+			spec := <-d.queue
+			if err := spec.Validate(); err != nil {
+				t.Fatalf("queued spec fails the engine's validation: %v", err)
+			}
+			if len(spec.Tasks) != tc.tasks || spec.Tasks[tc.tasks-1].ID.Index != int32(tc.tasks-1) {
+				t.Errorf("queued spec has %d tasks, last index %d", len(spec.Tasks), spec.Tasks[len(spec.Tasks)-1].ID.Index)
+			}
+			if got := spec.Tasks[0].Duration; got <= 0 || got.Milliseconds() != tc.ms {
+				t.Errorf("duration %dms materialised as %v", tc.ms, got)
+			}
+		})
 	}
-	spec := <-d.queue
-	if err := spec.Validate(); err != nil {
-		t.Fatalf("queued spec fails the engine's validation: %v", err)
+}
+
+// GIVEN a full admission queue WHEN further jobs are refused with a
+// retry-after THEN each gives back the horizon reservation admission made for
+// it: with the one queued job released too, a job as long as the whole
+// horizon still fits, which one leaked millisecond would prevent.
+func TestQueueFullGivesItsReservationBack(t *testing.T) {
+	d := bareDaemon(t, Config{QueueSize: 1})
+	small := &JobRequest{Priority: 11, Tasks: 3, DurationMS: 1000}
+	first := d.admit(small)
+	if !first.OK {
+		t.Fatalf("job into an empty queue: %+v", first)
 	}
-	if len(spec.Tasks) != MaxJobTasks || spec.Tasks[MaxJobTasks-1].ID.Index != MaxJobTasks-1 {
-		t.Errorf("queued spec has %d tasks, last index %d", len(spec.Tasks), spec.Tasks[len(spec.Tasks)-1].ID.Index)
+	for i := 0; i < 3; i++ {
+		if r := d.admit(small); r.OK || r.RetryAfterMS == 0 {
+			t.Fatalf("job into a full queue: %+v, want a retry-after rejection", r)
+		}
 	}
-	if got := spec.Tasks[0].Duration; got <= 0 || got.Milliseconds() != maxDurationMS {
-		t.Errorf("duration %dms materialised as %v", int64(maxDurationMS), got)
+	d.svc.Release(cluster.JobID(first.JobID), 0)
+	whole := (&JobRequest{Priority: 11, Tasks: 1, DurationMS: 1}).spec(99)
+	whole.Tasks[0].Duration = yarn.Horizon
+	if err := d.svc.Reserve(&whole); err != nil {
+		t.Errorf("the horizon is not whole again after three queue-full rejections: %v", err)
 	}
 }

@@ -71,7 +71,6 @@ type Daemon struct {
 	cfg Config
 	reg *obs.Registry
 	rec *obs.Recorder
-	slo *obs.SLOTracker
 	svc *yarn.Service
 
 	ln       net.Listener
@@ -114,6 +113,7 @@ type daemonMetrics struct {
 	submitted, admitted, rejected, shedFreeBand obs.Counter
 	completed, doubleCompleted, lost            obs.Counter
 	admission                                   obs.Histogram
+	queueDepth                                  obs.Gauge
 }
 
 func resolveMetrics(reg *obs.Registry) daemonMetrics {
@@ -126,6 +126,7 @@ func resolveMetrics(reg *obs.Registry) daemonMetrics {
 		doubleCompleted: reg.Counter("clusterd.jobs.double.completed"),
 		lost:            reg.Counter("clusterd.jobs.lost"),
 		admission:       reg.Histogram("clusterd.admission.seconds"),
+		queueDepth:      reg.Gauge("clusterd.queue.depth"),
 	}
 }
 
@@ -138,19 +139,13 @@ func Start(cfg Config) (*Daemon, error) {
 		reg = obs.NewRegistry()
 	}
 	cfg.Cluster.Metrics = reg
-	// The flight recorder and SLO tracker are always on in service mode:
-	// a crash or SIGTERM must leave behind an explainable journal, and
-	// the ops endpoint must answer /slo at any moment. Both are bounded
-	// (fixed segment ring, O(1) per event) so always-on is safe.
+	// The flight recorder is always on in service mode: a crash or SIGTERM
+	// must leave behind an explainable journal. It is bounded (fixed segment
+	// ring, O(1) per event) so always-on is safe.
 	rec := cfg.Cluster.Recorder
 	if rec == nil {
 		rec = obs.NewRecorder(0, 0)
 		cfg.Cluster.Recorder = rec
-	}
-	slo := cfg.Cluster.SLO
-	if slo == nil {
-		slo = obs.NewSLOTracker()
-		cfg.Cluster.SLO = slo
 	}
 	svc, err := yarn.NewService(cfg.Cluster)
 	if err != nil {
@@ -166,7 +161,6 @@ func Start(cfg Config) (*Daemon, error) {
 		cfg:         cfg,
 		reg:         reg,
 		rec:         rec,
-		slo:         slo,
 		svc:         svc,
 		ln:          ln,
 		queue:       make(chan cluster.JobSpec, cfg.QueueSize),
@@ -179,7 +173,7 @@ func Start(cfg Config) (*Daemon, error) {
 		done:        make(chan struct{}),
 	}
 	if cfg.OpsAddr != "" {
-		addr, stop, err := obs.ServeOps(cfg.OpsAddr, reg, "preemptsched", d.ready, slo)
+		addr, stop, err := obs.ServeOps(cfg.OpsAddr, reg, "preemptsched", d.ready)
 		if err != nil {
 			ln.Close()
 			svc.Close()
@@ -204,9 +198,6 @@ func (d *Daemon) OpsAddr() string { return d.opsAddr }
 // Recorder returns the daemon's always-on flight recorder, for flushing
 // the provenance journal on shutdown or crash.
 func (d *Daemon) Recorder() *obs.Recorder { return d.rec }
-
-// SLO returns the daemon's live SLO tracker.
-func (d *Daemon) SLO() *obs.SLOTracker { return d.slo }
 
 // ready reports whether the daemon is admitting jobs; /readyz flips to
 // 503 the instant draining starts, before the wire listener goes away.
@@ -304,11 +295,13 @@ func (d *Daemon) admit(jr *JobRequest) Response {
 			State:        StateServing,
 		})
 	}
-	// The wire shape is checked above; whether the job it describes can run
-	// is the engine's to say, on the spec the engine will be handed.
+	// The wire shape is checked above; whether the job it describes can run is
+	// the engine's to say, on the spec the engine will be handed. Reserve says
+	// it without waiting on the engine, and books the job's work against the
+	// horizon so that the dispatcher's Submit cannot be refused later.
 	id := cluster.JobID(d.nextID.Add(1))
 	spec := jr.spec(id)
-	if err := spec.Validate(); err != nil {
+	if err := d.svc.Reserve(&spec); err != nil {
 		d.mu.Unlock()
 		return reject(Response{Error: "clusterd: " + err.Error(), State: StateServing})
 	}
@@ -318,10 +311,11 @@ func (d *Daemon) admit(jr *JobRequest) Response {
 		depth := len(d.queue)
 		d.mu.Unlock()
 		d.m.admitted.Inc()
-		d.reg.SetGauge("clusterd.queue.depth", float64(depth))
+		d.m.queueDepth.Set(float64(depth))
 		return Response{OK: true, JobID: int64(id), State: StateServing}
 	default:
 		d.mu.Unlock()
+		d.svc.Release(id, 0)
 		return reject(Response{
 			Error:        "clusterd: admission queue full",
 			RetryAfterMS: d.cfg.RetryAfter.Milliseconds(),
@@ -386,7 +380,7 @@ func (d *Daemon) dispatch(queue <-chan cluster.JobSpec, inflight chan struct{}) 
 	defer d.dispatchWG.Done()
 	for spec := range queue {
 		inflight <- struct{}{}
-		d.reg.SetGauge("clusterd.queue.depth", float64(len(queue)))
+		d.m.queueDepth.Set(float64(len(queue)))
 		id := spec.ID
 		err := d.svc.Submit(spec, func(done yarn.JobDone) {
 			<-inflight
@@ -435,7 +429,6 @@ func (d *Daemon) sample(stop <-chan struct{}) {
 		case <-t.C:
 			d.reg.SetGauge("clusterd.goroutines", float64(runtime.NumGoroutine()))
 			d.reg.SetGauge("clusterd.heap.bytes", float64(heapBytes()))
-			d.slo.PublishGauges(d.reg)
 		}
 	}
 }

@@ -8,10 +8,8 @@ import (
 	"testing"
 	"time"
 
-	"preemptsched/internal/cluster"
 	"preemptsched/internal/core"
 	"preemptsched/internal/faults"
-	"preemptsched/internal/obs"
 	"preemptsched/internal/storage"
 	"preemptsched/internal/yarn"
 )
@@ -142,14 +140,9 @@ func TestDaemonDrainMidStream(t *testing.T) {
 // TestAdmissionBackpressure pins the queue-full and draining rejection
 // semantics without timing races by driving admit directly.
 func TestAdmissionBackpressure(t *testing.T) {
-	d := &Daemon{
-		cfg:         Config{RetryAfter: 42 * time.Millisecond}.withDefaults(),
-		m:           resolveMetrics(obs.NewRegistry()),
-		queue:       make(chan cluster.JobSpec, 1),
-		state:       StateServing,
-		outstanding: make(map[cluster.JobID]struct{}),
-	}
-	jr := &JobRequest{Priority: 1, Tasks: 1, DurationMS: 1000}
+	d := bareDaemon(t, Config{QueueSize: 1, RetryAfter: 42 * time.Millisecond})
+	// A paid band: a one-slot queue sheds free-band jobs before it is full.
+	jr := &JobRequest{Priority: 5, Tasks: 1, DurationMS: 1000}
 
 	if resp := d.admit(jr); !resp.OK {
 		t.Fatalf("first admit rejected: %+v", resp)
@@ -181,13 +174,7 @@ func TestAdmissionBackpressure(t *testing.T) {
 // queue pressure, free-band submissions are rejected at the high-water
 // mark while the reserved tail still admits paid bands.
 func TestPriorityAwareAdmission(t *testing.T) {
-	d := &Daemon{
-		cfg:         Config{QueueSize: 4, RetryAfter: 7 * time.Millisecond}.withDefaults(),
-		m:           resolveMetrics(obs.NewRegistry()),
-		queue:       make(chan cluster.JobSpec, 4),
-		state:       StateServing,
-		outstanding: make(map[cluster.JobID]struct{}),
-	}
+	d := bareDaemon(t, Config{QueueSize: 4, RetryAfter: 7 * time.Millisecond})
 	free := &JobRequest{Priority: 0, Tasks: 1, DurationMS: 1000}
 	paid := &JobRequest{Priority: 5, Tasks: 1, DurationMS: 1000}
 

@@ -22,10 +22,10 @@ import (
 // GIVEN arbitrary bytes arriving on a connection WHEN serveConn reads them
 // THEN it does not panic; everything it answers is one JSON object per line
 // carrying a state; every job it answers ok for is in the admission queue
-// under that ID, passes the engine's own JobSpec.Validate and is within the
-// protocol's task bound (admitted ⇒ runnable, never lost); and what one
-// request can make the daemon allocate is bounded, however long its line or
-// large its numbers.
+// under that ID, passes the engine's own JobSpec.Validate, is within the
+// protocol's task bound and fits the engine's horizon (admitted ⇒ runnable,
+// never lost); and what one request can make the daemon allocate is bounded,
+// however long its line or large its numbers.
 //
 // The daemon is hand-assembled around a real yarn.Service (the stats op reads
 // its clock) with no dispatcher: what admission queues stays queued for the
@@ -50,6 +50,9 @@ func FuzzClusterdRequest(f *testing.F) {
 		`{"op":`,
 		"\x00\xff{}",
 		"",
+		// Valid by every static check, and 1.5 million years of serial work:
+		// admission must refuse it for the horizon (ROADMAP proof-harness (e)).
+		`{"op":"submit","job":{"priority":1,"tasks":10000,"duration_ms":4730400000000}}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -131,11 +134,17 @@ func FuzzClusterdRequest(f *testing.F) {
 			}
 			delete(admitted, spec.ID)
 			delete(d.outstanding, spec.ID)
+			// Nothing dispatches these jobs: give their work back, or one long
+			// job would have every later input refused for the horizon.
+			svc.Release(spec.ID, 0)
 			if err := spec.Validate(); err != nil {
 				t.Fatalf("admitted job %d fails the engine's validation: %v", spec.ID, err)
 			}
 			if len(spec.Tasks) > MaxJobTasks {
 				t.Fatalf("admitted job %d has %d tasks", spec.ID, len(spec.Tasks))
+			}
+			if work := spec.TotalWork(); work <= 0 || work > yarn.Horizon {
+				t.Fatalf("admitted job %d carries %v of serial work, horizon %v", spec.ID, work, yarn.Horizon)
 			}
 		}
 		if len(admitted) != 0 {

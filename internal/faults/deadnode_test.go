@@ -115,11 +115,11 @@ func TestDecommissionRacesDeadNodeTraffic(t *testing.T) {
 	if got := report.Recovered + report.Degraded + report.Lost; got != report.BlocksAffected {
 		t.Fatalf("books out of balance: %+v (recovered+degraded+lost = %d)", *report, got)
 	}
-	c := in.Counters()
-	if c.Get(ModeNodeCrashes) != 1 {
-		t.Fatalf("node crashes = %d, want 1", c.Get(ModeNodeCrashes))
+	c := in.Injected()
+	if c[ModeNodeCrashes] != 1 {
+		t.Fatalf("node crashes = %d, want 1", c[ModeNodeCrashes])
 	}
-	if c.Get(ModeDeadNodeRPCs) == 0 {
+	if c[ModeDeadNodeRPCs] == 0 {
 		t.Fatal("no RPC ever hit the corpse: the race never happened")
 	}
 

@@ -8,9 +8,10 @@
 // Every decision comes from one seeded PRNG behind a mutex, so a chaos
 // run with a fixed seed injects exactly the same faults every time; the
 // event-driven cluster emulation stays reproducible even while being
-// sabotaged. Every injected fault is counted in a metrics.Counters
-// registry, letting tests assert both that faults actually fired and that
-// the system absorbed all of them.
+// sabotaged. Every injected fault is counted, as faults.injected.<mode>, in
+// an obs.Registry — the run's, once Instrument hands it over — letting tests
+// assert both that faults actually fired and that the system absorbed all of
+// them.
 package faults
 
 import (
@@ -21,18 +22,17 @@ import (
 	"sync"
 	"time"
 
-	"preemptsched/internal/metrics"
+	"preemptsched/internal/obs"
 )
 
 // ErrInjected is the sentinel wrapped by every injected fault, so tests
 // and retry logic can tell sabotage from organic failures.
 var ErrInjected = errors.New("faults: injected failure")
 
-// Fault-mode counter names. Each injected fault increments the counter of
-// its mode; the cluster emulation mirrors them into the run report under
-// "faults.injected.<mode>". The names are dotted lowercase so the mirrored
-// form satisfies the repo's metric-name contract (see internal/lint,
-// metricname) and so reportcheck and dashboards can address them directly.
+// Fault modes. Each injected fault increments the registry counter
+// "faults.injected.<mode>". The names are dotted lowercase so the series
+// satisfies the repo's metric-name contract (see internal/lint, metricname)
+// and so reportcheck and dashboards can address it directly.
 const (
 	ModeNodeCrashes       = "node.crashes"
 	ModeStoreCrashOps     = "store.crash.ops"
@@ -65,8 +65,6 @@ type Plan struct {
 	// NameNodeErrorRate is the per-operation probability that a NameNode
 	// RPC fails before reaching the NameNode.
 	NameNodeErrorRate float64
-	// RPCDelay is added latency per DataNode/NameNode operation.
-	RPCDelay time.Duration
 
 	// CrashNode names a DataNode that crashes permanently after it has
 	// accepted CrashAfterWrites block writes: the write that would be
@@ -116,8 +114,6 @@ type Plan struct {
 	// a NameNode's journal store, this is a NameNode process dying between
 	// journal records mid-workload.
 	StoreCrashAfterCreates int
-	// StoreDelay is added latency per store operation.
-	StoreDelay time.Duration
 
 	// Compute-node (NodeManager) fault modes. Unlike the DFS and store
 	// faults above, these fire on the cluster emulation's virtual clock:
@@ -162,9 +158,9 @@ func (p Plan) HasNMFaults() bool {
 // does not, and neither does a plan that carries only a seed, node indexes,
 // caps or sizes — those shape faults, they do not arm one.
 func (p Plan) Injects() bool {
-	return p.RPCErrorRate > 0 || p.NameNodeErrorRate > 0 || p.RPCDelay > 0 || p.CrashNode != "" ||
+	return p.RPCErrorRate > 0 || p.NameNodeErrorRate > 0 || p.CrashNode != "" ||
 		p.BitFlipRate > 0 || p.CreateFailRate > 0 || p.TornWriteRate > 0 || p.SilentTruncateRate > 0 ||
-		p.StoreCrashAfterCreates > 0 || p.StoreDelay > 0 || p.HasNMFaults()
+		p.StoreCrashAfterCreates > 0 || p.HasNMFaults()
 }
 
 // BindFlags declares on fs the fault-injection flags cmd/clusterrun and
@@ -237,10 +233,12 @@ const DefaultBitFlipMaxPerBlock = 1
 // Injector is the seeded decision source shared by all wrappers of one
 // scenario. It is safe for concurrent use.
 type Injector struct {
-	plan     Plan
-	counters *metrics.Counters
+	plan Plan
 
-	mu         sync.Mutex
+	mu sync.Mutex
+	// reg counts the faults; fired holds the handle of every mode that has.
+	reg        *obs.Registry
+	fired      map[string]obs.Counter
 	rng        *rand.Rand
 	crashed    map[string]bool
 	crashSeen  int
@@ -256,11 +254,12 @@ type Injector struct {
 // NewInjector builds the decision source for plan.
 func NewInjector(plan Plan) *Injector {
 	in := &Injector{
-		plan:     plan,
-		counters: metrics.NewCounters(),
-		rng:      rand.New(rand.NewSource(plan.Seed)),
-		crashed:  make(map[string]bool),
-		flips:    make(map[int64]int),
+		plan:    plan,
+		reg:     obs.NewRegistry(),
+		fired:   make(map[string]obs.Counter),
+		rng:     rand.New(rand.NewSource(plan.Seed)),
+		crashed: make(map[string]bool),
+		flips:   make(map[int64]int),
 	}
 	if len(plan.RPCErrorNodes) > 0 {
 		in.rpcTargets = make(map[string]bool, len(plan.RPCErrorNodes))
@@ -271,8 +270,37 @@ func NewInjector(plan Plan) *Injector {
 	return in
 }
 
-// Counters exposes the per-fault-mode injection counts.
-func (in *Injector) Counters() *metrics.Counters { return in.counters }
+// Instrument directs the faults.injected.<mode> counters into reg, the run's
+// registry, so a fault is counted once, in the series the report reads. Until
+// then the injector counts into a private one; call Instrument before the
+// first wrapped operation, since a mode that has fired stays where it started.
+func (in *Injector) Instrument(reg *obs.Registry) {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	in.reg = reg
+}
+
+// Injected reads back the injection count of every mode that has fired.
+func (in *Injector) Injected() map[string]int64 {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	out := make(map[string]int64, len(in.fired))
+	for mode, c := range in.fired {
+		out[mode] = c.Value()
+	}
+	return out
+}
+
+// count books one injected fault of mode.
+func (in *Injector) count(mode string) {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if _, ok := in.fired[mode]; !ok {
+		//lint:ignore metricname mode is always one of the dotted Mode* constants above; the indirection is the injector's whole API
+		in.fired[mode] = in.reg.Counter("faults.injected." + mode)
+	}
+	in.fired[mode].Inc()
+}
 
 // Plan returns the scenario being injected. The node list is detached
 // so a caller sorting or rewriting it cannot corrupt the injector's
@@ -299,16 +327,8 @@ func (in *Injector) roll(p float64) bool {
 // inject counts one fault of the given mode and returns the error to
 // surface.
 func (in *Injector) inject(mode string, detail string) error {
-	//lint:ignore metricname mode is always one of the dotted Mode* constants above; the indirection is the injector's whole API
-	in.counters.Add(mode, 1)
+	in.count(mode)
 	return fmt.Errorf("%w: %s (%s)", ErrInjected, mode, detail)
-}
-
-// delay sleeps for d (real time) when positive.
-func delay(d time.Duration) {
-	if d > 0 {
-		time.Sleep(d)
-	}
 }
 
 // rpcEligible reports whether node id is in scope for RPC error injection.
@@ -382,16 +402,16 @@ func (in *Injector) DropHeartbeat() bool {
 	if !in.roll(in.plan.HeartbeatDropRate) {
 		return false
 	}
-	in.counters.Add(ModeHeartbeatDrops, 1)
+	in.count(ModeHeartbeatDrops)
 	return true
 }
 
 // NoteNMCrash counts the configured NodeManager crash firing.
-func (in *Injector) NoteNMCrash() { in.counters.Add(ModeNMCrashes, 1) }
+func (in *Injector) NoteNMCrash() { in.count(ModeNMCrashes) }
 
 // NotePartitionDrop counts one heartbeat suppressed by an active RM↔NM
 // partition.
-func (in *Injector) NotePartitionDrop() { in.counters.Add(ModeNMPartitionDrops, 1) }
+func (in *Injector) NotePartitionDrop() { in.count(ModeNMPartitionDrops) }
 
 // noteWrite records a block write accepted by id and decides whether this
 // write is the one that kills the configured crash node. It returns true
@@ -412,7 +432,7 @@ func (in *Injector) noteWrite(id string) bool {
 	}
 	in.crashed[id] = true
 	in.mu.Unlock()
-	in.counters.Add(ModeNodeCrashes, 1)
+	in.count(ModeNodeCrashes)
 	if in.plan.OnCrash != nil {
 		in.plan.OnCrash(id)
 	}

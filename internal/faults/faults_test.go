@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"preemptsched/internal/dfs"
+	"preemptsched/internal/obs"
 	"preemptsched/internal/storage"
 )
 
@@ -99,7 +100,7 @@ func TestRetriesAbsorbRPCErrors(t *testing.T) {
 	if string(got) != string(data) {
 		t.Fatal("data corrupted by fault recovery")
 	}
-	if in.Counters().Total() == 0 {
+	if len(in.Injected()) == 0 {
 		t.Fatal("no faults fired")
 	}
 	if cli.Stats().Retries == 0 {
@@ -136,9 +137,9 @@ func TestCrashAtNthWrite(t *testing.T) {
 	if len(crashed) != 1 || crashed[0] != "dn-1" {
 		t.Fatalf("OnCrash calls = %v, want exactly [dn-1]", crashed)
 	}
-	c := in.Counters()
-	if c.Get(ModeNodeCrashes) != 1 || c.Get(ModeDeadNodeRPCs) == 0 {
-		t.Fatalf("counters: %s", c)
+	c := in.Injected()
+	if c[ModeNodeCrashes] != 1 || c[ModeDeadNodeRPCs] == 0 {
+		t.Fatalf("counters: %v", c)
 	}
 }
 
@@ -158,8 +159,8 @@ func TestTornWriteNeverPublishes(t *testing.T) {
 	if err := w.Close(); !errors.Is(err, ErrInjected) {
 		t.Fatalf("close of torn write = %v, want injected failure", err)
 	}
-	if in.Counters().Get(ModeTornWrites) != 1 {
-		t.Fatalf("counters: %s", in.Counters())
+	if in.Injected()[ModeTornWrites] != 1 {
+		t.Fatalf("counters: %v", in.Injected())
 	}
 }
 
@@ -171,8 +172,31 @@ func TestCreateFailRate(t *testing.T) {
 	if _, err := st.Create("obj"); !errors.Is(err, ErrInjected) {
 		t.Fatalf("create = %v, want injected failure", err)
 	}
-	if in.Counters().Get(ModeStoreCreateErrors) != 1 {
-		t.Fatalf("counters: %s", in.Counters())
+	if in.Injected()[ModeStoreCreateErrors] != 1 {
+		t.Fatalf("counters: %v", in.Injected())
+	}
+}
+
+// TestInstrumentCountsInPlace: once Instrument hands over the run's registry
+// a fault is counted there, as faults.injected.<mode>, and Injected reads
+// that same series back — one count, not a copy.
+func TestInstrumentCountsInPlace(t *testing.T) {
+	reg := obs.NewRegistry()
+	in := NewInjector(Plan{Seed: 5, CreateFailRate: 1})
+	in.Instrument(reg)
+	st := WrapStore(storage.NewMemStore(), in)
+	for i := 0; i < 3; i++ {
+		if _, err := st.Create("obj"); !errors.Is(err, ErrInjected) {
+			t.Fatalf("create = %v, want injected failure", err)
+		}
+	}
+	series := reg.Counter("faults.injected." + ModeStoreCreateErrors)
+	if series.Value() != 3 || in.Injected()[ModeStoreCreateErrors] != 3 {
+		t.Fatalf("registry counts %d, Injected %v, want 3 and 3", series.Value(), in.Injected())
+	}
+	series.Inc()
+	if got := in.Injected(); len(got) != 1 || got[ModeStoreCreateErrors] != 4 {
+		t.Fatalf("Injected = %v, want the registry's series read back: 4", got)
 	}
 }
 

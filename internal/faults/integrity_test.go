@@ -52,7 +52,7 @@ func TestBitFlipStrictMinorityAndScrubHeals(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	flips := in.Counters().Get(ModeBitFlips)
+	flips := in.Injected()[ModeBitFlips]
 	if flips == 0 {
 		t.Fatal("BitFlipRate=1 injected no bit flips")
 	}
@@ -147,8 +147,8 @@ func TestSilentTruncationLiesToTheWriter(t *testing.T) {
 	if size != 64 {
 		t.Fatalf("stored %d bytes, want silent truncation to 64", size)
 	}
-	if in.Counters().Get(ModeSilentTruncations) == 0 {
-		t.Fatalf("counters: %s", in.Counters())
+	if in.Injected()[ModeSilentTruncations] == 0 {
+		t.Fatalf("counters: %v", in.Injected())
 	}
 }
 
@@ -178,8 +178,8 @@ func TestStoreCrashAfterCreates(t *testing.T) {
 	if _, err := st.List(""); !errors.Is(err, ErrInjected) {
 		t.Fatalf("post-crash list = %v, want injected failure", err)
 	}
-	if in.Counters().Get(ModeStoreCrashOps) == 0 {
-		t.Fatalf("counters: %s", in.Counters())
+	if in.Injected()[ModeStoreCrashOps] == 0 {
+		t.Fatalf("counters: %v", in.Injected())
 	}
 }
 
@@ -232,7 +232,7 @@ func TestNameNodeCrashRecoveryMatchesControl(t *testing.T) {
 	if failedAt <= 0 {
 		t.Fatalf("workload failed at %d; want a crash after some progress", failedAt)
 	}
-	if in.Counters().Get(ModeStoreCrashOps) == 0 {
+	if in.Injected()[ModeStoreCrashOps] == 0 {
 		t.Fatal("journal store never crashed")
 	}
 

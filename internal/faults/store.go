@@ -23,7 +23,6 @@ type faultStore struct {
 var _ storage.Store = (*faultStore)(nil)
 
 func (s *faultStore) Create(name string) (io.WriteCloser, error) {
-	delay(s.in.plan.StoreDelay)
 	if s.in.noteCreate() {
 		return nil, s.in.inject(ModeStoreCrashOps, name)
 	}
@@ -39,7 +38,7 @@ func (s *faultStore) Create(name string) (io.WriteCloser, error) {
 		if limit <= 0 {
 			limit = DefaultTornWriteBytes
 		}
-		s.in.counters.Add(ModeTornWrites, 1)
+		s.in.count(ModeTornWrites)
 		return &tornWriter{inner: w, in: s.in, name: name, left: limit}, nil
 	}
 	if s.in.roll(s.in.plan.SilentTruncateRate) {
@@ -47,14 +46,13 @@ func (s *faultStore) Create(name string) (io.WriteCloser, error) {
 		if limit <= 0 {
 			limit = DefaultTornWriteBytes
 		}
-		s.in.counters.Add(ModeSilentTruncations, 1)
+		s.in.count(ModeSilentTruncations)
 		return &silentTruncateWriter{inner: w, left: limit}, nil
 	}
 	return w, nil
 }
 
 func (s *faultStore) Open(name string) (io.ReadCloser, error) {
-	delay(s.in.plan.StoreDelay)
 	if s.in.storeCrashed() {
 		return nil, s.in.inject(ModeStoreCrashOps, name)
 	}
@@ -62,7 +60,6 @@ func (s *faultStore) Open(name string) (io.ReadCloser, error) {
 }
 
 func (s *faultStore) Remove(name string) error {
-	delay(s.in.plan.StoreDelay)
 	if s.in.storeCrashed() {
 		return s.in.inject(ModeStoreCrashOps, name)
 	}
@@ -70,7 +67,6 @@ func (s *faultStore) Remove(name string) error {
 }
 
 func (s *faultStore) Size(name string) (int64, error) {
-	delay(s.in.plan.StoreDelay)
 	if s.in.storeCrashed() {
 		return 0, s.in.inject(ModeStoreCrashOps, name)
 	}
@@ -78,7 +74,6 @@ func (s *faultStore) Size(name string) (int64, error) {
 }
 
 func (s *faultStore) List(prefix string) ([]string, error) {
-	delay(s.in.plan.StoreDelay)
 	if s.in.storeCrashed() {
 		return nil, s.in.inject(ModeStoreCrashOps, prefix)
 	}

@@ -46,7 +46,6 @@ type faultNameNode struct {
 var _ dfs.NameNodeAPI = (*faultNameNode)(nil)
 
 func (n *faultNameNode) pre(op string) error {
-	delay(n.in.plan.RPCDelay)
 	if n.in.roll(n.in.plan.NameNodeErrorRate) {
 		return n.in.inject(ModeNameNodeRPCErrors, op)
 	}
@@ -142,7 +141,6 @@ type faultDataNode struct {
 var _ dfs.DataNodeAPI = (*faultDataNode)(nil)
 
 func (d *faultDataNode) pre(op string) error {
-	delay(d.in.plan.RPCDelay)
 	if d.in.nodeCrashed(d.id) {
 		return d.in.inject(ModeDeadNodeRPCs, d.id+" "+op)
 	}
@@ -177,7 +175,7 @@ func (d *faultDataNode) WriteBlock(id dfs.BlockID, data []byte, pipeline []dfs.D
 	if bc, ok := d.inner.(blockCorrupter); ok {
 		if bit, flip := d.in.noteBitFlip(int64(id)); flip {
 			if bc.CorruptStoredBlock(id, bit) {
-				d.in.counters.Add(ModeBitFlips, 1)
+				d.in.count(ModeBitFlips)
 			}
 		}
 	}

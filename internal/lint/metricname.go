@@ -9,10 +9,10 @@ import (
 )
 
 // MetricName enforces the repo's metric naming contract at every
-// obs.Registry / metrics.Counters call site: names must be string
-// constants of the dotted lowercase form `component.metric[.detail]`
-// ("dfs.read.retries"), so dashboards, reportcheck, and the chaos-test
-// assertions can reference them without guessing. It also flags the same
+// obs.Registry call site: names must be string constants of the dotted
+// lowercase form `component.metric[.detail]` ("dfs.read.retries"), so
+// dashboards, reportcheck, and the chaos-test assertions can reference them
+// without guessing. It also flags the same
 // constant name being emitted from two different packages — two
 // components updating one counter makes the number unattributable.
 //
@@ -27,29 +27,18 @@ var MetricName = &Analyzer{
 
 var metricNameRE = regexp.MustCompile(`^[a-z0-9_]+(\.[a-z0-9_]+)+$`)
 
-// metricSinks maps the packages and receiver types whose methods take a
-// metric name as their first argument.
-var metricSinks = []struct {
-	pkg, typ string
-	methods  map[string]bool
-}{
-	{modulePrefix + "/internal/obs", "Registry", map[string]bool{
-		"Inc": true, "Add": true, "SetGauge": true, "MaxGauge": true,
-		"Observe": true, "ObserveDuration": true,
-		// Handle resolution is a name sink too: a dynamic name resolved
-		// once still lands on dashboards every time the handle records.
-		"Counter": true, "Histogram": true,
-	}},
-	{modulePrefix + "/internal/metrics", "Counters", map[string]bool{
-		"Add": true, "Get": true, "Handle": true,
-	}},
-}
+// metricSinkPkg declares the sink type, obs.Registry: its own forwarding
+// wrappers pass the caller's name straight through and are exempt.
+const metricSinkPkg = modulePrefix + "/internal/obs"
 
-// metricDeclPkgs declare the sinks: their own forwarding wrappers pass
-// the caller's name straight through and are exempt.
-var metricDeclPkgs = map[string]bool{
-	modulePrefix + "/internal/obs":     true,
-	modulePrefix + "/internal/metrics": true,
+// metricSinks are the Registry methods that take a metric name as their
+// first argument.
+var metricSinks = map[string]bool{
+	"Inc": true, "Add": true, "SetGauge": true,
+	"Observe": true, "ObserveDuration": true,
+	// Handle resolution is a name sink too: a dynamic name resolved
+	// once still lands on dashboards every time the handle records.
+	"Counter": true, "Gauge": true, "Histogram": true,
 }
 
 const metricSeenKey = "metricname.seen"
@@ -61,7 +50,7 @@ type metricUse struct {
 }
 
 func runMetricName(pass *Pass) error {
-	if metricDeclPkgs[pass.Pkg.Path()] {
+	if pass.Pkg.Path() == metricSinkPkg {
 		return nil
 	}
 	seen, _ := pass.Shared.Get(metricSeenKey).(map[string][]metricUse)
@@ -83,14 +72,7 @@ func runMetricName(pass *Pass) error {
 			if recv == nil {
 				return true
 			}
-			matched := false
-			for _, sink := range metricSinks {
-				if typeIs(recv, sink.pkg, sink.typ) && sink.methods[fn.Name()] {
-					matched = true
-					break
-				}
-			}
-			if !matched || len(call.Args) == 0 {
+			if !typeIs(recv, metricSinkPkg, "Registry") || !metricSinks[fn.Name()] || len(call.Args) == 0 {
 				return true
 			}
 			arg := call.Args[0]

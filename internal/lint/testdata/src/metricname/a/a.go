@@ -25,4 +25,7 @@ func handles(r *obs.Registry, dyn string) {
 	r.Counter(dyn)                               // want "not a string constant"
 	r.Counter("app." + dyn)                      // want "not a string constant"
 	r.Histogram("BadHandle")                     // want "does not match"
+	r.Gauge("app.queue.peak").Max(2)             // conforming
+	r.Gauge("app.node." + dyn + ".peak")         // want "not a string constant"
+	r.Gauge("BadGauge")                          // want "does not match"
 }

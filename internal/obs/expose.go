@@ -175,10 +175,11 @@ func ServePprof(addr string) (string, func(), error) {
 // /metrics and /metrics.json, liveness at /healthz (200 while the
 // process serves), readiness at /readyz (503 once ready reports false —
 // a draining daemon stops being ready long before it stops being alive),
-// the live SLO snapshot at /slo when a tracker is attached, and the
-// pprof handlers for heap/goroutine deltas. One stoppable server covers
+// the registry's SLO view at /slo (the two ratios and the percentiles are
+// derived per request from the series /metrics carries), and the pprof
+// handlers for heap/goroutine deltas. One stoppable server covers
 // everything a soak harness scrapes.
-func ServeOps(addr string, r *Registry, namespace string, ready func() bool, slo *SLOTracker) (string, func(), error) {
+func ServeOps(addr string, r *Registry, namespace string, ready func() bool) (string, func(), error) {
 	mux := http.NewServeMux()
 	metrics := r.Handler(namespace)
 	mux.Handle("/metrics", metrics)
@@ -186,14 +187,13 @@ func ServeOps(addr string, r *Registry, namespace string, ready func() bool, slo
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
-	if slo != nil {
-		mux.HandleFunc("/slo", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			_ = enc.Encode(slo.Snapshot())
-		})
-	}
+	slo := r.SLO()
+	mux.HandleFunc("/slo", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		_ = enc.Encode(slo.Snapshot())
+	})
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, _ *http.Request) {
 		if ready != nil && !ready() {
 			http.Error(w, "draining", http.StatusServiceUnavailable)

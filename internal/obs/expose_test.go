@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -152,11 +153,12 @@ func TestServeOps(t *testing.T) {
 	r.Inc("hits")
 	var ready atomic.Bool
 	ready.Store(true)
-	slo := NewSLOTracker()
+	slo := r.SLO()
 	slo.AddWaste(0.25)
 	slo.AddUseful(0.75)
 	slo.CountDecision(true)
-	addr, stop, err := ServeOps("127.0.0.1:0", r, "preemptsched", ready.Load, slo)
+	slo.ObserveResponse("low", 3)
+	addr, stop, err := ServeOps("127.0.0.1:0", r, "preemptsched", ready.Load)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,18 +207,60 @@ func TestServeOps(t *testing.T) {
 	if snap.WasteFraction != 0.25 || snap.CheckpointDecisions != 1 {
 		t.Errorf("/slo snapshot = %+v, want waste fraction 0.25 and one checkpoint decision", snap)
 	}
+	// /metrics carries the series /slo was derived from, typed as what they
+	// are, and no mirrored ratio.
+	_, metrics := get("/metrics")
+	for _, want := range []string{
+		"# TYPE preemptsched_slo_decisions_checkpoint counter\npreemptsched_slo_decisions_checkpoint 1\n",
+		"# TYPE preemptsched_slo_waste_core_hours gauge\npreemptsched_slo_waste_core_hours 0.25\n",
+		"# TYPE preemptsched_slo_response_all_seconds histogram\n",
+		"preemptsched_slo_response_all_seconds_count 1\n",
+	} {
+		if !strings.Contains(metrics, want) {
+			t.Errorf("/metrics missing %q:\n%s", want, metrics)
+		}
+	}
+	if strings.Contains(metrics, "slo_waste_fraction") || strings.Contains(metrics, "slo_checkpoint_hit_rate") {
+		t.Errorf("/metrics carries a derived SLO ratio:\n%s", metrics)
+	}
+}
+
+// TestServeOpsZeroSLO: /slo is served from the registry alone, including one
+// nobody recorded into and a nil one — the fixed four bands, zero counts.
+func TestServeOpsZeroSLO(t *testing.T) {
+	for name, r := range map[string]*Registry{"fresh": NewRegistry(), "nil": nil} {
+		addr, stop, err := ServeOps("127.0.0.1:0", r, "preemptsched", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Get("http://" + addr + "/slo")
+		if err != nil {
+			stop()
+			t.Fatalf("%s registry: GET /slo: %v", name, err)
+		}
+		var snap SLOSnapshot
+		err = json.NewDecoder(resp.Body).Decode(&snap)
+		resp.Body.Close()
+		stop()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s registry: /slo = %d, decode %v", name, resp.StatusCode, err)
+		}
+		if want := (SLO{}).Snapshot(); !reflect.DeepEqual(snap, want) {
+			t.Errorf("%s registry: /slo = %+v, want the zero SLO %+v", name, snap, want)
+		}
+	}
 }
 
 // TestServeOpsConcurrentScrape hammers every ops route from several
-// scrapers while writers mutate the registry and the SLO tracker — the
+// scrapers while writers mutate the registry and its SLO series — the
 // race detector turns any unsynchronized path into a failure, and every
 // response must stay well-formed mid-write.
 func TestServeOpsConcurrentScrape(t *testing.T) {
 	r := NewRegistry()
-	slo := NewSLOTracker()
+	slo := r.SLO()
 	var ready atomic.Bool
 	ready.Store(true)
-	addr, stop, err := ServeOps("127.0.0.1:0", r, "preemptsched", ready.Load, slo)
+	addr, stop, err := ServeOps("127.0.0.1:0", r, "preemptsched", ready.Load)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +285,6 @@ func TestServeOpsConcurrentScrape(t *testing.T) {
 				slo.AddUseful(0.002)
 				slo.CountDecision(i%2 == 0)
 				slo.ObserveResponse("high", float64(i%100))
-				slo.PublishGauges(r)
 			}
 		}(g)
 	}

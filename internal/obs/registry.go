@@ -6,8 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"preemptsched/internal/metrics"
 )
 
 // Histogram bucket layout: fixed log-scale (base 2) upper bounds in
@@ -219,24 +217,38 @@ func (s Snapshot) Names() []string {
 }
 
 // Registry is a concurrency-safe registry of named counters, gauges, and
-// histograms. Metrics are created on first touch; names are free-form
-// dotted paths ("yarn.dump.total.seconds") sanitized only at exposition
-// time. A nil *Registry is a valid no-op sink.
+// histograms: the one live store of a run's numbers. Metrics are created on
+// first touch; names are free-form dotted paths ("yarn.dump.total.seconds")
+// sanitized only at exposition time. Every value lives in its own slot
+// behind a handle (Counter, Gauge, Histogram), so mu guards the three name
+// maps and never a value. A nil *Registry is a valid no-op sink.
 type Registry struct {
-	counters *metrics.Counters
-
-	mu     sync.Mutex
-	gauges map[string]float64
-	hists  map[string]*hist
+	mu       sync.Mutex
+	counters map[string]*atomic.Int64
+	gauges   map[string]*atomic.Uint64 // float64 bits
+	hists    map[string]*hist
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: metrics.NewCounters(),
-		gauges:   make(map[string]float64),
+		counters: make(map[string]*atomic.Int64),
+		gauges:   make(map[string]*atomic.Uint64),
 		hists:    make(map[string]*hist),
 	}
+}
+
+// slot returns name's slot in m, one of r's maps, creating it at its zero
+// value if needed. The pointer stays valid for the registry's lifetime.
+func slot[T any](r *Registry, m map[string]*T, name string) *T {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	v := m[name]
+	if v == nil {
+		v = new(T)
+		m[name] = v
+	}
+	return v
 }
 
 // Counter is a pre-resolved counter handle: the name is looked up once at
@@ -247,11 +259,7 @@ func NewRegistry() *Registry {
 type Counter struct{ v *atomic.Int64 }
 
 // Inc adds 1 through the handle.
-func (c Counter) Inc() {
-	if c.v != nil {
-		c.v.Add(1)
-	}
-}
+func (c Counter) Inc() { c.Add(1) }
 
 // Add adds delta through the handle.
 func (c Counter) Add(delta int64) {
@@ -274,7 +282,57 @@ func (r *Registry) Counter(name string) Counter {
 	if r == nil {
 		return Counter{}
 	}
-	return Counter{v: r.counters.Handle(name)}
+	return Counter{v: slot(r, r.counters, name)}
+}
+
+// Gauge is a pre-resolved gauge handle: one float64 in an atomic slot. Like
+// Counter, the zero value is a no-op sink.
+type Gauge struct{ v *atomic.Uint64 }
+
+// Set stores v.
+func (g Gauge) Set(v float64) {
+	if g.v != nil {
+		g.v.Store(math.Float64bits(v))
+	}
+}
+
+// Add accumulates delta. Adds from one goroutine land in call order, so a
+// serial stream of addends sums bit for bit as a plain += would.
+func (g Gauge) Add(delta float64) { g.update(func(v float64) float64 { return v + delta }) }
+
+// Max raises the gauge to v if v exceeds its current value — a high-water
+// mark (e.g. peak per-node checkpoint-queue backlog). A slot starts at zero,
+// not absent, so a mark that only sees negative values reads zero; every
+// caller records non-negative seconds.
+func (g Gauge) Max(v float64) { g.update(func(cur float64) float64 { return max(cur, v) }) }
+
+// update replaces the gauge's value v with f(v), retrying if a writer raced.
+func (g Gauge) update(f func(float64) float64) {
+	if g.v == nil {
+		return
+	}
+	for {
+		old := g.v.Load()
+		if g.v.CompareAndSwap(old, math.Float64bits(f(math.Float64frombits(old)))) {
+			return
+		}
+	}
+}
+
+// Value reads the gauge through the handle; zero for a no-op handle.
+func (g Gauge) Value() float64 {
+	if g.v == nil {
+		return 0
+	}
+	return math.Float64frombits(g.v.Load())
+}
+
+// Gauge pre-resolves a gauge handle.
+func (r *Registry) Gauge(name string) Gauge {
+	if r == nil {
+		return Gauge{}
+	}
+	return Gauge{v: slot(r, r.gauges, name)}
 }
 
 // Histogram is a pre-resolved histogram handle; like Counter, the zero
@@ -309,14 +367,7 @@ func (r *Registry) Histogram(name string) Histogram {
 	if r == nil {
 		return Histogram{}
 	}
-	r.mu.Lock()
-	h := r.hists[name]
-	if h == nil {
-		h = &hist{}
-		r.hists[name] = h
-	}
-	r.mu.Unlock()
-	return Histogram{h: h}
+	return Histogram{h: slot(r, r.hists, name)}
 }
 
 // Inc adds 1 to a counter.
@@ -325,36 +376,15 @@ func (r *Registry) Inc(name string) { r.Add(name, 1) }
 // Add adds delta to a counter.
 func (r *Registry) Add(name string, delta int64) { r.Counter(name).Add(delta) }
 
-// AddN merges a batch of counter increments under one lock acquisition.
+// AddN adds a batch of counter increments.
 func (r *Registry) AddN(deltas map[string]int64) {
-	if r == nil {
-		return
+	for name, delta := range deltas {
+		r.Add(name, delta)
 	}
-	r.counters.AddN(deltas)
 }
 
 // SetGauge sets a gauge to v.
-func (r *Registry) SetGauge(name string, v float64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.gauges[name] = v
-	r.mu.Unlock()
-}
-
-// MaxGauge raises a gauge to v if v exceeds its current value — a
-// high-water mark (e.g. peak per-node checkpoint-queue backlog).
-func (r *Registry) MaxGauge(name string, v float64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	if cur, ok := r.gauges[name]; !ok || v > cur {
-		r.gauges[name] = v
-	}
-	r.mu.Unlock()
-}
+func (r *Registry) SetGauge(name string, v float64) { r.Gauge(name).Set(v) }
 
 // Observe records v (in seconds for latency metrics) into a histogram.
 func (r *Registry) Observe(name string, v float64) { r.Histogram(name).Observe(v) }
@@ -368,24 +398,21 @@ func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return Snapshot{}
 	}
-	snap := Snapshot{
-		Counters:   r.counters.Snapshot(),
-		Gauges:     make(map[string]float64),
-		Histograms: make(map[string]HistSnapshot),
-	}
 	r.mu.Lock()
-	for k, v := range r.gauges {
-		snap.Gauges[k] = v
+	snap := Snapshot{
+		Counters:   make(map[string]int64, len(r.counters)),
+		Gauges:     make(map[string]float64, len(r.gauges)),
+		Histograms: make(map[string]HistSnapshot, len(r.hists)),
 	}
-	names := make([]string, 0, len(r.hists))
-	hs := make([]*hist, 0, len(r.hists))
+	for k, v := range r.counters {
+		snap.Counters[k] = v.Load()
+	}
+	for k, v := range r.gauges {
+		snap.Gauges[k] = math.Float64frombits(v.Load())
+	}
 	for k, h := range r.hists {
-		names = append(names, k)
-		hs = append(hs, h)
+		snap.Histograms[k] = h.snapshot()
 	}
 	r.mu.Unlock()
-	for i, h := range hs {
-		snap.Histograms[names[i]] = h.snapshot()
-	}
 	return snap
 }

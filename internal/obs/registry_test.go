@@ -13,7 +13,13 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	r.Add("a", 5)
 	r.AddN(map[string]int64{"a": 1})
 	r.SetGauge("g", 1)
-	r.MaxGauge("g", 2)
+	g := r.Gauge("g")
+	g.Set(1)
+	g.Add(1)
+	g.Max(9)
+	if g.Value() != 0 || (Gauge{}).Value() != 0 {
+		t.Fatal("a no-op gauge handle reads non-zero")
+	}
 	r.Observe("h", 0.5)
 	r.ObserveDuration("h", time.Second)
 	snap := r.Snapshot()
@@ -130,15 +136,120 @@ func TestGauges(t *testing.T) {
 	r := NewRegistry()
 	r.SetGauge("depth", 3)
 	r.SetGauge("depth", 1)
-	r.MaxGauge("peak", 2)
-	r.MaxGauge("peak", 5)
-	r.MaxGauge("peak", 4)
+	r.Gauge("peak").Max(2)
+	r.Gauge("peak").Max(5)
+	r.Gauge("peak").Max(4)
 	snap := r.Snapshot()
 	if snap.Gauges["depth"] != 1 {
 		t.Fatalf("SetGauge should overwrite: %v", snap.Gauges["depth"])
 	}
 	if snap.Gauges["peak"] != 5 {
-		t.Fatalf("MaxGauge should keep high-water mark: %v", snap.Gauges["peak"])
+		t.Fatalf("Gauge.Max should keep high-water mark: %v", snap.Gauges["peak"])
+	}
+}
+
+// TestGaugeHandle: the handle and the name-keyed calls reach one slot; Add
+// accumulates, Max keeps the high-water mark from a slot that starts at
+// zero, Set overwrites.
+func TestGaugeHandle(t *testing.T) {
+	r := NewRegistry()
+	g := r.Gauge("depth")
+	if v, ok := r.Snapshot().Gauges["depth"]; !ok || v != 0 {
+		t.Fatalf("resolving a gauge must register it at zero, got %v (present %v)", v, ok)
+	}
+	g.Add(1.5)
+	g.Add(2.25)
+	if g.Value() != 3.75 {
+		t.Fatalf("Add: %v, want 3.75", g.Value())
+	}
+	r.SetGauge("depth", 2)
+	g.Max(1)
+	if g.Value() != 2 {
+		t.Fatalf("Max below the mark moved it: %v", g.Value())
+	}
+	r.Gauge("depth").Max(7)
+	if g.Value() != 7 || r.Gauge("depth").Value() != 7 || r.Snapshot().Gauges["depth"] != 7 {
+		t.Fatalf("handle, second handle and snapshot disagree: %v / %v / %v",
+			g.Value(), r.Gauge("depth").Value(), r.Snapshot().Gauges["depth"])
+	}
+	r.Gauge("below").Max(-3)
+	if v := r.Gauge("below").Value(); v != 0 {
+		t.Fatalf("a mark that only saw -3 reads %v: slots start at zero", v)
+	}
+}
+
+// TestGaugeConcurrent runs Add, Max and Set on three gauges from eight
+// goroutines against Snapshot and Value readers; integer-valued deltas are
+// exact in float64, so any lost update shows in the sum.
+func TestGaugeConcurrent(t *testing.T) {
+	r := NewRegistry()
+	sum, peak, last := r.Gauge("sum"), r.Gauge("peak"), r.Gauge("last")
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				sum.Add(float64(1 + i%3))
+				peak.Max(float64(w*2000 + i))
+				last.Set(float64(w))
+				if i%100 == 0 {
+					snap := r.Snapshot()
+					if s, p := snap.Gauges["sum"], snap.Gauges["peak"]; s != math.Trunc(s) || p != math.Trunc(p) {
+						t.Errorf("torn read: sum %v, peak %v", s, p)
+					}
+					_ = sum.Value()
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	// Per goroutine: 2000 deltas cycling 1,2,3 = 666 full cycles (3996) + 1+2.
+	if want := float64(8 * (666*6 + 3)); sum.Value() != want {
+		t.Fatalf("sum = %v, want %v", sum.Value(), want)
+	}
+	if peak.Value() != 7*2000+1999 {
+		t.Fatalf("peak = %v, want %v", peak.Value(), 7*2000+1999)
+	}
+	if v := last.Value(); v < 0 || v > 7 || v != math.Trunc(v) {
+		t.Fatalf("last = %v, want one writer's value", v)
+	}
+}
+
+// TestRegistryAddN and TestRegistryConcurrentAddN are what the retired
+// metrics.Counters tests checked that survives the type.
+func TestRegistryAddN(t *testing.T) {
+	r := NewRegistry()
+	r.Add("a", 1)
+	r.AddN(map[string]int64{"a": 2, "b": 5})
+	r.AddN(nil) // no-op, must not panic
+	if got := r.Counter("a").Value(); got != 3 {
+		t.Fatalf("a = %d, want 3", got)
+	}
+	if got := r.Counter("b").Value(); got != 5 {
+		t.Fatalf("b = %d, want 5", got)
+	}
+}
+
+func TestRegistryConcurrentAddN(t *testing.T) {
+	r := NewRegistry()
+	x := r.Counter("x")
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				r.AddN(map[string]int64{"x": 1, "y": 2})
+				x.Inc()
+				_ = r.Snapshot()
+			}
+		}()
+	}
+	wg.Wait()
+	snap := r.Snapshot()
+	if snap.Counter("x") != 16000 || snap.Counter("y") != 16000 {
+		t.Fatalf("x = %d, y = %d, want 16000 each", snap.Counter("x"), snap.Counter("y"))
 	}
 }
 
@@ -174,7 +285,7 @@ func TestRegistryConcurrent(t *testing.T) {
 			for i := 0; i < 1000; i++ {
 				r.Inc("c")
 				r.Observe("h", float64(i%100)*1e-4)
-				r.MaxGauge("g", float64(i))
+				r.Gauge("g").Max(float64(i))
 				if i%100 == 0 {
 					_ = r.Snapshot()
 				}

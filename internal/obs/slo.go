@@ -1,118 +1,78 @@
 package obs
 
-import (
-	"sort"
-	"sync"
-)
-
-// SLOTracker is the live SLO engine: incremental, O(1)-per-event
-// tracking of the paper's headline objectives — waste core-hours
-// (Fig. 9), per-band job response time (Fig. 10/11), and the checkpoint
-// hit-rate of the preemption policy — maintained as events happen
-// instead of recomputed from end-of-run snapshot scans. A nil
-// *SLOTracker is a valid no-op sink.
-type SLOTracker struct {
-	mu            sync.Mutex
-	waste         float64
-	wasteFailure  float64
-	useful        float64
-	kills         int64
-	checkpoints   int64
-	fallbackKills int64
-	resp          map[string]*hist
+// SLO is the paper's headline objectives — waste core-hours (Fig. 9),
+// per-band job response time (Fig. 10/11), and the checkpoint hit-rate of
+// the preemption policy — as a view over ten fixed registry series. It
+// holds handles and no state: recording writes the series /metrics
+// exports, and Snapshot derives the ratios and percentiles from those same
+// series on read, so the two can never disagree. The zero value, and the
+// view of a nil registry, is a valid no-op sink.
+type SLO struct {
+	waste, wasteFailure, useful       Gauge
+	kills, checkpoints, fallbackKills Counter
+	// resp is indexed like sloBands.
+	resp [len(sloBands)]Histogram
 }
 
-// sloBands mirrors cluster.Band.String(): the paper's three priority
-// bands plus the cross-band aggregate.
-var sloBands = []string{"all", "low", "medium", "high"}
+// sloBands mirrors cluster.Band.String(): the cross-band aggregate, then
+// the paper's three priority bands.
+var sloBands = [...]string{"all", "low", "medium", "high"}
 
-// NewSLOTracker returns a tracker with the standard band set
-// pre-created, so snapshots always carry the same keys.
-func NewSLOTracker() *SLOTracker {
-	t := &SLOTracker{resp: make(map[string]*hist, len(sloBands))}
-	for _, b := range sloBands {
-		t.resp[b] = &hist{}
+// SLO resolves the view's handles, registering its series so a scraper
+// sees explicit zeros from the start.
+func (r *Registry) SLO() SLO {
+	s := SLO{
+		waste:         r.Gauge("slo.waste.core.hours"),
+		wasteFailure:  r.Gauge("slo.waste.failure.core.hours"),
+		useful:        r.Gauge("slo.useful.core.hours"),
+		kills:         r.Counter("slo.decisions.kill"),
+		checkpoints:   r.Counter("slo.decisions.checkpoint"),
+		fallbackKills: r.Counter("slo.kills.fallback"),
 	}
-	return t
+	for i, b := range sloBands {
+		s.resp[i] = r.Histogram("slo.response." + b + ".seconds")
+	}
+	return s
 }
 
 // AddWaste accrues wasted core-hours (lost progress, checkpoint
 // overhead, failed restores).
-func (t *SLOTracker) AddWaste(coreHours float64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.waste += coreHours
-	t.mu.Unlock()
-}
+func (s SLO) AddWaste(coreHours float64) { s.waste.Add(coreHours) }
 
 // AddFailureWaste accrues wasted core-hours attributable to a node
 // failure (progress lost with a dead machine). It lands in the same
-// waste total AddWaste feeds, plus the failure-attributed bucket, so
+// waste total AddWaste feeds, plus the failure-attributed series, so
 // the split always sums to the total.
-func (t *SLOTracker) AddFailureWaste(coreHours float64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.waste += coreHours
-	t.wasteFailure += coreHours
-	t.mu.Unlock()
+func (s SLO) AddFailureWaste(coreHours float64) {
+	s.waste.Add(coreHours)
+	s.wasteFailure.Add(coreHours)
 }
 
 // AddUseful accrues useful core-hours (completed task runtime).
-func (t *SLOTracker) AddUseful(coreHours float64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.useful += coreHours
-	t.mu.Unlock()
-}
+func (s SLO) AddUseful(coreHours float64) { s.useful.Add(coreHours) }
 
 // CountDecision tallies one Alg. 1 preemption decision.
-func (t *SLOTracker) CountDecision(checkpoint bool) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
+func (s SLO) CountDecision(checkpoint bool) {
 	if checkpoint {
-		t.checkpoints++
+		s.checkpoints.Inc()
 	} else {
-		t.kills++
+		s.kills.Inc()
 	}
-	t.mu.Unlock()
 }
 
 // CountFallbackKill tallies a checkpoint decision that degraded to a
 // kill (failed dump or unrecoverable restore).
-func (t *SLOTracker) CountFallbackKill() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.fallbackKills++
-	t.mu.Unlock()
-}
+func (s SLO) CountFallbackKill() { s.fallbackKills.Inc() }
 
 // ObserveResponse records one job's response time (submit→complete,
-// seconds) under its priority band and the "all" aggregate.
-func (t *SLOTracker) ObserveResponse(band string, seconds float64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	h := t.resp[band]
-	if h == nil {
-		h = &hist{}
-		t.resp[band] = h
-	}
-	all := t.resp["all"]
-	t.mu.Unlock()
-	h.observe(seconds)
-	if all != h {
-		all.observe(seconds)
+// seconds) under its priority band and the "all" aggregate. A band outside
+// the fixed set counts toward the aggregate only.
+func (s SLO) ObserveResponse(band string, seconds float64) {
+	s.resp[0].Observe(seconds)
+	for i := 1; i < len(sloBands); i++ {
+		if sloBands[i] == band {
+			s.resp[i].Observe(seconds)
+		}
 	}
 }
 
@@ -145,87 +105,37 @@ type SLOSnapshot struct {
 	Response                 map[string]SLOResponse `json:"response_seconds"`
 }
 
-func histToResponse(h *hist) SLOResponse {
-	h.mu.Lock()
-	s := HistSnapshot{
-		Count:   h.count,
-		Sum:     h.sum,
-		Min:     h.min,
-		Max:     h.max,
-		Buckets: append([]uint64(nil), h.buckets[:]...),
-	}
-	h.mu.Unlock()
-	out := SLOResponse{Count: int64(s.Count), Max: s.Max}
-	if s.Count > 0 {
-		out.Mean = s.Sum / float64(s.Count)
-		out.P50 = s.Quantile(0.50)
-		out.P95 = s.Quantile(0.95)
-		out.P99 = s.Quantile(0.99)
-	}
-	return out
-}
-
-// Snapshot copies every objective. Safe to call concurrently with
-// recording.
-func (t *SLOTracker) Snapshot() SLOSnapshot {
-	if t == nil {
-		return SLOSnapshot{Response: map[string]SLOResponse{}}
-	}
-	t.mu.Lock()
+// Snapshot reads every objective and derives the ratios and percentiles;
+// nothing derived is stored. Safe to call concurrently with recording. It
+// always carries the fixed four bands — the report schema requires them —
+// so the zero view reports them with zero counts.
+func (s SLO) Snapshot() SLOSnapshot {
 	snap := SLOSnapshot{
-		WasteCoreHours:           t.waste,
-		WasteFailureCoreHours:    t.wasteFailure,
-		WastePreemptionCoreHours: t.waste - t.wasteFailure,
-		UsefulCoreHours:          t.useful,
-		KillDecisions:            t.kills,
-		CheckpointDecisions:      t.checkpoints,
-		FallbackKills:            t.fallbackKills,
-		Response:                 make(map[string]SLOResponse, len(t.resp)),
+		// Read before the total: AddFailureWaste writes the total first, so a
+		// concurrent snapshot never sees more failure waste than waste.
+		WasteFailureCoreHours: s.wasteFailure.Value(),
+		WasteCoreHours:        s.waste.Value(),
+		UsefulCoreHours:       s.useful.Value(),
+		KillDecisions:         s.kills.Value(),
+		CheckpointDecisions:   s.checkpoints.Value(),
+		FallbackKills:         s.fallbackKills.Value(),
+		Response:              make(map[string]SLOResponse, len(sloBands)),
 	}
-	hs := make(map[string]*hist, len(t.resp))
-	for band, h := range t.resp {
-		hs[band] = h
-	}
-	t.mu.Unlock()
+	snap.WastePreemptionCoreHours = snap.WasteCoreHours - snap.WasteFailureCoreHours
 	if total := snap.WasteCoreHours + snap.UsefulCoreHours; total > 0 {
 		snap.WasteFraction = snap.WasteCoreHours / total
 	}
 	if decisions := snap.KillDecisions + snap.CheckpointDecisions; decisions > 0 {
 		snap.CheckpointHitRate = float64(snap.CheckpointDecisions) / float64(decisions)
 	}
-	for band, h := range hs {
-		snap.Response[band] = histToResponse(h)
+	for i, band := range sloBands {
+		h := s.resp[i].Snapshot()
+		r := SLOResponse{Count: int64(h.Count), Max: h.Max}
+		if h.Count > 0 {
+			r.Mean = h.Sum / float64(h.Count)
+			r.P50, r.P95, r.P99 = h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99)
+		}
+		snap.Response[band] = r
 	}
 	return snap
-}
-
-// PublishGauges mirrors the current snapshot into reg as gauges, so the
-// SLOs ride the existing Prometheus/JSON exposition alongside the raw
-// counters. Intended to be called from a sampler loop (clusterd) or
-// once at end of run.
-func (t *SLOTracker) PublishGauges(reg *Registry) {
-	if t == nil || reg == nil {
-		return
-	}
-	s := t.Snapshot()
-	reg.SetGauge("slo.waste.core.hours", s.WasteCoreHours)
-	reg.SetGauge("slo.waste.failure.core.hours", s.WasteFailureCoreHours)
-	reg.SetGauge("slo.useful.core.hours", s.UsefulCoreHours)
-	reg.SetGauge("slo.waste.fraction", s.WasteFraction)
-	reg.SetGauge("slo.decisions.kill", float64(s.KillDecisions))
-	reg.SetGauge("slo.decisions.checkpoint", float64(s.CheckpointDecisions))
-	reg.SetGauge("slo.kills.fallback", float64(s.FallbackKills))
-	reg.SetGauge("slo.checkpoint.hit.rate", s.CheckpointHitRate)
-	bands := make([]string, 0, len(s.Response))
-	for b := range s.Response {
-		bands = append(bands, b)
-	}
-	sort.Strings(bands)
-	for _, b := range bands {
-		r := s.Response[b]
-		reg.SetGauge("slo.response."+b+".count", float64(r.Count))
-		reg.SetGauge("slo.response."+b+".p50.seconds", r.P50)
-		reg.SetGauge("slo.response."+b+".p95.seconds", r.P95)
-		reg.SetGauge("slo.response."+b+".p99.seconds", r.P99)
-	}
 }

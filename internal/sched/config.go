@@ -54,10 +54,10 @@ func (d Discipline) String() string {
 	}
 }
 
-// DefaultCapacityGuarantees is the per-band capacity split used by
-// DisciplineCapacity when Config.CapacityGuarantees is unset: low-priority
-// batch gets the largest guaranteed pool, production the smallest —
-// production bursts above their guarantee are what preemption reclaims.
+// DefaultCapacityGuarantees is the per-band capacity split
+// DisciplineCapacity guarantees: low-priority batch gets the largest
+// guaranteed pool, production the smallest — production bursts above their
+// guarantee are what preemption reclaims.
 var DefaultCapacityGuarantees = [cluster.NumBands]float64{0.45, 0.35, 0.20}
 
 // Config parameterizes a simulation run.
@@ -70,9 +70,6 @@ type Config struct {
 	// Discipline selects the contention arbitration rule. Zero means
 	// DisciplinePriority.
 	Discipline Discipline
-	// CapacityGuarantees sets per-band guaranteed capacity fractions for
-	// DisciplineCapacity; zero value takes DefaultCapacityGuarantees.
-	CapacityGuarantees [cluster.NumBands]float64
 	// MaxEvictionsPerTask caps how many times one task may be preempted
 	// (the eviction-threshold policy of Cavdar et al.); 0 means no cap.
 	MaxEvictionsPerTask int
@@ -215,9 +212,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Discipline == 0 {
 		c.Discipline = DisciplinePriority
-	}
-	if c.CapacityGuarantees == ([cluster.NumBands]float64{}) {
-		c.CapacityGuarantees = DefaultCapacityGuarantees
 	}
 	if c.DirtyFloor == 0 {
 		c.DirtyFloor = 0.12

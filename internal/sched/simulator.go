@@ -444,8 +444,8 @@ func (s *Simulator) canPreempt(t, v *taskRT) bool {
 			return false
 		}
 		cv := v.spec.Demand.DominantShare(s.totalCap)
-		return s.bandShare(tb) < s.cfg.CapacityGuarantees[tb] &&
-			s.bandShare(vb)-cv >= s.cfg.CapacityGuarantees[vb]
+		return s.bandShare(tb) < DefaultCapacityGuarantees[tb] &&
+			s.bandShare(vb)-cv >= DefaultCapacityGuarantees[vb]
 	default:
 		return v.spec.Priority < t.spec.Priority
 	}
@@ -604,7 +604,7 @@ func (s *Simulator) scanBatch() []*taskRT {
 	case DisciplineCapacity:
 		deficit := func(t *taskRT) float64 {
 			b := cluster.BandOf(t.spec.Priority)
-			return s.cfg.CapacityGuarantees[b] - s.bandShare(b)
+			return DefaultCapacityGuarantees[b] - s.bandShare(b)
 		}
 		sort.SliceStable(batch, func(i, j int) bool {
 			return deficit(batch[i]) > deficit(batch[j])

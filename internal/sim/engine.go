@@ -95,10 +95,17 @@ func (e *Engine) ScheduleAt(at Time, fn Handler) *Timer {
 
 // Schedule registers fn to run after delay d (>= 0) from the current time.
 func (e *Engine) Schedule(d time.Duration, fn Handler) *Timer {
-	if d < 0 {
-		d = 0
+	return e.ScheduleAt(e.in(d), fn)
+}
+
+// in returns the instant d (>= 0) from now, saturated at the end of the
+// clock: a delay that would wrap the int64 lands on its last instant, not in
+// the past. The backstop behind whoever admits work (yarn.Horizon).
+func (e *Engine) in(d time.Duration) Time {
+	if at := e.now + max(d, 0); at >= e.now {
+		return at
 	}
-	return e.ScheduleAt(e.now+d, fn)
+	return Time(math.MaxInt64)
 }
 
 // At registers fn to run at virtual instant at without returning a
@@ -128,10 +135,7 @@ func (e *Engine) At(at Time, fn Handler) {
 // After registers fn to run after delay d (>= 0) without returning a
 // handle, with the same recycling freedom as At.
 func (e *Engine) After(d time.Duration, fn Handler) {
-	if d < 0 {
-		d = 0
-	}
-	e.At(e.now+d, fn)
+	e.At(e.in(d), fn)
 }
 
 // Cancel removes a pending timer. It is safe to call for timers that have

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -141,6 +143,29 @@ func TestEngineNegativeDelayClampsToNow(t *testing.T) {
 	e.Run()
 	if !fired {
 		t.Error("negative delay should fire immediately at current time")
+	}
+}
+
+// TestEngineDelaySaturatesAtEndOfClock: a delay that would wrap the int64
+// clock lands on its last instant, through Schedule and After alike, instead
+// of panicking as an event in the past (at the parent commit both panic:
+// now=150 years plus 150 years is negative).
+func TestEngineDelaySaturatesAtEndOfClock(t *testing.T) {
+	const long = 150 * 365 * 24 * time.Hour
+	e := NewEngine()
+	e.Schedule(long, func(Time) {})
+	e.Step()
+	var fired []Time
+	timer := e.Schedule(long, func(now Time) { fired = append(fired, now) })
+	e.After(long, func(now Time) { fired = append(fired, now) })
+	e.After(time.Hour, func(now Time) { fired = append(fired, now) })
+	if timer.At() != Time(math.MaxInt64) {
+		t.Fatalf("wrapping delay scheduled for %v, want the end of the clock", timer.At())
+	}
+	end := e.Run()
+	want := []Time{long + time.Hour, Time(math.MaxInt64), Time(math.MaxInt64)}
+	if end != Time(math.MaxInt64) || !reflect.DeepEqual(fired, want) {
+		t.Fatalf("fired at %v, run ended at %v; want %v", fired, end, want)
 	}
 }
 

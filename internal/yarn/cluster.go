@@ -43,12 +43,11 @@ type Cluster struct {
 	// tracing. reg is never nil inside Run: a private registry is built
 	// when the caller does not supply one, so Result.Metrics is always
 	// populated. jrn appends to the flight recorder (a no-op without
-	// one); slo is the live SLO tracker and, like reg, is never nil
-	// inside Run.
+	// one); slo is reg's SLO view, fed as events happen.
 	tracer *obs.Tracer
 	reg    *obs.Registry
 	jrn    obs.Emitter
-	slo    *obs.SLOTracker
+	slo    obs.SLO
 	// hm holds pre-resolved handles for the per-event metric paths (see
 	// resolveHandles in obs.go); reg stays the sink for everything cold.
 	hm yarnHandles
@@ -81,8 +80,10 @@ type Cluster struct {
 
 	// jobDone maps a job to its completion callback (service mode); the
 	// callback fires on the engine goroutine the moment the job's last
-	// task completes, so it must not block.
-	jobDone map[cluster.JobID]func(JobDone)
+	// task completes, so it must not block. Neither must onJobDone, which
+	// hears of every job's completion first.
+	jobDone   map[cluster.JobID]func(JobDone)
+	onJobDone func(id cluster.JobID, at sim.Time)
 	// cleanups tear down real resources (TCP listeners, transports) in
 	// reverse order; serveWG tracks the dfs.Serve goroutines they stop.
 	cleanups []func()
@@ -152,6 +153,7 @@ func (c *Cluster) buildDFS(repl int, tcp bool) error {
 			}
 		}
 		c.injector = faults.NewInjector(plan)
+		c.injector.Instrument(c.reg)
 		c.dfsView = faults.WrapTransport(c.dfsView, c.injector)
 	}
 	// Self-healing (re-replication after a bad-replica report) runs over
@@ -249,14 +251,12 @@ func newCluster(cfg Config, tcpDFS bool) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 
 	c := &Cluster{cfg: cfg, engine: sim.NewEngine(), tracer: cfg.Tracer, reg: cfg.Metrics,
-		jrn: cfg.Recorder.Emitter("yarn"), slo: cfg.SLO,
+		jrn:     cfg.Recorder.Emitter("yarn"),
 		jobDone: make(map[cluster.JobID]func(JobDone))}
 	if c.reg == nil {
 		c.reg = obs.NewRegistry()
 	}
-	if c.slo == nil {
-		c.slo = obs.NewSLOTracker()
-	}
+	c.slo = c.reg.SLO()
 	c.resolveHandles()
 
 	repl := cfg.Replication
@@ -289,7 +289,9 @@ func newCluster(cfg Config, tcpDFS bool) (*Cluster, error) {
 		if c.injector != nil {
 			store = faults.WrapStore(cli, c.injector)
 		}
-		c.nodes = append(c.nodes, newNodeManager(i, cfg, dev, cli, store))
+		//lint:ignore metricname per-node gauge: the node id is part of the series identity
+		queuePeak := c.reg.Gauge(fmt.Sprintf("yarn.node.%d.ckpt.queue.peak.seconds", i))
+		c.nodes = append(c.nodes, newNodeManager(i, cfg, dev, cli, store, queuePeak))
 	}
 	c.res = &Result{
 		Outcome:       core.NewOutcome(cfg.Policy, c.nodes[0].device.Label(), cfg.Nodes),
@@ -327,7 +329,7 @@ func (c *Cluster) finish(end sim.Time) {
 	c.res.BlocksReReplicated += int(c.decomRecovered.Swap(0))
 	c.res.BlocksLost += int(c.decomLost.Swap(0))
 	if c.injector != nil {
-		c.res.FaultsInjected = c.injector.Counters().Snapshot()
+		c.res.FaultsInjected = c.injector.Injected()
 	}
 	c.finishMetrics()
 }
@@ -390,8 +392,8 @@ func (c *Cluster) programSteps() uint64 {
 }
 
 // chargeOverhead books a checkpoint/restore window against t's cores, in
-// the Result and — like every charge — for the same amount in the live
-// SLO tracker, so the two can never drift.
+// the Result and — like every charge — for the same amount in the SLO
+// series, so the two can never drift.
 func (c *Cluster) chargeOverhead(t *taskRun, window time.Duration) {
 	c.slo.AddWaste(c.res.ChargeOverhead(t.spec, window))
 }

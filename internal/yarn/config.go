@@ -108,11 +108,6 @@ type Config struct {
 	// with estimated-vs-actual overheads. Nil disables journaling at
 	// zero cost.
 	Recorder *obs.Recorder
-	// SLO, when non-nil, is the live SLO tracker fed incrementally as
-	// events happen (waste core-hours, per-band response percentiles,
-	// checkpoint hit-rate). When nil, Run builds a private tracker so
-	// Result.SLO is always populated.
-	SLO *obs.SLOTracker
 
 	// NMHeartbeatEvery is the NodeManager heartbeat period on the virtual
 	// clock. Zero means DefaultNMHeartbeatEvery. Heartbeats (and the
@@ -350,8 +345,8 @@ type Result struct {
 	// counters, and gauges, whether or not the caller supplied a registry.
 	Metrics obs.Snapshot
 
-	// SLO is the end-of-run snapshot of the live SLO engine: waste
+	// SLO is the end-of-run snapshot of the registry's SLO view: waste
 	// core-hours, per-band response-time percentiles, and the checkpoint
-	// hit-rate, maintained incrementally during the run.
+	// hit-rate, derived from the slo.* series in Metrics.
 	SLO obs.SLOSnapshot
 }

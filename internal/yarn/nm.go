@@ -9,6 +9,7 @@ import (
 	"preemptsched/internal/cluster"
 	"preemptsched/internal/dfs"
 	"preemptsched/internal/energy"
+	"preemptsched/internal/obs"
 	"preemptsched/internal/sim"
 	"preemptsched/internal/storage"
 )
@@ -38,6 +39,8 @@ type NodeManager struct {
 
 	meter      *energy.Meter
 	lastChange sim.Time
+	// queuePeak is the longest a dump has queued for this node's device.
+	queuePeak obs.Gauge
 
 	// Liveness state, owned by the engine goroutine. crashed marks a
 	// permanently dead machine (NM crash fault): its container processes
@@ -49,14 +52,15 @@ type NodeManager struct {
 	lastBeat     sim.Time
 }
 
-func newNodeManager(id int, cfg Config, dev *storage.Device, cli *dfs.Client, store storage.Store) *NodeManager {
+func newNodeManager(id int, cfg Config, dev *storage.Device, cli *dfs.Client, store storage.Store, queuePeak obs.Gauge) *NodeManager {
 	return &NodeManager{
-		id:     id,
-		slots:  cfg.ContainersPerNode,
-		device: dev,
-		dfsCli: cli,
-		store:  store,
-		meter:  energy.NewMeter(cfg.EnergyModel),
+		id:        id,
+		slots:     cfg.ContainersPerNode,
+		device:    dev,
+		dfsCli:    cli,
+		store:     store,
+		meter:     energy.NewMeter(cfg.EnergyModel),
+		queuePeak: queuePeak,
 	}
 }
 

@@ -1,7 +1,6 @@
 package yarn
 
 import (
-	"fmt"
 	"math"
 	"time"
 
@@ -47,8 +46,8 @@ func (c *Cluster) resolveHandles() {
 }
 
 // observeDecision books one Preemption Manager verdict in the yarn-only
-// sinks — a policy-decision counter keyed by the chosen action, the live
-// SLO hit-rate tally, and an instant span on the victim's track carrying
+// sinks — a policy-decision counter keyed by the chosen action, the SLO
+// hit-rate tally, and an instant span on the victim's track carrying
 // the unsaved progress and the open round trip's estimate — and returns
 // the span, which keys the journal's decision record to it.
 func (c *Cluster) observeDecision(t *taskRun, n *NodeManager, action core.PreemptAction, now sim.Time) obs.SpanID {
@@ -78,8 +77,7 @@ func (c *Cluster) recordDump(t *taskRun, n *NodeManager, image string, bytes int
 		c.hm.dumpQueue.ObserveDuration(time.Duration(start - now))
 		c.hm.dumpWrite.ObserveDuration(time.Duration(done - start))
 		c.hm.dumpTotal.ObserveDuration(total)
-		//lint:ignore metricname per-node gauge: the node id is part of the series identity
-		c.reg.MaxGauge(fmt.Sprintf("yarn.node.%d.ckpt.queue.peak.seconds", n.id), time.Duration(start-now).Seconds())
+		n.queuePeak.Max(time.Duration(start - now).Seconds())
 	}
 	var span obs.SpanID
 	if c.tracer != nil {
@@ -189,14 +187,12 @@ func (c *Cluster) recordNodeRecovered(n *NodeManager, now sim.Time) {
 // Result.Metrics. Called whether or not the run completed, so aborted runs
 // still carry their telemetry.
 func (c *Cluster) finishMetrics() {
-	// The quarantine/re-replication pipeline counts at the NameNode and
-	// the scrubber counts at the DataNodes; mirror those registry counters
+	// The quarantine/re-replication pipeline counts at the NameNode; read it
 	// into the Result so callers get the integrity story without scraping.
-	pre := c.reg.Snapshot()
-	c.res.ReplicasQuarantined = pre.Counter("dfs.namenode.replicas.quarantined")
-	c.res.CorruptReReplicated = pre.Counter("dfs.namenode.corrupt.rereplicated")
-	c.res.CorruptDegraded = pre.Counter("dfs.namenode.corrupt.degraded")
-	c.res.CorruptLost = pre.Counter("dfs.namenode.corrupt.lost")
+	c.res.ReplicasQuarantined = c.reg.Counter("dfs.namenode.replicas.quarantined").Value()
+	c.res.CorruptReReplicated = c.reg.Counter("dfs.namenode.corrupt.rereplicated").Value()
+	c.res.CorruptDegraded = c.reg.Counter("dfs.namenode.corrupt.degraded").Value()
+	c.res.CorruptLost = c.reg.Counter("dfs.namenode.corrupt.lost").Value()
 	deltas := map[string]int64{
 		"yarn.preemptions":             int64(c.res.Preemptions),
 		"yarn.kills":                   int64(c.res.Kills),
@@ -222,16 +218,12 @@ func (c *Cluster) finishMetrics() {
 		"yarn.blocks.rereplicated":     int64(c.res.BlocksReReplicated),
 		"yarn.blocks.lost":             int64(c.res.BlocksLost),
 	}
-	for mode, v := range c.res.FaultsInjected {
-		deltas["faults.injected."+mode] = v
-	}
 	c.reg.AddN(deltas)
 	c.reg.SetGauge("yarn.makespan.seconds", c.res.Makespan.Seconds())
 	c.reg.SetGauge("yarn.scrub.final.corrupt", float64(c.res.FinalScrubCorrupt))
 	c.reg.SetGauge("yarn.peak.image.bytes", float64(c.res.PeakImageBytes))
 	c.reg.SetGauge("yarn.dfs.stored.bytes", float64(c.res.DFSStoredBytes))
 	c.reg.SetGauge("yarn.energy.kwh", c.res.EnergyKWh)
-	c.slo.PublishGauges(c.reg)
 	c.res.SLO = c.slo.Snapshot()
 	c.res.Metrics = c.reg.Snapshot()
 }

@@ -3,8 +3,11 @@ package yarn
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
+	"strings"
 	"testing"
 
+	"preemptsched/internal/faults"
 	"preemptsched/internal/obs"
 )
 
@@ -125,16 +128,46 @@ func TestObservedRunSpanChains(t *testing.T) {
 }
 
 // TestObservedRunSharedRegistry: a caller-supplied registry is used in
-// place of a private one, and Result.Metrics reflects it.
+// place of a private one, and what the Result reports twice it reads from
+// that registry's series — identities, not mirrors: Result.Metrics is its
+// snapshot, Result.SLO its SLO view, and Result.FaultsInjected the
+// faults.injected.<mode> counters the injector counted in place.
 func TestObservedRunSharedRegistry(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := chaosConfig()
 	cfg.Metrics = reg
-	r, err := Run(cfg, smallWorkload())
+	cfg.Faults = &faults.Plan{Seed: 3, RPCErrorRate: 0.1, NameNodeErrorRate: 0.05, CreateFailRate: 0.3}
+	r, err := Run(cfg, mixedWorkload(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Snapshot().Counter("yarn.tasks.completed"); got != int64(r.TasksCompleted) {
 		t.Errorf("shared registry yarn.tasks.completed = %d, Result.TasksCompleted = %d", got, r.TasksCompleted)
+	}
+
+	if got := reg.SLO().Snapshot(); !reflect.DeepEqual(r.SLO, got) {
+		t.Errorf("Result.SLO = %+v, the registry's view = %+v", r.SLO, got)
+	}
+	if r.SLO.CheckpointDecisions == 0 || r.SLO.Response["all"].Count != int64(r.JobsCompleted) || r.SLO.WasteCoreHours == 0 {
+		t.Errorf("the run fed the SLO series nothing worth comparing: %+v", r.SLO)
+	}
+	if got := r.Metrics.Hist("slo.response.all.seconds").Count; got != uint64(r.JobsCompleted) {
+		t.Errorf("slo.response.all.seconds holds %d observations, %d jobs completed", got, r.JobsCompleted)
+	}
+
+	if len(r.FaultsInjected) < 2 {
+		t.Fatalf("chaos plan fired %v, want at least two modes", r.FaultsInjected)
+	}
+	for mode, n := range r.FaultsInjected {
+		if got := r.Metrics.Counter("faults.injected." + mode); got != n || n == 0 {
+			t.Errorf("FaultsInjected[%s] = %d, counter faults.injected.%s = %d", mode, n, mode, got)
+		}
+	}
+	for name := range r.Metrics.Counters {
+		if mode, ok := strings.CutPrefix(name, "faults.injected."); ok {
+			if _, listed := r.FaultsInjected[mode]; !listed {
+				t.Errorf("counter %s has no FaultsInjected entry", name)
+			}
+		}
 	}
 }

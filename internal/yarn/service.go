@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
+	"time"
 
 	"preemptsched/internal/cluster"
 	"preemptsched/internal/sim"
@@ -13,6 +15,17 @@ import (
 // ErrServiceClosed is returned by Submit once the service has begun
 // draining: the job was not admitted and will never run.
 var ErrServiceClosed = errors.New("yarn: service closed")
+
+// Horizon bounds where admission lets the virtual clock be driven: a job is
+// admitted only while the clock, plus the serial work (summed task durations)
+// of everything admitted and unfinished, plus its own stays inside it. It is
+// a quarter of the int64 clock (73 years): the clock also advances for what
+// admission cannot price — checkpoint windows, work re-run after a kill.
+const Horizon = sim.Time(math.MaxInt64 / 4)
+
+// ErrHorizon is wrapped by Reserve and Submit for a job that does not fit
+// inside the Horizon: it was not admitted and will never run.
+var ErrHorizon = errors.New("yarn: job would carry the virtual clock past the horizon")
 
 // JobDone reports one job's completion to its submission callback.
 type JobDone struct {
@@ -66,6 +79,15 @@ type Service struct {
 	// depends on that uniqueness.
 	seen map[cluster.JobID]struct{}
 
+	// The horizon ledger: held is the serial work of every job reserved or
+	// admitted and not yet complete, booked its total, asOf the engine clock
+	// when a job last completed (stale is safe: whatever advanced the clock
+	// since is still booked). hmu is never held across engine work.
+	hmu    sync.Mutex
+	held   map[cluster.JobID]time.Duration
+	booked time.Duration
+	asOf   sim.Time
+
 	finishOnce sync.Once
 	finishErr  error
 }
@@ -87,17 +109,53 @@ func NewService(cfg Config) (*Service, error) {
 		stopCh: make(chan struct{}),
 		doneCh: make(chan struct{}),
 		seen:   make(map[cluster.JobID]struct{}),
+		held:   make(map[cluster.JobID]time.Duration),
 	}
+	c.onJobDone = s.Release
 	go s.loop(s.subCh, s.stopCh, s.doneCh)
 	return s, nil
 }
 
+// Reserve is the engine's admission verdict on spec, given without waiting on
+// the engine: spec is valid and its serial work fits inside the Horizon, in
+// which case the work is booked under spec.ID until that job completes or is
+// Released. Reserving a booked job is a no-op, so a caller that must answer
+// before it can Submit (the daemon) reserves first and Submit books nothing.
+func (s *Service) Reserve(spec *cluster.JobSpec) error {
+	s.hmu.Lock()
+	defer s.hmu.Unlock()
+	if _, ok := s.held[spec.ID]; ok {
+		return nil
+	}
+	if err := spec.Validate(); err != nil {
+		return fmt.Errorf("yarn: %w", err)
+	}
+	work := spec.TotalWork()
+	if work > Horizon-s.asOf-s.booked {
+		return fmt.Errorf("%w: job %d needs %v, %v is booked at %v", ErrHorizon, spec.ID, work, s.booked, s.asOf)
+	}
+	s.held[spec.ID] = work
+	s.booked += work
+	return nil
+}
+
+// Release returns the work booked under id, if any: the job completed at
+// virtual time now, which brings the ledger's clock forward, or — now zero —
+// its reservation will not be submitted after all.
+func (s *Service) Release(id cluster.JobID, now sim.Time) {
+	s.hmu.Lock()
+	defer s.hmu.Unlock()
+	s.booked -= s.held[id]
+	delete(s.held, id)
+	s.asOf = max(s.asOf, now)
+}
+
 // Submit hands a job to the engine loop, rewriting its arrival to the
 // current virtual instant, and returns once the job is admitted (or
-// rejected by validation). onDone, when non-nil, fires on the engine
-// goroutine the moment the job's last task completes — it must not block
-// and must not call back into the Service. Submit takes ownership of
-// spec.Tasks. Safe for concurrent use.
+// rejected: invalid, a duplicate, or past the Horizon). onDone, when
+// non-nil, fires on the engine goroutine the moment the job's last task
+// completes — it must not block and must not call back into the Service.
+// Submit takes ownership of spec.Tasks. Safe for concurrent use.
 func (s *Service) Submit(spec cluster.JobSpec, onDone func(JobDone)) error {
 	sub := submission{spec: spec, onDone: onDone, errCh: make(chan error, 1)}
 	select {
@@ -168,11 +226,11 @@ func (s *Service) admit(sub submission) error {
 	for i := range spec.Tasks {
 		spec.Tasks[i].Submit = now
 	}
-	if err := spec.Validate(); err != nil {
-		return fmt.Errorf("yarn: %w", err)
-	}
 	if _, dup := s.seen[spec.ID]; dup {
 		return fmt.Errorf("yarn: job %v already submitted", spec.ID)
+	}
+	if err := s.Reserve(&spec); err != nil {
+		return err
 	}
 	s.seen[spec.ID] = struct{}{}
 	if sub.onDone != nil {

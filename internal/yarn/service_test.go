@@ -2,6 +2,7 @@ package yarn
 
 import (
 	"errors"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -152,5 +153,99 @@ func TestServiceAbortUnderFaults(t *testing.T) {
 	}
 	if after := runtime.NumGoroutine(); after > before {
 		t.Errorf("goroutines grew %d -> %d across service lifecycle", before, after)
+	}
+}
+
+const year = 365 * 24 * time.Hour
+
+// GIVEN a service on one node with one slot WHEN a client submits a job
+// whose two tasks need 150 years each — serial work that carries the int64
+// virtual clock past its end — THEN Submit refuses it with ErrHorizon, the
+// loop survives, and an ordinary job submitted next runs to completion. At
+// the parent commit the job is admitted and the second task's completion
+// timer panics sim.Engine on the loop goroutine ("event scheduled in the
+// past: now=1314000h0m0s requested=-2496095h…"), taking the process down.
+func TestHorizonRefusesWorkThatWouldWrapTheClock(t *testing.T) {
+	cfg := serviceConfig(core.PolicyCheckpoint)
+	cfg.Nodes, cfg.ContainersPerNode = 1, 1
+	s, err := NewService(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = s.Submit(serviceJob(1, 1, 2, 150*year), nil)
+	if !errors.Is(err, ErrHorizon) {
+		t.Fatalf("two 150-year tasks on one slot: Submit = %v, want ErrHorizon", err)
+	}
+	done := make(chan JobDone, 1)
+	if err := s.Submit(serviceJob(2, 1, 2, time.Minute), func(d JobDone) { done <- d }); err != nil {
+		t.Fatalf("ordinary job after the refusal: %v", err)
+	}
+	if d := <-done; d.ID != 2 || d.Tasks != 2 {
+		t.Errorf("completion = %+v, want job 2 with its 2 tasks", d)
+	}
+	res, err := s.Close()
+	if err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if res.JobsCompleted != 1 || res.TasksCompleted != 2 {
+		t.Errorf("completed %d jobs / %d tasks, want 1 / 2", res.JobsCompleted, res.TasksCompleted)
+	}
+}
+
+// TestHorizonLedger pins the admission arithmetic: the clock, plus the
+// serial work of everything booked and unfinished, plus the job's own must
+// stay inside Horizon; a completed job returns its work and brings the
+// ledger's clock forward; a reserved job is not booked twice by its Submit;
+// a sum of durations that wraps int64 is past the horizon, not before it.
+func TestHorizonLedger(t *testing.T) {
+	s, err := NewService(serviceConfig(core.PolicyCheckpoint)) // 2 nodes x 2 slots
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	reserve := func(id cluster.JobID, tasks int, dur time.Duration) error {
+		spec := serviceJob(id, 1, tasks, dur)
+		return s.Reserve(&spec)
+	}
+
+	if err := reserve(1, 2, 20*year); err != nil {
+		t.Fatalf("40 years of work on an empty ledger: %v", err)
+	}
+	if err := reserve(2, 1, 35*year); !errors.Is(err, ErrHorizon) {
+		t.Fatalf("35 years on top of 40 booked: %v, want ErrHorizon", err)
+	}
+	if err := reserve(1, 2, 20*year); err != nil {
+		t.Fatalf("reserving a booked job again: %v", err)
+	}
+	if err := reserve(3, 1, Horizon-40*year); err != nil {
+		t.Fatalf("work that lands exactly on the horizon: %v", err)
+	}
+	if err := reserve(4, 1, 1); !errors.Is(err, ErrHorizon) {
+		t.Fatalf("one nanosecond past the horizon: %v, want ErrHorizon", err)
+	}
+	s.Release(3, 0)
+	s.Release(3, 0) // holds nothing any more: a no-op
+	if err := reserve(5, 4, math.MaxInt64/2); !errors.Is(err, ErrHorizon) {
+		t.Fatalf("durations whose sum wraps int64: %v, want ErrHorizon", err)
+	}
+	if err := reserve(6, 0, time.Second); err == nil || errors.Is(err, ErrHorizon) {
+		t.Fatalf("taskless job: %v, want the validation error", err)
+	}
+
+	// Job 1 runs its two 20-year tasks side by side: its Submit books nothing
+	// new, and its completion returns the 40 years and moves the ledger's
+	// clock to 20 years (and a few checkpoint-free seconds).
+	done := make(chan JobDone, 1)
+	if err := s.Submit(serviceJob(1, 1, 2, 20*year), func(d JobDone) { done <- d }); err != nil {
+		t.Fatalf("submit of the reserved job: %v", err)
+	}
+	if d := <-done; d.At < 20*year || d.At > 20*year+time.Hour {
+		t.Fatalf("job 1 completed at %v, want about 20 years", d.At)
+	}
+	if err := reserve(7, 1, 54*year); !errors.Is(err, ErrHorizon) {
+		t.Fatalf("54 years from a clock at 20: %v, want ErrHorizon", err)
+	}
+	if err := reserve(8, 1, 53*year); err != nil {
+		t.Fatalf("53 years from a clock at 20 with nothing booked: %v", err)
 	}
 }
