@@ -8,6 +8,7 @@ import (
 	"preemptsched/internal/cluster"
 	"preemptsched/internal/core"
 	"preemptsched/internal/obs"
+	"preemptsched/internal/sim"
 	"preemptsched/internal/storage"
 	"preemptsched/internal/trace"
 )
@@ -93,6 +94,59 @@ func TestPreCopyConservationAndDeterminism(t *testing.T) {
 	}
 	if a.Makespan != b.Makespan || a.PreCopies != b.PreCopies || a.WastedCPUHours != b.WastedCPUHours {
 		t.Error("pre-copy runs not deterministic")
+	}
+}
+
+// GIVEN a task pre-copying on node 0 from 60 s, fenced when node 0 fails at
+// 61 s and placed again on node 1 by that instant's pass, then preempted
+// into a second pre-copy there at 62 s (8 GiB on SSD: the two windows end
+// about 134.7 s and 136.7 s),
+// WHEN the first window's timer fires,
+// THEN it leaves the second attempt alone: the task is still running and
+// pre-copying until its own window ends, and only that timer freezes it.
+func TestStalePreCopyTimerSparesTheNextAttempt(t *testing.T) {
+	cfg := DefaultConfig(core.PolicyCheckpoint, storage.SSD)
+	cfg.Nodes = 2
+	cfg.PreCopy = true
+	s, err := newSimulator(cfg.withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := &cluster.JobSpec{Tasks: []cluster.TaskSpec{{
+		Demand:       cluster.Resources{CPUMillis: cluster.Cores(1), MemBytes: cluster.GiB(8)},
+		MemFootprint: cluster.GiB(8),
+		Duration:     time.Hour,
+	}}}
+	spec := &job.Tasks[0]
+	task := &taskRT{spec: spec, job: &jobRT{spec: job, remaining: 1}, remaining: spec.Duration}
+	s.engine.At(0, func(now sim.Time) {
+		s.enqueue(task, now)
+		s.requestSchedule(now)
+	})
+	s.engine.At(sim.Time(60*time.Second), func(now sim.Time) { s.preemptTask(task, now) })
+	s.engine.At(sim.Time(61*time.Second), func(now sim.Time) { s.failNode(NodeFailure{Node: 0}, now) })
+	s.engine.At(sim.Time(62*time.Second), func(now sim.Time) {
+		if task.node != s.nodes[1] || task.phase != phaseRunning {
+			t.Fatalf("at %v the task is in phase %d on %v, want running on node 1", now, task.phase, task.node)
+		}
+		s.preemptTask(task, now)
+	})
+	window := s.nodes[0].device.WriteTime(spec.MemFootprint)
+	first, second := sim.Time(60*time.Second)+window, sim.Time(62*time.Second)+window
+
+	s.engine.RunUntil(first)
+	if task.phase != phaseRunning || !task.preCopying {
+		t.Fatalf("at %v, when the fenced attempt's window ends, the task is in phase %d (pre-copying %v); want running and pre-copying until %v",
+			first, task.phase, task.preCopying, second)
+	}
+	s.engine.RunUntil(second)
+	if task.phase != phaseCheckpointing {
+		t.Fatalf("at %v, when the second window ends, the task is in phase %d, want frozen", second, task.phase)
+	}
+	s.engine.Run()
+	if s.res.TasksCompleted != 1 || s.res.PreCopies != 2 || s.res.FailureRestarts != 1 {
+		t.Errorf("completed %d, pre-copies %d, failure restarts %d; want 1, 2, 1",
+			s.res.TasksCompleted, s.res.PreCopies, s.res.FailureRestarts)
 	}
 }
 

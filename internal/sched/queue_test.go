@@ -289,7 +289,7 @@ func TestBlockedPassTouchesNothing(t *testing.T) {
 			r.spec.Priority = 3
 			r.preCopying = true
 		}
-		book(s, n, r, now)
+		s.seat(r, n, now)
 		r.phase = phaseRunning
 		r.attemptStart = now
 		s.markRunning(r)

@@ -200,15 +200,6 @@ func (q *referenceQueue) pop() referenceEntry {
 	return e
 }
 
-// book puts t on n the way place does, short of starting it: the caller
-// sets the phase.
-func book(s *Simulator, n *node, t *taskRT, now sim.Time) {
-	n.alloc(now, t.spec.Demand)
-	s.account(t, +1)
-	n.addRunning(t)
-	t.node = n
-}
-
 // randomBook fills a fresh simulator's node books the way a run in
 // progress would have: tasks placed in arbitrary ID order, in every
 // resource-holding phase, with checkpoint queues of different depths, a
@@ -250,7 +241,7 @@ func randomBook(rng *rand.Rand, cfg Config) (*Simulator, sim.Time, []*taskRT) {
 			if !t.spec.Demand.Fits(n.free()) {
 				continue
 			}
-			book(s, n, t, now)
+			s.seat(t, n, now)
 			t.evictions = rng.Intn(3)
 			t.hasCheckpoint = rng.Intn(3) == 0
 			switch rng.Intn(8) {
@@ -278,6 +269,13 @@ func randomBook(rng *rand.Rand, cfg Config) (*Simulator, sim.Time, []*taskRT) {
 	}
 	s.reserve(waiters[0], s.nodes[0])
 	return s, now, waiters
+}
+
+func nodeName(n *node) string {
+	if n == nil {
+		return "no node"
+	}
+	return fmt.Sprintf("node %d", n.id)
 }
 
 func ids(ts []*taskRT) string {
@@ -330,8 +328,8 @@ func TestChooseVictimsMatchesReference(t *testing.T) {
 					wantNode, wantSet, wantCost := referenceChooseVictims(s, w, now)
 					gotNode, gotSet := s.chooseVictims(w, now)
 					if gotNode != wantNode || ids(gotSet) != ids(wantSet) {
-						t.Fatalf("round %d waiter %v: chose %v on %v, reference %v on %v",
-							round, w.spec.ID, ids(gotSet), gotNode, ids(wantSet), wantNode)
+						t.Fatalf("round %d waiter %v: chose %v on %s, reference %v on %s",
+							round, w.spec.ID, ids(gotSet), nodeName(gotNode), ids(wantSet), nodeName(wantNode))
 					}
 					if gotNode == nil {
 						continue
@@ -369,6 +367,106 @@ func TestChooseVictimsMatchesReference(t *testing.T) {
 				t.Fatalf("books too tame: %d choices, %d with more than one victim", chosen, multi)
 			}
 		})
+	}
+}
+
+// moveTask takes t off its node and seats it on to, the way a fence or a
+// vacate followed by a placement would, keeping the running tallies.
+func moveTask(s *Simulator, t *taskRT, to *node, now sim.Time) {
+	running := t.phase == phaseRunning
+	if running {
+		s.unmarkRunning(t)
+	}
+	from := t.node
+	from.release(now, t.spec.Demand)
+	s.account(t, -1)
+	from.removeRunning(t)
+	s.seat(t, to, now)
+	if running {
+		s.markRunning(t)
+	}
+}
+
+// GIVEN randomBook's books re-seated on a random mix of SSD and HDD nodes,
+// under the adaptive policy,
+// WHEN the books move between victim scans — the clock advances, checkpoint
+// queues deepen, tasks are placed again on nodes with another device, image
+// chains appear and vanish, incremental dumps are switched off and on —
+// THEN after every step every task's victimCost on its node equals
+// core.CheckpointOverhead of its candidate on that node's device, and
+// chooseVictims chooses what the reference scan, which prices every
+// candidate from scratch, chooses.
+func TestVictimCostIsCheckpointOverhead(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	var priced, chained, chosen int
+	for round := 0; round < 40; round++ {
+		cfg := DefaultConfig(core.PolicyAdaptive, storage.SSD)
+		cfg.Nodes = 2 + rng.Intn(10)
+		s, now, waiters := randomBook(rng, cfg)
+		for _, n := range s.nodes {
+			if rng.Intn(2) == 0 {
+				hdd, err := storage.NewNodeDevice(storage.HDD, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				hdd.ReserveWrite(now, cluster.GiB(float64(rng.Intn(3))))
+				n.device = hdd
+			}
+			for _, v := range append([]*taskRT(nil), n.running...) {
+				moveTask(s, v, n, now)
+			}
+		}
+		for step := 0; step < 10; step++ {
+			for _, n := range s.nodes {
+				q := n.device.QueueDelay(now)
+				for _, v := range n.running {
+					want := core.CheckpointOverhead(s.candidateFor(v, now), n.device, now)
+					if got := s.victimCost(v, q, now); got != want {
+						t.Fatalf("round %d step %d: task %v on %s node %d (chain %v, incremental off %v) costs %v, CheckpointOverhead %v",
+							round, step, v.spec.ID, n.device.Label(), n.id, v.hasCheckpoint, s.cfg.DisableIncremental, got, want)
+					}
+					priced++
+					if v.hasCheckpoint && !s.cfg.DisableIncremental {
+						chained++
+					}
+				}
+			}
+			for _, w := range waiters {
+				wantNode, wantSet, _ := referenceChooseVictims(s, w, now)
+				gotNode, gotSet := s.chooseVictims(w, now)
+				if gotNode != wantNode || ids(gotSet) != ids(wantSet) {
+					t.Fatalf("round %d step %d waiter %v: chose %v on %s, reference %v on %s",
+						round, step, w.spec.ID, ids(gotSet), nodeName(gotNode), ids(wantSet), nodeName(wantNode))
+				}
+				if gotNode != nil {
+					chosen++
+				}
+			}
+
+			now += sim.Time(rng.Int63n(int64(10 * time.Minute)))
+			for _, n := range s.nodes {
+				if rng.Intn(3) == 0 {
+					n.device.ReserveWrite(now, cluster.GiB(float64(1+rng.Intn(4))))
+				}
+			}
+			for _, n := range s.nodes {
+				for _, v := range append([]*taskRT(nil), n.running...) {
+					if rng.Intn(6) == 0 {
+						v.hasCheckpoint = !v.hasCheckpoint
+					}
+					to := s.nodes[rng.Intn(len(s.nodes))]
+					if rng.Intn(4) == 0 && to != n && !to.down && to.device.Kind() != n.device.Kind() && v.spec.Demand.Fits(to.free()) {
+						moveTask(s, v, to, now)
+					}
+				}
+			}
+			if rng.Intn(4) == 0 {
+				s.cfg.DisableIncremental = !s.cfg.DisableIncremental
+			}
+		}
+	}
+	if priced == 0 || chained == 0 || chained == priced || chosen == 0 {
+		t.Fatalf("books too tame: %d tasks priced, %d with a chain, %d victim choices", priced, chained, chosen)
 	}
 }
 

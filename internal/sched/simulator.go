@@ -40,8 +40,11 @@ type taskRT struct {
 	// attemptStart is when the current attempt began useful execution.
 	attemptStart sim.Time
 	node         *node
+	// fixedCost is WriteTime + ReadTime of the full footprint on node's
+	// device, set by seat: the part of a chainless checkpoint's cost that
+	// does not move while the task stays on the node.
+	fixedCost time.Duration
 
-	hasCheckpoint bool
 	// ckptNode is where the image chain's blocks are local.
 	ckptNode *node
 	// imageBytes is the logical size of the stored image chain.
@@ -65,10 +68,10 @@ type taskRT struct {
 	// resources and prevents issuing a second round of preemptions for
 	// the same waiter.
 	reservedOn *node
-	// phase, preCopying and failedOver share one word: there is one taskRT
-	// per task and at 144 bytes it exactly fills an allocator size class, so
-	// a field that opened another word would cost every task 16 bytes
-	// (TestTaskRTStaysInItsSizeClass).
+	// phase, preCopying, failedOver and hasCheckpoint share one word: there
+	// is one taskRT per task and at 144 bytes it exactly fills an allocator
+	// size class, so a field that opened another word would cost every task
+	// 16 bytes (TestTaskRTStaysInItsSizeClass).
 	phase taskPhase
 	// preCopying marks a running task whose state is being pre-dumped; it
 	// is not eligible as a further preemption victim until frozen.
@@ -76,6 +79,8 @@ type taskRT struct {
 	// failedOver marks a task displaced by a node failure; its next
 	// placement is attributed as a failure restore or restart.
 	failedOver bool
+	// hasCheckpoint marks a task with a stored image chain.
+	hasCheckpoint bool
 }
 
 // unsavedProgress is the compute a kill right now would lose.
@@ -693,10 +698,7 @@ func (s *Simulator) place(t *taskRT, now sim.Time) bool {
 	}
 	s.queue.remove(t)
 	s.unreserve(t)
-	target.alloc(now, t.spec.Demand)
-	s.account(t, +1)
-	target.addRunning(t)
-	t.node = target
+	s.seat(t, target, now)
 	s.decisions++
 	s.inFlight++
 	s.probe(ProbePlace, t.spec.ID, target.id, now)
@@ -715,6 +717,17 @@ func (s *Simulator) place(t *taskRT, now sim.Time) bool {
 	}
 	s.startRun(t, now)
 	return true
+}
+
+// seat puts t on n — the node's books take its demand, its running set
+// takes t — and prices t's chainless checkpoint on n's device for the
+// victim scans that may meet it there.
+func (s *Simulator) seat(t *taskRT, n *node, now sim.Time) {
+	n.alloc(now, t.spec.Demand)
+	s.account(t, +1)
+	n.addRunning(t)
+	t.node = n
+	t.fixedCost = n.device.WriteTime(t.spec.MemFootprint) + n.device.ReadTime(t.spec.MemFootprint)
 }
 
 // pickNode chooses a node with capacity for t. Checkpointed tasks prefer
@@ -896,10 +909,11 @@ func (s *Simulator) chooseVictims(t *taskRT, now sim.Time) (*node, []*taskRT) {
 			continue
 		}
 		keys := s.keyScratch.Keys[:0]
+		q := n.device.QueueDelay(now)
 		for _, v := range cands {
 			k := core.VictimKey{Priority: v.spec.Priority, Demand: v.spec.Demand}
 			if adaptive {
-				k.Cost = core.CheckpointOverhead(s.candidateFor(v, now), n.device, now)
+				k.Cost = s.victimCost(v, q, now)
 			}
 			keys = append(keys, k)
 		}
@@ -952,6 +966,18 @@ func (s *Simulator) candidateFor(v *taskRT, now sim.Time) core.Candidate {
 		c.HasCheckpoint = false
 	}
 	return c
+}
+
+// victimCost is core.CheckpointOverhead of evicting v from its node at now,
+// given q, that node's QueueDelay(now). Without an image chain to extend —
+// or with incremental dumps disabled — the dump is the full footprint, and
+// the sum is v's fixedCost plus q: the same int64 terms in the same order.
+// Only a chain's dirty bytes grow with now and need the full evaluation.
+func (s *Simulator) victimCost(v *taskRT, q time.Duration, now sim.Time) time.Duration {
+	if !v.hasCheckpoint || s.cfg.DisableIncremental {
+		return v.fixedCost + q
+	}
+	return core.CheckpointOverhead(s.candidateFor(v, now), v.node.device, now)
 }
 
 // preemptTask applies Algorithm 1 to one victim.
@@ -1054,10 +1080,13 @@ func (s *Simulator) startPreCopy(v *taskRT, cand core.Candidate, now sim.Time) {
 	}
 	s.trackImage(v, preAction, preBytes)
 
+	attempt := v.evictions
 	s.engine.At(preDone, func(at sim.Time) {
-		if v.phase != phaseRunning || !v.preCopying {
-			// The victim completed during the pre-copy window; its
-			// resources are already free and its images reclaimed.
+		if v.phase != phaseRunning || !v.preCopying || v.evictions != attempt {
+			// The victim completed during the pre-copy window, its
+			// resources free and its images reclaimed; or it was fenced,
+			// and a later preemption — which raised evictions — owns
+			// whatever pre-copy runs now.
 			return
 		}
 		v.preCopying = false

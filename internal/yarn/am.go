@@ -628,9 +628,11 @@ func (am *AppMaster) startPreCopyCheckpoint(t *taskRun, n *NodeManager, now sim.
 	t.preCopying = true
 	preDone := am.bookDump(t, n, preName, info.LogicalBytes, incremental, true, now)
 	am.c.engine.At(preDone, func(at sim.Time) {
-		if t.state != stateRunning || !t.preCopying {
-			// Completed during the window; images were (or will be)
-			// reclaimed by onComplete.
+		if t.state != stateRunning || !t.preCopying || t.imageName != preName {
+			// Completed during the window, its images reclaimed by
+			// onComplete; or fenced off n, and what runs now — perhaps
+			// pre-copying again, under a newer image name — is a later
+			// attempt this timer must not freeze.
 			return
 		}
 		t.preCopying = false

@@ -6,6 +6,7 @@ import (
 
 	"preemptsched/internal/cluster"
 	"preemptsched/internal/core"
+	"preemptsched/internal/sim"
 	"preemptsched/internal/storage"
 )
 
@@ -77,6 +78,61 @@ func TestPreCopyOnMixedWorkload(t *testing.T) {
 		if got := r.TaskChecksums[id]; got != want {
 			t.Fatalf("task %v diverged under pre-copy", id)
 		}
+	}
+}
+
+// GIVEN a task pre-copying on node 0 from 60 s, fenced when the RM declares
+// node 0 dead at 61 s and restored on node 1 from its pre-dump image (done
+// about 83.6 s), then preempted into a second pre-copy there at 90 s that
+// is still queued on node 1's device when the first window (4 GiB on SSD)
+// ends about 97.3 s,
+// WHEN the first window's timer fires,
+// THEN it leaves the second attempt alone — no freeze against the dead
+// node's store and device, no slot released there twice — and the task is
+// still running and pre-copying until its own window ends.
+func TestStalePreCopyTimerSparesTheNextAttempt(t *testing.T) {
+	cfg := DefaultConfig(core.PolicyCheckpoint, storage.SSD)
+	cfg.Nodes = 2
+	cfg.ContainersPerNode = 1
+	cfg.PreCopy = true
+	c, err := newCluster(cfg, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := oneSlotJob(0, 0, 0, time.Hour)
+	job.Tasks[0].MemFootprint = cluster.GiB(4)
+	am := newAppMaster(c, &job)
+	task := am.tasks[0]
+	on := func() int {
+		if task.node == nil {
+			return -1
+		}
+		return task.node.id
+	}
+	c.engine.At(0, am.submit)
+	c.engine.At(sim.Time(60*time.Second), func(now sim.Time) { am.onPreempt(task, now) })
+	c.engine.At(sim.Time(61*time.Second), func(now sim.Time) { c.declareNodeDead(c.nodes[0], now) })
+	c.engine.At(sim.Time(90*time.Second), func(now sim.Time) {
+		if task.node != c.nodes[1] || task.state != stateRunning {
+			t.Fatalf("at %v the task is in state %d on node %d, want running on node 1", now, task.state, on())
+		}
+		// Another container's dump holds node 1's checkpoint queue, so the
+		// second pre-dump — an incremental one, a few pages since the
+		// restore — is still waiting when the first window ends.
+		c.nodes[1].device.ReserveWrite(now, cluster.GiB(4))
+		am.onPreempt(task, now)
+	})
+	first := sim.Time(60*time.Second) + c.nodes[0].device.WriteTime(job.Tasks[0].MemFootprint)
+
+	c.engine.RunUntil(first)
+	if task.state != stateRunning || !task.preCopying || task.node != c.nodes[1] {
+		t.Fatalf("at %v, when the fenced attempt's window ends, the task is in state %d (pre-copying %v) on node %d; want running and pre-copying on node 1",
+			first, task.state, task.preCopying, on())
+	}
+	c.finish(c.engine.Run())
+	if c.res.TasksCompleted != 1 || c.res.PreCopies != 2 || c.res.DumpFailures != 0 {
+		t.Errorf("completed %d, pre-copies %d, dump failures %d; want 1, 2, 0",
+			c.res.TasksCompleted, c.res.PreCopies, c.res.DumpFailures)
 	}
 }
 
