@@ -4,10 +4,8 @@ import (
 	"time"
 
 	"preemptsched/internal/cluster"
-	"preemptsched/internal/energy"
 	"preemptsched/internal/metrics"
 	"preemptsched/internal/sim"
-	"preemptsched/internal/storage"
 )
 
 // Outcome is what a run reports on either substrate: the quantities the
@@ -159,9 +157,10 @@ func (o *Outcome) AddImageBytes(delta int64) {
 }
 
 // CloseNode adds one node's books to the totals at the end of a run: its
-// meter (settled to the makespan by the caller) and its device's busy
-// time. Engines call it in node order, which fixes the float addend order.
-func (o *Outcome) CloseNode(m *energy.Meter, dev *storage.Device) {
-	o.EnergyKWh += m.KWh()
-	o.IOBusyHours += dev.BusyTime().Hours()
+// meter, settled here to end, and its device's busy time. Engines call it
+// in node order, which fixes the float addend order.
+func (o *Outcome) CloseNode(l *Ledger, end sim.Time) {
+	l.Settle(end)
+	o.EnergyKWh += l.Meter.KWh()
+	o.IOBusyHours += l.Device.BusyTime().Hours()
 }

@@ -6,6 +6,7 @@ import (
 
 	"preemptsched/internal/cluster"
 	"preemptsched/internal/energy"
+	"preemptsched/internal/sim"
 	"preemptsched/internal/storage"
 )
 
@@ -96,10 +97,11 @@ func TestOutcomeCharges(t *testing.T) {
 
 	dev := storage.NewDevice(storage.SSD)
 	dev.Reserve(0, 90*time.Minute)
-	meter := energy.NewMeter(energy.Model{IdleWatts: 1000, PeakWatts: 1000})
-	meter.Accumulate(0.5, 2*time.Hour)
-	o.CloseNode(meter, dev)
-	o.CloseNode(meter, dev)
+	l := Ledger{Cap: cluster.Resources{CPUMillis: 2000, MemBytes: 1}, Device: dev,
+		Meter: energy.NewMeter(energy.Model{IdleWatts: 1000, PeakWatts: 1000})}
+	l.Alloc(0, cluster.Resources{CPUMillis: 1000})
+	o.CloseNode(&l, sim.Time(2*time.Hour))
+	o.CloseNode(&l, sim.Time(2*time.Hour))
 	if o.EnergyKWh != 4 || o.IOBusyHours != 3 {
 		t.Errorf("after closing two nodes: %v kWh, %v device-hours; want 4, 3", o.EnergyKWh, o.IOBusyHours)
 	}

@@ -16,8 +16,6 @@ import (
 
 	"preemptsched/internal/cluster"
 	"preemptsched/internal/core"
-	"preemptsched/internal/energy"
-	"preemptsched/internal/obs"
 	"preemptsched/internal/storage"
 )
 
@@ -60,13 +58,12 @@ func (d Discipline) String() string {
 // guarantee are what preemption reclaims.
 var DefaultCapacityGuarantees = [cluster.NumBands]float64{0.45, 0.35, 0.20}
 
-// Config parameterizes a simulation run.
+// Config parameterizes a simulation run: the cluster both schedulers share
+// (core.ClusterConfig) plus what only the trace simulator models.
 type Config struct {
-	// Nodes is the machine count; NodeCapacity the per-machine resources.
-	Nodes        int
+	core.ClusterConfig
+	// NodeCapacity is the per-machine resources.
 	NodeCapacity cluster.Resources
-	// Policy selects the preemption policy under test.
-	Policy core.Policy
 	// Discipline selects the contention arbitration rule. Zero means
 	// DisciplinePriority.
 	Discipline Discipline
@@ -83,31 +80,6 @@ type Config struct {
 	// DisableRestorePlacement disables Algorithm 2 (ablation): restores
 	// take the first node with capacity regardless of image locality.
 	DisableRestorePlacement bool
-	// PreCopy enables pre-copy checkpointing (CRIU pre-dump): the bulk of
-	// a victim's state is dumped while it keeps running, and only the
-	// pages dirtied during that window are written during the freeze.
-	// This shortens the victim's non-progress window at the cost of a
-	// slightly later resource handover.
-	PreCopy bool
-	// StorageKind selects the per-node checkpoint device. Ignored when
-	// CustomBandwidth is positive, in which case every node gets a
-	// symmetric device of that many bytes/second (the paper's sensitivity
-	// sweeps).
-	StorageKind     storage.Kind
-	CustomBandwidth float64
-	// NetBandwidth is the bytes/second available for shipping images to
-	// remote restore targets. Defaults to core.DefaultNetBandwidth.
-	NetBandwidth float64
-	// DirtyFloor is the minimum fraction of a task's footprint considered
-	// dirty right after a restore; dirtiness then grows linearly with run
-	// time. Table 3's experiment modifies 10% between dumps; 0.12 is the
-	// default.
-	DirtyFloor float64
-	// EnergyModel maps node utilization to watts.
-	EnergyModel energy.Model
-	// ScanLimit bounds how many queued tasks each scheduling pass
-	// examines; it trades head-of-line fidelity for simulation speed.
-	ScanLimit int
 	// NodeFailures lists seeded compute-node outages. Unlike the yarn
 	// model — where the RM discovers death through missed heartbeats —
 	// the trace simulator applies each outage instantly at its configured
@@ -117,10 +89,6 @@ type Config struct {
 	// detection delay is a deliberate simplification; the yarn layer
 	// models it.
 	NodeFailures []NodeFailure
-	// Recorder, when non-nil, receives the decision-provenance journal:
-	// one record per victim selection, Algorithm 1 verdict, dump,
-	// restore, and task completion. Nil keeps the hot loop journal-free.
-	Recorder *obs.Recorder
 	// Probe, when non-nil, receives one callback per scheduling decision
 	// and task lifecycle edge (probe.go). The density suite installs it
 	// to count sustained decisions/sec and to shadow-check invariants;
@@ -133,6 +101,15 @@ type Config struct {
 	SampleEvery time.Duration
 	OnSample    func(Sample)
 }
+
+// dirtyFloor is the fraction of a task's footprint considered dirty right
+// after a restore; dirtiness then grows linearly with run time. Table 3's
+// experiment modifies 10% between dumps.
+const dirtyFloor = 0.12
+
+// scanLimit bounds how many queued tasks each scheduling pass examines; it
+// trades head-of-line fidelity for simulation speed.
+const scanLimit = 64
 
 // NodeFailure is one seeded outage of a simulated machine.
 type NodeFailure struct {
@@ -150,29 +127,18 @@ type NodeFailure struct {
 // given policy.
 func DefaultConfig(policy core.Policy, kind storage.Kind) Config {
 	return Config{
-		Nodes:        64,
-		NodeCapacity: cluster.Resources{CPUMillis: cluster.Cores(16), MemBytes: cluster.GiB(64)},
-		Policy:       policy,
-		StorageKind:  kind,
-		NetBandwidth: core.DefaultNetBandwidth,
-		DirtyFloor:   0.12,
-		EnergyModel:  energy.DefaultModel(),
-		ScanLimit:    64,
+		ClusterConfig: core.ClusterConfig{Nodes: 64, Policy: policy, StorageKind: kind},
+		NodeCapacity:  cluster.Resources{CPUMillis: cluster.Cores(16), MemBytes: cluster.GiB(64)},
 	}
 }
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	if c.Nodes <= 0 {
-		return fmt.Errorf("sched: Nodes=%d must be positive", c.Nodes)
+	if err := c.ClusterConfig.Validate(); err != nil {
+		return fmt.Errorf("sched: %w", err)
 	}
 	if c.NodeCapacity.CPUMillis <= 0 || c.NodeCapacity.MemBytes <= 0 {
 		return fmt.Errorf("sched: non-positive node capacity %v", c.NodeCapacity)
-	}
-	switch c.Policy {
-	case core.PolicyWait, core.PolicyKill, core.PolicyCheckpoint, core.PolicyAdaptive:
-	default:
-		return fmt.Errorf("sched: invalid policy %v", c.Policy)
 	}
 	switch c.Discipline {
 	case 0, DisciplinePriority, DisciplineFairShare, DisciplineCapacity:
@@ -181,15 +147,6 @@ func (c Config) Validate() error {
 	}
 	if c.MaxEvictionsPerTask < 0 {
 		return fmt.Errorf("sched: negative eviction cap")
-	}
-	if _, err := storage.NewNodeDevice(c.StorageKind, c.CustomBandwidth); err != nil {
-		return fmt.Errorf("sched: %w", err)
-	}
-	if err := c.EnergyModel.Validate(); err != nil {
-		return fmt.Errorf("sched: %w", err)
-	}
-	if c.DirtyFloor < 0 || c.DirtyFloor > 1 {
-		return fmt.Errorf("sched: DirtyFloor=%v outside [0,1]", c.DirtyFloor)
 	}
 	for i, f := range c.NodeFailures {
 		if f.Node < 0 || f.Node >= c.Nodes {
@@ -207,20 +164,9 @@ func (c Config) Validate() error {
 
 // withDefaults fills zero-valued optional fields.
 func (c Config) withDefaults() Config {
-	if c.NetBandwidth == 0 {
-		c.NetBandwidth = core.DefaultNetBandwidth
-	}
+	c.FillDefaults()
 	if c.Discipline == 0 {
 		c.Discipline = DisciplinePriority
-	}
-	if c.DirtyFloor == 0 {
-		c.DirtyFloor = 0.12
-	}
-	if c.EnergyModel == (energy.Model{}) {
-		c.EnergyModel = energy.DefaultModel()
-	}
-	if c.ScanLimit == 0 {
-		c.ScanLimit = 64
 	}
 	return c
 }

@@ -25,7 +25,7 @@ func (s *Simulator) failNode(f NodeFailure, now sim.Time) {
 	}
 	n.down = true
 	n.touch()
-	n.settleEnergy(now)
+	n.Settle(now)
 	s.res.NodeFailures++
 	s.jrn.NodeDown(now, int(n.id), 0)
 	s.probe(ProbeNodeDown, cluster.TaskID{}, n.id, now)
@@ -45,9 +45,9 @@ func (s *Simulator) failNode(f NodeFailure, now sim.Time) {
 			}
 		}
 	}
-	n.reserved = cluster.Resources{}
+	n.Reserved = cluster.Resources{}
 	// Shares are computed against live capacity.
-	s.totalCap = s.totalCap.Sub(n.cap)
+	s.totalCap = s.totalCap.Sub(n.Cap)
 	if f.RecoverAfter > 0 {
 		s.engine.At(now+sim.Time(f.RecoverAfter), func(at sim.Time) {
 			s.recoverNode(n, at)
@@ -97,7 +97,7 @@ func (s *Simulator) recoverNode(n *node, at sim.Time) {
 	n.down = false
 	n.touch()
 	s.res.NodeRecoveries++
-	s.totalCap = s.totalCap.Add(n.cap)
+	s.totalCap = s.totalCap.Add(n.Cap)
 	s.jrn.NodeRecovered(at, int(n.id))
 	s.probe(ProbeNodeUp, cluster.TaskID{}, n.id, at)
 	s.requestSchedule(at)

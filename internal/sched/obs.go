@@ -18,7 +18,7 @@ func (s *Simulator) scoreCandidates(n *node, t *taskRT, victims []*taskRT, now s
 	}
 	cands := s.preemptableOn(n, t)
 	scores := make([]obs.CandidateScore, len(cands))
-	q := n.device.QueueDelay(now)
+	q := n.Device.QueueDelay(now)
 	for i, v := range cands {
 		scores[i] = obs.CandidateScore{
 			Task:     v.spec.ID.String(),

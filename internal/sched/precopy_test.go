@@ -131,7 +131,7 @@ func TestStalePreCopyTimerSparesTheNextAttempt(t *testing.T) {
 		}
 		s.preemptTask(task, now)
 	})
-	window := s.nodes[0].device.WriteTime(spec.MemFootprint)
+	window := s.nodes[0].Device.WriteTime(spec.MemFootprint)
 	first, second := sim.Time(60*time.Second)+window, sim.Time(62*time.Second)+window
 
 	s.engine.RunUntil(first)

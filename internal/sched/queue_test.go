@@ -294,7 +294,7 @@ func TestBlockedPassTouchesNothing(t *testing.T) {
 		r.attemptStart = now
 		s.markRunning(r)
 	}
-	waiters := make([]*taskRT, 2*cfg.ScanLimit)
+	waiters := make([]*taskRT, 2*scanLimit)
 	for i := range waiters {
 		waiters[i] = task(100+i, cluster.Priority(i%(int(cluster.MaxPriority)+1)),
 			cluster.Resources{CPUMillis: cluster.Cores(1), MemBytes: cluster.GiB(float64(1 + i%3))})
@@ -310,11 +310,11 @@ func TestBlockedPassTouchesNothing(t *testing.T) {
 	queueBefore, linksBefore := s.queue, links()
 
 	s.trySchedule(now)
-	if len(s.batchScratch) != cfg.ScanLimit {
-		t.Fatalf("the pass examined %d waiters, want ScanLimit = %d", len(s.batchScratch), cfg.ScanLimit)
+	if len(s.batchScratch) != scanLimit {
+		t.Fatalf("the pass examined %d waiters, want scanLimit = %d", len(s.batchScratch), scanLimit)
 	}
 	if allocs := testing.AllocsPerRun(50, func() { s.trySchedule(now) }); allocs != 0 {
-		t.Errorf("a pass over %d blocked waiters allocated %v times, want 0", cfg.ScanLimit, allocs)
+		t.Errorf("a pass over %d blocked waiters allocated %v times, want 0", scanLimit, allocs)
 	}
 	if s.decisions != 0 || s.res.Preemptions != 0 {
 		t.Errorf("blocked passes made %d decisions and %d preemptions", s.decisions, s.res.Preemptions)
@@ -447,7 +447,6 @@ func TestQueueIsEmptyAndUnlinkedAfterRun(t *testing.T) {
 					cfg := DefaultConfig(policy, storage.SSD)
 					cfg.Discipline = discipline
 					cfg.Nodes = 3
-					cfg.ScanLimit = 16
 					if failing {
 						cfg.NodeFailures = []NodeFailure{{Node: 1, At: 12 * time.Minute, RecoverAfter: 5 * time.Minute}}
 					}
@@ -485,8 +484,8 @@ func TestQueueIsEmptyAndUnlinkedAfterRun(t *testing.T) {
 						t.Fatalf("driven by hand: %d decisions, %d events, %d preemptions; Run: %d, %d, %d",
 							s.decisions, s.engine.Fired(), s.res.Preemptions, want.Decisions, want.EventsFired, want.Preemptions)
 					}
-					if deepest <= cfg.ScanLimit {
-						t.Fatalf("the queue never held more than %d waiters; no pass was cut at ScanLimit = %d", deepest, cfg.ScanLimit)
+					if deepest <= scanLimit {
+						t.Fatalf("the queue never held more than %d waiters; no pass was cut at scanLimit = %d", deepest, scanLimit)
 					}
 					if s.queue != (pendingQueue{}) {
 						t.Errorf("queue after the run: %+v", s.queue)

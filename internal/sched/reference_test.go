@@ -49,7 +49,7 @@ func referenceSelectOn(s *Simulator, n *node, cands []*taskRT, need cluster.Reso
 			byID[v.spec.ID] = v
 			coreCands[i] = s.candidateFor(v, now)
 		}
-		sel, ok := core.SelectVictims(coreCands, need, now, func(core.Candidate) *storage.Device { return n.device })
+		sel, ok := core.SelectVictims(coreCands, need, now, func(core.Candidate) *storage.Device { return n.Device })
 		if !ok {
 			return nil, 0, false
 		}
@@ -57,7 +57,7 @@ func referenceSelectOn(s *Simulator, n *node, cands []*taskRT, need cluster.Reso
 		set := make([]*taskRT, len(sel))
 		for i, c := range sel {
 			set[i] = byID[c.Task]
-			cost += core.CheckpointOverhead(c, n.device, now)
+			cost += core.CheckpointOverhead(c, n.Device, now)
 		}
 		return set, cost, true
 	}
@@ -233,12 +233,12 @@ func randomBook(rng *rand.Rand, cfg Config) (*Simulator, sim.Time, []*taskRT) {
 	}
 	idPool := rng.Perm(40 * cfg.Nodes)
 	for _, n := range s.nodes {
-		n.device.ReserveWrite(now, cluster.GiB(float64(rng.Intn(3))))
+		n.Device.ReserveWrite(now, cluster.GiB(float64(rng.Intn(3))))
 		for k := rng.Intn(20); k > 0 && len(idPool) > 0; k-- {
 			id := idPool[0]
 			idPool = idPool[1:]
 			t := newTask(cluster.TaskID{Job: cluster.JobID(id / 7), Index: int32(id % 7)})
-			if !t.spec.Demand.Fits(n.free()) {
+			if !t.spec.Demand.Fits(n.Cap.Sub(n.Used)) {
 				continue
 			}
 			s.seat(t, n, now)
@@ -341,7 +341,7 @@ func TestChooseVictimsMatchesReference(t *testing.T) {
 					var gotCost time.Duration
 					if wantCost != 0 {
 						for _, x := range gotSet {
-							gotCost += core.CheckpointOverhead(s.candidateFor(x, now), gotNode.device, now)
+							gotCost += core.CheckpointOverhead(s.candidateFor(x, now), gotNode.Device, now)
 						}
 					}
 					if gotCost != wantCost {
@@ -378,7 +378,8 @@ func moveTask(s *Simulator, t *taskRT, to *node, now sim.Time) {
 		s.unmarkRunning(t)
 	}
 	from := t.node
-	from.release(now, t.spec.Demand)
+	from.Release(now, t.spec.Demand)
+	from.touch()
 	s.account(t, -1)
 	from.removeRunning(t)
 	s.seat(t, to, now)
@@ -410,7 +411,7 @@ func TestVictimCostIsCheckpointOverhead(t *testing.T) {
 					t.Fatal(err)
 				}
 				hdd.ReserveWrite(now, cluster.GiB(float64(rng.Intn(3))))
-				n.device = hdd
+				n.Device = hdd
 			}
 			for _, v := range append([]*taskRT(nil), n.running...) {
 				moveTask(s, v, n, now)
@@ -418,12 +419,12 @@ func TestVictimCostIsCheckpointOverhead(t *testing.T) {
 		}
 		for step := 0; step < 10; step++ {
 			for _, n := range s.nodes {
-				q := n.device.QueueDelay(now)
+				q := n.Device.QueueDelay(now)
 				for _, v := range n.running {
-					want := core.CheckpointOverhead(s.candidateFor(v, now), n.device, now)
+					want := core.CheckpointOverhead(s.candidateFor(v, now), n.Device, now)
 					if got := s.victimCost(v, q, now); got != want {
 						t.Fatalf("round %d step %d: task %v on %s node %d (chain %v, incremental off %v) costs %v, CheckpointOverhead %v",
-							round, step, v.spec.ID, n.device.Label(), n.id, v.hasCheckpoint, s.cfg.DisableIncremental, got, want)
+							round, step, v.spec.ID, n.Device.Label(), n.id, v.hasCheckpoint, s.cfg.DisableIncremental, got, want)
 					}
 					priced++
 					if v.hasCheckpoint && !s.cfg.DisableIncremental {
@@ -446,7 +447,7 @@ func TestVictimCostIsCheckpointOverhead(t *testing.T) {
 			now += sim.Time(rng.Int63n(int64(10 * time.Minute)))
 			for _, n := range s.nodes {
 				if rng.Intn(3) == 0 {
-					n.device.ReserveWrite(now, cluster.GiB(float64(1+rng.Intn(4))))
+					n.Device.ReserveWrite(now, cluster.GiB(float64(1+rng.Intn(4))))
 				}
 			}
 			for _, n := range s.nodes {
@@ -455,7 +456,7 @@ func TestVictimCostIsCheckpointOverhead(t *testing.T) {
 						v.hasCheckpoint = !v.hasCheckpoint
 					}
 					to := s.nodes[rng.Intn(len(s.nodes))]
-					if rng.Intn(4) == 0 && to != n && !to.down && to.device.Kind() != n.device.Kind() && v.spec.Demand.Fits(to.free()) {
+					if rng.Intn(4) == 0 && to != n && !to.down && to.Device.Kind() != n.Device.Kind() && v.spec.Demand.Fits(to.Cap.Sub(to.Used)) {
 						moveTask(s, v, to, now)
 					}
 				}

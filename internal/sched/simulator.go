@@ -8,7 +8,6 @@ import (
 
 	"preemptsched/internal/cluster"
 	"preemptsched/internal/core"
-	"preemptsched/internal/energy"
 	"preemptsched/internal/metrics"
 	"preemptsched/internal/obs"
 	"preemptsched/internal/sim"
@@ -92,24 +91,24 @@ func (t *taskRT) unsavedProgress(now sim.Time) time.Duration {
 }
 
 // dirtyBytes models soft-dirty growth: right after a restore roughly the
-// floor fraction is dirty, growing linearly with execution toward the full
-// footprint.
-func (t *taskRT) dirtyBytes(now sim.Time, floor float64) int64 {
-	frac := floor + (1-floor)*float64(t.unsavedProgress(now))/float64(t.spec.Duration)
+// dirtyFloor fraction is dirty, growing linearly with execution toward the
+// full footprint.
+func (t *taskRT) dirtyBytes(now sim.Time) int64 {
+	frac := dirtyFloor + (1-dirtyFloor)*float64(t.unsavedProgress(now))/float64(t.spec.Duration)
 	if frac > 1 {
 		frac = 1
 	}
 	return int64(frac * float64(t.spec.MemFootprint))
 }
 
-func (t *taskRT) candidate(now sim.Time, floor float64) core.Candidate {
+func (t *taskRT) candidate(now sim.Time) core.Candidate {
 	return core.Candidate{
 		Task:            t.spec.ID,
 		Priority:        t.spec.Priority,
 		Demand:          t.spec.Demand,
 		UnsavedProgress: t.unsavedProgress(now),
 		FootprintBytes:  t.spec.MemFootprint,
-		DirtyBytes:      t.dirtyBytes(now, floor),
+		DirtyBytes:      t.dirtyBytes(now),
 		HasCheckpoint:   t.hasCheckpoint,
 	}
 }
@@ -121,13 +120,11 @@ type jobRT struct {
 	finish    sim.Time
 }
 
-// node is one simulated machine.
+// node is one simulated machine: its books (core.Ledger) plus what the
+// simulator indexes about it.
 type node struct {
-	id       cluster.NodeID
-	cap      cluster.Resources
-	used     cluster.Resources
-	reserved cluster.Resources
-	device   *storage.Device
+	core.Ledger
+	id cluster.NodeID
 	// running holds every task occupying the node — running, checkpointing
 	// or restoring — in ascending task-ID order, so victim scans and failure
 	// fencing visit tasks in their deterministic order without sorting.
@@ -136,17 +133,14 @@ type node struct {
 	// no capacity until (and unless) its recovery event fires.
 	down bool
 
-	// idx is the cluster-wide first-fit index; every mutation of used,
-	// reserved, or down must publish the new availability via touch.
+	// idx is the cluster-wide first-fit index; every mutation of Used,
+	// Reserved, or down must publish the new availability via touch.
 	idx *nodeIndex
 	// byPrio counts phaseRunning tasks per priority and prioMask keeps a
 	// bit set per non-empty priority, so victim scans can reject a node
 	// without iterating its running set.
 	byPrio   [int(cluster.MaxPriority) + 1]uint16
 	prioMask uint16
-
-	meter      *energy.Meter
-	lastChange sim.Time
 }
 
 // touch publishes the node's generic availability — max(0, free-reserved)
@@ -157,21 +151,12 @@ func (n *node) touch() {
 	if n.idx == nil {
 		return
 	}
-	var cpu, mem int64
+	var avail cluster.Resources
 	if !n.down {
-		cpu = n.cap.CPUMillis - n.used.CPUMillis - n.reserved.CPUMillis
-		mem = n.cap.MemBytes - n.used.MemBytes - n.reserved.MemBytes
-		if cpu < 0 {
-			cpu = 0
-		}
-		if mem < 0 {
-			mem = 0
-		}
+		avail = n.AvailableFor(cluster.Resources{})
 	}
-	n.idx.set(int(n.id), cpu, mem)
+	n.idx.set(int(n.id), avail.CPUMillis, avail.MemBytes)
 }
-
-func (n *node) free() cluster.Resources { return n.cap.Sub(n.used) }
 
 // taskIDLess is the deterministic task order: job, then index.
 func taskIDLess(a, b cluster.TaskID) bool {
@@ -205,58 +190,17 @@ func (n *node) removeRunning(t *taskRT) {
 	}
 }
 
-// availableFor is the capacity task t may claim on n: free capacity minus
-// outstanding preemption reservations, except that t's own reservation on
-// this node counts as available to t.
+// availableFor is the capacity task t may claim on n, the ledger's rule
+// with t's reservation on n, if it holds one, as its own.
 func (n *node) availableFor(t *taskRT) cluster.Resources {
 	if n.down {
 		return cluster.Resources{}
 	}
-	avail := n.free().Sub(n.reserved)
+	var own cluster.Resources
 	if t.reservedOn == n {
-		avail = avail.Add(t.spec.Demand)
+		own = t.spec.Demand
 	}
-	free := n.free()
-	if avail.CPUMillis > free.CPUMillis {
-		avail.CPUMillis = free.CPUMillis
-	}
-	if avail.MemBytes > free.MemBytes {
-		avail.MemBytes = free.MemBytes
-	}
-	if avail.CPUMillis < 0 {
-		avail.CPUMillis = 0
-	}
-	if avail.MemBytes < 0 {
-		avail.MemBytes = 0
-	}
-	return avail
-}
-
-// settleEnergy integrates power since the last allocation change.
-func (n *node) settleEnergy(now sim.Time) {
-	if now > n.lastChange {
-		util := float64(n.used.CPUMillis) / float64(n.cap.CPUMillis)
-		n.meter.Accumulate(util, time.Duration(now-n.lastChange))
-		n.lastChange = now
-	}
-}
-
-func (n *node) alloc(now sim.Time, r cluster.Resources) {
-	n.settleEnergy(now)
-	n.used = n.used.Add(r)
-	if n.used.Negative() || !n.used.Fits(n.cap) {
-		panic(fmt.Sprintf("sched: node %d over-allocated: used %v cap %v", n.id, n.used, n.cap))
-	}
-	n.touch()
-}
-
-func (n *node) release(now sim.Time, r cluster.Resources) {
-	n.settleEnergy(now)
-	n.used = n.used.Sub(r)
-	if n.used.Negative() {
-		panic(fmt.Sprintf("sched: node %d released into negative: %v", n.id, n.used))
-	}
-	n.touch()
+	return n.AvailableFor(own)
 }
 
 // pendingQueue holds the waiting tasks in the order a pass examines them:
@@ -529,8 +473,7 @@ func Run(cfg Config, jobs []cluster.JobSpec) (*Result, error) {
 	s.res.Decisions = s.decisions
 	s.res.EventsFired = s.engine.Fired()
 	for _, n := range s.nodes {
-		n.settleEnergy(end)
-		s.res.CloseNode(n.meter, n.device)
+		s.res.CloseNode(&n.Ledger, end)
 	}
 	return s.res, nil
 }
@@ -551,19 +494,14 @@ func newSimulator(cfg Config) (*Simulator, error) {
 	}
 
 	for i := 0; i < cfg.Nodes; i++ {
-		dev, err := storage.NewNodeDevice(cfg.StorageKind, cfg.CustomBandwidth)
+		l, err := cfg.NewLedger(cfg.NodeCapacity)
 		if err != nil {
 			return nil, fmt.Errorf("sched: %w", err)
 		}
-		s.nodes = append(s.nodes, &node{
-			id:     cluster.NodeID(i),
-			cap:    cfg.NodeCapacity,
-			device: dev,
-			meter:  energy.NewMeter(cfg.EnergyModel),
-		})
+		s.nodes = append(s.nodes, &node{Ledger: l, id: cluster.NodeID(i)})
 	}
 	s.res = &Result{
-		Outcome:           core.NewOutcome(cfg.Policy, s.nodes[0].device.Label(), cfg.Nodes),
+		Outcome:           core.NewOutcome(cfg.Policy, s.nodes[0].Device.Label(), cfg.Nodes),
 		JobResponseByUser: make(map[string]*Dist),
 	}
 	s.nodeIdx = newNodeIndex(cfg.Nodes)
@@ -590,7 +528,7 @@ func (s *Simulator) requestSchedule(now sim.Time) {
 	s.engine.At(now, s.runPass)
 }
 
-// scanBatch snapshots the first ScanLimit tasks of the pending queue, which
+// scanBatch snapshots the first scanLimit tasks of the pending queue, which
 // stay queued, and orders them by the active discipline: queue (priority)
 // order as found, most-underserved user first for fair share, largest band
 // deficit first for capacity. The batch is fixed here, before the pass
@@ -598,7 +536,7 @@ func (s *Simulator) requestSchedule(now sim.Time) {
 // victim, possibly one the same pass placed a moment earlier) waits for
 // the next pass.
 func (s *Simulator) scanBatch() []*taskRT {
-	batch := s.queue.window(s.batchScratch[:0], s.cfg.ScanLimit)
+	batch := s.queue.window(s.batchScratch[:0], scanLimit)
 	s.batchScratch = batch
 	switch s.cfg.Discipline {
 	case DisciplineFairShare:
@@ -669,7 +607,7 @@ func dominatesAny(d cluster.Resources, failed []cluster.Resources) bool {
 // reserve parks t's demand on n until t is placed.
 func (s *Simulator) reserve(t *taskRT, n *node) {
 	t.reservedOn = n
-	n.reserved = n.reserved.Add(t.spec.Demand)
+	n.Reserve(t.spec.Demand)
 	n.touch()
 }
 
@@ -679,10 +617,7 @@ func (s *Simulator) unreserve(t *taskRT) {
 	if n == nil {
 		return
 	}
-	n.reserved = n.reserved.Sub(t.spec.Demand)
-	if n.reserved.Negative() {
-		n.reserved = cluster.Resources{}
-	}
+	n.Unreserve(t.spec.Demand)
 	t.reservedOn = nil
 	n.touch()
 }
@@ -723,11 +658,12 @@ func (s *Simulator) place(t *taskRT, now sim.Time) bool {
 // takes t — and prices t's chainless checkpoint on n's device for the
 // victim scans that may meet it there.
 func (s *Simulator) seat(t *taskRT, n *node, now sim.Time) {
-	n.alloc(now, t.spec.Demand)
+	n.Alloc(now, t.spec.Demand)
+	n.touch()
 	s.account(t, +1)
 	n.addRunning(t)
 	t.node = n
-	t.fixedCost = n.device.WriteTime(t.spec.MemFootprint) + n.device.ReadTime(t.spec.MemFootprint)
+	t.fixedCost = n.Device.WriteTime(t.spec.MemFootprint) + n.Device.ReadTime(t.spec.MemFootprint)
 }
 
 // pickNode chooses a node with capacity for t. Checkpointed tasks prefer
@@ -759,8 +695,8 @@ func (s *Simulator) pickNode(t *taskRT, now sim.Time) *node {
 	}
 	rc := core.RestoreCosts{
 		FootprintBytes: t.spec.MemFootprint,
-		LocalDev:       local.device,
-		RemoteDev:      firstFit.device,
+		LocalDev:       local.Device,
+		RemoteDev:      firstFit.Device,
 		NetBandwidth:   s.cfg.NetBandwidth,
 	}
 	if core.DecideRestore(rc, now) == core.RestoreLocal {
@@ -792,12 +728,12 @@ func (s *Simulator) startRestore(t *taskRT, target *node, now sim.Time) {
 	}
 	s.res.Restores++
 	var done sim.Time
-	if !remote && target.device.Kind() == storage.NVRAM {
+	if !remote && target.Device.Kind() == storage.NVRAM {
 		// Byte-addressable local resume: pages are remapped from
 		// persistent memory, not read back through a file system.
-		_, done = target.device.Reserve(now, target.device.ReadTime(0))
+		_, done = target.Device.Reserve(now, target.Device.ReadTime(0))
 	} else {
-		_, done = target.device.ReserveRead(now+transfer, t.spec.MemFootprint)
+		_, done = target.Device.ReserveRead(now+transfer, t.spec.MemFootprint)
 	}
 	overhead := time.Duration(done - now)
 	var flags uint32
@@ -850,7 +786,8 @@ func (s *Simulator) leave(t *taskRT, kind ProbeKind, now sim.Time) {
 	n := t.node
 	s.inFlight--
 	s.probe(kind, t.spec.ID, n.id, now)
-	n.release(now, t.spec.Demand)
+	n.Release(now, t.spec.Demand)
+	n.touch()
 	s.account(t, -1)
 	n.removeRunning(t)
 	t.node = nil
@@ -909,7 +846,7 @@ func (s *Simulator) chooseVictims(t *taskRT, now sim.Time) (*node, []*taskRT) {
 			continue
 		}
 		keys := s.keyScratch.Keys[:0]
-		q := n.device.QueueDelay(now)
+		q := n.Device.QueueDelay(now)
 		for _, v := range cands {
 			k := core.VictimKey{Priority: v.spec.Priority, Demand: v.spec.Demand}
 			if adaptive {
@@ -918,14 +855,9 @@ func (s *Simulator) chooseVictims(t *taskRT, now sim.Time) (*node, []*taskRT) {
 			keys = append(keys, k)
 		}
 		s.keyScratch.Keys = keys
-		need := t.spec.Demand.Sub(n.availableFor(t))
-		if need.CPUMillis < 0 {
-			need.CPUMillis = 0
-		}
-		if need.MemBytes < 0 {
-			need.MemBytes = 0
-		}
-		idx, cost, ok := s.keyScratch.Select(need)
+		// Select only asks whether freed capacity covers need, so a
+		// dimension that is already free may stay negative.
+		idx, cost, ok := s.keyScratch.Select(t.spec.Demand.Sub(n.availableFor(t)))
 		if !ok {
 			continue
 		}
@@ -961,7 +893,7 @@ func (s *Simulator) preemptableOn(n *node, t *taskRT) []*taskRT {
 // candidateFor builds the Algorithm 1 input for a victim, honoring the
 // incremental-checkpointing ablation flag.
 func (s *Simulator) candidateFor(v *taskRT, now sim.Time) core.Candidate {
-	c := v.candidate(now, s.cfg.DirtyFloor)
+	c := v.candidate(now)
 	if s.cfg.DisableIncremental {
 		c.HasCheckpoint = false
 	}
@@ -977,7 +909,7 @@ func (s *Simulator) victimCost(v *taskRT, q time.Duration, now sim.Time) time.Du
 	if !v.hasCheckpoint || s.cfg.DisableIncremental {
 		return v.fixedCost + q
 	}
-	return core.CheckpointOverhead(s.candidateFor(v, now), v.node.device, now)
+	return core.CheckpointOverhead(s.candidateFor(v, now), v.node.Device, now)
 }
 
 // preemptTask applies Algorithm 1 to one victim.
@@ -986,10 +918,10 @@ func (s *Simulator) preemptTask(v *taskRT, now sim.Time) {
 	v.evictions++
 	s.decisions++
 	cand := s.candidateFor(v, now)
-	action := core.DecidePreemption(s.cfg.Policy, cand, n.device, now)
+	action := core.DecidePreemption(s.cfg.Policy, cand, n.Device, now)
 	// The journal keeps the checkpoint cost the verdict weighed even for a
 	// kill, so explain can say what the kill avoided.
-	est := core.CheckpointOverhead(cand, n.device, now)
+	est := core.CheckpointOverhead(cand, n.Device, now)
 	s.jrn.Decision(now, action.String(), v.spec.ID, int(n.id), v.spec.Priority, v.unsavedProgress(now), est, 0)
 
 	if !action.IsCheckpoint() {
@@ -1041,7 +973,7 @@ func (s *Simulator) freezeAndDump(v *taskRT, action core.PreemptAction, bytes in
 	if v.remaining < 0 {
 		v.remaining = 0
 	}
-	_, done := n.device.ReserveWrite(now, bytes)
+	_, done := n.Device.ReserveWrite(now, bytes)
 	window := time.Duration(done - now)
 	v.trip.Dumped(window, 0)
 	s.jrn.Dump(now, v.spec.ID, int(n.id), v.spec.Priority, v.trip.Est(), window, bytes, flags, 0)
@@ -1071,7 +1003,7 @@ func (s *Simulator) startPreCopy(v *taskRT, cand core.Candidate, now sim.Time) {
 	s.res.PreCopies++
 	v.preCopying = true
 	preBytes := cand.DumpBytes()
-	_, preDone := n.device.ReserveWrite(now, preBytes)
+	_, preDone := n.Device.ReserveWrite(now, preBytes)
 	v.trip.Dumped(time.Duration(preDone-now), 0)
 	s.jrn.PreDump(now, v.spec.ID, int(n.id), v.spec.Priority, v.trip.Est(), time.Duration(preDone-now), preBytes, 0)
 	preAction := core.ActionCheckpointFull

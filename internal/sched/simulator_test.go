@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -297,18 +298,34 @@ func TestKillWastesMoreThanCheckpoint(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	jobs := twoJobScenario()
+	unit := cluster.Resources{CPUMillis: 1, MemBytes: 1}
+	cfg := func(nodes int, capacity cluster.Resources, policy core.Policy, edit func(*Config)) Config {
+		c := Config{NodeCapacity: capacity}
+		c.Nodes, c.Policy = nodes, policy
+		if edit != nil {
+			edit(&c)
+		}
+		return c
+	}
 	bad := []Config{
-		{Nodes: 0, NodeCapacity: cluster.Resources{CPUMillis: 1, MemBytes: 1}, Policy: core.PolicyKill},
-		{Nodes: 1, NodeCapacity: cluster.Resources{}, Policy: core.PolicyKill},
-		{Nodes: 1, NodeCapacity: cluster.Resources{CPUMillis: 1, MemBytes: 1}, Policy: 0},
-		{Nodes: 1, NodeCapacity: cluster.Resources{CPUMillis: 1, MemBytes: 1}, Policy: core.PolicyKill, CustomBandwidth: -1},
-		{Nodes: 1, NodeCapacity: cluster.Resources{CPUMillis: 1, MemBytes: 1}, Policy: core.PolicyKill, DirtyFloor: 2},
+		cfg(0, unit, core.PolicyKill, nil),
+		cfg(1, cluster.Resources{}, core.PolicyKill, nil),
+		cfg(1, unit, 0, nil),
+		cfg(1, unit, core.PolicyKill, func(c *Config) { c.CustomBandwidth = -1 }),
 		// What construction cannot build is an error, not a panic: no
 		// preset for the kind, and an inverted energy model.
-		{Nodes: 1, NodeCapacity: cluster.Resources{CPUMillis: 1, MemBytes: 1}, Policy: core.PolicyKill},
-		{Nodes: 1, NodeCapacity: cluster.Resources{CPUMillis: 1, MemBytes: 1}, Policy: core.PolicyKill, StorageKind: storage.Custom},
-		{Nodes: 1, NodeCapacity: cluster.Resources{CPUMillis: 1, MemBytes: 1}, Policy: core.PolicyKill, StorageKind: storage.SSD,
-			EnergyModel: energy.Model{IdleWatts: 300, PeakWatts: 100}},
+		cfg(1, unit, core.PolicyKill, nil),
+		cfg(1, unit, core.PolicyKill, func(c *Config) { c.StorageKind = storage.Custom }),
+		cfg(1, unit, core.PolicyKill, func(c *Config) {
+			c.StorageKind, c.EnergyModel = storage.SSD, energy.Model{IdleWatts: 300, PeakWatts: 100}
+		}),
+	}
+	// A remote restore must not come out cheaper than free, nor schedule
+	// its resume in the past: the network rate is finite and non-negative.
+	for _, bw := range []float64{-1e3, -1e9, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		c := DefaultConfig(core.PolicyAdaptive, storage.SSD)
+		c.Nodes, c.NetBandwidth = 6, bw
+		bad = append(bad, c)
 	}
 	for i, cfg := range bad {
 		if _, err := Run(cfg, jobs); err == nil {
@@ -324,10 +341,9 @@ func TestConfigValidation(t *testing.T) {
 		t.Errorf("custom-bandwidth run labelled %q", r.Storage)
 	}
 	// Oversized task demand must be rejected.
-	cfg := oneCoreConfig(core.PolicyKill, storage.SSD)
 	big := twoJobScenario()
 	big[0].Tasks[0].Demand.CPUMillis = cluster.Cores(99)
-	if _, err := Run(cfg, big); err == nil {
+	if _, err := Run(oneCoreConfig(core.PolicyKill, storage.SSD), big); err == nil {
 		t.Error("oversized task accepted")
 	}
 }

@@ -221,7 +221,7 @@ func (am *AppMaster) onAllocated(t *taskRun, n *NodeManager, now sim.Time) {
 		am.c.res.RemoteRestores++
 	}
 	am.c.res.Restores++
-	start, done := n.device.ReserveRead(now+transfer, t.spec.MemFootprint)
+	start, done := n.Device.ReserveRead(now+transfer, t.spec.MemFootprint)
 	am.c.recordRestore(t, n, remote, transfer, now, start, done)
 	am.c.chargeOverhead(t, time.Duration(done-now))
 	am.c.engine.At(done, func(at sim.Time) {
@@ -471,12 +471,12 @@ func (am *AppMaster) onPreempt(t *taskRun, now sim.Time) {
 	}
 
 	cand := t.candidate(now)
-	action := core.DecidePreemption(am.c.cfg.Policy, cand, n.device, now)
+	action := core.DecidePreemption(am.c.cfg.Policy, cand, n.Device, now)
 	// The Algorithm 1 estimate the verdict weighed: a checkpoint opens a
 	// round trip with it so its error against the actual dump + restore is
 	// measurable, and the journal keeps it for kills too, to answer "why
 	// kill instead of checkpoint".
-	est := core.CheckpointOverhead(cand, n.device, now)
+	est := core.CheckpointOverhead(cand, n.Device, now)
 	if action.IsCheckpoint() {
 		t.trip.Open(est)
 	} else {
@@ -557,7 +557,7 @@ func (am *AppMaster) bookDump(t *taskRun, n *NodeManager, name string, bytes int
 		am.recordFullImage(t, name, bytes)
 	}
 	am.c.sampleDFSUsage()
-	start, done := n.device.ReserveWrite(now, bytes)
+	start, done := n.Device.ReserveWrite(now, bytes)
 	am.c.recordDump(t, n, name, bytes, incremental, preCopy, now, start, done)
 	if !preCopy {
 		am.c.chargeOverhead(t, time.Duration(done-now))
@@ -590,7 +590,7 @@ func (am *AppMaster) maybeCompact(t *taskRun, n *NodeManager, now sim.Time) {
 		_ = n.store.Remove(old)
 		_ = n.store.Remove(checkpoint.ManifestName(old))
 	}
-	n.device.ReserveWrite(now, info.LogicalBytes)
+	n.Device.ReserveWrite(now, info.LogicalBytes)
 	am.c.sampleDFSUsage()
 }
 

@@ -274,8 +274,10 @@ func newCluster(cfg Config, tcpDFS bool) (*Cluster, error) {
 	c.ckpt = checkpoint.NewEngine(registry)
 	c.ckpt.Instrument(c.reg)
 
+	k := int64(cfg.ContainersPerNode)
+	capacity := cluster.Resources{CPUMillis: container.CPUMillis * k, MemBytes: container.MemBytes * k}
 	for i := 0; i < cfg.Nodes; i++ {
-		dev, err := storage.NewNodeDevice(cfg.StorageKind, cfg.CustomBandwidth)
+		books, err := cfg.NewLedger(capacity)
 		if err != nil {
 			c.close()
 			return nil, fmt.Errorf("yarn: %w", err)
@@ -291,10 +293,10 @@ func newCluster(cfg Config, tcpDFS bool) (*Cluster, error) {
 		}
 		//lint:ignore metricname per-node gauge: the node id is part of the series identity
 		queuePeak := c.reg.Gauge(fmt.Sprintf("yarn.node.%d.ckpt.queue.peak.seconds", i))
-		c.nodes = append(c.nodes, newNodeManager(i, cfg, dev, cli, store, queuePeak))
+		c.nodes = append(c.nodes, &NodeManager{Ledger: books, id: i, dfsCli: cli, store: store, queuePeak: queuePeak})
 	}
 	c.res = &Result{
-		Outcome:       core.NewOutcome(cfg.Policy, c.nodes[0].device.Label(), cfg.Nodes),
+		Outcome:       core.NewOutcome(cfg.Policy, c.nodes[0].Device.Label(), cfg.Nodes),
 		TaskChecksums: make(map[cluster.TaskID]uint64),
 	}
 	c.rm = newResourceManager(c)
@@ -318,8 +320,7 @@ func (c *Cluster) finish(end sim.Time) {
 	}
 	c.res.Makespan = time.Duration(end)
 	for _, n := range c.nodes {
-		n.settleEnergy(end)
-		c.res.CloseNode(n.meter, n.device)
+		c.res.CloseNode(&n.Ledger, end)
 	}
 	// Every node's client counts into the one registry, so any one of them
 	// reports the cluster's totals.

@@ -22,32 +22,21 @@ import (
 
 	"preemptsched/internal/cluster"
 	"preemptsched/internal/core"
-	"preemptsched/internal/energy"
 	"preemptsched/internal/faults"
 	"preemptsched/internal/obs"
 	"preemptsched/internal/storage"
 )
 
-// Config parameterizes a framework run. The defaults mirror the paper's
-// testbed: 8 nodes, 24 containers each, 1 core + 2 GB per container.
+// Config parameterizes a framework run: the cluster both schedulers share
+// (core.ClusterConfig, one node per NodeManager) plus what only the
+// framework runs. The defaults mirror the paper's testbed: 8 nodes, 24
+// containers each, 1 core + 2 GB per container.
 type Config struct {
-	// Nodes is the NodeManager count.
-	Nodes int
+	core.ClusterConfig
 	// ContainersPerNode is the slot count per node.
 	ContainersPerNode int
-	// Policy selects the preemption policy.
-	Policy core.Policy
-	// StorageKind picks each node's checkpoint device; CustomBandwidth
-	// (bytes/s), when positive, overrides it with a symmetric device.
-	StorageKind     storage.Kind
-	CustomBandwidth float64
-	// NetBandwidth is the modelled network rate for remote image
-	// transfers.
-	NetBandwidth float64
 	// Replication is the DFS replication factor.
 	Replication int
-	// EnergyModel maps slot utilization to node watts.
-	EnergyModel energy.Model
 
 	// Program selects the real application each container runs:
 	// "kmeans" (default, the paper's workload) or "wordcount" (the
@@ -66,10 +55,6 @@ type Config struct {
 	WordCountInput int
 	WordCountChunk int
 
-	// PreCopy enables pre-copy checkpointing: a ContainerPreemptEvent
-	// first pre-dumps the victim's pages while it keeps running, then
-	// freezes it and dumps only the pages it dirtied during the window.
-	PreCopy bool
 	// CompactChainAfter, when positive, merges a task's incremental image
 	// chain into a single full image once it exceeds this many links.
 	// Compaction runs in the background (device time, no task freeze) and
@@ -101,13 +86,6 @@ type Config struct {
 	// checkpoint.*). When nil, Run still builds a private registry so
 	// Result.Metrics is always populated.
 	Metrics *obs.Registry
-
-	// Recorder, when non-nil, receives the flight-recorder journal:
-	// every preemption decision with its Alg. 1 cost-model inputs, the
-	// scored victim-selection sets, and dump/restore lifecycle events
-	// with estimated-vs-actual overheads. Nil disables journaling at
-	// zero cost.
-	Recorder *obs.Recorder
 
 	// NMHeartbeatEvery is the NodeManager heartbeat period on the virtual
 	// clock. Zero means DefaultNMHeartbeatEvery. Heartbeats (and the
@@ -147,13 +125,9 @@ type Config struct {
 // storage.
 func DefaultConfig(policy core.Policy, kind storage.Kind) Config {
 	return Config{
-		Nodes:             8,
+		ClusterConfig:     core.ClusterConfig{Nodes: 8, Policy: policy, StorageKind: kind},
 		ContainersPerNode: 24,
-		Policy:            policy,
-		StorageKind:       kind,
-		NetBandwidth:      core.DefaultNetBandwidth,
 		Replication:       3,
-		EnergyModel:       energy.DefaultModel(),
 		Program:           "kmeans",
 		KMeansPoints:      240,
 		KMeansDims:        4,
@@ -179,23 +153,14 @@ func (c *Config) BindFlags(fs *flag.FlagSet) {
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	if c.Nodes <= 0 || c.ContainersPerNode <= 0 {
-		return fmt.Errorf("yarn: need positive Nodes and ContainersPerNode, got %d/%d", c.Nodes, c.ContainersPerNode)
-	}
-	switch c.Policy {
-	case core.PolicyWait, core.PolicyKill, core.PolicyCheckpoint, core.PolicyAdaptive:
-	default:
-		return fmt.Errorf("yarn: invalid policy %v", c.Policy)
-	}
-	dev, err := storage.NewNodeDevice(c.StorageKind, c.CustomBandwidth)
-	if err != nil {
+	if err := c.ClusterConfig.Validate(); err != nil {
 		return fmt.Errorf("yarn: %w", err)
 	}
-	if dev.Kind() == storage.NVRAM {
+	if c.ContainersPerNode <= 0 {
+		return fmt.Errorf("yarn: ContainersPerNode=%d must be positive", c.ContainersPerNode)
+	}
+	if c.StorageKind == storage.NVRAM && c.CustomBandwidth == 0 {
 		return fmt.Errorf("yarn: NVRAM storage is simulator-only: a local resume there remaps pages, and the framework reads every image back through the DFS")
-	}
-	if err := c.EnergyModel.Validate(); err != nil {
-		return fmt.Errorf("yarn: %w", err)
 	}
 	if c.Replication <= 0 {
 		return fmt.Errorf("yarn: replication %d must be positive", c.Replication)
@@ -248,12 +213,7 @@ const DefaultNMHeartbeatEvery = 10 * time.Second
 const DefaultNMLivenessBeats = 3
 
 func (c Config) withDefaults() Config {
-	if c.NetBandwidth == 0 {
-		c.NetBandwidth = core.DefaultNetBandwidth
-	}
-	if c.EnergyModel == (energy.Model{}) {
-		c.EnergyModel = energy.DefaultModel()
-	}
+	c.FillDefaults()
 	if c.Program == "" {
 		c.Program = "kmeans"
 	}

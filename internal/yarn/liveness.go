@@ -168,7 +168,7 @@ func (c *Cluster) crashNM(now sim.Time) {
 		return
 	}
 	n.crashed = true
-	n.settleEnergy(now)
+	n.Settle(now)
 	if c.injector != nil {
 		c.injector.NoteNMCrash()
 	}

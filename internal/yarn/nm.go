@@ -2,31 +2,32 @@ package yarn
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
-	"time"
 
 	"preemptsched/internal/cluster"
+	"preemptsched/internal/core"
 	"preemptsched/internal/dfs"
-	"preemptsched/internal/energy"
 	"preemptsched/internal/obs"
 	"preemptsched/internal/sim"
 	"preemptsched/internal/storage"
 )
 
-// NodeManager owns one machine's container slots, its checkpoint storage
-// device, and its co-located DFS client. Dumps and restores issued by
-// ApplicationMasters are timed against the node's device, which serializes
-// them — the paper's per-node sequential checkpoint queue.
-type NodeManager struct {
-	id        int
-	slots     int
-	usedSlots int
-	// reservedSlots are held for waiting preemptors whose victims are
-	// still draining dumps.
-	reservedSlots int
+// container is one YARN container, the paper's 1 core + 2 GB. A node's
+// capacity is ContainersPerNode of them and every grant and reservation is
+// one, so the ledger's books are always whole containers: a slot test is
+// the same comparison in Resources, and utilization k·1000/n·1000 is the
+// same correctly rounded float64 as k/n.
+var container = cluster.Resources{CPUMillis: cluster.Cores(1), MemBytes: cluster.GiB(2)}
 
-	device *storage.Device
+// NodeManager owns one machine's containers (its core.Ledger), its
+// checkpoint storage device, and its co-located DFS client. Dumps and
+// restores issued by ApplicationMasters are timed against the node's
+// device, which serializes them — the paper's per-node sequential
+// checkpoint queue. Reservations are held for waiting preemptors whose
+// victims are still draining dumps.
+type NodeManager struct {
+	core.Ledger
+	id     int
 	dfsCli *dfs.Client
 	// store is the view dumps and restores go through: the DFS client
 	// itself, or the fault injector's wrapper of it when the run injects
@@ -37,8 +38,6 @@ type NodeManager struct {
 	// allocSlot and releaseSlot are its only writers.
 	running []*taskRun
 
-	meter      *energy.Meter
-	lastChange sim.Time
 	// queuePeak is the longest a dump has queued for this node's device.
 	queuePeak obs.Gauge
 
@@ -52,70 +51,28 @@ type NodeManager struct {
 	lastBeat     sim.Time
 }
 
-func newNodeManager(id int, cfg Config, dev *storage.Device, cli *dfs.Client, store storage.Store, queuePeak obs.Gauge) *NodeManager {
-	return &NodeManager{
-		id:        id,
-		slots:     cfg.ContainersPerNode,
-		device:    dev,
-		dfsCli:    cli,
-		store:     store,
-		meter:     energy.NewMeter(cfg.EnergyModel),
-		queuePeak: queuePeak,
-	}
-}
-
-// ID returns the node index.
-func (nm *NodeManager) ID() int { return nm.id }
-
-// Device returns the node's checkpoint device.
-func (nm *NodeManager) Device() *storage.Device { return nm.device }
-
-func (nm *NodeManager) freeSlots() int { return nm.slots - nm.usedSlots }
-
-// availableFor is the slot count a request may claim, accounting for
-// reservations (its own reservation counts as available). A crashed or
-// declared-dead node offers nothing.
-func (nm *NodeManager) availableFor(req *request) int {
+// fits reports whether req may claim a container here: the ledger's rule,
+// with req's reservation on this node, if it holds one, as its own. A
+// crashed or declared-dead node offers nothing.
+func (nm *NodeManager) fits(req *request) bool {
 	if nm.crashed || nm.deadDeclared {
-		return 0
+		return false
 	}
-	avail := nm.freeSlots() - nm.reservedSlots
-	if req != nil && req.reservedOn == nm {
-		avail++
+	var own cluster.Resources
+	if req.reservedOn == nm {
+		own = container
 	}
-	if avail > nm.freeSlots() {
-		avail = nm.freeSlots()
-	}
-	if avail < 0 {
-		avail = 0
-	}
-	return avail
-}
-
-func (nm *NodeManager) settleEnergy(now sim.Time) {
-	if now > nm.lastChange {
-		util := float64(nm.usedSlots) / float64(nm.slots)
-		nm.meter.Accumulate(util, time.Duration(now-nm.lastChange))
-		nm.lastChange = now
-	}
+	return container.Fits(nm.AvailableFor(own))
 }
 
 func (nm *NodeManager) allocSlot(now sim.Time, t *taskRun) {
-	nm.settleEnergy(now)
-	nm.usedSlots++
-	if nm.usedSlots > nm.slots {
-		panic(fmt.Sprintf("yarn: node %d over-allocated (%d/%d)", nm.id, nm.usedSlots, nm.slots))
-	}
+	nm.Alloc(now, container)
 	i, _ := nm.runningIndex(t.spec.ID)
 	nm.running = slices.Insert(nm.running, i, t)
 }
 
 func (nm *NodeManager) releaseSlot(now sim.Time, t *taskRun) {
-	nm.settleEnergy(now)
-	nm.usedSlots--
-	if nm.usedSlots < 0 {
-		panic(fmt.Sprintf("yarn: node %d released into negative", nm.id))
-	}
+	nm.Release(now, container)
 	if i, held := nm.runningIndex(t.spec.ID); held {
 		nm.running = slices.Delete(nm.running, i, i+1)
 	}

@@ -119,10 +119,10 @@ func TestStalePreCopyTimerSparesTheNextAttempt(t *testing.T) {
 		// Another container's dump holds node 1's checkpoint queue, so the
 		// second pre-dump — an incremental one, a few pages since the
 		// restore — is still waiting when the first window ends.
-		c.nodes[1].device.ReserveWrite(now, cluster.GiB(4))
+		c.nodes[1].Device.ReserveWrite(now, cluster.GiB(4))
 		am.onPreempt(task, now)
 	})
-	first := sim.Time(60*time.Second) + c.nodes[0].device.WriteTime(job.Tasks[0].MemFootprint)
+	first := sim.Time(60*time.Second) + c.nodes[0].Device.WriteTime(job.Tasks[0].MemFootprint)
 
 	c.engine.RunUntil(first)
 	if task.state != stateRunning || !task.preCopying || task.node != c.nodes[1] {

@@ -69,7 +69,7 @@ func referenceChooseVictim(rm *ResourceManager, req *request, now sim.Time) (*ta
 			}
 			var cost time.Duration
 			if adaptive {
-				cost = core.CheckpointOverhead(v.candidate(now), n.device, now)
+				cost = core.CheckpointOverhead(v.candidate(now), n.Device, now)
 			}
 			cands = append(cands, scored{t: v, n: n, cost: cost})
 		}
@@ -209,7 +209,7 @@ func TestChooseVictimMatchesReference(t *testing.T) {
 						n.deadDeclared = true
 					}
 					if rng.Intn(3) == 0 {
-						n.device.ReserveWrite(now, footprints[rng.Intn(len(footprints))])
+						n.Device.ReserveWrite(now, footprints[rng.Intn(len(footprints))])
 					}
 					for s := rng.Intn(cfg.ContainersPerNode + 1); s > 0; s-- {
 						id := ids[len(ids)-1]
@@ -284,7 +284,8 @@ func nodeName(n *NodeManager) string {
 // including the release of a task that holds no slot there,
 // WHEN the books are read after every step,
 // THEN NodeManager.running is exactly the ID-sorted walk of the map the
-// books used to be, and usedSlots is the number of grants outstanding.
+// books used to be, and the ledger holds one container per grant
+// outstanding.
 func TestRunningStaysIDOrdered(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	cfg := DefaultConfig(core.PolicyCheckpoint, storage.SSD)
@@ -308,12 +309,12 @@ func TestRunningStaysIDOrdered(t *testing.T) {
 		case held:
 			n.releaseSlot(sim.Time(step), v)
 			delete(want, v.spec.ID)
-		case n.usedSlots > 0 && rng.Intn(4) == 0:
+		case !n.Used.IsZero() && rng.Intn(4) == 0:
 			// The map's delete of an absent key was a no-op on the books;
-			// the slot count moves regardless, as it always did. Put it back
-			// so the run can continue.
+			// the ledger moves regardless, as it always did. Put it back so
+			// the run can continue.
 			n.releaseSlot(sim.Time(step), v)
-			n.usedSlots++
+			n.Used = n.Used.Add(container)
 		}
 		got := make([]cluster.TaskID, 0, len(n.running))
 		for _, r := range n.running {
@@ -325,8 +326,8 @@ func TestRunningStaysIDOrdered(t *testing.T) {
 		if ids := referenceSortedRunning(want); !reflect.DeepEqual(got, ids) {
 			t.Fatalf("step %d: running %v, want %v", step, got, ids)
 		}
-		if n.usedSlots != len(want) {
-			t.Fatalf("step %d: usedSlots %d with %d grants outstanding", step, n.usedSlots, len(want))
+		if held := container.Scale(float64(len(want))); n.Used != held {
+			t.Fatalf("step %d: ledger holds %v with %d grants outstanding (%v)", step, n.Used, len(want), held)
 		}
 	}
 }

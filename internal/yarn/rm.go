@@ -6,6 +6,7 @@ import (
 	"slices"
 	"time"
 
+	"preemptsched/internal/cluster"
 	"preemptsched/internal/core"
 	"preemptsched/internal/obs"
 	"preemptsched/internal/sim"
@@ -114,13 +115,13 @@ func (rm *ResourceManager) pass(now sim.Time) {
 func (rm *ResourceManager) place(req *request, now sim.Time) bool {
 	var target *NodeManager
 	if req.preferred >= 0 && req.preferred < len(rm.c.nodes) {
-		if n := rm.c.nodes[req.preferred]; n.availableFor(req) > 0 {
+		if n := rm.c.nodes[req.preferred]; n.fits(req) {
 			target = n
 		}
 	}
 	if target == nil {
 		for _, n := range rm.c.nodes {
-			if n.availableFor(req) > 0 {
+			if n.fits(req) {
 				target = n
 				break
 			}
@@ -136,11 +137,6 @@ func (rm *ResourceManager) place(req *request, now sim.Time) bool {
 	return true
 }
 
-func (rm *ResourceManager) reserve(req *request, n *NodeManager) {
-	req.reservedOn = n
-	n.reservedSlots++
-}
-
 // dropReservations clears every reservation held on n. When a node is
 // declared dead its draining victims died with it, so the preemptors
 // waiting on those slots must compete for placement elsewhere.
@@ -150,17 +146,14 @@ func (rm *ResourceManager) dropReservations(n *NodeManager) {
 			rm.unreserve(req)
 		}
 	}
-	n.reservedSlots = 0
+	n.Reserved = cluster.Resources{}
 }
 
 func (rm *ResourceManager) unreserve(req *request) {
 	if req.reservedOn == nil {
 		return
 	}
-	req.reservedOn.reservedSlots--
-	if req.reservedOn.reservedSlots < 0 {
-		req.reservedOn.reservedSlots = 0
-	}
+	req.reservedOn.Unreserve(container)
 	req.reservedOn = nil
 }
 
@@ -198,7 +191,7 @@ func (rm *ResourceManager) eachCandidate(req *request, now sim.Time, visit func(
 			}
 			var cost time.Duration
 			if adaptive {
-				cost = core.CheckpointOverhead(v.candidate(now), n.device, now)
+				cost = core.CheckpointOverhead(v.candidate(now), n.Device, now)
 			}
 			visit(scored{t: v, n: n, cost: cost})
 		}
@@ -212,7 +205,8 @@ func (rm *ResourceManager) preemptFor(req *request, now sim.Time) bool {
 	if !ok {
 		return false
 	}
-	rm.reserve(req, victim.n)
+	req.reservedOn = victim.n
+	victim.n.Reserve(container)
 	rm.c.res.Preemptions++
 	victim.t.am.onPreempt(victim.t, now)
 	return true

@@ -2,6 +2,7 @@ package yarn
 
 import (
 	"encoding/json"
+	"math"
 	"testing"
 	"time"
 
@@ -278,6 +279,13 @@ func TestConfigValidationFramework(t *testing.T) {
 			c.EnergyModel = energy.Model{IdleWatts: 300, PeakWatts: 100}
 			return c
 		}(),
+	}
+	// A remote restore must not schedule its resume in the past: the
+	// network rate is finite and non-negative.
+	for _, bw := range []float64{-1e3, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		c := DefaultConfig(core.PolicyAdaptive, storage.SSD)
+		c.Nodes, c.ContainersPerNode, c.NetBandwidth = 2, 4, bw
+		bad = append(bad, c)
 	}
 	for i, cfg := range bad {
 		if _, err := Run(cfg, jobs); err == nil {
