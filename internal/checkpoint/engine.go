@@ -272,8 +272,10 @@ func (a *arena) slot(idx int) []byte {
 	return pg
 }
 
-// space is the address space a chain rebuilds: one flat array of pages,
-// which proc adopts as the process's memory, and which of them are written.
+// space is the address space a chain rebuilds: one flat array of pages from
+// proc's address-space list, which proc adopts as the process's memory, and
+// which of them are written. A space no process adopts, a failed rebuild's
+// or a compaction's, is left to the GC.
 type space struct {
 	data    []byte
 	seen    []bool
@@ -281,7 +283,7 @@ type space struct {
 }
 
 func newSpace(pages uint32) *space {
-	return &space{data: make([]byte, int(pages)*proc.PageSize), seen: make([]bool, pages)}
+	return &space{data: proc.GetSpace(int(pages)), seen: make([]bool, pages)}
 }
 
 // slot names page idx of the space; a page named again is overwritten.

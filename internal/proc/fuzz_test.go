@@ -136,11 +136,21 @@ func applyOp(m addressSpace, s *opStream) (outcome string, read []byte) {
 // requireSameOps drives a Memory and the paged reference with one decoded
 // operation stream and fails on the first operation after which they
 // differ in outcome (value, error or not, error text), dirty pages or bytes.
-func requireSameOps(t *testing.T, stream []byte) {
+// A recycled Memory is built on an array a previous owner left dirty.
+func requireSameOps(t *testing.T, stream []byte, recycled bool) {
 	const pages = 5
+	var dirty []byte
+	if recycled {
+		dirty = dirtySpace(pages)
+	} else {
+		drainSpaces()
+	}
 	m, err := NewMemory(pages*PageSize, pages*PageSize)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if recycled && !sameArray(m.Page(0), dirty) {
+		t.Fatal("the memory is not built on the recycled array")
 	}
 	ref := newRefMemory(pages)
 	if m.NumPages() != ref.NumPages() || m.RealBytes() != ref.RealBytes() {
@@ -201,7 +211,9 @@ func memorySeeds() [][]byte {
 	return seeds
 }
 
-// GIVEN a Memory and the paged implementation it replaced, same size,
+// GIVEN a Memory and the paged implementation it replaced, same size — the
+// Memory once on a fresh array and once on a recycled one its last owner
+// left full of 0xA5 —
 // WHEN one operation stream — ReadAt/WriteAt of 0–3 pages, ReadU64/WriteU64,
 // ReadF64s/WriteF64s, SetPage with good and bad lengths, ClearSoftDirty,
 // MarkAllDirty, at page-last, straddling, memory-last, negative and
@@ -212,7 +224,10 @@ func FuzzMemoryOps(f *testing.F) {
 	for _, s := range memorySeeds() {
 		f.Add(s)
 	}
-	f.Fuzz(requireSameOps)
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		requireSameOps(t, stream, false)
+		requireSameOps(t, stream, true)
+	})
 }
 
 // The seed streams cover what the contract names; fuzzing only widens it.

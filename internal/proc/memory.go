@@ -19,6 +19,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 )
 
 // PageSize is the virtual page granularity in bytes, matching the x86-64
@@ -35,17 +37,20 @@ type Memory struct {
 	logicalBytes int64
 }
 
-// NewMemory allocates a memory of realBytes backing bytes (rounded up to
-// whole pages) that declares logicalBytes of footprint for time accounting.
-// logicalBytes must be at least realBytes.
+// maxPages is what an image header's 32-bit page count can describe.
+const maxPages = min(math.MaxUint32, math.MaxInt/PageSize)
+
+// NewMemory builds a memory of realBytes backing bytes (rounded up to whole
+// pages, drawn from the address-space list) that declares logicalBytes of
+// footprint for time accounting. logicalBytes must be at least realBytes.
 func NewMemory(realBytes, logicalBytes int64) (*Memory, error) {
 	if err := checkSizes(realBytes, logicalBytes); err != nil {
 		return nil, err
 	}
-	n := (realBytes + PageSize - 1) / PageSize
+	n := (realBytes-1)/PageSize + 1 // cannot wrap: checkSizes bounds realBytes
 	// Page rounding may push the real size past the declared logical
 	// footprint; the footprint can never be below the backing.
-	m, err := AdoptMemory(make([]byte, n*PageSize), max(logicalBytes, n*PageSize))
+	m, err := AdoptMemory(GetSpace(int(n)), max(logicalBytes, n*PageSize))
 	if err != nil {
 		return nil, err
 	}
@@ -70,10 +75,53 @@ func checkSizes(realBytes, logicalBytes int64) error {
 	if realBytes <= 0 {
 		return fmt.Errorf("proc: non-positive real size %d", realBytes)
 	}
+	if realBytes > maxPages*PageSize {
+		return fmt.Errorf("proc: real size %d exceeds %d pages", realBytes, int64(maxPages))
+	}
 	if logicalBytes < realBytes {
 		return fmt.Errorf("proc: logical size %d below real size %d", logicalBytes, realBytes)
 	}
 	return nil
+}
+
+// spaces is the address-space list NewMemory and a checkpoint restore draw
+// from and a released process gives back to, at most maxSpaces arrays of at
+// most maxSpaceBytes; a full list drops its oldest. An array has one owner at
+// a time, and it is not a sync.Pool: DESIGN §16.6 says why.
+var spaces struct {
+	sync.Mutex
+	free [][]byte
+}
+
+const maxSpaces, maxSpaceBytes = 64, 1 << 20
+
+// GetSpace returns pages whole pages of zeroes, owned by the caller: the
+// newest listed array of exactly that size, cleared, or a new one.
+func GetSpace(pages int) []byte {
+	spaces.Lock()
+	for i := len(spaces.free) - 1; i >= 0; i-- {
+		if b := spaces.free[i]; len(b) == pages*PageSize {
+			spaces.free = slices.Delete(spaces.free, i, i+1)
+			spaces.Unlock()
+			clear(b) // b is ours alone now; zero it outside the lock
+			return b
+		}
+	}
+	spaces.Unlock()
+	return make([]byte, pages*PageSize)
+}
+
+// PutSpace lists data; the caller must hold the only reference.
+func PutSpace(data []byte) {
+	if len(data) == 0 || len(data) > maxSpaceBytes {
+		return
+	}
+	spaces.Lock()
+	defer spaces.Unlock()
+	if len(spaces.free) == maxSpaces {
+		spaces.free = slices.Delete(spaces.free, 0, 1)
+	}
+	spaces.free = append(spaces.free, data)
 }
 
 // NumPages returns the number of real backing pages.

@@ -20,6 +20,10 @@ func TestNewMemoryValidation(t *testing.T) {
 		{"zero real", 0, 100, true},
 		{"negative real", -1, 100, true},
 		{"logical below real", 2 * PageSize, PageSize, true},
+		// Rounding MaxInt64 up to whole pages wrapped, and make panicked
+		// with "len out of range" instead of the error being returned.
+		{"page rounding wraps", math.MaxInt64, math.MaxInt64, true},
+		{"more pages than an image can count", maxPages*PageSize + 1, math.MaxInt64, true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

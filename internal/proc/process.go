@@ -176,6 +176,19 @@ func (p *Process) Kill() {
 	p.state = Killed
 }
 
+// Release kills a process that will not run again and gives its pages to the
+// address-space list; its Memory holds no array afterwards. Releasing a
+// Created or Running process panics: its program would write into another
+// process's pages. A second Release is a no-op.
+func (p *Process) Release() {
+	if p.state == Created || p.state == Running {
+		panic(fmt.Sprintf("proc: release of %v process %q", p.state, p.id))
+	}
+	p.Kill()
+	PutSpace(p.mem.data)
+	p.mem.data, p.mem.dirty = nil, nil
+}
+
 // Registry maps program names to factories so Restore can re-instantiate
 // the right Program for an image.
 type Registry struct {

@@ -121,6 +121,14 @@ func (t *taskRun) candidate(now sim.Time) core.Candidate {
 	}
 }
 
+// dropProcess gives the pages of t's process back once it has stopped:
+// every caller has read what it needed of them, and no image aliases them.
+// A process still running makes Release panic, so killers kill first.
+func (t *taskRun) dropProcess() {
+	t.process.Release()
+	t.process = nil
+}
+
 // advanceTo steps the real process until its step counter reaches target.
 func (t *taskRun) advanceTo(target uint64) error {
 	if target > t.totalSteps {
@@ -371,7 +379,7 @@ func (am *AppMaster) kill(t *taskRun, n *NodeManager, lost time.Duration, now si
 	am.c.res.Kills++
 	am.c.chargeWaste(t, lost)
 	t.process.Kill()
-	t.process = nil
+	t.dropProcess()
 	n.releaseSlot(now, t)
 	t.node = nil
 	t.state = statePending
@@ -418,7 +426,7 @@ func (am *AppMaster) onNodeFailure(t *taskRun, n *NodeManager, now sim.Time) {
 			// its NM kills the container rather than risk a double
 			// completion the RM can no longer see.
 			t.process.Kill()
-			t.process = nil
+			t.dropProcess()
 		}
 		n.releaseSlot(now, t)
 		am.c.slo.AddFailureWaste(am.c.res.ChargeFailureWaste(t.spec, lost))
@@ -529,7 +537,7 @@ func (am *AppMaster) onPreempt(t *taskRun, now sim.Time) {
 	if incremental {
 		am.c.res.IncrementalCheckpoints++
 	}
-	t.process = nil // the frozen process lives on only as the image
+	t.dropProcess() // the frozen process lives on only as the image
 	done := am.bookDump(t, n, name, info.LogicalBytes, incremental, false, now)
 	am.c.engine.At(done, func(at sim.Time) {
 		t.hasImage = true
@@ -666,7 +674,7 @@ func (am *AppMaster) startPreCopyCheckpoint(t *taskRun, n *NodeManager, now sim.
 			am.killFallback(t, n, lost, at)
 			return
 		}
-		t.process = nil
+		t.dropProcess()
 		t.imageName = deltaName
 		done := am.bookDump(t, n, deltaName, dinfo.LogicalBytes, true, false, at)
 		am.c.engine.At(done, func(end sim.Time) {
@@ -690,6 +698,7 @@ func (am *AppMaster) onComplete(t *taskRun, now sim.Time) {
 			t.spec.ID, t.process.Steps(), t.totalSteps, t.process.State()))
 	}
 	am.c.res.TaskChecksums[t.spec.ID] = checksumProcess(t.process)
+	t.dropProcess()
 	am.c.slo.AddUseful(am.c.res.ChargeUseful(t.spec))
 	am.c.res.TasksCompleted++
 
@@ -699,7 +708,6 @@ func (am *AppMaster) onComplete(t *taskRun, now sim.Time) {
 	n.releaseSlot(now, t)
 	t.node = nil
 	am.discardImages(t, n)
-	t.process = nil
 	am.c.jrn.TaskDone(now, t.spec.ID, n.id, t.spec.Priority)
 
 	am.left--

@@ -181,7 +181,7 @@ func (c *Cluster) crashNM(now sim.Time) {
 		t.preCopying = false
 		if t.process != nil {
 			t.process.Kill()
-			t.process = nil
+			t.dropProcess()
 		}
 		t.failedAt = now
 	}
