@@ -1,0 +1,31 @@
+package kmeans
+
+import (
+	"fmt"
+	"testing"
+)
+
+// BenchmarkProgramStep measures one warm Lloyd iteration of a k-means
+// process: yarn-batch's task shape (240 points, 4 dims, k = 4), where the
+// kernel scores four centroids per pass, and service-stream's (8/2/2),
+// where it runs the one-centroid remainder loop alone.
+func BenchmarkProgramStep(b *testing.B) {
+	for _, sh := range [][3]int{{240, 4, 4}, {8, 2, 2}} {
+		b.Run(fmt.Sprintf("%d/%d/%d", sh[0], sh[1], sh[2]), func(b *testing.B) {
+			p, err := NewProcess("km", sh[0], sh[1], sh[2], 1<<40, 11)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := p.Step(); err != nil { // warm the pooled scratch
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				if _, err := p.Step(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

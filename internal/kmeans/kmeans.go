@@ -50,6 +50,9 @@ func Run(points [][]float64, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("kmeans: MaxIters=%d must be positive", cfg.MaxIters)
 	}
 	dims := len(points[0])
+	if dims == 0 {
+		return nil, fmt.Errorf("kmeans: points have no dimensions")
+	}
 	for i, p := range points {
 		if len(p) != dims {
 			return nil, fmt.Errorf("kmeans: point %d has %d dims, want %d", i, len(p), dims)
@@ -129,16 +132,48 @@ func (l *lloyd) begin(k, dims int) {
 
 // add assigns p to its nearest centroid (the lowest-numbered one on a tie)
 // and returns that cluster.
+//
+// The first k mod 4 centroids are scored one at a time; after them, one
+// pass over p scores four: four independent sums, each over p's dimensions
+// in ascending order exactly as SquaredDistance sums it, so every distance
+// is bit for bit the one SquaredDistance returns, but no sum waits on
+// another's adds. Every distance is compared in ascending centroid order
+// with a strict <, as one-at-a-time scoring compares them.
 func (l *lloyd) add(p []float64) int {
+	n, k := len(p), len(l.counts)
 	best, bestD := 0, math.MaxFloat64
-	for c := range l.counts {
-		d := SquaredDistance(p, l.centroids[c*l.dims:(c+1)*l.dims])
-		if d < bestD {
+	for c := range k % 4 {
+		if d := SquaredDistance(p, l.centroids[c*n:(c+1)*n]); d < bestD {
 			best, bestD = c, d
 		}
 	}
+	for c := k % 4; c < k; c += 4 {
+		// Each row sliced to len(p), so the loop below has no bounds checks.
+		four := l.centroids[c*n:]
+		c0, c1, c2, c3 := four[:n], four[n:][:n], four[2*n:][:n], four[3*n:][:n]
+		var s0, s1, s2, s3 float64
+		for i, v := range p {
+			d0, d1, d2, d3 := v-c0[i], v-c1[i], v-c2[i], v-c3[i]
+			s0 += d0 * d0
+			s1 += d1 * d1
+			s2 += d2 * d2
+			s3 += d3 * d3
+		}
+		if s0 < bestD {
+			best, bestD = c, s0
+		}
+		if s1 < bestD {
+			best, bestD = c+1, s1
+		}
+		if s2 < bestD {
+			best, bestD = c+2, s2
+		}
+		if s3 < bestD {
+			best, bestD = c+3, s3
+		}
+	}
 	l.counts[best]++
-	sums := l.sums[best*l.dims : (best+1)*l.dims]
+	sums := l.sums[best*n : (best+1)*n]
 	for d, v := range p {
 		sums[d] += v
 	}

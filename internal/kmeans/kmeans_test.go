@@ -22,6 +22,7 @@ func TestRunValidation(t *testing.T) {
 		{"k over n", pts, Config{K: 4, MaxIters: 5}},
 		{"zero iters", pts, Config{K: 2, MaxIters: 0}},
 		{"ragged dims", [][]float64{{1, 2}, {3}}, Config{K: 1, MaxIters: 1}},
+		{"zero dims", [][]float64{{}, {}}, Config{K: 1, MaxIters: 1}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -246,6 +247,41 @@ func TestStaleScratchIsNeverObserved(t *testing.T) {
 				if math.Float64bits(got[c][d]) != math.Float64bits(want.Centroids[c][d]) {
 					t.Fatalf("shape %+v: centroid[%d][%d] = %v, Run says %v", sh, c, d, got[c][d], want.Centroids[c][d])
 				}
+			}
+		}
+	}
+}
+
+// GIVEN a k-means process at yarn-batch's task shape (240 points, 4 dims,
+// k = 4) and a fixed seed,
+// WHEN it runs its 10 steps,
+// THEN its centroids are, bit for bit, the literals below: the program's
+// output is pinned across commits, not only against the library in the
+// same binary. Regenerate them only for a change meant to alter it.
+func TestProgramCentroidsPinned(t *testing.T) {
+	want := [4][4]uint64{
+		{0xc047a80e31691551, 0x40447bb4cd9216e2, 0x4006793c7d7f8033, 0x402e96d8978d6c29},
+		{0xc044531a906582ce, 0xc011d7e9f7a64ea6, 0x4041461693dff529, 0xc044a2dc18c9c5bb},
+		{0xc02d8a37b23dcadb, 0x40338933c47d6f2d, 0x403a24cc8c5658e6, 0x40119857f7407ff5},
+		{0x402ff1027f8792dd, 0x401ed1724a2545e4, 0xc033a75b520b4f75, 0xbfe5f93bf6886afb},
+	}
+	p, err := NewProcess("km", 240, 4, 4, 10, 21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for done := false; !done; {
+		if done, err = p.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := Centroids(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := range want {
+		for d := range want[c] {
+			if bits := math.Float64bits(got[c][d]); bits != want[c][d] {
+				t.Errorf("centroid[%d][%d] = %#016x (%v), pinned %#016x", c, d, bits, got[c][d], want[c][d])
 			}
 		}
 	}

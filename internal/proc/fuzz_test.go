@@ -208,6 +208,20 @@ func memorySeeds() [][]byte {
 		rng.Read(s)
 		seeds = append(seeds, s)
 	}
+	// For n = 0…9 values, ClearSoftDirty then WriteF64s and ReadF64s of n
+	// values starting 0…n words before the boundary of pages 1 and 2, and
+	// 5 bytes before each of those starts: the four-word body and the
+	// one-word tail of the bulk accessors each meet the page edge.
+	for n := 0; n <= 9; n++ {
+		var s []byte
+		for m := 0; m <= n; m++ {
+			for _, r := range []int{0, 5} {
+				off := 2*PageSize - m*wordSize - r
+				s = append(s, 7, 5, 0, byte(n), 0, byte(off>>8), byte(off), byte(n+m), 4, 0, byte(n), 0, byte(off>>8), byte(off))
+			}
+		}
+		seeds = append(seeds, s)
+	}
 	return seeds
 }
 

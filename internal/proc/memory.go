@@ -210,12 +210,20 @@ func (m *Memory) WriteU64(off int64, v uint64) error {
 }
 
 // ReadF64s reads len(dst) consecutive float64s starting at off into dst,
-// under one range check.
+// under one range check. Words are decoded four per step from a 32-byte
+// window, one bounds check for the four, then one at a time.
 func (m *Memory) ReadF64s(dst []float64, off int64) error {
 	if !m.inRange(off, len(dst)*wordSize) {
 		return m.outside("read", off, len(dst)*wordSize)
 	}
-	src := m.data[off:]
+	src := m.data[off:][:len(dst)*wordSize]
+	for ; len(dst) >= 4; dst, src = dst[4:], src[4*wordSize:] {
+		w := src[:4*wordSize]
+		dst[0] = math.Float64frombits(binary.BigEndian.Uint64(w[0:]))
+		dst[1] = math.Float64frombits(binary.BigEndian.Uint64(w[8:]))
+		dst[2] = math.Float64frombits(binary.BigEndian.Uint64(w[16:]))
+		dst[3] = math.Float64frombits(binary.BigEndian.Uint64(w[24:]))
+	}
 	for i := range dst {
 		dst[i] = math.Float64frombits(binary.BigEndian.Uint64(src[i*wordSize:]))
 	}
@@ -223,16 +231,24 @@ func (m *Memory) ReadF64s(dst []float64, off int64) error {
 }
 
 // WriteF64s writes src as consecutive float64s starting at off, under one
-// range check, dirtying every touched page.
+// range check, dirtying every touched page. It encodes as ReadF64s decodes:
+// four words per bounds check, then one at a time.
 func (m *Memory) WriteF64s(src []float64, off int64) error {
 	if !m.inRange(off, len(src)*wordSize) {
 		return m.outside("write", off, len(src)*wordSize)
 	}
-	dst := m.data[off:]
+	m.touch(off, len(src)*wordSize)
+	dst := m.data[off:][:len(src)*wordSize]
+	for ; len(src) >= 4; src, dst = src[4:], dst[4*wordSize:] {
+		w := dst[:4*wordSize]
+		binary.BigEndian.PutUint64(w[0:], math.Float64bits(src[0]))
+		binary.BigEndian.PutUint64(w[8:], math.Float64bits(src[1]))
+		binary.BigEndian.PutUint64(w[16:], math.Float64bits(src[2]))
+		binary.BigEndian.PutUint64(w[24:], math.Float64bits(src[3]))
+	}
 	for i, v := range src {
 		binary.BigEndian.PutUint64(dst[i*wordSize:], math.Float64bits(v))
 	}
-	m.touch(off, len(src)*wordSize)
 	return nil
 }
 
