@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -127,23 +128,31 @@ func TestJobValidate(t *testing.T) {
 	tests := []struct {
 		name   string
 		mutate func(*JobSpec)
+		// names, when set, must appear in the error.
+		names string
 	}{
-		{"priority high", func(j *JobSpec) { j.Priority = 12 }},
-		{"priority low", func(j *JobSpec) { j.Priority = -1 }},
-		{"latency", func(j *JobSpec) { j.Latency = 4 }},
-		{"no tasks", func(j *JobSpec) { j.Tasks = nil }},
-		{"wrong job id", func(j *JobSpec) { j.Tasks[0].ID.Job = 8 }},
-		{"zero duration", func(j *JobSpec) { j.Tasks[0].Duration = 0 }},
-		{"zero demand", func(j *JobSpec) { j.Tasks[0].Demand.CPUMillis = 0 }},
-		{"footprint over demand", func(j *JobSpec) { j.Tasks[0].MemFootprint = GiB(3) }},
-		{"task before job", func(j *JobSpec) { j.Tasks[0].Submit = 0 }},
+		{"priority high", func(j *JobSpec) { j.Priority = 12 }, ""},
+		{"priority low", func(j *JobSpec) { j.Priority = -1 }, ""},
+		{"task priority high", func(j *JobSpec) { j.Tasks[0].Priority = 12 }, "task 7/0"},
+		{"task priority low", func(j *JobSpec) { j.Tasks[0].Priority = -1 }, "task 7/0"},
+		{"latency", func(j *JobSpec) { j.Latency = 4 }, ""},
+		{"no tasks", func(j *JobSpec) { j.Tasks = nil }, ""},
+		{"wrong job id", func(j *JobSpec) { j.Tasks[0].ID.Job = 8 }, ""},
+		{"zero duration", func(j *JobSpec) { j.Tasks[0].Duration = 0 }, ""},
+		{"zero demand", func(j *JobSpec) { j.Tasks[0].Demand.CPUMillis = 0 }, ""},
+		{"footprint over demand", func(j *JobSpec) { j.Tasks[0].MemFootprint = GiB(3) }, ""},
+		{"task before job", func(j *JobSpec) { j.Tasks[0].Submit = 0 }, ""},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			j := validJob()
 			tt.mutate(&j)
-			if err := j.Validate(); err == nil {
-				t.Error("invalid job accepted")
+			err := j.Validate()
+			if err == nil {
+				t.Fatal("invalid job accepted")
+			}
+			if !strings.Contains(err.Error(), tt.names) {
+				t.Errorf("error %q does not name %q", err, tt.names)
 			}
 		})
 	}

@@ -169,6 +169,9 @@ func (j *JobSpec) Validate() error {
 		if t.ID.Job != j.ID {
 			return fmt.Errorf("job %d: task %d has job id %d", j.ID, i, t.ID.Job)
 		}
+		if t.Priority < MinPriority || t.Priority > MaxPriority {
+			return fmt.Errorf("task %v: priority %d out of range", t.ID, t.Priority)
+		}
 		if t.User != j.User {
 			return fmt.Errorf("task %v: user %q differs from job user %q", t.ID, t.User, j.User)
 		}

@@ -185,8 +185,7 @@ type VictimKey struct {
 // VictimScratch is the working memory of cost-aware eviction (Section
 // 5.2.2), owned by the caller and reused across calls so a victim scan
 // allocates nothing once warm. The caller truncates Keys, appends one key
-// per candidate in its tie-break order (task-ID order in both schedulers)
-// and calls Select.
+// per candidate in its tie-break order and calls Select.
 type VictimScratch struct {
 	Keys  []VictimKey
 	order []int

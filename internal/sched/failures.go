@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"time"
 
 	"preemptsched/internal/cluster"
@@ -29,9 +30,11 @@ func (s *Simulator) failNode(f NodeFailure, now sim.Time) {
 	s.res.NodeFailures++
 	s.jrn.NodeDown(now, int(n.id), 0)
 	s.probe(ProbeNodeDown, cluster.TaskID{}, n.id, now)
-	// Fencing removes tasks from n.running, so walk a snapshot; candScratch
-	// is idle outside a victim scan.
+	// Fencing removes tasks from n.running, so walk a snapshot, in task-ID
+	// order: the order fixes the fenced tasks' order in the pending queue.
+	// candScratch is idle outside a provenance rescan.
 	snapshot := append(s.candScratch[:0], n.running...)
+	slices.SortFunc(snapshot, byTaskID)
 	s.candScratch = snapshot[:0]
 	for _, t := range snapshot {
 		s.fenceTask(t, now)

@@ -7,7 +7,8 @@ import (
 )
 
 // scoreCandidates rebuilds the provenance view of a victim choice on the
-// chosen node: every discipline-eligible running task with the estimated
+// chosen node: every discipline-eligible running task, in task-ID order
+// rather than the eviction order the scan walked, with the estimated
 // checkpoint cost the scan ranked it by (victimCost), the selected victims
 // flagged. It is only invoked when a Recorder is attached, so the extra
 // scan never taxes plain runs.

@@ -118,7 +118,7 @@ func TestStalePreCopyTimerSparesTheNextAttempt(t *testing.T) {
 		Duration:     time.Hour,
 	}}}
 	spec := &job.Tasks[0]
-	task := &taskRT{spec: spec, job: &jobRT{spec: job, remaining: 1}, remaining: spec.Duration}
+	task := &taskRT{spec: spec, job: newJobRT(job), remaining: spec.Duration}
 	s.engine.At(0, func(now sim.Time) {
 		s.enqueue(task, now)
 		s.requestSchedule(now)

@@ -281,7 +281,7 @@ func TestBlockedPassTouchesNothing(t *testing.T) {
 			ID: cluster.TaskID{Job: cluster.JobID(job)}, Priority: prio, Demand: demand,
 			Duration: time.Hour, MemFootprint: cluster.GiB(1),
 		}
-		return &taskRT{spec: spec, remaining: spec.Duration}
+		return &taskRT{spec: spec, job: newJobRT(&cluster.JobSpec{ID: spec.ID.Job}), remaining: spec.Duration}
 	}
 	for i, n := range s.nodes {
 		r := task(i, cluster.MaxPriority, cfg.NodeCapacity)
@@ -342,7 +342,7 @@ func loaded(t *testing.T, cfg Config, jobs []cluster.JobSpec) (*Simulator, []*ta
 	var tasks []*taskRT
 	for i := range jobs {
 		spec := &jobs[i]
-		j := &jobRT{spec: spec, remaining: len(spec.Tasks)}
+		j := newJobRT(spec)
 		s.jobs = append(s.jobs, j)
 		for k := range spec.Tasks {
 			ts := &spec.Tasks[k]

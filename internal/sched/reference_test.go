@@ -200,50 +200,75 @@ func (q *referenceQueue) pop() referenceEntry {
 	return e
 }
 
+// bookUsers and bookDemands are what randomBook's and FuzzVictimScan's
+// tasks draw from; "" is an anonymous job, its own tenant.
+var (
+	bookUsers   = []string{"ada", "bob", "cy", ""}
+	bookDemands = []cluster.Resources{
+		{CPUMillis: 500, MemBytes: cluster.GiB(2)},
+		{CPUMillis: 1000, MemBytes: cluster.GiB(4)},
+		{CPUMillis: 2000, MemBytes: cluster.GiB(8)},
+	}
+)
+
+// bookTask is a task of its own job, as the scheduler holds one.
+func bookTask(id cluster.TaskID, prio cluster.Priority, user string, d cluster.Resources, minutes int, footprintDiv int) *taskRT {
+	spec := &cluster.TaskSpec{
+		ID:           id,
+		Priority:     prio,
+		User:         user,
+		Demand:       d,
+		Duration:     time.Duration(minutes) * time.Minute,
+		MemFootprint: d.MemBytes / int64(footprintDiv),
+	}
+	return &taskRT{spec: spec, job: newJobRT(&cluster.JobSpec{ID: id.Job, User: user}), remaining: spec.Duration}
+}
+
+// bookShape is what randomBook's callers vary.
+type bookShape struct {
+	// perNode bounds the residents tried per node: uniform in [0, perNode).
+	perNode int
+	// levels is how many distinct priorities the residents share. Few
+	// levels crowd each one with chained and chainless residents alike.
+	levels int
+}
+
+// everyLevel spreads about ten residents per node over all priorities.
+var everyLevel = bookShape{perNode: 20, levels: int(cluster.MaxPriority) + 1}
+
 // randomBook fills a fresh simulator's node books the way a run in
 // progress would have: tasks placed in arbitrary ID order, in every
-// resource-holding phase, with checkpoint queues of different depths, a
-// down node and a standing reservation. It returns the simulator, the
-// instant the books describe, and waiting tasks to choose victims for.
-func randomBook(rng *rand.Rand, cfg Config) (*Simulator, sim.Time, []*taskRT) {
+// resource-holding phase, a third of them with an image chain — known, as
+// in a run, before they are seated — with checkpoint queues of different
+// depths, a down node and a standing reservation. It returns the
+// simulator, the instant the books describe, and waiting tasks to choose
+// victims for; the last waiter is small and of top priority, so that some
+// node usually covers it without evicting anyone.
+func randomBook(rng *rand.Rand, cfg Config, shape bookShape) (*Simulator, sim.Time, []*taskRT) {
 	s, err := newSimulator(cfg.withDefaults())
 	if err != nil {
 		panic(err)
 	}
 	now := sim.Time(time.Hour)
-	users := []string{"ada", "bob", "cy", ""}
-	demands := []cluster.Resources{
-		{CPUMillis: 500, MemBytes: cluster.GiB(2)},
-		{CPUMillis: 1000, MemBytes: cluster.GiB(4)},
-		{CPUMillis: 2000, MemBytes: cluster.GiB(8)},
+	newTask := func(id cluster.TaskID, prio cluster.Priority) *taskRT {
+		// A few distinct footprints, so equal checkpoint costs — and with
+		// them the task-ID tie-break — occur on most nodes.
+		return bookTask(id, prio, bookUsers[rng.Intn(len(bookUsers))], bookDemands[rng.Intn(len(bookDemands))], 1+rng.Intn(30), 1+rng.Intn(3))
 	}
-	newTask := func(id cluster.TaskID) *taskRT {
-		d := demands[rng.Intn(len(demands))]
-		spec := &cluster.TaskSpec{
-			ID:       id,
-			Priority: cluster.Priority(rng.Intn(int(cluster.MaxPriority) + 1)),
-			User:     users[rng.Intn(len(users))],
-			Demand:   d,
-			Duration: time.Duration(1+rng.Intn(30)) * time.Minute,
-			// A few distinct footprints, so equal checkpoint costs — and
-			// with them the task-ID tie-break — occur on most nodes.
-			MemFootprint: d.MemBytes / int64(1+rng.Intn(3)),
-		}
-		return &taskRT{spec: spec, remaining: spec.Duration}
-	}
-	idPool := rng.Perm(40 * cfg.Nodes)
+	levels := rng.Perm(int(cluster.MaxPriority) + 1)[:shape.levels]
+	idPool := rng.Perm(2 * shape.perNode * cfg.Nodes)
 	for _, n := range s.nodes {
 		n.Device.ReserveWrite(now, cluster.GiB(float64(rng.Intn(3))))
-		for k := rng.Intn(20); k > 0 && len(idPool) > 0; k-- {
+		for k := rng.Intn(shape.perNode); k > 0 && len(idPool) > 0; k-- {
 			id := idPool[0]
 			idPool = idPool[1:]
-			t := newTask(cluster.TaskID{Job: cluster.JobID(id / 7), Index: int32(id % 7)})
+			t := newTask(cluster.TaskID{Job: cluster.JobID(id / 7), Index: int32(id % 7)}, cluster.Priority(levels[rng.Intn(len(levels))]))
 			if !t.spec.Demand.Fits(n.Cap.Sub(n.Used)) {
 				continue
 			}
+			t.hasCheckpoint = rng.Intn(3) == 0
 			s.seat(t, n, now)
 			t.evictions = rng.Intn(3)
-			t.hasCheckpoint = rng.Intn(3) == 0
 			switch rng.Intn(8) {
 			case 0:
 				t.phase = phaseCheckpointing
@@ -264,8 +289,11 @@ func randomBook(rng *rand.Rand, cfg Config) (*Simulator, sim.Time, []*taskRT) {
 	}
 	waiters := make([]*taskRT, 12)
 	for i := range waiters {
-		waiters[i] = newTask(cluster.TaskID{Job: cluster.JobID(10_000 + i)})
-		waiters[i].phase = phaseQueued
+		waiters[i] = newTask(cluster.TaskID{Job: cluster.JobID(10_000 + i)}, cluster.Priority(rng.Intn(int(cluster.MaxPriority)+1)))
+	}
+	waiters = append(waiters, bookTask(cluster.TaskID{Job: 10_012}, cluster.MaxPriority, "", bookDemands[0], 10, 1))
+	for _, w := range waiters {
+		w.phase = phaseQueued
 	}
 	s.reserve(waiters[0], s.nodes[0])
 	return s, now, waiters
@@ -286,10 +314,120 @@ func ids(ts []*taskRT) string {
 	return fmt.Sprint(out)
 }
 
-// GIVEN node books in any state a run can reach, under the adaptive,
-// naive-victim and basic policies and the priority, fair-share and
-// capacity disciplines,
-// WHEN chooseVictims picks a node and victims for a waiting task,
+// taskIDLess is the deterministic task order: job, then index.
+func taskIDLess(a, b cluster.TaskID) bool {
+	if a.Job != b.Job {
+		return a.Job < b.Job
+	}
+	return a.Index < b.Index
+}
+
+// evictsBefore is the eviction order of a node's running set, written out:
+// priority ascending, then under cost-aware eviction the chainless
+// checkpoint price ascending, then task ID.
+func evictsBefore(a, b *taskRT, byCost bool) bool {
+	if a.spec.Priority != b.spec.Priority {
+		return a.spec.Priority < b.spec.Priority
+	}
+	if byCost && a.fixedCost != b.fixedCost {
+		return a.fixedCost < b.fixedCost
+	}
+	return taskIDLess(a.spec.ID, b.spec.ID)
+}
+
+// checkBooks fails t unless every node's running set is in eviction order
+// and the node's tallies — chained residents and running tasks per
+// priority, the running-priority mask — equal a recount of its residents.
+// A resident counts as chained when it has an image chain, incremental
+// dumps are on and eviction is cost-aware.
+func checkBooks(t testing.TB, s *Simulator) {
+	t.Helper()
+	for _, n := range s.nodes {
+		var chained, running [int(cluster.MaxPriority) + 1]uint16
+		var mask uint16
+		for i, v := range n.running {
+			if v.node != n {
+				t.Fatalf("node %d lists task %v, which is on %v", n.id, v.spec.ID, v.node)
+			}
+			if i > 0 && !evictsBefore(n.running[i-1], v, s.costAware) {
+				t.Fatalf("node %d: running set %v is not in eviction order at %d", n.id, ids(n.running), i)
+			}
+			p := v.spec.Priority
+			want := s.costAware && v.hasCheckpoint && !s.cfg.DisableIncremental
+			if v.chained != want {
+				t.Fatalf("node %d: task %v chained %v, want %v", n.id, v.spec.ID, v.chained, want)
+			}
+			if want {
+				chained[p]++
+			}
+			if v.phase == phaseRunning {
+				running[p]++
+				mask |= 1 << uint(p)
+			}
+		}
+		if chained != n.chained || running != n.byPrio || mask != n.prioMask {
+			t.Fatalf("node %d: chained %v, running %v, mask %012b; a recount gives %v, %v, %012b",
+				n.id, n.chained, n.byPrio, n.prioMask, chained, running, mask)
+		}
+	}
+}
+
+// choiceCoverage counts what victim choices a test saw.
+type choiceCoverage struct {
+	// chosen choices found a node; multi took more than one victim, empty
+	// none (the node covered the need already), and ranked took a victim
+	// from a level holding a chained resident.
+	chosen, multi, empty, ranked int
+}
+
+// requireSameChoice fails t unless chooseVictims picks for w the node, the
+// victims in order and the summed cost the map-based reference does, and
+// tallies the choice in seen.
+func requireSameChoice(t testing.TB, s *Simulator, w *taskRT, now sim.Time, seen *choiceCoverage) (*node, []*taskRT) {
+	t.Helper()
+	wantNode, wantSet, wantCost := referenceChooseVictims(s, w, now)
+	gotNode, gotSet := s.chooseVictims(w, now)
+	if gotNode != wantNode || ids(gotSet) != ids(wantSet) {
+		t.Fatalf("waiter %v at %v: chose %v on %s, reference %v on %s",
+			w.spec.ID, now, ids(gotSet), nodeName(gotNode), ids(wantSet), nodeName(wantNode))
+	}
+	if gotNode == nil {
+		return nil, nil
+	}
+	var gotCost time.Duration
+	if s.costAware {
+		for _, x := range gotSet {
+			gotCost += core.CheckpointOverhead(s.candidateFor(x, now), gotNode.Device, now)
+		}
+	}
+	if gotCost != wantCost {
+		t.Fatalf("waiter %v at %v: cost %v, reference %v", w.spec.ID, now, gotCost, wantCost)
+	}
+	seen.chosen++
+	switch {
+	case len(gotSet) == 0:
+		seen.empty++
+	case len(gotSet) > 1:
+		seen.multi++
+	}
+	for _, x := range gotSet {
+		if gotNode.chained[x.spec.Priority] > 0 {
+			seen.ranked++
+			break
+		}
+	}
+	return gotNode, gotSet
+}
+
+// crowded packs the residents of every node into three priorities.
+var crowded = bookShape{perNode: 20, levels: 3}
+
+// GIVEN node books in any state a run can reach — residents spread over
+// every priority, or crowded into three levels that mix chained and
+// chainless residents — under the adaptive, naive-victim and basic policies
+// and the priority, fair-share and capacity disciplines,
+// WHEN chooseVictims picks a node and victims for a waiting task, one of
+// them a waiter some node covers without evicting anyone,
 // THEN node, victims in eviction order and summed cost equal the
 // map-based reference's, and the provenance rescan scoreCandidates makes
 // under a Recorder neither changes the returned victims nor disagrees
@@ -315,7 +453,7 @@ func TestChooseVictimsMatchesReference(t *testing.T) {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(16))
-			chosen, multi := 0, 0
+			var seen choiceCoverage
 			for round := 0; round < 60; round++ {
 				cfg := DefaultConfig(v.policy, storage.SSD)
 				cfg.Nodes = 1 + rng.Intn(12)
@@ -323,29 +461,16 @@ func TestChooseVictimsMatchesReference(t *testing.T) {
 				cfg.NaiveVictimSelection = v.naive
 				cfg.DisableIncremental = rng.Intn(4) == 0
 				cfg.MaxEvictionsPerTask = rng.Intn(2) * 2
-				s, now, waiters := randomBook(rng, cfg)
+				shape := everyLevel
+				if round%2 == 1 {
+					shape = crowded
+				}
+				s, now, waiters := randomBook(rng, cfg, shape)
+				checkBooks(t, s)
 				for _, w := range waiters {
-					wantNode, wantSet, wantCost := referenceChooseVictims(s, w, now)
-					gotNode, gotSet := s.chooseVictims(w, now)
-					if gotNode != wantNode || ids(gotSet) != ids(wantSet) {
-						t.Fatalf("round %d waiter %v: chose %v on %s, reference %v on %s",
-							round, w.spec.ID, ids(gotSet), nodeName(gotNode), ids(wantSet), nodeName(wantNode))
-					}
+					gotNode, gotSet := requireSameChoice(t, s, w, now, &seen)
 					if gotNode == nil {
 						continue
-					}
-					chosen++
-					if len(gotSet) > 1 {
-						multi++
-					}
-					var gotCost time.Duration
-					if wantCost != 0 {
-						for _, x := range gotSet {
-							gotCost += core.CheckpointOverhead(s.candidateFor(x, now), gotNode.Device, now)
-						}
-					}
-					if gotCost != wantCost {
-						t.Fatalf("round %d waiter %v: cost %v, reference %v", round, w.spec.ID, gotCost, wantCost)
 					}
 					before := ids(gotSet)
 					scores := s.scoreCandidates(gotNode, w, gotSet, now)
@@ -363,47 +488,63 @@ func TestChooseVictimsMatchesReference(t *testing.T) {
 					}
 				}
 			}
-			if chosen == 0 || multi == 0 {
-				t.Fatalf("books too tame: %d choices, %d with more than one victim", chosen, multi)
+			costAware := v.policy == core.PolicyAdaptive && !v.naive
+			if seen.chosen == 0 || seen.multi == 0 || seen.empty == 0 || costAware && seen.ranked == 0 {
+				t.Fatalf("books too tame: %+v", seen)
 			}
 		})
 	}
 }
 
 // moveTask takes t off its node and seats it on to, the way a fence or a
-// vacate followed by a placement would, keeping the running tallies.
+// vacate followed by a placement would, keeping the running tallies. A
+// task's chain changes only while it is off a node, so a test that gives
+// or takes one re-seats the task through here.
 func moveTask(s *Simulator, t *taskRT, to *node, now sim.Time) {
 	running := t.phase == phaseRunning
 	if running {
 		s.unmarkRunning(t)
 	}
-	from := t.node
-	from.Release(now, t.spec.Demand)
-	from.touch()
-	s.account(t, -1)
-	from.removeRunning(t)
+	s.unseat(t, now)
 	s.seat(t, to, now)
 	if running {
 		s.markRunning(t)
 	}
 }
 
-// GIVEN randomBook's books re-seated on a random mix of SSD and HDD nodes,
-// under the adaptive policy,
+// reseatAll re-seats every resident where it is, as a run would have
+// seated it under the current configuration.
+func reseatAll(s *Simulator, now sim.Time) {
+	for _, n := range s.nodes {
+		for _, v := range append([]*taskRT(nil), n.running...) {
+			moveTask(s, v, n, now)
+		}
+	}
+}
+
+// GIVEN randomBook's books — spread over every priority or crowded into
+// three — re-seated on a random mix of SSD and HDD nodes, under the
+// adaptive policy,
 // WHEN the books move between victim scans — the clock advances, checkpoint
 // queues deepen, tasks are placed again on nodes with another device, image
-// chains appear and vanish, incremental dumps are switched off and on —
+// chains appear and vanish, incremental dumps are switched off and on, each
+// change re-seating the tasks it touches as a run would —
 // THEN after every step every task's victimCost on its node equals
-// core.CheckpointOverhead of its candidate on that node's device, and
-// chooseVictims chooses what the reference scan, which prices every
-// candidate from scratch, chooses.
+// core.CheckpointOverhead of its candidate on that node's device, the books
+// hold (checkBooks), and chooseVictims chooses what the reference scan,
+// which prices every candidate from scratch, chooses.
 func TestVictimCostIsCheckpointOverhead(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
-	var priced, chained, chosen int
+	var priced, chained int
+	var seen choiceCoverage
 	for round := 0; round < 40; round++ {
 		cfg := DefaultConfig(core.PolicyAdaptive, storage.SSD)
 		cfg.Nodes = 2 + rng.Intn(10)
-		s, now, waiters := randomBook(rng, cfg)
+		shape := everyLevel
+		if round%2 == 1 {
+			shape = crowded
+		}
+		s, now, waiters := randomBook(rng, cfg, shape)
 		for _, n := range s.nodes {
 			if rng.Intn(2) == 0 {
 				hdd, err := storage.NewNodeDevice(storage.HDD, 0)
@@ -413,11 +554,10 @@ func TestVictimCostIsCheckpointOverhead(t *testing.T) {
 				hdd.ReserveWrite(now, cluster.GiB(float64(rng.Intn(3))))
 				n.Device = hdd
 			}
-			for _, v := range append([]*taskRT(nil), n.running...) {
-				moveTask(s, v, n, now)
-			}
 		}
+		reseatAll(s, now)
 		for step := 0; step < 10; step++ {
+			checkBooks(t, s)
 			for _, n := range s.nodes {
 				q := n.Device.QueueDelay(now)
 				for _, v := range n.running {
@@ -427,21 +567,13 @@ func TestVictimCostIsCheckpointOverhead(t *testing.T) {
 							round, step, v.spec.ID, n.Device.Label(), n.id, v.hasCheckpoint, s.cfg.DisableIncremental, got, want)
 					}
 					priced++
-					if v.hasCheckpoint && !s.cfg.DisableIncremental {
+					if v.chained {
 						chained++
 					}
 				}
 			}
 			for _, w := range waiters {
-				wantNode, wantSet, _ := referenceChooseVictims(s, w, now)
-				gotNode, gotSet := s.chooseVictims(w, now)
-				if gotNode != wantNode || ids(gotSet) != ids(wantSet) {
-					t.Fatalf("round %d step %d waiter %v: chose %v on %s, reference %v on %s",
-						round, step, w.spec.ID, ids(gotSet), nodeName(gotNode), ids(wantSet), nodeName(wantNode))
-				}
-				if gotNode != nil {
-					chosen++
-				}
+				requireSameChoice(t, s, w, now, &seen)
 			}
 
 			now += sim.Time(rng.Int63n(int64(10 * time.Minute)))
@@ -452,79 +584,99 @@ func TestVictimCostIsCheckpointOverhead(t *testing.T) {
 			}
 			for _, n := range s.nodes {
 				for _, v := range append([]*taskRT(nil), n.running...) {
-					if rng.Intn(6) == 0 {
+					flip := rng.Intn(6) == 0
+					if flip {
 						v.hasCheckpoint = !v.hasCheckpoint
 					}
 					to := s.nodes[rng.Intn(len(s.nodes))]
-					if rng.Intn(4) == 0 && to != n && !to.down && to.Device.Kind() != n.Device.Kind() && v.spec.Demand.Fits(to.Cap.Sub(to.Used)) {
+					if rng.Intn(4) != 0 || to == n || to.down || to.Device.Kind() == n.Device.Kind() || !v.spec.Demand.Fits(to.Cap.Sub(to.Used)) {
+						to = n
+					}
+					if flip || to != n {
 						moveTask(s, v, to, now)
 					}
 				}
 			}
 			if rng.Intn(4) == 0 {
 				s.cfg.DisableIncremental = !s.cfg.DisableIncremental
+				reseatAll(s, now)
 			}
 		}
 	}
-	if priced == 0 || chained == 0 || chained == priced || chosen == 0 {
-		t.Fatalf("books too tame: %d tasks priced, %d with a chain, %d victim choices", priced, chained, chosen)
+	if priced == 0 || chained == 0 || chained == priced || seen.chosen == 0 || seen.ranked == 0 {
+		t.Fatalf("books too tame: %d tasks priced, %d chained, choices %+v", priced, chained, seen)
 	}
 }
 
 // GIVEN an adaptive simulator whose scratch buffers have seen the books
-// once,
+// once, under the priority, fair-share and capacity disciplines, with
+// anonymous jobs among the residents and the waiters,
 // WHEN chooseVictims scans every node again,
 // THEN it allocates nothing.
 func TestChooseVictimsAllocatesNothing(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	cfg := DefaultConfig(core.PolicyAdaptive, storage.SSD)
-	cfg.Nodes = 32
-	s, now, waiters := randomBook(rng, cfg)
-	found := 0
-	for _, w := range waiters {
-		if n, _ := s.chooseVictims(w, now); n != nil {
-			found++
-		}
-	}
-	if found == 0 {
-		t.Fatal("no waiter had victims; the scan under test never ran to a choice")
-	}
-	if allocs := testing.AllocsPerRun(50, func() {
-		for _, w := range waiters {
-			s.chooseVictims(w, now)
-		}
-	}); allocs != 0 {
-		t.Errorf("steady-state chooseVictims allocated %v times per run, want 0", allocs)
+	for _, discipline := range []Discipline{DisciplinePriority, DisciplineFairShare, DisciplineCapacity} {
+		t.Run(discipline.String(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(3))
+			cfg := DefaultConfig(core.PolicyAdaptive, storage.SSD)
+			cfg.Nodes = 32
+			cfg.Discipline = discipline
+			s, now, waiters := randomBook(rng, cfg, everyLevel)
+			found := 0
+			for _, w := range waiters {
+				if n, _ := s.chooseVictims(w, now); n != nil {
+					found++
+				}
+			}
+			if found == 0 {
+				t.Fatal("no waiter had victims; the scan under test never ran to a choice")
+			}
+			if allocs := testing.AllocsPerRun(50, func() {
+				for _, w := range waiters {
+					s.chooseVictims(w, now)
+				}
+			}); allocs != 0 {
+				t.Errorf("steady-state chooseVictims allocated %v times per run, want 0", allocs)
+			}
+		})
 	}
 }
 
-// GIVEN a node's running set,
+// GIVEN a node's running set in either order — cost-aware or not — and
+// tasks whose priorities and chainless prices collide,
 // WHEN tasks are added and removed in any order, absent removals included,
-// THEN the set is exactly the ID-sorted list of the tasks present.
-func TestRunningSetStaysIDSorted(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	pool := make([]*taskRT, 64)
-	for i, id := range rng.Perm(len(pool)) {
-		pool[i] = &taskRT{spec: &cluster.TaskSpec{ID: cluster.TaskID{Job: cluster.JobID(id / 5), Index: int32(id % 5)}}}
-	}
-	n := &node{}
-	present := map[*taskRT]bool{}
-	for step := 0; step < 5000; step++ {
-		x := pool[rng.Intn(len(pool))]
-		if present[x] || rng.Intn(8) == 0 {
-			n.removeRunning(x)
-			delete(present, x)
-		} else {
-			n.addRunning(x)
-			present[x] = true
+// THEN the set is exactly the tasks present, sorted by evictsBefore.
+func TestRunningSetStaysInEvictionOrder(t *testing.T) {
+	for _, byCost := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(5))
+		pool := make([]*taskRT, 64)
+		for i, id := range rng.Perm(len(pool)) {
+			pool[i] = &taskRT{
+				spec: &cluster.TaskSpec{
+					ID:       cluster.TaskID{Job: cluster.JobID(id / 5), Index: int32(id % 5)},
+					Priority: cluster.Priority(rng.Intn(4)),
+				},
+				fixedCost: time.Duration(rng.Intn(3)) * time.Second,
+			}
 		}
-		want := make([]*taskRT, 0, len(present))
-		for p := range present {
-			want = append(want, p)
-		}
-		sort.Slice(want, func(i, j int) bool { return taskIDLess(want[i].spec.ID, want[j].spec.ID) })
-		if ids(n.running) != ids(want) {
-			t.Fatalf("step %d: running set %v, want %v", step, ids(n.running), ids(want))
+		n := &node{}
+		present := map[*taskRT]bool{}
+		for step := 0; step < 5000; step++ {
+			x := pool[rng.Intn(len(pool))]
+			if present[x] || rng.Intn(8) == 0 {
+				n.removeRunning(x)
+				delete(present, x)
+			} else {
+				n.addRunning(x, byCost)
+				present[x] = true
+			}
+			want := make([]*taskRT, 0, len(present))
+			for p := range present {
+				want = append(want, p)
+			}
+			sort.Slice(want, func(i, j int) bool { return evictsBefore(want[i], want[j], byCost) })
+			if ids(n.running) != ids(want) {
+				t.Fatalf("by cost %v, step %d: running set %v, want %v", byCost, step, ids(n.running), ids(want))
+			}
 		}
 	}
 }

@@ -1,8 +1,11 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"time"
 
@@ -67,10 +70,10 @@ type taskRT struct {
 	// resources and prevents issuing a second round of preemptions for
 	// the same waiter.
 	reservedOn *node
-	// phase, preCopying, failedOver and hasCheckpoint share one word: there
-	// is one taskRT per task and at 144 bytes it exactly fills an allocator
-	// size class, so a field that opened another word would cost every task
-	// 16 bytes (TestTaskRTStaysInItsSizeClass).
+	// phase, preCopying, failedOver, hasCheckpoint and chained share one
+	// word: there is one taskRT per task and at 144 bytes it exactly fills an
+	// allocator size class, so a field that opened another word would cost
+	// every task 16 bytes (TestTaskRTStaysInItsSizeClass).
 	phase taskPhase
 	// preCopying marks a running task whose state is being pre-dumped; it
 	// is not eligible as a further preemption victim until frozen.
@@ -80,6 +83,12 @@ type taskRT struct {
 	failedOver bool
 	// hasCheckpoint marks a task with a stored image chain.
 	hasCheckpoint bool
+	// chained marks a resident whose eviction cost moves with the clock: it
+	// has an image chain to extend, incremental dumps are on and eviction is
+	// cost-aware. seat sets it and unseat clears it; it cannot be worked out
+	// again on the way out, because vacate and finishTask change
+	// hasCheckpoint before the task leaves.
+	chained bool
 }
 
 // unsavedProgress is the compute a kill right now would lose.
@@ -115,9 +124,20 @@ func (t *taskRT) candidate(now sim.Time) core.Candidate {
 
 // jobRT tracks job-level aggregation.
 type jobRT struct {
-	spec      *cluster.JobSpec
+	spec *cluster.JobSpec
+	// user is the job's accounting tenant: its User, or "job-<id>" for an
+	// anonymous job, which is its own tenant.
+	user      string
 	remaining int
 	finish    sim.Time
+}
+
+func newJobRT(spec *cluster.JobSpec) *jobRT {
+	user := spec.User
+	if user == "" {
+		user = fmt.Sprintf("job-%d", spec.ID)
+	}
+	return &jobRT{spec: spec, user: user, remaining: len(spec.Tasks)}
 }
 
 // node is one simulated machine: its books (core.Ledger) plus what the
@@ -126,9 +146,12 @@ type node struct {
 	core.Ledger
 	id cluster.NodeID
 	// running holds every task occupying the node — running, checkpointing
-	// or restoring — in ascending task-ID order, so victim scans and failure
-	// fencing visit tasks in their deterministic order without sorting.
+	// or restoring — in eviction order (evictionOrder), so a victim scan
+	// takes a covering prefix and stops.
 	running []*taskRT
+	// chained counts the chained residents per priority: a level that holds
+	// one has no static order and is ranked at scan time.
+	chained [int(cluster.MaxPriority) + 1]uint16
 	// down marks a machine taken out by a seeded NodeFailure; it offers
 	// no capacity until (and unless) its recovery event fires.
 	down bool
@@ -158,35 +181,39 @@ func (n *node) touch() {
 	n.idx.set(int(n.id), avail.CPUMillis, avail.MemBytes)
 }
 
-// taskIDLess is the deterministic task order: job, then index.
-func taskIDLess(a, b cluster.TaskID) bool {
-	if a.Job != b.Job {
-		return a.Job < b.Job
-	}
-	return a.Index < b.Index
+// byTaskID is the deterministic task order: job, then index.
+func byTaskID(a, b *taskRT) int {
+	return cmp.Or(cmp.Compare(a.spec.ID.Job, b.spec.ID.Job), cmp.Compare(a.spec.ID.Index, b.spec.ID.Index))
 }
 
-// addRunning inserts t at its task-ID position, searching from the back:
-// placements arrive in roughly ascending ID order.
-func (n *node) addRunning(t *taskRT) {
-	i := len(n.running)
-	n.running = append(n.running, t)
-	for ; i > 0 && taskIDLess(t.spec.ID, n.running[i-1].spec.ID); i-- {
-		n.running[i] = n.running[i-1]
+// evictionOrder is the order a victim scan takes a node's residents in:
+// priority ascending, then — under cost-aware eviction (byCost) — fixedCost
+// ascending, then task ID. For a chainless resident the scan's cost is
+// fixedCost plus the node's queue delay, the same for every resident, so
+// this is the scan's (priority, cost, task ID) order without pricing
+// anyone. Both keys are fixed from seat to unseat.
+func evictionOrder(a, b *taskRT, byCost bool) int {
+	if c := cmp.Compare(a.spec.Priority, b.spec.Priority); c != 0 {
+		return c
 	}
-	n.running[i] = t
+	if byCost {
+		if c := cmp.Compare(a.fixedCost, b.fixedCost); c != 0 {
+			return c
+		}
+	}
+	return byTaskID(a, b)
+}
+
+// addRunning inserts t at its eviction-order position.
+func (n *node) addRunning(t *taskRT, byCost bool) {
+	i, _ := slices.BinarySearchFunc(n.running, t, func(r, t *taskRT) int { return evictionOrder(r, t, byCost) })
+	n.running = slices.Insert(n.running, i, t)
 }
 
 // removeRunning drops t from the set; an absent t is a no-op.
 func (n *node) removeRunning(t *taskRT) {
-	for i, r := range n.running {
-		if r == t {
-			last := len(n.running) - 1
-			copy(n.running[i:], n.running[i+1:])
-			n.running[last] = nil
-			n.running = n.running[:last]
-			return
-		}
+	if i := slices.Index(n.running, t); i >= 0 {
+		n.running = slices.Delete(n.running, i, i+1)
 	}
 }
 
@@ -283,15 +310,19 @@ type Simulator struct {
 	nodeIdx *nodeIndex
 	queue   pendingQueue
 	jobs    []*jobRT
+	// costAware is cost-aware eviction (Section 5.2.2): the adaptive policy
+	// without the naive-victim ablation.
+	costAware bool
 	// The scratch buffers below are reused across victim scans and
-	// scheduling passes so the hot loop stays allocation-free. candScratch
-	// and keyScratch describe the node being scanned — every preemptableOn
-	// overwrites the first, every node visit of chooseVictims the second;
+	// scheduling passes so the hot loop stays allocation-free. walkScratch
+	// and levelScratch describe the node being scanned — every node visit of
+	// chooseVictims overwrites the first, every ranked level the second;
 	// victimScratch holds the scan's incumbent victim set, which only
 	// chooseVictims writes, so it outlives later scans of other nodes and
-	// scoreCandidates' rescan under a Recorder.
+	// scoreCandidates' rescan under a Recorder, which uses candScratch.
 	candScratch   []*taskRT
-	keyScratch    core.VictimScratch
+	walkScratch   []*taskRT
+	levelScratch  []pricedTask
 	victimScratch []*taskRT
 	batchScratch  []*taskRT
 	failedScratch []cluster.Resources
@@ -316,14 +347,8 @@ type Simulator struct {
 	totalCap  cluster.Resources
 }
 
-// userOf returns the accounting tenant of a task; anonymous jobs are their
-// own tenant.
-func userOf(t *taskRT) string {
-	if t.spec.User != "" {
-		return t.spec.User
-	}
-	return fmt.Sprintf("job-%d", t.spec.ID.Job)
-}
+// userOf returns the accounting tenant of a task.
+func userOf(t *taskRT) string { return t.job.user }
 
 // account books an allocation (+1) or release (-1) of t's demand against
 // its user and band.
@@ -445,7 +470,7 @@ func Run(cfg Config, jobs []cluster.JobSpec) (*Result, error) {
 		if err := spec.Validate(); err != nil {
 			return nil, fmt.Errorf("sched: %w", err)
 		}
-		j := &jobRT{spec: spec, remaining: len(spec.Tasks)}
+		j := newJobRT(spec)
 		s.jobs = append(s.jobs, j)
 		for k := range spec.Tasks {
 			ts := &spec.Tasks[k]
@@ -485,6 +510,7 @@ func newSimulator(cfg Config) (*Simulator, error) {
 		cfg:       cfg,
 		jrn:       cfg.Recorder.Emitter("sched"),
 		engine:    sim.NewEngine(),
+		costAware: cfg.Policy == core.PolicyAdaptive && !cfg.NaiveVictimSelection,
 		userUsage: make(map[string]cluster.Resources),
 		totalCap:  cfg.NodeCapacity.Scale(float64(cfg.Nodes)),
 	}
@@ -656,14 +682,33 @@ func (s *Simulator) place(t *taskRT, now sim.Time) bool {
 
 // seat puts t on n — the node's books take its demand, its running set
 // takes t — and prices t's chainless checkpoint on n's device for the
-// victim scans that may meet it there.
+// victim scans that may meet it there. The price is part of t's key in the
+// running set, so it is set first.
 func (s *Simulator) seat(t *taskRT, n *node, now sim.Time) {
 	n.Alloc(now, t.spec.Demand)
 	n.touch()
 	s.account(t, +1)
-	n.addRunning(t)
 	t.node = n
 	t.fixedCost = n.Device.WriteTime(t.spec.MemFootprint) + n.Device.ReadTime(t.spec.MemFootprint)
+	t.chained = s.costAware && t.hasCheckpoint && !s.cfg.DisableIncremental
+	if t.chained {
+		n.chained[t.spec.Priority]++
+	}
+	n.addRunning(t, s.costAware)
+}
+
+// unseat undoes seat: the resources return and the running set drops t.
+func (s *Simulator) unseat(t *taskRT, now sim.Time) {
+	n := t.node
+	n.Release(now, t.spec.Demand)
+	n.touch()
+	s.account(t, -1)
+	n.removeRunning(t)
+	if t.chained {
+		n.chained[t.spec.Priority]--
+		t.chained = false
+	}
+	t.node = nil
 }
 
 // pickNode chooses a node with capacity for t. Checkpointed tasks prefer
@@ -780,17 +825,11 @@ func (s *Simulator) finishTask(t *taskRT, now sim.Time) {
 	s.requestSchedule(now)
 }
 
-// leave takes t off its node: the resources return, the books and the
-// node's running set drop it, and kind tells the Probe why.
+// leave takes t off its node, and kind tells the Probe why.
 func (s *Simulator) leave(t *taskRT, kind ProbeKind, now sim.Time) {
-	n := t.node
 	s.inFlight--
-	s.probe(kind, t.spec.ID, n.id, now)
-	n.Release(now, t.spec.Demand)
-	n.touch()
-	s.account(t, -1)
-	n.removeRunning(t)
-	t.node = nil
+	s.probe(kind, t.spec.ID, t.node.id, now)
+	s.unseat(t, now)
 }
 
 // preemptFor vacates lower-priority work for t. It reports whether any
@@ -812,18 +851,19 @@ func (s *Simulator) preemptFor(t *taskRT, now sim.Time) bool {
 }
 
 // chooseVictims finds a node where evicting discipline-eligible tasks
-// makes room for t, returning the victim set in eviction order. Under the
-// adaptive policy every eligible node is scored and the node and victims
-// with the lowest summed checkpoint cost win (cost-aware eviction);
-// otherwise costs are zero, which leaves a priority-ordered victim set, and
-// the first feasible node is taken, mirroring stock YARN. The returned
-// slice aliases victimScratch and is valid until the next call.
+// makes room for t, returning the victim set in eviction order. Under
+// cost-aware eviction every eligible node is scored and the node and
+// victims with the lowest summed checkpoint cost win, the first such node
+// on a tie; otherwise costs are zero, which leaves a priority-ordered
+// victim set, and the first feasible node is taken, mirroring stock YARN.
+// The returned slice aliases victimScratch and is valid until the next
+// call.
 func (s *Simulator) chooseVictims(t *taskRT, now sim.Time) (*node, []*taskRT) {
-	adaptive := s.cfg.Policy == core.PolicyAdaptive && !s.cfg.NaiveVictimSelection
 	var (
 		bestNode *node
-		bestCost time.Duration
+		bestCost = time.Duration(math.MaxInt64)
 		best     = s.victimScratch[:0]
+		walk     = s.walkScratch[:0]
 	)
 	// Under the priority discipline a node can only yield victims if some
 	// task with priority strictly below t's is running there; the per-node
@@ -841,51 +881,147 @@ func (s *Simulator) chooseVictims(t *taskRT, now sim.Time) (*node, []*taskRT) {
 		if maskable && n.prioMask&belowMask == 0 {
 			continue
 		}
-		cands := s.preemptableOn(n, t)
-		if len(cands) == 0 {
+		// need may stay negative in a dimension that is already free: the
+		// walk only asks whether what it frees covers it.
+		w := victimWalk{need: t.spec.Demand.Sub(n.availableFor(t)), victims: walk[:0], bound: bestCost}
+		s.walkNode(&w, n, t, maskable, now)
+		walk = w.victims
+		if !w.ok() {
 			continue
 		}
-		keys := s.keyScratch.Keys[:0]
-		q := n.Device.QueueDelay(now)
-		for _, v := range cands {
-			k := core.VictimKey{Priority: v.spec.Priority, Demand: v.spec.Demand}
-			if adaptive {
-				k.Cost = s.victimCost(v, q, now)
-			}
-			keys = append(keys, k)
-		}
-		s.keyScratch.Keys = keys
-		// Select only asks whether freed capacity covers need, so a
-		// dimension that is already free may stay negative.
-		idx, cost, ok := s.keyScratch.Select(t.spec.Demand.Sub(n.availableFor(t)))
-		if !ok {
-			continue
-		}
-		if bestNode == nil || cost < bestCost {
-			bestNode, bestCost = n, cost
-			best = best[:0]
-			for _, i := range idx {
-				best = append(best, cands[i])
-			}
-		}
-		if !adaptive {
+		bestNode, bestCost = n, w.cost
+		best, walk = walk, best
+		if !s.costAware {
 			break
 		}
 	}
-	s.victimScratch = best[:0]
+	s.victimScratch, s.walkScratch = best[:0], walk[:0]
 	return bestNode, best
 }
 
-// preemptableOn lists running tasks on n that t may evict under the
+// victimWalk takes a node's eligible residents, offered in eviction order,
+// until what they free covers need.
+type victimWalk struct {
+	need, freed cluster.Resources
+	victims     []*taskRT
+	cost        time.Duration
+	// bound is the incumbent's cost: the walk looks for a strictly cheaper
+	// victim set and stops once its victims cost as much.
+	bound time.Duration
+	// eligible records that the node has an eligible resident at all: a
+	// node with none yields no victim set, not even an empty one.
+	eligible bool
+}
+
+// offer hands the walk the next eligible resident and its cost, and
+// reports whether the walk is over: need was covered already, or the
+// victims so far cost the bound.
+func (w *victimWalk) offer(v *taskRT, cost time.Duration) bool {
+	w.eligible = true
+	if w.need.Fits(w.freed) {
+		return true
+	}
+	w.victims = append(w.victims, v)
+	w.freed = w.freed.Add(v.spec.Demand)
+	w.cost += cost
+	return w.cost >= w.bound
+}
+
+// ok reports whether the walk found a victim set that beats the bound. It
+// may be empty: need was covered before the first eligible resident.
+func (w *victimWalk) ok() bool {
+	return w.eligible && w.need.Fits(w.freed) && w.cost < w.bound
+}
+
+// walkNode offers w n's residents that t may evict, in the order the scan
+// takes them: priority ascending, then cost ascending, then task ID. The
+// running set is in that order except at levels holding a chained resident,
+// whose cost moves with the clock; walkNode ranks such a level at now
+// before offering it. Under the priority discipline (byPriority) nothing at
+// or above t's priority is eligible, so the walk stops there.
+func (s *Simulator) walkNode(w *victimWalk, n *node, t *taskRT, byPriority bool, now sim.Time) {
+	var q time.Duration
+	if s.costAware {
+		q = n.Device.QueueDelay(now)
+	}
+	run := n.running
+	for i := 0; i < len(run); i++ {
+		v := run[i]
+		p := v.spec.Priority
+		if byPriority && p >= t.spec.Priority {
+			return
+		}
+		if s.costAware && n.chained[p] > 0 {
+			end := i + 1
+			for end < len(run) && run[end].spec.Priority == p {
+				end++
+			}
+			for _, pv := range s.rankLevel(run[i:end], t, q, now) {
+				if w.offer(pv.t, pv.cost) {
+					return
+				}
+			}
+			i = end - 1
+			continue
+		}
+		if !s.mayEvict(t, v) {
+			continue
+		}
+		var cost time.Duration
+		if s.costAware {
+			cost = v.fixedCost + q
+		}
+		if w.offer(v, cost) {
+			return
+		}
+	}
+}
+
+// pricedTask is a resident with the cost a victim scan ranks it by.
+type pricedTask struct {
+	t    *taskRT
+	cost time.Duration
+}
+
+// rankLevel prices the residents of level — one priority's run of a
+// running set — that t may evict, at now with q the node's queue delay, and
+// returns them cost ascending, then by task ID. The slice aliases
+// levelScratch and is valid until the next call.
+func (s *Simulator) rankLevel(level []*taskRT, t *taskRT, q time.Duration, now sim.Time) []pricedTask {
+	out := s.levelScratch[:0]
+	for _, v := range level {
+		if !s.mayEvict(t, v) {
+			continue
+		}
+		pv := pricedTask{v, s.victimCost(v, q, now)}
+		j := len(out)
+		out = append(out, pv)
+		for ; j > 0 && cmp.Or(cmp.Compare(out[j-1].cost, pv.cost), byTaskID(out[j-1].t, v)) > 0; j-- {
+			out[j] = out[j-1]
+		}
+		out[j] = pv
+	}
+	s.levelScratch = out
+	return out
+}
+
+// mayEvict reports whether t may take v as a victim: v is running, not
+// mid pre-copy, and the active discipline allows it.
+func (s *Simulator) mayEvict(t, v *taskRT) bool {
+	return v.phase == phaseRunning && !v.preCopying && s.canPreempt(t, v)
+}
+
+// preemptableOn lists the running tasks on n that t may evict under the
 // active discipline, in task-ID order. The returned slice aliases
 // candScratch and is valid until the next call.
 func (s *Simulator) preemptableOn(n *node, t *taskRT) []*taskRT {
 	out := s.candScratch[:0]
 	for _, v := range n.running {
-		if v.phase == phaseRunning && !v.preCopying && s.canPreempt(t, v) {
+		if s.mayEvict(t, v) {
 			out = append(out, v)
 		}
 	}
+	slices.SortFunc(out, byTaskID)
 	s.candScratch = out[:0]
 	return out
 }

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -345,6 +346,15 @@ func TestConfigValidation(t *testing.T) {
 	big[0].Tasks[0].Demand.CPUMillis = cluster.Cores(99)
 	if _, err := Run(oneCoreConfig(core.PolicyKill, storage.SSD), big); err == nil {
 		t.Error("oversized task accepted")
+	}
+	// A task priority outside the pending queue's levels is an error naming
+	// the task, not an index panic in the queue.
+	for _, prio := range []cluster.Priority{-1, cluster.MaxPriority + 1} {
+		odd := twoJobScenario()
+		odd[1].Tasks[0].Priority = prio
+		if _, err := Run(oneCoreConfig(core.PolicyKill, storage.SSD), odd); err == nil || !strings.Contains(err.Error(), "task 1/0") {
+			t.Errorf("task priority %d: Run returned %v, want an error naming task 1/0", prio, err)
+		}
 	}
 }
 
