@@ -171,46 +171,64 @@ func DecidePreemption(policy Policy, c Candidate, dev *storage.Device, now sim.T
 	}
 }
 
-// VictimKey is what the eviction order reads of one preemption candidate.
-type VictimKey struct {
-	Priority cluster.Priority
-	// Cost is the estimated checkpoint overhead of evicting the candidate;
-	// a cost-blind caller leaves every Cost zero and gets pure priority
-	// order.
-	Cost time.Duration
-	// Demand is what evicting the candidate frees.
-	Demand cluster.Resources
+// SelectVictims implements cost-aware eviction (Section 5.2.2): each
+// candidate is scored once with CheckpointOverhead on the device devFor
+// maps it to — which is how per-node checkpoint queue depth influences
+// victim choice — then the candidates are taken by priority (lowest
+// first, so high-priority work is preempted last) and, within a priority,
+// by cost (cheapest first), ties in input order, until their combined
+// demand covers need. The victims come back in eviction order. The
+// boolean result is false when even preempting every candidate would not
+// free enough, in which case no victims are returned; a need that is
+// already covered returns no victims and true.
+func SelectVictims(cands []Candidate, need cluster.Resources, now sim.Time, devFor func(Candidate) *storage.Device) ([]Candidate, bool) {
+	vs := victimScratch{keys: make([]victimKey, len(cands))}
+	for i, c := range cands {
+		vs.keys[i] = victimKey{priority: c.Priority, cost: CheckpointOverhead(c, devFor(c), now), demand: c.Demand}
+	}
+	idx, _, ok := vs.pick(need)
+	if !ok || len(idx) == 0 {
+		return nil, ok
+	}
+	victims := make([]Candidate, len(idx))
+	for i, j := range idx {
+		victims[i] = cands[j]
+	}
+	return victims, true
 }
 
-// VictimScratch is the working memory of cost-aware eviction (Section
-// 5.2.2), owned by the caller and reused across calls so a victim scan
-// allocates nothing once warm. The caller truncates Keys, appends one key
-// per candidate in its tie-break order and calls Select.
-type VictimScratch struct {
-	Keys  []VictimKey
+// victimKey is what the eviction order reads of one candidate.
+type victimKey struct {
+	priority cluster.Priority
+	cost     time.Duration
+	demand   cluster.Resources
+}
+
+// victimScratch is SelectVictims's working memory; a warm one allocates
+// nothing.
+type victimScratch struct {
+	keys  []victimKey
 	order []int
 }
 
-// Select orders the candidates by priority (lowest first, so high-priority
-// work is preempted last) and, within a priority, by cost (cheapest
-// first), ties staying in Keys order, then takes candidates until their
-// combined demand covers need. It returns the chosen indices into Keys in
-// eviction order and their summed cost; ok is false, with no indices, when
-// even evicting every candidate would not cover need. The indices alias
-// the scratch and are valid until the next Select.
+// pick orders keys by (priority, cost), ties staying in keys order, and
+// takes the shortest prefix whose demand covers need. It returns the
+// chosen indices into keys in eviction order and their summed cost; ok is
+// false, with no indices, when no prefix covers need. The indices alias
+// the scratch and are valid until the next pick.
 //
 // The sort is a stable insertion sort: candidates are the tasks of one
 // node, a handful to a few dozen, where it beats a general stable sort
 // and needs no swap closure.
-func (vs *VictimScratch) Select(need cluster.Resources) (idx []int, cost time.Duration, ok bool) {
-	keys, order := vs.Keys, vs.order[:0]
+func (vs *victimScratch) pick(need cluster.Resources) (idx []int, cost time.Duration, ok bool) {
+	keys, order := vs.keys, vs.order[:0]
 	for i := range keys {
 		k := &keys[i]
 		j := len(order)
 		order = append(order, i)
 		for ; j > 0; j-- {
 			p := &keys[order[j-1]]
-			if p.Priority < k.Priority || p.Priority == k.Priority && p.Cost <= k.Cost {
+			if p.priority < k.priority || p.priority == k.priority && p.cost <= k.cost {
 				break
 			}
 			order[j] = order[j-1]
@@ -222,35 +240,13 @@ func (vs *VictimScratch) Select(need cluster.Resources) (idx []int, cost time.Du
 	n := 0
 	for ; n < len(order) && !need.Fits(freed); n++ {
 		k := &keys[order[n]]
-		freed = freed.Add(k.Demand)
-		cost += k.Cost
+		freed = freed.Add(k.demand)
+		cost += k.cost
 	}
 	if !need.Fits(freed) {
 		return nil, 0, false
 	}
 	return order[:n], cost, true
-}
-
-// SelectVictims is Select for a caller that holds Candidates and no
-// scratch: each candidate is scored once with CheckpointOverhead on the
-// device devFor maps it to — which is how per-node checkpoint queue depth
-// influences victim choice — and the chosen candidates come back in
-// eviction order. The boolean result is false when even preempting every
-// candidate would not free enough, in which case no victims are returned.
-func SelectVictims(cands []Candidate, need cluster.Resources, now sim.Time, devFor func(Candidate) *storage.Device) ([]Candidate, bool) {
-	vs := VictimScratch{Keys: make([]VictimKey, len(cands))}
-	for i, c := range cands {
-		vs.Keys[i] = VictimKey{Priority: c.Priority, Cost: CheckpointOverhead(c, devFor(c), now), Demand: c.Demand}
-	}
-	idx, _, ok := vs.Select(need)
-	if !ok || len(idx) == 0 {
-		return nil, ok
-	}
-	victims := make([]Candidate, len(idx))
-	for i, j := range idx {
-		victims[i] = cands[j]
-	}
-	return victims, true
 }
 
 // RestorePlacement is the outcome of Algorithm 2.

@@ -52,13 +52,13 @@ func referenceSelectVictims(cands []Candidate, need cluster.Resources, now sim.T
 // GIVEN any candidate set — equal costs, equal priorities, one device or
 // several with different queue depths — and any need, zero and uncoverable
 // included,
-// WHEN SelectVictims and VictimScratch.Select choose victims,
+// WHEN SelectVictims and a reused victimScratch choose victims,
 // THEN both return exactly the reference's victims in the reference's
-// order (nil for nil), and Select's cost is the sum of the chosen
+// order (nil for nil), and pick's cost is the sum of the chosen
 // candidates' CheckpointOverhead.
 func TestSelectVictimsMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
-	var vs VictimScratch // reused across rounds, as a scheduler would
+	var vs victimScratch // reused across rounds
 	for round := 0; round < 3000; round++ {
 		now := sim.Time(rng.Int63n(int64(time.Hour)))
 		devs := []*storage.Device{storage.NewDevice(storage.SSD), storage.NewDevice(storage.HDD)}
@@ -102,13 +102,13 @@ func TestSelectVictimsMatchesReference(t *testing.T) {
 			t.Fatalf("round %d: SelectVictims = %v, %v; reference %v, %v", round, got, gotOK, want, wantOK)
 		}
 
-		vs.Keys = vs.Keys[:0]
+		vs.keys = vs.keys[:0]
 		for _, c := range cands {
-			vs.Keys = append(vs.Keys, VictimKey{Priority: c.Priority, Cost: CheckpointOverhead(c, devFor(c), now), Demand: c.Demand})
+			vs.keys = append(vs.keys, victimKey{priority: c.Priority, cost: CheckpointOverhead(c, devFor(c), now), demand: c.Demand})
 		}
-		idx, cost, ok := vs.Select(need)
+		idx, cost, ok := vs.pick(need)
 		if ok != wantOK || len(idx) != len(want) {
-			t.Fatalf("round %d: Select = %v, %v; reference %v, %v", round, idx, ok, want, wantOK)
+			t.Fatalf("round %d: pick = %v, %v; reference %v, %v", round, idx, ok, want, wantOK)
 		}
 		var wantCost time.Duration
 		for i, j := range idx {
@@ -124,30 +124,30 @@ func TestSelectVictimsMatchesReference(t *testing.T) {
 }
 
 // GIVEN a warm scratch,
-// WHEN Select runs again over a candidate set no larger than one it has
+// WHEN pick runs again over a candidate set no larger than one it has
 // already seen,
 // THEN it allocates nothing.
 func TestSelectAllocatesNothingWhenWarm(t *testing.T) {
-	var vs VictimScratch
+	var vs victimScratch
 	fill := func() {
-		vs.Keys = vs.Keys[:0]
+		vs.keys = vs.keys[:0]
 		for i := 0; i < 24; i++ {
-			vs.Keys = append(vs.Keys, VictimKey{
-				Priority: cluster.Priority(i % 3 * 5),
-				Cost:     time.Duration(i*7%11) * time.Second,
-				Demand:   cluster.Resources{CPUMillis: 1000, MemBytes: cluster.GiB(4)},
+			vs.keys = append(vs.keys, victimKey{
+				priority: cluster.Priority(i % 3 * 5),
+				cost:     time.Duration(i*7%11) * time.Second,
+				demand:   cluster.Resources{CPUMillis: 1000, MemBytes: cluster.GiB(4)},
 			})
 		}
 	}
 	need := cluster.Resources{CPUMillis: 4000, MemBytes: cluster.GiB(16)}
 	fill()
-	vs.Select(need)
+	vs.pick(need)
 	if allocs := testing.AllocsPerRun(100, func() {
 		fill()
-		if _, _, ok := vs.Select(need); !ok {
+		if _, _, ok := vs.pick(need); !ok {
 			t.Fatal("need not covered")
 		}
 	}); allocs != 0 {
-		t.Errorf("warm Select allocated %v times per run, want 0", allocs)
+		t.Errorf("warm pick allocated %v times per run, want 0", allocs)
 	}
 }

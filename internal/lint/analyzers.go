@@ -9,10 +9,7 @@ func All() []*Analyzer {
 		LockIO,
 		MetricName,
 		CtxLeak,
-		FaultPlan,
-		DecisionLog,
 		MapIter,
-		SliceShare,
 		RandSrc,
 		FloatOrder,
 	}

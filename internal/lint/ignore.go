@@ -159,14 +159,16 @@ func (idx *ignoreIndex) suppressed(d Diagnostic) bool {
 	return hit
 }
 
-// staleDirectives returns a diagnostic for every well-formed directive
-// that suppressed nothing in this run even though every analyzer it
-// names was executed: the finding it excused has been fixed or has
-// moved, and an ignore that suppresses nothing is a latent hole the
-// next real finding will fall through silently. Directives naming an
-// analyzer outside the run set are left alone — a partial run cannot
-// judge them.
-func (idx *ignoreIndex) staleDirectives(ran map[string]bool) []Diagnostic {
+// staleDirectives returns a diagnostic for every directive that names an
+// analyzer the suite does not have (misspelled, or retired: it can never
+// suppress anything, so no run would ever judge it), and for every
+// well-formed directive that suppressed nothing in this run even though
+// every analyzer it names was executed: the finding it excused has been
+// fixed or has moved, and an ignore that suppresses nothing is a latent
+// hole the next real finding will fall through silently. Directives
+// naming a known analyzer outside the run set are left alone — a partial
+// run cannot judge them.
+func (idx *ignoreIndex) staleDirectives(known, ran map[string]bool) []Diagnostic {
 	files := make([]string, 0, len(idx.byFile))
 	for f := range idx.byFile {
 		files = append(files, f)
@@ -177,24 +179,25 @@ func (idx *ignoreIndex) staleDirectives(ran map[string]bool) []Diagnostic {
 		dirs := idx.byFile[f]
 		for i := range dirs {
 			dir := &dirs[i]
-			if dir.hits > 0 {
-				continue
-			}
-			judgeable := true
+			var unknown []string
+			stale := dir.hits == 0
 			for name := range dir.analyzers {
-				if !ran[name] {
-					judgeable = false
-					break
+				if !known[name] {
+					unknown = append(unknown, name)
 				}
+				stale = stale && ran[name]
 			}
-			if !judgeable {
+			var msg string
+			switch {
+			case len(unknown) > 0:
+				sort.Strings(unknown)
+				msg = "//lint:ignore names unknown analyzer " + strings.Join(unknown, ",") + ": fix the name or delete the directive"
+			case stale:
+				msg = "stale //lint:ignore directive: it suppresses no current finding — delete it, or re-point it at the line it excuses"
+			default:
 				continue
 			}
-			out = append(out, Diagnostic{
-				Analyzer: "lint",
-				Pos:      dir.pos,
-				Message:  "stale //lint:ignore directive: it suppresses no current finding — delete it, or re-point it at the line it excuses",
-			})
+			out = append(out, Diagnostic{Analyzer: "lint", Pos: dir.pos, Message: msg})
 		}
 	}
 	return out

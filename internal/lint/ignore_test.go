@@ -94,6 +94,45 @@ func TestIgnoreSentry(t *testing.T) {
 	}
 }
 
+// runUnknown lints testdata/src/ignore/unknown with sentinelerr alone: a
+// partial run, so neither of its directives names an analyzer that ran.
+func runUnknown(t *testing.T) []Diagnostic {
+	t.Helper()
+	diags, err := Run(loadTestdata(t, []tdPkg{{"ignore/unknown", "ignoretest/unknown"}}), []*Analyzer{SentinelErr})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	return diags
+}
+
+// TestIgnoreUnknownAnalyzerReported: a directive naming an analyzer the
+// suite does not have is reported even by a partial run, since no run
+// could ever judge it.
+func TestIgnoreUnknownAnalyzerReported(t *testing.T) {
+	var unknown []Diagnostic
+	for _, d := range runUnknown(t) {
+		if d.Analyzer == "lint" && strings.Contains(d.Message, "unknown analyzer metricnmae") {
+			unknown = append(unknown, d)
+		}
+	}
+	if len(unknown) != 1 {
+		t.Fatalf("unknown-analyzer diagnostics = %d, want 1", len(unknown))
+	}
+	if src := sourceLine(t, unknown[0].Pos.Filename, unknown[0].Pos.Line); !strings.Contains(src, "//lint:ignore metricnmae") {
+		t.Errorf("unknown-analyzer diagnostic points at %q, want the misspelled directive", src)
+	}
+}
+
+// TestIgnoreKnownAnalyzerOutsideRunLeftAlone: a directive naming a real
+// analyzer that did not run stays unjudged.
+func TestIgnoreKnownAnalyzerOutsideRunLeftAlone(t *testing.T) {
+	for _, d := range runUnknown(t) {
+		if src := sourceLine(t, d.Pos.Filename, d.Pos.Line); strings.Contains(src, "//lint:ignore vclock") {
+			t.Errorf("a partial run judged a directive for an analyzer it did not execute: %s", d)
+		}
+	}
+}
+
 // TestIgnoreSuppressedLinesAbsent is the structural counterpart: no
 // diagnostic surviving Run may be one the ignore index considers
 // suppressed.

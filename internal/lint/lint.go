@@ -4,10 +4,10 @@
 // are matched with errors.Is (wire-decoded errors arrive wrapped), mutexes
 // are not held across Transport/Store/network I/O, metric names are
 // registered dot-separated constants, goroutines in the long-running
-// layers have a cancellation path, fault plans stay physically
-// meaningful (probabilities in [0,1], seeds not derived from wall clock),
-// and every Algorithm 1 verdict taken in the scheduler layers is
-// journaled into the decision-provenance flight recorder.
+// layers have a cancellation path, and map order, the global random
+// source, wall-clock seeds and float addend order never reach a
+// deterministic artifact. An invariant that a tier-1 test or a runtime
+// validation already fails on has no analyzer here (DESIGN.md §10).
 //
 // The framework mirrors the shape of golang.org/x/tools/go/analysis —
 // Analyzer, Pass, Diagnostic — but is built entirely on the standard
@@ -149,11 +149,7 @@ func Run(units []*Unit, analyzers []*Analyzer) ([]Diagnostic, error) {
 		}
 	}
 	kept = append(kept, idx.malformed...)
-	ran := make(map[string]bool, len(analyzers))
-	for _, a := range analyzers {
-		ran[a.Name] = true
-	}
-	kept = append(kept, idx.staleDirectives(ran)...)
+	kept = append(kept, idx.staleDirectives(nameSet(All()), nameSet(analyzers))...)
 
 	sort.Slice(kept, func(i, j int) bool {
 		a, b := kept[i], kept[j]
@@ -169,6 +165,15 @@ func Run(units []*Unit, analyzers []*Analyzer) ([]Diagnostic, error) {
 		return a.Analyzer < b.Analyzer
 	})
 	return kept, nil
+}
+
+// nameSet is the set of the analyzers' names.
+func nameSet(analyzers []*Analyzer) map[string]bool {
+	set := make(map[string]bool, len(analyzers))
+	for _, a := range analyzers {
+		set[a.Name] = true
+	}
+	return set
 }
 
 // Names returns the analyzer names joined for usage strings.

@@ -27,6 +27,17 @@ func nested() *rand.Rand {
 	return rand.New(rand.NewSource(time.Now().UnixNano())) // want "a wall-clock seed cannot be recorded and replayed"
 }
 
+// spec carries a seed the way faults.Plan and density.Spec do.
+type spec struct{ Seed int64 }
+
+// specs sets a Seed field from the wall clock, in a composite literal
+// and by assignment: both flagged.
+func specs() spec {
+	s := spec{Seed: time.Now().UnixNano()} // want "Seed derived from time.Now"
+	s.Seed = time.Now().UnixNano()         // want "Seed derived from time.Now"
+	return s
+}
+
 // seeded threads an explicit fixed-seed source and draws through its
 // methods: the sanctioned pattern.
 func seeded(seed int64) int {
