@@ -6,12 +6,19 @@
 // workload. All simulator layers (trace-driven scheduler, mini-YARN
 // framework, storage devices) share one engine so that cross-component
 // causality is globally ordered.
+//
+// Because nothing may be scheduled before the clock, the queue is a
+// monotone priority queue, kept as a radix heap (eventQueue): an event
+// costs a few constant-time bucket moves instead of a sift through every
+// pending one. Cancel is lazy: it marks the timer, and the queue drops the
+// entry when it reaches it or when stopped entries outnumber live ones.
 package sim
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 )
 
@@ -28,9 +35,7 @@ type Handler func(now Time)
 // fires; cancelling an already-fired or already-cancelled timer is a no-op.
 type Timer struct {
 	at      Time
-	seq     uint64
 	fn      Handler
-	index   int // position in the heap, -1 once removed
 	stopped bool
 	// pooled marks records allocated from the engine's free list via
 	// At/After. No handle to a pooled timer ever escapes, so the engine
@@ -49,7 +54,7 @@ func (t *Timer) Stopped() bool { return t.stopped }
 type Engine struct {
 	now     Time
 	queue   eventQueue
-	seq     uint64
+	live    int // queued timers not yet stopped
 	running bool
 	fired   uint64
 	// free recycles the records of fired no-handle timers. Its length is
@@ -70,7 +75,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns the number of events that are scheduled and not cancelled.
-func (e *Engine) Pending() int { return len(e.queue) }
+func (e *Engine) Pending() int { return e.live }
 
 // ErrPast is returned by ScheduleAt when the requested instant is earlier
 // than the current virtual time.
@@ -87,9 +92,9 @@ func (e *Engine) ScheduleAt(at Time, fn Handler) *Timer {
 	if fn == nil {
 		panic("sim: nil handler")
 	}
-	t := &Timer{at: at, seq: e.seq, fn: fn}
-	e.seq++
-	e.queue.push(t)
+	t := &Timer{at: at, fn: fn}
+	e.queue.push(at, t)
+	e.live++
 	return t
 }
 
@@ -127,9 +132,9 @@ func (e *Engine) At(at Time, fn Handler) {
 	} else {
 		t = &Timer{}
 	}
-	t.at, t.seq, t.fn, t.pooled = at, e.seq, fn, true
-	e.seq++
-	e.queue.push(t)
+	t.at, t.fn, t.pooled = at, fn, true
+	e.queue.push(at, t)
+	e.live++
 }
 
 // After registers fn to run after delay d (>= 0) without returning a
@@ -138,15 +143,22 @@ func (e *Engine) After(d time.Duration, fn Handler) {
 	e.At(e.in(d), fn)
 }
 
-// Cancel removes a pending timer. It is safe to call for timers that have
+// Cancel stops a pending timer. It is safe to call for timers that have
 // already fired or been cancelled.
+//
+// The queue entry stays until Step reaches it, unless stopped entries now
+// outnumber live ones and fill at least a chunk: then one sweep drops them
+// all, so schedule/cancel churn keeps at most 2·Pending()+chunkLen entries
+// queued. When nothing live is left the sweep also puts the queue's base
+// back at the clock, so draining stopped entries never carries it past now.
 func (e *Engine) Cancel(t *Timer) {
 	if t == nil || t.stopped {
 		return
 	}
 	t.stopped = true
-	if t.index >= 0 {
-		e.queue.remove(t.index)
+	e.live--
+	if stale := e.queue.n - e.live; e.live == 0 || stale > e.live && stale >= chunkLen {
+		e.queue.sweep(e.now)
 	}
 }
 
@@ -164,20 +176,32 @@ func (e *Engine) release(t *Timer) {
 // Step fires the single earliest pending event. It reports false when the
 // queue is empty.
 func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
-		t := e.queue.pop()
+	return e.step(Time(math.MaxInt64))
+}
+
+// step fires the earliest pending event if it is due by deadline, dropping
+// the stopped entries ahead of it, and reports whether one fired.
+func (e *Engine) step(deadline Time) bool {
+	for e.live > 0 {
+		at, t := e.queue.pop(deadline)
+		if t == nil {
+			return false
+		}
 		if t.stopped {
-			e.release(t)
-			continue
+			continue // cancelled through its handle, so never pooled
 		}
 		t.stopped = true
-		at, fn := t.at, t.fn
+		fn := t.fn
 		// Recycle before invoking: t is fully consumed, and fn may itself
 		// schedule (and want to reuse) pooled records.
 		e.release(t)
+		e.live--
 		e.now = at
+		if e.live == 0 && e.queue.n > 0 {
+			e.queue.sweep(at)
+		}
 		e.fired++
-		fn(e.now)
+		fn(at)
 		return true
 	}
 	return false
@@ -199,16 +223,7 @@ func (e *Engine) RunUntil(deadline Time) Time {
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	for len(e.queue) > 0 {
-		next := e.queue[0]
-		if next.stopped {
-			e.release(e.queue.pop())
-			continue
-		}
-		if next.at > deadline {
-			break
-		}
-		e.Step()
+	for e.step(deadline) {
 	}
 	if deadline != Time(math.MaxInt64) && e.now < deadline {
 		e.now = deadline
@@ -216,105 +231,176 @@ func (e *Engine) RunUntil(deadline Time) Time {
 	return e.now
 }
 
-// eventQueue is an indexed binary min-heap of timers ordered by (time,
-// sequence). It is hand-specialized rather than built on container/heap:
-// the (at, seq) key is a total order, so any correct heap pops events in
-// exactly the same sequence, and skipping the interface-dispatch
-// Less/Swap round trips roughly halves the per-event queue cost (see
-// BenchmarkEngine* deltas in DESIGN.md §16).
-type eventQueue []*Timer
-
-// before is the strict (at, seq) ordering.
-func before(a, b *Timer) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+// eventQueue is a monotone radix heap (Ahuja, Mehlhorn, Orlin and Tarjan,
+// 1990) of timers keyed by their instant. It relies on two facts: no key is
+// ever below base, the key last taken as the minimum, and base never passes
+// the engine's clock, so every instant ScheduleAt accepts is a valid key.
+//
+// Bucket i holds the entries whose highest bit differing from base is bit
+// i-1 (bucket 0: key == base). Instants are never negative, so 64 buckets
+// cover every key and one word of occupancy bits finds the lowest in one
+// instruction. When bucket 0 is empty, pop refills it from the lowest
+// occupied bucket: base moves up to that bucket's tracked minimum and its
+// entries spread into the buckets below it, so an entry moves at most once
+// per bucket.
+//
+// Ties keep scheduling order without comparing anything: an entry's bucket
+// depends only on its key and base, so equal keys always share a bucket;
+// push appends, a refill moves a bucket front to back into buckets that are
+// empty (every bucket below the lowest occupied one is), and a sweep keeps
+// order. So every bucket, and bucket 0 in particular, is in scheduling order
+// — the (at, seq) order the retired binary heap compared on.
+type eventQueue struct {
+	base    Time
+	mask    uint64 // bit i set while bucket i holds entries
+	n       int    // entries queued, stopped ones included
+	buckets [64]bucket
+	free    *chunk // emptied chunks, linked through next
 }
 
-func (q *eventQueue) push(t *Timer) {
-	h := *q
-	t.index = len(h)
-	h = append(h, t)
-	*q = h
-	h.siftUp(t.index)
+// chunkLen entries of 16 bytes and a link fill a 1 KiB size class.
+const chunkLen = 63
+
+// entry carries the key beside the timer, so a refill reads only chunks.
+type entry struct {
+	at Time
+	t  *Timer
 }
 
-func (q *eventQueue) pop() *Timer {
-	h := *q
-	t := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[0].index = 0
-	h[n] = nil
-	h = h[:n]
-	*q = h
-	if n > 1 {
-		h.siftDown(0)
-	}
-	t.index = -1
-	return t
+type chunk struct {
+	e    [chunkLen]entry
+	next *chunk
 }
 
-// remove deletes the timer at heap position i (Cancel's path).
-func (q *eventQueue) remove(i int) {
-	h := *q
-	n := len(h) - 1
-	t := h[i]
-	if i != n {
-		h[i] = h[n]
-		h[i].index = i
-	}
-	h[n] = nil
-	h = h[:n]
-	*q = h
-	if i < n {
-		if !h.siftUp(i) {
-			h.siftDown(i)
-		}
-	}
-	t.index = -1
+// bucket is a FIFO of chunks: entries head.e[r:] through tail.e[:w], the
+// least of whose keys is min.
+type bucket struct {
+	head, tail *chunk
+	r, w       int
+	min        Time
 }
 
-// siftUp restores the heap invariant upward from i, reporting whether the
-// element moved.
-func (q eventQueue) siftUp(i int) bool {
-	t := q[i]
-	moved := false
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !before(t, q[parent]) {
-			break
-		}
-		q[i] = q[parent]
-		q[i].index = i
-		i = parent
-		moved = true
-	}
-	q[i] = t
-	t.index = i
-	return moved
+func (q *eventQueue) push(at Time, t *Timer) {
+	q.add(bits.Len64(uint64(at^q.base)), at, t)
+	q.n++
 }
 
-// siftDown restores the heap invariant downward from i.
-func (q eventQueue) siftDown(i int) {
-	t := q[i]
-	n := len(q)
-	for {
-		kid := 2*i + 1
-		if kid >= n {
-			break
+// add appends an entry to bucket b.
+func (q *eventQueue) add(b int, at Time, t *Timer) {
+	k := &q.buckets[b]
+	if k.tail == nil {
+		c := q.chunk()
+		*k = bucket{head: c, tail: c, min: at}
+		q.mask |= 1 << b
+	} else {
+		if k.w == chunkLen {
+			c := q.chunk()
+			k.tail.next = c
+			k.tail, k.w = c, 0
 		}
-		if r := kid + 1; r < n && before(q[r], q[kid]) {
-			kid = r
-		}
-		if !before(q[kid], t) {
-			break
-		}
-		q[i] = q[kid]
-		q[i].index = i
-		i = kid
+		k.min = min(k.min, at)
 	}
-	q[i] = t
-	t.index = i
+	k.tail.e[k.w] = entry{at, t}
+	k.w++
+}
+
+// pop removes and returns the earliest entry if its key is <= deadline, and
+// a nil timer otherwise. It refills only for an entry it is about to take:
+// a refill moves base up to that entry's key, which may be later than the
+// clock if the entry is not taken.
+func (q *eventQueue) pop(deadline Time) (Time, *Timer) {
+	if q.mask&1 == 0 {
+		if q.mask == 0 {
+			return 0, nil
+		}
+		b := bits.TrailingZeros64(q.mask)
+		if q.buckets[b].min > deadline {
+			return 0, nil
+		}
+		q.refill(b)
+	} else if q.base > deadline {
+		return 0, nil
+	}
+	k := &q.buckets[0]
+	c := k.head
+	x := c.e[k.r]
+	c.e[k.r].t = nil
+	k.r++
+	if c == k.tail && k.r == k.w {
+		*k = bucket{}
+		q.mask &^= 1
+		q.put(c)
+	} else if k.r == chunkLen {
+		k.head, k.r = c.next, 0
+		q.put(c)
+	}
+	q.n--
+	return x.at, x.t
+}
+
+// refill empties bucket b > 0, the lowest occupied one, into the buckets
+// below it around its minimum as the new base.
+func (q *eventQueue) refill(b int) {
+	k := q.buckets[b]
+	q.buckets[b] = bucket{}
+	q.mask &^= 1 << b
+	q.base = k.min
+	q.drain(k, func(x entry) {
+		q.add(bits.Len64(uint64(x.at^q.base)), x.at, x.t)
+	})
+}
+
+// sweep drops every stopped entry, keeping the order of the rest. If none
+// is left, base returns to now, the engine's clock.
+func (q *eventQueue) sweep(now Time) {
+	for m := q.mask; m != 0; m &= m - 1 {
+		b := bits.TrailingZeros64(m)
+		k := q.buckets[b]
+		q.buckets[b] = bucket{}
+		q.mask &^= 1 << b
+		q.drain(k, func(x entry) {
+			if x.t.stopped {
+				q.n--
+			} else {
+				q.add(b, x.at, x.t)
+			}
+		})
+	}
+	if q.n == 0 {
+		q.base = now
+	}
+}
+
+// drain passes the entries of a detached bucket to fn in order, returning
+// each chunk to the free list once read. fn may add to any bucket.
+func (q *eventQueue) drain(k bucket, fn func(entry)) {
+	for c, lo := k.head, k.r; c != nil; lo = 0 {
+		hi := chunkLen
+		if c == k.tail {
+			hi = k.w
+		}
+		for _, x := range c.e[lo:hi] {
+			fn(x)
+		}
+		clear(c.e[lo:hi])
+		next := c.next
+		q.put(c)
+		c = next
+	}
+}
+
+// chunk takes an empty chunk off the free list, or makes one.
+func (q *eventQueue) chunk() *chunk {
+	c := q.free
+	if c == nil {
+		return new(chunk)
+	}
+	q.free, c.next = c.next, nil
+	return c
+}
+
+// put lists a chunk whose entries hold no timers any more.
+func (q *eventQueue) put(c *chunk) {
+	c.next = q.free
+	q.free = c
 }

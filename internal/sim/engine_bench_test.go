@@ -25,7 +25,7 @@ func BenchmarkEngineChurn(b *testing.B) {
 }
 
 // BenchmarkEngineHeap measures scheduling N future events and draining
-// them — the heap's push/pop cost.
+// them — the event queue's push/pop cost.
 func BenchmarkEngineHeap(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()

@@ -63,7 +63,12 @@ func ReadCSVGz(r io.Reader) ([]Event, error) {
 	return events, nil
 }
 
-// ReadCSV parses a trace written by WriteCSV.
+// csvBits is each column's integer width: the task index is an int32.
+var csvBits = [7]int{64, 64, 64, 32, 64, 64, 64}
+
+// ReadCSV parses a trace written by WriteCSV. It rejects, with the line and
+// field, a number that does not fit its column and an event type, priority
+// or latency class outside its range, so that Analyze can index by them.
 func ReadCSV(r io.Reader) ([]Event, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -87,11 +92,24 @@ func ReadCSV(r io.Reader) ([]Event, error) {
 		}
 		nums := make([]int64, 7)
 		for i, f := range fields {
-			v, err := strconv.ParseInt(f, 10, 64)
+			v, err := strconv.ParseInt(f, 10, csvBits[i])
 			if err != nil {
 				return nil, fmt.Errorf("trace: line %d field %d: %w", line, i+1, err)
 			}
 			nums[i] = v
+		}
+		for _, c := range [...]struct {
+			field   int
+			what    string
+			lo, top int64
+		}{
+			{2, "event type", int64(Submit), int64(Finish)},
+			{5, "priority", int64(cluster.MinPriority), int64(cluster.MaxPriority)},
+			{6, "latency class", 0, cluster.NumLatencyClasses - 1},
+		} {
+			if v := nums[c.field-1]; v < c.lo || v > c.top {
+				return nil, fmt.Errorf("trace: line %d field %d: %s %d outside [%d, %d]", line, c.field, c.what, v, c.lo, c.top)
+			}
 		}
 		events = append(events, Event{
 			Time:     time.Duration(nums[0]),

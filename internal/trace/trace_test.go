@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -200,19 +201,66 @@ func TestReadCSVGzRejectsPlain(t *testing.T) {
 
 func TestReadCSVErrors(t *testing.T) {
 	tests := []struct {
-		name, in string
+		name, in, where string
 	}{
-		{"bad header", "nope\n"},
-		{"short row", csvHeader + "\n1,2,3\n"},
-		{"bad number", csvHeader + "\n1,2,3,4,5,6,x\n"},
+		{"bad header", "nope\n", "line 1"},
+		{"short row", csvHeader + "\n1,2,3\n", "line 2"},
+		{"bad number", csvHeader + "\n1,2,3,4,5,2,x\n", "line 2 field 7"},
+		// Each of these was read back and then panicked Analyze, or named
+		// another task.
+		{"event type 0", csvHeader + "\n1,0,3,4,5,2,7\n", "line 2 field 2"},
+		{"index past int32", csvHeader + "\n1,2,3,4294967297,5,2,7\n", "line 2 field 4"},
+		{"priority 12", csvHeader + "\n1,3,3,4,12,2,7\n", "line 2 field 5"},
+		{"priority -1", csvHeader + "\n1,3,3,4,-1,2,7\n", "line 2 field 5"},
+		{"latency 9", csvHeader + "\n1,2,3,4,5,9,7\n", "line 2 field 6"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := ReadCSV(bytes.NewBufferString(tt.in)); err == nil {
-				t.Error("malformed CSV accepted")
+			_, err := ReadCSV(bytes.NewBufferString(tt.in))
+			if err == nil || !strings.Contains(err.Error(), tt.where+":") {
+				t.Errorf("ReadCSV error %v, want one naming %q", err, tt.where)
 			}
 		})
 	}
+}
+
+// FuzzReadCSV: whatever ReadCSV accepts, WriteCSV writes back to bytes that
+// read as the same events, and Analyze takes without panicking.
+func FuzzReadCSV(f *testing.F) {
+	events, err := Generate(GenConfig{Seed: 3, Tasks: 12, Duration: 48 * time.Hour})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteCSV(&buf, events); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte(csvHeader + "\n1,3,3,4294967297,11,3,7\n"))
+	f.Add([]byte(csvHeader + "\n-5,3,-1,-2,0,0,-7\n\n"))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		events, err := ReadCSV(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := WriteCSV(&out, events); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadCSV(&out)
+		if err != nil {
+			t.Fatalf("written trace does not read back: %v", err)
+		}
+		if len(back) != len(events) {
+			t.Fatalf("read back %d events, wrote %d", len(back), len(events))
+		}
+		for i := range events {
+			if back[i] != events[i] {
+				t.Fatalf("event %d: read back %+v, wrote %+v", i, back[i], events[i])
+			}
+		}
+		Analyze(events)
+	})
 }
 
 func TestGenerateJobsValidation(t *testing.T) {
