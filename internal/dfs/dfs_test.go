@@ -12,7 +12,7 @@ import (
 	"preemptsched/internal/storage"
 )
 
-func testCluster(t *testing.T, nodes, replication int) *Cluster {
+func testCluster(t testing.TB, nodes, replication int) *Cluster {
 	t.Helper()
 	c, err := NewCluster(nodes, replication)
 	if err != nil {
@@ -21,7 +21,7 @@ func testCluster(t *testing.T, nodes, replication int) *Cluster {
 	return c
 }
 
-func writeFile(t *testing.T, s storage.Store, name string, data []byte) {
+func writeFile(t testing.TB, s storage.Store, name string, data []byte) {
 	t.Helper()
 	w, err := s.Create(name)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -69,6 +70,28 @@ type journalFile struct {
 type fsimageData struct {
 	NextBlock BlockID
 	Files     []journalFile
+}
+
+// consistent reports whether img could have been written by
+// saveCheckpointLocked: NextBlock is positive, and every block ID it lists
+// is positive, below NextBlock and listed once. Recovery trusts NextBlock
+// as the next ID to hand out, so an image that fails this would reissue a
+// live block; it is treated as corrupt, like one that fails its CRC or does
+// not decode.
+func (img *fsimageData) consistent() bool {
+	if img.NextBlock < 1 {
+		return false
+	}
+	seen := make(map[BlockID]bool)
+	for _, f := range img.Files {
+		for _, id := range f.Blocks {
+			if id < 1 || id >= img.NextBlock || seen[id] {
+				return false
+			}
+			seen[id] = true
+		}
+	}
+	return true
 }
 
 // Journal appends edit records and fsimage snapshots to a store. All
@@ -174,7 +197,7 @@ func (j *Journal) recoverInto(n *NameNode) (int, error) {
 			continue
 		}
 		var img fsimageData
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&img); err != nil {
+		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&img); err != nil || !img.consistent() {
 			continue
 		}
 		n.nextBlock = img.NextBlock
@@ -244,10 +267,14 @@ func (n *NameNode) applyEditLocked(rec editRecord) error {
 		if !ok {
 			return fmt.Errorf("%w: addblock %d for unknown file %q", ErrJournalCorrupt, rec.Block, rec.Path)
 		}
-		f.info.Blocks = append(f.info.Blocks, BlockLocation{ID: rec.Block})
-		if rec.Block >= n.nextBlock {
-			n.nextBlock = rec.Block + 1
+		// AddBlock journals the next ID it hands out, so IDs in the log
+		// only climb; one below nextBlock would be a second copy of a live
+		// block, and the largest ID would leave no next one.
+		if rec.Block < n.nextBlock || rec.Block == math.MaxInt64 {
+			return fmt.Errorf("%w: addblock %d for %q, next block is %d", ErrJournalCorrupt, rec.Block, rec.Path, n.nextBlock)
 		}
+		f.info.Blocks = append(f.info.Blocks, BlockLocation{ID: rec.Block})
+		n.nextBlock = rec.Block + 1
 	case editComplete:
 		f, ok := n.files[rec.Path]
 		if !ok {

@@ -17,8 +17,10 @@ import (
 )
 
 // listed walks every FIFO of q from the highest priority down, checks what
-// the links and the books must agree on, and returns the waiters in queue
-// order without going through window.
+// the links and the books must agree on — a level's floor included, which
+// is no larger than any demand waiting there and zero once the level is
+// empty — and returns the waiters in queue order without going through
+// window.
 func listed(t testing.TB, q *pendingQueue) []*taskRT {
 	t.Helper()
 	var out []*taskRT
@@ -34,7 +36,13 @@ func listed(t testing.TB, q *pendingQueue) []*taskRT {
 			if prev != nil && w.queuedAt < prev.queuedAt {
 				t.Fatalf("priority %d: task %v queued at %v follows one queued at %v", p, w.spec.ID, w.queuedAt, prev.queuedAt)
 			}
+			if !q.floor[p].Fits(w.spec.Demand) {
+				t.Fatalf("priority %d: floor %v is not below task %v's demand %v", p, q.floor[p], w.spec.ID, w.spec.Demand)
+			}
 			out = append(out, w)
+		}
+		if q.head[p] == nil && q.floor[p] != (cluster.Resources{}) {
+			t.Fatalf("priority %d: empty, floor %v", p, q.floor[p])
 		}
 		if prev != q.tail[p] {
 			t.Fatalf("priority %d: list ends at %p, tail is %p", p, prev, q.tail[p])
@@ -68,13 +76,14 @@ type queueCoverage struct {
 // heap it replaced. Per operation, first byte mod 4:
 //
 //	0  the clock advances by the next byte
-//	1  a new task of priority (next byte mod 12) is enqueued
+//	1  a new task of priority (next byte b mod 12) is enqueued; its demand
+//	   is b/12 millicores by b mod 5 bytes, so the levels' floors move
 //	2  a task that left the queue earlier comes back (a vacated dump, a
 //	   fenced task): idle[next byte mod len]
 //	3  a pass over the first (next byte mod 80) waiters, one byte c per
 //	   waiter: c&1 places it (it leaves the queue); c&2 enqueues a task
 //	   before the pass moves on — with c&4 the task this pass placed last
-//	   (a kill victim), otherwise a new one of priority (c>>3 mod 12)
+//	   (a kill victim), otherwise a new one as if b were c>>3
 func requireSameQueue(t *testing.T, data []byte, cov *queueCoverage) {
 	var (
 		q    pendingQueue
@@ -87,6 +96,7 @@ func requireSameQueue(t *testing.T, data []byte, cov *queueCoverage) {
 		w := &taskRT{spec: &cluster.TaskSpec{
 			ID:       cluster.TaskID{Job: cluster.JobID(len(all))},
 			Priority: cluster.Priority(int(prio) % len(q.head)),
+			Demand:   cluster.Resources{CPUMillis: int64(prio / 12), MemBytes: int64(prio % 5)},
 		}}
 		all = append(all, w)
 		return w
@@ -262,68 +272,90 @@ func TestTaskRTStaysInItsSizeClass(t *testing.T) {
 	}
 }
 
-// GIVEN a full cluster — most nodes held by top-priority work, one by a
-// lower-priority task that is mid pre-copy and so no victim — and more
-// blocked waiters of every priority than one pass scans,
+// GIVEN a full cluster — most nodes held by top-priority work, the last by
+// a task that is no victim — and more blocked waiters of every priority than
+// one pass scans, all of one priority asking for 1 core and the same 1, 2 or
+// 3 GiB,
 // WHEN a pass runs,
-// THEN it decides nothing, allocates nothing, and leaves the queue's heads,
-// tails, mask, count and every waiter's links exactly as they were.
+// THEN it examines exactly the waiters the stop rule predicts, decides
+// nothing, allocates nothing, and leaves the queue's heads, tails, mask,
+// count and every waiter's links exactly as they were. With the last node's
+// task at priority 3 and mid pre-copy, preemption stays thinkable for every
+// waiter the window reaches, and the pass examines its whole window of
+// scanLimit. With it at the top priority too, nothing runs below any waiter,
+// and the pass stops at the first waiter of priority 9: its failed 1 GiB
+// demand is covered by every demand queued at 9 and below.
 func TestBlockedPassTouchesNothing(t *testing.T) {
-	cfg := DefaultConfig(core.PolicyCheckpoint, storage.SSD)
-	cfg.Nodes = 4
-	s, err := newSimulator(cfg.withDefaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := sim.Time(time.Hour)
-	task := func(job int, prio cluster.Priority, demand cluster.Resources) *taskRT {
-		spec := &cluster.TaskSpec{
-			ID: cluster.TaskID{Job: cluster.JobID(job)}, Priority: prio, Demand: demand,
-			Duration: time.Hour, MemFootprint: cluster.GiB(1),
-		}
-		return &taskRT{spec: spec, job: newJobRT(&cluster.JobSpec{ID: spec.ID.Job}), remaining: spec.Duration}
-	}
-	for i, n := range s.nodes {
-		r := task(i, cluster.MaxPriority, cfg.NodeCapacity)
-		if i == len(s.nodes)-1 {
-			r.spec.Priority = 3
-			r.preCopying = true
-		}
-		s.seat(r, n, now)
-		r.phase = phaseRunning
-		r.attemptStart = now
-		s.markRunning(r)
-	}
-	waiters := make([]*taskRT, 2*scanLimit)
-	for i := range waiters {
-		waiters[i] = task(100+i, cluster.Priority(i%(int(cluster.MaxPriority)+1)),
-			cluster.Resources{CPUMillis: cluster.Cores(1), MemBytes: cluster.GiB(float64(1 + i%3))})
-		s.enqueue(waiters[i], now)
-	}
-	links := func() [][2]*taskRT {
-		out := make([][2]*taskRT, len(waiters))
-		for i, w := range waiters {
-			out[i] = [2]*taskRT{w.qprev, w.qnext}
-		}
-		return out
-	}
-	queueBefore, linksBefore := s.queue, links()
+	for _, tc := range []struct {
+		name     string
+		lastPrio cluster.Priority
+		// examined is how many waiters, in queue order, the pass examines.
+		examined func(byPrio map[cluster.Priority]int) int
+	}{
+		{"window", 3, func(map[cluster.Priority]int) int { return scanLimit }},
+		{"stop", cluster.MaxPriority, func(byPrio map[cluster.Priority]int) int { return byPrio[11] + byPrio[10] + 1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig(core.PolicyCheckpoint, storage.SSD)
+			cfg.Nodes = 4
+			s, err := newSimulator(cfg.withDefaults())
+			if err != nil {
+				t.Fatal(err)
+			}
+			now := sim.Time(time.Hour)
+			task := func(job int, prio cluster.Priority, demand cluster.Resources) *taskRT {
+				spec := &cluster.TaskSpec{
+					ID: cluster.TaskID{Job: cluster.JobID(job)}, Priority: prio, Demand: demand,
+					Duration: time.Hour, MemFootprint: cluster.GiB(1),
+				}
+				return &taskRT{spec: spec, job: newJobRT(&cluster.JobSpec{ID: spec.ID.Job}), remaining: spec.Duration}
+			}
+			for i, n := range s.nodes {
+				r := task(i, cluster.MaxPriority, cfg.NodeCapacity)
+				if i == len(s.nodes)-1 && tc.lastPrio < cluster.MaxPriority {
+					r.spec.Priority = tc.lastPrio
+					r.preCopying = true
+				}
+				s.seat(r, n, now)
+				r.phase = phaseRunning
+				r.attemptStart = now
+				s.markRunning(r)
+			}
+			waiters := make([]*taskRT, 2*scanLimit)
+			byPrio := make(map[cluster.Priority]int)
+			for i := range waiters {
+				waiters[i] = task(100+i, cluster.Priority(i%(int(cluster.MaxPriority)+1)),
+					cluster.Resources{CPUMillis: cluster.Cores(1), MemBytes: cluster.GiB(float64(1 + i%3))})
+				s.enqueue(waiters[i], now)
+				byPrio[waiters[i].spec.Priority]++
+			}
+			links := func() [][2]*taskRT {
+				out := make([][2]*taskRT, len(waiters))
+				for i, w := range waiters {
+					out[i] = [2]*taskRT{w.qprev, w.qnext}
+				}
+				return out
+			}
+			queueBefore, linksBefore := s.queue, links()
+			want := listed(t, &s.queue)[:tc.examined(byPrio)]
 
-	s.trySchedule(now)
-	if len(s.batchScratch) != scanLimit {
-		t.Fatalf("the pass examined %d waiters, want scanLimit = %d", len(s.batchScratch), scanLimit)
-	}
-	if allocs := testing.AllocsPerRun(50, func() { s.trySchedule(now) }); allocs != 0 {
-		t.Errorf("a pass over %d blocked waiters allocated %v times, want 0", scanLimit, allocs)
-	}
-	if s.decisions != 0 || s.res.Preemptions != 0 {
-		t.Errorf("blocked passes made %d decisions and %d preemptions", s.decisions, s.res.Preemptions)
-	}
-	if s.queue != queueBefore || !slices.Equal(links(), linksBefore) {
-		t.Error("blocked passes rewrote the queue")
-	}
-	if got := listed(t, &s.queue); len(got) != len(waiters) {
-		t.Errorf("%d waiters queued after the passes, want %d", len(got), len(waiters))
+			s.trySchedule(now)
+			if !slices.Equal(s.batchScratch, want) {
+				t.Fatalf("the pass examined %v, want %v", ids(s.batchScratch), ids(want))
+			}
+			if allocs := testing.AllocsPerRun(50, func() { s.trySchedule(now) }); allocs != 0 {
+				t.Errorf("a pass over %d blocked waiters allocated %v times, want 0", len(want), allocs)
+			}
+			if s.decisions != 0 || s.res.Preemptions != 0 {
+				t.Errorf("blocked passes made %d decisions and %d preemptions", s.decisions, s.res.Preemptions)
+			}
+			if s.queue != queueBefore || !slices.Equal(links(), linksBefore) {
+				t.Error("blocked passes rewrote the queue")
+			}
+			if got := listed(t, &s.queue); len(got) != len(waiters) {
+				t.Errorf("%d waiters queued after the passes, want %d", len(got), len(waiters))
+			}
+		})
 	}
 }
 

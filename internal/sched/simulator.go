@@ -239,6 +239,10 @@ func (n *node) availableFor(t *taskRT) cluster.Resources {
 // where it is without being touched.
 type pendingQueue struct {
 	head, tail [int(cluster.MaxPriority) + 1]*taskRT
+	// floor[p] is the componentwise minimum demand pushed into priority p's
+	// list since it was last empty: a lower bound on every demand waiting
+	// there, which a remove leaves standing.
+	floor [int(cluster.MaxPriority) + 1]cluster.Resources
 	// mask has bit p set while priority p's list is non-empty.
 	mask uint16
 	n    int
@@ -251,15 +255,18 @@ type pendingQueue struct {
 // somewhere in the middle, which this queue cannot do, so it panics rather
 // than examine waiters out of order from then on.
 func (q *pendingQueue) push(t *taskRT) {
-	p := t.spec.Priority
+	p, d := t.spec.Priority, t.spec.Demand
 	if tail := q.tail[p]; tail != nil {
 		if t.queuedAt < tail.queuedAt {
 			panic(fmt.Sprintf("sched: task %v queued at %v behind task %v queued at %v", t.spec.ID, t.queuedAt, tail.spec.ID, tail.queuedAt))
 		}
 		tail.qnext, t.qprev = t, tail
+		f := &q.floor[p]
+		f.CPUMillis, f.MemBytes = min(f.CPUMillis, d.CPUMillis), min(f.MemBytes, d.MemBytes)
 	} else {
 		q.head[p] = t
 		q.mask |= 1 << uint(p)
+		q.floor[p] = d
 	}
 	q.tail[p] = t
 	q.n++
@@ -280,9 +287,21 @@ func (q *pendingQueue) remove(t *taskRT) {
 	}
 	if q.head[p] == nil {
 		q.mask &^= 1 << uint(p)
+		q.floor[p] = cluster.Resources{}
 	}
 	t.qprev, t.qnext = nil, nil
 	q.n--
+}
+
+// floorUpTo is a lower bound on the demand of every waiter at priority p or
+// below: the componentwise minimum of those levels' floors.
+func (q *pendingQueue) floorUpTo(p cluster.Priority) cluster.Resources {
+	f := cluster.Resources{CPUMillis: math.MaxInt64, MemBytes: math.MaxInt64}
+	for m := q.mask & (2<<uint(p) - 1); m != 0; m &= m - 1 {
+		l := q.floor[bits.TrailingZeros16(m)]
+		f.CPUMillis, f.MemBytes = min(f.CPUMillis, l.CPUMillis), min(f.MemBytes, l.MemBytes)
+	}
+	return f
 }
 
 // window appends the first limit waiters in queue order to dst without
@@ -492,7 +511,12 @@ func Run(cfg Config, jobs []cluster.JobSpec) (*Result, error) {
 		})
 	}
 	s.startSampler()
+	return s.runToEnd(), nil
+}
 
+// runToEnd drives the loaded engine until no event is left and closes the
+// books into the Result.
+func (s *Simulator) runToEnd() *Result {
 	end := s.engine.Run()
 	s.res.Makespan = time.Duration(end)
 	s.res.Decisions = s.decisions
@@ -500,7 +524,7 @@ func Run(cfg Config, jobs []cluster.JobSpec) (*Result, error) {
 	for _, n := range s.nodes {
 		s.res.CloseNode(&n.Ledger, end)
 	}
-	return s.res, nil
+	return s.res
 }
 
 // newSimulator builds the cluster — nodes, devices, first-fit index — for
@@ -555,12 +579,11 @@ func (s *Simulator) requestSchedule(now sim.Time) {
 }
 
 // scanBatch snapshots the first scanLimit tasks of the pending queue, which
-// stay queued, and orders them by the active discipline: queue (priority)
-// order as found, most-underserved user first for fair share, largest band
-// deficit first for capacity. The batch is fixed here, before the pass
-// places anything: a task the pass itself sends back to the queue (a kill
-// victim, possibly one the same pass placed a moment earlier) waits for
-// the next pass.
+// stay queued, and orders them by the active discipline: most-underserved
+// user first for fair share, largest band deficit first for capacity. The
+// batch is fixed here, before the pass places anything: a task the pass
+// itself sends back to the queue (a kill victim, possibly one the same pass
+// placed a moment earlier) waits for the next pass.
 func (s *Simulator) scanBatch() []*taskRT {
 	batch := s.queue.window(s.batchScratch[:0], scanLimit)
 	s.batchScratch = batch
@@ -582,41 +605,104 @@ func (s *Simulator) scanBatch() []*taskRT {
 	return batch
 }
 
-// trySchedule walks the pending queue in discipline order, placing what
-// fits and preempting for what does not (policy permitting).
+// trySchedule runs one scheduling pass: it examines up to scanLimit waiters
+// in discipline order, placing what fits and preempting for what does not
+// (policy permitting). batchScratch is left holding the waiters it examined.
 func (s *Simulator) trySchedule(now sim.Time) {
 	// failed holds demands that could not be placed this pass; any later
 	// task dominating one of them cannot place either, so its node scan is
 	// skipped. Capped small: membership tests must stay cheaper than the
 	// scans they avoid.
 	failed := s.failedScratch[:0]
-	for _, t := range s.scanBatch() {
-		placed := false
-		if !dominatesAny(t.spec.Demand, failed) {
-			placed = s.place(t, now)
-			if !placed && len(failed) < 8 {
-				failed = append(failed, t.spec.Demand)
-			}
-		}
-		if placed {
-			// Placement may have consumed capacity a previously failed
-			// demand was measured against, but a successful placement
-			// never invalidates a negative result, so `failed` stands.
-			continue
-		}
-		// A task with a standing reservation is already waiting for its
-		// victims' dumps to drain; do not preempt more work for it. Under
-		// priority scheduling the priority histogram rejects hopeless
-		// preemption attempts without scanning nodes.
-		feasible := s.cfg.Discipline != DisciplinePriority || s.anyRunningBelow(t.spec.Priority)
-		if t.reservedOn == nil && s.cfg.Policy != core.PolicyWait &&
-			feasible && s.preemptFor(t, now) {
-			// Kill-based vacating frees resources synchronously; retry at
-			// once so backfilling tasks cannot steal them.
-			s.place(t, now)
+	if s.cfg.Discipline == DisciplinePriority {
+		failed = s.walkQueue(failed, now)
+	} else {
+		// Fair share and capacity order the batch by share, not by queue
+		// position, so they need it whole before the first visit: they
+		// snapshot it, and every waiter in it is visited.
+		for _, t := range s.scanBatch() {
+			failed, _ = s.visit(t, failed, now)
 		}
 	}
 	s.failedScratch = failed[:0]
+}
+
+// walkQueue is the priority discipline's pass: it walks the queue in place,
+// in queue order, and stops early once the rest of the pass is provably
+// idle (passIdle). It keeps scanBatch's snapshot rule by recording every
+// level's tail before the first visit and walking each level only from its
+// head to that tail. A kill victim is strictly lower priority than the
+// waiter that evicts it, so it joins a level the pass has not walked yet —
+// behind the recorded tail, or in a level that was empty at the start — and
+// this pass does not see it. Placement unlinks only the waiter in hand, so
+// the levels still to walk hold exactly what they held at the start.
+func (s *Simulator) walkQueue(failed []cluster.Resources, now sim.Time) []cluster.Resources {
+	examined := s.batchScratch[:0]
+	tails, mask := s.queue.tail, s.queue.mask
+pass:
+	for mask != 0 && len(examined) < scanLimit {
+		p := bits.Len16(mask) - 1
+		mask &^= 1 << uint(p)
+		for t := s.queue.head[p]; len(examined) < scanLimit; {
+			next, last := t.qnext, t == tails[p]
+			examined = append(examined, t)
+			var placed bool
+			if failed, placed = s.visit(t, failed, now); !placed && s.passIdle(t, failed) {
+				break pass
+			}
+			if last {
+				break
+			}
+			t = next
+		}
+	}
+	s.batchScratch = examined
+	return failed
+}
+
+// passIdle reports whether a priority pass may stop after visiting t, which
+// it did not place: every visit left would be a no-op. Every later waiter u
+// has priority at most t's, so nothing runs below u's priority either (or
+// the policy never preempts), and preemptFor is not tried for u. u's demand
+// is at least floorUpTo(t's priority), which dominates a demand in failed,
+// so place is skipped for u — a reservation holder included, as it is when
+// the pass visits it. A visit that neither places nor preempts writes
+// nothing: no probe, no journal record, no counter, no link. By induction
+// the rest of the pass would change no state.
+func (s *Simulator) passIdle(t *taskRT, failed []cluster.Resources) bool {
+	if s.cfg.Policy != core.PolicyWait && s.anyRunningBelow(t.spec.Priority) {
+		return false
+	}
+	return dominatesAny(s.queue.floorUpTo(t.spec.Priority), failed)
+}
+
+// visit examines one waiter: it places t if t fits, and otherwise preempts
+// for it when the discipline and policy allow. It returns failed, extended
+// by t's demand if t did not fit, and whether t was placed.
+func (s *Simulator) visit(t *taskRT, failed []cluster.Resources, now sim.Time) ([]cluster.Resources, bool) {
+	if !dominatesAny(t.spec.Demand, failed) {
+		if s.place(t, now) {
+			// Placement may have consumed capacity a previously failed
+			// demand was measured against, but a successful placement
+			// never invalidates a negative result, so `failed` stands.
+			return failed, true
+		}
+		if len(failed) < 8 {
+			failed = append(failed, t.spec.Demand)
+		}
+	}
+	// A task with a standing reservation is already waiting for its
+	// victims' dumps to drain; do not preempt more work for it. Under
+	// priority scheduling the priority histogram rejects hopeless
+	// preemption attempts without scanning nodes.
+	feasible := s.cfg.Discipline != DisciplinePriority || s.anyRunningBelow(t.spec.Priority)
+	if t.reservedOn == nil && s.cfg.Policy != core.PolicyWait &&
+		feasible && s.preemptFor(t, now) {
+		// Kill-based vacating frees resources synchronously; retry at
+		// once so backfilling tasks cannot steal them.
+		return failed, s.place(t, now)
+	}
+	return failed, false
 }
 
 // dominatesAny reports whether d is at least as large as some demand in
