@@ -91,9 +91,10 @@ func run() error {
 	policyFlag := flag.String("policy", "adaptive", "preemption policy (comma-separated list sweeps): wait|kill|checkpoint|adaptive")
 	storageFlag := flag.String("storage", "nvm", "checkpoint storage (comma-separated list sweeps): hdd|ssd|nvm")
 	parallel := flag.Int("parallel", 0, "sweep worker pool size (0 = one per CPU, 1 = sequential)")
-	jobs := flag.Int("jobs", 40, "number of jobs (paper: 40)")
-	tasks := flag.Int("tasks", 7000, "total tasks (paper: ~7000)")
-	seed := flag.Int64("seed", 21, "workload seed")
+	wc := workload.DefaultFacebookConfig()
+	flag.IntVar(&wc.Jobs, "jobs", wc.Jobs, "number of jobs (paper: 40)")
+	flag.IntVar(&wc.TotalTasks, "tasks", wc.TotalTasks, "total tasks (paper: ~7000)")
+	flag.Int64Var(&wc.Seed, "seed", wc.Seed, "workload seed")
 	// The policy and storage the defaults are built with are placeholders:
 	// makeRun sets each combination's own.
 	base := yarn.DefaultConfig(core.PolicyAdaptive, storage.NVM)
@@ -129,10 +130,6 @@ func run() error {
 	// through its job specs and fault injectors, so concurrent sweep
 	// combinations must not share them.
 	makeRun := func(policy core.Policy, kind storage.Kind) (yarn.Config, []cluster.JobSpec, error) {
-		wc := workload.DefaultFacebookConfig()
-		wc.Seed = *seed
-		wc.Jobs = *jobs
-		wc.TotalTasks = *tasks
 		jobSpecs, err := workload.Facebook(wc)
 		if err != nil {
 			return yarn.Config{}, nil, err

@@ -127,7 +127,7 @@ func (o Options) cacheKey() Options {
 func (r request) run(o Options) (*core.Outcome, error) {
 	return runCache.do(runKey{o.cacheKey(), r}, func() (*core.Outcome, error) {
 		if r.s == simulator {
-			spec, err := simSpecWith(o, r.policy, r.kind, nil)
+			spec, err := SimSpec(o, r.policy, r.kind, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -156,7 +156,7 @@ func (r request) run(o Options) (*core.Outcome, error) {
 // on, so options that differ elsewhere (e.g. Parallel) share the result.
 func (o Options) traceAnalysis() (*trace.Analysis, error) {
 	return analysisCache.do(analysisKey{seed: o.Seed, tasks: o.TraceTasks}, func() (*trace.Analysis, error) {
-		events, err := o.traceEvents()
+		events, err := o.TraceEvents()
 		if err != nil {
 			return nil, err
 		}

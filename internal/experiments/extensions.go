@@ -15,11 +15,12 @@ import (
 // they quantify the repository's additions on the same one-day workload
 // the Fig. 3/5 simulations use.
 
-// simSpecWith describes a trace-workload run with an arbitrary config
-// mutation applied on top of the standard sizing. Each spec regenerates
-// its own Jobs slice (the simulator writes through pointers into it), so
-// specs are safe to execute concurrently via sched.RunMany.
-func simSpecWith(o Options, policy core.Policy, kind storage.Kind, mutate func(*sched.Config)) (sched.RunSpec, error) {
+// SimSpec describes a trace-workload run — the Fig. 3/5 job slice on a
+// cluster sized for SimLoadFactor — with an arbitrary config mutation
+// applied on top of the standard sizing. Each spec regenerates its own
+// Jobs slice (the simulator writes through pointers into it), so specs
+// are safe to execute concurrently via sched.RunMany.
+func SimSpec(o Options, policy core.Policy, kind storage.Kind, mutate func(*sched.Config)) (sched.RunSpec, error) {
 	jobs, err := o.simJobs()
 	if err != nil {
 		return sched.RunSpec{}, err
@@ -37,7 +38,7 @@ func simSpecWith(o Options, policy core.Policy, kind storage.Kind, mutate func(*
 func extSweep(o Options, policy core.Policy, kind storage.Kind, mutations []func(*sched.Config)) ([]*sched.Result, error) {
 	specs := make([]sched.RunSpec, len(mutations))
 	for i, mutate := range mutations {
-		spec, err := simSpecWith(o, policy, kind, mutate)
+		spec, err := SimSpec(o, policy, kind, mutate)
 		if err != nil {
 			return nil, err
 		}
@@ -83,7 +84,7 @@ func ExtPreCopy(o Options) (*metrics.Table, error) {
 	}
 	specs := make([]sched.RunSpec, len(storageKinds))
 	for i, kind := range storageKinds {
-		spec, err := simSpecWith(o, core.PolicyCheckpoint, kind, func(c *sched.Config) { c.PreCopy = true })
+		spec, err := SimSpec(o, core.PolicyCheckpoint, kind, func(c *sched.Config) { c.PreCopy = true })
 		if err != nil {
 			return nil, err
 		}
@@ -138,7 +139,7 @@ func ExtNodeChurn(o Options) (*metrics.Table, error) {
 	}
 	specs := make([]sched.RunSpec, len(policies))
 	for i, p := range policies {
-		spec, err := simSpecWith(o, p, storage.SSD, churn)
+		spec, err := SimSpec(o, p, storage.SSD, churn)
 		if err != nil {
 			return nil, err
 		}

@@ -97,8 +97,9 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// traceEvents generates (and caches per-call) the Section 2 event trace.
-func (o Options) traceEvents() ([]trace.Event, error) {
+// TraceEvents generates the Section 2 event trace of the options' seed
+// and size.
+func (o Options) TraceEvents() ([]trace.Event, error) {
 	cfg := trace.DefaultGenConfig()
 	cfg.Seed = o.Seed
 	cfg.Tasks = o.TraceTasks

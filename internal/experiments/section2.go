@@ -5,15 +5,43 @@ import (
 
 	"preemptsched/internal/cluster"
 	"preemptsched/internal/metrics"
+	"preemptsched/internal/trace"
 )
 
 // Fig1a regenerates the preemption-rate timeline: per-day fraction of
 // scheduled tasks later preempted, per priority band.
-func Fig1a(o Options) (*metrics.Table, error) {
+func Fig1a(o Options) (*metrics.Table, error) { return analysisTable(o, fig1a) }
+
+// Fig1b regenerates the share of all preemptions by raw priority 0-11.
+func Fig1b(o Options) (*metrics.Table, error) { return analysisTable(o, fig1b) }
+
+// Fig1c regenerates the re-preemption frequency distribution: distinct
+// tasks per eviction count (1..9, >=10).
+func Fig1c(o Options) (*metrics.Table, error) { return analysisTable(o, fig1c) }
+
+// Table1 regenerates preempted-task rates per priority band.
+func Table1(o Options) (*metrics.Table, error) { return analysisTable(o, table1) }
+
+// Table2 regenerates preempted-task rates per latency-sensitivity class.
+func Table2(o Options) (*metrics.Table, error) { return analysisTable(o, table2) }
+
+// TraceTables renders the five Section 2 tables of any analysis, in
+// report order: a trace read from a file goes through the same code as
+// the report's.
+func TraceTables(a *trace.Analysis) []*metrics.Table {
+	return []*metrics.Table{fig1a(a), fig1b(a), fig1c(a), table1(a), table2(a)}
+}
+
+// analysisTable renders one table of the options' trace analysis.
+func analysisTable(o Options, render func(*trace.Analysis) *metrics.Table) (*metrics.Table, error) {
 	a, err := o.traceAnalysis()
 	if err != nil {
 		return nil, err
 	}
+	return render(a), nil
+}
+
+func fig1a(a *trace.Analysis) *metrics.Table {
 	tb := metrics.NewTable("Fig 1a — Preemption rate timeline (per day)",
 		"day", "low_priority", "medium_priority", "high_priority")
 	for _, pt := range a.Timeline {
@@ -22,15 +50,10 @@ func Fig1a(o Options) (*metrics.Table, error) {
 			pt.Rate[cluster.BandMiddle],
 			pt.Rate[cluster.BandProduction])
 	}
-	return tb, nil
+	return tb
 }
 
-// Fig1b regenerates the share of all preemptions by raw priority 0-11.
-func Fig1b(o Options) (*metrics.Table, error) {
-	a, err := o.traceAnalysis()
-	if err != nil {
-		return nil, err
-	}
+func fig1b(a *trace.Analysis) *metrics.Table {
 	total := 0
 	for _, n := range a.PreemptionsByPriority {
 		total += n
@@ -43,16 +66,10 @@ func Fig1b(o Options) (*metrics.Table, error) {
 		}
 		tb.AddRow(p, pct)
 	}
-	return tb, nil
+	return tb
 }
 
-// Fig1c regenerates the re-preemption frequency distribution: distinct
-// tasks per eviction count (1..9, >=10).
-func Fig1c(o Options) (*metrics.Table, error) {
-	a, err := o.traceAnalysis()
-	if err != nil {
-		return nil, err
-	}
+func fig1c(a *trace.Analysis) *metrics.Table {
 	tb := metrics.NewTable("Fig 1c — Preemption frequency distribution", "num_preemptions", "distinct_tasks")
 	for k, n := range a.EvictionFrequency {
 		label := fmt.Sprintf("%d", k+1)
@@ -61,15 +78,10 @@ func Fig1c(o Options) (*metrics.Table, error) {
 		}
 		tb.AddRow(label, n)
 	}
-	return tb, nil
+	return tb
 }
 
-// Table1 regenerates preempted-task rates per priority band.
-func Table1(o Options) (*metrics.Table, error) {
-	a, err := o.traceAnalysis()
-	if err != nil {
-		return nil, err
-	}
+func table1(a *trace.Analysis) *metrics.Table {
 	tb := metrics.NewTable("Table 1 — Preempted tasks per priority band",
 		"priority_band", "num_tasks", "percent_preempted", "paper_pct")
 	paper := map[cluster.Band]float64{
@@ -88,15 +100,10 @@ func Table1(o Options) (*metrics.Table, error) {
 		tb.AddRow(names[band], s.Tasks, 100*s.Rate(), paper[band])
 	}
 	tb.AddRow("overall", a.Tasks, 100*a.OverallRate(), 12.4)
-	return tb, nil
+	return tb
 }
 
-// Table2 regenerates preempted-task rates per latency-sensitivity class.
-func Table2(o Options) (*metrics.Table, error) {
-	a, err := o.traceAnalysis()
-	if err != nil {
-		return nil, err
-	}
+func table2(a *trace.Analysis) *metrics.Table {
 	paper := []float64{11.76, 18.87, 8.14, 14.80}
 	tb := metrics.NewTable("Table 2 — Preempted tasks per latency sensitivity",
 		"latency_class", "num_tasks", "percent_preempted", "paper_pct")
@@ -104,5 +111,5 @@ func Table2(o Options) (*metrics.Table, error) {
 		s := a.Latencies[l]
 		tb.AddRow(l, s.Tasks, 100*s.Rate(), paper[l])
 	}
-	return tb, nil
+	return tb
 }

@@ -16,7 +16,7 @@ import (
 const csvHeader = "time_ns,type,job,index,priority,latency,cpu_millis"
 
 // WriteCSV serializes events in a stable text format usable by external
-// tooling and by cmd/traceanalyze.
+// tooling and by `experiments trace -in`.
 func WriteCSV(w io.Writer, events []Event) error {
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintln(bw, csvHeader); err != nil {
