@@ -267,7 +267,7 @@ func benchYarnPreempt(b *testing.B, record bool) {
 		var rec *obs.Recorder
 		if record {
 			rec = obs.NewRecorder(0, 0)
-			cfg.Recorder = rec
+			cfg.Observer = rec
 		}
 		r, err := yarn.Run(cfg, jobs)
 		if err != nil {

@@ -166,7 +166,7 @@ func run() error {
 	var rec *obs.Recorder
 	if *journalOut != "" {
 		rec = obs.NewRecorder(0, 0)
-		cfg.Recorder = rec
+		cfg.Observer = rec
 	}
 	if *metricsAddr != "" {
 		addr, stop, err := obs.ServeMetrics(*metricsAddr, reg, "preemptsched")

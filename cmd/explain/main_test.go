@@ -31,7 +31,7 @@ func journalBytes(t *testing.T) []byte {
 	cfg.Nodes = 2
 	cfg.ContainersPerNode = 8
 	rec := obs.NewRecorder(0, 0)
-	cfg.Recorder = rec
+	cfg.Observer = rec
 	if _, err := yarn.Run(cfg, jobs); err != nil {
 		t.Fatal(err)
 	}

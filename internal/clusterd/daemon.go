@@ -141,11 +141,16 @@ func Start(cfg Config) (*Daemon, error) {
 	cfg.Cluster.Metrics = reg
 	// The flight recorder is always on in service mode: a crash or SIGTERM
 	// must leave behind an explainable journal. It is bounded (fixed segment
-	// ring, O(1) per event) so always-on is safe.
-	rec := cfg.Cluster.Recorder
+	// ring, O(1) per event) so always-on is safe. It is also the only
+	// observer the daemon takes, since Recorder() must hand back the journal
+	// every edge went to.
+	rec, ok := cfg.Cluster.Observer.(*obs.Recorder)
+	if !ok && cfg.Cluster.Observer != nil {
+		return nil, fmt.Errorf("clusterd: Cluster.Observer is a %T; the daemon observes a run only through an *obs.Recorder", cfg.Cluster.Observer)
+	}
 	if rec == nil {
 		rec = obs.NewRecorder(0, 0)
-		cfg.Cluster.Recorder = rec
+		cfg.Cluster.Observer = rec
 	}
 	svc, err := yarn.NewService(cfg.Cluster)
 	if err != nil {
@@ -485,8 +490,8 @@ func (d *Daemon) Shutdown(ctx context.Context) error {
 	d.state = StateDraining
 	close(d.queue)
 	d.mu.Unlock()
-	jrn := d.rec.Emitter("clusterd")
-	jrn.Marker(d.svc.Now(), "drain-begin")
+	events := obs.NewEmitter(d.rec, "clusterd")
+	events.Emit(obs.Event{Kind: obs.EvMarker, At: d.svc.Now(), Name: "drain-begin"})
 
 	// Everything admitted reaches the engine, then the engine drains.
 	d.dispatchWG.Wait()
@@ -501,7 +506,7 @@ func (d *Daemon) Shutdown(ctx context.Context) error {
 		d.svc.Abort()
 		<-drained
 	}
-	jrn.Marker(d.svc.Now(), "drain-end")
+	events.Emit(obs.Event{Kind: obs.EvMarker, At: d.svc.Now(), Name: "drain-end"})
 
 	// Lost-job audit: after a full drain nothing may be outstanding.
 	d.mu.Lock()

@@ -1,8 +1,10 @@
 package clusterd
 
 import (
+	"bytes"
 	"context"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -10,6 +12,7 @@ import (
 
 	"preemptsched/internal/core"
 	"preemptsched/internal/faults"
+	"preemptsched/internal/obs"
 	"preemptsched/internal/storage"
 	"preemptsched/internal/yarn"
 )
@@ -307,5 +310,64 @@ func TestHeapBytesTracksHeapAlloc(t *testing.T) {
 	}
 	if diff := int64(ms.HeapAlloc) - int64(after); diff < -slack || diff > slack {
 		t.Errorf("heapBytes %d vs MemStats.HeapAlloc %d: more than 4 MiB apart", after, ms.HeapAlloc)
+	}
+}
+
+// discard is an observer that is not a recorder.
+type discard struct{}
+
+func (discard) Observe(obs.Event) {}
+
+// GIVEN a daemon config whose cluster observer is a caller's recorder, a
+// nil *obs.Recorder, or an observer that is not a recorder,
+// WHEN the daemon starts,
+// THEN the caller's recorder is the daemon's journal and receives the drain
+// markers, a nil one is replaced by an always-on recorder, and any other
+// observer is refused: Recorder() must hand back the journal every edge
+// went to.
+func TestStartObservesOnlyThroughARecorder(t *testing.T) {
+	cfg := testConfig()
+	cfg.Cluster.Observer = discard{}
+	if d, err := Start(cfg); err == nil {
+		d.Shutdown(context.Background())
+		t.Fatal("Start accepted an observer that is not an *obs.Recorder")
+	} else if !strings.Contains(err.Error(), "Observer") {
+		t.Errorf("error %q does not name the Observer", err)
+	}
+
+	for _, tc := range []struct {
+		name string
+		rec  *obs.Recorder
+	}{{"caller's recorder", obs.NewRecorder(0, 0)}, {"nil recorder", nil}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig()
+			cfg.Cluster.Observer = tc.rec
+			d, err := Start(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Shutdown(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			rec := d.Recorder()
+			if rec == nil || (tc.rec != nil && rec != tc.rec) {
+				t.Fatalf("Recorder() = %p, want the caller's %p or a fresh one", rec, tc.rec)
+			}
+			var buf bytes.Buffer
+			if _, err := rec.WriteTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			j, err := obs.ReadJournal(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var names []string
+			for _, r := range j.Records {
+				names = append(names, r.Name)
+			}
+			if want := []string{"drain-begin", "drain-end"}; !slices.Equal(names, want) {
+				t.Errorf("an idle daemon journaled %v, want %v", names, want)
+			}
+		})
 	}
 }

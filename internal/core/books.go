@@ -34,10 +34,10 @@ type ClusterConfig struct {
 	// a victim's state is dumped while it keeps running, and the freeze
 	// writes only the pages dirtied meanwhile.
 	PreCopy bool
-	// Recorder, when non-nil, receives the decision-provenance journal:
-	// victim selections, Algorithm 1 verdicts, dumps, restores and task
-	// completions. Nil keeps the run journal-free.
-	Recorder *obs.Recorder
+	// Observer, when non-nil, receives every lifecycle edge of the run
+	// once, as one obs.Event; an *obs.Recorder keeps them as the
+	// decision-provenance journal. Nil reports and formats nothing.
+	Observer obs.Observer
 }
 
 // Validate checks the shared fields; the caller prefixes its layer.

@@ -7,18 +7,13 @@ import (
 	"sort"
 )
 
-// ValidateJSONSchema checks a decoded JSON document against a small,
-// dependency-free subset of JSON Schema: "type" (string or list),
-// "required", "properties", "additionalProperties" (boolean form),
-// "items" (single schema), "enum", and "minimum". That subset is enough
-// to pin down the clusterrun report format in CI without pulling in an
-// external validator; unknown keywords are ignored, as the spec allows.
-func ValidateJSONSchema(schema map[string]any, doc any) error {
-	return validateSchema(schema, doc, "$")
-}
-
-// ValidateJSONSchemaBytes parses both the schema and the document from
-// raw JSON and validates.
+// ValidateJSONSchemaBytes parses a schema and a document from raw JSON and
+// checks the document against a small, dependency-free subset of JSON
+// Schema: "type" (string or list), "required", "properties",
+// "additionalProperties" (boolean form), "items" (single schema), "enum",
+// and "minimum". That subset is enough to pin down the clusterrun report
+// format in CI without pulling in an external validator; unknown keywords
+// are ignored, as the spec allows.
 func ValidateJSONSchemaBytes(schemaJSON, docJSON []byte) error {
 	var schema map[string]any
 	if err := json.Unmarshal(schemaJSON, &schema); err != nil {
@@ -28,7 +23,7 @@ func ValidateJSONSchemaBytes(schemaJSON, docJSON []byte) error {
 	if err := json.Unmarshal(docJSON, &doc); err != nil {
 		return fmt.Errorf("parse document: %w", err)
 	}
-	return ValidateJSONSchema(schema, doc)
+	return validateSchema(schema, doc, "$")
 }
 
 func jsonTypeOf(v any) string {

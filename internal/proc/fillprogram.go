@@ -113,8 +113,3 @@ func (FillProgram) Step(p *Process) (bool, error) {
 func FillChecksum(p *Process) (uint64, error) {
 	return p.Memory().ReadU64(fillOffChecksum)
 }
-
-// FillStepsDone reads the completed-step counter from process memory.
-func FillStepsDone(p *Process) (uint64, error) {
-	return p.Memory().ReadU64(fillOffSteps)
-}

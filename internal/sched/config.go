@@ -59,7 +59,10 @@ func (d Discipline) String() string {
 var DefaultCapacityGuarantees = [cluster.NumBands]float64{0.45, 0.35, 0.20}
 
 // Config parameterizes a simulation run: the cluster both schedulers share
-// (core.ClusterConfig) plus what only the trace simulator models.
+// (core.ClusterConfig) plus what only the trace simulator models. The run
+// is observed through ClusterConfig.Observer, which receives every edge
+// once (including EvPlace and EvVacate, which only this layer reports),
+// and through the sampler below.
 type Config struct {
 	core.ClusterConfig
 	// NodeCapacity is the per-machine resources.
@@ -89,11 +92,6 @@ type Config struct {
 	// detection delay is a deliberate simplification; the yarn layer
 	// models it.
 	NodeFailures []NodeFailure
-	// Probe, when non-nil, receives one callback per scheduling decision
-	// and task lifecycle edge (probe.go). The density suite installs it
-	// to count sustained decisions/sec and to shadow-check invariants;
-	// nil — the default — costs one pointer test per event.
-	Probe func(ProbeEvent)
 	// SampleEvery, when positive together with OnSample, arms a periodic
 	// sampler on the virtual clock reporting queue depth, tasks in
 	// flight, and cumulative decision counts. The sampler re-arms only
@@ -187,6 +185,9 @@ type Result struct {
 	// the numerators of the density suite's sustained-rate metrics.
 	Decisions   uint64
 	EventsFired uint64
+	// PeakInFlight is the high-water mark of tasks holding node
+	// resources (running, checkpointing, or restoring).
+	PeakInFlight int
 }
 
 // FairnessIndex returns Jain's fairness index over per-user mean response

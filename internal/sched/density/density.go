@@ -30,7 +30,8 @@ type CellResult struct {
 	Checkpoints int           `json:"checkpoints"`
 	Restores    int           `json:"restores"`
 	// PeakInFlight is the exact high-water mark of tasks holding node
-	// resources; PeakQueued the sampled pending-queue peak.
+	// resources (sched.Result.PeakInFlight); PeakQueued the sampled
+	// pending-queue peak.
 	PeakInFlight int `json:"peak_in_flight"`
 	PeakQueued   int `json:"peak_queued"`
 	// Samples is the decimated rate-over-time series on the virtual
@@ -50,8 +51,8 @@ type Timing struct {
 }
 
 // Run executes one density cell: generate the workload, run the
-// simulator with the probe and sampler installed, and fold the outcome
-// into a CellResult.
+// simulator with the sampler installed (and no observer), and fold the
+// outcome into a CellResult.
 func Run(sp Spec) (*CellResult, error) {
 	sp = sp.withDefaults()
 	jobs, err := Generate(sp)
@@ -70,18 +71,6 @@ func Run(sp Spec) (*CellResult, error) {
 		Tasks:       sp.Tasks,
 		Jobs:        len(jobs),
 		SampleEvery: sp.SampleEvery,
-	}
-	inFlight := 0
-	cfg.Probe = func(ev sched.ProbeEvent) {
-		switch ev.Kind {
-		case sched.ProbePlace:
-			inFlight++
-			if inFlight > res.PeakInFlight {
-				res.PeakInFlight = inFlight
-			}
-		case sched.ProbeFinish, sched.ProbeKill, sched.ProbeVacate, sched.ProbeFence:
-			inFlight--
-		}
 	}
 	cfg.SampleEvery = sp.SampleEvery
 	// Stride-doubling decimation: the sampler stays on the fine cadence
@@ -123,6 +112,7 @@ func Run(sp Spec) (*CellResult, error) {
 	res.Kills = r.Kills
 	res.Checkpoints = r.Checkpoints
 	res.Restores = r.Restores
+	res.PeakInFlight = r.PeakInFlight
 	if wall > 0 {
 		res.Timing = &Timing{
 			WallSeconds:     wall,

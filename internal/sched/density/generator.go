@@ -138,6 +138,17 @@ func (sp Spec) Validate() error {
 	if sp.LoadFactor <= 0 {
 		return fmt.Errorf("density: non-positive load factor %v", sp.LoadFactor)
 	}
+	// withDefaults fills only a wholly zero demand; span divides by each
+	// dimension.
+	if sp.TaskDemand.CPUMillis <= 0 || sp.TaskDemand.MemBytes <= 0 {
+		return fmt.Errorf("density: TaskDemand %v has a non-positive dimension", sp.TaskDemand)
+	}
+	if sp.TaskDuration < 0 {
+		return fmt.Errorf("density: negative TaskDuration %v", sp.TaskDuration)
+	}
+	if sp.MeanFootprint < 0 {
+		return fmt.Errorf("density: negative MeanFootprint %d", sp.MeanFootprint)
+	}
 	if !sp.TaskDemand.Fits(sp.NodeCapacity) {
 		return fmt.Errorf("density: task demand %v exceeds node capacity %v", sp.TaskDemand, sp.NodeCapacity)
 	}

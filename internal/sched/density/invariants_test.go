@@ -6,11 +6,12 @@ import (
 
 	"preemptsched/internal/cluster"
 	"preemptsched/internal/core"
+	"preemptsched/internal/obs"
 	"preemptsched/internal/sched"
 	"preemptsched/internal/storage"
 )
 
-// invariantChecker replays the simulator's probe stream against shadow
+// invariantChecker observes the simulator's event stream with shadow
 // bookkeeping and fails the moment any scheduling invariant breaks:
 // capacity exceeded, placement on a down node, a preempted task resolved
 // twice, or unbalanced lifecycle counters.
@@ -18,28 +19,30 @@ type invariantChecker struct {
 	t   *testing.T
 	cap cluster.Resources
 
-	used map[cluster.NodeID]cluster.Resources
+	used map[int]cluster.Resources
 	// residents tracks which node each placed task currently occupies.
-	residents map[cluster.TaskID]cluster.NodeID
+	residents map[cluster.TaskID]int
 	demand    map[cluster.TaskID]cluster.Resources
-	down      map[cluster.NodeID]bool
+	down      map[int]bool
 	// checkpointing marks tasks between their checkpoint verdict and the
 	// matching vacate (or finish, when the task completes during a
 	// pre-copy window).
 	checkpointing map[cluster.TaskID]bool
 
 	places, finishes, kills, checkpoints, vacates, fences int
+	// peak is the high-water mark of len(residents).
+	peak int
 }
 
 func newInvariantChecker(t *testing.T, nodeCap cluster.Resources) *invariantChecker {
 	return &invariantChecker{
 		t:             t,
 		cap:           nodeCap,
-		used:          make(map[cluster.NodeID]cluster.Resources),
-		residents:     make(map[cluster.TaskID]cluster.NodeID),
+		used:          make(map[int]cluster.Resources),
+		residents:     make(map[cluster.TaskID]int),
 		demand:        make(map[cluster.TaskID]cluster.Resources),
 		checkpointing: make(map[cluster.TaskID]bool),
-		down:          make(map[cluster.NodeID]bool),
+		down:          make(map[int]bool),
 	}
 }
 
@@ -52,7 +55,7 @@ func (c *invariantChecker) setDemands(jobs []cluster.JobSpec) {
 	}
 }
 
-func (c *invariantChecker) release(ev sched.ProbeEvent, kind string) {
+func (c *invariantChecker) release(ev obs.Event, kind string) {
 	node, ok := c.residents[ev.Task]
 	if !ok {
 		c.t.Fatalf("%s for task %v at %v: not resident anywhere", kind, ev.Task, ev.At)
@@ -67,12 +70,15 @@ func (c *invariantChecker) release(ev sched.ProbeEvent, kind string) {
 	delete(c.residents, ev.Task)
 }
 
-func (c *invariantChecker) probe(ev sched.ProbeEvent) {
+// Observe checks one edge. A kill verdict frees the victim at once; a
+// checkpoint verdict holds its resources until the vacate, or the
+// completion of a task that finishes inside its pre-copy window.
+func (c *invariantChecker) Observe(ev obs.Event) {
 	if c.t.Failed() {
 		return
 	}
 	switch ev.Kind {
-	case sched.ProbePlace:
+	case obs.EvPlace:
 		c.places++
 		if c.down[ev.Node] {
 			c.t.Fatalf("task %v placed on down node %d at %v", ev.Task, ev.Node, ev.At)
@@ -85,39 +91,42 @@ func (c *invariantChecker) probe(ev sched.ProbeEvent) {
 			c.t.Fatalf("node %d capacity exceeded at %v: used %v cap %v", ev.Node, ev.At, c.used[ev.Node], c.cap)
 		}
 		c.residents[ev.Task] = ev.Node
+		c.peak = max(c.peak, len(c.residents))
 		// A placement resolves any outstanding checkpoint cycle (the task
 		// was vacated and has now been restored somewhere).
-	case sched.ProbeFinish:
+	case obs.EvTaskDone:
 		c.finishes++
 		c.release(ev, "finish")
 		// Completing during a pre-copy window resolves the outstanding
 		// checkpoint verdict without a vacate.
 		delete(c.checkpointing, ev.Task)
-	case sched.ProbeKill:
+	case obs.EvDecision:
+		if ev.Name != core.ActionKill.String() {
+			c.checkpoints++
+			if c.checkpointing[ev.Task] {
+				c.t.Fatalf("task %v checkpointed twice without an intervening vacate", ev.Task)
+			}
+			c.checkpointing[ev.Task] = true
+			return
+		}
 		c.kills++
 		if c.checkpointing[ev.Task] {
 			c.t.Fatalf("task %v killed while its checkpoint dump is outstanding", ev.Task)
 		}
 		c.release(ev, "kill")
-	case sched.ProbeCheckpoint:
-		c.checkpoints++
-		if c.checkpointing[ev.Task] {
-			c.t.Fatalf("task %v checkpointed twice without an intervening vacate", ev.Task)
-		}
-		c.checkpointing[ev.Task] = true
-	case sched.ProbeVacate:
+	case obs.EvVacate:
 		c.vacates++
 		if !c.checkpointing[ev.Task] {
 			c.t.Fatalf("task %v vacated without a preceding checkpoint verdict", ev.Task)
 		}
 		delete(c.checkpointing, ev.Task)
 		c.release(ev, "vacate")
-	case sched.ProbeFence:
+	case obs.EvTaskRescheduled:
 		c.fences++
 		c.release(ev, "fence")
-	case sched.ProbeNodeDown:
+	case obs.EvNodeDown:
 		c.down[ev.Node] = true
-	case sched.ProbeNodeUp:
+	case obs.EvNodeRecovered:
 		delete(c.down, ev.Node)
 	}
 }
@@ -141,14 +150,17 @@ func (c *invariantChecker) verify(res *sched.Result, totalTasks int) {
 		t.Errorf("completed %d of %d tasks", res.TasksCompleted, totalTasks)
 	}
 	if c.finishes != res.TasksCompleted {
-		t.Errorf("probe finishes %d != result completions %d", c.finishes, res.TasksCompleted)
+		t.Errorf("observed completions %d != result completions %d", c.finishes, res.TasksCompleted)
 	}
 	// Every preemption verdict is exactly one kill or one checkpoint.
 	if c.kills+c.checkpoints != res.Preemptions {
 		t.Errorf("kills %d + checkpoints %d != preemptions %d", c.kills, c.checkpoints, res.Preemptions)
 	}
 	if c.kills != res.Kills || c.checkpoints != res.Checkpoints {
-		t.Errorf("probe kill/checkpoint %d/%d != result %d/%d", c.kills, c.checkpoints, res.Kills, res.Checkpoints)
+		t.Errorf("observed kill/checkpoint %d/%d != result %d/%d", c.kills, c.checkpoints, res.Kills, res.Checkpoints)
+	}
+	if c.peak != res.PeakInFlight {
+		t.Errorf("observed peak in flight %d != result %d", c.peak, res.PeakInFlight)
 	}
 	// Every placement is balanced by exactly one release.
 	if c.places != c.finishes+c.kills+c.vacates+c.fences {
@@ -204,7 +216,7 @@ func TestDensityInvariants(t *testing.T) {
 
 			chk := newInvariantChecker(t, sp.NodeCapacity)
 			chk.setDemands(jobs)
-			cfg.Probe = chk.probe
+			cfg.Observer = chk
 
 			res, err := sched.Run(cfg, jobs)
 			if err != nil {

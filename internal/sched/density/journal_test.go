@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"testing"
+	"time"
 
 	"preemptsched/internal/cluster"
 	"preemptsched/internal/core"
@@ -58,17 +59,18 @@ func journaledRun(t *testing.T, policy core.Policy) (*sched.Result, []byte) {
 	}
 	cfg := sched.DefaultConfig(policy, storage.SSD)
 	cfg.Nodes = 20
-	cfg.Recorder = obs.NewRecorder(1<<20, 64)
+	rec := obs.NewRecorder(1<<20, 64)
+	cfg.Observer = rec
 	res, err := sched.Run(cfg, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Preemptions < 100 || cfg.Recorder.Dropped() != 0 {
+	if res.Preemptions < 100 || rec.Dropped() != 0 {
 		t.Fatalf("%v: %d preemptions, %d records dropped; want a contended run with the whole journal retained",
-			policy, res.Preemptions, cfg.Recorder.Dropped())
+			policy, res.Preemptions, rec.Dropped())
 	}
 	var buf bytes.Buffer
-	if _, err := cfg.Recorder.WriteTo(&buf); err != nil {
+	if _, err := rec.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return res, buf.Bytes()
@@ -101,5 +103,119 @@ func TestRestoreAfterKillCarriesNoEstimate(t *testing.T) {
 	}
 	if afterKill == 0 {
 		t.Fatal("scenario has no kill-then-restore; the pairing rule went unexercised")
+	}
+}
+
+// journalTally counts a decoded journal's records the way the Result
+// counters count the same edges.
+type journalTally struct {
+	names          map[string]int
+	remoteRestores int
+	chosen         int
+}
+
+func tallyJournal(j *obs.Journal) journalTally {
+	tl := journalTally{names: make(map[string]int)}
+	for _, r := range j.Records {
+		tl.names[r.Name]++
+		if r.Name == "restore" && r.Flags&obs.FlagRemote != 0 {
+			tl.remoteRestores++
+		}
+		for _, c := range r.Candidates {
+			if c.Chosen {
+				tl.chosen++
+			}
+		}
+	}
+	return tl
+}
+
+// GIVEN seeded contended density cells (20 nodes, 3,000 tasks, load 1.6, a
+// fifth of the tasks production) under the basic checkpoint, adaptive and
+// kill policies, with and without pre-copy, and an adaptive leg that loses
+// two nodes mid-run, each with a flight recorder attached,
+// WHEN the run ends,
+// THEN every Result counter equals the number of journal records of the
+// edge it counts: Kills the kill verdicts, Checkpoints the two checkpoint
+// verdicts and IncrementalCheckpoints the incremental ones, Restores the
+// restores and RemoteRestores those flagged remote, PreCopies the
+// pre-dumps, TasksCompleted the task-done records and the tasks submitted,
+// Preemptions the chosen candidates of the victim selections, and under
+// failures NodeFailures the node-down records and TasksRescheduled the
+// task-rescheduled ones. A counter bumped on a path that does not report
+// its edge, or an edge reported twice, breaks an equality.
+func TestCountersMatchJournal(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		policy   core.Policy
+		preCopy  bool
+		failures []sched.NodeFailure
+	}{
+		{name: "checkpoint", policy: core.PolicyCheckpoint},
+		{name: "adaptive", policy: core.PolicyAdaptive},
+		{name: "kill", policy: core.PolicyKill},
+		{name: "precopy", policy: core.PolicyCheckpoint, preCopy: true},
+		{name: "adaptive-precopy", policy: core.PolicyAdaptive, preCopy: true},
+		{name: "adaptive-failures", policy: core.PolicyAdaptive, failures: []sched.NodeFailure{
+			{Node: 3, At: 4 * time.Minute, RecoverAfter: 3 * time.Minute},
+			{Node: 11, At: 6 * time.Minute},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const tasks = 3000
+			jobs, err := Generate(Spec{Seed: 5, Nodes: 20, Tasks: tasks, LoadFactor: 1.6, HighShare: 0.2, Policy: tc.policy})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := sched.DefaultConfig(tc.policy, storage.SSD)
+			cfg.Nodes = 20
+			cfg.PreCopy = tc.preCopy
+			cfg.NodeFailures = tc.failures
+			rec := obs.NewRecorder(1<<20, 64)
+			cfg.Observer = rec
+			res, err := sched.Run(cfg, jobs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if _, err := rec.WriteTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			j, err := obs.ReadJournal(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if j.Dropped != 0 {
+				t.Fatalf("%d records dropped; want the whole journal retained", j.Dropped)
+			}
+			tl := tallyJournal(j)
+			if res.Preemptions == 0 {
+				t.Fatal("the cell never preempts; the contracts went unexercised")
+			}
+			for _, c := range []struct {
+				counter      string
+				got, journal int
+			}{
+				{"Kills", res.Kills, tl.names["kill"]},
+				{"Checkpoints", res.Checkpoints, tl.names["checkpoint-full"] + tl.names["checkpoint-incremental"]},
+				{"IncrementalCheckpoints", res.IncrementalCheckpoints, tl.names["checkpoint-incremental"]},
+				{"Restores", res.Restores, tl.names["restore"]},
+				{"RemoteRestores", res.RemoteRestores, tl.remoteRestores},
+				{"PreCopies", res.PreCopies, tl.names["pre-dump"]},
+				{"TasksCompleted", res.TasksCompleted, tl.names["task-done"]},
+				{"TasksCompleted (submitted)", res.TasksCompleted, tasks},
+				{"Preemptions", res.Preemptions, tl.chosen},
+				{"NodeFailures", res.NodeFailures, tl.names["node-down"]},
+				{"TasksRescheduled", res.TasksRescheduled, tl.names["task-rescheduled"]},
+			} {
+				if c.got != c.journal {
+					t.Errorf("%s = %d, journal says %d", c.counter, c.got, c.journal)
+				}
+			}
+			if tc.failures != nil && (res.NodeFailures != len(tc.failures) || res.TasksRescheduled == 0) {
+				t.Errorf("failure leg: %d node failures, %d tasks rescheduled; want %d and some",
+					res.NodeFailures, res.TasksRescheduled, len(tc.failures))
+			}
+		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"preemptsched/internal/cluster"
+	"preemptsched/internal/obs"
 	"preemptsched/internal/sim"
 )
 
@@ -28,8 +29,7 @@ func (s *Simulator) failNode(f NodeFailure, now sim.Time) {
 	n.touch()
 	n.Settle(now)
 	s.res.NodeFailures++
-	s.jrn.NodeDown(now, int(n.id), 0)
-	s.probe(ProbeNodeDown, cluster.TaskID{}, n.id, now)
+	s.events.Emit(obs.Event{Kind: obs.EvNodeDown, At: now, Node: int(n.id)})
 	// Fencing removes tasks from n.running, so walk a snapshot, in task-ID
 	// order: the order fixes the fenced tasks' order in the pending queue.
 	// candScratch is idle outside a provenance rescan.
@@ -69,7 +69,7 @@ func (s *Simulator) fenceTask(t *taskRT, now sim.Time) {
 	case phaseCheckpointing:
 		return
 	case phaseRestoring:
-		s.leave(t, ProbeFence, now)
+		s.unseat(t, now)
 		s.rescheduleFailed(t, n, 0, now)
 	case phaseRunning:
 		lost := t.unsavedProgress(now)
@@ -78,7 +78,7 @@ func (s *Simulator) fenceTask(t *taskRT, now sim.Time) {
 		t.preCopying = false
 		s.unmarkRunning(t)
 		s.res.ChargeFailureWaste(t.spec, lost)
-		s.leave(t, ProbeFence, now)
+		s.unseat(t, now)
 		s.rescheduleFailed(t, n, lost, now)
 	}
 }
@@ -87,7 +87,8 @@ func (s *Simulator) fenceTask(t *taskRT, now sim.Time) {
 func (s *Simulator) rescheduleFailed(t *taskRT, n *node, lost time.Duration, now sim.Time) {
 	t.failedOver = true
 	s.res.TasksRescheduled++
-	s.jrn.TaskRescheduled(now, t.spec.ID, int(n.id), t.spec.Priority, lost)
+	s.events.Emit(obs.Event{Kind: obs.EvTaskRescheduled, At: now, Task: t.spec.ID, Node: int(n.id), Priority: t.spec.Priority,
+		Unsaved: lost})
 	t.trip.Abandon()
 	s.enqueue(t, now)
 }
@@ -101,7 +102,6 @@ func (s *Simulator) recoverNode(n *node, at sim.Time) {
 	n.touch()
 	s.res.NodeRecoveries++
 	s.totalCap = s.totalCap.Add(n.Cap)
-	s.jrn.NodeRecovered(at, int(n.id))
-	s.probe(ProbeNodeUp, cluster.TaskID{}, n.id, at)
+	s.events.Emit(obs.Event{Kind: obs.EvNodeRecovered, At: at, Node: int(n.id)})
 	s.requestSchedule(at)
 }

@@ -6,6 +6,7 @@ import (
 
 	"preemptsched/internal/cluster"
 	"preemptsched/internal/core"
+	"preemptsched/internal/obs"
 	"preemptsched/internal/storage"
 )
 
@@ -194,14 +195,14 @@ func TestFailNodeFencesInTaskIDOrder(t *testing.T) {
 	cfg.NodeCapacity = cluster.Resources{CPUMillis: cluster.Cores(8), MemBytes: cluster.GiB(32)}
 	cfg.NodeFailures = []NodeFailure{{Node: 0, At: time.Minute, RecoverAfter: time.Minute}}
 	var placed, fenced []cluster.TaskID
-	cfg.Probe = func(ev ProbeEvent) {
+	cfg.Observer = observerFunc(func(ev obs.Event) {
 		switch {
-		case ev.Kind == ProbePlace && ev.At == 0:
+		case ev.Kind == obs.EvPlace && ev.At == 0:
 			placed = append(placed, ev.Task)
-		case ev.Kind == ProbeFence:
+		case ev.Kind == obs.EvTaskRescheduled:
 			fenced = append(fenced, ev.Task)
 		}
-	}
+	})
 	// Placement order at t=0 is job 5, then 9, then 2.
 	if _, err := Run(cfg, []cluster.JobSpec{job(2, 0, 3), job(5, 10, 2), job(9, 5, 2)}); err != nil {
 		t.Fatal(err)

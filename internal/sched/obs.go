@@ -10,7 +10,7 @@ import (
 // chosen node: every discipline-eligible running task, in task-ID order
 // rather than the eviction order the scan walked, with the estimated
 // checkpoint cost the scan ranked it by (victimCost), the selected victims
-// flagged. It is only invoked when a Recorder is attached, so the extra
+// flagged. It is only invoked when an observer is attached, so the extra
 // scan never taxes plain runs.
 func (s *Simulator) scoreCandidates(n *node, t *taskRT, victims []*taskRT, now sim.Time) []obs.CandidateScore {
 	chosen := make(map[cluster.TaskID]bool, len(victims))

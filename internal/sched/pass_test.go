@@ -57,10 +57,24 @@ type passCoverage struct {
 	victimsBehindTail int
 }
 
+// observerFunc adapts a function to obs.Observer.
+type observerFunc func(obs.Event)
+
+func (f observerFunc) Observe(ev obs.Event) { f(ev) }
+
+// edge names an event the way the tests compare streams: a verdict by its
+// action, any other edge by its kind.
+func edge(ev obs.Event) string {
+	if ev.Kind == obs.EvDecision {
+		return ev.Name
+	}
+	return ev.Kind.String()
+}
+
 // passRun is everything a run shows the world, plus what each pass examined.
 type passRun struct {
 	res      *Result
-	probes   []string
+	events   []string
 	journal  []byte
 	examined []string
 }
@@ -74,13 +88,14 @@ func runPasses(t *testing.T, cfg Config, jobs []cluster.JobSpec, cov *passCovera
 	var run passRun
 	// kills lists the tasks the pass under way has killed.
 	var kills []cluster.TaskID
-	cfg.Probe = func(ev ProbeEvent) {
-		run.probes = append(run.probes, fmt.Sprintf("%v %v %v %v", ev.At, ev.Kind, ev.Task, ev.Node))
-		if ev.Kind == ProbeKill {
+	rec := obs.NewRecorder(1<<20, 64)
+	cfg.Observer = observerFunc(func(ev obs.Event) {
+		run.events = append(run.events, fmt.Sprintf("%v %v %v %v", ev.At, edge(ev), ev.Task, ev.Node))
+		if ev.Kind == obs.EvDecision && ev.Name == "kill" {
 			kills = append(kills, ev.Task)
 		}
-	}
-	cfg.Recorder = obs.NewRecorder(1<<20, 64)
+		rec.Observe(ev)
+	})
 	s, all := loaded(t, cfg, jobs)
 	tasks := make(map[cluster.TaskID]*taskRT, len(all))
 	for _, w := range all {
@@ -135,11 +150,11 @@ func runPasses(t *testing.T, cfg Config, jobs []cluster.JobSpec, cov *passCovera
 		}
 	}
 	run.res = s.runToEnd()
-	if cfg.Recorder.Dropped() != 0 {
-		t.Fatalf("the recorder dropped %d records", cfg.Recorder.Dropped())
+	if rec.Dropped() != 0 {
+		t.Fatalf("the recorder dropped %d records", rec.Dropped())
 	}
 	var buf bytes.Buffer
-	if _, err := cfg.Recorder.WriteTo(&buf); err != nil {
+	if _, err := rec.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	run.journal = buf.Bytes()
@@ -147,15 +162,15 @@ func runPasses(t *testing.T, cfg Config, jobs []cluster.JobSpec, cov *passCovera
 }
 
 // requireSamePasses runs jobs under cfg with the reference pass and with
-// trySchedule and requires the same probe stream, the same journal bytes
+// trySchedule and requires the same event stream, the same journal bytes
 // and the same Result, and that every pass of trySchedule examined exactly
 // the waiters the reference predicts.
 func requireSamePasses(t *testing.T, cfg Config, jobs []cluster.JobSpec, cov *passCoverage) {
 	t.Helper()
 	want := runPasses(t, cfg, jobs, cov)
 	got := runPasses(t, cfg, jobs, nil)
-	if i := firstDifference(got.probes, want.probes); i >= 0 {
-		t.Fatalf("probe %d of %d: %s, reference %s", i, len(want.probes), at(got.probes, i), at(want.probes, i))
+	if i := firstDifference(got.events, want.events); i >= 0 {
+		t.Fatalf("event %d of %d: %s, reference %s", i, len(want.events), at(got.events, i), at(want.events, i))
 	}
 	if !bytes.Equal(got.journal, want.journal) {
 		t.Fatalf("journals differ: %d bytes, reference %d", len(got.journal), len(want.journal))
@@ -238,7 +253,7 @@ var passPolicies = []core.Policy{core.PolicyKill, core.PolicyCheckpoint, core.Po
 // and recovering mid-run,
 // WHEN each runs once with the snapshot pass every discipline used to take
 // and once with trySchedule,
-// THEN the probe streams, the journals and the Results are identical, every
+// THEN the event streams, the journals and the Results are identical, every
 // priority pass examines exactly the prefix of the old batch that ends at
 // the first waiter the stop rule names, and the old pass does nothing
 // after that waiter; and the traces make the rule stop passes, refuse to
@@ -311,7 +326,7 @@ func TestKillVictimWaitsBehindRecordedTail(t *testing.T) {
 		passes [][]string
 		events []string
 	)
-	cfg.Probe = func(ev ProbeEvent) { events = append(events, fmt.Sprintf("%v %v node %v", ev.Kind, ev.Task, ev.Node)) }
+	cfg.Observer = observerFunc(func(ev obs.Event) { events = append(events, fmt.Sprintf("%v %v node %v", edge(ev), ev.Task, ev.Node)) })
 	s, _ := loaded(t, cfg, jobs)
 	afterEachPass(s, func(now sim.Time) {
 		if now > 0 {
@@ -324,7 +339,7 @@ func TestKillVictimWaitsBehindRecordedTail(t *testing.T) {
 	if len(passes) != 2 {
 		t.Fatalf("%d passes ran at the arrival, want the arrival's and the one its kills asked for: %v", len(passes), passes)
 	}
-	if want := []string{"kill 0/0 node 0", "kill 1/0 node 0", "place 8/0 node 0"}; !slices.Equal(passes[0], want) {
+	if want := []string{"victim-selection 8/0 node 0", "kill 0/0 node 0", "kill 1/0 node 0", "place 8/0 node 0"}; !slices.Equal(passes[0], want) {
 		t.Errorf("the arrival's pass did %v, want %v", passes[0], want)
 	}
 	if want := []string{"place 0/0 node 1"}; !slices.Equal(passes[1], want) {

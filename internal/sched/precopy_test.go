@@ -161,12 +161,13 @@ func TestPreCopyRoundTripJournal(t *testing.T) {
 	cfg := oneCoreConfig(core.PolicyCheckpoint, storage.SSD)
 	cfg.CustomBandwidth = 1e9
 	cfg.PreCopy = true
-	cfg.Recorder = obs.NewRecorder(0, 0)
+	rec := obs.NewRecorder(0, 0)
+	cfg.Observer = rec
 	if _, err := Run(cfg, twoJobScenario()); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := cfg.Recorder.WriteTo(&buf); err != nil {
+	if _, err := rec.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	j, err := obs.ReadJournal(&buf)

@@ -11,6 +11,7 @@ import (
 
 	"preemptsched/internal/cluster"
 	"preemptsched/internal/core"
+	"preemptsched/internal/obs"
 	"preemptsched/internal/sim"
 	"preemptsched/internal/storage"
 	"preemptsched/internal/trace"
@@ -428,7 +429,7 @@ func TestSamePassKillVictimWaitsForNextPass(t *testing.T) {
 		passes []passRecord
 		events []string
 	)
-	cfg.Probe = func(ev ProbeEvent) { events = append(events, fmt.Sprintf("%v %v", ev.Kind, ev.Task)) }
+	cfg.Observer = observerFunc(func(ev obs.Event) { events = append(events, fmt.Sprintf("%v %v", edge(ev), ev.Task)) })
 	s, tasks := loaded(t, cfg, jobs)
 	afterEachPass(s, func(sim.Time) {
 		passes = append(passes, passRecord{events, ids(s.batchScratch), ids(listed(t, &s.queue))})
@@ -440,7 +441,7 @@ func TestSamePassKillVictimWaitsForNextPass(t *testing.T) {
 		t.Fatalf("%d passes ran, want the first and the one its kill asked for", len(passes))
 	}
 	first, second := passes[0], passes[1]
-	wantEvents := []string{"place 0/0", "place 1/0", "place 2/0", "place 3/0", "kill 0/0", "place 9/0"}
+	wantEvents := []string{"place 0/0", "place 1/0", "place 2/0", "place 3/0", "victim-selection 9/0", "kill 0/0", "place 9/0"}
 	if !slices.Equal(first.events, wantEvents) {
 		t.Fatalf("first pass did %v, want %v", first.events, wantEvents)
 	}

@@ -320,9 +320,9 @@ func (q *pendingQueue) window(dst []*taskRT, limit int) []*taskRT {
 // Simulator executes one run.
 type Simulator struct {
 	cfg Config
-	// jrn appends to Config.Recorder; without one every appender is a
-	// no-op.
-	jrn    obs.Emitter
+	// events reports each lifecycle edge to Config.Observer; without one
+	// Emit is a no-op.
+	events obs.Emitter
 	engine *sim.Engine
 	nodes  []*node
 	// nodeIdx answers pickNode's first-fit query in O(log nodes).
@@ -338,7 +338,7 @@ type Simulator struct {
 	// chooseVictims overwrites the first, every ranked level the second;
 	// victimScratch holds the scan's incumbent victim set, which only
 	// chooseVictims writes, so it outlives later scans of other nodes and
-	// scoreCandidates' rescan under a Recorder, which uses candScratch.
+	// scoreCandidates' rescan under an observer, which uses candScratch.
 	candScratch   []*taskRT
 	walkScratch   []*taskRT
 	levelScratch  []pricedTask
@@ -353,7 +353,7 @@ type Simulator struct {
 	runPass         func(sim.Time)
 	// decisions counts scheduling decisions: successful placements plus
 	// preemption verdicts. inFlight counts tasks holding node resources.
-	// Both feed the Probe/Sample surface (probe.go).
+	// Both feed the sampler (sample.go) and the Result.
 	decisions uint64
 	inFlight  int
 	// runningByPrio counts phaseRunning tasks per priority so preemption
@@ -532,7 +532,7 @@ func (s *Simulator) runToEnd() *Result {
 func newSimulator(cfg Config) (*Simulator, error) {
 	s := &Simulator{
 		cfg:       cfg,
-		jrn:       cfg.Recorder.Emitter("sched"),
+		events:    obs.NewEmitter(cfg.Observer, "sched"),
 		engine:    sim.NewEngine(),
 		costAware: cfg.Policy == core.PolicyAdaptive && !cfg.NaiveVictimSelection,
 		userUsage: make(map[string]cluster.Resources),
@@ -667,8 +667,8 @@ pass:
 // is at least floorUpTo(t's priority), which dominates a demand in failed,
 // so place is skipped for u — a reservation holder included, as it is when
 // the pass visits it. A visit that neither places nor preempts writes
-// nothing: no probe, no journal record, no counter, no link. By induction
-// the rest of the pass would change no state.
+// nothing: no event, no counter, no link. By induction the rest of the
+// pass would change no state.
 func (s *Simulator) passIdle(t *taskRT, failed []cluster.Resources) bool {
 	if s.cfg.Policy != core.PolicyWait && s.anyRunningBelow(t.spec.Priority) {
 		return false
@@ -747,8 +747,7 @@ func (s *Simulator) place(t *taskRT, now sim.Time) bool {
 	s.unreserve(t)
 	s.seat(t, target, now)
 	s.decisions++
-	s.inFlight++
-	s.probe(ProbePlace, t.spec.ID, target.id, now)
+	s.events.Emit(obs.Event{Kind: obs.EvPlace, At: now, Task: t.spec.ID, Node: int(target.id), Priority: t.spec.Priority})
 
 	if t.hasCheckpoint {
 		s.startRestore(t, target, now)
@@ -767,10 +766,12 @@ func (s *Simulator) place(t *taskRT, now sim.Time) bool {
 }
 
 // seat puts t on n — the node's books take its demand, its running set
-// takes t — and prices t's chainless checkpoint on n's device for the
-// victim scans that may meet it there. The price is part of t's key in the
-// running set, so it is set first.
+// takes t, and t counts as in flight — and prices t's chainless checkpoint
+// on n's device for the victim scans that may meet it there. The price is
+// part of t's key in the running set, so it is set first.
 func (s *Simulator) seat(t *taskRT, n *node, now sim.Time) {
+	s.inFlight++
+	s.res.PeakInFlight = max(s.res.PeakInFlight, s.inFlight)
 	n.Alloc(now, t.spec.Demand)
 	n.touch()
 	s.account(t, +1)
@@ -784,7 +785,10 @@ func (s *Simulator) seat(t *taskRT, n *node, now sim.Time) {
 }
 
 // unseat undoes seat: the resources return and the running set drops t.
+// The caller has reported why t left: a completion, a kill verdict, a
+// vacate or a fence.
 func (s *Simulator) unseat(t *taskRT, now sim.Time) {
+	s.inFlight--
 	n := t.node
 	n.Release(now, t.spec.Demand)
 	n.touch()
@@ -875,7 +879,8 @@ func (s *Simulator) startRestore(t *taskRT, target *node, now sim.Time) {
 		flags |= obs.FlagFailure
 	}
 	est, actual := t.trip.Close(overhead)
-	s.jrn.Restore(now, t.spec.ID, int(target.id), t.spec.Priority, est, actual, t.spec.MemFootprint, flags, 0)
+	s.events.Emit(obs.Event{Kind: obs.EvRestore, At: now, Task: t.spec.ID, Node: int(target.id), Priority: t.spec.Priority,
+		Est: est, Actual: actual, Bytes: t.spec.MemFootprint, Flags: flags})
 	s.res.ChargeOverhead(t.spec, overhead)
 	s.engine.At(done, func(at sim.Time) {
 		// The target may have failed during the read; the fence already
@@ -893,9 +898,9 @@ func (s *Simulator) finishTask(t *taskRT, now sim.Time) {
 	s.unmarkRunning(t)
 	t.phase = phaseDone
 	t.completion = nil
-	s.jrn.TaskDone(now, t.spec.ID, int(t.node.id), t.spec.Priority)
+	s.events.Emit(obs.Event{Kind: obs.EvTaskDone, At: now, Task: t.spec.ID, Node: int(t.node.id), Priority: t.spec.Priority})
 	s.removeImages(t)
-	s.leave(t, ProbeFinish, now)
+	s.unseat(t, now)
 	s.res.TasksCompleted++
 
 	t.job.remaining--
@@ -911,13 +916,6 @@ func (s *Simulator) finishTask(t *taskRT, now sim.Time) {
 	s.requestSchedule(now)
 }
 
-// leave takes t off its node, and kind tells the Probe why.
-func (s *Simulator) leave(t *taskRT, kind ProbeKind, now sim.Time) {
-	s.inFlight--
-	s.probe(kind, t.spec.ID, t.node.id, now)
-	s.unseat(t, now)
-}
-
 // preemptFor vacates lower-priority work for t. It reports whether any
 // preemption was initiated.
 func (s *Simulator) preemptFor(t *taskRT, now sim.Time) bool {
@@ -925,8 +923,9 @@ func (s *Simulator) preemptFor(t *taskRT, now sim.Time) bool {
 	if target == nil {
 		return false
 	}
-	if s.jrn.On() {
-		s.jrn.Selection(now, t.spec.ID, int(target.id), t.spec.Priority, s.scoreCandidates(target, t, victims, now))
+	if s.events.On() {
+		s.events.Emit(obs.Event{Kind: obs.EvSelection, At: now, Task: t.spec.ID, Node: int(target.id), Priority: t.spec.Priority,
+			Candidates: s.scoreCandidates(target, t, victims, now)})
 	}
 	s.reserve(t, target)
 	for _, v := range victims {
@@ -1141,10 +1140,11 @@ func (s *Simulator) preemptTask(v *taskRT, now sim.Time) {
 	s.decisions++
 	cand := s.candidateFor(v, now)
 	action := core.DecidePreemption(s.cfg.Policy, cand, n.Device, now)
-	// The journal keeps the checkpoint cost the verdict weighed even for a
-	// kill, so explain can say what the kill avoided.
+	// The verdict carries the checkpoint cost it weighed even for a kill,
+	// so explain can say what the kill avoided.
 	est := core.CheckpointOverhead(cand, n.Device, now)
-	s.jrn.Decision(now, action.String(), v.spec.ID, int(n.id), v.spec.Priority, v.unsavedProgress(now), est, 0)
+	s.events.Emit(obs.Event{Kind: obs.EvDecision, At: now, Task: v.spec.ID, Node: int(n.id), Priority: v.spec.Priority,
+		Name: action.String(), Unsaved: v.unsavedProgress(now), Est: est})
 
 	if !action.IsCheckpoint() {
 		// Kill: unsaved progress is lost; resources free immediately.
@@ -1154,14 +1154,13 @@ func (s *Simulator) preemptTask(v *taskRT, now sim.Time) {
 		s.unmarkRunning(v)
 		s.res.Kills++
 		s.res.ChargeWaste(v.spec, v.unsavedProgress(now))
-		s.leave(v, ProbeKill, now)
+		s.unseat(v, now)
 		s.enqueue(v, now)
 		s.requestSchedule(now)
 		return
 	}
 
 	v.trip.Open(est)
-	s.probe(ProbeCheckpoint, v.spec.ID, n.id, now)
 	s.res.Checkpoints++
 	if action == core.ActionCheckpointIncremental {
 		s.res.IncrementalCheckpoints++
@@ -1198,7 +1197,8 @@ func (s *Simulator) freezeAndDump(v *taskRT, action core.PreemptAction, bytes in
 	_, done := n.Device.ReserveWrite(now, bytes)
 	window := time.Duration(done - now)
 	v.trip.Dumped(window, 0)
-	s.jrn.Dump(now, v.spec.ID, int(n.id), v.spec.Priority, v.trip.Est(), window, bytes, flags, 0)
+	s.events.Emit(obs.Event{Kind: obs.EvDump, At: now, Task: v.spec.ID, Node: int(n.id), Priority: v.spec.Priority,
+		Est: v.trip.Est(), Actual: window, Bytes: bytes, Flags: flags})
 	s.res.ChargeOverhead(v.spec, window)
 	s.trackImage(v, action, bytes)
 	s.engine.At(done, func(at sim.Time) {
@@ -1211,7 +1211,8 @@ func (s *Simulator) freezeAndDump(v *taskRT, action core.PreemptAction, bytes in
 func (s *Simulator) vacate(v *taskRT, n *node, at sim.Time) {
 	v.hasCheckpoint = true
 	v.ckptNode = n
-	s.leave(v, ProbeVacate, at)
+	s.events.Emit(obs.Event{Kind: obs.EvVacate, At: at, Task: v.spec.ID, Node: int(n.id), Priority: v.spec.Priority})
+	s.unseat(v, at)
 	s.enqueue(v, at)
 	s.requestSchedule(at)
 }
@@ -1227,7 +1228,8 @@ func (s *Simulator) startPreCopy(v *taskRT, cand core.Candidate, now sim.Time) {
 	preBytes := cand.DumpBytes()
 	_, preDone := n.Device.ReserveWrite(now, preBytes)
 	v.trip.Dumped(time.Duration(preDone-now), 0)
-	s.jrn.PreDump(now, v.spec.ID, int(n.id), v.spec.Priority, v.trip.Est(), time.Duration(preDone-now), preBytes, 0)
+	s.events.Emit(obs.Event{Kind: obs.EvPreDump, At: now, Task: v.spec.ID, Node: int(n.id), Priority: v.spec.Priority,
+		Est: v.trip.Est(), Actual: time.Duration(preDone - now), Bytes: preBytes})
 	preAction := core.ActionCheckpointFull
 	if cand.HasCheckpoint {
 		preAction = core.ActionCheckpointIncremental

@@ -139,7 +139,7 @@ func requireSameScan(t *testing.T, data []byte, cov *scanCoverage) {
 			if in.next()&1 != 0 {
 				v.hasCheckpoint = !v.hasCheckpoint
 			}
-			s.leave(v, ProbeFinish, now)
+			s.unseat(v, now)
 			v.phase, v.preCopying = phaseDone, false
 			seated = append(seated[:i], seated[i+1:]...)
 			cov.leaves++

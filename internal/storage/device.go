@@ -71,7 +71,6 @@ type Device struct {
 	queued    int
 	busy      time.Duration // cumulative device-busy time, for I/O overhead accounting
 	written   int64
-	read      int64
 }
 
 // Calibrated effective checkpoint bandwidths (bytes/second). Derived from
@@ -221,9 +220,7 @@ func (d *Device) ReserveWrite(now sim.Time, n int64) (sim.Time, sim.Time) {
 
 // ReserveRead reserves a read of n bytes and returns (start, done).
 func (d *Device) ReserveRead(now sim.Time, n int64) (sim.Time, sim.Time) {
-	start, done := d.Reserve(now, d.ReadTime(n))
-	d.read += n
-	return start, done
+	return d.Reserve(now, d.ReadTime(n))
 }
 
 // BusyTime returns the cumulative time the device has been (or is reserved
@@ -233,9 +230,6 @@ func (d *Device) BusyTime() time.Duration { return d.busy }
 
 // BytesWritten returns the cumulative bytes reserved for writing.
 func (d *Device) BytesWritten() int64 { return d.written }
-
-// BytesRead returns the cumulative bytes reserved for reading.
-func (d *Device) BytesRead() int64 { return d.read }
 
 // Ops returns the number of reserved operations.
 func (d *Device) Ops() int { return d.queued }

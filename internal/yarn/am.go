@@ -367,7 +367,8 @@ func (am *AppMaster) killFallback(t *taskRun, n *NodeManager, lost time.Duration
 	am.c.res.DumpFailures++
 	am.c.res.FallbackKills++
 	am.c.slo.CountFallbackKill()
-	am.c.jrn.KillFallback(now, t.spec.ID, n.id, t.spec.Priority, lost)
+	am.c.events.Emit(obs.Event{Kind: obs.EvKillFallback, At: now, Task: t.spec.ID, Node: n.id, Priority: t.spec.Priority,
+		Unsaved: lost})
 	t.trip.Abandon()
 	am.kill(t, n, lost, now)
 }
@@ -443,7 +444,8 @@ func (am *AppMaster) requeueAfterFailure(t *taskRun, n *NodeManager, lost time.D
 	t.failedOver = true
 	t.failedAt = 0
 	am.c.res.TasksRescheduled++
-	am.c.jrn.TaskRescheduled(now, t.spec.ID, n.id, t.spec.Priority, lost)
+	am.c.events.Emit(obs.Event{Kind: obs.EvTaskRescheduled, At: now, Task: t.spec.ID, Node: n.id, Priority: t.spec.Priority,
+		Unsaved: lost})
 	t.trip.Abandon()
 	pref := -1
 	if t.hasImage && t.imageNode != n.id {
@@ -482,7 +484,7 @@ func (am *AppMaster) onPreempt(t *taskRun, now sim.Time) {
 	action := core.DecidePreemption(am.c.cfg.Policy, cand, n.Device, now)
 	// The Algorithm 1 estimate the verdict weighed: a checkpoint opens a
 	// round trip with it so its error against the actual dump + restore is
-	// measurable, and the journal keeps it for kills too, to answer "why
+	// measurable, and the verdict carries it for kills too, to answer "why
 	// kill instead of checkpoint".
 	est := core.CheckpointOverhead(cand, n.Device, now)
 	if action.IsCheckpoint() {
@@ -491,7 +493,8 @@ func (am *AppMaster) onPreempt(t *taskRun, now sim.Time) {
 		t.trip.Abandon()
 	}
 	span := am.c.observeDecision(t, n, action, now)
-	am.c.jrn.Decision(now, action.String(), t.spec.ID, n.id, t.spec.Priority, t.unsavedProgress(now), est, span)
+	am.c.events.Emit(obs.Event{Kind: obs.EvDecision, At: now, Task: t.spec.ID, Node: n.id, Priority: t.spec.Priority,
+		Name: action.String(), Unsaved: t.unsavedProgress(now), Est: est, Span: span})
 
 	if action.IsCheckpoint() && am.c.cfg.PreCopy {
 		am.startPreCopyCheckpoint(t, n, now)
@@ -708,7 +711,7 @@ func (am *AppMaster) onComplete(t *taskRun, now sim.Time) {
 	n.releaseSlot(now, t)
 	t.node = nil
 	am.discardImages(t, n)
-	am.c.jrn.TaskDone(now, t.spec.ID, n.id, t.spec.Priority)
+	am.c.events.Emit(obs.Event{Kind: obs.EvTaskDone, At: now, Task: t.spec.ID, Node: n.id, Priority: t.spec.Priority})
 
 	am.left--
 	if am.left == 0 {

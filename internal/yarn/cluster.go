@@ -42,11 +42,11 @@ type Cluster struct {
 	// tracer records lifecycle spans in virtual time; nil disables
 	// tracing. reg is never nil inside Run: a private registry is built
 	// when the caller does not supply one, so Result.Metrics is always
-	// populated. jrn appends to the flight recorder (a no-op without
-	// one); slo is reg's SLO view, fed as events happen.
+	// populated. events reports each lifecycle edge to Config.Observer (a
+	// no-op without one); slo is reg's SLO view, fed as events happen.
 	tracer *obs.Tracer
 	reg    *obs.Registry
-	jrn    obs.Emitter
+	events obs.Emitter
 	slo    obs.SLO
 	// hm holds pre-resolved handles for the per-event metric paths (see
 	// resolveHandles in obs.go); reg stays the sink for everything cold.
@@ -251,7 +251,7 @@ func newCluster(cfg Config, tcpDFS bool) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 
 	c := &Cluster{cfg: cfg, engine: sim.NewEngine(), tracer: cfg.Tracer, reg: cfg.Metrics,
-		jrn:     cfg.Recorder.Emitter("yarn"),
+		events:  obs.NewEmitter(cfg.Observer, "yarn"),
 		jobDone: make(map[cluster.JobID]func(JobDone))}
 	if c.reg == nil {
 		c.reg = obs.NewRegistry()

@@ -81,15 +81,16 @@ func TestJournalMatchesHandWrittenRecords(t *testing.T) {
 			cfg := tc.cfg()
 			cfg.Nodes = 3
 			cfg.ContainersPerNode = 2
-			cfg.Recorder = obs.NewRecorder(1<<20, 64)
+			rec := obs.NewRecorder(1<<20, 64)
+			cfg.Observer = rec
 			if _, err := Run(cfg, journalWorkload(t)); err != nil {
 				t.Fatal(err)
 			}
-			if cfg.Recorder.Dropped() != 0 {
-				t.Fatalf("%d records dropped; want the whole journal retained", cfg.Recorder.Dropped())
+			if rec.Dropped() != 0 {
+				t.Fatalf("%d records dropped; want the whole journal retained", rec.Dropped())
 			}
 			var buf bytes.Buffer
-			if _, err := cfg.Recorder.WriteTo(&buf); err != nil {
+			if _, err := rec.WriteTo(&buf); err != nil {
 				t.Fatal(err)
 			}
 			j, err := obs.ReadJournal(bytes.NewReader(buf.Bytes()))
@@ -108,6 +109,96 @@ func TestJournalMatchesHandWrittenRecords(t *testing.T) {
 			sum := sha256.Sum256(buf.Bytes())
 			if got := hex.EncodeToString(sum[:]); got != tc.sha256 {
 				t.Errorf("journal sha256 %s (%d bytes, %v), want %s", got, buf.Len(), seen, tc.sha256)
+			}
+		})
+	}
+}
+
+// GIVEN journalWorkload on the 3 x 2 cluster, fault-free, under the basic
+// checkpoint policy, the adaptive policy on HDD, kills, and pre-copy with
+// the basic and the adaptive policy, each with a flight recorder attached,
+// WHEN the run ends,
+// THEN every Result counter equals the number of journal records of the
+// edge it counts: Kills the kill verdicts, Checkpoints the two checkpoint
+// verdicts and IncrementalCheckpoints the incremental ones, Restores the
+// restores and RemoteRestores those flagged remote, PreCopies the
+// pre-dumps, TasksCompleted the task-done records and the tasks submitted,
+// and Preemptions the victim selections, each of which chooses exactly one
+// candidate. A counter bumped on a path that does not report its edge, or
+// an edge reported twice, breaks an equality.
+func TestCountersMatchJournal(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		policy  core.Policy
+		kind    storage.Kind
+		preCopy bool
+	}{
+		{"checkpoint", core.PolicyCheckpoint, storage.SSD, false},
+		{"adaptive-hdd", core.PolicyAdaptive, storage.HDD, false},
+		{"kill", core.PolicyKill, storage.SSD, false},
+		{"precopy", core.PolicyCheckpoint, storage.SSD, true},
+		{"adaptive-precopy", core.PolicyAdaptive, storage.SSD, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig(tc.policy, tc.kind)
+			cfg.Nodes, cfg.ContainersPerNode = 3, 2
+			cfg.PreCopy = tc.preCopy
+			rec := obs.NewRecorder(1<<20, 64)
+			cfg.Observer = rec
+			jobs := journalWorkload(t)
+			res, err := Run(cfg, jobs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if _, err := rec.WriteTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			j, err := obs.ReadJournal(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if j.Dropped != 0 {
+				t.Fatalf("%d records dropped; want the whole journal retained", j.Dropped)
+			}
+			names := make(map[string]int)
+			remote, chosen := 0, 0
+			for _, r := range j.Records {
+				names[r.Name]++
+				if r.Name == "restore" && r.Flags&obs.FlagRemote != 0 {
+					remote++
+				}
+				for _, c := range r.Candidates {
+					if c.Chosen {
+						chosen++
+					}
+				}
+			}
+			submitted := 0
+			for _, job := range jobs {
+				submitted += len(job.Tasks)
+			}
+			if res.Preemptions == 0 {
+				t.Fatal("the run never preempts; the contracts went unexercised")
+			}
+			for _, c := range []struct {
+				counter      string
+				got, journal int
+			}{
+				{"Kills", res.Kills, names["kill"]},
+				{"Checkpoints", res.Checkpoints, names["checkpoint-full"] + names["checkpoint-incremental"]},
+				{"IncrementalCheckpoints", res.IncrementalCheckpoints, names["checkpoint-incremental"]},
+				{"Restores", res.Restores, names["restore"]},
+				{"RemoteRestores", res.RemoteRestores, remote},
+				{"PreCopies", res.PreCopies, names["pre-dump"]},
+				{"TasksCompleted", res.TasksCompleted, names["task-done"]},
+				{"TasksCompleted (submitted)", res.TasksCompleted, submitted},
+				{"Preemptions", res.Preemptions, names["victim-selection"]},
+				{"Preemptions (chosen)", res.Preemptions, chosen},
+			} {
+				if c.got != c.journal {
+					t.Errorf("%s = %d, journal says %d", c.counter, c.got, c.journal)
+				}
 			}
 		})
 	}

@@ -64,16 +64,22 @@ func (c *Cluster) observeDecision(t *taskRun, n *NodeManager, action core.Preemp
 
 // recordDump books one image write window [now, done] with the device
 // queue portion [now, start]: histograms, a span with dump-queue and
-// dump-write children, the round trip's dump leg and the journal record. A
+// dump-write children, the round trip's dump leg and the dump event. A
 // stop-and-copy dump feeds the queue/write/total histograms and the per-node
 // queue-backlog high-water mark; a pre-copy write, during which the victim
-// keeps executing, has a histogram, a span name and a journal shape of its
+// keeps executing, has a histogram, a span name and an event kind of its
 // own.
 func (c *Cluster) recordDump(t *taskRun, n *NodeManager, image string, bytes int64, incremental, preCopy bool, now, start, done sim.Time) {
 	total := time.Duration(done - now)
+	ev := obs.Event{Kind: obs.EvDump, At: now, Task: t.spec.ID, Node: n.id, Priority: t.spec.Priority,
+		Est: t.trip.Est(), Actual: total, Bytes: bytes}
 	if preCopy {
+		ev.Kind = obs.EvPreDump
 		c.hm.predumpTotal.ObserveDuration(total)
 	} else {
+		if incremental {
+			ev.Flags = obs.FlagIncremental
+		}
 		c.hm.dumpQueue.ObserveDuration(time.Duration(start - now))
 		c.hm.dumpWrite.ObserveDuration(time.Duration(done - start))
 		c.hm.dumpTotal.ObserveDuration(total)
@@ -93,14 +99,8 @@ func (c *Cluster) recordDump(t *taskRun, n *NodeManager, image string, bytes int
 		c.tracer.Complete("checkpoint", "dump-write", pid, tid, span, time.Duration(start), time.Duration(done))
 	}
 	t.trip.Dumped(total, span)
-	switch {
-	case preCopy:
-		c.jrn.PreDump(now, t.spec.ID, n.id, t.spec.Priority, t.trip.Est(), total, bytes, span)
-	case incremental:
-		c.jrn.Dump(now, t.spec.ID, n.id, t.spec.Priority, t.trip.Est(), total, bytes, obs.FlagIncremental, span)
-	default:
-		c.jrn.Dump(now, t.spec.ID, n.id, t.spec.Priority, t.trip.Est(), total, bytes, 0, span)
-	}
+	ev.Span = span
+	c.events.Emit(ev)
 }
 
 // recordContainerWait books the time a granted request spent queued at the
@@ -159,27 +159,28 @@ func (c *Cluster) recordRestore(t *taskRun, n *NodeManager, remote bool, transfe
 	if t.failedOver {
 		flags |= obs.FlagFailure
 	}
-	c.jrn.Restore(now, t.spec.ID, n.id, t.spec.Priority, est, actual, t.spec.MemFootprint, flags, span)
+	c.events.Emit(obs.Event{Kind: obs.EvRestore, At: now, Task: t.spec.ID, Node: n.id, Priority: t.spec.Priority,
+		Est: est, Actual: actual, Bytes: t.spec.MemFootprint, Flags: flags, Span: span})
 }
 
-// recordNodeDown journals the liveness sweep declaring a node dead. The
-// record is node-centric: it has no Task, and Unsaved carries how long
+// recordNodeDown reports the liveness sweep declaring a node dead. The
+// event is node-centric: it has no Task, and Unsaved carries how long
 // the node had been silent.
 func (c *Cluster) recordNodeDown(n *NodeManager, now sim.Time) {
 	if c.tracer != nil {
 		c.tracer.Instant("liveness", "node-down", obs.NodeName(n.id), "", 0, time.Duration(now),
 			obs.Bool("crashed", n.crashed))
 	}
-	c.jrn.NodeDown(now, n.id, time.Duration(now-n.lastBeat))
+	c.events.Emit(obs.Event{Kind: obs.EvNodeDown, At: now, Node: n.id, Unsaved: time.Duration(now - n.lastBeat)})
 }
 
-// recordNodeRecovered journals a declared-dead node whose heartbeat came
+// recordNodeRecovered reports a declared-dead node whose heartbeat came
 // back (healed partition).
 func (c *Cluster) recordNodeRecovered(n *NodeManager, now sim.Time) {
 	if c.tracer != nil {
 		c.tracer.Instant("liveness", "node-recovered", obs.NodeName(n.id), "", 0, time.Duration(now))
 	}
-	c.jrn.NodeRecovered(now, n.id)
+	c.events.Emit(obs.Event{Kind: obs.EvNodeRecovered, At: now, Node: n.id})
 }
 
 // finishMetrics mirrors the run's Result counters into the registry in one

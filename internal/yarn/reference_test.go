@@ -87,7 +87,7 @@ func referenceChooseVictim(rm *ResourceManager, req *request, now sim.Time) (*ta
 		return cands[i].t.seq < cands[j].t.seq
 	})
 	victim := cands[0]
-	if rm.c.jrn.On() {
+	if rm.c.events.On() {
 		scores := make([]obs.CandidateScore, len(cands))
 		for i, sc := range cands {
 			scores[i] = obs.CandidateScore{
@@ -98,7 +98,8 @@ func referenceChooseVictim(rm *ResourceManager, req *request, now sim.Time) (*ta
 				Chosen:   i == 0,
 			}
 		}
-		rm.c.jrn.Selection(now, req.task.spec.ID, victim.n.id, req.task.spec.Priority, scores)
+		rm.c.events.Emit(obs.Event{Kind: obs.EvSelection, At: now, Task: req.task.spec.ID, Node: victim.n.id, Priority: req.task.spec.Priority,
+			Candidates: scores})
 	}
 	return victim.t, victim.n, true
 }
@@ -229,7 +230,7 @@ func TestChooseVictimMatchesReference(t *testing.T) {
 				req := &request{task: claimant, preferred: -1, queuedAt: now}
 
 				// Recorder off: the verdict alone.
-				b.c.jrn = obs.Emitter{}
+				b.c.events = obs.Emitter{}
 				wantT, wantN, wantOK := referenceChooseVictim(b.c.rm, req, now)
 				got, ok := b.c.rm.chooseVictim(req, now)
 				if ok != wantOK || got.t != wantT || got.n != wantN {
@@ -244,9 +245,9 @@ func TestChooseVictimMatchesReference(t *testing.T) {
 
 				// Recorder on: the same verdict and the same record.
 				refRec, newRec := obs.NewRecorder(1<<16, 4), obs.NewRecorder(1<<16, 4)
-				b.c.jrn = refRec.Emitter("yarn")
+				b.c.events = obs.NewEmitter(refRec, "yarn")
 				referenceChooseVictim(b.c.rm, req, now)
-				b.c.jrn = newRec.Emitter("yarn")
+				b.c.events = obs.NewEmitter(newRec, "yarn")
 				got, ok = b.c.rm.chooseVictim(req, now)
 				if ok != wantOK || got.t != wantT || got.n != wantN {
 					t.Fatalf("trial %d, recorder on: victim %v on %v (%v), reference %v on %v (%v)",
@@ -348,7 +349,7 @@ func TestNodeFencingVisitsInIDOrder(t *testing.T) {
 	cfg.NMLivenessTimeout = 30 * time.Second
 	cfg.Faults = &faults.Plan{Seed: 1, NMCrashNode: 1, NMCrashAt: time.Minute}
 	rec := obs.NewRecorder(1<<16, 4)
-	cfg.Recorder = rec
+	cfg.Observer = rec
 	b := newTestBooks(t, cfg)
 	n := b.c.nodes[1]
 
@@ -436,7 +437,7 @@ func TestFruitlessPassAllocatesNothing(t *testing.T) {
 			cfg := DefaultConfig(core.PolicyAdaptive, storage.SSD)
 			cfg.Nodes = 4
 			cfg.ContainersPerNode = 6
-			cfg.Recorder = tc.rec
+			cfg.Observer = tc.rec
 			b := newTestBooks(t, cfg)
 			id := int32(0)
 			for _, n := range b.c.nodes {

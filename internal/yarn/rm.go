@@ -221,7 +221,7 @@ func (rm *ResourceManager) chooseVictim(req *request, now sim.Time) (victim scor
 			victim, ok = c, true
 		}
 	})
-	if !ok || !rm.c.jrn.On() {
+	if !ok || !rm.c.events.On() {
 		return victim, ok
 	}
 	var cands []scored
@@ -237,6 +237,7 @@ func (rm *ResourceManager) chooseVictim(req *request, now sim.Time) (victim scor
 			Chosen:   i == 0,
 		}
 	}
-	rm.c.jrn.Selection(now, req.task.spec.ID, victim.n.id, req.task.spec.Priority, scores)
+	rm.c.events.Emit(obs.Event{Kind: obs.EvSelection, At: now, Task: req.task.spec.ID, Node: victim.n.id, Priority: req.task.spec.Priority,
+		Candidates: scores})
 	return victim, ok
 }

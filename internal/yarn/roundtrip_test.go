@@ -41,7 +41,8 @@ func journaledRun(t *testing.T, cfg Config, breakStoreAt time.Duration, jobs []c
 	cfg.Nodes = 1
 	cfg.ContainersPerNode = 1
 	cfg.Replication = 1
-	cfg.Recorder = obs.NewRecorder(0, 0)
+	rec := obs.NewRecorder(0, 0)
+	cfg.Observer = rec
 	c, err := newCluster(cfg, false)
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +61,7 @@ func journaledRun(t *testing.T, cfg Config, breakStoreAt time.Duration, jobs []c
 		t.Fatalf("%d of %d tasks completed", c.res.TasksCompleted, len(jobs))
 	}
 	var buf bytes.Buffer
-	if _, err := cfg.Recorder.WriteTo(&buf); err != nil {
+	if _, err := rec.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	j, err := obs.ReadJournal(&buf)
