@@ -173,11 +173,12 @@ func TestHorizonRejectionKeepsTheDaemonUp(t *testing.T) {
 	}
 }
 
-// bareDaemon is a daemon around a real yarn.Service with no listener and no
-// dispatcher: what admit queues stays queued for the test to inspect.
+// bareDaemon is a daemon around a real yarn.Service with no listener, whose
+// service reads a queue nobody writes: what admit queues stays queued for the
+// test to inspect.
 func bareDaemon(t *testing.T, cfg Config) *Daemon {
 	t.Helper()
-	svc, err := yarn.NewService(testConfig().Cluster)
+	svc, err := yarn.NewService(testConfig().Cluster, make(chan cluster.JobSpec), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,8 +198,8 @@ func bareDaemon(t *testing.T, cfg Config) *Daemon {
 // admitted, and what is queued is the spec the engine validates: MaxJobTasks
 // tasks whose serial work is as long as the engine's horizon is far, or one
 // task that long. A millisecond more per task is refused. (Driven through
-// admit on a daemon without a dispatcher: running ten thousand k-means
-// processes is not what this pins.)
+// admit on a daemon whose queue the engine does not read: running ten
+// thousand k-means processes is not what this pins.)
 func TestAdmissionBoundsAreInclusive(t *testing.T) {
 	horizonMS := yarn.Horizon.Milliseconds()
 	for _, tc := range []struct {

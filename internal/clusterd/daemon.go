@@ -35,8 +35,8 @@ type Config struct {
 	// QueueSize bounds the admission queue: submissions beyond it are
 	// rejected with a retry-after hint, never buffered. Defaults to 64.
 	QueueSize int
-	// MaxInFlight bounds how many admitted jobs the dispatcher hands to
-	// the engine before waiting for completions. Defaults to 256.
+	// MaxInFlight bounds how many admitted jobs the engine runs at once;
+	// the rest wait in the queue for completions. Defaults to 256.
 	MaxInFlight int
 	// RetryAfter is the backpressure hint returned with queue-full
 	// rejections. Defaults to 100ms.
@@ -73,19 +73,16 @@ type Daemon struct {
 	rec *obs.Recorder
 	svc *yarn.Service
 
-	ln       net.Listener
-	opsAddr  string
-	opsStop  func()
-	queue    chan cluster.JobSpec // admitted, not yet dispatched
-	inflight chan struct{}
+	ln      net.Listener
+	opsAddr string
+	opsStop func()
+	// queue is the one buffer between the wire and the engine: admit sends
+	// on it, the service's loop receives.
+	queue chan cluster.JobSpec
 
 	mu          sync.Mutex
 	state       string
 	outstanding map[cluster.JobID]struct{}
-
-	// firstLossErr keeps the first dispatch failure for the shutdown
-	// error: "N jobs lost" alone is undebuggable.
-	firstLossErr atomic.Value
 
 	// m is the daemon's books: the registry series /metrics exports are
 	// the counters Stats reads, each fact counted once.
@@ -94,9 +91,8 @@ type Daemon struct {
 
 	// served yields wire.Serve's verdict once the listener is closed and
 	// every connection handler has returned.
-	served     chan error
-	dispatchWG sync.WaitGroup
-	samplerWG  sync.WaitGroup
+	served    chan error
+	samplerWG sync.WaitGroup
 
 	samplerStop chan struct{}
 	done        chan struct{}
@@ -152,24 +148,11 @@ func Start(cfg Config) (*Daemon, error) {
 		rec = obs.NewRecorder(0, 0)
 		cfg.Cluster.Observer = rec
 	}
-	svc, err := yarn.NewService(cfg.Cluster)
-	if err != nil {
-		return nil, fmt.Errorf("clusterd: %w", err)
-	}
-	ln, err := net.Listen("tcp", cfg.Addr)
-	if err != nil {
-		svc.Close()
-		return nil, fmt.Errorf("clusterd: listen %s: %w", cfg.Addr, err)
-	}
-
 	d := &Daemon{
 		cfg:         cfg,
 		reg:         reg,
 		rec:         rec,
-		svc:         svc,
-		ln:          ln,
 		queue:       make(chan cluster.JobSpec, cfg.QueueSize),
-		inflight:    make(chan struct{}, cfg.MaxInFlight),
 		state:       StateServing,
 		outstanding: make(map[cluster.JobID]struct{}),
 		m:           resolveMetrics(reg),
@@ -177,6 +160,17 @@ func Start(cfg Config) (*Daemon, error) {
 		samplerStop: make(chan struct{}),
 		done:        make(chan struct{}),
 	}
+	svc, err := yarn.NewService(cfg.Cluster, d.queue, cfg.MaxInFlight, d.complete)
+	if err != nil {
+		return nil, fmt.Errorf("clusterd: %w", err)
+	}
+	d.svc = svc
+	ln, err := net.Listen("tcp", cfg.Addr)
+	if err != nil {
+		svc.Close()
+		return nil, fmt.Errorf("clusterd: listen %s: %w", cfg.Addr, err)
+	}
+	d.ln = ln
 	if cfg.OpsAddr != "" {
 		addr, stop, err := obs.ServeOps(cfg.OpsAddr, reg, "preemptsched", d.ready)
 		if err != nil {
@@ -186,8 +180,6 @@ func Start(cfg Config) (*Daemon, error) {
 		}
 		d.opsAddr, d.opsStop = addr, stop
 	}
-	d.dispatchWG.Add(1)
-	go d.dispatch(d.queue, d.inflight)
 	d.samplerWG.Add(1)
 	go d.sample(d.samplerStop)
 	go func() { d.served <- wire.Serve(ln, func(conn net.Conn) { d.serveConn(conn) }) }()
@@ -303,7 +295,7 @@ func (d *Daemon) admit(jr *JobRequest) Response {
 	// The wire shape is checked above; whether the job it describes can run is
 	// the engine's to say, on the spec the engine will be handed. Reserve says
 	// it without waiting on the engine, and books the job's work against the
-	// horizon so that the dispatcher's Submit cannot be refused later.
+	// horizon: the service's loop takes what is queued as it is.
 	id := cluster.JobID(d.nextID.Add(1))
 	spec := jr.spec(id)
 	if err := d.svc.Reserve(&spec); err != nil {
@@ -330,13 +322,10 @@ func (d *Daemon) admit(jr *JobRequest) Response {
 }
 
 // paidReserve is the number of queue slots held back for paid-band work
-// under pressure: a quarter of the queue, at least one slot.
+// under pressure: a quarter of the queue, at least one slot, and never the
+// whole queue — an empty queue sheds nothing.
 func (d *Daemon) paidReserve() int {
-	r := d.cfg.QueueSize / 4
-	if r < 1 {
-		r = 1
-	}
-	return r
+	return min(max(d.cfg.QueueSize/4, 1), d.cfg.QueueSize-1)
 }
 
 // validate checks the wire shape: everything spec could not materialise
@@ -377,43 +366,17 @@ func (jr *JobRequest) spec(id cluster.JobID) cluster.JobSpec {
 	return j
 }
 
-// dispatch moves admitted jobs from the queue into the engine, holding an
-// in-flight token per job so at most MaxInFlight are outstanding. The
-// token is released by the job's completion callback, so a stalled engine
-// backs pressure up through the queue to rejections at the edge.
-func (d *Daemon) dispatch(queue <-chan cluster.JobSpec, inflight chan struct{}) {
-	defer d.dispatchWG.Done()
-	for spec := range queue {
-		inflight <- struct{}{}
-		d.m.queueDepth.Set(float64(len(queue)))
-		id := spec.ID
-		err := d.svc.Submit(spec, func(done yarn.JobDone) {
-			<-inflight
-			d.complete(done.ID)
-		})
-		if err != nil {
-			// Admitted but unrunnable: the job is lost. This cannot happen
-			// in the state machine (the dispatcher drains before the
-			// service closes) — counted rather than assumed.
-			<-inflight
-			d.mu.Lock()
-			delete(d.outstanding, id)
-			d.mu.Unlock()
-			d.m.lost.Inc()
-			d.firstLossErr.CompareAndSwap(nil, err)
-		}
-	}
-}
-
 // complete is the engine-side completion callback: exactly one per
-// admitted job, anything else is a double completion.
-func (d *Daemon) complete(id cluster.JobID) {
+// admitted job, anything else is a double completion. It runs on the
+// service's loop goroutine, which is also what empties the queue.
+func (d *Daemon) complete(done yarn.JobDone) {
 	d.mu.Lock()
-	_, ok := d.outstanding[id]
+	_, ok := d.outstanding[done.ID]
 	if ok {
-		delete(d.outstanding, id)
+		delete(d.outstanding, done.ID)
 	}
 	d.mu.Unlock()
+	d.m.queueDepth.Set(float64(len(d.queue)))
 	if !ok {
 		d.m.doubleCompleted.Inc()
 		return
@@ -462,7 +425,7 @@ func (d *Daemon) Stats() Stats {
 		Lost:            d.m.lost.Value(),
 		DoubleCompleted: d.m.doubleCompleted.Value(),
 		QueueDepth:      len(d.queue),
-		InFlight:        len(d.inflight),
+		InFlight:        d.svc.InFlight(),
 		Goroutines:      runtime.NumGoroutine(),
 		HeapBytes:       heapBytes(),
 		AdmissionP99Sec: d.m.admission.Snapshot().Quantile(0.99),
@@ -474,12 +437,13 @@ func (d *Daemon) Stats() Stats {
 func (d *Daemon) Result() *yarn.Result { return d.res }
 
 // Shutdown executes the graceful drain: flip to Draining (rejecting new
-// submissions but still answering stats), dispatch everything already
-// admitted, run the engine dry, then tear down listeners, conns, the ops
-// server, and the sampler. If ctx expires mid-drain the cluster is
-// aborted instead — DFS I/O is cancelled so running work degrades to
-// kills and the drain converges quickly; no admitted job is lost either
-// way. Idempotent: later calls wait for the first and return its error.
+// submissions but still answering stats), close the queue so the service
+// admits what it still holds, run the engine dry, then tear down
+// listeners, conns, the ops server, and the sampler. If ctx expires
+// mid-drain the cluster is aborted instead — DFS I/O is cancelled so
+// running work degrades to kills and the drain converges quickly; no
+// admitted job is lost either way. Idempotent: later calls wait for the
+// first and return its error.
 func (d *Daemon) Shutdown(ctx context.Context) error {
 	d.mu.Lock()
 	if d.state != StateServing {
@@ -493,8 +457,7 @@ func (d *Daemon) Shutdown(ctx context.Context) error {
 	events := obs.NewEmitter(d.rec, "clusterd")
 	events.Emit(obs.Event{Kind: obs.EvMarker, At: d.svc.Now(), Name: "drain-begin"})
 
-	// Everything admitted reaches the engine, then the engine drains.
-	d.dispatchWG.Wait()
+	// Everything queued reaches the engine, then the engine drains.
 	drained := make(chan struct{})
 	go func() {
 		d.res, d.closeErr = d.svc.Close()
@@ -517,9 +480,6 @@ func (d *Daemon) Shutdown(ctx context.Context) error {
 	d.mu.Unlock()
 	if n := d.m.lost.Value(); n > 0 && d.closeErr == nil {
 		d.closeErr = fmt.Errorf("clusterd: %d jobs lost in drain", n)
-		if first, ok := d.firstLossErr.Load().(error); ok {
-			d.closeErr = fmt.Errorf("clusterd: %d jobs lost in drain (first: %w)", n, first)
-		}
 	}
 
 	// Edge teardown: wire listener and its open conns, ops server, sampler.

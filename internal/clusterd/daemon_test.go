@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -47,7 +48,7 @@ func submitN(t *testing.T, cli *Client, n int) int64 {
 
 // TestDaemonLifecycleLeakFree runs full start/submit/drain cycles and
 // asserts the goroutine count returns to baseline: nothing from the wire
-// listener, the dispatcher, the sampler, the ops server, or the cluster's
+// listener, the service loop, the sampler, the ops server, or the cluster's
 // TCP DFS may survive Shutdown.
 func TestDaemonLifecycleLeakFree(t *testing.T) {
 	before := runtime.NumGoroutine()
@@ -140,11 +141,80 @@ func TestDaemonDrainMidStream(t *testing.T) {
 	}
 }
 
+// GIVEN a daemon whose MaxInFlight is k WHEN a stream of several times k
+// jobs is admitted and runs THEN Stats().InFlight, sampled throughout, never
+// exceeds k, every accepted job completes exactly once, and InFlight is back
+// at 0 once the drain is done.
+func TestInFlightCap(t *testing.T) {
+	const k = 2
+	cfg := testConfig()
+	cfg.MaxInFlight = k
+	cfg.Cluster.KMeansPoints, cfg.Cluster.KMeansDims, cfg.Cluster.KMeansK, cfg.Cluster.KMeansIters = 8, 2, 2, 2
+	d, err := Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	peak := make(chan int)
+	go func() {
+		most := 0
+		for {
+			most = max(most, d.Stats().InFlight)
+			select {
+			case <-stop:
+				peak <- most
+				return
+			default:
+			}
+		}
+	}()
+	// Two connections at once, and jobs of a hundred waves on a cluster of
+	// four containers: the queue fills faster than the engine empties it.
+	const conns = 2
+	var (
+		wg       sync.WaitGroup
+		accepted atomic.Int64
+	)
+	for c := 0; c < conns; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cli := NewClient(d.Addr())
+			defer cli.Close()
+			for i := 0; i < 2*k; i++ {
+				resp, err := cli.Submit(context.Background(), JobRequest{Priority: (c + i) % 12, Tasks: 400, DurationMS: 30_000})
+				if err != nil {
+					t.Errorf("submit: %v", err)
+					return
+				}
+				if resp.OK {
+					accepted.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := d.Shutdown(context.Background()); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	close(stop)
+	if most := <-peak; most > k {
+		t.Errorf("InFlight reached %d, cap %d", most, k)
+	}
+	st := d.Stats()
+	if n := accepted.Load(); n == 0 || st.Completed != n || st.DoubleCompleted != 0 || st.Lost != 0 {
+		t.Errorf("accepted %d: completed=%d double=%d lost=%d", accepted.Load(), st.Completed, st.DoubleCompleted, st.Lost)
+	}
+	if st.InFlight != 0 {
+		t.Errorf("InFlight = %d after the drain, want 0", st.InFlight)
+	}
+}
+
 // TestAdmissionBackpressure pins the queue-full and draining rejection
 // semantics without timing races by driving admit directly.
 func TestAdmissionBackpressure(t *testing.T) {
 	d := bareDaemon(t, Config{QueueSize: 1, RetryAfter: 42 * time.Millisecond})
-	// A paid band: a one-slot queue sheds free-band jobs before it is full.
+	// A paid band, so the second answer is the plain queue-full rejection.
 	jr := &JobRequest{Priority: 5, Tasks: 1, DurationMS: 1000}
 
 	if resp := d.admit(jr); !resp.OK {
@@ -213,6 +283,16 @@ func TestPriorityAwareAdmission(t *testing.T) {
 	}
 	if got := d.m.shedFreeBand.Value(); got != 1 {
 		t.Errorf("shed counter = %d, want 1", got)
+	}
+
+	// A one-slot queue holds no slot back from an empty queue: the free-band
+	// job is admitted, and the next one is shed at the high-water mark.
+	one := bareDaemon(t, Config{QueueSize: 1, RetryAfter: 7 * time.Millisecond})
+	if resp := one.admit(free); !resp.OK {
+		t.Fatalf("free admit into an empty one-slot queue rejected: %+v", resp)
+	}
+	if resp := one.admit(free); resp.OK || resp.RetryAfterMS != 7 {
+		t.Errorf("free admit into a full one-slot queue = %+v, want a retry-after rejection", resp)
 	}
 }
 

@@ -28,8 +28,8 @@ import (
 // however long its line or large its numbers.
 //
 // The daemon is hand-assembled around a real yarn.Service (the stats op reads
-// its clock) with no dispatcher: what admission queues stays queued for the
-// harness to inspect.
+// its clock) that reads a queue nobody writes: what admission queues stays
+// queued for the harness to inspect.
 func FuzzClusterdRequest(f *testing.F) {
 	for _, seed := range []string{
 		`{"op":"ping"}`,
@@ -58,7 +58,7 @@ func FuzzClusterdRequest(f *testing.F) {
 	}
 
 	cfg := testConfig()
-	svc, err := yarn.NewService(cfg.Cluster)
+	svc, err := yarn.NewService(cfg.Cluster, make(chan cluster.JobSpec), 1, nil)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -68,7 +68,6 @@ func FuzzClusterdRequest(f *testing.F) {
 		cfg:         Config{QueueSize: queueSize, RetryAfter: time.Millisecond}.withDefaults(),
 		svc:         svc,
 		queue:       make(chan cluster.JobSpec, queueSize),
-		inflight:    make(chan struct{}, 1),
 		state:       StateServing,
 		outstanding: make(map[cluster.JobID]struct{}),
 		m:           resolveMetrics(obs.NewRegistry()),
@@ -134,8 +133,8 @@ func FuzzClusterdRequest(f *testing.F) {
 			}
 			delete(admitted, spec.ID)
 			delete(d.outstanding, spec.ID)
-			// Nothing dispatches these jobs: give their work back, or one long
-			// job would have every later input refused for the horizon.
+			// Nothing runs these jobs: give their work back, or one long job
+			// would have every later input refused for the horizon.
 			svc.Release(spec.ID, 0)
 			if err := spec.Validate(); err != nil {
 				t.Fatalf("admitted job %d fails the engine's validation: %v", spec.ID, err)

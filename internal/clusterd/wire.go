@@ -5,10 +5,10 @@
 // live), and survives sustained load with fault injection enabled.
 //
 // The package splits into the Daemon (bounded admission queue with
-// explicit backpressure, dispatcher, drain state machine), the wire
-// Client (an internal/wire peer — per-request deadlines, one redial —
-// under core.Retrier's capped jittered retry), and the LoadGen (seeded
-// open-loop driver used by the chaos soak).
+// explicit backpressure, which the yarn.Service loop reads itself; drain
+// state machine), the wire Client (an internal/wire peer — per-request
+// deadlines, one redial — under core.Retrier's capped jittered retry), and
+// the LoadGen (seeded open-loop driver used by the chaos soak).
 package clusterd
 
 // Admission bounds. They are protocol constants, not knobs: a request

@@ -27,7 +27,8 @@ func TestServiceTaskAllocationBudget(t *testing.T) {
 	cfg := DefaultConfig(core.PolicyAdaptive, storage.SSD)
 	cfg.Nodes, cfg.ContainersPerNode = 4, 8
 	cfg.KMeansPoints, cfg.KMeansDims, cfg.KMeansK, cfg.KMeansIters = 8, 2, 2, 2
-	s, err := NewService(cfg)
+	var wg sync.WaitGroup
+	s, err := startService(cfg, func(JobDone) { wg.Done() })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,13 +41,11 @@ func TestServiceTaskAllocationBudget(t *testing.T) {
 			tasks += len(specs[i].Tasks)
 			next++
 		}
-		var wg sync.WaitGroup
 		wg.Add(jobs)
-		done := func(JobDone) { wg.Done() }
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for _, spec := range specs {
-			if err := s.Submit(spec, done); err != nil {
+			if err := s.submit(spec); err != nil {
 				t.Fatal(err)
 			}
 		}

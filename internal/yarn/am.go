@@ -719,11 +719,7 @@ func (am *AppMaster) onComplete(t *taskRun, now sim.Time) {
 		resp := am.c.res.JobDone(am.job, now)
 		am.c.slo.ObserveResponse(am.job.Band().String(), resp)
 		if am.c.onJobDone != nil {
-			am.c.onJobDone(am.job.ID, now)
-		}
-		if fn := am.c.jobDone[am.job.ID]; fn != nil {
-			delete(am.c.jobDone, am.job.ID)
-			fn(JobDone{ID: am.job.ID, At: now, ResponseSec: resp, Tasks: len(am.job.Tasks)})
+			am.c.onJobDone(JobDone{ID: am.job.ID, At: now, ResponseSec: resp, Tasks: len(am.job.Tasks)})
 		}
 	}
 	am.c.rm.schedulePass(now)

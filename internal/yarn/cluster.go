@@ -78,12 +78,10 @@ type Cluster struct {
 	decomRecovered atomic.Int64
 	decomLost      atomic.Int64
 
-	// jobDone maps a job to its completion callback (service mode); the
-	// callback fires on the engine goroutine the moment the job's last
-	// task completes, so it must not block. Neither must onJobDone, which
-	// hears of every job's completion first.
-	jobDone   map[cluster.JobID]func(JobDone)
-	onJobDone func(id cluster.JobID, at sim.Time)
+	// onJobDone hears of every job's completion (service mode); it fires
+	// on the engine goroutine the moment the job's last task completes, so
+	// it must not block.
+	onJobDone func(JobDone)
 	// cleanups tear down real resources (TCP listeners, transports) in
 	// reverse order; serveWG tracks the dfs.Serve goroutines they stop.
 	cleanups []func()
@@ -200,7 +198,7 @@ func (c *Cluster) afterDump(cli *dfs.Client, name string) {
 // maybeCorrupt implements the failure-injection knob: flips one byte of
 // the freshly written image when this is the configured Nth dump.
 func (c *Cluster) maybeCorrupt(cli *dfs.Client, name string) {
-	if c.cfg.CorruptNthDump == 0 || c.dumps != c.cfg.CorruptNthDump {
+	if c.cfg.corruptNthDump == 0 || c.dumps != c.cfg.corruptNthDump {
 		return
 	}
 	r, err := cli.Open(name)
@@ -251,8 +249,7 @@ func newCluster(cfg Config, tcpDFS bool) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 
 	c := &Cluster{cfg: cfg, engine: sim.NewEngine(), tracer: cfg.Tracer, reg: cfg.Metrics,
-		events:  obs.NewEmitter(cfg.Observer, "yarn"),
-		jobDone: make(map[cluster.JobID]func(JobDone))}
+		events: obs.NewEmitter(cfg.Observer, "yarn")}
 	if c.reg == nil {
 		c.reg = obs.NewRegistry()
 	}

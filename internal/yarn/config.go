@@ -61,13 +61,6 @@ type Config struct {
 	// bounds restore-time chain walks.
 	CompactChainAfter int
 
-	// CorruptNthDump is a failure-injection knob: the Nth checkpoint dump
-	// of the run has one byte flipped in its stored image. The CRC check
-	// catches it at restore time and the AM falls back down the
-	// degradation ladder (older image, then restart from scratch).
-	// 0 disables injection.
-	CorruptNthDump int
-
 	// ScrubEveryNDumps, when positive, runs one integrity scrub pass over
 	// every DataNode after each N checkpoint dumps: all stored blocks are
 	// re-verified against their checksums, corrupt replicas are evicted,
@@ -119,6 +112,12 @@ type Config struct {
 	// mode sets it; batch Run leaves it nil (the in-process transport never
 	// blocks, so there is nothing to cancel).
 	clientCtx context.Context
+	// corruptNthDump is a failure-injection knob for tests: the Nth
+	// checkpoint dump of the run has one byte flipped in its stored image.
+	// The CRC check catches it at restore time and the AM falls back down
+	// the degradation ladder (older image, then restart from scratch).
+	// 0 disables injection.
+	corruptNthDump int
 }
 
 // DefaultConfig returns the paper's cluster shape for the given policy and

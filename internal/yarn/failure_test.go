@@ -25,7 +25,7 @@ func TestRestoreFailureFallsBackToRestart(t *testing.T) {
 		t.Fatalf("baseline: %d checkpoints, %d failures", ref.Checkpoints, ref.RestoreFailures)
 	}
 
-	cfg.CorruptNthDump = 1
+	cfg.corruptNthDump = 1
 	r, err := Run(cfg, jobs)
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +85,7 @@ func TestCorruptionOfIncrementalChain(t *testing.T) {
 	jobs := []cluster.JobSpec{low, mkHigh(1, time.Minute), mkHigh(2, 3*time.Minute)}
 	cfg := tinyCluster(core.PolicyCheckpoint)
 	cfg.StorageKind = storage.NVM
-	cfg.CorruptNthDump = 2 // the incremental dump
+	cfg.corruptNthDump = 2 // the incremental dump
 	r, err := Run(cfg, jobs)
 	if err != nil {
 		t.Fatal(err)

@@ -228,17 +228,15 @@ func TestServiceSurvivesNodeLoss(t *testing.T) {
 		NMCrashAt:   30 * time.Second,
 		NMCrashNode: 1,
 	}
-	s, err := NewService(cfg)
+	const jobs = 4
+	done := make(map[cluster.JobID]int)
+	s, err := startService(cfg, func(d JobDone) { done[d.ID]++ })
 	if err != nil {
 		t.Fatal(err)
 	}
-	const jobs = 4
-	done := make(map[cluster.JobID]int)
 	for i := 0; i < jobs; i++ {
 		id := cluster.JobID(i)
-		if err := s.Submit(serviceJob(id, cluster.Priority(i)%11, 2, 2*time.Minute), func(d JobDone) {
-			done[d.ID]++
-		}); err != nil {
+		if err := s.submit(serviceJob(id, cluster.Priority(i)%11, 2, 2*time.Minute)); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 	}

@@ -6,14 +6,15 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"preemptsched/internal/cluster"
 	"preemptsched/internal/sim"
 )
 
-// ErrServiceClosed is returned by Submit once the service has begun
-// draining: the job was not admitted and will never run.
+// ErrServiceClosed is returned by Reserve once Close has begun: the job was
+// not admitted and will never run.
 var ErrServiceClosed = errors.New("yarn: service closed")
 
 // Horizon bounds where admission lets the virtual clock be driven: a job is
@@ -23,11 +24,11 @@ var ErrServiceClosed = errors.New("yarn: service closed")
 // admission cannot price — checkpoint windows, work re-run after a kill.
 const Horizon = sim.Time(math.MaxInt64 / 4)
 
-// ErrHorizon is wrapped by Reserve and Submit for a job that does not fit
+// ErrHorizon is wrapped by Reserve for a job that does not fit
 // inside the Horizon: it was not admitted and will never run.
 var ErrHorizon = errors.New("yarn: job would carry the virtual clock past the horizon")
 
-// JobDone reports one job's completion to its submission callback.
+// JobDone reports one job's completion to the service's callback.
 type JobDone struct {
 	ID cluster.JobID
 	// At is the completion instant on the virtual clock.
@@ -38,26 +39,20 @@ type JobDone struct {
 	Tasks       int
 }
 
-// submission carries one job across the API/engine boundary. errCh is
-// buffered so the loop's reply never blocks.
-type submission struct {
-	spec   cluster.JobSpec
-	onDone func(JobDone)
-	errCh  chan error
-}
-
 // serviceStepBatch bounds how many events the loop fires between polls of
-// the submission channel: large enough to amortize the select, small
-// enough that a new arrival lands on the virtual clock promptly.
+// the admission queue: large enough to amortize the select, small enough
+// that a new arrival lands on the virtual clock promptly.
 const serviceStepBatch = 256
 
-// Service runs the framework as a long-lived online system: jobs stream
-// in through Submit while the engine executes, instead of being fixed up
-// front as in Run. One loop goroutine owns the virtual clock — it
-// alternates between draining the submission channel and stepping the
-// engine in bounded batches, so arrivals interleave with execution. The
-// DFS underneath is the real TCP transport: checkpoint dumps and restores
-// are genuine RPCs against per-node listeners, subject to Config.Faults.
+// Service runs the framework as a long-lived online system: jobs stream in
+// while the engine executes, instead of being fixed up front as in Run. A
+// job enters in two steps — Reserve, the admission verdict, then a send on
+// the admission queue the service was built with — and one loop goroutine
+// owns the virtual clock: it alternates between receiving from that queue
+// and stepping the engine in bounded batches, so arrivals interleave with
+// execution. The DFS underneath is the real TCP transport: checkpoint dumps
+// and restores are genuine RPCs against per-node listeners, subject to
+// Config.Faults.
 //
 // Virtual time runs ahead of real time (the engine never sleeps), so a
 // job's virtual response says what the paper's policies would deliver,
@@ -66,35 +61,46 @@ const serviceStepBatch = 256
 type Service struct {
 	c      *Cluster
 	cancel context.CancelFunc
+	onDone func(JobDone)
 
-	subCh  chan submission
+	// inFlight counts the jobs the loop has admitted that have not
+	// completed; the loop stops receiving while it is at maxInFlight.
+	inFlight    atomic.Int64
+	maxInFlight int64
+
 	stopCh chan struct{}
 	doneCh chan struct{}
 
-	mu      sync.Mutex
-	stopped bool
-	// seen holds every job ID ever admitted: IDs are unique for the
-	// service's lifetime, so a resubmitted ID is rejected even after the
-	// original completed — the lost/double-completion bookkeeping upstream
-	// depends on that uniqueness.
-	seen map[cluster.JobID]struct{}
+	// mu is the engine's: the loop holds it to admit or step, Now to read
+	// the clock.
+	mu sync.Mutex
 
-	// The horizon ledger: held is the serial work of every job reserved or
-	// admitted and not yet complete, booked its total, asOf the engine clock
-	// when a job last completed (stale is safe: whatever advanced the clock
-	// since is still booked). hmu is never held across engine work.
-	hmu    sync.Mutex
-	held   map[cluster.JobID]time.Duration
-	booked time.Duration
-	asOf   sim.Time
+	// The admission ledger, under hmu. seen holds every job ID ever
+	// reserved: IDs are unique for the service's lifetime, so a resubmitted
+	// ID is refused even after the original completed — the
+	// lost/double-completion bookkeeping upstream depends on that
+	// uniqueness. held is the serial work of every job reserved and not yet
+	// complete, booked its total, asOf the engine clock when a job last
+	// completed (stale is safe: whatever advanced the clock since is still
+	// booked). hmu is never held across engine work or the callback.
+	hmu     sync.Mutex
+	closing bool
+	seen    map[cluster.JobID]struct{}
+	held    map[cluster.JobID]time.Duration
+	booked  time.Duration
+	asOf    sim.Time
 
 	finishOnce sync.Once
 	finishErr  error
 }
 
-// NewService assembles a cluster over the real TCP DFS and starts its
-// engine loop. Close (or Abort) must be called to release the listeners.
-func NewService(cfg Config) (*Service, error) {
+// NewService assembles a cluster over the real TCP DFS and starts its engine
+// loop, which admits the jobs sent on in, at most maxInFlight unfinished at
+// a time. Every job sent on in must have been Reserved first.
+// onDone, when non-nil, fires on the engine goroutine the moment a job's
+// last task completes: it must not block and must not call back into the
+// Service. Close (or Abort) must be called to release the listeners.
+func NewService(cfg Config, in <-chan cluster.JobSpec, maxInFlight int, onDone func(JobDone)) (*Service, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cfg.clientCtx = ctx
 	c, err := newCluster(cfg, true)
@@ -103,29 +109,33 @@ func NewService(cfg Config) (*Service, error) {
 		return nil, err
 	}
 	s := &Service{
-		c:      c,
-		cancel: cancel,
-		subCh:  make(chan submission),
-		stopCh: make(chan struct{}),
-		doneCh: make(chan struct{}),
-		seen:   make(map[cluster.JobID]struct{}),
-		held:   make(map[cluster.JobID]time.Duration),
+		c:           c,
+		cancel:      cancel,
+		onDone:      onDone,
+		maxInFlight: int64(maxInFlight),
+		stopCh:      make(chan struct{}),
+		doneCh:      make(chan struct{}),
+		seen:        make(map[cluster.JobID]struct{}),
+		held:        make(map[cluster.JobID]time.Duration),
 	}
-	c.onJobDone = s.Release
-	go s.loop(s.subCh, s.stopCh, s.doneCh)
+	c.onJobDone = s.complete
+	go s.loop(in, s.stopCh)
 	return s, nil
 }
 
-// Reserve is the engine's admission verdict on spec, given without waiting on
-// the engine: spec is valid and its serial work fits inside the Horizon, in
-// which case the work is booked under spec.ID until that job completes or is
-// Released. Reserving a booked job is a no-op, so a caller that must answer
-// before it can Submit (the daemon) reserves first and Submit books nothing.
+// Reserve is the service's admission verdict on spec, given without waiting
+// on the engine: the service is not closing, spec's ID is new, spec is valid
+// and its serial work fits inside the Horizon. On a yes the work is booked
+// under spec.ID until that job completes or is Released, and the caller
+// sends spec on the admission queue, where the loop takes it as it is.
 func (s *Service) Reserve(spec *cluster.JobSpec) error {
 	s.hmu.Lock()
 	defer s.hmu.Unlock()
-	if _, ok := s.held[spec.ID]; ok {
-		return nil
+	if s.closing {
+		return ErrServiceClosed
+	}
+	if _, dup := s.seen[spec.ID]; dup {
+		return fmt.Errorf("yarn: job %v already submitted", spec.ID)
 	}
 	if err := spec.Validate(); err != nil {
 		return fmt.Errorf("yarn: %w", err)
@@ -134,6 +144,7 @@ func (s *Service) Reserve(spec *cluster.JobSpec) error {
 	if work > Horizon-s.asOf-s.booked {
 		return fmt.Errorf("%w: job %d needs %v, %v is booked at %v", ErrHorizon, spec.ID, work, s.booked, s.asOf)
 	}
+	s.seen[spec.ID] = struct{}{}
 	s.held[spec.ID] = work
 	s.booked += work
 	return nil
@@ -141,7 +152,7 @@ func (s *Service) Reserve(spec *cluster.JobSpec) error {
 
 // Release returns the work booked under id, if any: the job completed at
 // virtual time now, which brings the ledger's clock forward, or — now zero —
-// its reservation will not be submitted after all.
+// its reservation will not be sent after all.
 func (s *Service) Release(id cluster.JobID, now sim.Time) {
 	s.hmu.Lock()
 	defer s.hmu.Unlock()
@@ -150,28 +161,18 @@ func (s *Service) Release(id cluster.JobID, now sim.Time) {
 	s.asOf = max(s.asOf, now)
 }
 
-// Submit hands a job to the engine loop, rewriting its arrival to the
-// current virtual instant, and returns once the job is admitted (or
-// rejected: invalid, a duplicate, or past the Horizon). onDone, when
-// non-nil, fires on the engine goroutine the moment the job's last task
-// completes — it must not block and must not call back into the Service.
-// Submit takes ownership of spec.Tasks. Safe for concurrent use.
-func (s *Service) Submit(spec cluster.JobSpec, onDone func(JobDone)) error {
-	sub := submission{spec: spec, onDone: onDone, errCh: make(chan error, 1)}
-	select {
-	case s.subCh <- sub:
-	case <-s.doneCh:
-		return ErrServiceClosed
-	}
-	select {
-	case err := <-sub.errCh:
-		return err
-	case <-s.doneCh:
-		// The loop picked the stop branch before answering: the job was
-		// never admitted.
-		return ErrServiceClosed
+// complete is the cluster's completion hook: the job gives its work back and
+// its in-flight slot, then the caller hears of it.
+func (s *Service) complete(done JobDone) {
+	s.Release(done.ID, done.At)
+	s.inFlight.Add(-1)
+	if s.onDone != nil {
+		s.onDone(done)
 	}
 }
+
+// InFlight reports how many admitted jobs have not completed.
+func (s *Service) InFlight() int { return int(s.inFlight.Load()) }
 
 // Now reports the engine's virtual clock. It is a snapshot for reporting;
 // by the time the caller reads it the loop may have advanced.
@@ -181,43 +182,52 @@ func (s *Service) Now() sim.Time {
 	return s.c.engine.Now()
 }
 
-// loop owns the engine: it alternates between admitting queued
-// submissions (stamped at virtual now) and firing bounded batches of
-// events. On stop it drains every already-admitted job to completion —
-// the graceful-shutdown contract — then exits.
-func (s *Service) loop(subCh <-chan submission, stopCh <-chan struct{}, doneCh chan<- struct{}) {
-	defer close(doneCh)
+// loop owns the engine: while it has events to fire it admits at most one
+// job from in (stamped at virtual now) per bounded batch of them, so
+// arrivals spread over the virtual clock, and none while maxInFlight are
+// unfinished. Once Close has begun it still admits whatever is buffered and
+// runs the engine dry — the graceful-shutdown contract — then exits.
+func (s *Service) loop(in <-chan cluster.JobSpec, stop <-chan struct{}) {
+	defer close(s.doneCh)
 	for {
-		select {
-		case sub := <-subCh:
-			sub.errCh <- s.admit(sub)
-			continue
-		case <-stopCh:
-			s.drain()
-			return
-		default:
+		recv := in
+		if s.inFlight.Load() >= s.maxInFlight {
+			recv = nil // only a completion makes room
 		}
-		if s.pending() == 0 {
-			// Idle: block until work or shutdown instead of spinning.
+		if s.pending() > 0 {
 			select {
-			case sub := <-subCh:
-				sub.errCh <- s.admit(sub)
-			case <-stopCh:
-				s.drain()
-				return
+			case spec, ok := <-recv:
+				if ok {
+					s.admit(spec)
+				} else {
+					in = nil
+				}
+			default:
 			}
+			s.stepBatch()
 			continue
 		}
-		s.stepBatch()
+		if stop == nil && len(recv) == 0 {
+			return
+		}
+		// Idle: block until work or Close instead of spinning.
+		select {
+		case spec, ok := <-recv:
+			if ok {
+				s.admit(spec)
+			} else {
+				in = nil
+			}
+		case <-stop:
+			stop = nil
+		}
 	}
 }
 
-// admit validates and schedules one job at virtual now. Runs on the
-// engine goroutine.
-func (s *Service) admit(sub submission) error {
+// admit schedules one job at virtual now. Runs on the engine goroutine.
+func (s *Service) admit(spec cluster.JobSpec) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	spec := sub.spec
 	now := s.c.engine.Now()
 	// The wire has no virtual clock: a job arrives the instant the engine
 	// sees it, so its response time measures queueing + execution from
@@ -226,19 +236,8 @@ func (s *Service) admit(sub submission) error {
 	for i := range spec.Tasks {
 		spec.Tasks[i].Submit = now
 	}
-	if _, dup := s.seen[spec.ID]; dup {
-		return fmt.Errorf("yarn: job %v already submitted", spec.ID)
-	}
-	if err := s.Reserve(&spec); err != nil {
-		return err
-	}
-	s.seen[spec.ID] = struct{}{}
-	if sub.onDone != nil {
-		s.c.jobDone[spec.ID] = sub.onDone
-	}
-	am := newAppMaster(s.c, &spec)
-	am.submit(now)
-	return nil
+	s.inFlight.Add(1)
+	newAppMaster(s.c, &spec).submit(now)
 }
 
 func (s *Service) pending() int {
@@ -255,31 +254,26 @@ func (s *Service) stepBatch() {
 	}
 }
 
-func (s *Service) drain() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for s.c.engine.Pending() > 0 {
-		s.c.engine.Step()
-	}
-}
-
-// Close drains the service — no new admissions, every already-admitted
-// job runs to completion — then closes the books and releases the TCP
-// listeners. It returns the aggregated Result; the error is non-nil if
-// any admitted job failed to complete. Idempotent.
+// Close drains the service — Reserve refuses from now on, whatever is
+// buffered on the admission queue is admitted, and every admitted job runs
+// to completion — then closes the books and releases the TCP listeners. It
+// returns the aggregated Result; the error is non-nil if any reserved job
+// failed to complete. Idempotent.
 func (s *Service) Close() (*Result, error) {
-	s.mu.Lock()
-	if !s.stopped {
-		s.stopped = true
+	s.hmu.Lock()
+	if !s.closing {
+		s.closing = true
 		close(s.stopCh)
 	}
-	s.mu.Unlock()
+	s.hmu.Unlock()
 	<-s.doneCh
 	s.finishOnce.Do(func() {
 		s.c.finish(s.c.engine.Now())
 		s.c.close()
 		s.cancel()
-		if n := len(s.c.jobDone); n != 0 {
+		s.hmu.Lock()
+		defer s.hmu.Unlock()
+		if n := len(s.held); n != 0 {
 			s.finishErr = fmt.Errorf("yarn: service closed with %d jobs incomplete", n)
 		}
 	})

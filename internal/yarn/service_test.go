@@ -35,30 +35,53 @@ func serviceConfig(policy core.Policy) Config {
 	return cfg
 }
 
-// TestServiceStreamsJobsToCompletion boots the service over real TCP
-// listeners, streams jobs in concurrently, and verifies every completion
-// callback fires exactly once before Close returns.
-func TestServiceStreamsJobsToCompletion(t *testing.T) {
-	s, err := NewService(serviceConfig(core.PolicyCheckpoint))
-	if err != nil {
-		t.Fatal(err)
+// queuedService is a Service with the send end of its admission queue.
+type queuedService struct {
+	*Service
+	in chan<- cluster.JobSpec
+}
+
+// startService boots a Service the way the daemon does: over a bounded
+// admission queue, under an in-flight cap, with one completion callback.
+func startService(cfg Config, onDone func(JobDone)) (queuedService, error) {
+	in := make(chan cluster.JobSpec, 64)
+	s, err := NewService(cfg, in, 256, onDone)
+	return queuedService{s, in}, err
+}
+
+// submit hands spec to the service as every caller must: Reserve, and on a
+// yes, send it on the admission queue.
+func (s queuedService) submit(spec cluster.JobSpec) error {
+	if err := s.Reserve(&spec); err != nil {
+		return err
 	}
-	const jobs = 6
+	s.in <- spec
+	return nil
+}
+
+// TestServiceStreamsJobsToCompletion boots the service over real TCP
+// listeners, streams jobs in concurrently, and verifies the completion
+// callback fires exactly once per job before Close returns.
+func TestServiceStreamsJobsToCompletion(t *testing.T) {
 	var (
 		mu   sync.Mutex
 		done = make(map[cluster.JobID]int)
 	)
+	s, err := startService(serviceConfig(core.PolicyCheckpoint), func(d JobDone) {
+		mu.Lock()
+		done[d.ID]++
+		mu.Unlock()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const jobs = 6
 	var wg sync.WaitGroup
 	for i := 0; i < jobs; i++ {
 		wg.Add(1)
 		go func(id cluster.JobID) {
 			defer wg.Done()
-			err := s.Submit(serviceJob(id, cluster.Priority(id)%11, 2, 30*time.Second), func(d JobDone) {
-				mu.Lock()
-				done[d.ID]++
-				mu.Unlock()
-			})
-			if err != nil {
+			if err := s.submit(serviceJob(id, cluster.Priority(id)%11, 2, 30*time.Second)); err != nil {
 				t.Errorf("submit %d: %v", id, err)
 			}
 		}(cluster.JobID(i))
@@ -86,14 +109,14 @@ func TestServiceStreamsJobsToCompletion(t *testing.T) {
 // TestServiceRejectsAfterClose proves the no-admission half of the drain
 // contract and that Close is idempotent.
 func TestServiceRejectsAfterClose(t *testing.T) {
-	s, err := NewService(serviceConfig(core.PolicyKill))
+	s, err := startService(serviceConfig(core.PolicyKill), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	if err := s.Submit(serviceJob(0, 0, 1, time.Second), nil); !errors.Is(err, ErrServiceClosed) {
+	if err := s.submit(serviceJob(0, 0, 1, time.Second)); !errors.Is(err, ErrServiceClosed) {
 		t.Fatalf("submit after close = %v, want ErrServiceClosed", err)
 	}
 	if _, err := s.Close(); err != nil {
@@ -104,19 +127,19 @@ func TestServiceRejectsAfterClose(t *testing.T) {
 // TestServiceDuplicateAndInvalidSubmitRejected exercises the validation
 // edge of admission without losing the loop.
 func TestServiceDuplicateAndInvalidSubmitRejected(t *testing.T) {
-	s, err := NewService(serviceConfig(core.PolicyCheckpoint))
+	s, err := startService(serviceConfig(core.PolicyCheckpoint), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := s.Submit(cluster.JobSpec{ID: 9}, nil); err == nil {
+	if err := s.submit(cluster.JobSpec{ID: 9}); err == nil {
 		t.Error("taskless job admitted")
 	}
 	long := serviceJob(1, 0, 1, 10*time.Minute)
-	if err := s.Submit(long, func(JobDone) {}); err != nil {
+	if err := s.submit(long); err != nil {
 		t.Fatalf("first submit: %v", err)
 	}
-	if err := s.Submit(serviceJob(1, 0, 1, time.Second), func(JobDone) {}); err == nil {
+	if err := s.submit(serviceJob(1, 0, 1, time.Second)); err == nil {
 		t.Error("duplicate running job admitted")
 	}
 }
@@ -129,12 +152,12 @@ func TestServiceAbortUnderFaults(t *testing.T) {
 	before := runtime.NumGoroutine()
 	cfg := serviceConfig(core.PolicyCheckpoint)
 	cfg.Faults = &faults.Plan{Seed: 7, RPCErrorRate: 0.05, TornWriteRate: 0.05}
-	s, err := NewService(cfg)
+	s, err := startService(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if err := s.Submit(serviceJob(cluster.JobID(i), 10, 1, time.Minute), nil); err != nil {
+		if err := s.submit(serviceJob(cluster.JobID(i), 10, 1, time.Minute)); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 	}
@@ -160,7 +183,7 @@ const year = 365 * 24 * time.Hour
 
 // GIVEN a service on one node with one slot WHEN a client submits a job
 // whose two tasks need 150 years each — serial work that carries the int64
-// virtual clock past its end — THEN Submit refuses it with ErrHorizon, the
+// virtual clock past its end — THEN Reserve refuses it with ErrHorizon, the
 // loop survives, and an ordinary job submitted next runs to completion. At
 // the parent commit the job is admitted and the second task's completion
 // timer panics sim.Engine on the loop goroutine ("event scheduled in the
@@ -168,16 +191,16 @@ const year = 365 * 24 * time.Hour
 func TestHorizonRefusesWorkThatWouldWrapTheClock(t *testing.T) {
 	cfg := serviceConfig(core.PolicyCheckpoint)
 	cfg.Nodes, cfg.ContainersPerNode = 1, 1
-	s, err := NewService(cfg)
+	done := make(chan JobDone, 1)
+	s, err := startService(cfg, func(d JobDone) { done <- d })
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = s.Submit(serviceJob(1, 1, 2, 150*year), nil)
+	err = s.submit(serviceJob(1, 1, 2, 150*year))
 	if !errors.Is(err, ErrHorizon) {
-		t.Fatalf("two 150-year tasks on one slot: Submit = %v, want ErrHorizon", err)
+		t.Fatalf("two 150-year tasks on one slot: Reserve = %v, want ErrHorizon", err)
 	}
-	done := make(chan JobDone, 1)
-	if err := s.Submit(serviceJob(2, 1, 2, time.Minute), func(d JobDone) { done <- d }); err != nil {
+	if err := s.submit(serviceJob(2, 1, 2, time.Minute)); err != nil {
 		t.Fatalf("ordinary job after the refusal: %v", err)
 	}
 	if d := <-done; d.ID != 2 || d.Tasks != 2 {
@@ -195,10 +218,12 @@ func TestHorizonRefusesWorkThatWouldWrapTheClock(t *testing.T) {
 // TestHorizonLedger pins the admission arithmetic: the clock, plus the
 // serial work of everything booked and unfinished, plus the job's own must
 // stay inside Horizon; a completed job returns its work and brings the
-// ledger's clock forward; a reserved job is not booked twice by its Submit;
-// a sum of durations that wraps int64 is past the horizon, not before it.
+// ledger's clock forward; a reserved job is not booked twice, neither by a
+// second Reserve nor by the loop that admits it; a sum of durations that
+// wraps int64 is past the horizon, not before it.
 func TestHorizonLedger(t *testing.T) {
-	s, err := NewService(serviceConfig(core.PolicyCheckpoint)) // 2 nodes x 2 slots
+	done := make(chan JobDone, 1)
+	s, err := startService(serviceConfig(core.PolicyCheckpoint), func(d JobDone) { done <- d }) // 2 nodes x 2 slots
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,8 +239,8 @@ func TestHorizonLedger(t *testing.T) {
 	if err := reserve(2, 1, 35*year); !errors.Is(err, ErrHorizon) {
 		t.Fatalf("35 years on top of 40 booked: %v, want ErrHorizon", err)
 	}
-	if err := reserve(1, 2, 20*year); err != nil {
-		t.Fatalf("reserving a booked job again: %v", err)
+	if err := reserve(1, 2, 20*year); err == nil || errors.Is(err, ErrHorizon) {
+		t.Fatalf("reserving a booked job again: %v, want the duplicate-ID error", err)
 	}
 	if err := reserve(3, 1, Horizon-40*year); err != nil {
 		t.Fatalf("work that lands exactly on the horizon: %v", err)
@@ -232,13 +257,10 @@ func TestHorizonLedger(t *testing.T) {
 		t.Fatalf("taskless job: %v, want the validation error", err)
 	}
 
-	// Job 1 runs its two 20-year tasks side by side: its Submit books nothing
-	// new, and its completion returns the 40 years and moves the ledger's
-	// clock to 20 years (and a few checkpoint-free seconds).
-	done := make(chan JobDone, 1)
-	if err := s.Submit(serviceJob(1, 1, 2, 20*year), func(d JobDone) { done <- d }); err != nil {
-		t.Fatalf("submit of the reserved job: %v", err)
-	}
+	// Job 1 runs its two 20-year tasks side by side: the loop admitting it
+	// books nothing new, and its completion returns the 40 years and moves
+	// the ledger's clock to 20 years (and a few checkpoint-free seconds).
+	s.in <- serviceJob(1, 1, 2, 20*year)
 	if d := <-done; d.At < 20*year || d.At > 20*year+time.Hour {
 		t.Fatalf("job 1 completed at %v, want about 20 years", d.At)
 	}

@@ -291,7 +291,7 @@ func TestConfigValidationFramework(t *testing.T) {
 		if _, err := Run(cfg, jobs); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
-		if svc, err := NewService(cfg); err == nil {
+		if svc, err := NewService(cfg, nil, 1, nil); err == nil {
 			svc.Abort()
 			t.Errorf("bad config %d accepted by NewService", i)
 		}
