@@ -52,7 +52,7 @@ func (s *Simulator) failNode(f NodeFailure, now sim.Time) {
 	// Shares are computed against live capacity.
 	s.totalCap = s.totalCap.Sub(n.Cap)
 	if f.RecoverAfter > 0 {
-		s.engine.At(now+sim.Time(f.RecoverAfter), func(at sim.Time) {
+		s.engine.After(f.RecoverAfter, func(at sim.Time) {
 			s.recoverNode(n, at)
 		})
 	}

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -217,5 +218,26 @@ func TestFailNodeFencesInTaskIDOrder(t *testing.T) {
 		if !taskIDLess(fenced[i-1], fenced[i]) {
 			t.Fatalf("fence order %v is not ascending task-ID order", fenced)
 		}
+	}
+}
+
+// GIVEN a node that fails at 2^62 with a recovery 2^62 later, while a task
+// on another node runs to almost the end of the clock,
+// WHEN the failure arms the recovery,
+// THEN the recovery lands on the last instant of the clock instead of
+// wrapping into the past and panicking, and it still happens.
+func TestRecoveryArmSaturatesAtEndOfClock(t *testing.T) {
+	cfg := DefaultConfig(core.PolicyKill, storage.SSD)
+	cfg.Nodes = 2
+	cfg.NodeFailures = []NodeFailure{{Node: 1, At: 1 << 62, RecoverAfter: 1 << 62}}
+	r, err := Run(cfg, endOfClockJob())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.TasksCompleted != 1 || r.NodeFailures != 1 || r.NodeRecoveries != 1 {
+		t.Fatalf("completed %d tasks, %d failures, %d recoveries; want 1 of each", r.TasksCompleted, r.NodeFailures, r.NodeRecoveries)
+	}
+	if r.Makespan != time.Duration(math.MaxInt64) {
+		t.Fatalf("makespan %v, want the end of the clock", r.Makespan)
 	}
 }

@@ -118,19 +118,19 @@ func TestStalePreCopyTimerSparesTheNextAttempt(t *testing.T) {
 		Duration:     time.Hour,
 	}}}
 	spec := &job.Tasks[0]
-	task := &taskRT{spec: spec, job: newJobRT(job), remaining: spec.Duration}
-	s.engine.At(0, func(now sim.Time) {
+	task := &taskRT{spec: spec, job: newJobRT(job, s), remaining: spec.Duration}
+	s.engine.At(0, sim.Handler(func(now sim.Time) {
 		s.enqueue(task, now)
 		s.requestSchedule(now)
-	})
-	s.engine.At(sim.Time(60*time.Second), func(now sim.Time) { s.preemptTask(task, now) })
-	s.engine.At(sim.Time(61*time.Second), func(now sim.Time) { s.failNode(NodeFailure{Node: 0}, now) })
-	s.engine.At(sim.Time(62*time.Second), func(now sim.Time) {
+	}))
+	s.engine.At(sim.Time(60*time.Second), sim.Handler(func(now sim.Time) { s.preemptTask(task, now) }))
+	s.engine.At(sim.Time(61*time.Second), sim.Handler(func(now sim.Time) { s.failNode(NodeFailure{Node: 0}, now) }))
+	s.engine.At(sim.Time(62*time.Second), sim.Handler(func(now sim.Time) {
 		if task.node != s.nodes[1] || task.phase != phaseRunning {
 			t.Fatalf("at %v the task is in phase %d on %v, want running on node 1", now, task.phase, task.node)
 		}
 		s.preemptTask(task, now)
-	})
+	}))
 	window := s.nodes[0].Device.WriteTime(spec.MemFootprint)
 	first, second := sim.Time(60*time.Second)+window, sim.Time(62*time.Second)+window
 

@@ -309,7 +309,7 @@ func TestBlockedPassTouchesNothing(t *testing.T) {
 					ID: cluster.TaskID{Job: cluster.JobID(job)}, Priority: prio, Demand: demand,
 					Duration: time.Hour, MemFootprint: cluster.GiB(1),
 				}
-				return &taskRT{spec: spec, job: newJobRT(&cluster.JobSpec{ID: spec.ID.Job}), remaining: spec.Duration}
+				return &taskRT{spec: spec, job: newJobRT(&cluster.JobSpec{ID: spec.ID.Job}, s), remaining: spec.Duration}
 			}
 			for i, n := range s.nodes {
 				r := task(i, cluster.MaxPriority, cfg.NodeCapacity)
@@ -362,7 +362,7 @@ func TestBlockedPassTouchesNothing(t *testing.T) {
 
 // loaded is Run up to the moment the engine starts: a simulator with every
 // submission and node failure scheduled. It also returns the taskRTs, which
-// Run itself keeps only inside its submit handlers.
+// Run itself keeps only in its slab and the submission events.
 func loaded(t *testing.T, cfg Config, jobs []cluster.JobSpec) (*Simulator, []*taskRT) {
 	t.Helper()
 	if err := cfg.Validate(); err != nil {
@@ -372,23 +372,13 @@ func loaded(t *testing.T, cfg Config, jobs []cluster.JobSpec) (*Simulator, []*ta
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tasks []*taskRT
-	for i := range jobs {
-		spec := &jobs[i]
-		j := newJobRT(spec)
-		s.jobs = append(s.jobs, j)
-		for k := range spec.Tasks {
-			ts := &spec.Tasks[k]
-			w := &taskRT{spec: ts, job: j, remaining: ts.Duration}
-			tasks = append(tasks, w)
-			s.engine.At(ts.Submit, func(now sim.Time) {
-				s.enqueue(w, now)
-				s.requestSchedule(now)
-			})
-		}
+	slab, err := s.load(jobs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, f := range s.cfg.NodeFailures {
-		s.engine.At(sim.Time(f.At), func(now sim.Time) { s.failNode(f, now) })
+	tasks := make([]*taskRT, len(slab))
+	for i := range slab {
+		tasks[i] = &slab[i]
 	}
 	return s, tasks
 }

@@ -211,8 +211,8 @@ var (
 	}
 )
 
-// bookTask is a task of its own job, as the scheduler holds one.
-func bookTask(id cluster.TaskID, prio cluster.Priority, user string, d cluster.Resources, minutes int, footprintDiv int) *taskRT {
+// bookTask is a task of its own job on s, as the scheduler holds one.
+func bookTask(s *Simulator, id cluster.TaskID, prio cluster.Priority, user string, d cluster.Resources, minutes int, footprintDiv int) *taskRT {
 	spec := &cluster.TaskSpec{
 		ID:           id,
 		Priority:     prio,
@@ -221,7 +221,7 @@ func bookTask(id cluster.TaskID, prio cluster.Priority, user string, d cluster.R
 		Duration:     time.Duration(minutes) * time.Minute,
 		MemFootprint: d.MemBytes / int64(footprintDiv),
 	}
-	return &taskRT{spec: spec, job: newJobRT(&cluster.JobSpec{ID: id.Job, User: user}), remaining: spec.Duration}
+	return &taskRT{spec: spec, job: newJobRT(&cluster.JobSpec{ID: id.Job, User: user}, s), remaining: spec.Duration}
 }
 
 // bookShape is what randomBook's callers vary.
@@ -253,7 +253,7 @@ func randomBook(rng *rand.Rand, cfg Config, shape bookShape) (*Simulator, sim.Ti
 	newTask := func(id cluster.TaskID, prio cluster.Priority) *taskRT {
 		// A few distinct footprints, so equal checkpoint costs — and with
 		// them the task-ID tie-break — occur on most nodes.
-		return bookTask(id, prio, bookUsers[rng.Intn(len(bookUsers))], bookDemands[rng.Intn(len(bookDemands))], 1+rng.Intn(30), 1+rng.Intn(3))
+		return bookTask(s, id, prio, bookUsers[rng.Intn(len(bookUsers))], bookDemands[rng.Intn(len(bookDemands))], 1+rng.Intn(30), 1+rng.Intn(3))
 	}
 	levels := rng.Perm(int(cluster.MaxPriority) + 1)[:shape.levels]
 	idPool := rng.Perm(2 * shape.perNode * cfg.Nodes)
@@ -291,7 +291,7 @@ func randomBook(rng *rand.Rand, cfg Config, shape bookShape) (*Simulator, sim.Ti
 	for i := range waiters {
 		waiters[i] = newTask(cluster.TaskID{Job: cluster.JobID(10_000 + i)}, cluster.Priority(rng.Intn(int(cluster.MaxPriority)+1)))
 	}
-	waiters = append(waiters, bookTask(cluster.TaskID{Job: 10_012}, cluster.MaxPriority, "", bookDemands[0], 10, 1))
+	waiters = append(waiters, bookTask(s, cluster.TaskID{Job: 10_012}, cluster.MaxPriority, "", bookDemands[0], 10, 1))
 	for _, w := range waiters {
 		w.phase = phaseQueued
 	}

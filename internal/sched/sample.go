@@ -31,7 +31,7 @@ func (s *Simulator) startSampler() {
 	if s.cfg.SampleEvery <= 0 || s.cfg.OnSample == nil {
 		return
 	}
-	var tick func(now sim.Time)
+	var tick sim.Handler
 	tick = func(now sim.Time) {
 		s.cfg.OnSample(Sample{
 			At:        now,
@@ -41,7 +41,7 @@ func (s *Simulator) startSampler() {
 			Events:    s.engine.Fired(),
 		})
 		if s.engine.Pending() > 0 {
-			s.engine.At(now+s.cfg.SampleEvery, tick)
+			s.engine.After(s.cfg.SampleEvery, tick)
 		}
 	}
 	s.engine.At(s.cfg.SampleEvery, tick)

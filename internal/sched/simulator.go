@@ -125,6 +125,9 @@ func (t *taskRT) candidate(now sim.Time) core.Candidate {
 // jobRT tracks job-level aggregation.
 type jobRT struct {
 	spec *cluster.JobSpec
+	// sim is the simulator running the job: the one pointer through which a
+	// task's typed events (submitEvent, completionEvent) reach it.
+	sim *Simulator
 	// user is the job's accounting tenant: its User, or "job-<id>" for an
 	// anonymous job, which is its own tenant.
 	user      string
@@ -132,12 +135,32 @@ type jobRT struct {
 	finish    sim.Time
 }
 
-func newJobRT(spec *cluster.JobSpec) *jobRT {
+func newJobRT(spec *cluster.JobSpec, s *Simulator) *jobRT {
 	user := spec.User
 	if user == "" {
 		user = fmt.Sprintf("job-%d", spec.ID)
 	}
-	return &jobRT{spec: spec, user: user, remaining: len(spec.Tasks)}
+	return &jobRT{spec: spec, sim: s, user: user, remaining: len(spec.Tasks)}
+}
+
+// submitEvent and completionEvent are a task's record viewed as the two
+// events that fire once per task or once per run: its submission, and the
+// end of its current attempt. The engine queues the record itself, so
+// neither costs a closure.
+type (
+	submitEvent     taskRT
+	completionEvent taskRT
+)
+
+func (e *submitEvent) Fire(now sim.Time) {
+	t := (*taskRT)(e)
+	t.job.sim.enqueue(t, now)
+	t.job.sim.requestSchedule(now)
+}
+
+func (e *completionEvent) Fire(end sim.Time) {
+	t := (*taskRT)(e)
+	t.job.sim.finishTask(t, end)
 }
 
 // node is one simulated machine: its books (core.Ledger) plus what the
@@ -328,7 +351,6 @@ type Simulator struct {
 	// nodeIdx answers pickNode's first-fit query in O(log nodes).
 	nodeIdx *nodeIndex
 	queue   pendingQueue
-	jobs    []*jobRT
 	// costAware is cost-aware eviction (Section 5.2.2): the adaptive policy
 	// without the naive-victim ablation.
 	costAware bool
@@ -350,7 +372,7 @@ type Simulator struct {
 	// schedulePending guards against redundant trySchedule passes at one
 	// instant; runPass is the one event handler every trigger schedules.
 	schedulePending bool
-	runPass         func(sim.Time)
+	runPass         sim.Handler
 	// decisions counts scheduling decisions: successful placements plus
 	// preemption verdicts. inFlight counts tasks holding node resources.
 	// Both feed the sampler (sample.go) and the Result.
@@ -484,34 +506,46 @@ func Run(cfg Config, jobs []cluster.JobSpec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	if _, err := s.load(jobs); err != nil {
+		return nil, err
+	}
+	s.startSampler()
+	return s.runToEnd(), nil
+}
+
+// load validates jobs and schedules every task's submission and every node
+// failure. A run's task records are one slab, which it returns, and each
+// submission is queued as its record: loading allocates a record per job,
+// not per task.
+func (s *Simulator) load(jobs []cluster.JobSpec) ([]taskRT, error) {
+	n := 0
+	for i := range jobs {
+		n += len(jobs[i].Tasks)
+	}
+	// tasks never grows past its capacity, so a record's address, which its
+	// events and the queues hold, is fixed.
+	tasks := make([]taskRT, 0, n)
 	for i := range jobs {
 		spec := &jobs[i]
 		if err := spec.Validate(); err != nil {
 			return nil, fmt.Errorf("sched: %w", err)
 		}
-		j := newJobRT(spec)
-		s.jobs = append(s.jobs, j)
+		j := newJobRT(spec, s)
 		for k := range spec.Tasks {
 			ts := &spec.Tasks[k]
-			if !ts.Demand.Fits(cfg.NodeCapacity) {
-				return nil, fmt.Errorf("sched: task %v demand %v exceeds node capacity %v", ts.ID, ts.Demand, cfg.NodeCapacity)
+			if !ts.Demand.Fits(s.cfg.NodeCapacity) {
+				return nil, fmt.Errorf("sched: task %v demand %v exceeds node capacity %v", ts.ID, ts.Demand, s.cfg.NodeCapacity)
 			}
-			t := &taskRT{spec: ts, job: j, remaining: ts.Duration}
-			s.engine.At(ts.Submit, func(now sim.Time) {
-				s.enqueue(t, now)
-				s.requestSchedule(now)
-			})
+			tasks = append(tasks, taskRT{spec: ts, job: j, remaining: ts.Duration})
+			s.engine.At(ts.Submit, (*submitEvent)(&tasks[len(tasks)-1]))
 		}
 	}
-
-	for _, f := range cfg.NodeFailures {
-		f := f
-		s.engine.At(sim.Time(f.At), func(now sim.Time) {
+	for _, f := range s.cfg.NodeFailures {
+		s.engine.At(sim.Time(f.At), sim.Handler(func(now sim.Time) {
 			s.failNode(f, now)
-		})
+		}))
 	}
-	s.startSampler()
-	return s.runToEnd(), nil
+	return tasks, nil
 }
 
 // runToEnd drives the loaded engine until no event is left and closes the
@@ -845,10 +879,7 @@ func (s *Simulator) startRun(t *taskRT, now sim.Time) {
 	t.phase = phaseRunning
 	s.markRunning(t)
 	t.attemptStart = now
-	remaining := t.remaining
-	t.completion = s.engine.Schedule(remaining, func(end sim.Time) {
-		s.finishTask(t, end)
-	})
+	t.completion = s.engine.Schedule(t.remaining, (*completionEvent)(t))
 }
 
 // startRestore charges the image read (plus network for remote) before the
@@ -882,14 +913,14 @@ func (s *Simulator) startRestore(t *taskRT, target *node, now sim.Time) {
 	s.events.Emit(obs.Event{Kind: obs.EvRestore, At: now, Task: t.spec.ID, Node: int(target.id), Priority: t.spec.Priority,
 		Est: est, Actual: actual, Bytes: t.spec.MemFootprint, Flags: flags})
 	s.res.ChargeOverhead(t.spec, overhead)
-	s.engine.At(done, func(at sim.Time) {
+	s.engine.At(done, sim.Handler(func(at sim.Time) {
 		// The target may have failed during the read; the fence already
 		// requeued t, and this resume must not resurrect it there.
 		if t.phase != phaseRestoring || t.node != target {
 			return
 		}
 		s.startRun(t, at)
-	})
+	}))
 }
 
 // finishTask completes t, releasing resources and recording metrics.
@@ -1201,9 +1232,9 @@ func (s *Simulator) freezeAndDump(v *taskRT, action core.PreemptAction, bytes in
 		Est: v.trip.Est(), Actual: window, Bytes: bytes, Flags: flags})
 	s.res.ChargeOverhead(v.spec, window)
 	s.trackImage(v, action, bytes)
-	s.engine.At(done, func(at sim.Time) {
+	s.engine.At(done, sim.Handler(func(at sim.Time) {
 		s.vacate(v, n, at)
-	})
+	}))
 }
 
 // vacate finalizes a checkpointed victim: its image is durable, its
@@ -1237,7 +1268,7 @@ func (s *Simulator) startPreCopy(v *taskRT, cand core.Candidate, now sim.Time) {
 	s.trackImage(v, preAction, preBytes)
 
 	attempt := v.evictions
-	s.engine.At(preDone, func(at sim.Time) {
+	s.engine.At(preDone, sim.Handler(func(at sim.Time) {
 		if v.phase != phaseRunning || !v.preCopying || v.evictions != attempt {
 			// The victim completed during the pre-copy window, its
 			// resources free and its images reclaimed; or it was fenced,
@@ -1255,7 +1286,7 @@ func (s *Simulator) startPreCopy(v *taskRT, cand core.Candidate, now sim.Time) {
 		}
 		delta := int64(frac * float64(v.spec.MemFootprint))
 		s.freezeAndDump(v, core.ActionCheckpointIncremental, delta, obs.FlagIncremental|obs.FlagPreCopy, at)
-	})
+	}))
 }
 
 // trackImage books a dump into v's image chain: a full image replaces

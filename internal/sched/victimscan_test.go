@@ -95,7 +95,7 @@ func requireSameScan(t *testing.T, data []byte, cov *scanCoverage) {
 			minutes, div, chain, phase := 1+int(in.next()%30), 1+int(in.next()%3), in.next(), in.next()
 			n := pickNode()
 			made++
-			v := bookTask(cluster.TaskID{Job: cluster.JobID(made % 5), Index: int32(made)}, prio, user, d, minutes, div)
+			v := bookTask(s, cluster.TaskID{Job: cluster.JobID(made % 5), Index: int32(made)}, prio, user, d, minutes, div)
 			if !d.Fits(n.Cap.Sub(n.Used)) {
 				continue
 			}
@@ -121,7 +121,7 @@ func requireSameScan(t *testing.T, data []byte, cov *scanCoverage) {
 			d := bookDemands[in.next()%3]
 			user := bookUsers[in.next()%4]
 			made++
-			w := bookTask(cluster.TaskID{Job: cluster.JobID(100_000 + made)}, prio, user, d, 10, 1)
+			w := bookTask(s, cluster.TaskID{Job: cluster.JobID(100_000 + made)}, prio, user, d, 10, 1)
 			w.phase = phaseQueued
 			if r := in.next(); r&1 != 0 {
 				s.reserve(w, s.nodes[int(r>>1)%len(s.nodes)])

@@ -27,20 +27,28 @@ import (
 // modelled latencies needs no conversions.
 type Time = time.Duration
 
-// Handler is a callback invoked when an event fires. The engine passes the
-// current virtual time, which equals the time the event was scheduled for.
+// Event is something that happens at a virtual instant. The engine calls
+// Fire with the current virtual time, which equals the instant the event was
+// scheduled for.
+type Event interface {
+	Fire(now Time)
+}
+
+// Handler is an Event written as a callback. A func value is pointer-shaped,
+// so converting one to an Event allocates nothing.
 type Handler func(now Time)
+
+// Fire calls h.
+func (h Handler) Fire(now Time) { h(now) }
 
 // Timer is a handle to a scheduled event. It can be cancelled before it
 // fires; cancelling an already-fired or already-cancelled timer is a no-op.
+// The queue entry's Event is the Timer itself, seen as a timerEntry, so only
+// the events scheduled with a handle cost a record.
 type Timer struct {
 	at      Time
-	fn      Handler
+	ev      Event
 	stopped bool
-	// pooled marks records allocated from the engine's free list via
-	// At/After. No handle to a pooled timer ever escapes, so the engine
-	// zeroes and recycles it the moment it leaves the queue.
-	pooled bool
 }
 
 // At reports the virtual instant the timer is scheduled for.
@@ -49,17 +57,20 @@ func (t *Timer) At() Time { return t.at }
 // Stopped reports whether the timer was cancelled or has fired.
 func (t *Timer) Stopped() bool { return t.stopped }
 
+// timerEntry is the view of a Timer the queue holds. It is unexported, so a
+// Timer cannot be handed back to the engine as an Event.
+type timerEntry Timer
+
+func (t *timerEntry) Fire(now Time) { t.ev.Fire(now) }
+
 // Engine is a discrete-event executor. The zero value is not usable; call
 // NewEngine.
 type Engine struct {
 	now     Time
 	queue   eventQueue
-	live    int // queued timers not yet stopped
+	live    int // queued events not yet fired or cancelled
 	running bool
 	fired   uint64
-	// free recycles the records of fired no-handle timers. Its length is
-	// bounded by the peak number of pending At/After events.
-	free []*Timer
 }
 
 // NewEngine returns an engine with the clock at zero and no pending events.
@@ -81,26 +92,21 @@ func (e *Engine) Pending() int { return e.live }
 // than the current virtual time.
 var ErrPast = errors.New("sim: event scheduled in the past")
 
-// ScheduleAt registers fn to run at virtual instant at. It panics if at is
-// before the current time: scheduling into the past is always a logic error
-// in a discrete-event program, and continuing would silently reorder
-// causality.
-func (e *Engine) ScheduleAt(at Time, fn Handler) *Timer {
-	if at < e.now {
-		panic(fmt.Errorf("%w: now=%v requested=%v", ErrPast, e.now, at))
-	}
-	if fn == nil {
-		panic("sim: nil handler")
-	}
-	t := &Timer{at: at, fn: fn}
-	e.queue.push(at, t)
-	e.live++
+// ScheduleAt registers ev to fire at virtual instant at and returns a
+// handle that can cancel it. It panics if at is before the current time:
+// scheduling into the past is always a logic error in a discrete-event
+// program, and continuing would silently reorder causality.
+func (e *Engine) ScheduleAt(at Time, ev Event) *Timer {
+	e.check(at, ev)
+	t := &Timer{at: at, ev: ev}
+	e.push(at, (*timerEntry)(t))
 	return t
 }
 
-// Schedule registers fn to run after delay d (>= 0) from the current time.
-func (e *Engine) Schedule(d time.Duration, fn Handler) *Timer {
-	return e.ScheduleAt(e.in(d), fn)
+// Schedule registers ev to fire after delay d (>= 0) from the current time
+// and returns a handle that can cancel it.
+func (e *Engine) Schedule(d time.Duration, ev Event) *Timer {
+	return e.ScheduleAt(e.in(d), ev)
 }
 
 // in returns the instant d (>= 0) from now, saturated at the end of the
@@ -113,34 +119,43 @@ func (e *Engine) in(d time.Duration) Time {
 	return Time(math.MaxInt64)
 }
 
-// At registers fn to run at virtual instant at without returning a
-// handle. Events scheduled this way cannot be cancelled, which frees the
-// engine to recycle their records the moment they fire — prefer At over
-// ScheduleAt on hot paths that discard the timer.
-func (e *Engine) At(at Time, fn Handler) {
-	if at < e.now {
-		panic(fmt.Errorf("%w: now=%v requested=%v", ErrPast, e.now, at))
-	}
-	if fn == nil {
-		panic("sim: nil handler")
-	}
-	var t *Timer
-	if n := len(e.free); n > 0 {
-		t = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-	} else {
-		t = &Timer{}
-	}
-	t.at, t.fn, t.pooled = at, fn, true
-	e.queue.push(at, t)
-	e.live++
+// At registers ev to fire at virtual instant at without returning a handle.
+// Events scheduled this way cannot be cancelled, so the queue holds ev itself
+// and the engine allocates nothing — prefer At over ScheduleAt on hot paths
+// that discard the timer.
+func (e *Engine) At(at Time, ev Event) {
+	e.check(at, ev)
+	e.push(at, ev)
 }
 
 // After registers fn to run after delay d (>= 0) without returning a
-// handle, with the same recycling freedom as At.
+// handle, as At does. It takes a Handler, not any Event, because the bench
+// module's engine micro-op passes it a func literal, which converts to a
+// Handler but not to an interface.
 func (e *Engine) After(d time.Duration, fn Handler) {
 	e.At(e.in(d), fn)
+}
+
+// check refuses, at the call, what could only go wrong later inside Run: an
+// instant in the past or a nil event — a nil Handler included, which as an
+// Event is not nil.
+func (e *Engine) check(at Time, ev Event) {
+	if at < e.now {
+		panic(fmt.Errorf("%w: now=%v requested=%v", ErrPast, e.now, at))
+	}
+	switch h := ev.(type) {
+	case nil:
+		panic("sim: nil event")
+	case Handler:
+		if h == nil {
+			panic("sim: nil event")
+		}
+	}
+}
+
+func (e *Engine) push(at Time, ev Event) {
+	e.queue.push(at, ev)
+	e.live++
 }
 
 // Cancel stops a pending timer. It is safe to call for timers that have
@@ -162,17 +177,6 @@ func (e *Engine) Cancel(t *Timer) {
 	}
 }
 
-// release recycles a pooled record once it has left the queue. The record
-// is zeroed first so the pool never resurrects a stale handler closure and
-// tests can assert get-returns-zeroed.
-func (e *Engine) release(t *Timer) {
-	if !t.pooled {
-		return
-	}
-	*t = Timer{}
-	e.free = append(e.free, t)
-}
-
 // Step fires the single earliest pending event. It reports false when the
 // queue is empty.
 func (e *Engine) Step() bool {
@@ -183,25 +187,23 @@ func (e *Engine) Step() bool {
 // the stopped entries ahead of it, and reports whether one fired.
 func (e *Engine) step(deadline Time) bool {
 	for e.live > 0 {
-		at, t := e.queue.pop(deadline)
-		if t == nil {
+		at, ev := e.queue.pop(deadline)
+		if ev == nil {
 			return false
 		}
-		if t.stopped {
-			continue // cancelled through its handle, so never pooled
+		if t, ok := ev.(*timerEntry); ok {
+			if t.stopped {
+				continue
+			}
+			t.stopped = true
 		}
-		t.stopped = true
-		fn := t.fn
-		// Recycle before invoking: t is fully consumed, and fn may itself
-		// schedule (and want to reuse) pooled records.
-		e.release(t)
 		e.live--
 		e.now = at
 		if e.live == 0 && e.queue.n > 0 {
 			e.queue.sweep(at)
 		}
 		e.fired++
-		fn(at)
+		ev.Fire(at)
 		return true
 	}
 	return false
@@ -232,7 +234,7 @@ func (e *Engine) RunUntil(deadline Time) Time {
 }
 
 // eventQueue is a monotone radix heap (Ahuja, Mehlhorn, Orlin and Tarjan,
-// 1990) of timers keyed by their instant. It relies on two facts: no key is
+// 1990) of events keyed by their instant. It relies on two facts: no key is
 // ever below base, the key last taken as the minimum, and base never passes
 // the engine's clock, so every instant ScheduleAt accepts is a valid key.
 //
@@ -258,13 +260,14 @@ type eventQueue struct {
 	free    *chunk // emptied chunks, linked through next
 }
 
-// chunkLen entries of 16 bytes and a link fill a 1 KiB size class.
-const chunkLen = 63
+// chunkLen entries of 24 bytes and a link fill a 1 KiB size class.
+const chunkLen = 42
 
-// entry carries the key beside the timer, so a refill reads only chunks.
+// entry carries the key beside the event, so a refill reads only chunks and
+// an At event needs no record of its own.
 type entry struct {
 	at Time
-	t  *Timer
+	ev Event
 }
 
 type chunk struct {
@@ -280,13 +283,13 @@ type bucket struct {
 	min        Time
 }
 
-func (q *eventQueue) push(at Time, t *Timer) {
-	q.add(bits.Len64(uint64(at^q.base)), at, t)
+func (q *eventQueue) push(at Time, ev Event) {
+	q.add(bits.Len64(uint64(at^q.base)), at, ev)
 	q.n++
 }
 
 // add appends an entry to bucket b.
-func (q *eventQueue) add(b int, at Time, t *Timer) {
+func (q *eventQueue) add(b int, at Time, ev Event) {
 	k := &q.buckets[b]
 	if k.tail == nil {
 		c := q.chunk()
@@ -300,15 +303,15 @@ func (q *eventQueue) add(b int, at Time, t *Timer) {
 		}
 		k.min = min(k.min, at)
 	}
-	k.tail.e[k.w] = entry{at, t}
+	k.tail.e[k.w] = entry{at, ev}
 	k.w++
 }
 
 // pop removes and returns the earliest entry if its key is <= deadline, and
-// a nil timer otherwise. It refills only for an entry it is about to take:
+// a nil event otherwise. It refills only for an entry it is about to take:
 // a refill moves base up to that entry's key, which may be later than the
 // clock if the entry is not taken.
-func (q *eventQueue) pop(deadline Time) (Time, *Timer) {
+func (q *eventQueue) pop(deadline Time) (Time, Event) {
 	if q.mask&1 == 0 {
 		if q.mask == 0 {
 			return 0, nil
@@ -324,7 +327,7 @@ func (q *eventQueue) pop(deadline Time) (Time, *Timer) {
 	k := &q.buckets[0]
 	c := k.head
 	x := c.e[k.r]
-	c.e[k.r].t = nil
+	c.e[k.r].ev = nil
 	k.r++
 	if c == k.tail && k.r == k.w {
 		*k = bucket{}
@@ -335,7 +338,7 @@ func (q *eventQueue) pop(deadline Time) (Time, *Timer) {
 		q.put(c)
 	}
 	q.n--
-	return x.at, x.t
+	return x.at, x.ev
 }
 
 // refill empties bucket b > 0, the lowest occupied one, into the buckets
@@ -346,11 +349,11 @@ func (q *eventQueue) refill(b int) {
 	q.mask &^= 1 << b
 	q.base = k.min
 	q.drain(k, func(x entry) {
-		q.add(bits.Len64(uint64(x.at^q.base)), x.at, x.t)
+		q.add(bits.Len64(uint64(x.at^q.base)), x.at, x.ev)
 	})
 }
 
-// sweep drops every stopped entry, keeping the order of the rest. If none
+// sweep drops every cancelled timer, keeping the order of the rest. If none
 // is left, base returns to now, the engine's clock.
 func (q *eventQueue) sweep(now Time) {
 	for m := q.mask; m != 0; m &= m - 1 {
@@ -359,10 +362,10 @@ func (q *eventQueue) sweep(now Time) {
 		q.buckets[b] = bucket{}
 		q.mask &^= 1 << b
 		q.drain(k, func(x entry) {
-			if x.t.stopped {
+			if t, ok := x.ev.(*timerEntry); ok && t.stopped {
 				q.n--
 			} else {
-				q.add(b, x.at, x.t)
+				q.add(b, x.at, x.ev)
 			}
 		})
 	}
@@ -399,7 +402,7 @@ func (q *eventQueue) chunk() *chunk {
 	return c
 }
 
-// put lists a chunk whose entries hold no timers any more.
+// put lists a chunk whose entries hold no events any more.
 func (q *eventQueue) put(c *chunk) {
 	c.next = q.free
 	q.free = c

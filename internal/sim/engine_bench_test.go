@@ -10,7 +10,7 @@ import (
 func BenchmarkEngineChurn(b *testing.B) {
 	e := NewEngine()
 	remaining := b.N
-	var tick func(now Time)
+	var tick Handler
 	tick = func(now Time) {
 		if remaining == 0 {
 			return
@@ -33,7 +33,7 @@ func BenchmarkEngineHeap(b *testing.B) {
 		rng := NewRNG(int64(i))
 		b.StartTimer()
 		for j := 0; j < 10_000; j++ {
-			e.Schedule(time.Duration(rng.Intn(1_000_000))*time.Microsecond, func(Time) {})
+			e.Schedule(time.Duration(rng.Intn(1_000_000))*time.Microsecond, Handler(func(Time) {}))
 		}
 		e.Run()
 	}
@@ -45,7 +45,7 @@ func BenchmarkEngineCancel(b *testing.B) {
 	e := NewEngine()
 	timers := make([]*Timer, 0, b.N)
 	for i := 0; i < b.N; i++ {
-		timers = append(timers, e.Schedule(time.Duration(i+1)*time.Microsecond, func(Time) {}))
+		timers = append(timers, e.Schedule(time.Duration(i+1)*time.Microsecond, Handler(func(Time) {})))
 	}
 	b.ResetTimer()
 	for _, t := range timers {
@@ -54,12 +54,12 @@ func BenchmarkEngineCancel(b *testing.B) {
 }
 
 // BenchmarkEngineChurnAfter is BenchmarkEngineChurn on the no-handle
-// After path: fire-and-forget records recycle through the engine's free
-// list, so steady-state churn allocates nothing.
+// After path: the queue holds the handler itself, so steady-state churn
+// allocates nothing.
 func BenchmarkEngineChurnAfter(b *testing.B) {
 	e := NewEngine()
 	remaining := b.N
-	var tick func(now Time)
+	var tick Handler
 	tick = func(now Time) {
 		if remaining == 0 {
 			return

@@ -13,7 +13,7 @@ func TestEngineFiresInTimeOrder(t *testing.T) {
 	var got []time.Duration
 	for _, d := range []time.Duration{5, 1, 3, 2, 4} {
 		d := d * time.Second
-		e.Schedule(d, func(now Time) { got = append(got, now) })
+		e.Schedule(d, Handler(func(now Time) { got = append(got, now) }))
 	}
 	e.Run()
 	want := []time.Duration{1, 2, 3, 4, 5}
@@ -32,7 +32,7 @@ func TestEngineStableOrderAtSameInstant(t *testing.T) {
 	var got []int
 	for i := 0; i < 20; i++ {
 		i := i
-		e.Schedule(time.Second, func(Time) { got = append(got, i) })
+		e.Schedule(time.Second, Handler(func(Time) { got = append(got, i) }))
 	}
 	e.Run()
 	for i, v := range got {
@@ -45,7 +45,7 @@ func TestEngineStableOrderAtSameInstant(t *testing.T) {
 func TestEngineCancel(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	tm := e.Schedule(time.Second, func(Time) { fired = true })
+	tm := e.Schedule(time.Second, Handler(func(Time) { fired = true }))
 	e.Cancel(tm)
 	e.Run()
 	if fired {
@@ -55,14 +55,27 @@ func TestEngineCancel(t *testing.T) {
 		t.Error("cancelled timer not marked stopped")
 	}
 	e.Cancel(tm) // double-cancel must be a no-op
+
+	// A handle that has fired is stopped too, and cancelling it leaves the
+	// live count alone.
+	done := e.ScheduleAt(e.Now()+time.Second, Handler(func(Time) {}))
+	e.ScheduleAt(e.Now()+2*time.Second, Handler(func(Time) {}))
+	e.Step()
+	if !done.Stopped() {
+		t.Error("fired timer not marked stopped")
+	}
+	e.Cancel(done)
+	if e.Pending() != 1 {
+		t.Errorf("Pending() = %d after cancelling a fired timer, want 1", e.Pending())
+	}
 }
 
 func TestEngineCancelFromHandler(t *testing.T) {
 	e := NewEngine()
 	fired := false
 	var victim *Timer
-	victim = e.Schedule(2*time.Second, func(Time) { fired = true })
-	e.Schedule(time.Second, func(Time) { e.Cancel(victim) })
+	victim = e.Schedule(2*time.Second, Handler(func(Time) { fired = true }))
+	e.Schedule(time.Second, Handler(func(Time) { e.Cancel(victim) }))
 	e.Run()
 	if fired {
 		t.Error("timer cancelled from an earlier handler still fired")
@@ -72,9 +85,9 @@ func TestEngineCancelFromHandler(t *testing.T) {
 func TestEngineScheduleFromHandler(t *testing.T) {
 	e := NewEngine()
 	var at Time
-	e.Schedule(time.Second, func(now Time) {
-		e.Schedule(3*time.Second, func(n Time) { at = n })
-	})
+	e.Schedule(time.Second, Handler(func(now Time) {
+		e.Schedule(3*time.Second, Handler(func(n Time) { at = n }))
+	}))
 	e.Run()
 	if at != 4*time.Second {
 		t.Errorf("chained event fired at %v, want 4s", at)
@@ -85,7 +98,7 @@ func TestEngineRunUntil(t *testing.T) {
 	e := NewEngine()
 	count := 0
 	for i := 1; i <= 10; i++ {
-		e.Schedule(time.Duration(i)*time.Second, func(Time) { count++ })
+		e.Schedule(time.Duration(i)*time.Second, Handler(func(Time) { count++ }))
 	}
 	e.RunUntil(5 * time.Second)
 	if count != 5 {
@@ -105,7 +118,7 @@ func TestEngineRunUntil(t *testing.T) {
 
 func TestEngineRunUntilAdvancesClockPastLastEvent(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(time.Second, func(Time) {})
+	e.Schedule(time.Second, Handler(func(Time) {}))
 	e.RunUntil(10 * time.Second)
 	if e.Now() != 10*time.Second {
 		t.Errorf("clock at %v, want deadline 10s", e.Now())
@@ -114,32 +127,52 @@ func TestEngineRunUntilAdvancesClockPastLastEvent(t *testing.T) {
 
 func TestEnginePanicsOnPastEvent(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(2*time.Second, func(Time) {})
+	e.Schedule(2*time.Second, Handler(func(Time) {}))
 	e.Run()
 	defer func() {
 		if recover() == nil {
 			t.Error("scheduling in the past did not panic")
 		}
 	}()
-	e.ScheduleAt(time.Second, func(Time) {})
+	e.ScheduleAt(time.Second, Handler(func(Time) {}))
 }
 
+// Every scheduling call refuses a nil event where it is made, not later
+// inside Run: a nil Event, and a nil Handler, which as an Event is not nil.
 func TestEnginePanicsOnNilHandler(t *testing.T) {
-	e := NewEngine()
-	defer func() {
-		if recover() == nil {
-			t.Error("nil handler did not panic")
+	var nilHandler Handler
+	calls := map[string]func(e *Engine){
+		"ScheduleAt(nil Event)":   func(e *Engine) { e.ScheduleAt(time.Second, nil) },
+		"ScheduleAt(nil Handler)": func(e *Engine) { e.ScheduleAt(time.Second, nilHandler) },
+		"Schedule(nil Event)":     func(e *Engine) { e.Schedule(time.Second, nil) },
+		"Schedule(nil Handler)":   func(e *Engine) { e.Schedule(time.Second, nilHandler) },
+		"At(nil Event)":           func(e *Engine) { e.At(time.Second, nil) },
+		"At(nil Handler)":         func(e *Engine) { e.At(time.Second, nilHandler) },
+		"After(nil Handler)":      func(e *Engine) { e.After(time.Second, nilHandler) },
+		"After(nil)":              func(e *Engine) { e.After(time.Second, nil) },
+	}
+	for name, call := range calls {
+		e := NewEngine()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			call(e)
+		}()
+		if e.Pending() != 0 {
+			t.Errorf("%s left %d events pending", name, e.Pending())
 		}
-	}()
-	e.Schedule(time.Second, nil)
+	}
 }
 
 func TestEngineNegativeDelayClampsToNow(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(time.Second, func(Time) {})
+	e.Schedule(time.Second, Handler(func(Time) {}))
 	e.Step()
 	fired := false
-	e.Schedule(-5*time.Second, func(now Time) { fired = now == time.Second })
+	e.Schedule(-5*time.Second, Handler(func(now Time) { fired = now == time.Second }))
 	e.Run()
 	if !fired {
 		t.Error("negative delay should fire immediately at current time")
@@ -153,10 +186,10 @@ func TestEngineNegativeDelayClampsToNow(t *testing.T) {
 func TestEngineDelaySaturatesAtEndOfClock(t *testing.T) {
 	const long = 150 * 365 * 24 * time.Hour
 	e := NewEngine()
-	e.Schedule(long, func(Time) {})
+	e.Schedule(long, Handler(func(Time) {}))
 	e.Step()
 	var fired []Time
-	timer := e.Schedule(long, func(now Time) { fired = append(fired, now) })
+	timer := e.Schedule(long, Handler(func(now Time) { fired = append(fired, now) }))
 	e.After(long, func(now Time) { fired = append(fired, now) })
 	e.After(time.Hour, func(now Time) { fired = append(fired, now) })
 	if timer.At() != Time(math.MaxInt64) {
@@ -172,7 +205,7 @@ func TestEngineDelaySaturatesAtEndOfClock(t *testing.T) {
 func TestEngineFiredCounter(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 7; i++ {
-		e.Schedule(time.Duration(i)*time.Millisecond, func(Time) {})
+		e.Schedule(time.Duration(i)*time.Millisecond, Handler(func(Time) {}))
 	}
 	e.Run()
 	if e.Fired() != 7 {
@@ -188,12 +221,12 @@ func TestEngineMonotonicClockProperty(t *testing.T) {
 		var last Time = -1
 		ok := true
 		for _, d := range delaysMs {
-			e.Schedule(time.Duration(d)*time.Millisecond, func(now Time) {
+			e.Schedule(time.Duration(d)*time.Millisecond, Handler(func(now Time) {
 				if now < last {
 					ok = false
 				}
 				last = now
-			})
+			}))
 		}
 		e.Run()
 		return ok
@@ -212,7 +245,7 @@ func TestEngineCancelSubsetProperty(t *testing.T) {
 		timers := make([]*Timer, len(delaysMs))
 		for i, d := range delaysMs {
 			i := i
-			timers[i] = e.Schedule(time.Duration(d)*time.Millisecond, func(Time) { fired[i] = true })
+			timers[i] = e.Schedule(time.Duration(d)*time.Millisecond, Handler(func(Time) { fired[i] = true }))
 		}
 		for i := range timers {
 			if i < len(cancelMask) && cancelMask[i] {

@@ -5,8 +5,8 @@ import "math"
 // heapEngine is the engine as it was before the radix heap, kept as the
 // reference FuzzEventQueue holds Engine to: an indexed binary min-heap
 // ordered by (at, seq), an eager Cancel that takes the timer out of the
-// heap, and the same clock rules. It has no record pool, which nothing
-// outside the engine can observe.
+// heap, and the same clock rules. Every event gets a record, handle or not,
+// which nothing outside the engine can observe.
 type heapEngine struct {
 	now   Time
 	queue []*heapTimer
@@ -16,16 +16,16 @@ type heapEngine struct {
 type heapTimer struct {
 	at      Time
 	seq     uint64
-	fn      Handler
+	ev      Event
 	index   int // position in the heap, -1 once removed
 	stopped bool
 }
 
-func (e *heapEngine) ScheduleAt(at Time, fn Handler) *heapTimer {
+func (e *heapEngine) ScheduleAt(at Time, ev Event) *heapTimer {
 	if at < e.now {
 		panic(ErrPast)
 	}
-	t := &heapTimer{at: at, seq: e.seq, fn: fn}
+	t := &heapTimer{at: at, seq: e.seq, ev: ev}
 	e.seq++
 	t.index = len(e.queue)
 	e.queue = append(e.queue, t)
@@ -33,7 +33,7 @@ func (e *heapEngine) ScheduleAt(at Time, fn Handler) *heapTimer {
 	return t
 }
 
-func (e *heapEngine) At(at Time, fn Handler) { e.ScheduleAt(at, fn) }
+func (e *heapEngine) At(at Time, ev Event) { e.ScheduleAt(at, ev) }
 
 func (e *heapEngine) Cancel(t *heapTimer) {
 	if !t.stopped {
@@ -50,7 +50,7 @@ func (e *heapEngine) Step() bool {
 	e.remove(0)
 	t.stopped = true
 	e.now = t.at
-	t.fn(e.now)
+	t.ev.Fire(e.now)
 	return true
 }
 

@@ -25,7 +25,7 @@ func queued(k bucket) []entry {
 // checkQueue verifies the radix heap's invariants: each occupied bucket has
 // its mask bit, holds only keys that belong there relative to base, and
 // tracks their exact minimum; the entry count is right; and no free chunk
-// still points at a timer.
+// still points at an event.
 func checkQueue(t *testing.T, q *eventQueue) {
 	t.Helper()
 	n := 0
@@ -59,8 +59,8 @@ func checkQueue(t *testing.T, q *eventQueue) {
 	}
 	for c := q.free; c != nil; c = c.next {
 		for _, x := range c.e {
-			if x.t != nil {
-				t.Fatal("a free chunk still holds a timer")
+			if x.ev != nil {
+				t.Fatal("a free chunk still holds an event")
 			}
 		}
 	}
@@ -71,7 +71,7 @@ func checkQueue(t *testing.T, q *eventQueue) {
 type item struct {
 	at  Time
 	seq int
-	t   *Timer
+	t   *timerEntry
 }
 
 // popMin removes and returns the (at, seq) minimum of a model queue.
@@ -102,14 +102,14 @@ func TestEventQueuePopOrderMatchesSort(t *testing.T) {
 				if rng.Intn(8) == 0 {
 					at += Time(1) << rng.Intn(40)
 				}
-				x := item{at, op, &Timer{}}
+				x := item{at, op, &timerEntry{}}
 				q.push(at, x.t)
 				model = append(model, x)
 			} else {
 				var want item
 				want, model = popMin(model)
 				at, got := q.pop(Time(math.MaxInt64))
-				if got != want.t || at != want.at {
+				if got != Event(want.t) || at != want.at {
 					t.Fatalf("trial %d op %d: popped (%v,%p), want (%v,%p)", trial, op, at, got, want.at, want.t)
 				}
 				last = at
@@ -130,7 +130,7 @@ func TestEventQueueRemoveKeepsOrder(t *testing.T) {
 		for op := 0; op < 400; op++ {
 			switch {
 			case len(model) == 0 || rng.Intn(3) > 0:
-				x := item{Time(rng.Intn(32)), op, &Timer{}}
+				x := item{Time(rng.Intn(32)), op, &timerEntry{}}
 				q.push(x.at, x.t)
 				model = append(model, x)
 			case rng.Intn(4) == 0:
@@ -146,10 +146,10 @@ func TestEventQueueRemoveKeepsOrder(t *testing.T) {
 			var want item
 			want, model = popMin(model)
 			at, got := q.pop(Time(math.MaxInt64))
-			for got.stopped {
+			for got.(*timerEntry).stopped {
 				at, got = q.pop(Time(math.MaxInt64))
 			}
-			if got != want.t || at != want.at {
+			if got != Event(want.t) || at != want.at {
 				t.Fatalf("trial %d: drained (%v,%p), want (%v,%p)", trial, at, got, want.at, want.t)
 			}
 		}
@@ -163,7 +163,7 @@ func TestEventQueueRemoveKeepsOrder(t *testing.T) {
 func TestRunUntilKeepsTheQueueBehindTheClock(t *testing.T) {
 	e := NewEngine()
 	var fired []Time
-	record := func(now Time) { fired = append(fired, now) }
+	record := Handler(func(now Time) { fired = append(fired, now) })
 	e.ScheduleAt(10*time.Second, record)
 	e.RunUntil(5 * time.Second)
 	e.ScheduleAt(6*time.Second, record)
@@ -180,7 +180,7 @@ func TestRunUntilKeepsTheQueueBehindTheClock(t *testing.T) {
 func TestDrainedCancelledTimersKeepTheQueueBehindTheClock(t *testing.T) {
 	e := NewEngine()
 	var fired []Time
-	record := func(now Time) { fired = append(fired, now) }
+	record := Handler(func(now Time) { fired = append(fired, now) })
 	e.Cancel(e.ScheduleAt(100, record))
 	e.Run()
 	e.ScheduleAt(101, record)
@@ -197,7 +197,7 @@ func TestPendingExcludesCancelledTimers(t *testing.T) {
 	e := NewEngine()
 	var ts []*Timer
 	for i := 1; i <= 3; i++ {
-		ts = append(ts, e.ScheduleAt(Time(i), func(Time) {}))
+		ts = append(ts, e.ScheduleAt(Time(i), Handler(func(Time) {})))
 	}
 	e.Cancel(ts[1])
 	if got := e.Pending(); got != 2 {
@@ -217,9 +217,9 @@ func TestPendingExcludesCancelledTimers(t *testing.T) {
 func TestCancelChurnKeepsTheQueueBounded(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	e.ScheduleAt(time.Second, func(Time) { fired = true })
+	e.ScheduleAt(time.Second, Handler(func(Time) { fired = true }))
 	for i := 0; i < 100_000; i++ {
-		e.Cancel(e.ScheduleAt(time.Hour+Time(i), func(Time) {}))
+		e.Cancel(e.ScheduleAt(time.Hour+Time(i), Handler(func(Time) {})))
 		if e.queue.n > 2*e.Pending()+chunkLen {
 			t.Fatalf("after %d cancels the queue holds %d entries for %d live", i+1, e.queue.n, e.Pending())
 		}
@@ -246,8 +246,8 @@ func TestCancelChurnKeepsTheQueueBounded(t *testing.T) {
 // fuzzSide is one engine under FuzzEventQueue, reached through its methods
 // so the radix-heap Engine and the retired heapEngine take one op stream.
 type fuzzSide struct {
-	scheduleAt func(Time, Handler) (cancel func())
-	at         func(Time, Handler)
+	scheduleAt func(Time, Event) (cancel func())
+	at         func(Time, Event)
 	step       func() bool
 	runUntil   func(Time) Time
 	now        func() Time
@@ -260,8 +260,8 @@ type fuzzSide struct {
 
 func engineSide(e *Engine) *fuzzSide {
 	return &fuzzSide{
-		scheduleAt: func(at Time, fn Handler) func() {
-			t := e.ScheduleAt(at, fn)
+		scheduleAt: func(at Time, ev Event) func() {
+			t := e.ScheduleAt(at, ev)
 			return func() { e.Cancel(t) }
 		},
 		at: e.At, step: e.Step, runUntil: e.RunUntil, now: e.Now, pending: e.Pending,
@@ -270,8 +270,8 @@ func engineSide(e *Engine) *fuzzSide {
 
 func heapSide(e *heapEngine) *fuzzSide {
 	return &fuzzSide{
-		scheduleAt: func(at Time, fn Handler) func() {
-			t := e.ScheduleAt(at, fn)
+		scheduleAt: func(at Time, ev Event) func() {
+			t := e.ScheduleAt(at, ev)
 			return func() { e.Cancel(t) }
 		},
 		at: e.At, step: e.Step, runUntil: e.RunUntil, now: e.Now, pending: e.Pending,
@@ -295,27 +295,44 @@ func later(now, d Time) Time {
 	return Time(math.MaxInt64)
 }
 
-// handler returns an event that logs (seq, now) when it fires and, when
-// child is set, schedules a no-handle follow-up delay later.
-func (s *fuzzSide) handler(child bool, delay Time) Handler {
-	seq := s.seq
-	s.seq++
-	return func(now Time) {
-		s.fired = append(s.fired, [2]int64{seq, int64(now)})
-		if child {
-			s.at(later(now, delay), s.handler(false, 0))
-		}
+// logEvent is an event that is not a closure: it logs (seq, now) when it
+// fires and, when child is set, schedules a no-handle follow-up delay later.
+type logEvent struct {
+	s     *fuzzSide
+	seq   int64
+	child bool
+	delay Time
+}
+
+func (ev *logEvent) Fire(now Time) {
+	s := ev.s
+	s.fired = append(s.fired, [2]int64{ev.seq, int64(now)})
+	if ev.child {
+		s.at(later(now, ev.delay), s.event(false, false, 0))
 	}
 }
 
-// apply performs one decoded op.
+// event returns the side's next event, a *logEvent or (handler set) the
+// same event wrapped in a Handler closure.
+func (s *fuzzSide) event(handler, child bool, delay Time) Event {
+	ev := &logEvent{s: s, seq: s.seq, child: child, delay: delay}
+	s.seq++
+	if handler {
+		return Handler(func(now Time) { ev.Fire(now) })
+	}
+	return ev
+}
+
+// apply performs one decoded op. Bit 3 of op picks a closure or a typed
+// event for the ops that schedule one.
 func (s *fuzzSide) apply(op, arg byte) {
 	d := fuzzDelay(arg)
-	switch op % 7 {
+	handler := op&8 == 0
+	switch op % 8 {
 	case 0: // a cancellable event
-		s.cancels = append(s.cancels, s.scheduleAt(later(s.now(), d), s.handler(false, 0)))
+		s.cancels = append(s.cancels, s.scheduleAt(later(s.now(), d), s.event(handler, false, 0)))
 	case 1: // a no-handle event
-		s.at(later(s.now(), d), s.handler(false, 0))
+		s.at(later(s.now(), d), s.event(handler, false, 0))
 	case 2: // cancel a handle, fired or not
 		if len(s.cancels) > 0 {
 			s.cancels[int(arg)%len(s.cancels)]()
@@ -327,14 +344,17 @@ func (s *fuzzSide) apply(op, arg byte) {
 	case 5:
 		s.runUntil(Time(math.MaxInt64))
 	case 6: // a cancellable event that schedules a follow-up when it fires
-		s.cancels = append(s.cancels, s.scheduleAt(later(s.now(), d), s.handler(true, fuzzDelay(op>>3))))
+		s.cancels = append(s.cancels, s.scheduleAt(later(s.now(), d), s.event(handler, true, fuzzDelay(op>>4))))
+	case 7: // a no-handle event that schedules a follow-up when it fires
+		s.at(later(s.now(), d), s.event(handler, true, fuzzDelay(op>>4)))
 	}
 }
 
 // FuzzEventQueue holds Engine to the binary-heap engine it replaced, over
-// one stream of ScheduleAt/At/Cancel/Step/RunUntil/Run calls and events
-// that schedule from inside their handlers: after every call both sides
-// must have fired the same (seq, at) sequence and agree on Now and Pending.
+// one stream of ScheduleAt/At/Cancel/Step/RunUntil/Run calls whose events
+// are closures, typed events and handle timers, some scheduling from inside
+// their own firing: after every call both sides must have fired the same
+// (seq, at) sequence and agree on Now and Pending.
 func FuzzEventQueue(f *testing.F) {
 	// ScheduleAt(10) → RunUntil(5) → ScheduleAt(6) → Run: 6 fires first.
 	f.Add([]byte{0, 10, 4, 5, 0, 1, 5, 0})
@@ -343,6 +363,8 @@ func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{0, 100, 2, 0, 5, 0, 0, 101, 0, 3, 5, 0})
 	// Ties at one instant, far keys, follow-ups and a cancel mid-run.
 	f.Add([]byte{6, 5, 6, 5, 1, 5, 0, 5, 0, 200, 3, 0, 2, 1, 0xfe, 9, 4, 3, 2, 4, 5, 0})
+	// The same with typed events and typed follow-ups, cancelled and not.
+	f.Add([]byte{14, 5, 8, 5, 9, 5, 15, 5, 0, 200, 3, 0, 2, 0, 2, 1, 0xff, 9, 4, 3, 5, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		a, ref := engineSide(NewEngine()), heapSide(&heapEngine{})
 		for i := 0; i+1 < len(ops); i += 2 {
@@ -358,113 +380,35 @@ func FuzzEventQueue(f *testing.F) {
 	})
 }
 
-// isZero reports whether a timer record has been wiped back to the zero
-// value (Handler is not comparable, so field-by-field).
-func isZero(tm *Timer) bool {
-	return tm.at == 0 && tm.fn == nil && !tm.stopped && !tm.pooled
-}
-
-// queuedTimers returns every timer in the queue, bucket by bucket.
-func queuedTimers(q *eventQueue) []*Timer {
-	var out []*Timer
-	for b := range q.buckets {
-		for _, x := range queued(q.buckets[b]) {
-			out = append(out, x.t)
-		}
-	}
-	return out
-}
-
-// TestPooledRecordsZeroedOnRelease: a fired At record lands on the free
-// list fully zeroed, so the pool can never resurrect a stale handler.
-func TestPooledRecordsZeroedOnRelease(t *testing.T) {
+// GIVEN an engine whose queue has already grown its chunks,
+// WHEN events are scheduled with At and After, closures and typed events
+// alike, and fired with Step,
+// THEN nothing is allocated: the queue entry holds the event itself, and
+// only a handle (ScheduleAt, Schedule) costs a record.
+func TestNoHandleEventsAllocateNothing(t *testing.T) {
 	e := NewEngine()
 	fired := 0
-	e.At(5, func(now Time) { fired++ })
-	e.Run()
-	if fired != 1 {
-		t.Fatalf("fired %d events", fired)
-	}
-	if len(e.free) != 1 {
-		t.Fatalf("free list has %d records, want 1", len(e.free))
-	}
-	if !isZero(e.free[0]) {
-		t.Fatalf("released record not zeroed: %+v", *e.free[0])
-	}
-}
-
-// TestPooledRecordsNotReusedWhilePending: concurrently pending At events
-// always occupy distinct records, and no queued record is ever also on
-// the free list.
-func TestPooledRecordsNotReusedWhilePending(t *testing.T) {
-	e := NewEngine()
-	for i := 0; i < 8; i++ {
-		e.At(Time(10+i), func(now Time) {})
-	}
-	if len(e.free) != 0 {
-		t.Fatalf("free list non-empty with all events pending: %d", len(e.free))
-	}
-	seen := map[*Timer]bool{}
-	for _, tm := range queuedTimers(&e.queue) {
-		if seen[tm] {
-			t.Fatal("two queue slots share one record")
+	h := Handler(func(Time) { fired++ })
+	var typed logEvent
+	typed.s = &fuzzSide{}
+	round := func() {
+		for i := 0; i < 4*chunkLen; i++ {
+			e.At(e.Now()+Time(i%7), h)
+			e.After(Time(i%5), h)
+			e.At(e.Now()+Time(i%3), &typed)
 		}
-		seen[tm] = true
-	}
-	// Fire one event; its record must be recycled by the next At, and the
-	// handler must still observe its own scheduled time.
-	e.Step()
-	if len(e.free) != 1 {
-		t.Fatalf("free list has %d records after one firing, want 1", len(e.free))
-	}
-	recycled := e.free[0]
-	if !isZero(recycled) {
-		t.Fatalf("free record not zeroed: %+v", *recycled)
-	}
-	var gotAt Time
-	e.At(40, func(now Time) { gotAt = now })
-	if len(e.free) != 0 {
-		t.Fatal("At did not take the free record")
-	}
-	found := false
-	for _, tm := range queuedTimers(&e.queue) {
-		if tm == recycled {
-			found = true
-			if tm.at != 40 || tm.fn == nil || !tm.pooled {
-				t.Fatalf("recycled record misfilled: %+v", *tm)
-			}
+		for e.Step() {
 		}
+		typed.s.fired = typed.s.fired[:0]
 	}
-	if !found {
-		t.Fatal("recycled record not back in the queue")
+	round() // grow the chunks and the log
+	if allocs := testing.AllocsPerRun(10, round); allocs != 0 {
+		t.Fatalf("At/After plus Step allocate %.1f times a round, want 0", allocs)
 	}
-	e.Run()
-	if gotAt != 40 {
-		t.Fatalf("recycled event fired at %v, want 40", gotAt)
-	}
-}
-
-// TestHandleTimersStayOutOfPool: ScheduleAt records can be cancelled
-// through their handle at any point, so they must never enter the free
-// list — fired or cancelled.
-func TestHandleTimersStayOutOfPool(t *testing.T) {
-	e := NewEngine()
-	h1 := e.ScheduleAt(1, func(now Time) {})
-	h2 := e.ScheduleAt(2, func(now Time) {})
-	e.Cancel(h2)
-	e.Run()
-	if len(e.free) != 0 {
-		t.Fatalf("handle-returning timers leaked into the pool: %d", len(e.free))
-	}
-	if !h1.Stopped() || !h2.Stopped() {
-		t.Fatal("handles not stopped after run")
-	}
-	// A stale Cancel on a long-dead handle must stay a no-op even after
-	// pooled traffic has churned the queue.
-	e.At(e.Now()+1, func(now Time) {})
-	e.Cancel(h2)
-	e.Run()
-	if e.Fired() != 2 {
-		t.Fatalf("fired %d events, want 2 (h2 was cancelled)", e.Fired())
+	if allocs := testing.AllocsPerRun(10, func() {
+		e.Schedule(1, h)
+		e.Step()
+	}); allocs != 1 {
+		t.Fatalf("Schedule plus Step allocates %.1f times, want 1 (the handle)", allocs)
 	}
 }

@@ -232,9 +232,9 @@ func (am *AppMaster) onAllocated(t *taskRun, n *NodeManager, now sim.Time) {
 	start, done := n.Device.ReserveRead(now+transfer, t.spec.MemFootprint)
 	am.c.recordRestore(t, n, remote, transfer, now, start, done)
 	am.c.chargeOverhead(t, time.Duration(done-now))
-	am.c.engine.At(done, func(at sim.Time) {
+	am.c.engine.At(done, sim.Handler(func(at sim.Time) {
 		am.restoreOrFallback(t, n, at)
-	})
+	}))
 }
 
 // restoreOrFallback rebuilds the task's process from its checkpoint
@@ -459,9 +459,9 @@ func (am *AppMaster) startRun(t *taskRun, now sim.Time) {
 	t.attemptStart = now
 	t.failedOver = false
 	t.failedAt = 0
-	t.completion = am.c.engine.Schedule(t.remaining(), func(end sim.Time) {
+	t.completion = am.c.engine.Schedule(t.remaining(), sim.Handler(func(end sim.Time) {
 		am.onComplete(t, end)
-	})
+	}))
 }
 
 // onPreempt is the Preemption Manager servicing a ContainerPreemptEvent
@@ -542,7 +542,7 @@ func (am *AppMaster) onPreempt(t *taskRun, now sim.Time) {
 	}
 	t.dropProcess() // the frozen process lives on only as the image
 	done := am.bookDump(t, n, name, info.LogicalBytes, incremental, false, now)
-	am.c.engine.At(done, func(at sim.Time) {
+	am.c.engine.At(done, sim.Handler(func(at sim.Time) {
 		t.hasImage = true
 		t.imageName = name
 		t.imageNode = n.id
@@ -551,7 +551,7 @@ func (am *AppMaster) onPreempt(t *taskRun, now sim.Time) {
 		t.state = statePending
 		am.maybeCompact(t, n, at)
 		am.c.rm.RequestContainer(t, n.id, at)
-	})
+	}))
 }
 
 // bookDump books an image that was just written for real: the per-dump
@@ -638,7 +638,7 @@ func (am *AppMaster) startPreCopyCheckpoint(t *taskRun, n *NodeManager, now sim.
 	t.imageNode = n.id
 	t.preCopying = true
 	preDone := am.bookDump(t, n, preName, info.LogicalBytes, incremental, true, now)
-	am.c.engine.At(preDone, func(at sim.Time) {
+	am.c.engine.At(preDone, sim.Handler(func(at sim.Time) {
 		if t.state != stateRunning || !t.preCopying || t.imageName != preName {
 			// Completed during the window, its images reclaimed by
 			// onComplete; or fenced off n, and what runs now — perhaps
@@ -680,14 +680,14 @@ func (am *AppMaster) startPreCopyCheckpoint(t *taskRun, n *NodeManager, now sim.
 		t.dropProcess()
 		t.imageName = deltaName
 		done := am.bookDump(t, n, deltaName, dinfo.LogicalBytes, true, false, at)
-		am.c.engine.At(done, func(end sim.Time) {
+		am.c.engine.At(done, sim.Handler(func(end sim.Time) {
 			n.releaseSlot(end, t)
 			t.node = nil
 			t.state = statePending
 			am.maybeCompact(t, n, end)
 			am.c.rm.RequestContainer(t, n.id, end)
-		})
-	})
+		}))
+	}))
 }
 
 // onComplete finishes a task: the real program runs to its final step and

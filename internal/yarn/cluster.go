@@ -358,9 +358,9 @@ func Run(cfg Config, jobs []cluster.JobSpec) (*Result, error) {
 		}
 		totalTasks += len(spec.Tasks)
 		am := newAppMaster(c, spec)
-		c.engine.At(spec.Submit, func(now sim.Time) {
+		c.engine.At(spec.Submit, sim.Handler(func(now sim.Time) {
 			am.submit(now)
-		})
+		}))
 	}
 
 	end := c.engine.Run()

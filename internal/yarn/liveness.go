@@ -66,7 +66,7 @@ func (c *Cluster) armNMCrash(now sim.Time) {
 	if at < now {
 		at = now
 	}
-	c.nmCrashTimer = c.engine.ScheduleAt(at, c.crashNM)
+	c.nmCrashTimer = c.engine.ScheduleAt(at, sim.Handler(c.crashNM))
 }
 
 // windDownLiveness closes the loop once the last outstanding liveness
@@ -84,14 +84,14 @@ func (c *Cluster) windDownLiveness() {
 
 func (c *Cluster) scheduleHeartbeat(n *NodeManager, now sim.Time) {
 	c.livenessTimers++
-	c.engine.At(now+sim.Time(c.cfg.NMHeartbeatEvery), func(at sim.Time) {
+	c.engine.At(now+sim.Time(c.cfg.NMHeartbeatEvery), sim.Handler(func(at sim.Time) {
 		c.heartbeat(n, at)
-	})
+	}))
 }
 
 func (c *Cluster) scheduleSweep(now sim.Time) {
 	c.livenessTimers++
-	c.engine.At(now+sim.Time(c.cfg.NMHeartbeatEvery), c.sweep)
+	c.engine.At(now+sim.Time(c.cfg.NMHeartbeatEvery), sim.Handler(c.sweep))
 }
 
 // heartbeat is one NM→RM beat. A crashed machine's stream ends here; a

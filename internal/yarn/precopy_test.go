@@ -109,10 +109,10 @@ func TestStalePreCopyTimerSparesTheNextAttempt(t *testing.T) {
 		}
 		return task.node.id
 	}
-	c.engine.At(0, am.submit)
-	c.engine.At(sim.Time(60*time.Second), func(now sim.Time) { am.onPreempt(task, now) })
-	c.engine.At(sim.Time(61*time.Second), func(now sim.Time) { c.declareNodeDead(c.nodes[0], now) })
-	c.engine.At(sim.Time(90*time.Second), func(now sim.Time) {
+	c.engine.At(0, sim.Handler(am.submit))
+	c.engine.At(sim.Time(60*time.Second), sim.Handler(func(now sim.Time) { am.onPreempt(task, now) }))
+	c.engine.At(sim.Time(61*time.Second), sim.Handler(func(now sim.Time) { c.declareNodeDead(c.nodes[0], now) }))
+	c.engine.At(sim.Time(90*time.Second), sim.Handler(func(now sim.Time) {
 		if task.node != c.nodes[1] || task.state != stateRunning {
 			t.Fatalf("at %v the task is in state %d on node %d, want running on node 1", now, task.state, on())
 		}
@@ -121,7 +121,7 @@ func TestStalePreCopyTimerSparesTheNextAttempt(t *testing.T) {
 		// restore — is still waiting when the first window ends.
 		c.nodes[1].Device.ReserveWrite(now, cluster.GiB(4))
 		am.onPreempt(task, now)
-	})
+	}))
 	first := sim.Time(60*time.Second) + c.nodes[0].Device.WriteTime(job.Tasks[0].MemFootprint)
 
 	c.engine.RunUntil(first)

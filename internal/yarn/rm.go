@@ -82,10 +82,10 @@ func (rm *ResourceManager) schedulePass(now sim.Time) {
 		return
 	}
 	rm.passPending = true
-	rm.c.engine.At(now, func(at sim.Time) {
+	rm.c.engine.At(now, sim.Handler(func(at sim.Time) {
 		rm.passPending = false
 		rm.pass(at)
-	})
+	}))
 }
 
 func (rm *ResourceManager) pass(now sim.Time) {

@@ -49,12 +49,12 @@ func journaledRun(t *testing.T, cfg Config, breakStoreAt time.Duration, jobs []c
 	}
 	for i := range jobs {
 		am := newAppMaster(c, &jobs[i])
-		c.engine.At(jobs[i].Submit, am.submit)
+		c.engine.At(jobs[i].Submit, sim.Handler(am.submit))
 	}
 	if breakStoreAt > 0 {
-		c.engine.At(breakStoreAt, func(sim.Time) {
+		c.engine.At(breakStoreAt, sim.Handler(func(sim.Time) {
 			c.nodes[0].store = noCreates{c.nodes[0].store}
-		})
+		}))
 	}
 	c.finish(c.engine.Run())
 	if c.res.TasksCompleted != len(jobs) {
