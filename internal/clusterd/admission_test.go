@@ -183,6 +183,12 @@ func bareDaemon(t *testing.T, cfg Config) *Daemon {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { svc.Close() })
+	return daemonOn(svc, cfg)
+}
+
+// daemonOn is a fresh daemon with no listener around svc, whose first job
+// ID is one: its own books, queue and ID sequence.
+func daemonOn(svc *yarn.Service, cfg Config) *Daemon {
 	cfg = cfg.withDefaults()
 	return &Daemon{
 		cfg:         cfg,
@@ -191,6 +197,27 @@ func bareDaemon(t *testing.T, cfg Config) *Daemon {
 		queue:       make(chan cluster.JobSpec, cfg.QueueSize),
 		state:       StateServing,
 		outstanding: make(map[cluster.JobID]struct{}),
+	}
+}
+
+// GIVEN a job whose mem_footprint_bytes is negative WHEN it is submitted THEN
+// it is a hard rejection naming the footprint, and nothing is queued. Only
+// zero means the 1 GiB default; at the parent commit a negative footprint
+// was silently replaced by that default and the job admitted.
+func TestNegativeFootprintIsRejected(t *testing.T) {
+	d := bareDaemon(t, Config{QueueSize: 1})
+	resp := d.admit(&JobRequest{Priority: 1, Tasks: 1, DurationMS: 1000, MemFootprintBytes: -1})
+	if resp.OK || resp.RetryAfterMS != 0 || resp.JobID != 0 || !strings.Contains(resp.Error, "footprint") {
+		t.Errorf("answer = %+v, want a hard rejection naming the footprint", resp)
+	}
+	if n := len(d.queue); n != 0 {
+		t.Errorf("%d jobs queued", n)
+	}
+	if resp := d.admit(&JobRequest{Priority: 1, Tasks: 1, DurationMS: 1000}); !resp.OK {
+		t.Fatalf("job with the default footprint: %+v", resp)
+	}
+	if spec := <-d.queue; spec.Tasks[0].MemFootprint != cluster.GiB(1) {
+		t.Errorf("zero footprint materialised as %d bytes, want the 1 GiB default", spec.Tasks[0].MemFootprint)
 	}
 }
 

@@ -3,8 +3,8 @@ package clusterd
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"time"
 
@@ -21,13 +21,14 @@ import (
 type Client struct {
 	timeout time.Duration // of each request; read once, when NewClient builds peer
 	retrier *core.Retrier
-	peer    *wire.Peer[*jsonConn]
+	peer    *wire.Peer[*lineConn]
 }
 
-// jsonConn frames one connection: one JSON object per line each way.
-type jsonConn struct {
-	enc *json.Encoder
-	dec *json.Decoder
+// lineConn frames one connection: one JSON object per line each way.
+type lineConn struct {
+	w   io.Writer
+	r   *bufio.Reader
+	out []byte // the request being written, reused
 }
 
 // ClientOption configures a Client.
@@ -63,8 +64,8 @@ func NewClient(addr string, opts ...ClientOption) *Client {
 	for _, o := range opts {
 		o(c)
 	}
-	c.peer = wire.NewPeer(addr, c.timeout, func(conn net.Conn) *jsonConn {
-		return &jsonConn{enc: json.NewEncoder(conn), dec: json.NewDecoder(bufio.NewReader(conn))}
+	c.peer = wire.NewPeer(addr, c.timeout, func(conn net.Conn) *lineConn {
+		return &lineConn{w: conn, r: bufio.NewReader(conn)}
 	})
 	return c
 }
@@ -72,16 +73,40 @@ func NewClient(addr string, opts ...ClientOption) *Client {
 // exchange performs one request/response round trip.
 func (c *Client) exchange(req *Request) (*Response, error) {
 	var resp Response
-	if err := c.peer.RoundTrip(func(jc *jsonConn) error {
-		if err := jc.enc.Encode(req); err != nil {
-			return err
-		}
-		resp = Response{} // a redial must not decode over what a half-decoded answer left behind
-		return jc.dec.Decode(&resp)
-	}); err != nil {
+	if err := c.peer.RoundTrip(func(lc *lineConn) error { return lc.roundTrip(req, &resp) }); err != nil {
 		return nil, fmt.Errorf("clusterd: %w", err)
 	}
 	return &resp, nil
+}
+
+// roundTrip writes req as one line and decodes the one line that answers it
+// into resp. A reply line that is not one Response leaves the stream out of
+// step, which the peer treats as a transport error: it drops the connection.
+func (lc *lineConn) roundTrip(req *Request, resp *Response) error {
+	lc.out = appendRequest(lc.out[:0], req)
+	if _, err := lc.w.Write(lc.out); err != nil {
+		return err
+	}
+	line, err := lc.readLine()
+	if err != nil {
+		return err
+	}
+	return decodeResponse(line, resp)
+}
+
+// readLine reads through the next newline. The line aliases the reader's
+// buffer unless it outgrew it.
+func (lc *lineConn) readLine() ([]byte, error) {
+	line, err := lc.r.ReadSlice('\n')
+	if err != bufio.ErrBufferFull {
+		return line, err
+	}
+	long := append([]byte(nil), line...)
+	for err == bufio.ErrBufferFull {
+		line, err = lc.r.ReadSlice('\n')
+		long = append(long, line...)
+	}
+	return long, err
 }
 
 // do runs one request with transport-level retries: each attempt is a

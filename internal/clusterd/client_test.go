@@ -2,10 +2,13 @@ package clusterd
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"net"
+	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -138,4 +141,60 @@ func TestSubmitHonorsRetryAfter(t *testing.T) {
 	if elapsed := time.Since(start); elapsed < 60*time.Millisecond {
 		t.Errorf("three offers took %v, want at least two 30ms retry-after pauses", elapsed)
 	}
+}
+
+// FuzzClientResponse holds the client's read path to its contract with a
+// daemon it cannot trust:
+//
+// GIVEN arbitrary bytes as the daemon's answer to a request WHEN the client
+// reads them THEN it does not panic; when the first line is one JSON object
+// that json.Unmarshal decodes into a Response, the round trip returns
+// exactly that; and for anything else it fails, which is what makes the
+// peer drop the pooled connection (wire.Peer's contract; end to end,
+// TestRedialDoesNotMergeResponses).
+func FuzzClientResponse(f *testing.F) {
+	for _, seed := range []string{
+		`{"ok":true,"job_id":77,"state":"serving"}` + "\n",
+		`{"ok":true,"job_id":77,"state":5}` + "\n",
+		`{"ok":false,"error":"clusterd: admission queue full","retry_after_ms":100,"state":"serving"}` + "\n",
+		`{"ok":false,"error":"\u003c\u0026\u003e \"q\"","state":"draining"}` + "\n",
+		`{"ok":true,"state":"serving","stats":{"state":"serving","submitted":3,"admission_p99_sec":1.5e-05}}` + "\n",
+		` {"ok" : true} ` + "\r\n",
+		`{"ok":true}{"ok":false}` + "\n",
+		`{"ok":true}`,
+		`{"ok":true,"job_id":-0}` + "\n",
+		`{"ok":true,"job_id":1e3}` + "\n",
+		`{"OK":true,"Job_ID":5}` + "\n",
+		`{"ok":true,"state":"` + strings.Repeat("s", 5000) + `"}` + "\n",
+		"null\n",
+		"[]\n",
+		"\n",
+		"",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var sent bytes.Buffer
+		lc := &lineConn{w: &sent, r: bufio.NewReader(bytes.NewReader(data))}
+		resp := Response{OK: true, JobID: 77, Error: "left over"}
+		err := lc.roundTrip(&Request{Op: "ping"}, &resp)
+		if sent.String() != `{"op":"ping"}`+"\n" {
+			t.Fatalf("wrote %q", sent.String())
+		}
+
+		var ref Response
+		i := bytes.IndexByte(data, '\n')
+		accept := i >= 0 && json.Unmarshal(data[:i+1], &ref) == nil
+		if rest := bytes.TrimLeft(data[:i+1], " \t\r\n"); len(rest) == 0 || rest[0] != '{' {
+			accept = false
+		}
+		switch {
+		case accept && err != nil:
+			t.Fatalf("answer %q refused: %v; json.Unmarshal makes %+v of its first line", data, err, ref)
+		case accept && !reflect.DeepEqual(resp, ref):
+			t.Fatalf("answer %q read as %+v, json.Unmarshal makes %+v", data, resp, ref)
+		case !accept && err == nil:
+			t.Fatalf("answer %q, not one Response on its first line, read as %+v", data, resp)
+		}
+	})
 }

@@ -1,6 +1,8 @@
 package clusterd
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -204,15 +206,53 @@ func (d *Daemon) ready() bool { return d.stateNow() == StateServing }
 // goes away, the stream stops being well-formed requests, or Shutdown
 // closes the connection. An oversized request is answered before the
 // connection drops; anything else malformed just drops it.
+//
+// Requests in the canonical form a Client writes are parsed and answered by
+// hand (codec.go). The first input that is not hands the connection, its
+// unread bytes first, to serveDecoded for the rest of its life, so every
+// byte stream is answered as the json.Decoder loop alone would answer it.
 func (d *Daemon) serveConn(conn io.ReadWriter) {
-	// The JSON decoder buffers a whole value before it decodes any of it, so
-	// each request reads through a byte budget, refilled per request:
+	// Each request reads through a byte budget, refilled per request:
 	// without one, a single endless line is unbounded memory.
 	in := &io.LimitedReader{R: conn}
-	dec := json.NewDecoder(in)
-	enc := json.NewEncoder(conn)
+	br := bufio.NewReaderSize(in, connBufSize)
+	var (
+		req Request
+		job JobRequest
+		out []byte
+	)
 	for {
 		in.N = MaxRequestBytes
+		if !readRequest(br, &req, &job) {
+			break
+		}
+		resp := d.handle(&req)
+		var err error
+		if out, err = appendResponse(out[:0], &resp); err == nil {
+			_, err = conn.Write(out)
+		}
+		if err != nil {
+			return
+		}
+	}
+	unread, _ := br.Peek(br.Buffered())
+	d.serveDecoded(conn, io.MultiReader(bytes.NewReader(unread), in), in)
+}
+
+// serveDecoded is the connection loop for everything the hand parser
+// refuses: encoding/json decodes each request from r — the bytes serveConn
+// had buffered, then in — and encodes each answer. Only reads from in spend
+// the budget. The first request keeps what serveConn already charged it;
+// each later one gets the budget afresh.
+func (d *Daemon) serveDecoded(w io.Writer, r io.Reader, in *io.LimitedReader) {
+	// The JSON decoder buffers a whole value before it decodes any of it,
+	// which is what the budget bounds.
+	dec := json.NewDecoder(r)
+	enc := json.NewEncoder(w)
+	for first := true; ; first = false {
+		if !first {
+			in.N = MaxRequestBytes
+		}
 		var req Request
 		if err := dec.Decode(&req); err != nil {
 			if in.N <= 0 { // the budget ran out, not the peer
@@ -340,6 +380,9 @@ func (jr *JobRequest) validate() error {
 	if p := cluster.Priority(jr.Priority); p < cluster.MinPriority || p > cluster.MaxPriority {
 		return fmt.Errorf("clusterd: priority %d outside [%d,%d]", jr.Priority, cluster.MinPriority, cluster.MaxPriority)
 	}
+	if jr.MemFootprintBytes < 0 {
+		return fmt.Errorf("clusterd: job footprint %d bytes is negative", jr.MemFootprintBytes)
+	}
 	return nil
 }
 
@@ -348,7 +391,7 @@ func (jr *JobRequest) validate() error {
 // now at admission.
 func (jr *JobRequest) spec(id cluster.JobID) cluster.JobSpec {
 	foot := jr.MemFootprintBytes
-	if foot <= 0 {
+	if foot == 0 {
 		foot = cluster.GiB(1)
 	}
 	j := cluster.JobSpec{ID: id, Priority: cluster.Priority(jr.Priority), User: jr.User,

@@ -27,7 +27,12 @@ const (
 // Wire protocol: one JSON object per line in each direction over a plain
 // TCP connection. A connection carries any number of request/response
 // pairs in order; there is no framing beyond the newline and no
-// pipelining. Ops:
+// pipelining. The bytes are exactly what json.Encoder.Encode writes; the
+// canonical requests and responses the Client and the daemon exchange are
+// encoded and parsed by hand (codec.go), and any other input is decoded by
+// encoding/json, so any JSON client is answered as before. A reply is one
+// line: the Client treats a line that is not one Response as a transport
+// error. Ops:
 //
 //	ping    liveness probe; responds {"ok":true,"state":...}
 //	submit  admit one job; the daemon assigns the job ID
@@ -48,7 +53,7 @@ type JobRequest struct {
 	// DurationMS is each task's virtual service time in milliseconds.
 	DurationMS int64 `json:"duration_ms"`
 	// MemFootprintBytes is the checkpointable footprint per task;
-	// defaults to 1 GiB when zero.
+	// defaults to 1 GiB when zero. Negative is a hard rejection.
 	MemFootprintBytes int64  `json:"mem_footprint_bytes,omitempty"`
 	User              string `json:"user,omitempty"`
 }
