@@ -33,7 +33,10 @@ func (s *Simulator) failNode(f NodeFailure, now sim.Time) {
 	// Fencing removes tasks from n.running, so walk a snapshot, in task-ID
 	// order: the order fixes the fenced tasks' order in the pending queue.
 	// candScratch is idle outside a provenance rescan.
-	snapshot := append(s.candScratch[:0], n.running...)
+	snapshot := s.candScratch[:0]
+	for _, e := range n.running {
+		snapshot = append(snapshot, e.t)
+	}
 	slices.SortFunc(snapshot, byTaskID)
 	s.candScratch = snapshot[:0]
 	for _, t := range snapshot {

@@ -1,8 +1,10 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -22,7 +24,7 @@ import (
 
 func referencePreemptableOn(s *Simulator, n *node, t *taskRT) []*taskRT {
 	running := make(map[cluster.TaskID]*taskRT, len(n.running))
-	for _, v := range n.running {
+	for _, v := range residents(n) {
 		running[v.spec.ID] = v
 	}
 	var out []*taskRT
@@ -211,17 +213,40 @@ var (
 	}
 )
 
-// bookTask is a task of its own job on s, as the scheduler holds one.
-func bookTask(s *Simulator, id cluster.TaskID, prio cluster.Priority, user string, d cluster.Resources, minutes int, footprintDiv int) *taskRT {
-	spec := &cluster.TaskSpec{
-		ID:           id,
-		Priority:     prio,
-		User:         user,
-		Demand:       d,
-		Duration:     time.Duration(minutes) * time.Minute,
-		MemFootprint: d.MemBytes / int64(footprintDiv),
+// rankedSlab is a harness's task records made up front, one per id, each
+// with a spec that holds only its ID, and ranked as load ranks a run's slab
+// (rankByTaskID). A harness fills a record in with bookTask before it seats
+// it, so that the record carries the eviction key a run would give it.
+func rankedSlab(ids []cluster.TaskID) []taskRT {
+	slab := make([]taskRT, len(ids))
+	for i, id := range ids {
+		slab[i].spec = &cluster.TaskSpec{ID: id}
 	}
-	return &taskRT{spec: spec, job: newJobRT(&cluster.JobSpec{ID: id.Job, User: user}, s), remaining: spec.Duration}
+	rankByTaskID(slab)
+	return slab
+}
+
+// bookTask fills in rec, a record of rankedSlab, as a task of its own job on
+// s, as the scheduler holds one.
+func bookTask(s *Simulator, rec *taskRT, prio cluster.Priority, user string, d cluster.Resources, minutes int, footprintDiv int) *taskRT {
+	spec := rec.spec
+	spec.Priority = prio
+	spec.User = user
+	spec.Demand = d
+	spec.Duration = time.Duration(minutes) * time.Minute
+	spec.MemFootprint = d.MemBytes / int64(footprintDiv)
+	rec.job = newJobRT(&cluster.JobSpec{ID: spec.ID.Job, User: user}, s)
+	rec.remaining = spec.Duration
+	return rec
+}
+
+// residents lists n's running set in its order.
+func residents(n *node) []*taskRT {
+	out := make([]*taskRT, len(n.running))
+	for i, e := range n.running {
+		out[i] = e.t
+	}
+	return out
 }
 
 // bookShape is what randomBook's callers vary.
@@ -250,25 +275,35 @@ func randomBook(rng *rand.Rand, cfg Config, shape bookShape) (*Simulator, sim.Ti
 		panic(err)
 	}
 	now := sim.Time(time.Hour)
-	newTask := func(id cluster.TaskID, prio cluster.Priority) *taskRT {
+	newTask := func(rec *taskRT, prio cluster.Priority) *taskRT {
 		// A few distinct footprints, so equal checkpoint costs — and with
 		// them the task-ID tie-break — occur on most nodes.
-		return bookTask(s, id, prio, bookUsers[rng.Intn(len(bookUsers))], bookDemands[rng.Intn(len(bookDemands))], 1+rng.Intn(30), 1+rng.Intn(3))
+		return bookTask(s, rec, prio, bookUsers[rng.Intn(len(bookUsers))], bookDemands[rng.Intn(len(bookDemands))], 1+rng.Intn(30), 1+rng.Intn(3))
 	}
 	levels := rng.Perm(int(cluster.MaxPriority) + 1)[:shape.levels]
 	idPool := rng.Perm(2 * shape.perNode * cfg.Nodes)
+	const numWaiters = 13
+	ids := make([]cluster.TaskID, 0, len(idPool)+numWaiters)
+	for _, id := range idPool {
+		ids = append(ids, cluster.TaskID{Job: cluster.JobID(id / 7), Index: int32(id % 7)})
+	}
+	for i := 0; i < numWaiters; i++ {
+		ids = append(ids, cluster.TaskID{Job: cluster.JobID(10_000 + i)})
+	}
+	recs := rankedSlab(ids)
+	residentRecs, waiterRecs := recs[:len(idPool)], recs[len(idPool):]
 	for _, n := range s.nodes {
 		n.Device.ReserveWrite(now, cluster.GiB(float64(rng.Intn(3))))
-		for k := rng.Intn(shape.perNode); k > 0 && len(idPool) > 0; k-- {
-			id := idPool[0]
-			idPool = idPool[1:]
-			t := newTask(cluster.TaskID{Job: cluster.JobID(id / 7), Index: int32(id % 7)}, cluster.Priority(levels[rng.Intn(len(levels))]))
+		for k := rng.Intn(shape.perNode); k > 0 && len(residentRecs) > 0; k-- {
+			rec := &residentRecs[0]
+			residentRecs = residentRecs[1:]
+			t := newTask(rec, cluster.Priority(levels[rng.Intn(len(levels))]))
 			if !t.spec.Demand.Fits(n.Cap.Sub(n.Used)) {
 				continue
 			}
 			t.hasCheckpoint = rng.Intn(3) == 0
 			s.seat(t, n, now)
-			t.evictions = rng.Intn(3)
+			t.evictions = int32(rng.Intn(3))
 			switch rng.Intn(8) {
 			case 0:
 				t.phase = phaseCheckpointing
@@ -287,11 +322,11 @@ func randomBook(rng *rand.Rand, cfg Config, shape bookShape) (*Simulator, sim.Ti
 		down.down = true
 		down.touch()
 	}
-	waiters := make([]*taskRT, 12)
+	waiters := make([]*taskRT, numWaiters-1)
 	for i := range waiters {
-		waiters[i] = newTask(cluster.TaskID{Job: cluster.JobID(10_000 + i)}, cluster.Priority(rng.Intn(int(cluster.MaxPriority)+1)))
+		waiters[i] = newTask(&waiterRecs[i], cluster.Priority(rng.Intn(int(cluster.MaxPriority)+1)))
 	}
-	waiters = append(waiters, bookTask(s, cluster.TaskID{Job: 10_012}, cluster.MaxPriority, "", bookDemands[0], 10, 1))
+	waiters = append(waiters, bookTask(s, &waiterRecs[numWaiters-1], cluster.MaxPriority, "", bookDemands[0], 10, 1))
 	for _, w := range waiters {
 		w.phase = phaseQueued
 	}
@@ -335,23 +370,57 @@ func evictsBefore(a, b *taskRT, byCost bool) bool {
 	return taskIDLess(a.spec.ID, b.spec.ID)
 }
 
+// evictionOrder and referenceAddRunning are the running set's insertion as
+// it stood before its entries carried their key: a binary search that
+// loads both records' priority, price and task ID at every comparison, and
+// an insert ahead of every resident t ties with.
+func evictionOrder(a, b *taskRT, byCost bool) int {
+	if c := cmp.Compare(a.spec.Priority, b.spec.Priority); c != 0 {
+		return c
+	}
+	if byCost {
+		if c := cmp.Compare(a.fixedCost, b.fixedCost); c != 0 {
+			return c
+		}
+	}
+	return byTaskID(a, b)
+}
+
+func referenceAddRunning(run []*taskRT, t *taskRT, byCost bool) []*taskRT {
+	i, _ := slices.BinarySearchFunc(run, t, func(r, t *taskRT) int { return evictionOrder(r, t, byCost) })
+	return slices.Insert(run, i, t)
+}
+
 // checkBooks fails t unless every node's running set is in eviction order
-// and the node's tallies — chained residents and running tasks per
-// priority, the running-priority mask — equal a recount of its residents.
-// A resident counts as chained when it has an image chain, incremental
-// dumps are on and eviction is cost-aware.
+// (residents with equal task IDs may stand in either order) and the books
+// equal a recount from scratch: every resident's key is its priority and a
+// rank that orders it against every other resident of the cluster as
+// byTaskID does, equal IDs equal; the node's tallies — chained residents
+// and running tasks per priority, the running-priority mask — match its
+// residents; and every tenant's usage is the sum of its residents'
+// demands, live exactly when that sum is non-zero, with liveTenants
+// counting the live ones. A resident counts as chained when it has an image
+// chain, incremental dumps are on and eviction is cost-aware.
 func checkBooks(t testing.TB, s *Simulator) {
 	t.Helper()
+	var all []*taskRT
+	usage := make(map[*tenant]cluster.Resources)
 	for _, n := range s.nodes {
 		var chained, running [int(cluster.MaxPriority) + 1]uint16
 		var mask uint16
-		for i, v := range n.running {
+		for i, e := range n.running {
+			v := e.t
 			if v.node != n {
 				t.Fatalf("node %d lists task %v, which is on %v", n.id, v.spec.ID, v.node)
 			}
-			if i > 0 && !evictsBefore(n.running[i-1], v, s.costAware) {
-				t.Fatalf("node %d: running set %v is not in eviction order at %d", n.id, ids(n.running), i)
+			if want := levelKey(v.spec.Priority) | uint64(v.rank); e.key != want {
+				t.Fatalf("node %d: task %v has key %#x, want %#x", n.id, v.spec.ID, e.key, want)
 			}
+			if i > 0 && evictsBefore(v, n.running[i-1].t, s.costAware) {
+				t.Fatalf("node %d: running set %v is not in eviction order at %d", n.id, ids(residents(n)), i)
+			}
+			all = append(all, v)
+			usage[tenantOf(v)] = usage[tenantOf(v)].Add(v.spec.Demand)
 			p := v.spec.Priority
 			want := s.costAware && v.hasCheckpoint && !s.cfg.DisableIncremental
 			if v.chained != want {
@@ -369,6 +438,25 @@ func checkBooks(t testing.TB, s *Simulator) {
 			t.Fatalf("node %d: chained %v, running %v, mask %012b; a recount gives %v, %v, %012b",
 				n.id, n.chained, n.byPrio, n.prioMask, chained, running, mask)
 		}
+	}
+	slices.SortFunc(all, byTaskID)
+	for i := 1; i < len(all); i++ {
+		a, b := all[i-1], all[i]
+		if (a.rank < b.rank) != (byTaskID(a, b) < 0) || (a.rank == b.rank) != (byTaskID(a, b) == 0) {
+			t.Fatalf("task %v has rank %d and task %v rank %d", a.spec.ID, a.rank, b.spec.ID, b.rank)
+		}
+	}
+	live := 0
+	for name, tn := range s.tenants {
+		if tn.name != name || tn.usage != usage[tn] || tn.live != !usage[tn].IsZero() {
+			t.Fatalf("tenant %q: usage %v, live %v; its residents hold %v", name, tn.usage, tn.live, usage[tn])
+		}
+		if tn.live {
+			live++
+		}
+	}
+	if live != s.liveTenants {
+		t.Fatalf("%d tenants live, a recount gives %d", s.liveTenants, live)
 	}
 }
 
@@ -516,7 +604,7 @@ func moveTask(s *Simulator, t *taskRT, to *node, now sim.Time) {
 // seated it under the current configuration.
 func reseatAll(s *Simulator, now sim.Time) {
 	for _, n := range s.nodes {
-		for _, v := range append([]*taskRT(nil), n.running...) {
+		for _, v := range residents(n) {
 			moveTask(s, v, n, now)
 		}
 	}
@@ -560,7 +648,7 @@ func TestVictimCostIsCheckpointOverhead(t *testing.T) {
 			checkBooks(t, s)
 			for _, n := range s.nodes {
 				q := n.Device.QueueDelay(now)
-				for _, v := range n.running {
+				for _, v := range residents(n) {
 					want := core.CheckpointOverhead(s.candidateFor(v, now), n.Device, now)
 					if got := s.victimCost(v, q, now); got != want {
 						t.Fatalf("round %d step %d: task %v on %s node %d (chain %v, incremental off %v) costs %v, CheckpointOverhead %v",
@@ -583,7 +671,7 @@ func TestVictimCostIsCheckpointOverhead(t *testing.T) {
 				}
 			}
 			for _, n := range s.nodes {
-				for _, v := range append([]*taskRT(nil), n.running...) {
+				for _, v := range residents(n) {
 					flip := rng.Intn(6) == 0
 					if flip {
 						v.hasCheckpoint = !v.hasCheckpoint
@@ -642,40 +730,39 @@ func TestChooseVictimsAllocatesNothing(t *testing.T) {
 }
 
 // GIVEN a node's running set in either order — cost-aware or not — and
-// tasks whose priorities and chainless prices collide,
+// tasks whose priorities, chainless prices and task IDs collide, ranked as
+// load ranks a run's tasks,
 // WHEN tasks are added and removed in any order, absent removals included,
-// THEN the set is exactly the tasks present, sorted by evictsBefore.
+// THEN the set is exactly the sequence the pointer-compare insertion
+// (referenceAddRunning) builds from the same steps, ties included.
 func TestRunningSetStaysInEvictionOrder(t *testing.T) {
 	for _, byCost := range []bool{false, true} {
 		rng := rand.New(rand.NewSource(5))
-		pool := make([]*taskRT, 64)
-		for i, id := range rng.Perm(len(pool)) {
-			pool[i] = &taskRT{
-				spec: &cluster.TaskSpec{
-					ID:       cluster.TaskID{Job: cluster.JobID(id / 5), Index: int32(id % 5)},
-					Priority: cluster.Priority(rng.Intn(4)),
-				},
-				fixedCost: time.Duration(rng.Intn(3)) * time.Second,
-			}
+		pool := make([]cluster.TaskID, 64)
+		for i := range pool {
+			id := rng.Intn(48)
+			pool[i] = cluster.TaskID{Job: cluster.JobID(id / 5), Index: int32(id % 5)}
+		}
+		slab := rankedSlab(pool)
+		for i := range slab {
+			slab[i].spec.Priority = cluster.Priority(rng.Intn(4))
+			slab[i].fixedCost = time.Duration(rng.Intn(3)) * time.Second
 		}
 		n := &node{}
-		present := map[*taskRT]bool{}
+		var want []*taskRT
 		for step := 0; step < 5000; step++ {
-			x := pool[rng.Intn(len(pool))]
-			if present[x] || rng.Intn(8) == 0 {
+			x := &slab[rng.Intn(len(slab))]
+			if i := slices.Index(want, x); i >= 0 || rng.Intn(8) == 0 {
 				n.removeRunning(x)
-				delete(present, x)
+				if i >= 0 {
+					want = slices.Delete(want, i, i+1)
+				}
 			} else {
 				n.addRunning(x, byCost)
-				present[x] = true
+				want = referenceAddRunning(want, x, byCost)
 			}
-			want := make([]*taskRT, 0, len(present))
-			for p := range present {
-				want = append(want, p)
-			}
-			sort.Slice(want, func(i, j int) bool { return evictsBefore(want[i], want[j], byCost) })
-			if ids(n.running) != ids(want) {
-				t.Fatalf("by cost %v, step %d: running set %v, want %v", byCost, step, ids(n.running), ids(want))
+			if !slices.Equal(residents(n), want) {
+				t.Fatalf("by cost %v, step %d: running set %v, want %v", byCost, step, ids(residents(n)), ids(want))
 			}
 		}
 	}

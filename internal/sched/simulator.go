@@ -59,8 +59,11 @@ type taskRT struct {
 	// completion is the pending completion timer while running.
 	completion *sim.Timer
 	// evictions counts preemptions suffered, for the eviction-threshold
-	// policy.
-	evictions int
+	// policy. rank is the task's place in task-ID order (rankByTaskID), the
+	// low half of its eviction key (residentKey); the two share a word so
+	// that taskRT stays in its size class.
+	evictions int32
+	rank      uint32
 	// trip pairs the Algorithm 1 estimate of the task's open checkpoint
 	// round trip with its measured dump and restore windows.
 	trip obs.RoundTrip
@@ -128,9 +131,9 @@ type jobRT struct {
 	// sim is the simulator running the job: the one pointer through which a
 	// task's typed events (submitEvent, completionEvent) reach it.
 	sim *Simulator
-	// user is the job's accounting tenant: its User, or "job-<id>" for an
+	// tenant is the job's accounting tenant: its User, or "job-<id>" for an
 	// anonymous job, which is its own tenant.
-	user      string
+	tenant    *tenant
 	remaining int
 	finish    sim.Time
 }
@@ -140,7 +143,23 @@ func newJobRT(spec *cluster.JobSpec, s *Simulator) *jobRT {
 	if user == "" {
 		user = fmt.Sprintf("job-%d", spec.ID)
 	}
-	return &jobRT{spec: spec, sim: s, user: user, remaining: len(spec.Tasks)}
+	tn := s.tenants[user]
+	if tn == nil {
+		tn = &tenant{name: user}
+		s.tenants[user] = tn
+	}
+	return &jobRT{spec: spec, sim: s, tenant: tn, remaining: len(spec.Tasks)}
+}
+
+// tenant is one accounting tenant's books for the fair-share discipline,
+// interned by name (Simulator.tenants) when its first job loads, so that
+// booking and reading a share never hash the name.
+type tenant struct {
+	name  string
+	usage cluster.Resources
+	// live marks a tenant the fair-share target counts (equalShare): an
+	// allocation sets it, and a release clears it when usage is zero again.
+	live bool
 }
 
 // submitEvent and completionEvent are a task's record viewed as the two
@@ -169,9 +188,9 @@ type node struct {
 	core.Ledger
 	id cluster.NodeID
 	// running holds every task occupying the node — running, checkpointing
-	// or restoring — in eviction order (evictionOrder), so a victim scan
-	// takes a covering prefix and stops.
-	running []*taskRT
+	// or restoring — in eviction order (resident.evictsBefore), so a victim
+	// scan takes a covering prefix and stops.
+	running []resident
 	// chained counts the chained residents per priority: a level that holds
 	// one has no static order and is ranked at scan time.
 	chained [int(cluster.MaxPriority) + 1]uint16
@@ -209,33 +228,120 @@ func byTaskID(a, b *taskRT) int {
 	return cmp.Or(cmp.Compare(a.spec.ID.Job, b.spec.ID.Job), cmp.Compare(a.spec.ID.Index, b.spec.ID.Index))
 }
 
-// evictionOrder is the order a victim scan takes a node's residents in:
+// rankByTaskID gives every record of a run's slab its rank: the number of
+// distinct task IDs in the slab that sort before its own, so that comparing
+// two records' ranks is byTaskID, equal IDs included. A job's records are
+// consecutive in the slab, so it sorts the runs of one job ID, and sorts
+// records only where a job ID recurs or its indices do not strictly ascend.
+func rankByTaskID(tasks []taskRT) {
+	n := 0
+	for i := range tasks {
+		if i == 0 || tasks[i].spec.ID.Job != tasks[i-1].spec.ID.Job {
+			n++
+		}
+	}
+	runs := make([][]taskRT, 0, n)
+	for lo, i := 0, 1; i <= len(tasks); i++ {
+		if i == len(tasks) || tasks[i].spec.ID.Job != tasks[lo].spec.ID.Job {
+			runs = append(runs, tasks[lo:i])
+			lo = i
+		}
+	}
+	slices.SortFunc(runs, func(a, b []taskRT) int { return cmp.Compare(a[0].spec.ID.Job, b[0].spec.ID.Job) })
+	var (
+		rank  uint32
+		group []*taskRT
+	)
+	for g, h := 0, 0; g < len(runs); g = h {
+		for h = g + 1; h < len(runs) && runs[h][0].spec.ID.Job == runs[g][0].spec.ID.Job; h++ {
+		}
+		if h == g+1 && indicesAscend(runs[g]) {
+			for i := range runs[g] {
+				runs[g][i].rank = rank
+				rank++
+			}
+			continue
+		}
+		group = group[:0]
+		for _, r := range runs[g:h] {
+			for i := range r {
+				group = append(group, &r[i])
+			}
+		}
+		slices.SortFunc(group, byTaskID)
+		for i, t := range group {
+			if i > 0 && t.spec.ID.Index != group[i-1].spec.ID.Index {
+				rank++
+			}
+			t.rank = rank
+		}
+		rank++
+	}
+}
+
+// indicesAscend reports whether the task indices of tasks strictly ascend.
+func indicesAscend(tasks []taskRT) bool {
+	for i := 1; i < len(tasks); i++ {
+		if tasks[i-1].spec.ID.Index >= tasks[i].spec.ID.Index {
+			return false
+		}
+	}
+	return true
+}
+
+// resident is one entry of a node's running set: a task and its eviction
+// key, inline, so that ordering the set loads no task record.
+type resident struct {
+	t   *taskRT
+	key uint64
+}
+
+// residentKey is t's eviction key: its priority in the high word and its
+// rank in the low one, so that key order is priority, then task ID.
+func residentKey(t *taskRT) uint64 {
+	return levelKey(t.spec.Priority) | uint64(t.rank)
+}
+
+// levelKey is the least eviction key of priority p, and level the priority
+// of a key.
+func levelKey(p cluster.Priority) uint64 { return uint64(p) << 32 }
+
+func level(key uint64) cluster.Priority { return cluster.Priority(key >> 32) }
+
+// evictsBefore is the order a victim scan takes a node's residents in:
 // priority ascending, then — under cost-aware eviction (byCost) — fixedCost
 // ascending, then task ID. For a chainless resident the scan's cost is
 // fixedCost plus the node's queue delay, the same for every resident, so
 // this is the scan's (priority, cost, task ID) order without pricing
-// anyone. Both keys are fixed from seat to unseat.
-func evictionOrder(a, b *taskRT, byCost bool) int {
-	if c := cmp.Compare(a.spec.Priority, b.spec.Priority); c != 0 {
-		return c
+// anyone. A resident's key and fixedCost are fixed from seat to unseat, and
+// only a priority tie under cost-aware eviction loads the records.
+func (r resident) evictsBefore(e resident, byCost bool) bool {
+	if byCost && level(r.key) == level(e.key) && r.t.fixedCost != e.t.fixedCost {
+		return r.t.fixedCost < e.t.fixedCost
 	}
-	if byCost {
-		if c := cmp.Compare(a.fixedCost, b.fixedCost); c != 0 {
-			return c
-		}
-	}
-	return byTaskID(a, b)
+	return r.key < e.key
 }
 
-// addRunning inserts t at its eviction-order position.
+// addRunning inserts t at its eviction-order position, ahead of any
+// resident it ties with.
 func (n *node) addRunning(t *taskRT, byCost bool) {
-	i, _ := slices.BinarySearchFunc(n.running, t, func(r, t *taskRT) int { return evictionOrder(r, t, byCost) })
-	n.running = slices.Insert(n.running, i, t)
+	e := resident{t, residentKey(t)}
+	run := n.running
+	lo, hi := 0, len(run)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if run[m].evictsBefore(e, byCost) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	n.running = slices.Insert(run, lo, e)
 }
 
 // removeRunning drops t from the set; an absent t is a no-op.
 func (n *node) removeRunning(t *taskRT) {
-	if i := slices.Index(n.running, t); i >= 0 {
+	if i := slices.IndexFunc(n.running, func(e resident) bool { return e.t == t }); i >= 0 {
 		n.running = slices.Delete(n.running, i, i+1)
 	}
 }
@@ -381,36 +487,38 @@ type Simulator struct {
 	// runningByPrio counts phaseRunning tasks per priority so preemption
 	// feasibility is an O(12) check instead of a cluster scan.
 	runningByPrio [int(cluster.MaxPriority) + 1]int
-	// userUsage and bandUsage track allocated resources per tenant and
-	// per priority band for the fair-share and capacity disciplines.
-	userUsage map[string]cluster.Resources
-	bandUsage [cluster.NumBands]cluster.Resources
-	totalCap  cluster.Resources
+	// tenants interns the tenants' books by name, and liveTenants counts
+	// the live ones; bandUsage tracks allocated resources per priority
+	// band. They serve the fair-share and capacity disciplines.
+	tenants     map[string]*tenant
+	liveTenants int
+	bandUsage   [cluster.NumBands]cluster.Resources
+	totalCap    cluster.Resources
 }
 
-// userOf returns the accounting tenant of a task.
-func userOf(t *taskRT) string { return t.job.user }
+// tenantOf returns the accounting tenant of a task.
+func tenantOf(t *taskRT) *tenant { return t.job.tenant }
 
 // account books an allocation (+1) or release (-1) of t's demand against
-// its user and band.
+// its tenant and band.
 func (s *Simulator) account(t *taskRT, sign int) {
-	user := userOf(t)
-	band := cluster.BandOf(t.spec.Priority)
-	if sign > 0 {
-		s.userUsage[user] = s.userUsage[user].Add(t.spec.Demand)
-		s.bandUsage[band] = s.bandUsage[band].Add(t.spec.Demand)
-		return
+	tn, band, d := tenantOf(t), cluster.BandOf(t.spec.Priority), t.spec.Demand
+	if sign < 0 {
+		d = cluster.Resources{}.Sub(d)
 	}
-	s.userUsage[user] = s.userUsage[user].Sub(t.spec.Demand)
-	if s.userUsage[user].IsZero() {
-		delete(s.userUsage, user)
+	tn.usage = tn.usage.Add(d)
+	s.bandUsage[band] = s.bandUsage[band].Add(d)
+	if tn.live {
+		s.liveTenants--
 	}
-	s.bandUsage[band] = s.bandUsage[band].Sub(t.spec.Demand)
+	if tn.live = sign > 0 || !tn.usage.IsZero(); tn.live {
+		s.liveTenants++
+	}
 }
 
-// shareOf is a user's dominant share of cluster capacity.
-func (s *Simulator) shareOf(user string) float64 {
-	return s.userUsage[user].DominantShare(s.totalCap)
+// shareOf is a tenant's dominant share of cluster capacity.
+func (s *Simulator) shareOf(tn *tenant) float64 {
+	return tn.usage.DominantShare(s.totalCap)
 }
 
 // bandShare is a band's dominant share of cluster capacity.
@@ -420,9 +528,9 @@ func (s *Simulator) bandShare(b cluster.Band) float64 {
 
 // equalShare is the per-user fair share target: capacity divided across
 // users with live allocations plus the prospective user.
-func (s *Simulator) equalShare(prospective string) float64 {
-	n := len(s.userUsage)
-	if _, live := s.userUsage[prospective]; !live {
+func (s *Simulator) equalShare(prospective *tenant) float64 {
+	n := s.liveTenants
+	if !prospective.live {
 		n++
 	}
 	if n == 0 {
@@ -442,16 +550,16 @@ func (s *Simulator) equalShare(prospective string) float64 {
 // transfer, and capacity requires the victim's band to remain at or above
 // its guarantee after the loss.
 func (s *Simulator) canPreempt(t, v *taskRT) bool {
-	if s.cfg.MaxEvictionsPerTask > 0 && v.evictions >= s.cfg.MaxEvictionsPerTask {
+	if s.cfg.MaxEvictionsPerTask > 0 && int(v.evictions) >= s.cfg.MaxEvictionsPerTask {
 		return false
 	}
 	switch s.cfg.Discipline {
 	case DisciplineFairShare:
-		vs := s.shareOf(userOf(v))
-		ts := s.shareOf(userOf(t))
+		vs := s.shareOf(tenantOf(v))
+		ts := s.shareOf(tenantOf(t))
 		cv := v.spec.Demand.DominantShare(s.totalCap)
 		ct := t.spec.Demand.DominantShare(s.totalCap)
-		return vs > s.equalShare(userOf(t)) && vs-cv >= ts+ct
+		return vs > s.equalShare(tenantOf(t)) && vs-cv >= ts+ct
 	case DisciplineCapacity:
 		tb := cluster.BandOf(t.spec.Priority)
 		vb := cluster.BandOf(v.spec.Priority)
@@ -540,6 +648,7 @@ func (s *Simulator) load(jobs []cluster.JobSpec) ([]taskRT, error) {
 			s.engine.At(ts.Submit, (*submitEvent)(&tasks[len(tasks)-1]))
 		}
 	}
+	rankByTaskID(tasks)
 	for _, f := range s.cfg.NodeFailures {
 		s.engine.At(sim.Time(f.At), sim.Handler(func(now sim.Time) {
 			s.failNode(f, now)
@@ -569,7 +678,7 @@ func newSimulator(cfg Config) (*Simulator, error) {
 		events:    obs.NewEmitter(cfg.Observer, "sched"),
 		engine:    sim.NewEngine(),
 		costAware: cfg.Policy == core.PolicyAdaptive && !cfg.NaiveVictimSelection,
-		userUsage: make(map[string]cluster.Resources),
+		tenants:   make(map[string]*tenant),
 		totalCap:  cfg.NodeCapacity.Scale(float64(cfg.Nodes)),
 	}
 	s.runPass = func(now sim.Time) {
@@ -624,7 +733,7 @@ func (s *Simulator) scanBatch() []*taskRT {
 	switch s.cfg.Discipline {
 	case DisciplineFairShare:
 		sort.SliceStable(batch, func(i, j int) bool {
-			si, sj := s.shareOf(userOf(batch[i])), s.shareOf(userOf(batch[j]))
+			si, sj := s.shareOf(tenantOf(batch[i])), s.shareOf(tenantOf(batch[j]))
 			return si < sj
 		})
 	case DisciplineCapacity:
@@ -938,7 +1047,7 @@ func (s *Simulator) finishTask(t *taskRT, now sim.Time) {
 	if t.job.remaining == 0 {
 		t.job.finish = now
 		resp := s.res.JobDone(t.job.spec, now)
-		user := userOf(t)
+		user := tenantOf(t).name
 		if s.res.JobResponseByUser[user] == nil {
 			s.res.JobResponseByUser[user] = &Dist{}
 		}
@@ -980,6 +1089,7 @@ func (s *Simulator) chooseVictims(t *taskRT, now sim.Time) (*node, []*taskRT) {
 		bestCost = time.Duration(math.MaxInt64)
 		best     = s.victimScratch[:0]
 		walk     = s.walkScratch[:0]
+		w        victimWalk
 	)
 	// Under the priority discipline a node can only yield victims if some
 	// task with priority strictly below t's is running there; the per-node
@@ -999,7 +1109,7 @@ func (s *Simulator) chooseVictims(t *taskRT, now sim.Time) (*node, []*taskRT) {
 		}
 		// need may stay negative in a dimension that is already free: the
 		// walk only asks whether what it frees covers it.
-		w := victimWalk{need: t.spec.Demand.Sub(n.availableFor(t)), victims: walk[:0], bound: bestCost}
+		w.reset(t.spec.Demand.Sub(n.availableFor(t)), walk[:0], bestCost)
 		s.walkNode(&w, n, t, maskable, now)
 		walk = w.victims
 		if !w.ok() {
@@ -1027,6 +1137,12 @@ type victimWalk struct {
 	// eligible records that the node has an eligible resident at all: a
 	// node with none yields no victim set, not even an empty one.
 	eligible bool
+}
+
+// reset readies w for the next node, in place: a fresh literal would be
+// copied into w on every node a scan visits.
+func (w *victimWalk) reset(need cluster.Resources, victims []*taskRT, bound time.Duration) {
+	w.need, w.freed, w.victims, w.cost, w.bound, w.eligible = need, cluster.Resources{}, victims, 0, bound, false
 }
 
 // offer hands the walk the next eligible resident and its cost, and
@@ -1061,15 +1177,15 @@ func (s *Simulator) walkNode(w *victimWalk, n *node, t *taskRT, byPriority bool,
 		q = n.Device.QueueDelay(now)
 	}
 	run := n.running
+	top := levelKey(t.spec.Priority)
 	for i := 0; i < len(run); i++ {
-		v := run[i]
-		p := v.spec.Priority
-		if byPriority && p >= t.spec.Priority {
+		e := run[i]
+		if byPriority && e.key >= top {
 			return
 		}
-		if s.costAware && n.chained[p] > 0 {
+		if p := level(e.key); s.costAware && n.chained[p] > 0 {
 			end := i + 1
-			for end < len(run) && run[end].spec.Priority == p {
+			for end < len(run) && level(run[end].key) == p {
 				end++
 			}
 			for _, pv := range s.rankLevel(run[i:end], t, q, now) {
@@ -1080,6 +1196,7 @@ func (s *Simulator) walkNode(w *victimWalk, n *node, t *taskRT, byPriority bool,
 			i = end - 1
 			continue
 		}
+		v := e.t
 		if !s.mayEvict(t, v) {
 			continue
 		}
@@ -1095,24 +1212,24 @@ func (s *Simulator) walkNode(w *victimWalk, n *node, t *taskRT, byPriority bool,
 
 // pricedTask is a resident with the cost a victim scan ranks it by.
 type pricedTask struct {
-	t    *taskRT
+	resident
 	cost time.Duration
 }
 
-// rankLevel prices the residents of level — one priority's run of a
+// rankLevel prices the residents of run — one priority's stretch of a
 // running set — that t may evict, at now with q the node's queue delay, and
 // returns them cost ascending, then by task ID. The slice aliases
 // levelScratch and is valid until the next call.
-func (s *Simulator) rankLevel(level []*taskRT, t *taskRT, q time.Duration, now sim.Time) []pricedTask {
+func (s *Simulator) rankLevel(run []resident, t *taskRT, q time.Duration, now sim.Time) []pricedTask {
 	out := s.levelScratch[:0]
-	for _, v := range level {
-		if !s.mayEvict(t, v) {
+	for _, e := range run {
+		if !s.mayEvict(t, e.t) {
 			continue
 		}
-		pv := pricedTask{v, s.victimCost(v, q, now)}
+		pv := pricedTask{e, s.victimCost(e.t, q, now)}
 		j := len(out)
 		out = append(out, pv)
-		for ; j > 0 && cmp.Or(cmp.Compare(out[j-1].cost, pv.cost), byTaskID(out[j-1].t, v)) > 0; j-- {
+		for ; j > 0 && cmp.Or(cmp.Compare(out[j-1].cost, pv.cost), cmp.Compare(out[j-1].key, pv.key)) > 0; j-- {
 			out[j] = out[j-1]
 		}
 		out[j] = pv
@@ -1132,9 +1249,9 @@ func (s *Simulator) mayEvict(t, v *taskRT) bool {
 // candScratch and is valid until the next call.
 func (s *Simulator) preemptableOn(n *node, t *taskRT) []*taskRT {
 	out := s.candScratch[:0]
-	for _, v := range n.running {
-		if s.mayEvict(t, v) {
-			out = append(out, v)
+	for _, e := range n.running {
+		if s.mayEvict(t, e.t) {
+			out = append(out, e.t)
 		}
 	}
 	slices.SortFunc(out, byTaskID)

@@ -67,6 +67,14 @@ func requireSameScan(t *testing.T, data []byte, cov *scanCoverage) {
 		}
 	}
 	now := sim.Time(time.Hour)
+	// Every event makes at most one task, so the stream's length bounds
+	// made: the k-th task made is recs[2k-2] if seated, recs[2k-1] if a
+	// waiter.
+	ids := make([]cluster.TaskID, 0, 2*len(in.b))
+	for made := 1; made <= len(in.b); made++ {
+		ids = append(ids, cluster.TaskID{Job: cluster.JobID(made % 5), Index: int32(made)}, cluster.TaskID{Job: cluster.JobID(100_000 + made)})
+	}
+	recs := rankedSlab(ids)
 	var seated []*taskRT
 	pick := func() *taskRT { return seated[int(in.next())%len(seated)] }
 	pickNode := func() *node { return s.nodes[int(in.next())%len(s.nodes)] }
@@ -95,12 +103,12 @@ func requireSameScan(t *testing.T, data []byte, cov *scanCoverage) {
 			minutes, div, chain, phase := 1+int(in.next()%30), 1+int(in.next()%3), in.next(), in.next()
 			n := pickNode()
 			made++
-			v := bookTask(s, cluster.TaskID{Job: cluster.JobID(made % 5), Index: int32(made)}, prio, user, d, minutes, div)
+			v := bookTask(s, &recs[2*made-2], prio, user, d, minutes, div)
 			if !d.Fits(n.Cap.Sub(n.Used)) {
 				continue
 			}
 			v.hasCheckpoint = chain&1 != 0
-			v.evictions = int(chain>>1) % 3
+			v.evictions = int32(chain>>1) % 3
 			s.seat(v, n, now)
 			switch phase % 8 {
 			case 0:
@@ -121,7 +129,7 @@ func requireSameScan(t *testing.T, data []byte, cov *scanCoverage) {
 			d := bookDemands[in.next()%3]
 			user := bookUsers[in.next()%4]
 			made++
-			w := bookTask(s, cluster.TaskID{Job: cluster.JobID(100_000 + made)}, prio, user, d, 10, 1)
+			w := bookTask(s, &recs[2*made-1], prio, user, d, 10, 1)
 			w.phase = phaseQueued
 			if r := in.next(); r&1 != 0 {
 				s.reserve(w, s.nodes[int(r>>1)%len(s.nodes)])
