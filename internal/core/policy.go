@@ -19,7 +19,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"preemptsched/internal/cluster"
@@ -182,71 +184,33 @@ func DecidePreemption(policy Policy, c Candidate, dev *storage.Device, now sim.T
 // free enough, in which case no victims are returned; a need that is
 // already covered returns no victims and true.
 func SelectVictims(cands []Candidate, need cluster.Resources, now sim.Time, devFor func(Candidate) *storage.Device) ([]Candidate, bool) {
-	vs := victimScratch{keys: make([]victimKey, len(cands))}
+	costs := make([]time.Duration, len(cands))
+	order := make([]int, len(cands))
 	for i, c := range cands {
-		vs.keys[i] = victimKey{priority: c.Priority, cost: CheckpointOverhead(c, devFor(c), now), demand: c.Demand}
+		costs[i] = CheckpointOverhead(c, devFor(c), now)
+		order[i] = i
 	}
-	idx, _, ok := vs.pick(need)
-	if !ok || len(idx) == 0 {
-		return nil, ok
-	}
-	victims := make([]Candidate, len(idx))
-	for i, j := range idx {
-		victims[i] = cands[j]
-	}
-	return victims, true
-}
-
-// victimKey is what the eviction order reads of one candidate.
-type victimKey struct {
-	priority cluster.Priority
-	cost     time.Duration
-	demand   cluster.Resources
-}
-
-// victimScratch is SelectVictims's working memory; a warm one allocates
-// nothing.
-type victimScratch struct {
-	keys  []victimKey
-	order []int
-}
-
-// pick orders keys by (priority, cost), ties staying in keys order, and
-// takes the shortest prefix whose demand covers need. It returns the
-// chosen indices into keys in eviction order and their summed cost; ok is
-// false, with no indices, when no prefix covers need. The indices alias
-// the scratch and are valid until the next pick.
-//
-// The sort is a stable insertion sort: candidates are the tasks of one
-// node, a handful to a few dozen, where it beats a general stable sort
-// and needs no swap closure.
-func (vs *victimScratch) pick(need cluster.Resources) (idx []int, cost time.Duration, ok bool) {
-	keys, order := vs.keys, vs.order[:0]
-	for i := range keys {
-		k := &keys[i]
-		j := len(order)
-		order = append(order, i)
-		for ; j > 0; j-- {
-			p := &keys[order[j-1]]
-			if p.priority < k.priority || p.priority == k.priority && p.cost <= k.cost {
-				break
-			}
-			order[j] = order[j-1]
+	slices.SortStableFunc(order, func(a, b int) int {
+		if pa, pb := cands[a].Priority, cands[b].Priority; pa != pb {
+			return cmp.Compare(pa, pb)
 		}
-		order[j] = i
-	}
-	vs.order = order
-	var freed cluster.Resources
-	n := 0
-	for ; n < len(order) && !need.Fits(freed); n++ {
-		k := &keys[order[n]]
-		freed = freed.Add(k.demand)
-		cost += k.cost
+		return cmp.Compare(costs[a], costs[b])
+	})
+	var (
+		freed   cluster.Resources
+		victims []Candidate
+	)
+	for _, i := range order {
+		if need.Fits(freed) {
+			break
+		}
+		victims = append(victims, cands[i])
+		freed = freed.Add(cands[i].Demand)
 	}
 	if !need.Fits(freed) {
-		return nil, 0, false
+		return nil, false
 	}
-	return order[:n], cost, true
+	return victims, true
 }
 
 // RestorePlacement is the outcome of Algorithm 2.

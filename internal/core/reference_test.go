@@ -12,11 +12,11 @@ import (
 	"preemptsched/internal/storage"
 )
 
-// referenceSelectVictims is SelectVictims as it stood before the selector
-// moved onto caller-owned scratch: score every candidate into a fresh
-// slice, sort.SliceStable by (priority, cost), take the covering prefix.
-// It is the executable definition of the eviction order the selector must
-// reproduce bit for bit.
+// referenceSelectVictims is the eviction rule written as plainly as it
+// reads: score every candidate into a fresh slice, sort.SliceStable by
+// (priority, cost), take the covering prefix. It is the executable
+// definition of the eviction order the selector must reproduce bit for
+// bit.
 func referenceSelectVictims(cands []Candidate, need cluster.Resources, now sim.Time, devFor func(Candidate) *storage.Device) ([]Candidate, bool) {
 	type scored struct {
 		c    Candidate
@@ -52,13 +52,11 @@ func referenceSelectVictims(cands []Candidate, need cluster.Resources, now sim.T
 // GIVEN any candidate set — equal costs, equal priorities, one device or
 // several with different queue depths — and any need, zero and uncoverable
 // included,
-// WHEN SelectVictims and a reused victimScratch choose victims,
-// THEN both return exactly the reference's victims in the reference's
-// order (nil for nil), and pick's cost is the sum of the chosen
-// candidates' CheckpointOverhead.
+// WHEN SelectVictims chooses victims,
+// THEN it returns exactly the reference's victims in the reference's
+// order (nil for nil).
 func TestSelectVictimsMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
-	var vs victimScratch // reused across rounds
 	for round := 0; round < 3000; round++ {
 		now := sim.Time(rng.Int63n(int64(time.Hour)))
 		devs := []*storage.Device{storage.NewDevice(storage.SSD), storage.NewDevice(storage.HDD)}
@@ -102,52 +100,5 @@ func TestSelectVictimsMatchesReference(t *testing.T) {
 			t.Fatalf("round %d: SelectVictims = %v, %v; reference %v, %v", round, got, gotOK, want, wantOK)
 		}
 
-		vs.keys = vs.keys[:0]
-		for _, c := range cands {
-			vs.keys = append(vs.keys, victimKey{priority: c.Priority, cost: CheckpointOverhead(c, devFor(c), now), demand: c.Demand})
-		}
-		idx, cost, ok := vs.pick(need)
-		if ok != wantOK || len(idx) != len(want) {
-			t.Fatalf("round %d: pick = %v, %v; reference %v, %v", round, idx, ok, want, wantOK)
-		}
-		var wantCost time.Duration
-		for i, j := range idx {
-			if cands[j] != want[i] {
-				t.Fatalf("round %d: victim %d is %v, reference %v", round, i, cands[j].Task, want[i].Task)
-			}
-			wantCost += CheckpointOverhead(want[i], devFor(want[i]), now)
-		}
-		if cost != wantCost {
-			t.Fatalf("round %d: cost %v, reference sum %v", round, cost, wantCost)
-		}
-	}
-}
-
-// GIVEN a warm scratch,
-// WHEN pick runs again over a candidate set no larger than one it has
-// already seen,
-// THEN it allocates nothing.
-func TestSelectAllocatesNothingWhenWarm(t *testing.T) {
-	var vs victimScratch
-	fill := func() {
-		vs.keys = vs.keys[:0]
-		for i := 0; i < 24; i++ {
-			vs.keys = append(vs.keys, victimKey{
-				priority: cluster.Priority(i % 3 * 5),
-				cost:     time.Duration(i*7%11) * time.Second,
-				demand:   cluster.Resources{CPUMillis: 1000, MemBytes: cluster.GiB(4)},
-			})
-		}
-	}
-	need := cluster.Resources{CPUMillis: 4000, MemBytes: cluster.GiB(16)}
-	fill()
-	vs.pick(need)
-	if allocs := testing.AllocsPerRun(100, func() {
-		fill()
-		if _, _, ok := vs.pick(need); !ok {
-			t.Fatal("need not covered")
-		}
-	}); allocs != 0 {
-		t.Errorf("warm pick allocated %v times per run, want 0", allocs)
 	}
 }

@@ -231,9 +231,13 @@ func (c passCase) build(t testing.TB) (Config, []cluster.JobSpec) {
 	if c.coarse {
 		for j := range jobs {
 			for k := range jobs[j].Tasks {
-				d := &jobs[j].Tasks[k].Demand
+				task := &jobs[j].Tasks[k]
+				d := &task.Demand
 				d.CPUMillis = cluster.Cores(float64(1 + d.CPUMillis/cluster.Cores(1.25)))
 				d.MemBytes = cluster.GiB(float64(2 + 2*(d.MemBytes/cluster.GiB(2.25))))
+				// Rounding can take the demand below the footprint, which
+				// no task may exceed.
+				task.MemFootprint = min(task.MemFootprint, d.MemBytes)
 			}
 		}
 	}

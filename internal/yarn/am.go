@@ -44,16 +44,17 @@ type taskRun struct {
 	process    *proc.Process
 	totalSteps uint64
 
-	hasImage   bool
-	imageName  string
-	imageSeq   int
-	imageNode  int
-	imageBytes int64
 	// chain lists the images of the current checkpoint chain, oldest
-	// first; the last entry is the restore tip. Keeping every link lets a
-	// failed restore fall back to the parent image instead of giving up
-	// the whole chain.
+	// first; the last entry is the restore tip. It is the task's only
+	// record of its images. Keeping every link lets a failed restore fall
+	// back to the parent image instead of giving up the whole chain.
 	chain []imageLink
+	// imageNode is the node that booked the chain's latest image, -1 with
+	// no chain; dropping a tip leaves it, so a fallback restore still
+	// prefers that node.
+	imageNode  int
+	imageSeq   int
+	imageBytes int64
 	// preCopying marks a running task whose pages are being pre-dumped;
 	// it is not eligible for further preemption until frozen.
 	preCopying bool
@@ -78,6 +79,30 @@ type taskRun struct {
 type imageLink struct {
 	name  string
 	bytes int64
+}
+
+// hasImage reports whether t has a checkpoint image to restore from.
+func (t *taskRun) hasImage() bool { return len(t.chain) > 0 }
+
+// tip is the name of t's restore tip, "" with no chain.
+func (t *taskRun) tip() string {
+	if len(t.chain) == 0 {
+		return ""
+	}
+	return t.chain[len(t.chain)-1].name
+}
+
+// nextImageName names t's next image; no name is ever reused.
+func (t *taskRun) nextImageName() string {
+	name := fmt.Sprintf("/ckpt/%s/%d", t.spec.ID, t.imageSeq)
+	t.imageSeq++
+	return name
+}
+
+// bankedAt is the compute banked by a process that has run steps of the
+// program's totalSteps.
+func (t *taskRun) bankedAt(steps uint64) time.Duration {
+	return time.Duration(float64(t.spec.Duration) * float64(steps) / float64(t.totalSteps))
 }
 
 // remaining is the compute time still owed.
@@ -107,7 +132,7 @@ func (t *taskRun) unsavedProgress(now sim.Time) time.Duration {
 // from the live process's real soft-dirty page count when an image exists.
 func (t *taskRun) candidate(now sim.Time) core.Candidate {
 	dirty := t.spec.MemFootprint
-	if t.hasImage && t.process != nil {
+	if t.hasImage() && t.process != nil {
 		dirty = t.process.Memory().LogicalDirtyBytes()
 	}
 	return core.Candidate{
@@ -117,7 +142,7 @@ func (t *taskRun) candidate(now sim.Time) core.Candidate {
 		UnsavedProgress: t.unsavedProgress(now),
 		FootprintBytes:  t.spec.MemFootprint,
 		DirtyBytes:      dirty,
-		HasCheckpoint:   t.hasImage,
+		HasCheckpoint:   t.hasImage(),
 	}
 }
 
@@ -204,7 +229,7 @@ func (am *AppMaster) newProcess(t *taskRun) (*proc.Process, error) {
 // start executing; checkpointed tasks restore first (locally or remotely).
 func (am *AppMaster) onAllocated(t *taskRun, n *NodeManager, now sim.Time) {
 	t.node = n
-	if !t.hasImage {
+	if !t.hasImage() {
 		if t.failedOver {
 			// A node failure took the task and it had no image to resume
 			// from — this fresh start is failure-attributed lost work.
@@ -254,8 +279,8 @@ func (am *AppMaster) restoreOrFallback(t *taskRun, n *NodeManager, at sim.Time) 
 		// tasks losslessly.
 		return
 	}
-	for t.hasImage {
-		p, info, err := am.c.ckpt.Restore(n.store, t.imageName)
+	for t.hasImage() {
+		p, info, err := am.c.ckpt.Restore(n.store, t.tip())
 		if err == nil {
 			if t.failedOver {
 				am.c.res.FailureRestores++
@@ -264,7 +289,7 @@ func (am *AppMaster) restoreOrFallback(t *taskRun, n *NodeManager, at sim.Time) 
 			// computed from; re-derive banked progress from the step
 			// counter actually restored and charge the difference as
 			// waste.
-			restored := time.Duration(float64(t.spec.Duration) * float64(info.Steps) / float64(t.totalSteps))
+			restored := t.bankedAt(info.Steps)
 			if restored < t.banked {
 				am.c.chargeWaste(t, t.banked-restored)
 				t.banked = restored
@@ -281,7 +306,7 @@ func (am *AppMaster) restoreOrFallback(t *taskRun, n *NodeManager, at sim.Time) 
 			am.c.res.RestoreVerifyFailures++
 		}
 		am.dropTipImage(t, n)
-		if t.hasImage {
+		if t.hasImage() {
 			am.c.res.RestoreFallbacks++
 		}
 	}
@@ -301,13 +326,9 @@ func (am *AppMaster) restoreOrFallback(t *taskRun, n *NodeManager, at sim.Time) 
 	am.startRun(t, at)
 }
 
-// dropTipImage removes the newest link of the chain and retargets the
-// task at its parent image, if any.
+// dropTipImage removes the newest link of t's non-empty chain, leaving
+// its parent image, if any, as the restore tip.
 func (am *AppMaster) dropTipImage(t *taskRun, n *NodeManager) {
-	if len(t.chain) == 0 {
-		am.discardImages(t, n)
-		return
-	}
 	tip := t.chain[len(t.chain)-1]
 	t.chain = t.chain[:len(t.chain)-1]
 	_ = n.store.Remove(tip.name)
@@ -315,31 +336,24 @@ func (am *AppMaster) dropTipImage(t *taskRun, n *NodeManager) {
 	t.imageBytes -= tip.bytes
 	am.c.res.AddImageBytes(-tip.bytes)
 	if len(t.chain) == 0 {
-		t.hasImage = false
-		t.imageName = ""
 		t.imageNode = -1
-		return
 	}
-	t.imageName = t.chain[len(t.chain)-1].name
 }
 
 // discardImages drops a task's checkpoint chain, best effort: corrupt
 // chains may be partially unreadable.
 func (am *AppMaster) discardImages(t *taskRun, n *NodeManager) {
-	if !t.hasImage {
-		t.chain = nil
+	if !t.hasImage() {
 		return
 	}
-	if err := checkpoint.RemoveChain(n.store, t.imageName); err != nil {
+	if tip := t.tip(); checkpoint.RemoveChain(n.store, tip) != nil {
 		// Chain walking requires readable images; remove at least the tip
 		// and its manifest.
-		_ = n.store.Remove(t.imageName)
-		_ = n.store.Remove(checkpoint.ManifestName(t.imageName))
+		_ = n.store.Remove(tip)
+		_ = n.store.Remove(checkpoint.ManifestName(tip))
 	}
 	am.c.res.AddImageBytes(-t.imageBytes)
 	t.imageBytes = 0
-	t.hasImage = false
-	t.imageName = ""
 	t.imageNode = -1
 	t.chain = nil
 }
@@ -377,6 +391,8 @@ func (am *AppMaster) killFallback(t *taskRun, n *NodeManager, lost time.Duration
 // the compute it had not banked is charged as waste, its slot frees at
 // once, and it re-queues preferring the node that holds its last image.
 func (am *AppMaster) kill(t *taskRun, n *NodeManager, lost time.Duration, now sim.Time) {
+	am.c.engine.Cancel(t.completion)
+	t.completion = nil
 	am.c.res.Kills++
 	am.c.chargeWaste(t, lost)
 	t.process.Kill()
@@ -384,12 +400,7 @@ func (am *AppMaster) kill(t *taskRun, n *NodeManager, lost time.Duration, now si
 	n.releaseSlot(now, t)
 	t.node = nil
 	t.state = statePending
-	pref := -1
-	if t.hasImage {
-		pref = t.imageNode
-	}
-	am.c.rm.RequestContainer(t, pref, now)
-	am.c.rm.schedulePass(now)
+	am.c.rm.RequestContainer(t, t.imageNode, now)
 }
 
 // onNodeFailure fences one of this AM's tasks off a node the RM has just
@@ -447,9 +458,9 @@ func (am *AppMaster) requeueAfterFailure(t *taskRun, n *NodeManager, lost time.D
 	am.c.events.Emit(obs.Event{Kind: obs.EvTaskRescheduled, At: now, Task: t.spec.ID, Node: n.id, Priority: t.spec.Priority,
 		Unsaved: lost})
 	t.trip.Abandon()
-	pref := -1
-	if t.hasImage && t.imageNode != n.id {
-		pref = t.imageNode
+	pref := t.imageNode
+	if pref == n.id {
+		pref = -1
 	}
 	am.c.rm.RequestContainer(t, pref, now)
 }
@@ -496,62 +507,60 @@ func (am *AppMaster) onPreempt(t *taskRun, now sim.Time) {
 	am.c.events.Emit(obs.Event{Kind: obs.EvDecision, At: now, Task: t.spec.ID, Node: n.id, Priority: t.spec.Priority,
 		Name: action.String(), Unsaved: t.unsavedProgress(now), Est: est, Span: span})
 
-	if action.IsCheckpoint() && am.c.cfg.PreCopy {
-		am.startPreCopyCheckpoint(t, n, now)
-		return
-	}
-	am.c.engine.Cancel(t.completion)
-	t.completion = nil
-
-	if !action.IsCheckpoint() {
+	switch {
+	case !action.IsCheckpoint():
 		// Progress since the last checkpoint is lost.
 		am.kill(t, n, t.unsavedProgress(now), now)
-		return
+	case am.c.cfg.PreCopy:
+		am.startPreCopyCheckpoint(t, n, now)
+	default:
+		prevBanked, unsaved := t.banked, t.unsavedProgress(now)
+		if err := am.freezeAndDump(t, n, t.tip(), now); err != nil {
+			// The dump failed against the store: degrade to kill-based
+			// preemption. The bank rolls back to the last restorable image;
+			// this attempt's progress is lost, as under a kill-only policy.
+			t.banked = prevBanked
+			am.killFallback(t, n, unsaved, now)
+			return
+		}
+		am.c.res.Checkpoints++
+		if action == core.ActionCheckpointIncremental {
+			am.c.res.IncrementalCheckpoints++
+		}
 	}
+}
 
-	// Checkpoint: bank progress quantized to the step boundary actually
-	// captured, freeze, dump for real into the DFS, and release the slot
-	// when the dump drains through the node's checkpoint queue.
-	prevBanked := t.banked
-	unsaved := t.unsavedProgress(now)
+// freezeAndDump stops t at the step its process has reached, banks that
+// step, and dumps it for real into the DFS: a full image, or a delta on
+// parent when parent is set. The image becomes the chain's tip at once;
+// the write is charged to t's cores as overhead, and when it drains
+// through the node's checkpoint queue t vacates n and re-queues there. A
+// failed dump leaves t frozen on n with the new bank, for the caller to
+// roll back and degrade to a kill.
+func (am *AppMaster) freezeAndDump(t *taskRun, n *NodeManager, parent string, now sim.Time) error {
+	am.c.engine.Cancel(t.completion)
+	t.completion = nil
 	t.state = stateCheckpointing
-	t.banked = time.Duration(float64(t.spec.Duration) * float64(t.process.Steps()) / float64(t.totalSteps))
-
+	t.banked = t.bankedAt(t.process.Steps())
 	if err := t.process.Suspend(); err != nil {
 		panic(fmt.Sprintf("yarn: suspend %v: %v", t.spec.ID, err))
 	}
-	var opts checkpoint.DumpOpts
-	incremental := t.hasImage
-	if incremental {
-		opts = checkpoint.DumpOpts{Incremental: true, Parent: t.imageName}
-	}
-	name := fmt.Sprintf("/ckpt/%s/%d", t.spec.ID, t.imageSeq)
-	t.imageSeq++
+	opts := checkpoint.DumpOpts{Incremental: parent != "", Parent: parent}
+	name := t.nextImageName()
 	info, err := am.c.ckpt.Dump(t.process, n.store, name, opts)
 	if err != nil {
-		// The dump failed against the store: degrade to kill-based
-		// preemption. The bank rolls back to the last restorable image;
-		// this attempt's progress is lost, as under a kill-only policy.
-		t.banked = prevBanked
-		am.killFallback(t, n, unsaved, now)
-		return
-	}
-	am.c.res.Checkpoints++
-	if incremental {
-		am.c.res.IncrementalCheckpoints++
+		return err
 	}
 	t.dropProcess() // the frozen process lives on only as the image
-	done := am.bookDump(t, n, name, info.LogicalBytes, incremental, false, now)
+	done := am.bookDump(t, n, name, info.LogicalBytes, opts.Incremental, false, now)
 	am.c.engine.At(done, sim.Handler(func(at sim.Time) {
-		t.hasImage = true
-		t.imageName = name
-		t.imageNode = n.id
 		n.releaseSlot(at, t)
 		t.node = nil
 		t.state = statePending
 		am.maybeCompact(t, n, at)
 		am.c.rm.RequestContainer(t, n.id, at)
 	}))
+	return nil
 }
 
 // bookDump books an image that was just written for real: the per-dump
@@ -567,6 +576,7 @@ func (am *AppMaster) bookDump(t *taskRun, n *NodeManager, name string, bytes int
 	} else {
 		am.recordFullImage(t, name, bytes)
 	}
+	t.imageNode = n.id
 	am.c.sampleDFSUsage()
 	start, done := n.Device.ReserveWrite(now, bytes)
 	am.c.recordDump(t, n, name, bytes, incremental, preCopy, now, start, done)
@@ -581,18 +591,15 @@ func (am *AppMaster) bookDump(t *taskRun, n *NodeManager, name string, bytes int
 // so only device time (not container time) is consumed.
 func (am *AppMaster) maybeCompact(t *taskRun, n *NodeManager, now sim.Time) {
 	k := am.c.cfg.CompactChainAfter
-	if k <= 0 || !t.hasImage || len(t.chain) <= k {
+	if k <= 0 || len(t.chain) <= k {
 		return
 	}
-	dst := fmt.Sprintf("/ckpt/%s/%d", t.spec.ID, t.imageSeq)
-	t.imageSeq++
-	info, err := checkpoint.Compact(n.store, t.imageName, dst)
+	old, dst := t.tip(), t.nextImageName()
+	info, err := checkpoint.Compact(n.store, old, dst)
 	if err != nil {
 		// Best effort: an uncompactable chain still restores link by link.
 		return
 	}
-	old := t.imageName
-	t.imageName = dst
 	am.recordFullImage(t, dst, info.LogicalBytes)
 	am.c.res.Compactions++
 	if err := checkpoint.RemoveChain(n.store, old); err != nil {
@@ -610,36 +617,25 @@ func (am *AppMaster) maybeCompact(t *taskRun, n *NodeManager, now sim.Time) {
 // keeps executing; at the end of the write window it freezes and dumps
 // only the pages its continued execution dirtied.
 func (am *AppMaster) startPreCopyCheckpoint(t *taskRun, n *NodeManager, now sim.Time) {
-	var opts checkpoint.DumpOpts
-	incremental := t.hasImage
-	if incremental {
-		opts = checkpoint.DumpOpts{Incremental: true, Parent: t.imageName}
-	}
-	preName := fmt.Sprintf("/ckpt/%s/%d", t.spec.ID, t.imageSeq)
-	t.imageSeq++
+	opts := checkpoint.DumpOpts{Incremental: t.hasImage(), Parent: t.tip()}
+	preName := t.nextImageName()
 	preSteps := t.process.Steps()
 	info, err := am.c.ckpt.PreDump(t.process, n.store, preName, opts)
 	if err != nil {
 		// The pre-dump failed while the victim still ran: degrade to a
 		// kill. Everything since the attempt started is lost.
-		am.c.engine.Cancel(t.completion)
-		t.completion = nil
-		lost := t.unsavedProgress(now)
-		am.killFallback(t, n, lost, now)
+		am.killFallback(t, n, t.unsavedProgress(now), now)
 		return
 	}
 	am.c.res.Checkpoints++
 	am.c.res.PreCopies++
-	if incremental {
+	if opts.Incremental {
 		am.c.res.IncrementalCheckpoints++
 	}
-	t.hasImage = true
-	t.imageName = preName
-	t.imageNode = n.id
 	t.preCopying = true
-	preDone := am.bookDump(t, n, preName, info.LogicalBytes, incremental, true, now)
+	preDone := am.bookDump(t, n, preName, info.LogicalBytes, opts.Incremental, true, now)
 	am.c.engine.At(preDone, sim.Handler(func(at sim.Time) {
-		if t.state != stateRunning || !t.preCopying || t.imageName != preName {
+		if t.state != stateRunning || !t.preCopying || t.tip() != preName {
 			// Completed during the window, its images reclaimed by
 			// onComplete; or fenced off n, and what runs now — perhaps
 			// pre-copying again, under a newer image name — is a later
@@ -647,46 +643,21 @@ func (am *AppMaster) startPreCopyCheckpoint(t *taskRun, n *NodeManager, now sim.
 			return
 		}
 		t.preCopying = false
-		am.c.engine.Cancel(t.completion)
-		t.completion = nil
-
 		// Freeze at the current virtual progress; the steps executed
 		// since the pre-dump are exactly the real dirty delta.
 		target := uint64(t.progressFrac(at) * float64(t.totalSteps))
 		if err := t.advanceTo(target); err != nil {
 			panic(fmt.Sprintf("yarn: advance %v during pre-copy: %v", t.spec.ID, err))
 		}
-		t.state = stateCheckpointing
-		t.banked = time.Duration(float64(t.spec.Duration) * float64(t.process.Steps()) / float64(t.totalSteps))
-		if err := t.process.Suspend(); err != nil {
-			panic(fmt.Sprintf("yarn: suspend %v after pre-copy: %v", t.spec.ID, err))
-		}
-		deltaName := fmt.Sprintf("/ckpt/%s/%d", t.spec.ID, t.imageSeq)
-		t.imageSeq++
-		dinfo, err := am.c.ckpt.Dump(t.process, n.store, deltaName, checkpoint.DumpOpts{Incremental: true, Parent: preName})
-		if err != nil {
+		if err := am.freezeAndDump(t, n, preName, at); err != nil {
 			// The delta dump failed, but the pre-copy image already
 			// landed: roll the bank back to the pre-dump's step boundary
 			// and degrade to a kill — only the window's progress is lost.
-			preBanked := time.Duration(float64(t.spec.Duration) * float64(preSteps) / float64(t.totalSteps))
-			lost := t.banked - preBanked
-			if lost < 0 {
-				lost = 0
-			}
+			preBanked := t.bankedAt(preSteps)
+			lost := max(t.banked-preBanked, 0)
 			t.banked = preBanked
 			am.killFallback(t, n, lost, at)
-			return
 		}
-		t.dropProcess()
-		t.imageName = deltaName
-		done := am.bookDump(t, n, deltaName, dinfo.LogicalBytes, true, false, at)
-		am.c.engine.At(done, sim.Handler(func(end sim.Time) {
-			n.releaseSlot(end, t)
-			t.node = nil
-			t.state = statePending
-			am.maybeCompact(t, n, end)
-			am.c.rm.RequestContainer(t, n.id, end)
-		}))
 	}))
 }
 

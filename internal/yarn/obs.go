@@ -109,7 +109,7 @@ func (c *Cluster) recordDump(t *taskRun, n *NodeManager, image string, bytes int
 func (c *Cluster) recordContainerWait(req *request, n *NodeManager, now sim.Time) {
 	wait := time.Duration(now - req.queuedAt)
 	c.hm.containerWait.ObserveDuration(wait)
-	if c.tracer == nil || (wait <= 0 && !req.task.hasImage) {
+	if c.tracer == nil || (wait <= 0 && !req.task.hasImage()) {
 		return
 	}
 	c.tracer.Complete("sched", "queue-wait", obs.NodeName(n.id), req.task.spec.ID.String(),

@@ -221,7 +221,7 @@ func TestChooseVictimMatchesReference(t *testing.T) {
 						v.state = states[rng.Intn(len(states))]
 						v.preCopying = v.state == stateRunning && rng.Intn(6) == 0
 						if rng.Intn(3) == 0 {
-							v.hasImage = true
+							v.chain = []imageLink{{name: "/ckpt/" + v.spec.ID.String() + "/0"}}
 							v.process = procs[rng.Intn(len(procs))]
 						}
 					}

@@ -38,6 +38,14 @@ func oneSlotJob(id cluster.JobID, prio cluster.Priority, submit, dur time.Durati
 // while images written before it still restore.
 func journaledRun(t *testing.T, cfg Config, breakStoreAt time.Duration, jobs []cluster.JobSpec) ([]obs.Record, obs.Snapshot) {
 	t.Helper()
+	story, res := journaledResult(t, cfg, breakStoreAt, jobs)
+	return story, res.Metrics
+}
+
+// journaledResult is journaledRun returning the run's whole Result, task
+// checksums included.
+func journaledResult(t *testing.T, cfg Config, breakStoreAt time.Duration, jobs []cluster.JobSpec) ([]obs.Record, *Result) {
+	t.Helper()
 	cfg.Nodes = 1
 	cfg.ContainersPerNode = 1
 	cfg.Replication = 1
@@ -74,7 +82,7 @@ func journaledRun(t *testing.T, cfg Config, breakStoreAt time.Duration, jobs []c
 			story = append(story, r)
 		}
 	}
-	return story, c.res.Metrics
+	return story, c.res
 }
 
 // noCreates is a checkpoint store that can no longer be written to.
@@ -149,5 +157,39 @@ func TestKillFallbackLeavesNoEstimate(t *testing.T) {
 	}
 	if h := snap.Hist("yarn.overhead.estimate.relerr"); h.Count != 1 {
 		t.Errorf("relerr observed %d round trips, want 1: the failed dump completes none", h.Count)
+	}
+}
+
+// GIVEN a pre-copy checkpoint whose pre-dump lands, on a store that breaks
+// one second later so the freeze's delta dump fails,
+// WHEN the freeze degrades to a kill-fallback and the task restores from
+// the pre-dump,
+// THEN the fallback charges only the step banked in the write window
+// (rolled back to the pre-dump's step boundary), the restore carries no
+// estimate, and the resumed task computes exactly what an undisturbed run
+// of it does.
+func TestPreCopyFreezeFailureRollsBackToPreDump(t *testing.T) {
+	cfg := DefaultConfig(core.PolicyCheckpoint, storage.HDD)
+	cfg.PreCopy = true
+	victim := oneSlotJob(0, 0, 0, 5*time.Minute)
+	story, res := journaledResult(t, cfg, 2*time.Minute+time.Second, []cluster.JobSpec{
+		victim,
+		oneSlotJob(1, 10, 2*time.Minute, time.Minute),
+	})
+	want := []string{"checkpoint-full", "pre-dump", "kill-fallback", "restore"}
+	if got := names(story); !slices.Equal(got, want) {
+		t.Fatalf("task 0/0 story = %v, want %v", got, want)
+	}
+	if fallback := story[2]; fallback.Unsaved != 30*time.Second {
+		t.Errorf("kill-fallback unsaved %v, want 30s: the one step banked since the pre-dump", fallback.Unsaved)
+	}
+	if restore := story[3]; restore.Est != 0 {
+		t.Errorf("restore after kill-fallback carries est %v, want none", restore.Est)
+	}
+
+	_, clean := journaledResult(t, cfg, 0, []cluster.JobSpec{victim})
+	id := victim.Tasks[0].ID
+	if got, want := res.TaskChecksums[id], clean.TaskChecksums[id]; got != want || want == 0 {
+		t.Errorf("resumed task checksum %x, undisturbed run %x", got, want)
 	}
 }
