@@ -89,6 +89,22 @@ func serveObs(metricsAddr, pprofAddr string, reg *obs.Registry) (func(), error) 
 	return stopAll, nil
 }
 
+// every runs fn each interval until stop is closed: the one loop behind
+// the namenode's liveness sweep and a datanode's heartbeat, block report
+// and scrub.
+func every(stop <-chan struct{}, interval time.Duration, fn func()) {
+	ticker := time.NewTicker(interval)
+	defer ticker.Stop()
+	for {
+		select {
+		case <-stop:
+			return
+		case <-ticker.C:
+			fn()
+		}
+	}
+}
+
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "dfs:", err)
@@ -149,17 +165,16 @@ func runNameNode(args []string) error {
 		return err
 	}
 	defer stopObs()
-	// Self-healing after bad-replica reports and the liveness monitor's
+	// Self-healing after bad-replica reports and the liveness sweep's
 	// re-replication both copy blocks over this transport.
 	transport := dfs.NewTCPTransport(l.Addr().String())
 	defer transport.Close()
 	nn.AttachTransport(transport)
 	if *maxAge > 0 && *sweep > 0 {
-		// The liveness monitor decommissions silent datanodes,
-		// re-replicating their blocks from survivors over this transport.
+		// The liveness sweep decommissions silent datanodes.
 		stop := make(chan struct{})
 		defer close(stop)
-		go nn.RunLivenessMonitor(stop, *sweep, *maxAge, transport)
+		go every(stop, *sweep, func() { nn.SweepDead(*maxAge) })
 	}
 	stopWatch := closeOnSignal(l)
 	defer stopWatch()
@@ -201,23 +216,12 @@ func runDataNode(args []string) error {
 	if err := nn.Register(info); err != nil {
 		return fmt.Errorf("register with namenode: %w", err)
 	}
+	stop := make(chan struct{})
+	defer close(stop)
 	if *heartbeat > 0 {
-		stop := make(chan struct{})
-		defer close(stop)
-		go func() {
-			ticker := time.NewTicker(*heartbeat)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-ticker.C:
-					// Best effort; a rejoin after namenode restart works
-					// because Heartbeat re-registers unknown nodes.
-					_ = nn.Heartbeat(info)
-				}
-			}
-		}()
+		// Best effort; a rejoin after namenode restart works because
+		// Heartbeat re-registers unknown nodes.
+		go every(stop, *heartbeat, func() { _ = nn.Heartbeat(info) })
 	}
 	dn := dfs.NewDataNode(info, transport)
 	reg := obs.NewRegistry()
@@ -240,24 +244,11 @@ func runDataNode(args []string) error {
 		}
 	}
 	sendBlockReport()
-	stop := make(chan struct{})
-	defer close(stop)
 	if *blockReport > 0 {
-		go func() {
-			ticker := time.NewTicker(*blockReport)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-ticker.C:
-					sendBlockReport()
-				}
-			}
-		}()
+		go every(stop, *blockReport, sendBlockReport)
 	}
 	if *scrubEvery > 0 {
-		go dn.RunScrubber(stop, *scrubEvery, transport)
+		go every(stop, *scrubEvery, func() { dn.ScrubOnce(nn) })
 	}
 	stopWatch := closeOnSignal(l)
 	defer stopWatch()

@@ -200,7 +200,7 @@ func TestHeartbeatLivenessSweep(t *testing.T) {
 		t.Fatalf("dead nodes = %v, want [dn-2]", dead)
 	}
 
-	reports := nn.SweepDead(10*time.Second, c.Transport)
+	reports := nn.SweepDead(10 * time.Second)
 	if _, ok := reports["dn-2"]; !ok || len(reports) != 1 {
 		t.Fatalf("sweep reports = %v, want exactly dn-2", reports)
 	}
@@ -232,7 +232,7 @@ func TestHeartbeatLivenessSweep(t *testing.T) {
 	}
 
 	// A second sweep finds nothing: the dead node was unregistered.
-	if again := nn.SweepDead(10*time.Second, c.Transport); len(again) != 0 {
+	if again := nn.SweepDead(10 * time.Second); len(again) != 0 {
 		t.Fatalf("second sweep re-decommissioned: %v", again)
 	}
 }

@@ -457,7 +457,7 @@ func (c *Client) stat(name string) (FileInfo, error) {
 		info, err = nn.Stat(name)
 		return err
 	}); err != nil {
-		if IsNotFound(err) {
+		if errors.Is(err, ErrNotFound) {
 			return FileInfo{}, &storage.NotExistError{Name: name}
 		}
 		return FileInfo{}, err
@@ -486,7 +486,7 @@ func (c *Client) Remove(name string) error {
 		info, err = nn.Delete(name)
 		return err
 	}); err != nil {
-		if IsNotFound(err) {
+		if errors.Is(err, ErrNotFound) {
 			return &storage.NotExistError{Name: name}
 		}
 		return err

@@ -308,7 +308,7 @@ func TestSentinelsRoundTripOverWire(t *testing.T) {
 // a bit-flipped block over real TCP must yield ErrCorruptBlock identity at
 // the remote caller.
 func TestCorruptBlockCrossesTCP(t *testing.T) {
-	transport, datanodes := startTCPCluster(t, 1, 1)
+	transport, _, datanodes := startTCPCluster(t, 1, 1)
 	client := NewClient(transport)
 	writeFile(t, client, "/wire", randomData(256))
 	if corruptOneReplica(datanodes[0]) == 0 {

@@ -12,6 +12,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"preemptsched/internal/storage"
 )
 
 // The NameNode journal makes the control plane crash-recoverable, in the
@@ -97,19 +99,9 @@ func (img *fsimageData) consistent() bool {
 // Journal appends edit records and fsimage snapshots to a store. All
 // methods are driven under the owning NameNode's mutex.
 type Journal struct {
-	store storageStore
+	store storage.Store
 	// seq is the sequence number of the last durable record.
 	seq uint64
-}
-
-// storageStore is the narrow slice of storage.Store the journal needs,
-// declared locally so internal/dfs does not grow its storage import
-// surface beyond the client's.
-type storageStore interface {
-	Create(name string) (io.WriteCloser, error)
-	Open(name string) (io.ReadCloser, error)
-	Remove(name string) error
-	List(prefix string) ([]string, error)
 }
 
 func editName(seq uint64) string    { return fmt.Sprintf("%s%020d", editsPrefix, seq) }
@@ -121,7 +113,7 @@ func seqOf(name, prefix string) (uint64, error) {
 
 // writeObject publishes payload+CRC32 as one object. The store's Close
 // is the durability point.
-func writeObject(store storageStore, name string, payload []byte) error {
+func writeObject(store storage.Store, name string, payload []byte) error {
 	w, err := store.Create(name)
 	if err != nil {
 		return err
@@ -146,7 +138,7 @@ func writeObject(store storageStore, name string, payload []byte) error {
 }
 
 // readObject loads an object and verifies its CRC32 trailer.
-func readObject(store storageStore, name string) ([]byte, error) {
+func readObject(store storage.Store, name string) ([]byte, error) {
 	r, err := store.Open(name)
 	if err != nil {
 		return nil, err
@@ -291,9 +283,18 @@ func (n *NameNode) applyEditLocked(rec editRecord) error {
 	return nil
 }
 
-// logEditLocked write-ahead-logs a mutation about to be applied. Callers
-// hold n.mu and must abandon the mutation when this fails: a change that
-// is not durable must not become visible.
+// commitLocked is the one way the namespace changes: it logs rec, then
+// applies it with applyEditLocked, which recovery replays, so a live and a
+// replayed namespace are built by the same lines. Callers hold n.mu and
+// have checked rec is legal; a record that fails to log is not applied.
+func (n *NameNode) commitLocked(rec editRecord) error {
+	if err := n.logEditLocked(rec); err != nil {
+		return err
+	}
+	return n.applyEditLocked(rec)
+}
+
+// logEditLocked write-ahead-logs a mutation about to be applied.
 func (n *NameNode) logEditLocked(rec editRecord) error {
 	if n.journal == nil {
 		return nil
@@ -319,12 +320,7 @@ func (n *NameNode) logEditLocked(rec editRecord) error {
 // failed snapshot is non-fatal: the edit log alone still recovers.
 func (n *NameNode) saveCheckpointLocked(upTo uint64) error {
 	img := fsimageData{NextBlock: n.nextBlock}
-	paths := make([]string, 0, len(n.files))
-	for path := range n.files {
-		paths = append(paths, path)
-	}
-	sort.Strings(paths)
-	for _, path := range paths {
+	for _, path := range n.sortedPathsLocked() {
 		f := n.files[path]
 		jf := journalFile{
 			Path:     path,
@@ -373,7 +369,7 @@ func (n *NameNode) saveCheckpointLocked(upTo uint64) error {
 // number of edit records replayed. The NameNode must not have served any
 // mutation yet; replica locations reappear as DataNodes re-register and
 // send block reports.
-func (n *NameNode) AttachJournal(store storageStore) (int, error) {
+func (n *NameNode) AttachJournal(store storage.Store) (int, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.journal != nil {
@@ -417,13 +413,8 @@ func (n *NameNode) SaveCheckpoint() error {
 func (n *NameNode) MetadataDigest() string {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	paths := make([]string, 0, len(n.files))
-	for path := range n.files {
-		paths = append(paths, path)
-	}
-	sort.Strings(paths)
 	var b strings.Builder
-	for _, path := range paths {
+	for _, path := range n.sortedPathsLocked() {
 		f := n.files[path]
 		fmt.Fprintf(&b, "%s size=%d complete=%v open=%v\n", path, f.info.Size, f.info.Complete, f.open)
 		for _, blk := range f.info.Blocks {

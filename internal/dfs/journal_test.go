@@ -13,7 +13,7 @@ import (
 
 // journaledCluster builds an in-process cluster whose NameNode write-ahead
 // logs into store.
-func journaledCluster(t testing.TB, store storageStore, nodes, repl int) *Cluster {
+func journaledCluster(t testing.TB, store storage.Store, nodes, repl int) *Cluster {
 	t.Helper()
 	c := testCluster(t, nodes, repl)
 	if _, err := c.NameNode.AttachJournal(store); err != nil {
@@ -25,7 +25,7 @@ func journaledCluster(t testing.TB, store storageStore, nodes, repl int) *Cluste
 // recoverNameNode replays store into a fresh NameNode and reconciles the
 // block map with a full block report from every DataNode, returning the
 // recovered node.
-func recoverNameNode(t *testing.T, store storageStore, dns []*DataNode) *NameNode {
+func recoverNameNode(t *testing.T, store storage.Store, dns []*DataNode) *NameNode {
 	t.Helper()
 	nn := NewNameNode(3)
 	if _, err := nn.AttachJournal(store); err != nil {
@@ -45,7 +45,7 @@ func recoverNameNode(t *testing.T, store storageStore, dns []*DataNode) *NameNod
 
 // liveJournal runs a workload of creates, writes, an overwrite and a delete
 // on a cluster whose NameNode journals into store.
-func liveJournal(t testing.TB, store storageStore) *Cluster {
+func liveJournal(t testing.TB, store storage.Store) *Cluster {
 	t.Helper()
 	c := journaledCluster(t, store, 3, 3)
 	client := c.ClientAt(0)

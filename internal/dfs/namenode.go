@@ -33,10 +33,10 @@ type NameNode struct {
 	// journaled edits; editsSinceCkpt counts toward the next snapshot.
 	ckptEvery      int
 	editsSinceCkpt int
-	// heal is the transport self-healing operations (re-replication after a
-	// bad-replica report) copy blocks through; nil disables healing, leaving
-	// quarantined blocks under-replicated until a scrub or sweep.
-	heal Transport
+	// transport is how the NameNode reaches DataNodes: every re-replication
+	// (after a bad-replica report or a decommission) copies blocks through
+	// it. Nil disables healing, leaving such blocks under-replicated.
+	transport Transport
 }
 
 type fileEntry struct {
@@ -78,13 +78,14 @@ func (n *NameNode) SetClock(clock func() time.Time) {
 	n.clock = clock
 }
 
-// AttachTransport supplies the transport self-healing operations use to
-// copy blocks between DataNodes (re-replication after ReportBadReplica).
-// Without it, bad replicas are still quarantined but not re-replicated.
+// AttachTransport supplies the one transport the NameNode reaches
+// DataNodes through: re-replication after ReportBadReplica, Decommission
+// and SweepDead copy blocks over it. Without it, bad replicas are still
+// quarantined and dead nodes still removed, but nothing is re-replicated.
 func (n *NameNode) AttachTransport(t Transport) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.heal = t
+	n.transport = t
 }
 
 // Register implements NameNodeAPI.
@@ -166,37 +167,16 @@ func (n *NameNode) DeadNodes(maxAge time.Duration) []string {
 }
 
 // SweepDead decommissions every DataNode that has not heartbeated within
-// maxAge, re-replicating its blocks from surviving replicas through
-// transport. It returns the per-node replication reports. This is the
-// NameNode-driven recovery HDFS runs after a heartbeat timeout; callers
-// run it periodically (see RunLivenessMonitor) or after a known crash.
-func (n *NameNode) SweepDead(maxAge time.Duration, transport Transport) map[string]*ReplicationReport {
+// maxAge, re-replicating its blocks from surviving replicas through the
+// attached transport. It returns the per-node replication reports. This
+// is the NameNode-driven recovery HDFS runs after a heartbeat timeout;
+// callers run it periodically (cmd/dfs) or after a known crash.
+func (n *NameNode) SweepDead(maxAge time.Duration) map[string]*ReplicationReport {
 	reports := make(map[string]*ReplicationReport)
 	for _, id := range n.DeadNodes(maxAge) {
-		rep, err := n.Decommission(id, transport)
-		if err != nil {
-			continue
-		}
-		reports[id] = rep
+		reports[id] = n.Decommission(id)
 	}
 	return reports
-}
-
-// RunLivenessMonitor sweeps dead DataNodes every interval until stop is
-// closed. It is the background companion of Heartbeat for long-running
-// deployments (cmd/dfs); the event-driven emulation calls SweepDead at
-// virtual-time boundaries instead.
-func (n *NameNode) RunLivenessMonitor(stop <-chan struct{}, interval, maxAge time.Duration, transport Transport) {
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ticker.C:
-			n.SweepDead(maxAge, transport)
-		}
-	}
 }
 
 // Create implements NameNodeAPI.
@@ -215,10 +195,9 @@ func (n *NameNode) Create(path string) ([]BlockLocation, error) {
 		// lock is released, and must not hold the entry's live slice.
 		stale = append([]BlockLocation(nil), old.info.Blocks...)
 	}
-	if err := n.logEditLocked(editRecord{Op: editCreate, Path: path}); err != nil {
+	if err := n.commitLocked(editRecord{Op: editCreate, Path: path}); err != nil {
 		return nil, &PathError{Op: "create", Path: path, Err: err}
 	}
-	n.files[path] = &fileEntry{info: FileInfo{Path: path}, open: true}
 	n.obs.Inc("dfs.namenode.creates")
 	return stale, nil
 }
@@ -237,18 +216,16 @@ func (n *NameNode) AddBlock(path, preferred string) (BlockLocation, error) {
 	if len(n.nodeOrder) == 0 {
 		return BlockLocation{}, &PathError{Op: "addblock", Path: path, Err: ErrNoDataNodes}
 	}
-	if err := n.logEditLocked(editRecord{Op: editAddBlock, Path: path, Block: n.nextBlock}); err != nil {
+	if err := n.commitLocked(editRecord{Op: editAddBlock, Path: path, Block: n.nextBlock}); err != nil {
 		return BlockLocation{}, &PathError{Op: "addblock", Path: path, Err: err}
 	}
-	loc := BlockLocation{ID: n.nextBlock, Replicas: n.placeReplicas(preferred)}
-	n.nextBlock++
-	f.info.Blocks = append(f.info.Blocks, loc)
+	loc := &f.info.Blocks[len(f.info.Blocks)-1]
+	loc.Replicas = n.placeReplicas(preferred)
 	n.obs.Inc("dfs.namenode.blocks.allocated")
 	// Return a detached replica slice: the stored one is mutated in place
 	// by re-replication sweeps, and the caller reads its copy lock-free
 	// as the write pipeline.
-	loc.Replicas = append([]DataNodeInfo(nil), loc.Replicas...)
-	return loc, nil
+	return BlockLocation{ID: loc.ID, Replicas: append([]DataNodeInfo(nil), loc.Replicas...)}, nil
 }
 
 // ReportBlock implements NameNodeAPI: the client reconstructed the write
@@ -259,34 +236,48 @@ func (n *NameNode) ReportBlock(path string, id BlockID, replicas []DataNodeInfo)
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	f, ok := n.files[path]
-	if !ok {
+	if _, ok := n.files[path]; !ok {
 		return &PathError{Op: "reportblock", Path: path, Err: ErrNotFound}
 	}
-	for i := range f.info.Blocks {
-		if f.info.Blocks[i].ID == id {
-			f.info.Blocks[i].Replicas = append([]DataNodeInfo(nil), replicas...)
-			return nil
-		}
+	if loc := n.blockLocked(path, id); loc != nil {
+		loc.Replicas = append([]DataNodeInfo(nil), replicas...)
+		return nil
 	}
 	return &PathError{Op: "reportblock", Path: path, Err: ErrUnknownBlock}
+}
+
+// blockLocked returns block id of the file at path, or nil when the file
+// is gone or no longer lists the block. Callers must hold n.mu.
+func (n *NameNode) blockLocked(path string, id BlockID) *BlockLocation {
+	if f, ok := n.files[path]; ok {
+		for i := range f.info.Blocks {
+			if f.info.Blocks[i].ID == id {
+				return &f.info.Blocks[i]
+			}
+		}
+	}
+	return nil
+}
+
+// sortedPathsLocked returns every path in the namespace in sorted order,
+// the walk that keeps lookups, copy targets and snapshots deterministic.
+// Callers must hold n.mu.
+func (n *NameNode) sortedPathsLocked() []string {
+	paths := make([]string, 0, len(n.files))
+	for path := range n.files {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
+	return paths
 }
 
 // findBlockLocked scans the namespace for a block by ID, returning its
 // path and location. Callers must hold n.mu. Paths are walked in sorted
 // order so lookups are deterministic.
 func (n *NameNode) findBlockLocked(id BlockID) (string, *BlockLocation, bool) {
-	paths := make([]string, 0, len(n.files))
-	for path := range n.files {
-		paths = append(paths, path)
-	}
-	sort.Strings(paths)
-	for _, path := range paths {
-		f := n.files[path]
-		for bi := range f.info.Blocks {
-			if f.info.Blocks[bi].ID == id {
-				return path, &f.info.Blocks[bi], true
-			}
+	for _, path := range n.sortedPathsLocked() {
+		if loc := n.blockLocked(path, id); loc != nil {
+			return path, loc, true
 		}
 	}
 	return "", nil, false
@@ -295,85 +286,40 @@ func (n *NameNode) findBlockLocked(id BlockID) (string, *BlockLocation, bool) {
 // ReportBadReplica implements NameNodeAPI: a reader or scrubber caught one
 // replica of a block failing checksum verification. The copy is
 // quarantined — dropped from the block map and deleted from the node —
-// and, when a healing transport is attached, the block is re-replicated
-// from a verified surviving replica onto a fresh target. Reads of a
-// corrupt replica thus behave exactly like reads of a dead one: fail
-// over, report, self-heal.
+// and, when a transport is attached, the block is re-replicated from a
+// verified surviving replica onto a fresh target. Reads of a corrupt
+// replica thus behave exactly like reads of a dead one: fail over,
+// report, self-heal.
 func (n *NameNode) ReportBadReplica(id BlockID, bad DataNodeInfo) error {
 	n.mu.Lock()
-	_, loc, ok := n.findBlockLocked(id)
+	path, loc, ok := n.findBlockLocked(id)
 	if !ok {
 		n.mu.Unlock()
 		return fmt.Errorf("dfs: bad-replica report for block %d: %w", id, ErrUnknownBlock)
 	}
-	held := false
-	for ri, r := range loc.Replicas {
-		if r.ID == bad.ID {
-			loc.Replicas = append(loc.Replicas[:ri], loc.Replicas[ri+1:]...)
-			held = true
-			break
-		}
-	}
+	r, held := n.dropReplicaLocked(path, loc, bad.ID)
+	reg := n.obs
+	n.mu.Unlock()
 	if !held {
 		// Already quarantined (another reader or the scrubber won the
 		// race); reporting is idempotent.
-		n.mu.Unlock()
 		return nil
 	}
-	survivors := append([]DataNodeInfo(nil), loc.Replicas...)
-	var target DataNodeInfo
-	haveTarget := false
-	if len(survivors) > 0 {
-		target, haveTarget = n.pickTargetLocked(survivors)
-	}
-	heal := n.heal
-	reg := n.obs
-	n.mu.Unlock()
-
-	deltas := map[string]int64{"dfs.namenode.replicas.quarantined": 1}
-	if len(survivors) == 0 {
-		deltas["dfs.namenode.corrupt.lost"] = 1
-	}
-
-	if heal != nil {
+	if r.transport != nil {
 		// Evict the bad copy first so the node itself is a legal target for
 		// the fresh verified copy.
-		if api, err := heal.DataNode(bad); err == nil {
+		if api, err := r.transport.DataNode(bad); err == nil {
 			_ = api.DeleteBlock(id)
 		}
-		if haveTarget {
-			healed := false
-			// copyBlock reads through DataNode.ReadBlock, which verifies
-			// checksums — a source replica that is itself corrupt fails the
-			// copy, and the next survivor is tried.
-			for _, src := range survivors {
-				if err := copyBlock(heal, id, src, target); err == nil {
-					healed = true
-					break
-				}
-			}
-			if healed {
-				n.mu.Lock()
-				if _, cur, ok := n.findBlockLocked(id); ok {
-					dup := false
-					for _, r := range cur.Replicas {
-						if r.ID == target.ID {
-							dup = true
-							break
-						}
-					}
-					if !dup {
-						cur.Replicas = append(cur.Replicas, target)
-					}
-				}
-				n.mu.Unlock()
-				deltas["dfs.namenode.corrupt.rereplicated"] = 1
-			} else {
-				deltas["dfs.namenode.corrupt.degraded"] = 1
-			}
-		} else if len(survivors) > 0 {
-			deltas["dfs.namenode.corrupt.degraded"] = 1
-		}
+	}
+	deltas := map[string]int64{"dfs.namenode.replicas.quarantined": 1}
+	switch {
+	case len(r.survivors) == 0:
+		deltas["dfs.namenode.corrupt.lost"] = 1
+	case n.heal(r):
+		deltas["dfs.namenode.corrupt.rereplicated"] = 1
+	default:
+		deltas["dfs.namenode.corrupt.degraded"] = 1
 	}
 	reg.AddN(deltas)
 	return nil
@@ -401,20 +347,10 @@ func (n *NameNode) BlockReport(dn DataNodeInfo, blocks []BlockID) ([]BlockID, er
 	}
 	var stale []BlockID
 	for _, id := range blocks {
-		loc, ok := known[id]
-		if !ok {
+		if loc, ok := known[id]; ok {
+			loc.Replicas = addReplica(loc.Replicas, dn)
+		} else {
 			stale = append(stale, id)
-			continue
-		}
-		dup := false
-		for _, r := range loc.Replicas {
-			if r.ID == dn.ID {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			loc.Replicas = append(loc.Replicas, dn)
 		}
 	}
 	n.obs.Inc("dfs.namenode.block.reports")
@@ -462,12 +398,9 @@ func (n *NameNode) Complete(path string, size int64) error {
 	if size < 0 {
 		return &PathError{Op: "complete", Path: path, Err: fmt.Errorf("negative size %d", size)}
 	}
-	if err := n.logEditLocked(editRecord{Op: editComplete, Path: path, Size: size}); err != nil {
+	if err := n.commitLocked(editRecord{Op: editComplete, Path: path, Size: size}); err != nil {
 		return &PathError{Op: "complete", Path: path, Err: err}
 	}
-	f.info.Size = size
-	f.info.Complete = true
-	f.open = false
 	return nil
 }
 
@@ -493,10 +426,9 @@ func (n *NameNode) Delete(path string) (FileInfo, error) {
 	if !ok {
 		return FileInfo{}, &PathError{Op: "delete", Path: path, Err: ErrNotFound}
 	}
-	if err := n.logEditLocked(editRecord{Op: editDelete, Path: path}); err != nil {
+	if err := n.commitLocked(editRecord{Op: editDelete, Path: path}); err != nil {
 		return FileInfo{}, &PathError{Op: "delete", Path: path, Err: err}
 	}
-	delete(n.files, path)
 	return cloneInfo(f.info), nil
 }
 
@@ -521,11 +453,4 @@ func cloneInfo(info FileInfo) FileInfo {
 		out.Blocks[i] = BlockLocation{ID: b.ID, Replicas: append([]DataNodeInfo(nil), b.Replicas...)}
 	}
 	return out
-}
-
-// IsNotFound reports whether err denotes a missing file. Identity survives
-// the TCP transport via wire codes; the message check keeps errors from
-// older peers recognizable.
-func IsNotFound(err error) bool {
-	return err != nil && (errors.Is(err, ErrNotFound) || strings.Contains(err.Error(), ErrNotFound.Error()))
 }

@@ -1,9 +1,6 @@
 package dfs
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // ReplicationReport summarizes a decommission's outcome.
 type ReplicationReport struct {
@@ -11,8 +8,8 @@ type ReplicationReport struct {
 	BlocksAffected int
 	// Recovered is how many of those were re-replicated to a new node.
 	Recovered int
-	// Degraded is how many remain readable but under-replicated because
-	// no eligible target node existed.
+	// Degraded is how many remain readable but under-replicated: no
+	// eligible target existed, or no survivor could be copied onto it.
 	Degraded int
 	// Lost is how many blocks have no surviving replica.
 	Lost int
@@ -26,95 +23,104 @@ type ReplicationReport struct {
 // Blocks whose only replica lived on the removed node are reported lost;
 // their files will fail to read, and readers fall back across the
 // remaining replicas for everything else.
-func (n *NameNode) Decommission(id string, transport Transport) (*ReplicationReport, error) {
-	if transport == nil {
-		return nil, fmt.Errorf("dfs: decommission needs a transport")
-	}
+func (n *NameNode) Decommission(id string) *ReplicationReport {
 	n.Unregister(id)
-
-	// Plan under the lock: find affected blocks, their survivors, and a
-	// copy target for each.
-	type job struct {
-		block    BlockID
-		path     string
-		blockIdx int
-		source   DataNodeInfo
-		target   DataNodeInfo
-	}
+	var repairs []repair
 	n.mu.Lock()
-	var (
-		report ReplicationReport
-		jobs   []job
-	)
 	// Walk paths in sorted order: map iteration order would otherwise
 	// randomize copy targets (round-robin cursor) and make seeded
 	// fault-injection runs non-reproducible.
-	paths := make([]string, 0, len(n.files))
-	for path := range n.files {
-		paths = append(paths, path)
-	}
-	sort.Strings(paths)
-	for _, path := range paths {
+	for _, path := range n.sortedPathsLocked() {
 		f := n.files[path]
 		for bi := range f.info.Blocks {
-			loc := &f.info.Blocks[bi]
-			holderIdx := -1
-			for ri, r := range loc.Replicas {
-				if r.ID == id {
-					holderIdx = ri
-					break
-				}
+			if r, held := n.dropReplicaLocked(path, &f.info.Blocks[bi], id); held {
+				repairs = append(repairs, r)
 			}
-			if holderIdx < 0 {
-				continue
-			}
-			report.BlocksAffected++
-			loc.Replicas = append(loc.Replicas[:holderIdx], loc.Replicas[holderIdx+1:]...)
-			if len(loc.Replicas) == 0 {
-				report.Lost++
-				continue
-			}
-			target, ok := n.pickTargetLocked(loc.Replicas)
-			if !ok {
-				report.Degraded++
-				continue
-			}
-			jobs = append(jobs, job{
-				block:    loc.ID,
-				path:     path,
-				blockIdx: bi,
-				source:   loc.Replicas[0],
-				target:   target,
-			})
 		}
 	}
-	n.mu.Unlock()
-
-	// Copy outside the lock; commit each success back into the map.
-	for _, j := range jobs {
-		if err := copyBlock(transport, j.block, j.source, j.target); err != nil {
-			n.mu.Lock()
-			report.Degraded++
-			n.mu.Unlock()
-			continue
-		}
-		n.mu.Lock()
-		if f, ok := n.files[j.path]; ok && j.blockIdx < len(f.info.Blocks) && f.info.Blocks[j.blockIdx].ID == j.block {
-			f.info.Blocks[j.blockIdx].Replicas = append(f.info.Blocks[j.blockIdx].Replicas, j.target)
-			report.Recovered++
-		}
-		n.mu.Unlock()
-	}
-	n.mu.Lock()
 	reg := n.obs
 	n.mu.Unlock()
+
+	report := ReplicationReport{BlocksAffected: len(repairs)}
+	for _, r := range repairs {
+		switch {
+		case len(r.survivors) == 0:
+			report.Lost++
+		case n.heal(r):
+			report.Recovered++
+		default:
+			report.Degraded++
+		}
+	}
 	reg.AddN(map[string]int64{
 		"dfs.namenode.decommissions":    1,
 		"dfs.namenode.blocks.recovered": int64(report.Recovered),
 		"dfs.namenode.blocks.degraded":  int64(report.Degraded),
 		"dfs.namenode.blocks.lost":      int64(report.Lost),
 	})
-	return &report, nil
+	return &report
+}
+
+// repair is one block's planned re-replication after a replica was
+// dropped: the replicas that survive, and the node a fresh copy goes to.
+type repair struct {
+	path      string
+	block     BlockID
+	survivors []DataNodeInfo
+	target    DataNodeInfo
+	hasTarget bool
+	transport Transport
+}
+
+// dropReplicaLocked removes node's replica from loc, a block of the file
+// at path, and plans its repair. It reports false when node held no
+// replica of the block. Callers must hold n.mu.
+func (n *NameNode) dropReplicaLocked(path string, loc *BlockLocation, node string) (repair, bool) {
+	for ri, r := range loc.Replicas {
+		if r.ID == node {
+			loc.Replicas = append(loc.Replicas[:ri], loc.Replicas[ri+1:]...)
+			p := repair{path: path, block: loc.ID, transport: n.transport,
+				survivors: append([]DataNodeInfo(nil), loc.Replicas...)}
+			if len(p.survivors) > 0 {
+				p.target, p.hasTarget = n.pickTargetLocked(p.survivors)
+			}
+			return p, true
+		}
+	}
+	return repair{}, false
+}
+
+// heal carries out a repair outside n.mu: it copies the block onto the
+// target from the first survivor that reads clean, then records the
+// target once, and only if the block still exists. copyBlock reads
+// through DataNode.ReadBlock, which verifies checksums, so a survivor that
+// is corrupt or unreachable fails its copy and the next one is tried. It
+// reports whether a copy landed.
+func (n *NameNode) heal(r repair) bool {
+	if r.transport == nil || !r.hasTarget {
+		return false
+	}
+	for _, src := range r.survivors {
+		if copyBlock(r.transport, r.block, src, r.target) == nil {
+			n.mu.Lock()
+			if loc := n.blockLocked(r.path, r.block); loc != nil {
+				loc.Replicas = addReplica(loc.Replicas, r.target)
+			}
+			n.mu.Unlock()
+			return true
+		}
+	}
+	return false
+}
+
+// addReplica appends dn to replicas unless that node is already listed.
+func addReplica(replicas []DataNodeInfo, dn DataNodeInfo) []DataNodeInfo {
+	for _, r := range replicas {
+		if r.ID == dn.ID {
+			return replicas
+		}
+	}
+	return append(replicas, dn)
 }
 
 // pickTargetLocked chooses a registered node not already holding the

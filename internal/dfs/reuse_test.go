@@ -25,7 +25,7 @@ func overBothTransports(t *testing.T, test func(t *testing.T, newClient func(i i
 		test(t, testCluster(t, 4, 3).ClientAt)
 	})
 	t.Run("tcp", func(t *testing.T) {
-		transport, _ := startTCPCluster(t, 4, 3)
+		transport, _, _ := startTCPCluster(t, 4, 3)
 		test(t, func(i int, opts ...ClientOption) *Client {
 			return NewClient(transport, append([]ClientOption{WithLocalNode(fmt.Sprintf("dn-%d", i))}, opts...)...)
 		})
@@ -186,7 +186,7 @@ func TestBlockReuseKeepsNothingOversized(t *testing.T) {
 		run(t, testCluster(t, 1, 1).ClientAt(0, WithBlockSize(big)))
 	})
 	t.Run("tcp", func(t *testing.T) {
-		transport, _ := startTCPCluster(t, 1, 1)
+		transport, _, _ := startTCPCluster(t, 1, 1)
 		run(t, NewClient(transport, WithBlockSize(big)))
 	})
 }
@@ -207,7 +207,7 @@ func TestBlockReuseAllocationBudget(t *testing.T) {
 	// first, and a goroutine woken by the network on another P would
 	// allocate a second one. The budget counts copies, not P affinity.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	transport, _ := startTCPCluster(t, 4, 3)
+	transport, _, _ := startTCPCluster(t, 4, 3)
 	client := NewClient(transport, WithLocalNode("dn-0"))
 	reg := proc.NewRegistry()
 	reg.Register(proc.FillProgramName, func() proc.Program { return proc.FillProgram{} })

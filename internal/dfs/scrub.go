@@ -1,9 +1,6 @@
 package dfs
 
-import (
-	"errors"
-	"time"
-)
+import "errors"
 
 // The scrubber is the proactive half of block integrity: readers catch
 // corruption on the blocks they happen to touch, the scrubber sweeps
@@ -65,25 +62,4 @@ func (d *DataNode) ScrubOnce(nn NameNodeAPI) ScrubResult {
 		"dfs.scrub.reported":       int64(res.Reported),
 	})
 	return res
-}
-
-// RunScrubber scrubs the node every interval until stop is closed — the
-// background companion of ScrubOnce for long-running deployments
-// (cmd/dfs). The event-driven emulation instead calls ScrubOnce at
-// virtual-time boundaries so the simulation clock stays in charge.
-func (d *DataNode) RunScrubber(stop <-chan struct{}, interval time.Duration, transport Transport) {
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ticker.C:
-			nn, err := transport.NameNode()
-			if err != nil {
-				continue
-			}
-			d.ScrubOnce(nn)
-		}
-	}
 }

@@ -2,6 +2,7 @@ package dfs
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"net"
 	"testing"
@@ -11,9 +12,10 @@ import (
 )
 
 // startTCPCluster boots a real namenode and n datanodes on localhost
-// listeners and returns a TCP transport pointed at them. Servers shut down
-// with the test.
-func startTCPCluster(t *testing.T, n, replication int) (*TCPTransport, []*DataNode) {
+// listeners and returns a TCP transport pointed at them, the NameNode
+// (which reaches its DataNodes through that transport) and the DataNodes.
+// Servers shut down with the test.
+func startTCPCluster(t *testing.T, n, replication int) (*TCPTransport, *NameNode, []*DataNode) {
 	t.Helper()
 	nnListener, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -25,6 +27,7 @@ func startTCPCluster(t *testing.T, n, replication int) (*TCPTransport, []*DataNo
 
 	transport := NewTCPTransport(nnListener.Addr().String())
 	t.Cleanup(transport.Close)
+	nn.AttachTransport(transport)
 
 	var datanodes []*DataNode
 	for i := 0; i < n; i++ {
@@ -45,11 +48,11 @@ func startTCPCluster(t *testing.T, n, replication int) (*TCPTransport, []*DataNo
 		}
 		datanodes = append(datanodes, dn)
 	}
-	return transport, datanodes
+	return transport, nn, datanodes
 }
 
 func TestTCPEndToEnd(t *testing.T) {
-	transport, _ := startTCPCluster(t, 3, 2)
+	transport, _, _ := startTCPCluster(t, 3, 2)
 	client := NewClient(transport, WithBlockSize(512), WithLocalNode("dn-0"))
 
 	data := randomData(3000)
@@ -73,7 +76,7 @@ func TestTCPEndToEnd(t *testing.T) {
 }
 
 func TestTCPPipelineReplicates(t *testing.T) {
-	transport, datanodes := startTCPCluster(t, 3, 3)
+	transport, _, datanodes := startTCPCluster(t, 3, 3)
 	client := NewClient(transport, WithBlockSize(256), WithLocalNode("dn-1"))
 	writeFile(t, client, "/rep", randomData(700))
 	// 3 blocks x 3 replicas: every datanode must hold all 3 blocks.
@@ -85,7 +88,7 @@ func TestTCPPipelineReplicates(t *testing.T) {
 }
 
 func TestTCPReadFallback(t *testing.T) {
-	transport, datanodes := startTCPCluster(t, 3, 2)
+	transport, _, datanodes := startTCPCluster(t, 3, 2)
 	client := NewClient(transport, WithBlockSize(128), WithLocalNode("dn-0"))
 	data := randomData(500)
 	writeFile(t, client, "/fb", data)
@@ -96,13 +99,13 @@ func TestTCPReadFallback(t *testing.T) {
 }
 
 func TestTCPErrorsCrossTheWire(t *testing.T) {
-	transport, _ := startTCPCluster(t, 1, 1)
+	transport, _, _ := startTCPCluster(t, 1, 1)
 	client := NewClient(transport)
 	if _, err := client.Open("/absent"); err == nil {
 		t.Error("missing file opened over TCP")
 	}
 	nn, _ := transport.NameNode()
-	if _, err := nn.Stat("/absent"); !IsNotFound(err) {
+	if _, err := nn.Stat("/absent"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("flattened error lost not-found identity: %v", err)
 	}
 }
@@ -111,7 +114,7 @@ func TestTCPErrorsCrossTheWire(t *testing.T) {
 // checkpointed from one node into the DFS and restored by a different
 // node.
 func TestTCPRemoteCheckpointRestore(t *testing.T) {
-	transport, _ := startTCPCluster(t, 3, 2)
+	transport, _, _ := startTCPCluster(t, 3, 2)
 	reg := proc.NewRegistry()
 	reg.Register(proc.FillProgramName, func() proc.Program { return proc.FillProgram{} })
 	engine := checkpoint.NewEngine(reg)
@@ -159,7 +162,7 @@ func TestTCPRemoteCheckpointRestore(t *testing.T) {
 // restore walks a chain whose links were written from both sides. The task
 // that was preempted four times must finish exactly as one that never was.
 func TestTCPChainRestoreAlternatingClients(t *testing.T) {
-	transport, _ := startTCPCluster(t, 3, 2)
+	transport, _, _ := startTCPCluster(t, 3, 2)
 	reg := proc.NewRegistry()
 	reg.Register(proc.FillProgramName, func() proc.Program { return proc.FillProgram{} })
 	engine := checkpoint.NewEngine(reg)
@@ -244,7 +247,7 @@ func TestWarmRPCAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	transport, _ := startTCPCluster(t, 1, 1)
+	transport, _, _ := startTCPCluster(t, 1, 1)
 	client := NewClient(transport, WithBlockSize(512), WithLocalNode("dn-0"))
 	writeFile(t, client, "/warm", randomData(300))
 	nn, err := transport.NameNode()

@@ -57,8 +57,8 @@ func (t *InProcTransport) DataNode(info DataNodeInfo) (DataNodeAPI, error) {
 }
 
 // Cluster bundles a complete in-process DFS: one NameNode, n DataNodes,
-// and a transport. It is the convenience entry point used by the mini-YARN
-// framework and the examples.
+// and a transport. The package's tests build on it; yarn and the examples
+// assemble their own.
 type Cluster struct {
 	NameNode  *NameNode
 	DataNodes []*DataNode

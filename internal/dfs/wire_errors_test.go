@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"preemptsched/internal/storage"
 )
 
 // TestWireRoundTripMatchesAllSentinels proves the property the
@@ -97,5 +99,23 @@ func TestIsTransientSeesThroughWrapping(t *testing.T) {
 	}
 	if !IsTransient(errors.New("connection reset")) {
 		t.Error("unknown errors must stay transient (retryable)")
+	}
+}
+
+// TestNotFoundIsMatchedByIdentityOnly: the client maps a missing file to
+// storage.NotExistError by the ErrNotFound sentinel alone. An error that
+// arrives without a wire code (code 0) is not a missing file, even when
+// its text says "file not found", and surfaces as itself.
+func TestNotFoundIsMatchedByIdentityOnly(t *testing.T) {
+	codeless := (&rpcResponse{Err: "namenode: stat /x: " + ErrNotFound.Error()}).asError()
+	if errors.Is(codeless, ErrNotFound) {
+		t.Fatal("a code-0 wire error carries ErrNotFound identity; the test proves nothing")
+	}
+	tr := NewInProcTransport()
+	tr.SetNameNode(errStubNameNode{err: codeless})
+	_, err := NewClient(tr, WithRetry(1, 0)).Size("/x")
+	var notExist *storage.NotExistError
+	if errors.As(err, &notExist) || !errors.Is(err, codeless) {
+		t.Fatalf("Size = %v, want the code-0 error itself, not a NotExistError", err)
 	}
 }

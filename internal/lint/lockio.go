@@ -33,7 +33,6 @@ var ioMethodTypes = []struct{ path, name string }{
 	{modulePrefix + "/internal/dfs", "Transport"},
 	{modulePrefix + "/internal/dfs", "NameNodeAPI"},
 	{modulePrefix + "/internal/dfs", "DataNodeAPI"},
-	{modulePrefix + "/internal/dfs", "storageStore"},
 	{modulePrefix + "/internal/storage", "Store"},
 	{"net", "Conn"},
 	{"net", "TCPConn"},

@@ -139,25 +139,24 @@ func (c *Cluster) buildDFS(repl int, tcp bool) error {
 			if userOnCrash != nil {
 				userOnCrash(id)
 			}
-			// The liveness monitor would notice the silent node at its next
+			// The liveness sweep would notice the silent node at its next
 			// heartbeat sweep; the emulation collapses that delay into an
 			// immediate decommission. The callback fires on whichever
 			// goroutine tripped the crashed DataNode — over TCP an RPC
 			// goroutine racing the engine — so the counts go to atomics and
 			// are folded into Result at finish.
-			if rep, err := nn.Decommission(id, c.dfsView); err == nil && rep != nil {
-				c.decomRecovered.Add(int64(rep.Recovered))
-				c.decomLost.Add(int64(rep.Lost))
-			}
+			rep := nn.Decommission(id)
+			c.decomRecovered.Add(int64(rep.Recovered))
+			c.decomLost.Add(int64(rep.Lost))
 		}
 		c.injector = faults.NewInjector(plan)
 		c.injector.Instrument(c.reg)
 		c.dfsView = faults.WrapTransport(c.dfsView, c.injector)
 	}
-	// Self-healing (re-replication after a bad-replica report) runs over
-	// the same faulted view every other component uses, so healing copies
-	// are subject to the same injected chaos as the traffic that found the
-	// corruption.
+	// Self-healing (re-replication after a bad-replica report or a
+	// decommission) runs over the same faulted view every other component
+	// uses, so healing copies are subject to the same injected chaos as the
+	// traffic that found the corruption or the crash.
 	nn.AttachTransport(c.dfsView)
 
 	for i := 0; i < c.cfg.Nodes; i++ {
