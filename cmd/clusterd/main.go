@@ -13,7 +13,7 @@
 //	         [-fault-rpc-rate P] [-fault-torn-rate P] [-fault-create-rate P]
 //	         [-fault-nm-crash-node N] [-fault-nm-crash-at D]
 //	         [-fault-nm-partition-node N] [-fault-nm-partition-at D] [-fault-nm-partition-for D]
-//	         [-fault-nm-beat-drop-rate P] [-nm-heartbeat-every D] [-nm-heartbeat-timeout D]
+//	         [-fault-nm-beat-drop-rate P] [-nm-heartbeat-timeout D]
 //	         [-fault-seed S] [-drain-timeout 2m] [-report final.json]
 //	         [-journal clusterd.journal]
 //

@@ -13,17 +13,17 @@
 //	           [-fault-nm-crash-node N] [-fault-nm-crash-at D]
 //	           [-fault-nm-partition-node N] [-fault-nm-partition-at D] [-fault-nm-partition-for D]
 //	           [-fault-nm-beat-drop-rate P]
-//	           [-nm-heartbeat-every D] [-nm-heartbeat-timeout D]
+//	           [-nm-heartbeat-timeout D]
 //	           [-scrub-every N]
 //
 // The -fault-nm-* flags exercise the compute-node fault domain: a seeded
 // NodeManager crash (-fault-nm-crash-at, virtual time), an RM<->NM
 // partition window that heals (-fault-nm-partition-*), and a random
-// heartbeat drop rate. The RM's liveness sweep (-nm-heartbeat-every /
-// -nm-heartbeat-timeout) declares silent nodes dead, releases their
-// containers, and reschedules the lost tasks through the checkpoint
-// degradation ladder; the report's schema-v4 "failures" object carries
-// the recovery counters.
+// heartbeat drop rate. NodeManagers heartbeat every 10s of virtual time,
+// and the RM's liveness sweep declares a node silent past
+// -nm-heartbeat-timeout dead, releases its containers, and reschedules
+// the lost tasks through the checkpoint degradation ladder; the report's
+// schema-v4 "failures" object carries the recovery counters.
 //
 // The -fault-* flags inject a deterministic chaos scenario into the DFS
 // and checkpoint store; the report then includes the degradation counters

@@ -22,13 +22,8 @@ type directive struct {
 	// line is the line the comment sits on.
 	line int
 	// endLine is the last line the directive covers: its own line for
-	// the trailing form, the next line for a standalone comment, and the
-	// declaration's last line when the directive sits in a declaration's
-	// doc comment.
+	// the trailing form, the next line for a standalone comment.
 	endLine int
-	// standalone reports whether the comment occupies its own line (no
-	// code before it).
-	standalone bool
 	// hits counts the diagnostics this directive suppressed in one Run;
 	// a well-formed directive with zero hits is stale.
 	hits int
@@ -70,24 +65,9 @@ func buildIgnoreIndex(units []*Unit) *ignoreIndex {
 							set[name] = true
 						}
 					}
-					dir := directive{
-						analyzers:  set,
-						pos:        pos,
-						line:       pos.Line,
-						endLine:    pos.Line,
-						standalone: standaloneComment(u.Fset, f, c),
-					}
-					if dir.standalone {
-						dir.endLine = pos.Line + 1
-						// A directive inside a declaration's doc comment
-						// covers the whole declaration: findings anywhere
-						// in its body can be excused at the decl head,
-						// where the reason reads as documentation.
-						if decl := docDeclFor(f, c); decl != nil {
-							if end := u.Fset.Position(decl.End()).Line; end > dir.endLine {
-								dir.endLine = end
-							}
-						}
+					dir := directive{analyzers: set, pos: pos, line: pos.Line, endLine: pos.Line}
+					if standaloneComment(u.Fset, f, c) {
+						dir.endLine++
 					}
 					idx.byFile[pos.Filename] = append(idx.byFile[pos.Filename], dir)
 				}
@@ -95,29 +75,6 @@ func buildIgnoreIndex(units []*Unit) *ignoreIndex {
 		}
 	}
 	return idx
-}
-
-// docDeclFor returns the top-level declaration whose doc comment group
-// contains c, or nil.
-func docDeclFor(f *ast.File, c *ast.Comment) ast.Decl {
-	for _, decl := range f.Decls {
-		var doc *ast.CommentGroup
-		switch d := decl.(type) {
-		case *ast.FuncDecl:
-			doc = d.Doc
-		case *ast.GenDecl:
-			doc = d.Doc
-		}
-		if doc == nil {
-			continue
-		}
-		for _, dc := range doc.List {
-			if dc == c {
-				return decl
-			}
-		}
-	}
-	return nil
 }
 
 // standaloneComment reports whether c is the first thing on its line,

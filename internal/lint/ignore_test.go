@@ -69,8 +69,9 @@ func TestIgnoreDirectives(t *testing.T) {
 
 // TestIgnoreSentry exercises the directive contract against the
 // determinism-sentry analyzers on testdata/src/ignore/sentry: same-line
-// coverage of a randsrc finding, decl-level coverage of a mapiter
-// finding through the doc comment, and a floatorder directive that
+// coverage of a randsrc finding; a directive in a declaration's doc
+// comment that no longer covers the body, so the mapiter finding there is
+// reported and the directive is stale; and a floatorder directive that
 // suppresses nothing and must be reported stale.
 func TestIgnoreSentry(t *testing.T) {
 	units := loadTestdata(t, []tdPkg{{"ignore/sentry", "preemptsched/internal/sched"}})
@@ -78,19 +79,30 @@ func TestIgnoreSentry(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	var stale []Diagnostic
+	var stale, mapiter []Diagnostic
 	for _, d := range diags {
-		if d.Analyzer == "lint" && strings.Contains(d.Message, "stale") {
+		switch {
+		case d.Analyzer == "lint" && strings.Contains(d.Message, "stale"):
 			stale = append(stale, d)
-			continue
+		case d.Analyzer == "mapiter":
+			mapiter = append(mapiter, d)
+		default:
+			t.Errorf("diagnostic leaked through suppression: %s", d)
 		}
-		t.Errorf("diagnostic leaked through suppression: %s", d)
 	}
-	if len(stale) != 1 {
-		t.Fatalf("stale-directive diagnostics = %d, want 1:\n%s", len(stale), renderDiags(diags))
+	if len(mapiter) != 1 {
+		t.Fatalf("mapiter diagnostics = %d, want the one in keys' body:\n%s", len(mapiter), renderDiags(diags))
 	}
-	if src := sourceLine(t, stale[0].Pos.Filename, stale[0].Pos.Line); !strings.Contains(src, "//lint:ignore floatorder") {
-		t.Errorf("stale diagnostic points at %q, want the floatorder directive line", src)
+	if src := sourceLine(t, mapiter[0].Pos.Filename, mapiter[0].Pos.Line); !strings.Contains(src, "append(out, k)") {
+		t.Errorf("mapiter diagnostic points at %q, want keys' append", src)
+	}
+	if len(stale) != 2 {
+		t.Fatalf("stale-directive diagnostics = %d, want 2:\n%s", len(stale), renderDiags(diags))
+	}
+	for i, want := range []string{"//lint:ignore mapiter", "//lint:ignore floatorder"} {
+		if src := sourceLine(t, stale[i].Pos.Filename, stale[i].Pos.Line); !strings.Contains(src, want) {
+			t.Errorf("stale diagnostic %d points at %q, want the %s directive line", i, src, want)
+		}
 	}
 }
 

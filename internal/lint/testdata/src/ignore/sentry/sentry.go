@@ -1,7 +1,7 @@
 // Package sentry exercises //lint:ignore against the determinism-sentry
-// analyzers: same-line coverage, decl-level coverage through a doc
-// comment, and the stale-directive diagnostic. The package impersonates
-// internal/sched so randsrc is in scope.
+// analyzers: same-line coverage, a doc-comment directive that excuses
+// nothing in the body below it, and the stale-directive diagnostic. The
+// package impersonates internal/sched so randsrc is in scope.
 package sentry
 
 import "math/rand"
@@ -12,11 +12,12 @@ func pick(n int) int {
 	return rand.Intn(n) //lint:ignore randsrc exercising same-line suppression of a sentry analyzer
 }
 
-// keys returns map keys unsorted; the directive in the doc comment
-// covers the whole declaration, so the mapiter finding four lines into
-// the body is suppressed.
+// keys returns map keys unsorted. A directive covers only its own line
+// and the next, so the one in the doc comment does not reach the mapiter
+// finding four lines into the body: the finding is reported, and the
+// directive, which suppresses nothing, is reported stale.
 //
-//lint:ignore mapiter exercising decl-level suppression: the consumer treats the result as a set
+//lint:ignore mapiter exercising the retired decl-level form: the consumer treats the result as a set
 func keys(m map[string]int) []string {
 	var out []string
 	for k := range m {

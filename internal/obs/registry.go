@@ -285,6 +285,20 @@ func (r *Registry) Counter(name string) Counter {
 	return Counter{v: slot(r, r.counters, name)}
 }
 
+// CounterValue reads name's counter without creating it: zero when nothing
+// has counted under name, and the registry gains no series.
+func (r *Registry) CounterValue(name string) int64 {
+	if r == nil {
+		return 0
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if v := r.counters[name]; v != nil {
+		return v.Load()
+	}
+	return 0
+}
+
 // Gauge is a pre-resolved gauge handle: one float64 in an atomic slot. Like
 // Counter, the zero value is a no-op sink.
 type Gauge struct{ v *atomic.Uint64 }

@@ -231,6 +231,27 @@ func TestRegistryAddN(t *testing.T) {
 	}
 }
 
+// TestCounterValueCreatesNoSeries: reading a counter by name returns its
+// value, or zero for a name nothing has counted under, and never adds a
+// series to the registry, so a reader cannot change what a snapshot or an
+// exposition lists. A nil registry reads zero.
+func TestCounterValueCreatesNoSeries(t *testing.T) {
+	r := NewRegistry()
+	r.Add("a", 4)
+	if got := r.CounterValue("a"); got != 4 {
+		t.Fatalf("a = %d, want 4", got)
+	}
+	if got := r.CounterValue("absent"); got != 0 {
+		t.Fatalf("absent = %d, want 0", got)
+	}
+	if snap := r.Snapshot(); len(snap.Counters) != 1 {
+		t.Fatalf("snapshot counters %v, want only a", snap.Counters)
+	}
+	if got := (*Registry)(nil).CounterValue("a"); got != 0 {
+		t.Fatalf("nil registry reads %d", got)
+	}
+}
+
 func TestRegistryConcurrentAddN(t *testing.T) {
 	r := NewRegistry()
 	x := r.Counter("x")

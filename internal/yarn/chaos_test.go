@@ -353,3 +353,49 @@ func TestTornDumpDegradesGracefully(t *testing.T) {
 		t.Errorf("injected torn.writes (%d) != absorbed dump failures (%d)", injected, failures)
 	}
 }
+
+// GIVEN a seeded chaos run in which DataNode dn-1 crashes after its sixth
+// block write while bit rot decays replicas under a dump-counted scrub,
+// WHEN the run ends,
+// THEN the decommission and scrub totals the Result reports are the DFS's
+// own dfs.namenode.blocks.* and dfs.scrub.* series, and they equal the
+// values pinned for this seed: the crash re-replicated blocks, the scrubs
+// found rot, and the final verification pass found none left.
+func TestDFSTotalsPinned(t *testing.T) {
+	cfg := chaosConfig()
+	cfg.ScrubEveryNDumps = 2
+	cfg.Faults = &faults.Plan{
+		Seed:             21,
+		CrashNode:        "dn-1",
+		CrashAfterWrites: 6,
+		BitFlipRate:      0.5,
+	}
+	jobs := mixedWorkload(t)
+	r, err := Run(cfg, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.TasksCompleted != countTasks(jobs) {
+		t.Fatalf("completed %d of %d tasks", r.TasksCompleted, countTasks(jobs))
+	}
+	snap := r.Metrics
+	for _, c := range []struct {
+		name      string
+		got, want int64
+		series    string
+	}{
+		{"BlocksReReplicated", int64(r.BlocksReReplicated), 4, "dfs.namenode.blocks.recovered"},
+		{"BlocksLost", int64(r.BlocksLost), 0, "dfs.namenode.blocks.lost"},
+		{"ScrubRuns", r.ScrubRuns, 12, "dfs.scrub.runs"},
+		{"ScrubBlocksChecked", r.ScrubBlocksChecked, 35, "dfs.scrub.blocks.checked"},
+		{"ScrubCorruptFound", r.ScrubCorruptFound, 7, "dfs.scrub.corrupt.found"},
+		{"FinalScrubCorrupt", r.FinalScrubCorrupt, 0, ""},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
+		}
+		if c.series != "" && snap.Counter(c.series) != c.got {
+			t.Errorf("%s = %d, but %s = %d", c.name, c.got, c.series, snap.Counter(c.series))
+		}
+	}
+}

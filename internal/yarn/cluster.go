@@ -5,7 +5,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"preemptsched/internal/checkpoint"
@@ -58,25 +57,15 @@ type Cluster struct {
 
 	// Node-liveness machinery (engine goroutine only). tasksSubmitted
 	// counts every task handed to the RM, so livenessShouldRun can tell
-	// when the workload has drained and the heartbeat loop must wind down —
-	// otherwise the perpetual timers would keep engine.Run from ever
-	// returning. livenessTimers counts outstanding heartbeat/sweep events;
-	// nmCrashTimer is the pending seeded NM-crash event, cancelled at
-	// wind-down so a far-future crash time cannot inflate the makespan of
-	// a run whose work finished early.
+	// when the workload has drained and the liveness tick must stop —
+	// otherwise a perpetual tick would keep engine.Run from ever
+	// returning. livenessOn reports the tick armed; nmCrashTimer is the
+	// pending seeded NM-crash event, cancelled when the tick stops so a
+	// far-future crash time cannot inflate the makespan of a run whose
+	// work finished early.
 	tasksSubmitted int
 	livenessOn     bool
-	livenessTimers int
 	nmCrashTimer   *sim.Timer
-
-	// decomRecovered/decomLost accumulate DataNode-decommission
-	// re-replication outcomes. The OnCrash callback runs on whichever
-	// goroutine tripped the crashed DataNode — under the TCP substrate
-	// that is a client RPC goroutine racing the engine — so the counts
-	// are folded into Result only at finish, under the books-closed
-	// barrier.
-	decomRecovered atomic.Int64
-	decomLost      atomic.Int64
 
 	// onJobDone hears of every job's completion (service mode); it fires
 	// on the engine goroutine the moment the job's last task completes, so
@@ -141,13 +130,9 @@ func (c *Cluster) buildDFS(repl int, tcp bool) error {
 			}
 			// The liveness sweep would notice the silent node at its next
 			// heartbeat sweep; the emulation collapses that delay into an
-			// immediate decommission. The callback fires on whichever
-			// goroutine tripped the crashed DataNode — over TCP an RPC
-			// goroutine racing the engine — so the counts go to atomics and
-			// are folded into Result at finish.
-			rep := nn.Decommission(id)
-			c.decomRecovered.Add(int64(rep.Recovered))
-			c.decomLost.Add(int64(rep.Lost))
+			// immediate decommission. The NameNode counts its outcome under
+			// dfs.namenode.blocks.*, which finish reads into the Result.
+			nn.Decommission(id)
 		}
 		c.injector = faults.NewInjector(plan)
 		c.injector.Instrument(c.reg)
@@ -224,17 +209,14 @@ func (c *Cluster) maybeCorrupt(cli *dfs.Client, name string) {
 // scrubAll runs one integrity scrub pass over every DataNode: corrupt
 // replicas are evicted, reported to the NameNode, and re-replicated from
 // verified copies, so the cluster converges back to zero corrupt
-// replicas. Sweep totals land in the Result.
+// replicas. The DataNodes count each pass under dfs.scrub.*.
 func (c *Cluster) scrubAll() {
 	nn, err := c.dfsView.NameNode()
 	if err != nil {
 		return
 	}
 	for _, dn := range c.dataNodes {
-		res := dn.ScrubOnce(nn)
-		c.res.ScrubRuns++
-		c.res.ScrubBlocksChecked += int64(res.Checked)
-		c.res.ScrubCorruptFound += int64(res.Corrupt)
+		dn.ScrubOnce(nn)
 	}
 }
 
@@ -310,10 +292,13 @@ func (c *Cluster) finish(end sim.Time) {
 	// replicas.
 	if c.cfg.ScrubEveryNDumps > 0 {
 		c.scrubAll()
-		before := c.res.ScrubCorruptFound
+		before := c.reg.CounterValue("dfs.scrub.corrupt.found")
 		c.scrubAll()
-		c.res.FinalScrubCorrupt = c.res.ScrubCorruptFound - before
+		c.res.FinalScrubCorrupt = c.reg.CounterValue("dfs.scrub.corrupt.found") - before
 	}
+	c.res.ScrubRuns = c.reg.CounterValue("dfs.scrub.runs")
+	c.res.ScrubBlocksChecked = c.reg.CounterValue("dfs.scrub.blocks.checked")
+	c.res.ScrubCorruptFound = c.reg.CounterValue("dfs.scrub.corrupt.found")
 	c.res.Makespan = time.Duration(end)
 	for _, n := range c.nodes {
 		c.res.CloseNode(&n.Ledger, end)
@@ -323,8 +308,8 @@ func (c *Cluster) finish(end sim.Time) {
 	st := c.nodes[0].dfsCli.Stats()
 	c.res.DFSRetries, c.res.ReadFailovers = st.Retries, st.ReadFailovers
 	c.res.PipelineRebuilds, c.res.CorruptReads = st.PipelineRebuilds, st.CorruptReads
-	c.res.BlocksReReplicated += int(c.decomRecovered.Swap(0))
-	c.res.BlocksLost += int(c.decomLost.Swap(0))
+	c.res.BlocksReReplicated = int(c.reg.CounterValue("dfs.namenode.blocks.recovered"))
+	c.res.BlocksLost = int(c.reg.CounterValue("dfs.namenode.blocks.lost"))
 	if c.injector != nil {
 		c.res.FaultsInjected = c.injector.Injected()
 	}

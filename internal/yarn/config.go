@@ -80,18 +80,15 @@ type Config struct {
 	// Result.Metrics is always populated.
 	Metrics *obs.Registry
 
-	// NMHeartbeatEvery is the NodeManager heartbeat period on the virtual
-	// clock. Zero means DefaultNMHeartbeatEvery. Heartbeats (and the
-	// RM's liveness sweep) only run while NMLivenessTimeout > 0.
-	NMHeartbeatEvery time.Duration
 	// NMLivenessTimeout is how long the RM tolerates a silent
 	// NodeManager before its sweep declares the node dead, fences its
 	// containers, and reschedules the lost tasks through the AM's
 	// degradation ladder (latest verified image → older image →
-	// restart). Zero disables the liveness loop — unless Config.Faults
-	// schedules compute-node faults, in which case withDefaults arms it
-	// at DefaultNMLivenessBeats heartbeats (an NM fault without a sweep
-	// would strand the node's tasks forever).
+	// restart). NodeManagers heartbeat, and the sweep runs, every 10s of
+	// virtual time while it is positive. Zero disables the liveness loop —
+	// unless Config.Faults schedules compute-node faults, in which case
+	// withDefaults arms it at DefaultNMLivenessBeats heartbeats (an NM
+	// fault without a sweep would strand the node's tasks forever).
 	NMLivenessTimeout time.Duration
 
 	// Faults, when non-nil, injects the configured fault scenario into
@@ -146,7 +143,6 @@ func (c *Config) BindFlags(fs *flag.FlagSet) {
 	fs.IntVar(&c.ContainersPerNode, "slots", c.ContainersPerNode, "containers per node (paper: 24)")
 	fs.StringVar(&c.Program, "program", c.Program, "per-task application: kmeans|wordcount")
 	fs.BoolVar(&c.PreCopy, "precopy", c.PreCopy, "use pre-copy checkpointing (dump while the victim runs)")
-	fs.DurationVar(&c.NMHeartbeatEvery, "nm-heartbeat-every", c.NMHeartbeatEvery, "NM heartbeat interval on the virtual clock (0 = default 10s)")
 	fs.DurationVar(&c.NMLivenessTimeout, "nm-heartbeat-timeout", c.NMLivenessTimeout, "silence after which the RM declares a node dead (0 = auto-armed with NM faults)")
 }
 
@@ -176,17 +172,12 @@ func (c Config) Validate() error {
 	default:
 		return fmt.Errorf("yarn: unknown program %q (want kmeans|wordcount)", c.Program)
 	}
-	if c.NMHeartbeatEvery < 0 || c.NMLivenessTimeout < 0 {
-		return fmt.Errorf("yarn: negative NM heartbeat period or liveness timeout")
+	if c.NMLivenessTimeout < 0 {
+		return fmt.Errorf("yarn: negative NM liveness timeout")
 	}
-	if hb := c.NMHeartbeatEvery; c.NMLivenessTimeout > 0 {
-		if hb == 0 {
-			hb = DefaultNMHeartbeatEvery
-		}
-		if c.NMLivenessTimeout < hb {
-			return fmt.Errorf("yarn: NMLivenessTimeout %v shorter than the heartbeat period %v — every sweep would declare every node dead",
-				c.NMLivenessTimeout, hb)
-		}
+	if c.NMLivenessTimeout > 0 && c.NMLivenessTimeout < nmHeartbeatEvery {
+		return fmt.Errorf("yarn: NMLivenessTimeout %v shorter than the heartbeat period %v — every sweep would declare every node dead",
+			c.NMLivenessTimeout, nmHeartbeatEvery)
 	}
 	if c.Faults != nil {
 		if err := c.Faults.Validate(); err != nil {
@@ -202,10 +193,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// DefaultNMHeartbeatEvery is the NodeManager heartbeat period when the
-// config does not say otherwise.
-const DefaultNMHeartbeatEvery = 10 * time.Second
-
 // DefaultNMLivenessBeats is how many consecutive missed heartbeats get
 // a node declared dead when a fault plan arms the liveness sweep
 // without an explicit timeout.
@@ -216,11 +203,8 @@ func (c Config) withDefaults() Config {
 	if c.Program == "" {
 		c.Program = "kmeans"
 	}
-	if c.NMHeartbeatEvery == 0 {
-		c.NMHeartbeatEvery = DefaultNMHeartbeatEvery
-	}
 	if c.NMLivenessTimeout == 0 && c.Faults != nil && c.Faults.HasNMFaults() {
-		c.NMLivenessTimeout = DefaultNMLivenessBeats * c.NMHeartbeatEvery
+		c.NMLivenessTimeout = DefaultNMLivenessBeats * nmHeartbeatEvery
 	}
 	return c
 }

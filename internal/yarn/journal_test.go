@@ -40,7 +40,11 @@ func journalWorkload(t *testing.T) []cluster.JobSpec {
 // digest was 41e4a475… there; the round-trip pairing fix moved three of
 // its records — the restores of tasks 6/6, 6/16 and 6/4, each the first
 // after a kill-fallback, which lost the failed dump's estimate and the
-// pre-dump window (TestKillFallbackLeavesNoEstimate, DESIGN.md §13).
+// pre-dump window (TestKillFallbackLeavesNoEstimate, DESIGN.md §13). The
+// partition-heal and lossy-heartbeats digests were taken while every
+// NodeManager beat on a self-rearming timer of its own beside a separate
+// sweep timer, so they hold the one liveness tick to the node-down,
+// node-recovered and task-rescheduled records that design wrote.
 func TestJournalMatchesHandWrittenRecords(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -75,6 +79,35 @@ func TestJournalMatchesHandWrittenRecords(t *testing.T) {
 			},
 			want:   []string{"pre-dump", "dump", "kill-fallback", "node-down", "task-rescheduled", "restore", "task-done"},
 			sha256: "55064fcb627252cc5220df860f192de7470c287fea02c273d47246b7a21c6d87",
+		},
+		{
+			// An RM↔NM partition that outlasts the auto-armed timeout and
+			// then heals: node 1 is declared dead, fenced, and re-registers.
+			name: "partition-heal",
+			cfg: func() Config {
+				cfg := DefaultConfig(core.PolicyCheckpoint, storage.SSD)
+				cfg.Faults = &faults.Plan{
+					Seed:            5,
+					NMPartitionAt:   4 * time.Minute,
+					NMPartitionNode: 1,
+					NMPartitionFor:  2 * time.Minute,
+				}
+				return cfg
+			},
+			want:   []string{"node-down", "node-recovered", "task-rescheduled", "restore", "task-done"},
+			sha256: "91a799b73a148855fc1a0a5ac658ab9c78ae7e3d540db345e51a51f5639220e7",
+		},
+		{
+			// A lossy control plane: runs of dropped beats declare nodes
+			// dead, and the next delivered beat re-registers them.
+			name: "lossy-heartbeats",
+			cfg: func() Config {
+				cfg := DefaultConfig(core.PolicyAdaptive, storage.SSD)
+				cfg.Faults = &faults.Plan{Seed: 9, HeartbeatDropRate: 0.4}
+				return cfg
+			},
+			want:   []string{"kill", "node-down", "node-recovered", "task-rescheduled", "restore", "task-done"},
+			sha256: "15fc2e6ea63dd1da961fc64d94b19fc141ba87967fdcdcf3019e6d2e75c9facb",
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,23 +1,31 @@
 package yarn
 
-import "preemptsched/internal/sim"
+import (
+	"time"
+
+	"preemptsched/internal/sim"
+)
 
 // This file is the compute-node fault domain: NMs heartbeat the RM on the
-// virtual clock, a periodic RM sweep declares silent nodes dead after
+// virtual clock, the RM's sweep declares silent nodes dead after
 // Config.NMLivenessTimeout, and the seeded fault plan can crash an NM or
 // partition it from the RM. Everything runs on the engine goroutine.
 //
-// The loop is self-winding: every heartbeat/sweep event re-arms itself
-// only while livenessShouldRun() holds (liveness configured, work
-// outstanding, at least one survivable node). When the workload drains
-// the timers expire without re-arming and windDownLiveness cancels the
-// pending NM-crash event — otherwise the perpetual timers would keep
-// engine.Run (and the service drain) from ever running dry, and a
+// One periodic tick carries the whole loop: each firing beats every live
+// NM in node order and then sweeps. The tick re-arms only while
+// livenessShouldRun() holds (liveness configured, work outstanding, at
+// least one survivable node). When the workload drains it stops and
+// cancels the pending NM-crash event — otherwise a perpetual tick would
+// keep engine.Run (and the service drain) from ever running dry, and a
 // far-future crash time would inflate the makespan of a run whose work
 // finished early.
 
-// livenessShouldRun reports whether the heartbeat/sweep loop has a reason
-// to stay armed.
+// nmHeartbeatEvery is the NodeManager heartbeat period on the virtual
+// clock, and so the liveness tick's.
+const nmHeartbeatEvery = 10 * time.Second
+
+// livenessShouldRun reports whether the liveness tick has a reason to
+// stay armed.
 func (c *Cluster) livenessShouldRun() bool {
 	if c.cfg.NMLivenessTimeout <= 0 || c.res.TasksCompleted >= c.tasksSubmitted {
 		return false
@@ -30,9 +38,9 @@ func (c *Cluster) livenessShouldRun() bool {
 	return false
 }
 
-// ensureLiveness arms the heartbeat/sweep loop (and the seeded NM-crash
-// event) if liveness is configured and work is outstanding. Called from
-// every job submission, so service mode re-arms after an idle drain.
+// ensureLiveness arms the liveness tick (and the seeded NM-crash event) if
+// liveness is configured and work is outstanding. Called from every job
+// submission, so service mode re-arms after an idle drain.
 func (c *Cluster) ensureLiveness(now sim.Time) {
 	if c.cfg.NMLivenessTimeout <= 0 {
 		return
@@ -43,13 +51,11 @@ func (c *Cluster) ensureLiveness(now sim.Time) {
 	}
 	c.livenessOn = true
 	for _, n := range c.nodes {
-		if n.crashed {
-			continue
+		if !n.crashed {
+			n.lastBeat = now
 		}
-		n.lastBeat = now
-		c.scheduleHeartbeat(n, now)
 	}
-	c.scheduleSweep(now)
+	c.engine.At(now+sim.Time(nmHeartbeatEvery), sim.Handler(c.tick))
 }
 
 // armNMCrash schedules the fault plan's seeded NM crash, clamped to the
@@ -69,64 +75,35 @@ func (c *Cluster) armNMCrash(now sim.Time) {
 	c.nmCrashTimer = c.engine.ScheduleAt(at, sim.Handler(c.crashNM))
 }
 
-// windDownLiveness closes the loop once the last outstanding liveness
-// timer has expired without re-arming.
-func (c *Cluster) windDownLiveness() {
-	if c.livenessTimers > 0 {
-		return
-	}
-	c.livenessOn = false
-	if c.nmCrashTimer != nil {
-		c.engine.Cancel(c.nmCrashTimer)
-		c.nmCrashTimer = nil
-	}
-}
-
-func (c *Cluster) scheduleHeartbeat(n *NodeManager, now sim.Time) {
-	c.livenessTimers++
-	c.engine.At(now+sim.Time(c.cfg.NMHeartbeatEvery), sim.Handler(func(at sim.Time) {
-		c.heartbeat(n, at)
-	}))
-}
-
-func (c *Cluster) scheduleSweep(now sim.Time) {
-	c.livenessTimers++
-	c.engine.At(now+sim.Time(c.cfg.NMHeartbeatEvery), sim.Handler(c.sweep))
-}
-
-// heartbeat is one NM→RM beat. A crashed machine's stream ends here; a
-// partitioned or fault-dropped beat never reaches the RM; a delivered
-// beat refreshes lastBeat and re-registers a node the sweep had declared
-// dead (partition heal).
-func (c *Cluster) heartbeat(n *NodeManager, at sim.Time) {
-	c.livenessTimers--
-	if !c.livenessShouldRun() || n.crashed {
-		c.windDownLiveness()
-		return
-	}
-	switch {
-	case c.nmPartitioned(n, at):
-		if c.injector != nil {
-			c.injector.NotePartitionDrop()
-		}
-	case c.injector != nil && c.injector.DropHeartbeat():
-		// Dropped on the wire; the injector counted it.
-	default:
-		n.lastBeat = at
-		if n.deadDeclared {
-			c.nodeRecovered(n, at)
-		}
-	}
-	c.scheduleHeartbeat(n, at)
-}
-
-// sweep is the RM's liveness pass: any node silent longer than the
-// timeout is declared dead and its containers fenced.
-func (c *Cluster) sweep(at sim.Time) {
-	c.livenessTimers--
+// tick is one liveness period. A crashed machine's beats have stopped; a
+// partitioned or fault-dropped beat never reaches the RM; a delivered beat
+// refreshes lastBeat and re-registers a node the sweep had declared dead
+// (partition heal). The sweep then declares any node silent longer than
+// the timeout dead and fences its containers.
+func (c *Cluster) tick(at sim.Time) {
 	if !c.livenessShouldRun() {
-		c.windDownLiveness()
+		c.livenessOn = false
+		if c.nmCrashTimer != nil {
+			c.engine.Cancel(c.nmCrashTimer)
+			c.nmCrashTimer = nil
+		}
 		return
+	}
+	for _, n := range c.nodes {
+		switch {
+		case n.crashed:
+		case c.nmPartitioned(n, at):
+			if c.injector != nil {
+				c.injector.NotePartitionDrop()
+			}
+		case c.injector != nil && c.injector.DropHeartbeat():
+			// Dropped on the wire; the injector counted it.
+		default:
+			n.lastBeat = at
+			if n.deadDeclared {
+				c.nodeRecovered(n, at)
+			}
+		}
 	}
 	timeout := sim.Time(c.cfg.NMLivenessTimeout)
 	for _, n := range c.nodes {
@@ -134,7 +111,7 @@ func (c *Cluster) sweep(at sim.Time) {
 			c.declareNodeDead(n, at)
 		}
 	}
-	c.scheduleSweep(at)
+	c.engine.At(at+sim.Time(nmHeartbeatEvery), sim.Handler(c.tick))
 }
 
 // nmPartitioned reports whether the fault plan has node n unreachable
