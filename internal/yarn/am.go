@@ -41,6 +41,9 @@ type taskRun struct {
 	attemptStart sim.Time
 	completion   *sim.Timer
 
+	// process is the task's real program instance, nil until something
+	// needs it: a fresh task's process is built at the first preemption
+	// that dumps it (advance), or else when it runs out (runOut).
 	process    *proc.Process
 	totalSteps uint64
 
@@ -154,13 +157,23 @@ func (t *taskRun) dropProcess() {
 	t.process = nil
 }
 
+// killProcess kills t's process, if one was ever built, and drops it.
+func (t *taskRun) killProcess() {
+	if t.process != nil {
+		t.process.Kill()
+		t.dropProcess()
+	}
+}
+
 // advanceTo steps the real process until its step counter reaches target.
 func (t *taskRun) advanceTo(target uint64) error {
-	if target > t.totalSteps {
-		target = t.totalSteps
-	}
-	for t.process.Steps() < target {
-		if _, err := t.process.Step(); err != nil {
+	return stepTo(t.process, min(target, t.totalSteps))
+}
+
+// stepTo steps p until its step counter reaches target.
+func stepTo(p *proc.Process, target uint64) error {
+	for p.Steps() < target {
+		if _, err := p.Step(); err != nil {
 			return err
 		}
 	}
@@ -226,7 +239,8 @@ func (am *AppMaster) newProcess(t *taskRun) (*proc.Process, error) {
 }
 
 // onAllocated receives a granted container (Fig. 7 step 6): fresh tasks
-// start executing; checkpointed tasks restore first (locally or remotely).
+// start executing, their processes built where first needed (see
+// advance); checkpointed tasks restore first (locally or remotely).
 func (am *AppMaster) onAllocated(t *taskRun, n *NodeManager, now sim.Time) {
 	t.node = n
 	if !t.hasImage() {
@@ -235,11 +249,6 @@ func (am *AppMaster) onAllocated(t *taskRun, n *NodeManager, now sim.Time) {
 			// from — this fresh start is failure-attributed lost work.
 			am.c.res.FailureRestarts++
 		}
-		p, err := am.newProcess(t)
-		if err != nil {
-			panic(fmt.Sprintf("yarn: create process for %v: %v", t.spec.ID, err))
-		}
-		t.process = p
 		am.startRun(t, now)
 		return
 	}
@@ -318,11 +327,6 @@ func (am *AppMaster) restoreOrFallback(t *taskRun, n *NodeManager, at sim.Time) 
 	am.discardImages(t, n)
 	am.c.chargeWaste(t, t.banked)
 	t.banked = 0
-	fresh, perr := am.newProcess(t)
-	if perr != nil {
-		panic(fmt.Sprintf("yarn: recreate process for %v: %v", t.spec.ID, perr))
-	}
-	t.process = fresh
 	am.startRun(t, at)
 }
 
@@ -395,8 +399,7 @@ func (am *AppMaster) kill(t *taskRun, n *NodeManager, lost time.Duration, now si
 	t.completion = nil
 	am.c.res.Kills++
 	am.c.chargeWaste(t, lost)
-	t.process.Kill()
-	t.dropProcess()
+	t.killProcess()
 	n.releaseSlot(now, t)
 	t.node = nil
 	t.state = statePending
@@ -433,13 +436,10 @@ func (am *AppMaster) onNodeFailure(t *taskRun, n *NodeManager, now sim.Time) {
 		}
 		am.c.engine.Cancel(t.completion)
 		t.completion = nil
-		if t.process != nil {
-			// Partition fence: the machine is alive but unreachable, so
-			// its NM kills the container rather than risk a double
-			// completion the RM can no longer see.
-			t.process.Kill()
-			t.dropProcess()
-		}
+		// Partition fence: the machine is alive but unreachable, so its NM
+		// kills the container rather than risk a double completion the RM
+		// can no longer see.
+		t.killProcess()
 		n.releaseSlot(now, t)
 		am.c.slo.AddFailureWaste(am.c.res.ChargeFailureWaste(t.spec, lost))
 		am.requeueAfterFailure(t, n, lost, now)
@@ -483,12 +483,12 @@ func (am *AppMaster) onPreempt(t *taskRun, now sim.Time) {
 	}
 	n := t.node
 
-	// Advance the real process to the preemption point before anything
-	// else, so both the dirty-page estimate and any dump reflect the
-	// actual progress.
+	// Advance a live process to the preemption point before anything else,
+	// so the dirty-page estimate reads the actual progress. A process
+	// nothing has needed yet is built only for a verdict that dumps it.
 	target := uint64(t.progressFrac(now) * float64(t.totalSteps))
-	if err := t.advanceTo(target); err != nil {
-		panic(fmt.Sprintf("yarn: advance %v: %v", t.spec.ID, err))
+	if t.process != nil {
+		am.advance(t, target)
 	}
 
 	cand := t.candidate(now)
@@ -512,8 +512,10 @@ func (am *AppMaster) onPreempt(t *taskRun, now sim.Time) {
 		// Progress since the last checkpoint is lost.
 		am.kill(t, n, t.unsavedProgress(now), now)
 	case am.c.cfg.PreCopy:
+		am.advance(t, target)
 		am.startPreCopyCheckpoint(t, n, now)
 	default:
+		am.advance(t, target)
 		prevBanked, unsaved := t.banked, t.unsavedProgress(now)
 		if err := am.freezeAndDump(t, n, t.tip(), now); err != nil {
 			// The dump failed against the store: degrade to kill-based
@@ -527,6 +529,22 @@ func (am *AppMaster) onPreempt(t *taskRun, now sim.Time) {
 		if action == core.ActionCheckpointIncremental {
 			am.c.res.IncrementalCheckpoints++
 		}
+	}
+}
+
+// advance brings t's process to step target, building it first if nothing
+// has needed it yet: a fresh process starts at step 0 whenever it is
+// built, so building it late changes no byte of it.
+func (am *AppMaster) advance(t *taskRun, target uint64) {
+	if t.process == nil {
+		p, err := am.newProcess(t)
+		if err != nil {
+			panic(fmt.Sprintf("yarn: create process for %v: %v", t.spec.ID, err))
+		}
+		t.process = p
+	}
+	if err := t.advanceTo(target); err != nil {
+		panic(fmt.Sprintf("yarn: advance %v: %v", t.spec.ID, err))
 	}
 }
 
@@ -661,18 +679,11 @@ func (am *AppMaster) startPreCopyCheckpoint(t *taskRun, n *NodeManager, now sim.
 	}))
 }
 
-// onComplete finishes a task: the real program runs to its final step and
-// the result is checksummed, proving transparency end to end.
+// onComplete finishes a task: its process goes to a finisher, which runs
+// the real program to its final step and checksums the result, proving
+// transparency end to end; the books close here.
 func (am *AppMaster) onComplete(t *taskRun, now sim.Time) {
-	if err := t.advanceTo(t.totalSteps); err != nil {
-		panic(fmt.Sprintf("yarn: finish %v: %v", t.spec.ID, err))
-	}
-	if t.process.State() != proc.Exited {
-		panic(fmt.Sprintf("yarn: task %v finished at %d/%d steps but process is %v",
-			t.spec.ID, t.process.Steps(), t.totalSteps, t.process.State()))
-	}
-	am.c.res.TaskChecksums[t.spec.ID] = checksumProcess(t.process)
-	t.dropProcess()
+	am.c.handOver(t)
 	am.c.slo.AddUseful(am.c.res.ChargeUseful(t.spec))
 	am.c.res.TasksCompleted++
 

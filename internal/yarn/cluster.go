@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"time"
 
@@ -54,6 +55,12 @@ type Cluster struct {
 	res     *Result
 	taskSeq uint64
 	dumps   int
+
+	// fin is Run's finisher pool, nil when tasks run out inline (one
+	// core, or service mode); failed is the lowest-seq task whose
+	// finishing work failed, which finish raises.
+	fin    *finishers
+	failed outcome
 
 	// Node-liveness machinery (engine goroutine only). tasksSubmitted
 	// counts every task handed to the RM, so livenessShouldRun can tell
@@ -281,10 +288,16 @@ func newCluster(cfg Config, tcpDFS bool) (*Cluster, error) {
 	return c, nil
 }
 
-// finish closes the books at virtual time end: the final scrub drain, the
-// makespan, per-node energy/IO/DFS totals, injector counts, and the
-// metrics snapshot.
+// finish closes the books at virtual time end: the finisher pool's
+// checksums, the final scrub drain, the makespan, per-node energy/IO/DFS
+// totals, injector counts, and the metrics snapshot. A task whose
+// finishing work failed panics here, on the goroutine that owns the
+// engine, with the lowest-seq failure's message.
 func (c *Cluster) finish(end sim.Time) {
+	c.joinFinishers()
+	if c.failed.err != nil {
+		panic(c.failed.err.Error())
+	}
 	// Drain residual bit rot before the books close: one healing pass
 	// catches replicas flipped after the last cadence scrub, then a second
 	// pass counts what is still corrupt. FinalScrubCorrupt == 0 is the
@@ -328,7 +341,8 @@ func (c *Cluster) close() {
 }
 
 // Run executes jobs on a freshly assembled framework under cfg and returns
-// the aggregated result.
+// the aggregated result. Completed tasks run out on a pool of
+// runtime.GOMAXPROCS(0) finishers beside the engine goroutine.
 func Run(cfg Config, jobs []cluster.JobSpec) (*Result, error) {
 	c, err := newCluster(cfg, false)
 	if err != nil {
@@ -347,6 +361,8 @@ func Run(cfg Config, jobs []cluster.JobSpec) (*Result, error) {
 		}))
 	}
 
+	c.startFinishers(runtime.GOMAXPROCS(0))
+	defer c.joinFinishers() // only a panic out of the engine leaves it running
 	end := c.engine.Run()
 	c.finish(end)
 	if c.res.TasksCompleted != totalTasks {

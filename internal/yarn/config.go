@@ -279,8 +279,12 @@ type Result struct {
 
 	// TaskChecksums holds a checksum of each task's final computed state,
 	// proving that preempted-and-resumed executions produced exactly the
-	// results of undisturbed ones. Excluded from JSON: the struct key has
-	// no JSON representation and the map is in-process verification state.
+	// results of undisturbed ones. It is complete once Run or Service.Close
+	// returns: Run's finisher pool fills it at finish, when the finishers
+	// that ran the tasks out are joined, not per completion; without a pool
+	// (one core, or service mode) each entry lands as its task completes.
+	// Excluded from JSON: the struct key has no JSON representation and the
+	// map is in-process verification state.
 	TaskChecksums map[cluster.TaskID]uint64 `json:"-"`
 
 	// Metrics is the observability snapshot of the run: latency histograms

@@ -156,10 +156,7 @@ func (c *Cluster) crashNM(now sim.Time) {
 		c.engine.Cancel(t.completion)
 		t.completion = nil
 		t.preCopying = false
-		if t.process != nil {
-			t.process.Kill()
-			t.dropProcess()
-		}
+		t.killProcess()
 		t.failedAt = now
 	}
 }

@@ -258,7 +258,8 @@ func (s *Service) stepBatch() {
 // buffered on the admission queue is admitted, and every admitted job runs
 // to completion — then closes the books and releases the TCP listeners. It
 // returns the aggregated Result; the error is non-nil if any reserved job
-// failed to complete. Idempotent.
+// failed to complete. A task whose program failed to run out panics here,
+// as it does at the end of Run. Idempotent.
 func (s *Service) Close() (*Result, error) {
 	s.hmu.Lock()
 	if !s.closing {

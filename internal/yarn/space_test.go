@@ -89,7 +89,8 @@ func TestRecycledSpaceChecksumsAsFresh(t *testing.T) {
 
 // GIVEN a running task with a real process, one per release point of the
 // owner table,
-// WHEN the task completes, is killed, is checkpointed (frozen dump, and the
+// WHEN the task completes (running out inline, or on the finisher pool,
+// which then drains), is killed, is checkpointed (frozen dump, and the
 // delta dump that ends a pre-copy), is fenced off a partitioned node, or its
 // node crashes,
 // THEN the task holds no process, the old one's memory is empty, and its
@@ -104,6 +105,14 @@ func TestReleasePoints(t *testing.T) {
 		run   func(t *testing.T, b testBooks, v *taskRun)
 	}{
 		{"complete", nil, func(t *testing.T, b testBooks, v *taskRun) { b.am.onComplete(v, now) }},
+		{"complete on the finisher pool", nil, func(t *testing.T, b testBooks, v *taskRun) {
+			b.c.startFinishers(2)
+			b.am.onComplete(v, now)
+			if v.process != nil {
+				t.Fatal("the task holds its process after the hand-over")
+			}
+			b.c.joinFinishers()
+		}},
 		{"kill", nil, func(t *testing.T, b testBooks, v *taskRun) { b.am.kill(v, v.node, 0, now) }},
 		{"frozen dump", nil, func(t *testing.T, b testBooks, v *taskRun) { b.am.onPreempt(v, now) }},
 		{"pre-copy delta dump", func(c *Config) { c.PreCopy = true }, func(t *testing.T, b testBooks, v *taskRun) {
