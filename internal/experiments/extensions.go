@@ -44,7 +44,7 @@ func extSweep(o Options, policy core.Policy, kind storage.Kind, mutations []func
 		}
 		specs[i] = spec
 	}
-	return sched.RunMany(specs, o.workers())
+	return sched.RunMany(specs, o.Parallel)
 }
 
 // ExtDisciplines compares priority, fair-share, and capacity scheduling
@@ -90,7 +90,7 @@ func ExtPreCopy(o Options) (*metrics.Table, error) {
 		}
 		specs[i] = spec
 	}
-	pres, err := sched.RunMany(specs, o.workers())
+	pres, err := sched.RunMany(specs, o.Parallel)
 	if err != nil {
 		return nil, err
 	}
@@ -145,7 +145,7 @@ func ExtNodeChurn(o Options) (*metrics.Table, error) {
 		}
 		specs[i] = spec
 	}
-	results, err := sched.RunMany(specs, o.workers())
+	results, err := sched.RunMany(specs, o.Parallel)
 	if err != nil {
 		return nil, err
 	}

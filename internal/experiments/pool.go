@@ -1,39 +1,18 @@
 package experiments
 
 import (
-	"runtime"
-
 	"preemptsched/internal/core"
 	"preemptsched/internal/storage"
 )
 
 // The evaluation is a matrix of independent runs — (figure, policy,
 // storage kind, scale) tuples that share nothing but the memoization
-// layer. runParallel fans them out over core.ForEachIndex, the bounded
-// index-claiming pool. Determinism is preserved by construction: which
-// worker runs which task is arbitrary, but every task writes only its own
-// result slot and all rendering happens sequentially in canonical index
-// order afterwards. The only schedule-dependent quantity is wall time.
-
-// runParallel executes tasks on up to workers goroutines. It returns the
-// error of the lowest-indexed failing task, so the reported failure is
-// the same one a sequential pass would have hit first, regardless of how
-// the goroutines interleave. All tasks run to completion even when some
-// fail — partial fan-outs would leave the memo cache warm for an
-// unpredictable prefix, and cheap tasks are cheaper than schedule-shaped
-// state.
-func runParallel(workers int, tasks []func() error) error {
-	return core.ForEachIndex(len(tasks), workers, func(i int) error { return tasks[i]() })
-}
-
-// workers resolves Options.Parallel: 0 means one worker per available
-// CPU, 1 disables the pool, larger values cap the fan-out explicitly.
-func (o Options) workers() int {
-	if o.Parallel > 0 {
-		return o.Parallel
-	}
-	return runtime.GOMAXPROCS(0)
-}
+// layer. prefetch fans them out over core.ForEachIndex, the bounded
+// index-claiming pool, Options.Parallel wide. Determinism is preserved by
+// construction: which worker runs which task is arbitrary, but every task
+// writes only its own result slot and all rendering happens sequentially
+// in canonical index order afterwards. The only schedule-dependent
+// quantity is wall time.
 
 // paperMatrix is the (policy, storage) set behind Figures 3/5 and 8-12:
 // the kill baseline, then basicAdaptivePairs.
@@ -91,29 +70,30 @@ func on(s substrate, pairs []policyKind) []request {
 
 // prefetch executes the requests through the pool, each distinct one
 // once, so the sequential table assembly that follows hits the memo
-// cache. One flat task list keeps every worker busy until the global
-// tail: the slowest run overlaps cheap ones instead of gating a phase
-// barrier. Errors are deliberately dropped here: failed runs are not
-// cached, so the sequential pass re-encounters the same deterministic
-// error and reports it with its canonical figure label.
+// cache. One flat list keeps every worker busy until the global tail: the
+// slowest run overlaps cheap ones instead of gating a phase barrier. Every
+// request runs even when some fail — a partial fan-out would leave the
+// memo cache warm for an unpredictable prefix, and cheap runs are cheaper
+// than schedule-shaped state. Errors are deliberately dropped here: failed
+// runs are not cached, so the sequential pass re-encounters the same
+// deterministic error and reports it with its canonical figure label.
 func prefetch(o Options, reqs []request) {
-	var tasks []func() error
+	var distinct []request
 	queued := make(map[request]bool)
 	for _, r := range reqs {
-		if queued[r] {
-			continue
+		if !queued[r] {
+			queued[r] = true
+			distinct = append(distinct, r)
 		}
-		queued[r] = true
-		tasks = append(tasks, func() (err error) {
-			if r.s == 0 {
-				_, err = o.traceAnalysis()
-			} else {
-				_, err = r.run(o)
-			}
-			return err
-		})
 	}
-	_ = runParallel(o.workers(), tasks)
+	_ = core.ForEachIndex(len(distinct), o.Parallel, func(i int) (err error) {
+		if r := distinct[i]; r.s == 0 {
+			_, err = o.traceAnalysis()
+		} else {
+			_, err = r.run(o)
+		}
+		return err
+	})
 }
 
 // fetch returns the outcomes of pairs on s, in pair order, running the

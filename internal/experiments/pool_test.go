@@ -3,75 +3,11 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync/atomic"
 	"testing"
+
+	"preemptsched/internal/core"
 )
-
-func TestRunParallelRunsEveryTask(t *testing.T) {
-	for _, workers := range []int{1, 4, 100} {
-		const n = 37
-		var ran [n]atomic.Int32
-		tasks := make([]func() error, n)
-		for i := range tasks {
-			i := i
-			tasks[i] = func() error { ran[i].Add(1); return nil }
-		}
-		if err := runParallel(workers, tasks); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i := range ran {
-			if got := ran[i].Load(); got != 1 {
-				t.Errorf("workers=%d: task %d ran %d times", workers, i, got)
-			}
-		}
-	}
-}
-
-func TestRunParallelReturnsLowestIndexedError(t *testing.T) {
-	for _, workers := range []int{1, 8} {
-		var completed atomic.Int32
-		tasks := make([]func() error, 20)
-		for i := range tasks {
-			i := i
-			tasks[i] = func() error {
-				completed.Add(1)
-				if i == 3 || i == 11 {
-					return fmt.Errorf("task %d failed", i)
-				}
-				return nil
-			}
-		}
-		err := runParallel(workers, tasks)
-		if err == nil || err.Error() != "task 3 failed" {
-			t.Errorf("workers=%d: got %v, want the lowest-indexed failure", workers, err)
-		}
-		// Failures must not short-circuit the fan-out: a partial warm pass
-		// would leave the memo cache populated for a schedule-dependent
-		// prefix.
-		if got := completed.Load(); got != 20 {
-			t.Errorf("workers=%d: %d/20 tasks ran after failure", workers, got)
-		}
-	}
-}
-
-func TestRunParallelEmpty(t *testing.T) {
-	if err := runParallel(4, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWorkersResolution(t *testing.T) {
-	if got := (Options{Parallel: 1}).workers(); got != 1 {
-		t.Errorf("Parallel=1 resolved to %d workers", got)
-	}
-	if got := (Options{Parallel: 6}).workers(); got != 6 {
-		t.Errorf("Parallel=6 resolved to %d workers", got)
-	}
-	if got := (Options{}).workers(); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("Parallel=0 resolved to %d workers, want GOMAXPROCS=%d", got, runtime.GOMAXPROCS(0))
-	}
-}
 
 func TestValidateRejectsNegativeParallel(t *testing.T) {
 	o := Default()
@@ -87,20 +23,17 @@ func TestValidateRejectsNegativeParallel(t *testing.T) {
 func TestMemoSingleflight(t *testing.T) {
 	var c memo[int, int]
 	var calls atomic.Int32
-	tasks := make([]func() error, 50)
-	for i := range tasks {
-		tasks[i] = func() error {
-			v, err := c.do(7, func() (int, error) {
-				calls.Add(1)
-				return 42, nil
-			})
-			if err != nil || v != 42 {
-				return fmt.Errorf("do = %d, %v", v, err)
-			}
-			return nil
+	err := core.ForEachIndex(50, 8, func(int) error {
+		v, err := c.do(7, func() (int, error) {
+			calls.Add(1)
+			return 42, nil
+		})
+		if err != nil || v != 42 {
+			return fmt.Errorf("do = %d, %v", v, err)
 		}
-	}
-	if err := runParallel(8, tasks); err != nil {
+		return nil
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if got := calls.Load(); got != 1 {

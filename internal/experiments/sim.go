@@ -104,7 +104,7 @@ func figSensitivity(o Options, includeAdaptive bool) (high, low, energyT *metric
 			specs = append(specs, sensitivitySpec(p, bw))
 		}
 	}
-	results, err := sched.RunMany(specs, o.workers())
+	results, err := sched.RunMany(specs, o.Parallel)
 	if err != nil {
 		return nil, nil, nil, err
 	}

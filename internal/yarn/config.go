@@ -8,10 +8,11 @@
 // Unlike the trace-driven simulator (internal/sched), tasks here are real
 // virtual processes (k-means by default): preemption takes actual CRIU-style
 // dumps of process pages into the distributed file system, restores rebuild
-// runnable processes — on the image's home node or remotely per
-// Algorithm 2 — and completed tasks yield verifiable results. Only
-// durations come from the calibrated device models; every state transition
-// moves real bytes.
+// runnable processes — on the image's home node when it has a free slot,
+// otherwise on the first node that fits, paying the network transfer (this
+// is not Algorithm 2, which the framework does not implement) — and
+// completed tasks yield verifiable results. Only durations come from the
+// calibrated device models; every state transition moves real bytes.
 package yarn
 
 import (

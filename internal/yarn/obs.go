@@ -118,10 +118,11 @@ func (c *Cluster) recordContainerWait(req *request, n *NodeManager, now sim.Time
 
 // recordRestore books one restore window [now, done]: transfer (remote
 // only), device queue, read, and total histograms; the local/remote
-// Algorithm 2 decision counters; the Algorithm 1 estimated-vs-actual
-// relative error once the full checkpoint→restore round trip is known; and
-// a restore span with transfer/queue/read children, parented to the dump
-// span that produced the image.
+// counters of where the restore landed, the image's node or another; the
+// Algorithm 1 estimated-vs-actual relative error once the full
+// checkpoint→restore round trip is known; and a restore span with
+// transfer/queue/read children, parented to the dump span that produced
+// the image.
 func (c *Cluster) recordRestore(t *taskRun, n *NodeManager, remote bool, transfer time.Duration, now, start, done sim.Time) {
 	arrive := now + sim.Time(transfer)
 	c.hm.restoreQueue.ObserveDuration(time.Duration(start - arrive))

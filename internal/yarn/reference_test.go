@@ -2,9 +2,11 @@ package yarn
 
 import (
 	"bytes"
+	"container/heap"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -25,6 +27,103 @@ import (
 // by (priority, cost under the adaptive policy, seq) and take the head. It
 // is the executable definition of what chooseVictim must return and
 // journal, and of the order crashNM and declareNodeDead must visit tasks in.
+//
+// It also keeps the RM's request queue as it stood before the per-priority
+// FIFOs: a heap ordered by (priority descending, queuedAt, seq), popped one
+// request at a time for at most scanLimit per pass, with every request the
+// pass could not serve pushed back once the pass is over. It is the
+// executable definition of the order pass must serve requests in.
+
+// referenceRequest is a request under the heap's arrival stamp.
+type referenceRequest struct {
+	*request
+	seq uint64
+}
+
+type requestQueue []referenceRequest
+
+func (q requestQueue) Len() int { return len(q) }
+func (q requestQueue) Less(i, j int) bool {
+	if q[i].task.spec.Priority != q[j].task.spec.Priority {
+		return q[i].task.spec.Priority > q[j].task.spec.Priority
+	}
+	if q[i].queuedAt != q[j].queuedAt {
+		return q[i].queuedAt < q[j].queuedAt
+	}
+	return q[i].seq < q[j].seq
+}
+func (q requestQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (q *requestQueue) Push(x any)   { *q = append(*q, x.(referenceRequest)) }
+func (q *requestQueue) Pop() any {
+	old := *q
+	n := len(old)
+	r := old[n-1]
+	old[n-1] = referenceRequest{}
+	*q = old[:n-1]
+	return r
+}
+
+// referenceRM serves rm's requests from the heap, placing and preempting
+// through rm. A request an AM makes, mid-pass or not, lands in rm's FIFOs;
+// adopt moves it into the heap before the next pop, which is when the heap
+// used to receive it.
+type referenceRM struct {
+	rm    *ResourceManager
+	queue requestQueue
+	seq   uint64
+}
+
+func (r *referenceRM) adopt() {
+	for p := range r.rm.waiting {
+		for _, req := range r.rm.waiting[p] {
+			heap.Push(&r.queue, referenceRequest{req, r.seq})
+			r.seq++
+		}
+		r.rm.waiting[p] = r.rm.waiting[p][:0]
+	}
+}
+
+func (r *referenceRM) pass(now sim.Time) {
+	rm := r.rm
+	scanned := 0
+	var skipped []referenceRequest
+	for len(r.queue) > 0 && scanned < scanLimit {
+		req := heap.Pop(&r.queue).(referenceRequest)
+		scanned++
+		served := rm.place(req.request, now)
+		if !served && req.reservedOn == nil && rm.c.cfg.Policy != core.PolicyWait && rm.preemptFor(req.request, now) {
+			served = rm.place(req.request, now)
+		}
+		r.adopt()
+		if !served {
+			skipped = append(skipped, req)
+		}
+	}
+	for _, req := range skipped {
+		heap.Push(&r.queue, req)
+	}
+}
+
+// order lists the heap's requests in the order it pops them.
+func (r *referenceRM) order() []*request {
+	q := slices.Clone(r.queue)
+	sort.Sort(q)
+	order := make([]*request, len(q))
+	for i, req := range q {
+		order[i] = req.request
+	}
+	return order
+}
+
+// waitingOrder lists rm's requests in the order its next pass examines
+// them: priority descending, then arrival.
+func waitingOrder(rm *ResourceManager) []*request {
+	var order []*request
+	for p := len(rm.waiting) - 1; p >= 0; p-- {
+		order = append(order, rm.waiting[p]...)
+	}
+	return order
+}
 
 func referenceRunningMap(n *NodeManager) map[cluster.TaskID]*taskRun {
 	running := make(map[cluster.TaskID]*taskRun, len(n.running))
@@ -338,9 +437,9 @@ func TestRunningStaysIDOrdered(t *testing.T) {
 // WHEN the machine crashes and the liveness sweep then declares it dead,
 // THEN crashNM stops exactly the running containers at the crash instant,
 // and declareNodeDead fences tasks in the order sortedRunning produced —
-// ascending task ID — as the task-rescheduled records and the RM's request
-// sequence both show; checkpointing containers stay on the books for their
-// dump-drain closure to release.
+// ascending task ID — as the task-rescheduled records and the order the
+// RM's next pass examines the re-requests in both show; checkpointing
+// containers stay on the books for their dump-drain closure to release.
 func TestNodeFencingVisitsInIDOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	cfg := DefaultConfig(core.PolicyCheckpoint, storage.SSD)
@@ -401,10 +500,8 @@ func TestNodeFencingVisitsInIDOrder(t *testing.T) {
 	if !reflect.DeepEqual(journaled, wantFenced) {
 		t.Errorf("task-rescheduled records in order %v, want %v", journaled, wantFenced)
 	}
-	queued := append(requestQueue(nil), b.c.rm.queue...)
-	sort.Slice(queued, func(i, j int) bool { return queued[i].seq < queued[j].seq })
 	var requested []string
-	for _, req := range queued {
+	for _, req := range waitingOrder(b.c.rm) {
 		requested = append(requested, req.task.spec.ID.String())
 	}
 	if !reflect.DeepEqual(requested, wantFenced) {
@@ -425,9 +522,9 @@ func TestNodeFencingVisitsInIDOrder(t *testing.T) {
 // GIVEN a full cluster whose queue holds only requests that can neither be
 // placed nor preempt anything (nothing running has lower priority),
 // WHEN the RM runs an allocation pass, with the flight recorder off and on,
-// THEN the pass allocates nothing: the skipped list is RM-owned scratch,
-// the victim scan keeps one incumbent, and the journal is consulted only
-// once a victim exists.
+// THEN the pass allocates nothing: it keeps what it cannot serve in place in
+// the FIFOs it walks, the victim scan keeps one incumbent, and the journal
+// is consulted only once a victim exists.
 func TestFruitlessPassAllocatesNothing(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -450,12 +547,11 @@ func TestFruitlessPassAllocatesNothing(t *testing.T) {
 			for i := 0; i < 40; i++ {
 				b.c.rm.RequestContainer(b.task(cluster.TaskID{Job: 2, Index: int32(i)}, cluster.Priority(i%6), cluster.GiB(1)), i%5-1, now)
 			}
-			b.c.rm.pass(now) // sizes the scratch
 			if allocs := testing.AllocsPerRun(50, func() { b.c.rm.pass(now) }); allocs != 0 {
 				t.Errorf("a pass that places and preempts nothing allocates %.0f objects", allocs)
 			}
-			if len(b.c.rm.queue) != 40 || b.c.res.Preemptions != 0 {
-				t.Errorf("pass moved the books: %d queued, %d preemptions", len(b.c.rm.queue), b.c.res.Preemptions)
+			if n := len(waitingOrder(b.c.rm)); n != 40 || b.c.res.Preemptions != 0 {
+				t.Errorf("pass moved the books: %d queued, %d preemptions", n, b.c.res.Preemptions)
 			}
 			if tc.rec != nil && tc.rec.Seq() != 0 {
 				t.Errorf("%d records journaled by fruitless passes", tc.rec.Seq())

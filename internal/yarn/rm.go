@@ -2,7 +2,7 @@ package yarn
 
 import (
 	"cmp"
-	"container/heap"
+	"fmt"
 	"slices"
 	"time"
 
@@ -19,60 +19,40 @@ type request struct {
 	// home); -1 means no preference.
 	preferred int
 	queuedAt  sim.Time
-	seq       uint64
 	// reservedOn holds the node where victims are vacating for this
 	// request.
 	reservedOn *NodeManager
 }
 
-type requestQueue []*request
-
-func (q requestQueue) Len() int { return len(q) }
-func (q requestQueue) Less(i, j int) bool {
-	if q[i].task.spec.Priority != q[j].task.spec.Priority {
-		return q[i].task.spec.Priority > q[j].task.spec.Priority
-	}
-	if q[i].queuedAt != q[j].queuedAt {
-		return q[i].queuedAt < q[j].queuedAt
-	}
-	return q[i].seq < q[j].seq
-}
-func (q requestQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *requestQueue) Push(x any)   { *q = append(*q, x.(*request)) }
-func (q *requestQueue) Pop() any {
-	old := *q
-	n := len(old)
-	r := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return r
-}
+// scanLimit bounds the requests one allocation pass examines.
+const scanLimit = 256
 
 // ResourceManager arbitrates container slots across NodeManagers: it
 // grants free slots to the highest-priority pending requests and, under
 // contention, dispatches ContainerPreemptEvents for lower-priority
 // containers (cost-aware under the adaptive policy).
 type ResourceManager struct {
-	c           *Cluster
-	queue       requestQueue
-	seq         uint64
+	c *Cluster
+	// waiting holds one FIFO of outstanding requests per priority. Every
+	// request is stamped with its handler's clock, which never runs
+	// backwards, so each FIFO is in queuedAt order.
+	waiting     [cluster.MaxPriority + 1][]*request
 	passPending bool
-	// scanLimit bounds requests examined per allocation pass.
-	scanLimit int
-	// skipScratch backs pass's list of requests it could not serve.
-	skipScratch []*request
 }
 
 func newResourceManager(c *Cluster) *ResourceManager {
-	return &ResourceManager{c: c, scanLimit: 256}
+	return &ResourceManager{c: c}
 }
 
 // RequestContainer enqueues a container request (step 1/5 of the paper's
-// Fig. 7 protocol).
+// Fig. 7 protocol) at the tail of its priority's FIFO. One stamped before
+// that tail would belong in the middle, so it panics instead.
 func (rm *ResourceManager) RequestContainer(t *taskRun, preferred int, now sim.Time) {
-	req := &request{task: t, preferred: preferred, queuedAt: now, seq: rm.seq}
-	rm.seq++
-	heap.Push(&rm.queue, req)
+	q := &rm.waiting[t.spec.Priority]
+	if n := len(*q); n > 0 && now < (*q)[n-1].queuedAt {
+		panic(fmt.Sprintf("yarn: task %v requested at %v, before its FIFO's tail at %v", t.spec.ID, now, (*q)[n-1].queuedAt))
+	}
+	*q = append(*q, &request{task: t, preferred: preferred, queuedAt: now})
 	rm.schedulePass(now)
 }
 
@@ -88,26 +68,35 @@ func (rm *ResourceManager) schedulePass(now sim.Time) {
 	}))
 }
 
+// pass examines at most scanLimit waiting requests, from the highest
+// priority down, oldest first. It reads each FIFO live: a kill's
+// re-request has lower priority than the request that caused it, so it
+// joins a FIFO the pass has yet to reach. A served request leaves its
+// FIFO; the rest keep their order and slide up against the part not
+// reached, so the upkeep costs the requests visited, not the queue.
 func (rm *ResourceManager) pass(now sim.Time) {
-	scanned := 0
-	skipped := rm.skipScratch[:0]
-	for len(rm.queue) > 0 && scanned < rm.scanLimit {
-		req := heap.Pop(&rm.queue).(*request)
-		scanned++
-		if rm.place(req, now) {
-			continue
-		}
-		if req.reservedOn == nil && rm.c.cfg.Policy != core.PolicyWait && rm.preemptFor(req, now) {
-			if rm.place(req, now) {
-				continue
+	budget := scanLimit
+	for p := len(rm.waiting) - 1; p >= 0 && budget > 0; p-- {
+		kept, i := 0, 0
+		for ; i < len(rm.waiting[p]) && budget > 0; i++ {
+			budget--
+			req := rm.waiting[p][i]
+			served := rm.place(req, now) ||
+				req.reservedOn == nil && rm.c.cfg.Policy != core.PolicyWait && rm.preemptFor(req, now) && rm.place(req, now)
+			if !served {
+				rm.waiting[p][kept] = req
+				kept++
 			}
 		}
-		skipped = append(skipped, req)
+		if q := rm.waiting[p]; i < len(q) {
+			copy(q[i-kept:], q[:kept])
+			clear(q[:i-kept])
+			rm.waiting[p] = q[i-kept:]
+		} else {
+			clear(q[kept:]) // walked to the end: the kept ones stand in front
+			rm.waiting[p] = q[:kept]
+		}
 	}
-	for _, req := range skipped {
-		heap.Push(&rm.queue, req)
-	}
-	rm.skipScratch = skipped[:0]
 }
 
 // place grants a slot to req if one is available, honoring the AM's node
@@ -141,9 +130,11 @@ func (rm *ResourceManager) place(req *request, now sim.Time) bool {
 // declared dead its draining victims died with it, so the preemptors
 // waiting on those slots must compete for placement elsewhere.
 func (rm *ResourceManager) dropReservations(n *NodeManager) {
-	for _, req := range rm.queue {
-		if req.reservedOn == n {
-			rm.unreserve(req)
+	for _, q := range rm.waiting {
+		for _, req := range q {
+			if req.reservedOn == n {
+				rm.unreserve(req)
+			}
 		}
 	}
 	n.Reserved = cluster.Resources{}

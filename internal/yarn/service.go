@@ -48,11 +48,13 @@ const serviceStepBatch = 256
 // while the engine executes, instead of being fixed up front as in Run. A
 // job enters in two steps — Reserve, the admission verdict, then a send on
 // the admission queue the service was built with — and one loop goroutine
-// owns the virtual clock: it alternates between receiving from that queue
-// and stepping the engine in bounded batches, so arrivals interleave with
-// execution. The DFS underneath is the real TCP transport: checkpoint dumps
-// and restores are genuine RPCs against per-node listeners, subject to
-// Config.Faults.
+// owns the engine: it alternates between receiving from that queue and
+// stepping the engine in bounded batches, so arrivals interleave with
+// execution. No other goroutine touches the engine: Now reads the clock
+// the loop publishes after each batch, and Close reads the engine only
+// once the loop has exited. The DFS underneath is the real TCP transport:
+// checkpoint dumps and restores are genuine RPCs against per-node
+// listeners, subject to Config.Faults.
 //
 // Virtual time runs ahead of real time (the engine never sleeps), so a
 // job's virtual response says what the paper's policies would deliver,
@@ -71,9 +73,9 @@ type Service struct {
 	stopCh chan struct{}
 	doneCh chan struct{}
 
-	// mu is the engine's: the loop holds it to admit or step, Now to read
-	// the clock.
-	mu sync.Mutex
+	// now is the engine clock the loop publishes after each batch of
+	// steps, for Now.
+	now atomic.Int64
 
 	// The admission ledger, under hmu. seen holds every job ID ever
 	// reserved: IDs are unique for the service's lifetime, so a resubmitted
@@ -174,13 +176,10 @@ func (s *Service) complete(done JobDone) {
 // InFlight reports how many admitted jobs have not completed.
 func (s *Service) InFlight() int { return int(s.inFlight.Load()) }
 
-// Now reports the engine's virtual clock. It is a snapshot for reporting;
-// by the time the caller reads it the loop may have advanced.
-func (s *Service) Now() sim.Time {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.c.engine.Now()
-}
+// Now reports the engine's virtual clock as of the loop's last batch of
+// steps. It is a snapshot for reporting; by the time the caller reads it
+// the loop may have advanced.
+func (s *Service) Now() sim.Time { return sim.Time(s.now.Load()) }
 
 // loop owns the engine: while it has events to fire it admits at most one
 // job from in (stamped at virtual now) per bounded batch of them, so
@@ -194,7 +193,7 @@ func (s *Service) loop(in <-chan cluster.JobSpec, stop <-chan struct{}) {
 		if s.inFlight.Load() >= s.maxInFlight {
 			recv = nil // only a completion makes room
 		}
-		if s.pending() > 0 {
+		if s.c.engine.Pending() > 0 {
 			select {
 			case spec, ok := <-recv:
 				if ok {
@@ -226,8 +225,6 @@ func (s *Service) loop(in <-chan cluster.JobSpec, stop <-chan struct{}) {
 
 // admit schedules one job at virtual now. Runs on the engine goroutine.
 func (s *Service) admit(spec cluster.JobSpec) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	now := s.c.engine.Now()
 	// The wire has no virtual clock: a job arrives the instant the engine
 	// sees it, so its response time measures queueing + execution from
@@ -240,18 +237,11 @@ func (s *Service) admit(spec cluster.JobSpec) {
 	newAppMaster(s.c, &spec).submit(now)
 }
 
-func (s *Service) pending() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.c.engine.Pending()
-}
-
 func (s *Service) stepBatch() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for i := 0; i < serviceStepBatch && s.c.engine.Pending() > 0; i++ {
 		s.c.engine.Step()
 	}
+	s.now.Store(int64(s.c.engine.Now()))
 }
 
 // Close drains the service — Reserve refuses from now on, whatever is

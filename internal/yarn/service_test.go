@@ -2,6 +2,7 @@ package yarn
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"preemptsched/internal/cluster"
 	"preemptsched/internal/core"
 	"preemptsched/internal/faults"
+	"preemptsched/internal/sim"
 	"preemptsched/internal/storage"
 )
 
@@ -269,5 +271,66 @@ func TestHorizonLedger(t *testing.T) {
 	}
 	if err := reserve(8, 1, 53*year); err != nil {
 		t.Fatalf("53 years from a clock at 20 with nothing booked: %v", err)
+	}
+}
+
+// GIVEN a service streaming jobs in while a second goroutine polls Now,
+// WHEN the loop runs them to completion and Close returns,
+// THEN no value polled is less than the one before it or greater than the
+// run's makespan, and once Close has returned Now is the makespan: the
+// loop publishes the engine clock after each batch of steps, and its last
+// batch is the one that ran the engine dry.
+func TestServiceNowFollowsTheLoop(t *testing.T) {
+	s, err := startService(serviceConfig(core.PolicyCheckpoint), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type polled struct {
+		n, distinct int
+		last        sim.Time
+		backwards   string
+	}
+	stop, out := make(chan struct{}), make(chan polled)
+	go func() {
+		var p polled
+		for {
+			now := s.Now()
+			if now < p.last && p.backwards == "" {
+				p.backwards = fmt.Sprintf("Now read %v after %v", now, p.last)
+			}
+			if p.n == 0 || now != p.last {
+				p.distinct++
+			}
+			p.n++
+			p.last = now
+			select {
+			case <-stop:
+				out <- p
+				return
+			default:
+				runtime.Gosched()
+			}
+		}
+	}()
+	for i := 0; i < 24; i++ {
+		if err := s.submit(serviceJob(cluster.JobID(i), cluster.Priority(i%11), 3, 30*time.Second)); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+	}
+	res, err := s.Close()
+	if err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	close(stop)
+	p := <-out
+	t.Logf("%d reads, %d distinct values", p.n, p.distinct)
+	if p.backwards != "" {
+		t.Error(p.backwards)
+	}
+	if makespan := sim.Time(res.Makespan); p.last > makespan {
+		t.Errorf("Now read %v, past the makespan %v", p.last, makespan)
+	}
+	if got, want := s.Now(), sim.Time(res.Makespan); got != want || want == 0 {
+		t.Errorf("Now after Close = %v, want the makespan %v", got, want)
 	}
 }
