@@ -40,13 +40,14 @@
 // matrix on a bounded worker pool (-parallel, default one worker per CPU)
 // and prints a canonical policy-major summary table. Per-combination
 // reports land next to -report-json ("r.json" -> "r-kill-ssd.json").
-// The live-endpoint flags (-metrics-addr, -pprof-addr, -trace-out) apply
-// to single runs only.
+// The live-endpoint flags (-metrics-addr, -trace-out) apply to single
+// runs only.
 //
 // Observability flags:
 //
-//	-metrics-addr :9090   serve Prometheus text (/metrics) and JSON
-//	                      (/metrics.json) over HTTP during the run
+//	-metrics-addr :9090   serve Prometheus text (/metrics), JSON
+//	                      (/metrics.json) and net/http/pprof
+//	                      (/debug/pprof/) over HTTP during the run
 //	-metrics-linger 30s   keep the endpoint up after the run ends
 //	-trace-out run.json   write a Chrome trace_event file (load in
 //	                      Perfetto / chrome://tracing)
@@ -54,7 +55,6 @@
 //	                      with cmd/explain)
 //	-report-json r.json   write the machine-readable run report
 //	                      (schema: docs/report.schema.json)
-//	-pprof-addr :6060     serve net/http/pprof
 //
 // Both -trace-out and -journal-out publish through a temp file and an
 // atomic rename, so an abort mid-run never leaves a torn artifact behind.
@@ -108,9 +108,8 @@ func run() error {
 	flag.Float64Var(&plan.BitFlipRate, "fault-bitflip-rate", 0, "probability a stored block replica gets a flipped bit")
 	flag.IntVar(&plan.BitFlipMaxPerBlock, "fault-bitflip-max", 0, "max replicas of one block that may be bit-flipped (0 = default 1, a strict minority under 3-way replication)")
 	flag.Float64Var(&plan.SilentTruncateRate, "fault-truncate-rate", 0, "probability a checkpoint write is silently truncated (write still reports success)")
-	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus text and JSON metrics on this HTTP address (e.g. :9090)")
+	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus text and JSON metrics, and net/http/pprof, on this HTTP address (e.g. :9090)")
 	metricsLinger := flag.Duration("metrics-linger", 0, "keep the metrics endpoint alive this long after the run ends")
-	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this HTTP address")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace_event JSON file of the run")
 	journalOut := flag.String("journal-out", "", "write the decision-provenance journal to this file (read with cmd/explain)")
 	reportJSON := flag.String("report-json", "", "write the machine-readable run report to this file")
@@ -144,8 +143,8 @@ func run() error {
 	}
 
 	if len(policies)*len(kinds) > 1 {
-		if *metricsAddr != "" || *pprofAddr != "" || *traceOut != "" || *journalOut != "" {
-			return fmt.Errorf("-metrics-addr, -pprof-addr, -trace-out and -journal-out apply to single runs, not sweeps")
+		if *metricsAddr != "" || *traceOut != "" || *journalOut != "" {
+			return fmt.Errorf("-metrics-addr, -trace-out and -journal-out apply to single runs, not sweeps")
 		}
 		return runSweepMode(sweepSpecs(policies, kinds), *parallel, makeRun, *reportJSON)
 	}
@@ -174,15 +173,7 @@ func run() error {
 			return fmt.Errorf("metrics endpoint: %w", err)
 		}
 		defer stop()
-		fmt.Printf("metrics: http://%s/metrics (text), /metrics.json (JSON)\n", addr)
-	}
-	if *pprofAddr != "" {
-		addr, stop, err := obs.ServePprof(*pprofAddr)
-		if err != nil {
-			return fmt.Errorf("pprof endpoint: %w", err)
-		}
-		defer stop()
-		fmt.Printf("pprof:   http://%s/debug/pprof/\n", addr)
+		fmt.Printf("metrics: http://%s/metrics (text), /metrics.json (JSON), /debug/pprof/\n", addr)
 	}
 
 	total := 0

@@ -16,8 +16,8 @@
 // periodically re-verify all stored blocks against their checksums,
 // evicting and reporting corrupt replicas for re-replication.
 //
-// Both daemons accept -metrics-addr (Prometheus text on /metrics, JSON on
-// /metrics.json) and -pprof-addr (net/http/pprof).
+// Both daemons accept -metrics-addr: Prometheus text on /metrics, JSON on
+// /metrics.json and net/http/pprof under /debug/pprof/, on one listener.
 //
 //	dfs put       -namenode host:9000 local-file /dfs/path
 //	dfs get       -namenode host:9000 /dfs/path local-file
@@ -42,8 +42,8 @@ import (
 
 // closeOnSignal closes l when SIGINT/SIGTERM arrives, which makes
 // dfs.Serve return nil — a clean shutdown whose deferred stops (metrics
-// and pprof servers, transports, heartbeat/scrub tickers) actually run,
-// instead of the process dying with every listener and goroutine leaked.
+// server, transports, heartbeat/scrub tickers) actually run, instead of
+// the process dying with every listener and goroutine leaked.
 // The returned stop function cancels the watcher on the normal path.
 func closeOnSignal(l net.Listener) func() {
 	sig := make(chan os.Signal, 1)
@@ -61,32 +61,18 @@ func closeOnSignal(l net.Listener) func() {
 	return func() { close(done) }
 }
 
-// serveObs starts the optional metrics and pprof endpoints of a daemon
-// and returns a stop function that shuts both down.
-func serveObs(metricsAddr, pprofAddr string, reg *obs.Registry) (func(), error) {
-	var stops []func()
-	stopAll := func() {
-		for _, stop := range stops {
-			stop()
-		}
+// serveObs starts a daemon's optional metrics endpoint, which serves
+// net/http/pprof too, and returns a stop function that shuts it down.
+func serveObs(metricsAddr string, reg *obs.Registry) (func(), error) {
+	if metricsAddr == "" {
+		return func() {}, nil
 	}
-	if metricsAddr != "" {
-		addr, stop, err := obs.ServeMetrics(metricsAddr, reg, "preemptsched")
-		if err != nil {
-			return stopAll, fmt.Errorf("metrics endpoint: %w", err)
-		}
-		stops = append(stops, stop)
-		fmt.Printf("metrics on http://%s/metrics\n", addr)
+	addr, stop, err := obs.ServeMetrics(metricsAddr, reg, "preemptsched")
+	if err != nil {
+		return nil, fmt.Errorf("metrics endpoint: %w", err)
 	}
-	if pprofAddr != "" {
-		addr, stop, err := obs.ServePprof(pprofAddr)
-		if err != nil {
-			return stopAll, fmt.Errorf("pprof endpoint: %w", err)
-		}
-		stops = append(stops, stop)
-		fmt.Printf("pprof on http://%s/debug/pprof/\n", addr)
-	}
-	return stopAll, nil
+	fmt.Printf("metrics on http://%s/metrics, pprof on /debug/pprof/\n", addr)
+	return stop, nil
 }
 
 // every runs fn each interval until stop is closed: the one loop behind
@@ -137,8 +123,7 @@ func runNameNode(args []string) error {
 	sweep := fs.Duration("sweep-interval", 10*time.Second, "how often to sweep dead datanodes")
 	journalDir := fs.String("journal-dir", "", "directory for the write-ahead edit log and fsimage snapshots (empty = volatile namespace)")
 	fsimageEvery := fs.Int("fsimage-every", 1000, "save an fsimage snapshot after this many journaled edits (0 = only at startup replay)")
-	metricsAddr := fs.String("metrics-addr", "", "serve Prometheus text and JSON metrics on this HTTP address")
-	pprofAddr := fs.String("pprof-addr", "", "serve net/http/pprof on this HTTP address")
+	metricsAddr := fs.String("metrics-addr", "", "serve Prometheus text and JSON metrics, and net/http/pprof, on this HTTP address")
 	fs.Parse(args)
 
 	l, err := net.Listen("tcp", *listen)
@@ -160,7 +145,7 @@ func runNameNode(args []string) error {
 		nn.SetCheckpointEvery(*fsimageEvery)
 		fmt.Printf("journal attached at %s (%d edits replayed)\n", *journalDir, replayed)
 	}
-	stopObs, err := serveObs(*metricsAddr, *pprofAddr, reg)
+	stopObs, err := serveObs(*metricsAddr, reg)
 	if err != nil {
 		return err
 	}
@@ -191,8 +176,7 @@ func runDataNode(args []string) error {
 	heartbeat := fs.Duration("heartbeat", 5*time.Second, "heartbeat interval (0 disables)")
 	scrubEvery := fs.Duration("scrub-interval", 10*time.Minute, "re-verify all stored blocks against their checksums this often (0 disables)")
 	blockReport := fs.Duration("block-report", time.Minute, "send a full block report this often (0 disables; one is always sent at startup)")
-	metricsAddr := fs.String("metrics-addr", "", "serve Prometheus text and JSON metrics on this HTTP address")
-	pprofAddr := fs.String("pprof-addr", "", "serve net/http/pprof on this HTTP address")
+	metricsAddr := fs.String("metrics-addr", "", "serve Prometheus text and JSON metrics, and net/http/pprof, on this HTTP address")
 	fs.Parse(args)
 	if *id == "" {
 		return fmt.Errorf("datanode requires -id")
@@ -226,7 +210,7 @@ func runDataNode(args []string) error {
 	dn := dfs.NewDataNode(info, transport)
 	reg := obs.NewRegistry()
 	dn.Instrument(reg)
-	stopObs, err := serveObs(*metricsAddr, *pprofAddr, reg)
+	stopObs, err := serveObs(*metricsAddr, reg)
 	if err != nil {
 		return err
 	}

@@ -59,7 +59,7 @@ func runDensity(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *pprofAddr != "" {
-		addr, stop, err := obs.ServePprof(*pprofAddr)
+		addr, stop, err := obs.ServeMetrics(*pprofAddr, nil, "")
 		if err != nil {
 			return err
 		}

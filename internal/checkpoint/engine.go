@@ -234,15 +234,6 @@ func infoFromHeader(name string, h *Header, stored int64) *ImageInfo {
 	}
 }
 
-// ReadInfo inspects an image without restoring it.
-func ReadInfo(store storage.Store, name string) (*ImageInfo, error) {
-	h, d, err := scanImage(store, name, false, scratch)
-	if err != nil {
-		return nil, err
-	}
-	return infoFromHeader(name, h, d.size), nil
-}
-
 // pageRec is one page record of a link, retained until the link may be
 // applied.
 type pageRec struct {
@@ -325,16 +316,16 @@ type link struct {
 
 // readChain walks the chain ending at name from tip to base, following
 // each image's parent pointer, and returns the links tip-first. Every
-// image is opened and read exactly once and must decode with a clean CRC;
-// with verify set every manifest is opened exactly once too, ahead of the
+// image is opened and read exactly once and must decode with a clean CRC.
+// With verify set every manifest is opened exactly once too, ahead of the
 // image whose size it vouches for, and its verdict recorded in the link, to
 // be acted on base-first by the caller — so a corrupt link anywhere in the
-// chain is reported as ErrCorrupt ahead of any ErrVerifyFailed. With
-// keepPages set the links retain their pages, up to the first link that
-// fails verification: nothing at or above it may be applied, so nothing
-// more is held.
-func readChain(store storage.Store, name string, verify, keepPages bool) ([]link, error) {
+// chain is reported as ErrCorrupt ahead of any ErrVerifyFailed — and the
+// links retain their pages, up to the first link that fails verification:
+// nothing at or above it may be applied, so nothing more is held.
+func readChain(store storage.Store, name string, verify bool) ([]link, error) {
 	var links []link
+	keepPages := verify
 	held := int64(0) // page bytes the links so far keep in arenas
 	seen := make(map[string]bool)
 	for cur := name; cur != ""; {
@@ -389,7 +380,7 @@ func readChain(store storage.Store, name string, verify, keepPages bool) ([]link
 // (callers such as RemoveChain act destructively on the result and must not
 // follow an unchecked parent pointer), but no page is retained.
 func Chain(store storage.Store, name string) ([]string, error) {
-	links, err := readChain(store, name, false, false)
+	links, err := readChain(store, name, false)
 	if err != nil {
 		return nil, err
 	}
@@ -410,7 +401,7 @@ func Chain(store storage.Store, name string) ([]string, error) {
 // when its bytes differ from the manifest, ErrCorrupt when it does not
 // belong to this chain.
 func rebuild(store storage.Store, name string) ([]link, *space, error) {
-	links, err := readChain(store, name, true, true)
+	links, err := readChain(store, name, true)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -325,7 +325,9 @@ func TestRestoreDetectsTruncation(t *testing.T) {
 	}
 }
 
-func TestReadInfo(t *testing.T) {
+// TestRestoreReportsImageInfo: the ImageInfo Restore returns describes the
+// image it read — identity, progress, records and the stored object's size.
+func TestRestoreReportsImageInfo(t *testing.T) {
 	e := newTestEngine(t)
 	store := storage.NewMemStore()
 	p := newFillProc(t, 8, 10, 1)
@@ -334,7 +336,7 @@ func TestReadInfo(t *testing.T) {
 	if _, err := e.Dump(p, store, "img", DumpOpts{}); err != nil {
 		t.Fatal(err)
 	}
-	info, err := ReadInfo(store, "img")
+	_, info, err := e.Restore(store, "img")
 	if err != nil {
 		t.Fatal(err)
 	}

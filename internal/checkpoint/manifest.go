@@ -37,10 +37,6 @@ var ErrNoManifest = errors.New("checkpoint: image has no manifest")
 // ManifestName returns the manifest object name for an image name.
 func ManifestName(image string) string { return image + ManifestSuffix }
 
-// IsManifestName reports whether an object name is an image manifest —
-// lets image listings skip the sidecars.
-func IsManifestName(name string) bool { return strings.HasSuffix(name, ManifestSuffix) }
-
 // hashWriter tees writes into a running SHA-256.
 type hashWriter struct {
 	w io.Writer
@@ -116,39 +112,6 @@ func checkManifest(image string, got imageDigest, wantSum string, wantSize int64
 	}
 	if sum := hex.EncodeToString(got.sum[:]); sum != wantSum {
 		return fmt.Errorf("%w: image %q: sha256 %s, manifest says %s", ErrVerifyFailed, image, sum, wantSum)
-	}
-	return nil
-}
-
-// VerifyImage checks an image's stored bytes against its manifest:
-// nil when the bytes are exactly what the dump published, ErrNoManifest
-// when no manifest exists, ErrVerifyFailed (wrapped) on any mismatch. An
-// image that cannot be read or decoded is not what a dump published, so
-// it fails verification too.
-func VerifyImage(store storage.Store, image string) error {
-	wantSum, wantSize, err := readManifest(store, image)
-	if err != nil {
-		return err
-	}
-	_, got, err := scanImage(store, image, true, scratch)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrVerifyFailed, err)
-	}
-	return checkManifest(image, got, wantSum, wantSize)
-}
-
-// VerifyChain verifies every image of the chain ending at name, reading
-// each image and each manifest once. Images without manifests pass (legacy
-// dumps); any byte mismatch fails.
-func VerifyChain(store storage.Store, name string) error {
-	links, err := readChain(store, name, true, false)
-	if err != nil {
-		return err
-	}
-	for i := len(links) - 1; i >= 0; i-- {
-		if links[i].verr != nil {
-			return links[i].verr
-		}
 	}
 	return nil
 }

@@ -34,7 +34,7 @@ func mutateObject(t *testing.T, store storage.Store, name string, fn func([]byte
 }
 
 // TestDumpWritesManifest: every dump publishes a sidecar manifest and the
-// freshly written image verifies against it.
+// freshly written image restores against it.
 func TestDumpWritesManifest(t *testing.T) {
 	e := newTestEngine(t)
 	store := storage.NewMemStore()
@@ -47,72 +47,8 @@ func TestDumpWritesManifest(t *testing.T) {
 	if _, err := store.Size(ManifestName("img")); err != nil {
 		t.Fatalf("no manifest published: %v", err)
 	}
-	if err := VerifyImage(store, "img"); err != nil {
-		t.Fatalf("fresh image fails verification: %v", err)
-	}
-	if err := VerifyChain(store, "img"); err != nil {
-		t.Fatalf("fresh chain fails verification: %v", err)
-	}
-	if !IsManifestName(ManifestName("img")) || IsManifestName("img") {
-		t.Error("IsManifestName misclassifies")
-	}
-}
-
-// TestVerifyImageCatchesSameLengthSwap: the case the internal CRC cannot
-// catch — the stored object is replaced wholesale by different but
-// self-consistent bytes of the same length.
-func TestVerifyImageCatchesSameLengthSwap(t *testing.T) {
-	e := newTestEngine(t)
-	store := storage.NewMemStore()
-
-	// Two different dumps of the same process shape.
-	p := newFillProc(t, 8, 20, 2)
-	stepN(t, p, 3)
-	p.Suspend()
-	if _, err := e.Dump(p, store, "a", DumpOpts{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.ResumeInPlace(); err != nil {
-		t.Fatal(err)
-	}
-	stepN(t, p, 3)
-	p.Suspend()
-	if _, err := e.Dump(p, store, "b", DumpOpts{}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Replay image b's bytes under image a's name: internally consistent
-	// (valid header, valid CRC), so only the manifest can notice.
-	r, err := store.Open("b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	stolen, _ := io.ReadAll(r)
-	r.Close()
-	mutateObject(t, store, "a", func([]byte) []byte { return stolen })
-
-	if _, _, err := scanImage(store, "a", false, scratch); err != nil {
-		t.Fatalf("replayed object is not self-consistent, test premise broken: %v", err)
-	}
-	if err := VerifyImage(store, "a"); !errors.Is(err, ErrVerifyFailed) {
-		t.Fatalf("VerifyImage = %v, want ErrVerifyFailed on silent replacement", err)
-	}
-}
-
-// TestVerifyImageCatchesTruncation: silent truncation (size mismatch) and
-// bit rot (hash mismatch) both fail verification.
-func TestVerifyImageCatchesTruncation(t *testing.T) {
-	e := newTestEngine(t)
-	store := storage.NewMemStore()
-	p := newFillProc(t, 8, 20, 2)
-	stepN(t, p, 5)
-	p.Suspend()
-	if _, err := e.Dump(p, store, "img", DumpOpts{}); err != nil {
-		t.Fatal(err)
-	}
-	mutateObject(t, store, "img", func(b []byte) []byte { return b[:len(b)-9] })
-	if err := VerifyImage(store, "img"); !errors.Is(err, ErrVerifyFailed) {
-		t.Fatalf("truncated image: VerifyImage = %v, want ErrVerifyFailed", err)
+	if _, _, err := e.Restore(store, "img"); err != nil {
+		t.Fatalf("fresh image fails verified restore: %v", err)
 	}
 }
 
@@ -145,6 +81,9 @@ func TestRestoreRefusesUnverifiableImage(t *testing.T) {
 	stolen, _ := io.ReadAll(r)
 	r.Close()
 	mutateObject(t, store, "a", func([]byte) []byte { return stolen })
+	if _, _, err := scanImage(store, "a", false, scratch); err != nil {
+		t.Fatalf("replayed object is not self-consistent, test premise broken: %v", err)
+	}
 	if _, _, err := e.Restore(store, "a"); !errors.Is(err, ErrVerifyFailed) {
 		t.Fatalf("Restore of silently replaced image = %v, want ErrVerifyFailed", err)
 	}
@@ -164,9 +103,6 @@ func TestRestoreWithoutManifestStillWorks(t *testing.T) {
 	}
 	if err := store.Remove(ManifestName("img")); err != nil {
 		t.Fatal(err)
-	}
-	if err := VerifyImage(store, "img"); !errors.Is(err, ErrNoManifest) {
-		t.Fatalf("VerifyImage = %v, want ErrNoManifest", err)
 	}
 	restored, info, err := e.Restore(store, "img")
 	if err != nil {

@@ -15,8 +15,9 @@ import (
 
 // The three-pass restore this package used before the read path became
 // read-once, kept as a test-only reference: Chain decodes every link to
-// follow Parent, VerifyImage streams each link for SHA-256, readImage
-// streams it again for CRC and pages, ReadInfo decodes the tip once more.
+// follow Parent, refVerifyImage streams each link for SHA-256,
+// refReadImage streams it again for CRC and pages, refReadInfo decodes the
+// tip once more.
 // TestRestoreMatchesReference holds Engine.Restore to its outcomes. Do not
 // "fix" or share code with it: it is useful only as long as it stays what
 // shipped.

@@ -167,9 +167,6 @@ func TestJobAggregates(t *testing.T) {
 		Duration:     2 * time.Minute,
 		Submit:       time.Second,
 	})
-	if got := j.TotalDemand(); got.CPUMillis != Cores(3) || got.MemBytes != GiB(3) {
-		t.Errorf("TotalDemand = %v", got)
-	}
 	if got := j.TotalWork(); got != 3*time.Minute {
 		t.Errorf("TotalWork = %v", got)
 	}

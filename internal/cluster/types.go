@@ -121,15 +121,6 @@ type JobSpec struct {
 // Band returns the job's priority band.
 func (j *JobSpec) Band() Band { return BandOf(j.Priority) }
 
-// TotalDemand sums the resource demand of the job's tasks.
-func (j *JobSpec) TotalDemand() Resources {
-	var r Resources
-	for i := range j.Tasks {
-		r = r.Add(j.Tasks[i].Demand)
-	}
-	return r
-}
-
 // TotalWork sums task durations; this is the job's core-seconds of useful
 // compute at one core per task, and the time one slot would need for it.
 // Durations are positive in a valid spec, so a sum that wrapped is negative:
@@ -146,12 +137,6 @@ func (j *JobSpec) TotalWork() time.Duration {
 
 // NodeID identifies a machine.
 type NodeID int32
-
-// NodeSpec describes a machine's capacity.
-type NodeSpec struct {
-	ID       NodeID
-	Capacity Resources
-}
 
 // Validate checks internal consistency of a job spec.
 func (j *JobSpec) Validate() error {

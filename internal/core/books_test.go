@@ -309,11 +309,11 @@ func requireSameBooks(t *testing.T, data []byte, cov *ledgerCoverage) {
 				t.Fatalf("step %d: container availability with own: %v, reference %v", step, got, want)
 			}
 		}
-		if g, w := vec.Meter.Joules(), vref.meter.Joules(); math.Float64bits(g) != math.Float64bits(w) {
-			t.Fatalf("step %d: vector meter %v J, reference %v J", step, g, w)
+		if g, w := vec.Meter.KWh(), vref.meter.KWh(); math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("step %d: vector meter %v kWh, reference %v kWh", step, g, w)
 		}
-		if g, w := ctr.Meter.Joules(), sref.meter.Joules(); math.Float64bits(g) != math.Float64bits(w) {
-			t.Fatalf("step %d: container meter %v J, reference %v J", step, g, w)
+		if g, w := ctr.Meter.KWh(), sref.meter.KWh(); math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("step %d: container meter %v kWh, reference %v kWh", step, g, w)
 		}
 	}
 }

@@ -37,7 +37,9 @@ type Outcome struct {
 	Kills                  int
 	Checkpoints            int
 	IncrementalCheckpoints int
-	// PreCopies counts checkpoints taken with the pre-copy optimization.
+	// PreCopies counts the pre-dumps of the pre-copy optimization. A
+	// pre-copy whose freeze dump then fails is a kill, not a checkpoint,
+	// but its pre-dump still counts here.
 	PreCopies      int
 	Restores       int
 	RemoteRestores int

@@ -65,8 +65,5 @@ func (m *Meter) Accumulate(u float64, d time.Duration) {
 	m.joules += m.model.Power(u) * d.Seconds()
 }
 
-// Joules returns the accumulated energy.
-func (m *Meter) Joules() float64 { return m.joules }
-
 // KWh returns the accumulated energy in kilowatt-hours.
 func (m *Meter) KWh() float64 { return m.joules / 3.6e6 }

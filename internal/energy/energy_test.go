@@ -27,9 +27,6 @@ func TestMeterIntegration(t *testing.T) {
 	if got := mt.KWh(); got < 0.3499 || got > 0.3501 {
 		t.Errorf("KWh = %v, want 0.35", got)
 	}
-	if got := mt.Joules(); got != 0.35*3.6e6 {
-		t.Errorf("Joules = %v", got)
-	}
 }
 
 func TestDefaultModel(t *testing.T) {

@@ -68,9 +68,6 @@ func (d *Dist) Quantile(q float64) float64 {
 	return d.xs[lo]*(1-frac) + d.xs[hi]*frac
 }
 
-// Median returns the 50th percentile.
-func (d *Dist) Median() float64 { return d.Quantile(0.5) }
-
 // CDFPoint is one (value, cumulative fraction) pair.
 type CDFPoint struct {
 	X float64
@@ -90,18 +87,4 @@ func (d *Dist) CDF(k int) []CDFPoint {
 		pts = append(pts, CDFPoint{X: d.Quantile(f), F: f})
 	}
 	return pts
-}
-
-// FractionBelow returns the fraction of samples <= x.
-func (d *Dist) FractionBelow(x float64) float64 {
-	if len(d.xs) == 0 {
-		return 0
-	}
-	d.sort()
-	i := sort.SearchFloat64s(d.xs, x)
-	// Include equal values.
-	for i < len(d.xs) && d.xs[i] <= x {
-		i++
-	}
-	return float64(i) / float64(len(d.xs))
 }

@@ -89,16 +89,3 @@ func (t *Table) String() string {
 	}
 	return b.String()
 }
-
-// CSV renders the table as comma-separated values (no quoting; experiment
-// cells never contain commas).
-func (t *Table) CSV() string {
-	var b strings.Builder
-	b.WriteString(strings.Join(t.Columns, ","))
-	b.WriteByte('\n')
-	for _, row := range t.Rows {
-		b.WriteString(strings.Join(row, ","))
-		b.WriteByte('\n')
-	}
-	return b.String()
-}

@@ -134,8 +134,11 @@ func WriteJSON(w io.Writer, snap Snapshot) error {
 	}{snap.Counters, snap.Gauges, hists})
 }
 
-// Handler serves the registry over HTTP: Prometheus text at /metrics and
-// the JSON view at /metrics.json.
+// Handler serves the registry over HTTP: Prometheus text at /metrics, the
+// JSON view at /metrics.json, and the net/http/pprof handlers under
+// /debug/pprof/, so one listener covers a process's metrics and profiles.
+// The handlers live on a private mux: importing obs does not pollute
+// http.DefaultServeMux. A nil registry serves empty snapshots.
 func (r *Registry) Handler(namespace string) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
@@ -146,6 +149,11 @@ func (r *Registry) Handler(namespace string) http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		_ = WriteJSON(w, r.Snapshot())
 	})
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }
 
@@ -157,33 +165,17 @@ func ServeMetrics(addr string, r *Registry, namespace string) (string, func(), e
 	return serveBackground(addr, r.Handler(namespace))
 }
 
-// ServePprof starts a net/http/pprof endpoint on addr in a background
-// goroutine and returns the bound address and a stop function. The
-// handlers are registered on a private mux, so importing obs does not
-// pollute http.DefaultServeMux.
-func ServePprof(addr string) (string, func(), error) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return serveBackground(addr, mux)
-}
-
-// ServeOps starts a daemon's operations endpoint on addr: the registry's
-// /metrics and /metrics.json, liveness at /healthz (200 while the
-// process serves), readiness at /readyz (503 once ready reports false —
-// a draining daemon stops being ready long before it stops being alive),
-// the registry's SLO view at /slo (the two ratios and the percentiles are
-// derived per request from the series /metrics carries), and the pprof
-// handlers for heap/goroutine deltas. One stoppable server covers
-// everything a soak harness scrapes.
+// ServeOps starts a daemon's operations endpoint on addr: everything
+// Handler serves (metrics, and pprof for heap/goroutine deltas), liveness
+// at /healthz (200 while the process serves), readiness at /readyz (503
+// once ready reports false — a draining daemon stops being ready long
+// before it stops being alive), and the registry's SLO view at /slo (the
+// two ratios and the percentiles are derived per request from the series
+// /metrics carries). One stoppable server covers everything a soak
+// harness scrapes.
 func ServeOps(addr string, r *Registry, namespace string, ready func() bool) (string, func(), error) {
 	mux := http.NewServeMux()
-	metrics := r.Handler(namespace)
-	mux.Handle("/metrics", metrics)
-	mux.Handle("/metrics.json", metrics)
+	mux.Handle("/", r.Handler(namespace))
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
@@ -201,11 +193,6 @@ func ServeOps(addr string, r *Registry, namespace string, ready func() bool) (st
 		}
 		fmt.Fprintln(w, "ready")
 	})
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return serveBackground(addr, mux)
 }
 

@@ -148,6 +148,29 @@ func TestRegistryHandler(t *testing.T) {
 	}
 }
 
+// GIVEN ServeMetrics on a nil registry, as a process with profiles but no
+// series of its own starts it,
+// WHEN pprof and /metrics are fetched from its one listener,
+// THEN both answer 200, and /metrics carries no series.
+func TestServeMetricsServesPprof(t *testing.T) {
+	addr, stop, err := ServeMetrics("127.0.0.1:0", nil, "preemptsched")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	for path, wantBody := range map[string]bool{"/debug/pprof/cmdline": true, "/metrics": false} {
+		resp, err := http.Get("http://" + addr + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || (len(body) > 0) != wantBody {
+			t.Errorf("%s = %d with %d body bytes, want 200 and a body %v", path, resp.StatusCode, len(body), wantBody)
+		}
+	}
+}
+
 func TestServeOps(t *testing.T) {
 	r := NewRegistry()
 	r.Inc("hits")

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -198,23 +197,6 @@ func (s Snapshot) Counter(name string) int64 { return s.Counters[name] }
 
 // Hist returns a histogram snapshot (zero-valued when absent).
 func (s Snapshot) Hist(name string) HistSnapshot { return s.Histograms[name] }
-
-// Names returns the sorted union of all metric names, handy for stable
-// iteration in reports and tests.
-func (s Snapshot) Names() []string {
-	var names []string
-	for n := range s.Counters {
-		names = append(names, n)
-	}
-	for n := range s.Gauges {
-		names = append(names, n)
-	}
-	for n := range s.Histograms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
 
 // Registry is a concurrency-safe registry of named counters, gauges, and
 // histograms: the one live store of a run's numbers. Metrics are created on

@@ -274,7 +274,7 @@ func TestRegistryConcurrentAddN(t *testing.T) {
 	}
 }
 
-func TestRegistryCountersAndNames(t *testing.T) {
+func TestRegistryCountersGaugesHistograms(t *testing.T) {
 	r := NewRegistry()
 	r.Inc("x")
 	r.AddN(map[string]int64{"x": 2, "y": 7})
@@ -284,15 +284,8 @@ func TestRegistryCountersAndNames(t *testing.T) {
 	if snap.Counter("x") != 3 || snap.Counter("y") != 7 {
 		t.Fatalf("counters wrong: %v", snap.Counters)
 	}
-	names := snap.Names()
-	want := []string{"g", "h", "x", "y"}
-	if len(names) != len(want) {
-		t.Fatalf("Names = %v", names)
-	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("Names = %v, want %v", names, want)
-		}
+	if len(snap.Counters) != 2 || len(snap.Gauges) != 1 || snap.Gauges["g"] != 1 || len(snap.Histograms) != 1 || snap.Hist("h").Count != 1 {
+		t.Fatalf("snapshot = %+v, want counters x and y, gauge g, histogram h", snap)
 	}
 }
 

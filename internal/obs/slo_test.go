@@ -270,7 +270,7 @@ func TestSLOIsAViewOverRegistrySeries(t *testing.T) {
 		}
 	}
 	if n := len(snap.Gauges) + len(snap.Counters) + len(snap.Histograms); n != 10 {
-		t.Errorf("the SLO registered %d series %v, want its ten and nothing derived", n, snap.Names())
+		t.Errorf("the SLO registered %d series %+v, want its ten and nothing derived", n, snap)
 	}
 	if got, want := reg.SLO().Snapshot(), s.Snapshot(); !reflect.DeepEqual(got, want) {
 		t.Errorf("a second view of the registry reads %+v, the first %+v", got, want)

@@ -68,9 +68,7 @@ type Device struct {
 	opLatency time.Duration
 
 	busyUntil sim.Time
-	queued    int
 	busy      time.Duration // cumulative device-busy time, for I/O overhead accounting
-	written   int64
 }
 
 // Calibrated effective checkpoint bandwidths (bytes/second). Derived from
@@ -164,12 +162,6 @@ func (d *Device) Label() string {
 // Kind returns the device's media class.
 func (d *Device) Kind() Kind { return d.kind }
 
-// WriteBW returns the write bandwidth in bytes/second.
-func (d *Device) WriteBW() float64 { return d.writeBW }
-
-// ReadBW returns the read bandwidth in bytes/second.
-func (d *Device) ReadBW() float64 { return d.readBW }
-
 // WriteTime returns the service time to persist n bytes, excluding
 // queueing.
 func (d *Device) WriteTime(n int64) time.Duration {
@@ -206,16 +198,13 @@ func (d *Device) Reserve(now sim.Time, service time.Duration) (start, done sim.T
 	}
 	done = start + service
 	d.busyUntil = done
-	d.queued++
 	d.busy += service
 	return start, done
 }
 
 // ReserveWrite reserves a write of n bytes and returns (start, done).
 func (d *Device) ReserveWrite(now sim.Time, n int64) (sim.Time, sim.Time) {
-	start, done := d.Reserve(now, d.WriteTime(n))
-	d.written += n
-	return start, done
+	return d.Reserve(now, d.WriteTime(n))
 }
 
 // ReserveRead reserves a read of n bytes and returns (start, done).
@@ -227,9 +216,3 @@ func (d *Device) ReserveRead(now sim.Time, n int64) (sim.Time, sim.Time) {
 // to be) serving requests. Dividing by elapsed wall time yields the I/O
 // overhead series of Fig. 12b.
 func (d *Device) BusyTime() time.Duration { return d.busy }
-
-// BytesWritten returns the cumulative bytes reserved for writing.
-func (d *Device) BytesWritten() int64 { return d.written }
-
-// Ops returns the number of reserved operations.
-func (d *Device) Ops() int { return d.queued }

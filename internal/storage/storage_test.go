@@ -77,9 +77,6 @@ func TestDeviceQueueing(t *testing.T) {
 	if d.BusyTime() != 2*time.Second {
 		t.Errorf("BusyTime = %v", d.BusyTime())
 	}
-	if d.BytesWritten() != 2e9 || d.Ops() != 2 {
-		t.Errorf("counters: written=%d ops=%d", d.BytesWritten(), d.Ops())
-	}
 }
 
 // Property: reservations never overlap and starts are monotone.
@@ -150,7 +147,7 @@ func TestNewNodeDevice(t *testing.T) {
 	}
 	for _, k := range []Kind{0, SSD, Custom} {
 		d, err := NewNodeDevice(k, 2.5e9)
-		if err != nil || d.Kind() != Custom || d.WriteBW() != 2.5e9 || d.ReadBW() != 2.5e9 || d.Label() != "2.5GB/s" {
+		if err != nil || *d != *NewCustomDevice(2.5e9, 0) || d.Label() != "2.5GB/s" {
 			t.Errorf("NewNodeDevice(%v, 2.5e9) = %+v, %v", k, d, err)
 		}
 	}
@@ -257,8 +254,8 @@ func TestMemStoreRemoveAndList(t *testing.T) {
 	if _, err := s.Open("a/1"); err == nil {
 		t.Error("removed object still readable")
 	}
-	if got := s.TotalBytes(); got != int64(len("a/2")+len("b/1")) {
-		t.Errorf("TotalBytes = %d", got)
+	if names, _ := s.List(""); len(names) != 2 || names[0] != "a/2" || names[1] != "b/1" {
+		t.Errorf("List after Remove = %v", names)
 	}
 }
 
@@ -273,12 +270,5 @@ func TestMemStoreOverwrite(t *testing.T) {
 	data, _ := io.ReadAll(r)
 	if string(data) != "second!" {
 		t.Errorf("overwrite failed: %q", data)
-	}
-}
-
-func TestNewVolume(t *testing.T) {
-	v := NewVolume(SSD)
-	if v.Store == nil || v.Device == nil || v.Device.Kind() != SSD {
-		t.Error("NewVolume incomplete")
 	}
 }

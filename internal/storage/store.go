@@ -133,27 +133,3 @@ func (s *MemStore) List(prefix string) ([]string, error) {
 	sort.Strings(names)
 	return names, nil
 }
-
-// TotalBytes returns the sum of all object sizes, used for the storage
-// overhead accounting in Section 5.3.3.
-func (s *MemStore) TotalBytes() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var n int64
-	for _, data := range s.objects {
-		n += int64(len(data))
-	}
-	return n
-}
-
-// Volume couples a byte Store with the Device that times access to it.
-type Volume struct {
-	Store  Store
-	Device *Device
-}
-
-// NewVolume returns a volume backed by a fresh MemStore on a device of the
-// given kind.
-func NewVolume(kind Kind) *Volume {
-	return &Volume{Store: NewMemStore(), Device: NewDevice(kind)}
-}

@@ -32,8 +32,6 @@ var preemptRate = [cluster.NumBands]float64{0.2026, 0.0055, 0.0102}
 // times. Index i holds P(count == i+1); the final mass is P(count >= 10).
 var evictCountDist = []float64{0.565, 0.09, 0.055, 0.04, 0.03, 0.02, 0.015, 0.008, 0.007}
 
-const evictTenPlus = 0.17
-
 // Mean task durations per band. Free-band work is the long-running,
 // repeatedly restarted population the paper highlights.
 var meanDuration = [cluster.NumBands]time.Duration{

@@ -103,18 +103,6 @@ func GenerateJobs(cfg JobsConfig) ([]cluster.JobSpec, error) {
 	return jobs, nil
 }
 
-// TotalCores sums the peak CPU demand of all tasks, in cores. Experiment
-// harnesses size simulated clusters relative to it.
-func TotalCores(jobs []cluster.JobSpec) float64 {
-	var millis int64
-	for i := range jobs {
-		for j := range jobs[i].Tasks {
-			millis += jobs[i].Tasks[j].Demand.CPUMillis
-		}
-	}
-	return float64(millis) / 1000
-}
-
 // CountTasks returns the total number of tasks across jobs.
 func CountTasks(jobs []cluster.JobSpec) int {
 	n := 0

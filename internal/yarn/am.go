@@ -581,14 +581,14 @@ func (am *AppMaster) freezeAndDump(t *taskRun, n *NodeManager, parent string, no
 	return nil
 }
 
-// bookDump books an image that was just written for real: the per-dump
-// hooks run, the image joins t's chain and the footprint accounting, and
-// the write is queued on the node's checkpoint device. preCopy says the
-// victim keeps executing through the write window; otherwise it is frozen
-// and the window is charged to its cores as overhead. It returns when the
-// write drains.
+// bookDump books an image that was just written for real: the dump counts
+// toward the scrub cadence, the image joins t's chain and the footprint
+// accounting, and the write is queued on the node's checkpoint device.
+// preCopy says the victim keeps executing through the write window;
+// otherwise it is frozen and the window is charged to its cores as
+// overhead. It returns when the write drains.
 func (am *AppMaster) bookDump(t *taskRun, n *NodeManager, name string, bytes int64, incremental, preCopy bool, now sim.Time) sim.Time {
-	am.c.afterDump(n.dfsCli, name)
+	am.c.afterDump()
 	if incremental {
 		am.recordDeltaImage(t, name, bytes)
 	} else {
@@ -671,6 +671,11 @@ func (am *AppMaster) startPreCopyCheckpoint(t *taskRun, n *NodeManager, now sim.
 			// The delta dump failed, but the pre-copy image already
 			// landed: roll the bank back to the pre-dump's step boundary
 			// and degrade to a kill — only the window's progress is lost.
+			// The preemption now counts as the kill, not as a checkpoint.
+			am.c.res.Checkpoints--
+			if opts.Incremental {
+				am.c.res.IncrementalCheckpoints--
+			}
 			preBanked := t.bankedAt(preSteps)
 			lost := max(t.banked-preBanked, 0)
 			t.banked = preBanked

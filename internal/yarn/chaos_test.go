@@ -18,6 +18,16 @@ func chaosConfig() Config {
 	return cfg
 }
 
+// requireOnePerPreemption holds a faulted run to the identity both
+// scheduler layers keep: each preemption counts once, as a kill or as a
+// checkpoint, however its dumps fared.
+func requireOnePerPreemption(t *testing.T, r *Result) {
+	t.Helper()
+	if r.Preemptions != r.Kills+r.Checkpoints {
+		t.Errorf("Preemptions %d != Kills %d + Checkpoints %d", r.Preemptions, r.Kills, r.Checkpoints)
+	}
+}
+
 // TestChaosCrashAndRPCDrops is the headline robustness scenario: one
 // DataNode crashes permanently partway through checkpoint block writes
 // while another drops 10% of its RPCs — and the full
@@ -47,6 +57,7 @@ func TestChaosCrashAndRPCDrops(t *testing.T) {
 	if err != nil {
 		t.Fatalf("chaos run did not complete: %v", err)
 	}
+	requireOnePerPreemption(t, r)
 
 	if r.Checkpoints == 0 || r.Restores == 0 {
 		t.Errorf("chaos run lost the checkpoint cycle: %d dumps, %d restores", r.Checkpoints, r.Restores)
@@ -133,6 +144,7 @@ func TestChaosBitRotConvergence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("bit-rot run did not complete: %v", err)
 	}
+	requireOnePerPreemption(t, r)
 
 	// Every read and restore succeeded: full completion, clean checksums.
 	if r.TasksCompleted != countTasks(jobs) {
@@ -213,6 +225,7 @@ func TestChaosDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		requireOnePerPreemption(t, r)
 		return r
 	}
 	a, b := run(), run()
@@ -251,6 +264,7 @@ func TestDumpFailureDegradesToKill(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run with failing dumps did not complete: %v", err)
 	}
+	requireOnePerPreemption(t, r)
 	if r.FallbackKills == 0 || r.DumpFailures == 0 {
 		t.Fatalf("no kill fallback recorded: %d fallbacks, %d dump failures", r.FallbackKills, r.DumpFailures)
 	}
@@ -299,6 +313,7 @@ func TestPreCopyDumpFailureDegradesToKill(t *testing.T) {
 	if err != nil {
 		t.Fatalf("pre-copy run with failing dumps did not complete: %v", err)
 	}
+	requireOnePerPreemption(t, r)
 	if r.FallbackKills == 0 {
 		t.Fatal("pre-copy dump failure did not degrade to a kill")
 	}
@@ -335,6 +350,7 @@ func TestTornDumpDegradesGracefully(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run with torn dumps did not complete: %v", err)
 	}
+	requireOnePerPreemption(t, r)
 	if r.DumpFailures == 0 || r.FallbackKills == 0 {
 		t.Fatalf("torn writes did not surface as dump failures: %+v faults=%v", r, r.FaultsInjected)
 	}
@@ -378,6 +394,7 @@ func TestDFSTotalsPinned(t *testing.T) {
 	if r.TasksCompleted != countTasks(jobs) {
 		t.Fatalf("completed %d of %d tasks", r.TasksCompleted, countTasks(jobs))
 	}
+	requireOnePerPreemption(t, r)
 	snap := r.Metrics
 	for _, c := range []struct {
 		name      string

@@ -2,7 +2,6 @@ package yarn
 
 import (
 	"fmt"
-	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -176,41 +175,12 @@ func (c *Cluster) buildDFS(repl int, tcp bool) error {
 	return nil
 }
 
-// afterDump runs the per-dump hooks: the corruption-injection knob and
-// the dump-counted scrub cadence.
-func (c *Cluster) afterDump(cli *dfs.Client, name string) {
+// afterDump runs the dump-counted scrub cadence.
+func (c *Cluster) afterDump() {
 	c.dumps++
-	c.maybeCorrupt(cli, name)
 	if c.cfg.ScrubEveryNDumps > 0 && c.dumps%c.cfg.ScrubEveryNDumps == 0 {
 		c.scrubAll()
 	}
-}
-
-// maybeCorrupt implements the failure-injection knob: flips one byte of
-// the freshly written image when this is the configured Nth dump.
-func (c *Cluster) maybeCorrupt(cli *dfs.Client, name string) {
-	if c.cfg.corruptNthDump == 0 || c.dumps != c.cfg.corruptNthDump {
-		return
-	}
-	r, err := cli.Open(name)
-	if err != nil {
-		return
-	}
-	data, err := io.ReadAll(r)
-	r.Close()
-	if err != nil || len(data) == 0 {
-		return
-	}
-	data[len(data)/2] ^= 0xFF
-	w, err := cli.Create(name)
-	if err != nil {
-		return
-	}
-	if _, err := w.Write(data); err != nil {
-		w.Close()
-		return
-	}
-	_ = w.Close()
 }
 
 // scrubAll runs one integrity scrub pass over every DataNode: corrupt

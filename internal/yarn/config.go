@@ -110,12 +110,6 @@ type Config struct {
 	// mode sets it; batch Run leaves it nil (the in-process transport never
 	// blocks, so there is nothing to cancel).
 	clientCtx context.Context
-	// corruptNthDump is a failure-injection knob for tests: the Nth
-	// checkpoint dump of the run has one byte flipped in its stored image.
-	// The CRC check catches it at restore time and the AM falls back down
-	// the degradation ladder (older image, then restart from scratch).
-	// 0 disables injection.
-	corruptNthDump int
 }
 
 // DefaultConfig returns the paper's cluster shape for the given policy and
@@ -238,7 +232,10 @@ type Result struct {
 	// pre-copy) that failed against the store.
 	DumpFailures int
 	// FallbackKills counts preemptions that degraded to a kill because
-	// the checkpoint dump failed. They are included in Kills.
+	// a checkpoint dump failed. They are included in Kills: each
+	// preemption counts once, as a kill or as a checkpoint, so a pre-copy
+	// whose freeze dump fails is a kill, and its landed pre-dump counts
+	// only in PreCopies.
 	FallbackKills int
 	JobsCompleted int
 

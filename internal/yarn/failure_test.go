@@ -1,13 +1,81 @@
 package yarn
 
 import (
+	"bytes"
+	"io"
+	"strings"
 	"testing"
 	"time"
 
+	"preemptsched/internal/checkpoint"
 	"preemptsched/internal/cluster"
 	"preemptsched/internal/core"
+	"preemptsched/internal/sim"
 	"preemptsched/internal/storage"
 )
+
+// imageCount numbers the checkpoint images a run stores, across all of
+// its nodes.
+type imageCount struct{ n, corrupt int }
+
+// corruptingStore is a checkpoint store that flips the middle byte of the
+// corrupt-th image the run stores: the image's CRC no longer matches, while
+// its manifest vouches for the bytes the dump meant to write.
+type corruptingStore struct {
+	storage.Store
+	count *imageCount
+}
+
+func (s corruptingStore) Create(name string) (io.WriteCloser, error) {
+	w, err := s.Store.Create(name)
+	if err != nil || strings.HasSuffix(name, checkpoint.ManifestSuffix) {
+		return w, err
+	}
+	if s.count.n++; s.count.n != s.count.corrupt {
+		return w, nil
+	}
+	return &flipWriter{w: w}, nil
+}
+
+// flipWriter holds an image until Close, then stores it with its middle
+// byte flipped.
+type flipWriter struct {
+	bytes.Buffer
+	w io.WriteCloser
+}
+
+func (f *flipWriter) Close() error {
+	data := f.Bytes()
+	data[len(data)/2] ^= 0xFF
+	if _, err := f.w.Write(data); err != nil {
+		f.w.Close()
+		return err
+	}
+	return f.w.Close()
+}
+
+// runCorrupting runs jobs on a cluster built from cfg whose nth stored
+// checkpoint image is corrupted.
+func runCorrupting(t *testing.T, cfg Config, nth int, jobs []cluster.JobSpec) *Result {
+	t.Helper()
+	c, err := newCluster(cfg, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := &imageCount{corrupt: nth}
+	for _, n := range c.nodes {
+		n.store = corruptingStore{n.store, count}
+	}
+	for i := range jobs {
+		am := newAppMaster(c, &jobs[i])
+		c.engine.At(jobs[i].Submit, sim.Handler(am.submit))
+	}
+	c.finish(c.engine.Run())
+	if count.n < nth {
+		t.Fatalf("the run stored %d images; none was corrupted", count.n)
+	}
+	return c.res
+}
 
 // TestRestoreFailureFallsBackToRestart injects a corrupted checkpoint
 // image and verifies that the CRC check catches it, the AM restarts the
@@ -25,11 +93,7 @@ func TestRestoreFailureFallsBackToRestart(t *testing.T) {
 		t.Fatalf("baseline: %d checkpoints, %d failures", ref.Checkpoints, ref.RestoreFailures)
 	}
 
-	cfg.corruptNthDump = 1
-	r, err := Run(cfg, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runCorrupting(t, cfg, 1, jobs)
 	if r.RestoreFailures != 1 {
 		t.Fatalf("restore failures = %d, want 1", r.RestoreFailures)
 	}
@@ -85,11 +149,7 @@ func TestCorruptionOfIncrementalChain(t *testing.T) {
 	jobs := []cluster.JobSpec{low, mkHigh(1, time.Minute), mkHigh(2, 3*time.Minute)}
 	cfg := tinyCluster(core.PolicyCheckpoint)
 	cfg.StorageKind = storage.NVM
-	cfg.corruptNthDump = 2 // the incremental dump
-	r, err := Run(cfg, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runCorrupting(t, cfg, 2, jobs) // the incremental dump
 	if r.RestoreFailures == 0 {
 		t.Fatal("incremental corruption not detected")
 	}

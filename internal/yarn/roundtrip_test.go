@@ -186,6 +186,13 @@ func TestPreCopyFreezeFailureRollsBackToPreDump(t *testing.T) {
 	if restore := story[3]; restore.Est != 0 {
 		t.Errorf("restore after kill-fallback carries est %v, want none", restore.Est)
 	}
+	// The one preemption ended as a kill: the pre-dump that landed is a
+	// pre-copy, not a checkpoint, once its freeze dump fails.
+	if res.Checkpoints != 0 || res.Kills != 1 || res.FallbackKills != 1 || res.PreCopies != 1 ||
+		res.Preemptions != res.Kills+res.Checkpoints {
+		t.Errorf("Preemptions=%d Kills=%d Checkpoints=%d FallbackKills=%d PreCopies=%d, want 1 1 0 1 1",
+			res.Preemptions, res.Kills, res.Checkpoints, res.FallbackKills, res.PreCopies)
+	}
 
 	_, clean := journaledResult(t, cfg, 0, []cluster.JobSpec{victim})
 	id := victim.Tasks[0].ID
