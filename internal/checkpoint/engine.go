@@ -185,6 +185,7 @@ func writeImage(store storage.Store, name string, h *Header, page func(i int) (i
 	// The hash writer sees every byte of the object, including the CRC
 	// trailer, so the manifest attests the exact stored representation.
 	hw := newHashWriter(w)
+	defer hw.d.stop()
 	cw := &crcWriter{w: hw}
 	if err := encodeHeader(cw, h); err != nil {
 		return 0, fmt.Errorf("checkpoint: write header of %q: %w", name, err)
@@ -207,10 +208,10 @@ func writeImage(store storage.Store, name string, h *Header, page func(i int) (i
 	if err := w.Close(); err != nil {
 		return 0, fmt.Errorf("checkpoint: close image %q: %w", name, err)
 	}
-	if err := writeManifest(store, name, hw.sum(), hw.n); err != nil {
+	if err := writeManifest(store, name, hw.sum(), hw.d.n); err != nil {
 		return 0, fmt.Errorf("checkpoint: write manifest of %q: %w", name, err)
 	}
-	return hw.n, nil
+	return hw.d.n, nil
 }
 
 // infoFromHeader summarizes an image from its decoded header and the byte

@@ -19,7 +19,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"io"
 
@@ -91,7 +90,7 @@ func (c *crcWriter) Write(p []byte) (int, error) {
 // checked, into the SHA-256.
 type scanReader struct {
 	r   io.Reader
-	sha hash.Hash // nil when the caller checks no manifest
+	dig digester // hashes nothing when the caller checks no manifest
 	crc uint32
 	n   int64
 }
@@ -99,8 +98,8 @@ type scanReader struct {
 func (s *scanReader) Read(p []byte) (int, error) {
 	n, err := s.r.Read(p)
 	s.crc = crc32.Update(s.crc, crc32.IEEETable, p[:n])
-	if s.sha != nil {
-		s.sha.Write(p[:n])
+	if s.dig.sha != nil {
+		s.dig.write(p[:n])
 	}
 	s.n += int64(n)
 	return n, err
@@ -135,7 +134,8 @@ func scanImage(store storage.Store, name string, hashed bool, slots func(h *Head
 	defer r.Close()
 	s := &scanReader{r: r}
 	if hashed {
-		s.sha = sha256.New()
+		s.dig.sha = sha256.New()
+		defer s.dig.stop()
 	}
 	h, err := decodeHeader(s)
 	if err != nil {
@@ -173,7 +173,7 @@ func scanImage(store storage.Store, name string, hashed bool, slots func(h *Head
 	}
 	d := imageDigest{size: s.n}
 	if hashed {
-		s.sha.Sum(d.sum[:0])
+		s.dig.sum(d.sum[:0])
 	}
 	return h, d, nil
 }

@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"hash"
 	"io"
 	"strconv"
 	"strings"
@@ -37,25 +36,24 @@ var ErrNoManifest = errors.New("checkpoint: image has no manifest")
 // ManifestName returns the manifest object name for an image name.
 func ManifestName(image string) string { return image + ManifestSuffix }
 
-// hashWriter tees writes into a running SHA-256.
+// hashWriter tees writes into a running SHA-256; the caller must stop its
+// digester on every path that does not take the sum.
 type hashWriter struct {
 	w io.Writer
-	h hash.Hash
-	n int64
+	d digester
 }
 
 func newHashWriter(w io.Writer) *hashWriter {
-	return &hashWriter{w: w, h: sha256.New()}
+	return &hashWriter{w: w, d: digester{sha: sha256.New()}}
 }
 
 func (hw *hashWriter) Write(p []byte) (int, error) {
 	n, err := hw.w.Write(p)
-	hw.h.Write(p[:n])
-	hw.n += int64(n)
+	hw.d.write(p[:n])
 	return n, err
 }
 
-func (hw *hashWriter) sum() string { return hex.EncodeToString(hw.h.Sum(nil)) }
+func (hw *hashWriter) sum() string { return hex.EncodeToString(hw.d.sum(nil)) }
 
 // writeManifest publishes the manifest for an image whose bytes hashed to
 // sum256 over size bytes.

@@ -5,9 +5,11 @@ import "sync"
 // blockList is the free list every block-sized buffer of the package comes
 // from and goes back to: the block a fileWriter fills, the one a fileReader
 // holds, the frame the TCP client reads a ReadBlock response into, the copy
-// an in-process DataNode.ReadBlock hands out. A buffer has one owner at a
-// time (DESIGN §9 has the table); one dropped, not given back, costs an
-// allocation, never correctness.
+// an in-process DataNode.ReadBlock hands out, and a listed replica, which a
+// TCP server reads a WriteBlock frame into and its last holder gives back.
+// A buffer has one owner at a time, or a replica's counted holders (DESIGN
+// §9 has the table); one dropped, not given back, costs an allocation, never
+// correctness.
 var blockList sync.Pool
 
 // getBlock returns n bytes holding whatever their last owner left: every

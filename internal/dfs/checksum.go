@@ -23,8 +23,11 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // checksumChunks returns the CRC32C of each ChecksumChunkSize chunk of
 // data (the final chunk may be short). Empty data has no chunks.
 func checksumChunks(data []byte) []uint32 {
-	n := (len(data) + ChecksumChunkSize - 1) / ChecksumChunkSize
-	sums := make([]uint32, 0, n)
+	return appendChecksums(make([]uint32, 0, (len(data)+ChecksumChunkSize-1)/ChecksumChunkSize), data)
+}
+
+// appendChecksums appends data's chunk checksums to sums.
+func appendChecksums(sums []uint32, data []byte) []uint32 {
 	for off := 0; off < len(data); off += ChecksumChunkSize {
 		end := off + ChecksumChunkSize
 		if end > len(data) {

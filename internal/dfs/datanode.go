@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"preemptsched/internal/obs"
 )
@@ -14,9 +15,62 @@ import (
 // payload against the sums, so at-rest corruption is detected at the
 // first touch. A replica is immutable (a slice in DataNode.blocks is replaced,
 // never written), so it is checksummed, verified and sent without the lock.
+//
+// A listed replica (see listedSize) also counts its holders: the blocks map,
+// each in-flight read of it and the pipeline forward that sends it on. The
+// last holder to let go gives data back to the block list, so a deleted
+// replica's storage carries the next block that lands, with no fresh frame
+// to allocate and zero. Any other replica is left to the collector.
 type storedBlock struct {
 	data []byte
 	sums []uint32
+	held *replicaHolds // nil unless listed
+}
+
+// replicaHolds is a listed replica's holder count, with its checksums in the
+// same object: a listed replica costs one allocation besides its payload,
+// as any other does for its sums alone.
+type replicaHolds struct {
+	n    atomic.Int32
+	sums [DefaultBlockSize / ChecksumChunkSize]uint32
+}
+
+// listedReplicaMin is the smallest payload a replica keeps in listed
+// storage. A listed buffer can be as large as DefaultBlockSize, so a replica
+// below half of it could pin more than twice its bytes. In ckpt-dfs that
+// lists the 8 MiB blocks, three quarters of the replica bytes stored; a
+// 512 KiB threshold, which lists the 0.84 MB incremental images too, cut
+// alloc_kb_per_op 45 % instead of 35 % at the same throughput (median 31.3
+// and 30.3 ops/s over four rounds), but could pin 16 x a replica's bytes.
+const listedReplicaMin = DefaultBlockSize / 2
+
+// listedSize reports whether a replica of n bytes is kept in listed storage.
+func listedSize(n int) bool { return n >= listedReplicaMin && n <= DefaultBlockSize }
+
+// newStoredBlock checksums data, which the replica takes over, and gives the
+// new replica to the caller as its one holder.
+func newStoredBlock(data []byte) storedBlock {
+	if !listedSize(len(data)) {
+		return storedBlock{data: data, sums: checksumChunks(data)}
+	}
+	h := new(replicaHolds)
+	h.n.Store(1)
+	return storedBlock{data: data, sums: appendChecksums(h.sums[:0], data), held: h}
+}
+
+// hold adds a holder; the caller must already be one, or hold d.mu while b
+// is in the map.
+func (b storedBlock) hold() {
+	if b.held != nil {
+		b.held.n.Add(1)
+	}
+}
+
+// release drops one hold; the last gives a listed replica's storage back.
+func (b storedBlock) release() {
+	if b.held != nil && b.held.n.Add(-1) == 0 {
+		putBlock(b.data)
+	}
 }
 
 // DataNode stores checksummed blocks and participates in write pipelines.
@@ -74,17 +128,25 @@ func (d *DataNode) WriteBlock(id BlockID, data []byte, pipeline []DataNodeInfo) 
 }
 
 // writeOwned is WriteBlock for a caller that gives data away: the slice
-// itself becomes the stored replica and must never be written again.
+// itself becomes the stored replica and must never be written again, and a
+// listed one goes back to the block list once its last holder lets go.
 func (d *DataNode) writeOwned(id BlockID, data []byte, pipeline []DataNodeInfo) error {
-	b := storedBlock{data: data, sums: checksumChunks(data)}
+	b := newStoredBlock(data) // its hold passes to the map
 	d.mu.Lock()
 	err := d.checkUp()
 	if err == nil {
+		if old, ok := d.blocks[id]; ok {
+			old.release()
+		}
 		d.blocks[id] = b
+		if len(pipeline) > 0 {
+			b.hold() // the forward's: a delete during it must not list the bytes
+		}
 	}
 	reg := d.obs
 	d.mu.Unlock()
 	if err != nil {
+		b.release()
 		return err
 	}
 	reg.Inc("dfs.datanode.block.writes")
@@ -93,6 +155,7 @@ func (d *DataNode) writeOwned(id BlockID, data []byte, pipeline []DataNodeInfo) 
 	if len(pipeline) == 0 {
 		return nil
 	}
+	defer b.release()
 	next, err := d.transport.DataNode(pipeline[0])
 	if err != nil {
 		return fmt.Errorf("dfs: datanode %s: dial pipeline peer %s: %w", d.info.ID, pipeline[0].ID, err)
@@ -104,24 +167,30 @@ func (d *DataNode) writeOwned(id BlockID, data []byte, pipeline []DataNodeInfo) 
 }
 
 // verified returns block id's replica as stored once it has passed its
-// checksums, holding the lock for the map access only.
-func (d *DataNode) verified(id BlockID) ([]byte, *obs.Registry, error) {
+// checksums, holding the lock for the map access only. The caller is one of
+// the replica's holders and must release it.
+func (d *DataNode) verified(id BlockID) (storedBlock, *obs.Registry, error) {
 	d.mu.RLock()
 	err := d.checkUp()
 	b, ok := d.blocks[id]
+	if err == nil && ok {
+		b.hold()
+	}
 	reg := d.obs
 	d.mu.RUnlock()
 	if err != nil {
-		return nil, reg, err
+		return storedBlock{}, reg, err
 	}
 	err = ErrBlockMissing
 	if ok {
-		err = verifyChunks(b.data, b.sums)
+		if err = verifyChunks(b.data, b.sums); err != nil {
+			b.release()
+		}
 	}
 	if err != nil {
-		return nil, reg, fmt.Errorf("dfs: datanode %s: block %d: %w", d.info.ID, id, err)
+		return storedBlock{}, reg, fmt.Errorf("dfs: datanode %s: block %d: %w", d.info.ID, id, err)
 	}
-	return b.data, reg, nil
+	return b, reg, nil
 }
 
 // ReadBlock implements DataNodeAPI: the stored payload is re-verified
@@ -132,23 +201,24 @@ func (d *DataNode) ReadBlock(id BlockID) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := getBlock(len(stored))
-	copy(out, stored)
+	out := getBlock(len(stored.data))
+	copy(out, stored.data)
+	stored.release()
 	return out, nil
 }
 
 // viewBlock is ReadBlock without the copy: the verified replica itself,
-// which the caller must only read.
-func (d *DataNode) viewBlock(id BlockID) ([]byte, error) {
-	data, reg, err := d.verified(id)
+// which the caller must only read and then release.
+func (d *DataNode) viewBlock(id BlockID) (storedBlock, error) {
+	b, reg, err := d.verified(id)
 	switch {
 	case err == nil:
 		reg.Inc("dfs.datanode.block.reads")
-		reg.Add("dfs.datanode.bytes.read", int64(len(data)))
+		reg.Add("dfs.datanode.bytes.read", int64(len(b.data)))
 	case errors.Is(err, ErrCorruptBlock):
 		reg.Inc("dfs.datanode.corrupt.reads")
 	}
-	return data, err
+	return b, err
 }
 
 // DeleteBlock implements DataNodeAPI.
@@ -158,7 +228,10 @@ func (d *DataNode) DeleteBlock(id BlockID) error {
 	if err := d.checkUp(); err != nil {
 		return err
 	}
-	delete(d.blocks, id)
+	if b, ok := d.blocks[id]; ok {
+		delete(d.blocks, id)
+		b.release()
+	}
 	return nil
 }
 
@@ -166,7 +239,10 @@ func (d *DataNode) DeleteBlock(id BlockID) error {
 // returning the payload: nil for intact, ErrBlockMissing for absent,
 // ErrCorruptBlock identity for damaged. The scrubber's unit of work.
 func (d *DataNode) VerifyBlock(id BlockID) error {
-	_, _, err := d.verified(id)
+	b, _, err := d.verified(id)
+	if err == nil {
+		b.release()
+	}
 	return err
 }
 
@@ -186,8 +262,9 @@ func (d *DataNode) BlockIDs() []BlockID {
 // CorruptStoredBlock flips one bit of a stored block's payload without
 // touching its checksums — the at-rest bit-rot the fault injector and the
 // integrity tests drive. It reports whether the block existed. bit indexes
-// into the payload's bits and is clamped by modulo. The rotted payload is a
-// copy swapped in: a reader holding the replica keeps what it verified.
+// into the payload's bits and is clamped by modulo. The rotted payload is an
+// unlisted copy swapped in: a reader holding the replica keeps what it
+// verified, and the map's hold on it is dropped.
 func (d *DataNode) CorruptStoredBlock(id BlockID, bit int) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -199,9 +276,10 @@ func (d *DataNode) CorruptStoredBlock(id BlockID, bit int) bool {
 		bit = -bit
 	}
 	bit %= len(b.data) * 8
-	b.data = append([]byte(nil), b.data...)
-	b.data[bit/8] ^= 1 << (bit % 8)
-	d.blocks[id] = b
+	rotted := storedBlock{data: append([]byte(nil), b.data...), sums: b.sums}
+	rotted.data[bit/8] ^= 1 << (bit % 8)
+	d.blocks[id] = rotted
+	b.release()
 	return true
 }
 

@@ -27,8 +27,9 @@ import (
 //	| gob(rpcResponse{Payload: n, ...})                      | n raw bytes |
 //
 // which the receiver reads with a single io.ReadFull into a buffer of
-// exactly n bytes — a fresh one on a server, where it becomes the stored
-// replica, a listed one on a client. n is bounded by MaxBlockPayload; a
+// exactly n bytes — on a server, where it becomes the stored replica, a
+// listed one for a frame the size of a listed replica and a fresh one for
+// any other; a listed one on a client. n is bounded by MaxBlockPayload; a
 // negative or larger n, a frame announced on any other message, or a frame
 // cut short closes the connection, since the stream can no longer be
 // trusted to be in step. NameNode metadata RPCs carry no frame.
@@ -130,13 +131,14 @@ func (c *rpcConn) recvFrame(n int, allowed bool, alloc func(int) []byte) ([]byte
 	return frame, nil
 }
 
-// recvRequest reads one request and its block frame, freshly allocated.
+// recvRequest reads one request and its block frame: listed storage for a
+// frame the size of a listed replica, fresh storage for any other.
 func (c *rpcConn) recvRequest() (*rpcRequest, []byte, error) {
 	var req rpcRequest
 	if err := c.dec.Decode(&req); err != nil {
 		return nil, nil, err
 	}
-	frame, err := c.recvFrame(req.Payload, req.Method == "WriteBlock", func(n int) []byte { return make([]byte, n) })
+	frame, err := c.recvFrame(req.Payload, req.Method == "WriteBlock", replicaFrame)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -158,6 +160,15 @@ func (c *rpcConn) roundTrip(req *rpcRequest, frame []byte) (*rpcResponse, []byte
 		return nil, nil, err
 	}
 	return &resp, data, nil
+}
+
+// replicaFrame is the storage a server reads an n-byte WriteBlock frame
+// into, which a *DataNode keeps as the replica.
+func replicaFrame(n int) []byte {
+	if listedSize(n) {
+		return getBlock(n)
+	}
+	return make([]byte, n)
 }
 
 // setErr flattens err into the response, preserving sentinel identity via
@@ -204,14 +215,16 @@ func serveConn(conn io.ReadWriter, nn NameNodeAPI, dn DataNodeAPI) {
 		}
 		var (
 			resp rpcResponse
-			data []byte
+			sent storedBlock
 		)
 		if nn != nil {
 			resp = dispatchNameNode(nn, req)
 		} else {
-			resp, data = dispatchDataNode(dn, req, frame)
+			resp, sent = dispatchDataNode(dn, req, frame)
 		}
-		if err := c.send(&resp, data); err != nil {
+		err = c.send(&resp, sent.data)
+		sent.release()
+		if err != nil {
 			return
 		}
 	}
@@ -261,32 +274,41 @@ func dispatchNameNode(nn NameNodeAPI, req *rpcRequest) rpcResponse {
 }
 
 // dispatchDataNode runs one DataNode request; frame is the block a
-// WriteBlock carried, the returned bytes the block a ReadBlock fetched. A
-// *DataNode copies neither: it keeps the frame, allocated for this request,
-// as the replica, and answers from the stored replica, which is immutable.
-func dispatchDataNode(dn DataNodeAPI, req *rpcRequest, frame []byte) (resp rpcResponse, data []byte) {
-	write, read := dn.WriteBlock, dn.ReadBlock
-	if node, ok := dn.(*DataNode); ok {
-		write, read = node.writeOwned, node.viewBlock
-	}
+// WriteBlock carried, the returned replica holds the block a ReadBlock
+// fetched, for the caller to send and release. A *DataNode copies neither:
+// it keeps the frame as the replica, and answers from the stored replica,
+// which is immutable and held until the send is done.
+func dispatchDataNode(dn DataNodeAPI, req *rpcRequest, frame []byte) (resp rpcResponse, sent storedBlock) {
+	node, _ := dn.(*DataNode)
 	switch req.Method {
 	case "WriteBlock":
-		resp.setErr(write(req.Block, frame, req.Pipeline))
+		if node != nil {
+			resp.setErr(node.writeOwned(req.Block, frame, req.Pipeline))
+		} else {
+			resp.setErr(dn.WriteBlock(req.Block, frame, req.Pipeline))
+		}
 	case "ReadBlock":
-		block, err := read(req.Block)
-		if err == nil {
-			err = checkFrameSize(req.Block, block)
+		var err error
+		if node != nil {
+			sent, err = node.viewBlock(req.Block)
+		} else {
+			sent.data, err = dn.ReadBlock(req.Block)
 		}
 		if err == nil {
-			data, resp.Payload = block, len(block)
+			err = checkFrameSize(req.Block, sent.data)
 		}
+		if err != nil {
+			sent.release()
+			sent = storedBlock{}
+		}
+		resp.Payload = len(sent.data)
 		resp.setErr(err)
 	case "DeleteBlock":
 		resp.setErr(dn.DeleteBlock(req.Block))
 	default:
 		resp.Err = fmt.Sprintf("dfs: unknown datanode method %q", req.Method)
 	}
-	return resp, data
+	return resp, sent
 }
 
 // tcpPeer issues calls to one remote address over the shared connection
