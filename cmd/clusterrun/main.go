@@ -146,7 +146,7 @@ func run() error {
 		if *metricsAddr != "" || *traceOut != "" || *journalOut != "" {
 			return fmt.Errorf("-metrics-addr, -trace-out and -journal-out apply to single runs, not sweeps")
 		}
-		return runSweepMode(sweepSpecs(policies, kinds), *parallel, makeRun, *reportJSON)
+		return runSweepMode(os.Stdout, sweepSpecs(policies, kinds), *parallel, makeRun, *reportJSON)
 	}
 
 	policy, kind := policies[0], kinds[0]

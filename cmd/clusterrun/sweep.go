@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"strings"
 
 	"preemptsched/internal/cluster"
@@ -44,21 +45,6 @@ func sweepSpecs(policies []core.Policy, kinds []storage.Kind) []sweepSpec {
 		}
 	}
 	return specs
-}
-
-// runSweep executes run for every spec on up to parallel goroutines
-// (parallel <= 0 uses one per available CPU) and returns outcomes in
-// spec order regardless of completion order. All specs run to completion
-// even when some fail, so a sweep report always covers the full matrix.
-func runSweep(specs []sweepSpec, parallel int, run func(sweepSpec) (*yarn.Result, error)) []sweepOutcome {
-	out := make([]sweepOutcome, len(specs))
-	// Each outcome keeps its own error; the caller reports them in order.
-	_ = core.ForEachIndex(len(specs), parallel, func(i int) error {
-		r, err := run(specs[i])
-		out[i] = sweepOutcome{spec: specs[i], r: r, err: err}
-		return nil
-	})
-	return out
 }
 
 // sweepTable renders the canonical summary of a sweep. Failed runs keep
@@ -121,21 +107,29 @@ func parseKinds(s string) ([]storage.Kind, error) {
 	return out, nil
 }
 
-// runSweepMode executes the full matrix and renders the canonical
-// summary. It returns the error of the lowest-indexed failing
-// combination (matching what a sequential sweep would report first), but
-// only after every combination has run and every report is written.
-func runSweepMode(specs []sweepSpec, parallel int,
+// runSweepMode executes the full matrix on up to parallel goroutines
+// (parallel <= 0 uses one per available CPU) and renders the canonical
+// summary to w. Every combination runs to completion even when some fail,
+// so the summary always covers the full matrix. It returns the error of
+// the lowest-indexed failing combination (matching what a sequential
+// sweep would report first), but only after every combination has run
+// and every report is written.
+func runSweepMode(w io.Writer, specs []sweepSpec, parallel int,
 	makeRun func(core.Policy, storage.Kind) (yarn.Config, []cluster.JobSpec, error),
 	reportBase string) error {
-	fmt.Printf("sweeping %d policy × storage combinations (parallel=%d)\n\n", len(specs), core.Workers(parallel, len(specs)))
-	outcomes := runSweep(specs, parallel, func(spec sweepSpec) (*yarn.Result, error) {
-		cfg, jobs, err := makeRun(spec.policy, spec.kind)
-		if err != nil {
-			return nil, err
+	fmt.Fprintf(w, "sweeping %d policy × storage combinations (parallel=%d)\n\n", len(specs), core.Workers(parallel, len(specs)))
+	outcomes := make([]sweepOutcome, len(specs))
+	// Each outcome keeps its own error, reported in spec order below.
+	_ = core.ForEachIndex(len(specs), parallel, func(i int) error {
+		oc := &outcomes[i]
+		oc.spec = specs[i]
+		cfg, jobs, err := makeRun(oc.spec.policy, oc.spec.kind)
+		if err == nil {
+			cfg.Metrics = obs.NewRegistry()
+			oc.r, err = yarn.Run(cfg, jobs)
 		}
-		cfg.Metrics = obs.NewRegistry()
-		return yarn.Run(cfg, jobs)
+		oc.err = err
+		return nil
 	})
 	var firstErr error
 	for _, oc := range outcomes {
@@ -147,9 +141,9 @@ func runSweepMode(specs []sweepSpec, parallel int,
 			if err := writeReport(path, oc.r, oc.err); err != nil {
 				return err
 			}
-			fmt.Printf("report:  %s\n", path)
+			fmt.Fprintf(w, "report:  %s\n", path)
 		}
 	}
-	fmt.Println(sweepTable(outcomes).String())
+	fmt.Fprintln(w, sweepTable(outcomes).String())
 	return firstErr
 }

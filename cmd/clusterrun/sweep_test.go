@@ -38,72 +38,85 @@ func testSpecs() []sweepSpec {
 		[]storage.Kind{storage.SSD, storage.NVM})
 }
 
-func runOne(spec sweepSpec) (*yarn.Result, error) {
-	cfg, jobs, err := tinyMakeRun(spec.policy, spec.kind)
-	if err != nil {
-		return nil, err
+// sweep runs the test matrix through runSweepMode at the given
+// parallelism and returns what it printed, without the header line (which
+// names the pool width), and its error.
+func sweep(t *testing.T, parallel int, makeRun func(core.Policy, storage.Kind) (yarn.Config, []cluster.JobSpec, error), reportBase string) (string, error) {
+	t.Helper()
+	var out strings.Builder
+	err := runSweepMode(&out, testSpecs(), parallel, makeRun, reportBase)
+	header, rest, _ := strings.Cut(out.String(), "\n")
+	if want := fmt.Sprintf("sweeping %d policy × storage combinations", len(testSpecs())); !strings.HasPrefix(header, want) {
+		t.Errorf("header %q, want prefix %q", header, want)
 	}
-	cfg.Metrics = obs.NewRegistry()
-	return yarn.Run(cfg, jobs)
+	return rest, err
 }
 
-// TestSweepDeterministicAcrossParallelism: the canonical summary table is
+// TestSweepDeterministicAcrossParallelism: the canonical summary is
 // byte-identical whether the matrix ran sequentially or on four workers.
 func TestSweepDeterministicAcrossParallelism(t *testing.T) {
-	seq := sweepTable(runSweep(testSpecs(), 1, runOne)).String()
-	par := sweepTable(runSweep(testSpecs(), 4, runOne)).String()
+	seq, err := sweep(t, 1, tinyMakeRun, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := sweep(t, 4, tinyMakeRun, "")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if seq != par {
 		t.Errorf("sweep table differs between parallel=1 and parallel=4\n--- parallel=1 ---\n%s\n--- parallel=4 ---\n%s", seq, par)
 	}
 }
 
-// TestSweepOutcomeOrderCanonical: outcomes come back in spec order
-// (policy-major, storage-minor) regardless of completion order.
+// TestSweepOutcomeOrderCanonical: the summary has one ok row per
+// combination in spec order (policy-major, storage-minor) regardless of
+// completion order, and each row's policy is the one its result ran.
 func TestSweepOutcomeOrderCanonical(t *testing.T) {
-	specs := testSpecs()
-	outcomes := runSweep(specs, 4, runOne)
-	if len(outcomes) != len(specs) {
-		t.Fatalf("%d outcomes for %d specs", len(outcomes), len(specs))
+	par, err := sweep(t, 4, tinyMakeRun, "")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, oc := range outcomes {
-		if oc.spec != specs[i] {
-			t.Errorf("outcome %d is %v/%s, want %v/%s", i,
-				oc.spec.policy, oc.spec.kind, specs[i].policy, specs[i].kind)
+	var rows [][]string
+	for _, line := range strings.Split(par, "\n") {
+		if f := strings.Fields(line); len(f) == 11 && f[0] != "policy" {
+			rows = append(rows, f)
 		}
-		if oc.err != nil || oc.r == nil {
-			t.Errorf("outcome %d: r=%v err=%v", i, oc.r, oc.err)
-		}
-		if oc.r != nil && oc.r.Policy != oc.spec.policy {
-			t.Errorf("outcome %d: result policy %v under spec %v", i, oc.r.Policy, oc.spec.policy)
+	}
+	specs := testSpecs()
+	if len(rows) != len(specs) {
+		t.Fatalf("%d rows for %d specs:\n%s", len(rows), len(specs), par)
+	}
+	for i, spec := range specs {
+		if f := rows[i]; f[0] != spec.policy.String() || f[1] != spec.kind.String() || f[10] != "ok" {
+			t.Errorf("row %d is %v, want %v/%s ok", i, f, spec.policy, spec.kind)
 		}
 	}
 }
 
 // TestSweepFailuresKeepMatrixRectangular: a failing combination aborts
-// its row only; every other combination still runs, and the table keeps
-// one row per spec.
+// its row only; every other combination still runs, the table keeps one
+// row per spec, and the sweep returns the failure.
 func TestSweepFailuresKeepMatrixRectangular(t *testing.T) {
-	specs := testSpecs()
-	outcomes := runSweep(specs, 4, func(spec sweepSpec) (*yarn.Result, error) {
-		if spec.policy == core.PolicyKill && spec.kind == storage.NVM {
-			return nil, fmt.Errorf("injected failure")
+	out, err := sweep(t, 4, func(policy core.Policy, kind storage.Kind) (yarn.Config, []cluster.JobSpec, error) {
+		if policy == core.PolicyKill && kind == storage.NVM {
+			return yarn.Config{}, nil, fmt.Errorf("injected failure")
 		}
-		return runOne(spec)
-	})
-	tb := sweepTable(outcomes).String()
-	failed, ok := 0, 0
-	for _, oc := range outcomes {
-		if oc.err != nil {
-			failed++
-		} else if oc.r != nil {
+		return tinyMakeRun(policy, kind)
+	}, "")
+	if err == nil || !strings.Contains(err.Error(), "injected failure") {
+		t.Errorf("sweep error %v, want the injected failure", err)
+	}
+	var ok, aborted int
+	for _, line := range strings.Split(out, "\n") {
+		switch {
+		case strings.HasSuffix(line, " ok"):
 			ok++
+		case strings.HasSuffix(line, " aborted"):
+			aborted++
 		}
 	}
-	if failed != 1 || ok != len(specs)-1 {
-		t.Errorf("failed=%d ok=%d, want 1 and %d", failed, ok, len(specs)-1)
-	}
-	if want := "aborted"; !strings.Contains(tb, want) {
-		t.Errorf("sweep table lacks an %q row:\n%s", want, tb)
+	if aborted != 1 || ok != len(testSpecs())-1 {
+		t.Errorf("%d ok and %d aborted rows, want %d and 1:\n%s", ok, aborted, len(testSpecs())-1, out)
 	}
 }
 
@@ -114,16 +127,12 @@ func TestSweepReportsValidateAgainstSchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	outcomes := runSweep(testSpecs(), 4, runOne)
-	for _, oc := range outcomes {
-		if oc.err != nil || oc.r == nil {
-			t.Fatalf("%v/%s: %v", oc.spec.policy, oc.spec.kind, oc.err)
-		}
-		path := comboReportPath(filepath.Join(dir, "report.json"), oc.spec)
-		if err := writeReport(path, oc.r, oc.err); err != nil {
-			t.Fatal(err)
-		}
+	base := filepath.Join(t.TempDir(), "report.json")
+	if _, err := sweep(t, 4, tinyMakeRun, base); err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range testSpecs() {
+		path := comboReportPath(base, spec)
 		doc, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)

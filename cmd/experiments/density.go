@@ -12,6 +12,7 @@ import (
 	"strings"
 	"time"
 
+	"preemptsched/internal/core"
 	"preemptsched/internal/obs"
 	"preemptsched/internal/sched/density"
 )
@@ -79,7 +80,13 @@ func runDensity(args []string, stdout, stderr io.Writer) error {
 	}
 
 	start := time.Now()
-	results, err := density.RunCells(cells, *parallel)
+	// Each cell writes its own slot, so the results, and any rendering of
+	// their deterministic fields, are byte-identical at every -parallel.
+	results := make([]*density.CellResult, len(cells))
+	err = core.ForEachIndex(len(cells), *parallel, func(i int) (err error) {
+		results[i], err = density.Run(cells[i])
+		return err
+	})
 	if err != nil {
 		return err
 	}

@@ -28,9 +28,11 @@ type Outcome struct {
 	OverheadCPUHours float64
 	EnergyKWh        float64
 
-	// JobResponseSec holds per-band job response times in seconds
-	// (queueing + execution), JobResponseAllSec all jobs', for CDFs.
-	JobResponseSec    map[cluster.Band]*metrics.Dist
+	// JobResponseSec is the sum and count of job response times in seconds
+	// (queueing + execution) per band, indexed by cluster.Band: the per-band
+	// figures plot only their means. JobResponseAllSec keeps every job's,
+	// for the one all-jobs CDF (Fig. 9, 11).
+	JobResponseSec    [cluster.NumBands]metrics.Tally
 	JobResponseAllSec *metrics.Dist
 
 	Preemptions            int
@@ -65,14 +67,9 @@ type Outcome struct {
 	imageBytes     int64
 }
 
-// NewOutcome returns a run's empty books, one distribution per band.
+// NewOutcome returns a run's empty books.
 func NewOutcome(policy Policy, storageLabel string, nodes int) Outcome {
-	bands := make(map[cluster.Band]*metrics.Dist)
-	for b := 0; b < cluster.NumBands; b++ {
-		bands[cluster.Band(b)] = &metrics.Dist{}
-	}
-	return Outcome{Policy: policy, Storage: storageLabel, Nodes: nodes,
-		JobResponseSec: bands, JobResponseAllSec: &metrics.Dist{}}
+	return Outcome{Policy: policy, Storage: storageLabel, Nodes: nodes, JobResponseAllSec: &metrics.Dist{}}
 }
 
 // ratio is num over den, and 0 for a run that has no denominator yet.
@@ -100,10 +97,7 @@ func (o *Outcome) IOOverheadFraction() float64 {
 
 // MeanResponse returns the mean job response time for a band, in seconds.
 func (o *Outcome) MeanResponse(b cluster.Band) float64 {
-	if d := o.JobResponseSec[b]; d != nil {
-		return d.Mean()
-	}
-	return 0
+	return o.JobResponseSec[b].Mean()
 }
 
 // coreHours is what t's reserved cores amount to over d.

@@ -83,7 +83,7 @@ func TestOutcomeCharges(t *testing.T) {
 	if resp := o.JobDone(&cluster.JobSpec{Priority: 5, Submit: time.Minute}, 3*time.Minute); resp != 120 {
 		t.Errorf("JobDone = %v s, want 120", resp)
 	}
-	if o.JobResponseSec[cluster.BandMiddle].N() != 1 || o.JobResponseAllSec.N() != 1 || o.JobResponseSec[cluster.BandFree].N() != 0 {
+	if o.JobResponseSec[cluster.BandMiddle].N != 1 || o.JobResponseAllSec.N() != 1 || o.JobResponseSec[cluster.BandFree].N != 0 {
 		t.Error("JobDone did not land in its band and the all-jobs distribution alone")
 	}
 

@@ -12,12 +12,22 @@ import "sync"
 // correctness.
 var blockList sync.Pool
 
+// boxList keeps the *[]byte a listed buffer was held in once getBlock has
+// taken the buffer out, for putBlock to list the next one in: a box made
+// per putBlock would cost one allocation every get/put cycle.
+var boxList sync.Pool
+
 // getBlock returns n bytes holding whatever their last owner left: every
 // user overwrites [0:n) before reading it. A listed buffer too small is
 // dropped, so the list converges on the sizes asked for; a miss allocates n.
 func getBlock(n int) []byte {
-	if b, _ := blockList.Get().(*[]byte); b != nil && cap(*b) >= n {
-		return (*b)[:n]
+	if box, _ := blockList.Get().(*[]byte); box != nil {
+		b := *box
+		*box = nil
+		boxList.Put(box)
+		if cap(b) >= n {
+			return b[:n]
+		}
 	}
 	return make([]byte, n)
 }
@@ -26,6 +36,11 @@ func getBlock(n int) []byte {
 // larger than DefaultBlockSize is kept (frames go up to MaxBlockPayload).
 func putBlock(b []byte) {
 	if cap(b) > 0 && cap(b) <= DefaultBlockSize {
-		blockList.Put(&b)
+		box, _ := boxList.Get().(*[]byte)
+		if box == nil {
+			box = new([]byte)
+		}
+		*box = b
+		blockList.Put(box)
 	}
 }

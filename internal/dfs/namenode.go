@@ -312,16 +312,15 @@ func (n *NameNode) ReportBadReplica(id BlockID, bad DataNodeInfo) error {
 			_ = api.DeleteBlock(id)
 		}
 	}
-	deltas := map[string]int64{"dfs.namenode.replicas.quarantined": 1}
 	switch {
 	case len(r.survivors) == 0:
-		deltas["dfs.namenode.corrupt.lost"] = 1
+		reg.Inc("dfs.namenode.corrupt.lost")
 	case n.heal(r):
-		deltas["dfs.namenode.corrupt.rereplicated"] = 1
+		reg.Inc("dfs.namenode.corrupt.rereplicated")
 	default:
-		deltas["dfs.namenode.corrupt.degraded"] = 1
+		reg.Inc("dfs.namenode.corrupt.degraded")
 	}
-	reg.AddN(deltas)
+	reg.Inc("dfs.namenode.replicas.quarantined")
 	return nil
 }
 

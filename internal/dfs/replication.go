@@ -52,12 +52,10 @@ func (n *NameNode) Decommission(id string) *ReplicationReport {
 			report.Degraded++
 		}
 	}
-	reg.AddN(map[string]int64{
-		"dfs.namenode.decommissions":    1,
-		"dfs.namenode.blocks.recovered": int64(report.Recovered),
-		"dfs.namenode.blocks.degraded":  int64(report.Degraded),
-		"dfs.namenode.blocks.lost":      int64(report.Lost),
-	})
+	reg.Inc("dfs.namenode.decommissions")
+	reg.Add("dfs.namenode.blocks.recovered", int64(report.Recovered))
+	reg.Add("dfs.namenode.blocks.degraded", int64(report.Degraded))
+	reg.Add("dfs.namenode.blocks.lost", int64(report.Lost))
 	return &report
 }
 

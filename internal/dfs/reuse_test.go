@@ -45,6 +45,43 @@ func drainBlockList() [][]byte {
 	}
 }
 
+// Boxed cycle.
+// GIVEN buffers cycled through the list from several goroutines at once,
+// and then a list warmed by one 1 MiB buffer,
+// WHEN a listed buffer is taken and given back,
+// THEN each buffer has one owner while it is out (the race detector's
+// half), and the warm cycle allocates nothing: the *[]byte a buffer is
+// listed in comes back for the next buffer given back, instead of a new
+// one escaping per putBlock.
+func TestBlockListCycleAllocatesNothing(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g byte) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				b := getBlock(4096)
+				b[0], b[4095] = g, g
+				runtime.Gosched()
+				if b[0] != g || b[4095] != g {
+					t.Errorf("goroutine %d: a buffer it held was written by another owner", g)
+				}
+				putBlock(b)
+			}
+		}(byte(g))
+	}
+	wg.Wait()
+	if raceEnabled {
+		return // sync.Pool drops a share of what it is given under the race detector
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	drainBlockList()
+	putBlock(make([]byte, 1<<20))
+	if got := testing.AllocsPerRun(100, func() { putBlock(getBlock(1 << 20)) }); got != 0 {
+		t.Errorf("a warm get/put cycle allocates %v objects, want 0", got)
+	}
+}
+
 // Closed reader.
 // GIVEN a reader that has been closed, part-way through its file or after
 // the last byte,

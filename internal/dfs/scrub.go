@@ -55,11 +55,9 @@ func (d *DataNode) ScrubOnce(nn NameNodeAPI) ScrubResult {
 	d.mu.RLock()
 	reg := d.obs
 	d.mu.RUnlock()
-	reg.AddN(map[string]int64{
-		"dfs.scrub.runs":           1,
-		"dfs.scrub.blocks.checked": int64(res.Checked),
-		"dfs.scrub.corrupt.found":  int64(res.Corrupt),
-		"dfs.scrub.reported":       int64(res.Reported),
-	})
+	reg.Inc("dfs.scrub.runs")
+	reg.Add("dfs.scrub.blocks.checked", int64(res.Checked))
+	reg.Add("dfs.scrub.corrupt.found", int64(res.Corrupt))
+	reg.Add("dfs.scrub.reported", int64(res.Reported))
 	return res
 }

@@ -19,7 +19,7 @@ import (
 // cluster sized for SimLoadFactor — with an arbitrary config mutation
 // applied on top of the standard sizing. Each spec regenerates its own
 // Jobs slice (the simulator writes through pointers into it), so specs
-// are safe to execute concurrently via sched.RunMany.
+// are safe to execute concurrently.
 func SimSpec(o Options, policy core.Policy, kind storage.Kind, mutate func(*sched.Config)) (sched.RunSpec, error) {
 	jobs, err := o.simJobs()
 	if err != nil {
@@ -33,18 +33,19 @@ func SimSpec(o Options, policy core.Policy, kind storage.Kind, mutate func(*sche
 	return sched.RunSpec{Config: cfg, Jobs: jobs}, nil
 }
 
-// extSweep builds and executes one spec per mutation through the sharded
-// sweep, returning spec-ordered results.
+// extSweep builds and runs one spec per mutation over core.ForEachIndex,
+// returning spec-ordered results.
 func extSweep(o Options, policy core.Policy, kind storage.Kind, mutations []func(*sched.Config)) ([]*sched.Result, error) {
-	specs := make([]sched.RunSpec, len(mutations))
-	for i, mutate := range mutations {
-		spec, err := SimSpec(o, policy, kind, mutate)
+	results := make([]*sched.Result, len(mutations))
+	err := core.ForEachIndex(len(mutations), o.Parallel, func(i int) error {
+		spec, err := SimSpec(o, policy, kind, mutations[i])
 		if err != nil {
-			return nil, err
+			return err
 		}
-		specs[i] = spec
-	}
-	return sched.RunMany(specs, o.Parallel)
+		results[i], err = sched.Run(spec.Config, spec.Jobs)
+		return err
+	})
+	return results, err
 }
 
 // ExtDisciplines compares priority, fair-share, and capacity scheduling
@@ -77,20 +78,20 @@ func ExtPreCopy(o Options) (*metrics.Table, error) {
 	tb := metrics.NewTable("Ext — Pre-copy checkpointing (basic policy)",
 		"storage", "mode", "resp_low_s", "overhead_core_h", "io_device_h")
 	// Stop-and-copy rows reuse the shared Fig. 3/5 runs; the pre-copy rows
-	// are a three-spec sharded sweep of their own.
+	// are a three-spec sweep of their own.
 	stops, err := fetch(o, simulator, basicPairs())
 	if err != nil {
 		return nil, err
 	}
-	specs := make([]sched.RunSpec, len(storageKinds))
-	for i, kind := range storageKinds {
-		spec, err := SimSpec(o, core.PolicyCheckpoint, kind, func(c *sched.Config) { c.PreCopy = true })
+	pres := make([]*sched.Result, len(storageKinds))
+	err = core.ForEachIndex(len(storageKinds), o.Parallel, func(i int) error {
+		spec, err := SimSpec(o, core.PolicyCheckpoint, storageKinds[i], func(c *sched.Config) { c.PreCopy = true })
 		if err != nil {
-			return nil, err
+			return err
 		}
-		specs[i] = spec
-	}
-	pres, err := sched.RunMany(specs, o.Parallel)
+		pres[i], err = sched.Run(spec.Config, spec.Jobs)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -137,15 +138,15 @@ func ExtNodeChurn(o Options) (*metrics.Table, error) {
 			{Node: 1, At: 14 * time.Hour},
 		}
 	}
-	specs := make([]sched.RunSpec, len(policies))
-	for i, p := range policies {
-		spec, err := SimSpec(o, p, storage.SSD, churn)
+	results := make([]*sched.Result, len(policies))
+	err := core.ForEachIndex(len(policies), o.Parallel, func(i int) error {
+		spec, err := SimSpec(o, policies[i], storage.SSD, churn)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		specs[i] = spec
-	}
-	results, err := sched.RunMany(specs, o.Parallel)
+		results[i], err = sched.Run(spec.Config, spec.Jobs)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}

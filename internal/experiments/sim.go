@@ -80,9 +80,8 @@ func sensitivitySpec(policy core.Policy, bw float64) sched.RunSpec {
 // checkpoint) or Fig. 6 (plus adaptive): normalized high- and low-priority
 // response times and energy across checkpoint bandwidths. The bandwidth ×
 // policy sweep is a grid of independent single-machine simulations, so it
-// is sharded through sched.RunMany; rows are assembled from the
-// spec-ordered results, which RunMany guarantees are identical at every
-// parallelism level.
+// fans out over core.ForEachIndex; rows are assembled from the
+// spec-ordered results, which are identical at every parallelism level.
 func figSensitivity(o Options, includeAdaptive bool) (high, low, energyT *metrics.Table, err error) {
 	policies := []core.Policy{core.PolicyWait, core.PolicyKill, core.PolicyCheckpoint}
 	figure := "Fig 4"
@@ -98,13 +97,12 @@ func figSensitivity(o Options, includeAdaptive bool) (high, low, energyT *metric
 	low = metrics.NewTable(figure+"b — Low-priority normalized response vs bandwidth", cols...)
 	energyT = metrics.NewTable(figure+"c — Normalized energy vs bandwidth", cols...)
 
-	specs := make([]sched.RunSpec, 0, len(sensitivityBandwidths)*len(policies))
-	for _, bw := range sensitivityBandwidths {
-		for _, p := range policies {
-			specs = append(specs, sensitivitySpec(p, bw))
-		}
-	}
-	results, err := sched.RunMany(specs, o.Parallel)
+	results := make([]*sched.Result, len(sensitivityBandwidths)*len(policies))
+	err = core.ForEachIndex(len(results), o.Parallel, func(i int) (err error) {
+		spec := sensitivitySpec(policies[i%len(policies)], sensitivityBandwidths[i/len(policies)])
+		results[i], err = sched.Run(spec.Config, spec.Jobs)
+		return err
+	})
 	if err != nil {
 		return nil, nil, nil, err
 	}

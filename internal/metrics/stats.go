@@ -1,7 +1,7 @@
 // Package metrics provides the measurement plumbing shared by the
 // simulator, the mini-YARN framework, and the experiment harness: sample
-// distributions with quantiles and CDFs, and plain-text table rendering for
-// experiment output.
+// distributions with quantiles and CDFs, running means, and plain-text
+// table rendering for experiment output.
 package metrics
 
 import (
@@ -36,6 +36,28 @@ func (d *Dist) Mean() float64 {
 		sum += x
 	}
 	return sum / float64(len(d.xs))
+}
+
+// Tally is a running sum and count: all a mean needs, in constant space.
+// It sums in the order samples are added, as Dist.Mean does, so the two
+// agree bit for bit on the same samples.
+type Tally struct {
+	Sum float64
+	N   int
+}
+
+// Add counts one observation.
+func (t *Tally) Add(x float64) {
+	t.Sum += x
+	t.N++
+}
+
+// Mean returns the sample mean, or 0 with no observations.
+func (t Tally) Mean() float64 {
+	if t.N == 0 {
+		return 0
+	}
+	return t.Sum / float64(t.N)
 }
 
 func (d *Dist) sort() {

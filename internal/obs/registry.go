@@ -372,13 +372,6 @@ func (r *Registry) Inc(name string) { r.Add(name, 1) }
 // Add adds delta to a counter.
 func (r *Registry) Add(name string, delta int64) { r.Counter(name).Add(delta) }
 
-// AddN adds a batch of counter increments.
-func (r *Registry) AddN(deltas map[string]int64) {
-	for name, delta := range deltas {
-		r.Add(name, delta)
-	}
-}
-
 // SetGauge sets a gauge to v.
 func (r *Registry) SetGauge(name string, v float64) { r.Gauge(name).Set(v) }
 

@@ -11,7 +11,6 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	var r *Registry
 	r.Inc("a")
 	r.Add("a", 5)
-	r.AddN(map[string]int64{"a": 1})
 	r.SetGauge("g", 1)
 	g := r.Gauge("g")
 	g.Set(1)
@@ -216,18 +215,22 @@ func TestGaugeConcurrent(t *testing.T) {
 	}
 }
 
-// TestRegistryAddN and TestRegistryConcurrentAddN are what the retired
-// metrics.Counters tests checked that survives the type.
-func TestRegistryAddN(t *testing.T) {
+// TestRegistryAdd and TestRegistryConcurrentAdd are what the retired
+// metrics.Counters tests checked that survives the type. A zero delta
+// still registers its series: a run's report lists every counter it
+// mirrors, zero or not.
+func TestRegistryAdd(t *testing.T) {
 	r := NewRegistry()
 	r.Add("a", 1)
-	r.AddN(map[string]int64{"a": 2, "b": 5})
-	r.AddN(nil) // no-op, must not panic
-	if got := r.Counter("a").Value(); got != 3 {
-		t.Fatalf("a = %d, want 3", got)
+	r.Add("a", 2)
+	r.Add("b", 5)
+	r.Add("z", 0)
+	snap := r.Snapshot()
+	if snap.Counter("a") != 3 || snap.Counter("b") != 5 {
+		t.Fatalf("a = %d, b = %d, want 3 and 5", snap.Counter("a"), snap.Counter("b"))
 	}
-	if got := r.Counter("b").Value(); got != 5 {
-		t.Fatalf("b = %d, want 5", got)
+	if v, ok := snap.Counters["z"]; !ok || v != 0 {
+		t.Fatalf("zero delta: z = %d (listed %v), want a listed 0", v, ok)
 	}
 }
 
@@ -252,7 +255,7 @@ func TestCounterValueCreatesNoSeries(t *testing.T) {
 	}
 }
 
-func TestRegistryConcurrentAddN(t *testing.T) {
+func TestRegistryConcurrentAdd(t *testing.T) {
 	r := NewRegistry()
 	x := r.Counter("x")
 	var wg sync.WaitGroup
@@ -261,7 +264,8 @@ func TestRegistryConcurrentAddN(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				r.AddN(map[string]int64{"x": 1, "y": 2})
+				r.Add("x", 1)
+				r.Add("y", 2)
 				x.Inc()
 				_ = r.Snapshot()
 			}
@@ -277,7 +281,8 @@ func TestRegistryConcurrentAddN(t *testing.T) {
 func TestRegistryCountersGaugesHistograms(t *testing.T) {
 	r := NewRegistry()
 	r.Inc("x")
-	r.AddN(map[string]int64{"x": 2, "y": 7})
+	r.Add("x", 2)
+	r.Add("y", 7)
 	r.SetGauge("g", 1)
 	r.Observe("h", 0.1)
 	snap := r.Snapshot()

@@ -175,9 +175,10 @@ func (c Config) withDefaults() Config {
 type Result struct {
 	core.Outcome
 
-	// JobResponseByUser holds per-tenant response times, the input to
-	// fairness comparisons across scheduling disciplines.
-	JobResponseByUser map[string]*Dist
+	// JobResponseByUser holds each tenant's mean job response time in
+	// seconds, for tenants with a finished job: the input to fairness
+	// comparisons across scheduling disciplines.
+	JobResponseByUser map[string]float64
 
 	// Decisions counts scheduling decisions: successful placements plus
 	// preemption verdicts. EventsFired is the total number of
@@ -195,10 +196,8 @@ type Result struct {
 // evenly the scheduling disciplines treat tenants.
 func (r *Result) FairnessIndex() float64 {
 	var xs []float64
-	for _, d := range r.JobResponseByUser {
-		if d.N() > 0 {
-			xs = append(xs, d.Mean())
-		}
+	for _, mean := range r.JobResponseByUser {
+		xs = append(xs, mean)
 	}
 	if len(xs) == 0 {
 		return 0
@@ -215,4 +214,16 @@ func (r *Result) FairnessIndex() float64 {
 		return 1
 	}
 	return sum * sum / (float64(len(xs)) * sumSq)
+}
+
+// RunSpec is one independent simulation in a sweep: a sized configuration
+// and the jobs it executes. Specs must not share Jobs slices — the
+// simulator takes pointers into the slice it is handed, so concurrent
+// runs over one slice would couple otherwise-independent virtual clocks.
+// A sweep fans its specs out with core.ForEachIndex, each run writing its
+// own result slot, so the results are those of sequential Runs at every
+// parallelism level (DESIGN.md §11).
+type RunSpec struct {
+	Config Config
+	Jobs   []cluster.JobSpec
 }

@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"preemptsched/internal/core"
 	"preemptsched/internal/sched"
 )
 
@@ -122,20 +121,6 @@ func Run(sp Spec) (*CellResult, error) {
 		}
 	}
 	return res, nil
-}
-
-// RunCells executes the cells on a bounded worker pool (parallel <= 0
-// uses one worker per CPU; 1 runs sequentially). Results come back in
-// cell order regardless of completion order, so any rendering of the
-// deterministic fields is byte-identical at every parallelism level. On
-// error the lowest-indexed failure is returned, mirroring sched.RunMany.
-func RunCells(cells []Spec, parallel int) ([]*CellResult, error) {
-	results := make([]*CellResult, len(cells))
-	err := core.ForEachIndex(len(cells), parallel, func(i int) (err error) {
-		results[i], err = Run(cells[i])
-		return err
-	})
-	return results, err
 }
 
 // Render writes the human-readable report. With timing=false only the

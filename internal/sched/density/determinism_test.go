@@ -24,15 +24,27 @@ func testCells(t *testing.T) []Spec {
 	}
 }
 
+// runCells runs the cells over core.ForEachIndex, as `experiments
+// density` does, each into its own slot.
+func runCells(t *testing.T, cells []Spec, parallel int) []*CellResult {
+	t.Helper()
+	results := make([]*CellResult, len(cells))
+	err := core.ForEachIndex(len(cells), parallel, func(i int) (err error) {
+		results[i], err = Run(cells[i])
+		return err
+	})
+	if err != nil {
+		t.Fatalf("parallel=%d: %v", parallel, err)
+	}
+	return results
+}
+
 // renderStable runs the ladder at the given pool parallelism and renders
 // only the deterministic fields (Timing stripped), the §11 comparison
 // unit.
 func renderStable(t *testing.T, parallel int) string {
 	t.Helper()
-	results, err := RunCells(testCells(t), parallel)
-	if err != nil {
-		t.Fatalf("parallel=%d: %v", parallel, err)
-	}
+	results := runCells(t, testCells(t), parallel)
 	for _, r := range results {
 		r.Timing = nil
 	}
@@ -63,15 +75,9 @@ func TestDeterminismAcrossParallelism(t *testing.T) {
 // change the report, or the byte-compare above would pass vacuously.
 func TestDeterminismSeedSensitivity(t *testing.T) {
 	cells := testCells(t)[:1]
-	a, err := RunCells(cells, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := runCells(t, cells, 1)
 	cells[0].Seed++
-	b, err := RunCells(cells, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := runCells(t, cells, 1)
 	a[0].Timing, b[0].Timing = nil, nil
 	var sa, sb strings.Builder
 	Render(&sa, a, false)

@@ -17,9 +17,6 @@ import (
 	"preemptsched/internal/storage"
 )
 
-// Dist re-exports metrics.Dist for Result consumers.
-type Dist = metrics.Dist
-
 // taskPhase is a task's runtime state.
 type taskPhase uint8
 
@@ -151,15 +148,18 @@ func newJobRT(spec *cluster.JobSpec, s *Simulator) *jobRT {
 	return &jobRT{spec: spec, sim: s, tenant: tn, remaining: len(spec.Tasks)}
 }
 
-// tenant is one accounting tenant's books for the fair-share discipline,
-// interned by name (Simulator.tenants) when its first job loads, so that
-// booking and reading a share never hash the name.
+// tenant is one accounting tenant's books for the fair-share discipline
+// and for Result.JobResponseByUser, interned by name (Simulator.tenants)
+// when its first job loads, so that booking and reading a share or a
+// response never hash the name.
 type tenant struct {
 	name  string
 	usage cluster.Resources
 	// live marks a tenant the fair-share target counts (equalShare): an
 	// allocation sets it, and a release clears it when usage is zero again.
 	live bool
+	// resp books the response times of the tenant's finished jobs.
+	resp metrics.Tally
 }
 
 // submitEvent and completionEvent are a task's record viewed as the two
@@ -667,6 +667,11 @@ func (s *Simulator) runToEnd() *Result {
 	for _, n := range s.nodes {
 		s.res.CloseNode(&n.Ledger, end)
 	}
+	for _, tn := range s.tenants {
+		if tn.resp.N > 0 {
+			s.res.JobResponseByUser[tn.name] = tn.resp.Mean()
+		}
+	}
 	return s.res
 }
 
@@ -695,7 +700,7 @@ func newSimulator(cfg Config) (*Simulator, error) {
 	}
 	s.res = &Result{
 		Outcome:           core.NewOutcome(cfg.Policy, s.nodes[0].Device.Label(), cfg.Nodes),
-		JobResponseByUser: make(map[string]*Dist),
+		JobResponseByUser: make(map[string]float64),
 	}
 	s.nodeIdx = newNodeIndex(cfg.Nodes)
 	for _, n := range s.nodes {
@@ -1046,12 +1051,7 @@ func (s *Simulator) finishTask(t *taskRT, now sim.Time) {
 	t.job.remaining--
 	if t.job.remaining == 0 {
 		t.job.finish = now
-		resp := s.res.JobDone(t.job.spec, now)
-		user := tenantOf(t).name
-		if s.res.JobResponseByUser[user] == nil {
-			s.res.JobResponseByUser[user] = &Dist{}
-		}
-		s.res.JobResponseByUser[user].Add(resp)
+		tenantOf(t).resp.Add(s.res.JobDone(t.job.spec, now))
 	}
 	s.requestSchedule(now)
 }

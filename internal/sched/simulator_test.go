@@ -52,8 +52,8 @@ func twoJobScenario() []cluster.JobSpec {
 func respOf(t *testing.T, r *Result, band cluster.Band) float64 {
 	t.Helper()
 	d := r.JobResponseSec[band]
-	if d == nil || d.N() != 1 {
-		t.Fatalf("band %v has %v samples", band, d)
+	if d.N != 1 {
+		t.Fatalf("band %v has %d samples", band, d.N)
 	}
 	return d.Mean()
 }

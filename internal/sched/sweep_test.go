@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"preemptsched/internal/cluster"
 	"preemptsched/internal/core"
 	"preemptsched/internal/storage"
 )
@@ -24,68 +23,35 @@ func sweepTestSpecs() []RunSpec {
 	return specs
 }
 
-func TestRunManyMatchesSequentialRun(t *testing.T) {
-	specs := sweepTestSpecs()
-	want := make([]*Result, len(specs))
+// GIVEN a grid of independent simulations,
+// WHEN they fan out over core.ForEachIndex, each writing its own slot,
+// THEN every result equals the sequential Run of its spec at every
+// parallelism level: the runs share no state. (The lowest-indexed error
+// and the empty range are core.TestForEachIndex's.)
+func TestParallelRunsMatchSequential(t *testing.T) {
+	want := make([]*Result, 0, 9)
 	for i, spec := range sweepTestSpecs() {
 		r, err := Run(spec.Config, spec.Jobs)
 		if err != nil {
 			t.Fatalf("spec %d: %v", i, err)
 		}
-		want[i] = r
+		want = append(want, r)
 	}
 	for _, parallel := range []int{1, 4} {
-		got, err := RunMany(specs, parallel)
+		// Each level gets fresh Jobs: a run writes through its own.
+		specs := sweepTestSpecs()
+		got := make([]*Result, len(specs))
+		err := core.ForEachIndex(len(specs), parallel, func(i int) (err error) {
+			got[i], err = Run(specs[i].Config, specs[i].Jobs)
+			return err
+		})
 		if err != nil {
 			t.Fatalf("parallel=%d: %v", parallel, err)
 		}
 		for i := range want {
 			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Errorf("parallel=%d spec %d: RunMany result differs from sequential Run", parallel, i)
+				t.Errorf("parallel=%d spec %d: result differs from sequential Run", parallel, i)
 			}
 		}
-		// RunMany mutates its Jobs; rebuild for the next parallelism level.
-		specs = sweepTestSpecs()
-	}
-}
-
-func TestRunManyReportsLowestIndexedError(t *testing.T) {
-	overdemand := func() RunSpec {
-		spec := RunSpec{Config: oneCoreConfig(core.PolicyKill, storage.SSD), Jobs: twoJobScenario()}
-		spec.Jobs[0].Tasks[0].Demand.CPUMillis = cluster.Cores(64)
-		return spec
-	}
-	bad0 := overdemand()
-	_, wantErr := Run(bad0.Config, bad0.Jobs)
-	if wantErr == nil {
-		t.Fatal("over-demand spec unexpectedly ran")
-	}
-
-	for _, parallel := range []int{1, 4} {
-		specs := []RunSpec{
-			overdemand(),
-			{Config: oneCoreConfig(core.PolicyKill, storage.SSD), Jobs: twoJobScenario()},
-			overdemand(),
-		}
-		results, err := RunMany(specs, parallel)
-		if err == nil {
-			t.Fatalf("parallel=%d: expected error", parallel)
-		}
-		if err.Error() != wantErr.Error() {
-			t.Errorf("parallel=%d: got error %q, want the lowest-indexed spec's %q", parallel, err, wantErr)
-		}
-		if results[0] != nil || results[2] != nil {
-			t.Errorf("parallel=%d: failed specs have non-nil results", parallel)
-		}
-		if results[1] == nil {
-			t.Errorf("parallel=%d: healthy spec did not run to completion", parallel)
-		}
-	}
-}
-
-func TestRunManyEmpty(t *testing.T) {
-	results, err := RunMany(nil, 4)
-	if err != nil || len(results) != 0 {
-		t.Fatalf("RunMany(nil) = %v, %v", results, err)
 	}
 }

@@ -184,43 +184,40 @@ func (c *Cluster) recordNodeRecovered(n *NodeManager, now sim.Time) {
 	c.events.Emit(obs.Event{Kind: obs.EvNodeRecovered, At: now, Node: n.id})
 }
 
-// finishMetrics mirrors the run's Result counters into the registry in one
-// batch, sets the end-of-run gauges, and snapshots everything into
+// finishMetrics mirrors the run's Result counters into the registry, sets
+// the end-of-run gauges, and snapshots everything into
 // Result.Metrics. Called whether or not the run completed, so aborted runs
 // still carry their telemetry.
 func (c *Cluster) finishMetrics() {
 	// The quarantine/re-replication pipeline counts at the NameNode; read it
 	// into the Result so callers get the integrity story without scraping.
-	c.res.ReplicasQuarantined = c.reg.Counter("dfs.namenode.replicas.quarantined").Value()
-	c.res.CorruptReReplicated = c.reg.Counter("dfs.namenode.corrupt.rereplicated").Value()
-	c.res.CorruptDegraded = c.reg.Counter("dfs.namenode.corrupt.degraded").Value()
-	c.res.CorruptLost = c.reg.Counter("dfs.namenode.corrupt.lost").Value()
-	deltas := map[string]int64{
-		"yarn.preemptions":             int64(c.res.Preemptions),
-		"yarn.kills":                   int64(c.res.Kills),
-		"yarn.checkpoints":             int64(c.res.Checkpoints),
-		"yarn.checkpoints.incremental": int64(c.res.IncrementalCheckpoints),
-		"yarn.precopies":               int64(c.res.PreCopies),
-		"yarn.compactions":             int64(c.res.Compactions),
-		"yarn.restores":                int64(c.res.Restores),
-		"yarn.restores.remote":         int64(c.res.RemoteRestores),
-		"yarn.restore.failures":        int64(c.res.RestoreFailures),
-		"yarn.restore.fallbacks":       int64(c.res.RestoreFallbacks),
-		"yarn.restore.restarts":        int64(c.res.RestoreRestarts),
-		"yarn.restore.verify.failures": int64(c.res.RestoreVerifyFailures),
-		"yarn.dump.failures":           int64(c.res.DumpFailures),
-		"yarn.fallback.kills":          int64(c.res.FallbackKills),
-		"yarn.tasks.completed":         int64(c.res.TasksCompleted),
-		"yarn.jobs.completed":          int64(c.res.JobsCompleted),
-		"yarn.node.failures":           int64(c.res.NodeFailures),
-		"yarn.node.recoveries":         int64(c.res.NodeRecoveries),
-		"yarn.tasks.rescheduled":       int64(c.res.TasksRescheduled),
-		"yarn.failure.restores":        int64(c.res.FailureRestores),
-		"yarn.failure.restarts":        int64(c.res.FailureRestarts),
-		"yarn.blocks.rereplicated":     int64(c.res.BlocksReReplicated),
-		"yarn.blocks.lost":             int64(c.res.BlocksLost),
-	}
-	c.reg.AddN(deltas)
+	c.res.ReplicasQuarantined = c.reg.CounterValue("dfs.namenode.replicas.quarantined")
+	c.res.CorruptReReplicated = c.reg.CounterValue("dfs.namenode.corrupt.rereplicated")
+	c.res.CorruptDegraded = c.reg.CounterValue("dfs.namenode.corrupt.degraded")
+	c.res.CorruptLost = c.reg.CounterValue("dfs.namenode.corrupt.lost")
+	c.reg.Add("yarn.preemptions", int64(c.res.Preemptions))
+	c.reg.Add("yarn.kills", int64(c.res.Kills))
+	c.reg.Add("yarn.checkpoints", int64(c.res.Checkpoints))
+	c.reg.Add("yarn.checkpoints.incremental", int64(c.res.IncrementalCheckpoints))
+	c.reg.Add("yarn.precopies", int64(c.res.PreCopies))
+	c.reg.Add("yarn.compactions", int64(c.res.Compactions))
+	c.reg.Add("yarn.restores", int64(c.res.Restores))
+	c.reg.Add("yarn.restores.remote", int64(c.res.RemoteRestores))
+	c.reg.Add("yarn.restore.failures", int64(c.res.RestoreFailures))
+	c.reg.Add("yarn.restore.fallbacks", int64(c.res.RestoreFallbacks))
+	c.reg.Add("yarn.restore.restarts", int64(c.res.RestoreRestarts))
+	c.reg.Add("yarn.restore.verify.failures", int64(c.res.RestoreVerifyFailures))
+	c.reg.Add("yarn.dump.failures", int64(c.res.DumpFailures))
+	c.reg.Add("yarn.fallback.kills", int64(c.res.FallbackKills))
+	c.reg.Add("yarn.tasks.completed", int64(c.res.TasksCompleted))
+	c.reg.Add("yarn.jobs.completed", int64(c.res.JobsCompleted))
+	c.reg.Add("yarn.node.failures", int64(c.res.NodeFailures))
+	c.reg.Add("yarn.node.recoveries", int64(c.res.NodeRecoveries))
+	c.reg.Add("yarn.tasks.rescheduled", int64(c.res.TasksRescheduled))
+	c.reg.Add("yarn.failure.restores", int64(c.res.FailureRestores))
+	c.reg.Add("yarn.failure.restarts", int64(c.res.FailureRestarts))
+	c.reg.Add("yarn.blocks.rereplicated", int64(c.res.BlocksReReplicated))
+	c.reg.Add("yarn.blocks.lost", int64(c.res.BlocksLost))
 	c.reg.SetGauge("yarn.makespan.seconds", c.res.Makespan.Seconds())
 	c.reg.SetGauge("yarn.scrub.final.corrupt", float64(c.res.FinalScrubCorrupt))
 	c.reg.SetGauge("yarn.peak.image.bytes", float64(c.res.PeakImageBytes))
