@@ -31,7 +31,9 @@ type Outcome struct {
 	// JobResponseSec is the sum and count of job response times in seconds
 	// (queueing + execution) per band, indexed by cluster.Band: the per-band
 	// figures plot only their means. JobResponseAllSec keeps every job's,
-	// for the one all-jobs CDF (Fig. 9, 11).
+	// for the one all-jobs CDF (Fig. 9, 11); it is nil, and JobDone skips
+	// it, where no CDF is drawn from the run (a yarn.Service, whose SLO
+	// histogram holds that distribution).
 	JobResponseSec    [cluster.NumBands]metrics.Tally
 	JobResponseAllSec *metrics.Dist
 
@@ -138,11 +140,14 @@ func (o *Outcome) ChargeUseful(t *cluster.TaskSpec) float64 {
 }
 
 // JobDone records the response time of a job whose last task finished at
-// now, under its band and among all jobs, and returns it in seconds.
+// now, under its band and, where the run keeps them, among all jobs, and
+// returns it in seconds.
 func (o *Outcome) JobDone(job *cluster.JobSpec, now sim.Time) float64 {
 	resp := time.Duration(now - job.Submit).Seconds()
 	o.JobResponseSec[job.Band()].Add(resp)
-	o.JobResponseAllSec.Add(resp)
+	if o.JobResponseAllSec != nil {
+		o.JobResponseAllSec.Add(resp)
+	}
 	return resp
 }
 

@@ -103,12 +103,15 @@ func Iterate(points, centroids [][]float64, assign []int) float64 {
 // and counts, the caller fills centroids and rows whole — so whatever an
 // earlier iteration (of any process, of any shape) left behind is never
 // observed, and a process's state stays in its memory and registers alone.
+// The same holds for rng, the stream Program.Init draws a dataset from: Init
+// Restarts it at the process's seed before its first draw.
 type lloyd struct {
 	dims      int
 	centroids []float64 // k × dims
 	sums      []float64 // k × dims: per cluster, the sum of the points added
 	counts    []int     // k: points added per cluster
 	rows      []float64 // rowChunk(dims) × dims: points on their way to or from process memory
+	rng       sim.RNG
 }
 
 var lloydPool = sync.Pool{New: func() any { return new(lloyd) }}

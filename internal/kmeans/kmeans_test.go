@@ -1,8 +1,11 @@
 package kmeans
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"preemptsched/internal/checkpoint"
@@ -248,6 +251,60 @@ func TestStaleScratchIsNeverObserved(t *testing.T) {
 					t.Fatalf("shape %+v: centroid[%d][%d] = %v, Run says %v", sh, c, d, got[c][d], want.Centroids[c][d])
 				}
 			}
+		}
+	}
+}
+
+// GIVEN four goroutines each creating k-means processes of mixed shapes and
+// seeds at once, so the pooled scratch — and the stream Init draws each
+// dataset from — passes between them through the sync.Pool,
+// WHEN every process has run three steps,
+// THEN each holds, bit for bit, the centroids kmeans.Run computes from
+// GeneratePoints on a NewStream of its own seed: no Init saw another's
+// stream state.
+func TestConcurrentInitDrawsEachDatasetFromItsOwnSeed(t *testing.T) {
+	const iters, workers, perWorker = 3, 4, 12
+	shapes := [][3]int{{240, 4, 4}, {8, 2, 2}, {500, 6, 7}, {9, 1, 3}}
+	var wg sync.WaitGroup
+	errs := make([]error, workers)
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range perWorker {
+				sh, seed := shapes[(w+i)%len(shapes)], int64(1000*w+i)
+				p, err := NewProcess("km", sh[0], sh[1], sh[2], iters, seed)
+				if err != nil {
+					errs[w] = err
+					return
+				}
+				for range iters {
+					if _, err := p.Step(); err != nil {
+						errs[w] = err
+						return
+					}
+				}
+				want, err := Run(GeneratePoints(sim.NewStream(seed), sh[0], sh[1], sh[2]), Config{K: sh[2], MaxIters: iters})
+				if err != nil {
+					errs[w] = err
+					return
+				}
+				got, err := Centroids(p)
+				if err != nil {
+					errs[w] = err
+					return
+				}
+				if !reflect.DeepEqual(got, want.Centroids) {
+					errs[w] = fmt.Errorf("shape %v seed %d: centroids %v, Run says %v", sh, seed, got, want.Centroids)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Error(err)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"preemptsched/internal/proc"
-	"preemptsched/internal/sim"
 )
 
 // ProgramName is the registry name of the k-means virtual-process program.
@@ -70,17 +69,20 @@ func layout(p *proc.Process) (n, dims, k int, centroidsOff int64, err error) {
 }
 
 // Init implements proc.Program: generate the dataset, in GeneratePoints'
-// draw order, and the initial centroids directly into process memory.
+// draw order from NewStream's sequence at the seed register, and the
+// initial centroids directly into process memory. The stream is the pooled
+// scratch's, Restarted at that seed, so a warm Init allocates nothing.
 func (Program) Init(p *proc.Process) error {
 	n, dims, k, centroidsOff, err := layout(p)
 	if err != nil {
 		return err
 	}
 	m := p.Memory()
-	rng := sim.NewStream(int64(p.Registers().R[4]))
 	it := lloydPool.Get().(*lloyd)
 	defer lloydPool.Put(it)
 	it.begin(k, dims)
+	rng := &it.rng
+	rng.Restart(int64(p.Registers().R[4]))
 	drawCentres(rng, it.centroids)
 	for first, chunk := 0, rowChunk(dims); first < n; first += chunk {
 		rows := it.rows[:min(chunk, n-first)*dims]

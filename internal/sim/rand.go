@@ -33,6 +33,20 @@ func NewStream(seed int64) *RNG {
 	return r
 }
 
+// Restart makes r draw NewStream(seed)'s sequence from its first value,
+// whatever r drew before. On a stream it only assigns the seed and the
+// state, so a stream kept in pooled scratch serves one virtual process
+// after another without allocating; anything else (the zero RNG, one from
+// NewRNG) becomes a stream, at one allocation. Int63, Float64, NormFloat64
+// and the draws built on them read the state alone; only Read's buffered
+// bytes survive a Restart.
+func (r *RNG) Restart(seed int64) {
+	r.seed, r.mix = seed, splitMix64(seed)
+	if !r.stream {
+		r.Rand, r.stream = rand.New(&r.mix), true
+	}
+}
+
 // splitMix64 is Steele, Lea and Flood's SplitMix64 generator: a Weyl
 // sequence through a 64-bit finalizer. The finalizer is a bijection, so
 // distinct seeds give distinct first draws and a stream never repeats a
@@ -45,7 +59,13 @@ func (s *splitMix64) Seed(seed int64) { *s = splitMix64(seed) }
 
 func (s *splitMix64) Uint64() uint64 {
 	*s += 0x9E3779B97F4A7C15
-	z := uint64(*s)
+	return Mix64(uint64(*s))
+}
+
+// Mix64 is SplitMix64's finalizer: a bijection of 64 bits, so distinct
+// inputs give distinct outputs, that spreads every input bit over the
+// output.
+func Mix64(z uint64) uint64 {
 	z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
 	z = (z ^ z>>27) * 0x94D049BB133111EB
 	return z ^ z>>31

@@ -133,3 +133,71 @@ func TestStreamConstructionIsCheap(t *testing.T) {
 		t.Errorf("NewStream allocates %d bytes, want under 100", perStream)
 	}
 }
+
+// GIVEN a stream, an RNG and a zero RNG, each having drawn some mix of
+// Int63, Float64, NormFloat64, ExpFloat64, Intn and Perm (or nothing),
+// WHEN each is Restarted at a seed,
+// THEN its Int63, Float64 and NormFloat64 draws, interleaved, are exactly
+// NewStream(seed)'s, it reports that seed, and restarting a stream
+// allocates nothing: the pooled k-means scratch keeps one stream for every
+// process it initialises.
+func TestRestartGivesNewStreamsSequence(t *testing.T) {
+	const seed = 1_000_003*7 + 2
+	mixed := func(r *RNG, n int) *RNG {
+		for i := range n {
+			switch i % 6 {
+			case 0:
+				r.Int63()
+			case 1:
+				r.Float64()
+			case 2:
+				r.NormFloat64()
+			case 3:
+				r.ExpFloat64()
+			case 4:
+				r.Intn(1 + i)
+			case 5:
+				r.Perm(i % 7)
+			}
+		}
+		return r
+	}
+	interleaved := func(r *RNG) [3 * 64]uint64 {
+		var out [3 * 64]uint64
+		for i := 0; i < len(out); i += 3 {
+			out[i] = uint64(r.Int63())
+			out[i+1] = math.Float64bits(r.Float64())
+			out[i+2] = math.Float64bits(r.NormFloat64())
+		}
+		return out
+	}
+	want := interleaved(NewStream(seed))
+	for _, tt := range []struct {
+		name string
+		r    *RNG
+	}{
+		{"fresh stream", NewStream(seed)},
+		{"stream after 1 draw", mixed(NewStream(3), 1)},
+		{"stream after 257 draws", mixed(NewStream(seed), 257)},
+		{"RNG after 40 draws", mixed(NewRNG(seed), 40)},
+		{"zero RNG", new(RNG)},
+	} {
+		tt.r.Restart(seed)
+		if got := interleaved(tt.r); got != want {
+			t.Errorf("%s: Restart(%d) draws differ from NewStream(%d)'s", tt.name, seed, seed)
+		}
+		if tt.r.Seed() != seed || !tt.r.stream {
+			t.Errorf("%s: after Restart seed=%d stream=%v", tt.name, tt.r.Seed(), tt.r.stream)
+		}
+		// Restarting twice in a row and restarting mid-sequence agree too.
+		mixed(tt.r, 13)
+		tt.r.Restart(seed)
+		if got := interleaved(tt.r); got != want {
+			t.Errorf("%s: a second Restart(%d) draws differ", tt.name, seed)
+		}
+	}
+	r := NewStream(1)
+	if allocs := testing.AllocsPerRun(100, func() { r.Restart(seed); r.NormFloat64() }); allocs != 0 {
+		t.Errorf("restarting a stream allocates %.0f objects", allocs)
+	}
+}

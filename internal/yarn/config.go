@@ -277,13 +277,22 @@ type Result struct {
 
 	// TaskChecksums holds a checksum of each task's final computed state,
 	// proving that preempted-and-resumed executions produced exactly the
-	// results of undisturbed ones. It is complete once Run or Service.Close
-	// returns: Run's finisher pool fills it at finish, when the finishers
-	// that ran the tasks out are joined, not per completion; without a pool
-	// (one core, or service mode) each entry lands as its task completes.
-	// Excluded from JSON: the struct key has no JSON representation and the
-	// map is in-process verification state.
+	// results of undisturbed ones. Only Run keeps it; a Service leaves it
+	// nil, since a long-running daemon would keep one entry per task it
+	// ever ran, and it folds each checksum into TaskChecksumDigest alone.
+	// It is complete once Run returns: the finisher pool fills it at
+	// finish, when the finishers that ran the tasks out are joined, not per
+	// completion; without a pool (one core) each entry lands as its task
+	// completes. Excluded from JSON: the struct key has no JSON
+	// representation and the map is in-process verification state.
 	TaskChecksums map[cluster.TaskID]uint64 `json:"-"`
+	// TaskChecksumDigest folds every completed task's checksum, with its
+	// ID, into one word in both modes: a wrapping sum of one mixed term per
+	// task, so it does not depend on the order tasks complete in (service
+	// mode's follows the wall clock). Any one task's checksum moving always
+	// moves it; several moving cancel out only by a 2⁻⁶⁴ chance.
+	// In-process verification state, like the map.
+	TaskChecksumDigest uint64 `json:"-"`
 
 	// Metrics is the observability snapshot of the run: latency histograms
 	// (yarn.dump.*, yarn.restore.*, dfs.client.block.*), policy-decision

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"sync"
 
+	"preemptsched/internal/cluster"
 	"preemptsched/internal/proc"
+	"preemptsched/internal/sim"
 )
 
 // outcome is what running task t out found: its checksum, or why it
@@ -117,14 +119,27 @@ func (c *Cluster) joinFinishers() {
 	}
 }
 
-// settle books a task that has run out: its checksum, or its error if it
+// settle books a task that has run out: its checksum, folded into the
+// digest and, in a batch run, kept in the per-task map; or its error if it
 // is the lowest-seq failure so far.
 func (c *Cluster) settle(o outcome) {
 	if o.err == nil {
-		c.res.TaskChecksums[o.t.spec.ID] = o.sum
+		c.res.TaskChecksumDigest += checksumTerm(o.t.spec.ID, o.sum)
+		if c.res.TaskChecksums != nil {
+			c.res.TaskChecksums[o.t.spec.ID] = o.sum
+		}
 		return
 	}
 	if c.failed.err == nil || o.t.seq < c.failed.t.seq {
 		c.failed = o
 	}
+}
+
+// checksumTerm is task id's addend to Result.TaskChecksumDigest: the
+// task's mixed ID xor its checksum, mixed again. The mix is a bijection, so
+// for a given task every checksum gives a different term, and the digest,
+// a wrapping sum of terms, moves whenever any one task's checksum does, in
+// whatever order the tasks settle.
+func checksumTerm(id cluster.TaskID, sum uint64) uint64 {
+	return sim.Mix64((sim.Mix64(uint64(id.Job)) + uint64(uint32(id.Index))) ^ sum)
 }

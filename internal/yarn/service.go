@@ -60,6 +60,13 @@ const serviceStepBatch = 256
 // job's virtual response says what the paper's policies would deliver,
 // while the real DFS I/O on the dump/restore paths provides the
 // concurrency and failure surface a daemon must survive.
+//
+// A Service keeps only what is in flight: a finished job leaves nothing
+// behind that grows with the number of jobs run. Its Result keeps no
+// per-task checksums (TaskChecksumDigest folds them) and no all-jobs
+// response samples (JobResponseAllSec is nil; the SLO's response histogram
+// holds that distribution), and the admission ledger forgets a job once it
+// completes.
 type Service struct {
 	c      *Cluster
 	cancel context.CancelFunc
@@ -77,17 +84,15 @@ type Service struct {
 	// steps, for Now.
 	now atomic.Int64
 
-	// The admission ledger, under hmu. seen holds every job ID ever
-	// reserved: IDs are unique for the service's lifetime, so a resubmitted
-	// ID is refused even after the original completed — the
-	// lost/double-completion bookkeeping upstream depends on that
-	// uniqueness. held is the serial work of every job reserved and not yet
-	// complete, booked its total, asOf the engine clock when a job last
-	// completed (stale is safe: whatever advanced the clock since is still
-	// booked). hmu is never held across engine work or the callback.
+	// The admission ledger, under hmu. held is the serial work of every
+	// job reserved and not yet complete, keyed by its ID, so an ID still
+	// held is refused; one unique over the service's lifetime is the
+	// caller's to hand out (the daemon's are a monotone counter). booked is
+	// held's total, asOf the engine clock when a job last completed (stale
+	// is safe: whatever advanced the clock since is still booked). hmu is
+	// never held across engine work or the callback.
 	hmu     sync.Mutex
 	closing bool
-	seen    map[cluster.JobID]struct{}
 	held    map[cluster.JobID]time.Duration
 	booked  time.Duration
 	asOf    sim.Time
@@ -117,27 +122,28 @@ func NewService(cfg Config, in <-chan cluster.JobSpec, maxInFlight int, onDone f
 		maxInFlight: int64(maxInFlight),
 		stopCh:      make(chan struct{}),
 		doneCh:      make(chan struct{}),
-		seen:        make(map[cluster.JobID]struct{}),
 		held:        make(map[cluster.JobID]time.Duration),
 	}
+	c.res.TaskChecksums, c.res.JobResponseAllSec = nil, nil
 	c.onJobDone = s.complete
 	go s.loop(in, s.stopCh)
 	return s, nil
 }
 
 // Reserve is the service's admission verdict on spec, given without waiting
-// on the engine: the service is not closing, spec's ID is new, spec is valid
-// and its serial work fits inside the Horizon. On a yes the work is booked
-// under spec.ID until that job completes or is Released, and the caller
-// sends spec on the admission queue, where the loop takes it as it is.
+// on the engine: the service is not closing, spec's ID is not booked (held
+// by a job reserved and not yet complete), spec is valid and its serial
+// work fits inside the Horizon. On a yes the work is booked under spec.ID
+// until that job completes or is Released, and the caller sends spec on
+// the admission queue, where the loop takes it as it is.
 func (s *Service) Reserve(spec *cluster.JobSpec) error {
 	s.hmu.Lock()
 	defer s.hmu.Unlock()
 	if s.closing {
 		return ErrServiceClosed
 	}
-	if _, dup := s.seen[spec.ID]; dup {
-		return fmt.Errorf("yarn: job %v already submitted", spec.ID)
+	if _, dup := s.held[spec.ID]; dup {
+		return fmt.Errorf("yarn: job %v is already booked", spec.ID)
 	}
 	if err := spec.Validate(); err != nil {
 		return fmt.Errorf("yarn: %w", err)
@@ -146,7 +152,6 @@ func (s *Service) Reserve(spec *cluster.JobSpec) error {
 	if work > Horizon-s.asOf-s.booked {
 		return fmt.Errorf("%w: job %d needs %v, %v is booked at %v", ErrHorizon, spec.ID, work, s.booked, s.asOf)
 	}
-	s.seen[spec.ID] = struct{}{}
 	s.held[spec.ID] = work
 	s.booked += work
 	return nil

@@ -3,6 +3,7 @@ package yarn
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"runtime"
 	"sync"
@@ -127,7 +128,10 @@ func TestServiceRejectsAfterClose(t *testing.T) {
 }
 
 // TestServiceDuplicateAndInvalidSubmitRejected exercises the validation
-// edge of admission without losing the loop.
+// edge of admission without losing the loop. The first job is reserved and
+// sent only after its duplicate is refused: once sent, the loop may run it
+// to completion before the duplicate arrives, and an ID is refused only
+// while it is booked.
 func TestServiceDuplicateAndInvalidSubmitRejected(t *testing.T) {
 	s, err := startService(serviceConfig(core.PolicyCheckpoint), nil)
 	if err != nil {
@@ -138,12 +142,13 @@ func TestServiceDuplicateAndInvalidSubmitRejected(t *testing.T) {
 		t.Error("taskless job admitted")
 	}
 	long := serviceJob(1, 0, 1, 10*time.Minute)
-	if err := s.submit(long); err != nil {
+	if err := s.Reserve(&long); err != nil {
 		t.Fatalf("first submit: %v", err)
 	}
 	if err := s.submit(serviceJob(1, 0, 1, time.Second)); err == nil {
-		t.Error("duplicate running job admitted")
+		t.Error("duplicate of a booked job admitted")
 	}
+	s.in <- long
 }
 
 // TestServiceAbortUnderFaults drives the service with the fault injector
@@ -332,5 +337,146 @@ func TestServiceNowFollowsTheLoop(t *testing.T) {
 	}
 	if got, want := s.Now(), sim.Time(res.Makespan); got != want || want == 0 {
 		t.Errorf("Now after Close = %v, want the makespan %v", got, want)
+	}
+}
+
+// foldChecksums is TaskChecksumDigest recomputed from a per-task map.
+func foldChecksums(sums map[cluster.TaskID]uint64) uint64 {
+	var d uint64
+	for id, sum := range sums {
+		d += checksumTerm(id, sum)
+	}
+	return d
+}
+
+// contendedJobs is a seeded job list that preempts on serviceConfig's 2 × 2
+// slots however its arrivals spread: job 0 fills every slot with 24-hour
+// tasks at the lowest priority, and each later job, of 1–3 tasks of 5–20
+// minutes at a seeded priority above it, needs a slot job 0 holds. For Run
+// job i is submitted at i hours; a Service stamps each arrival itself.
+func contendedJobs(seed int64, n int) []cluster.JobSpec {
+	rng := sim.NewRNG(seed)
+	jobs := []cluster.JobSpec{serviceJob(0, 0, 4, 24*time.Hour)}
+	for id := cluster.JobID(1); int(id) < n; id++ {
+		prio := cluster.Priority(1 + rng.Intn(int(cluster.MaxPriority)))
+		j := serviceJob(id, prio, 1+rng.Intn(3), time.Duration(5+rng.Intn(16))*time.Minute)
+		j.Submit = time.Duration(id) * time.Hour
+		for i := range j.Tasks {
+			j.Tasks[i].Submit = j.Submit
+		}
+		jobs = append(jobs, j)
+	}
+	return jobs
+}
+
+// GIVEN one seeded, contended job list and the checkpoint policy,
+// WHEN it runs as a batch through Run and streams through a Service (where
+// the virtual clock re-stamps each arrival and the real-time interleaving
+// picks which tasks are preempted, dumped and restored),
+// THEN both complete the same tasks and fold their checksums into the same
+// TaskChecksumDigest — the service's transparency proof, kept in one word
+// instead of one entry per task; Run's digest is the fold of its own
+// per-task map; and flipping any one bit of any one task's checksum before
+// the fold moves the digest.
+func TestServiceDigestMatchesRun(t *testing.T) {
+	cfg := serviceConfig(core.PolicyCheckpoint)
+	// The liveness tick gives a 24-hour task thousands of events, so the
+	// loop's one admission per batch of them lands every later job while
+	// job 0 still holds its slots.
+	cfg.NMLivenessTimeout = 30 * time.Second
+	jobs := contendedJobs(49, 8)
+
+	ref, err := Run(cfg, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ref.TaskChecksums) != countTasks(jobs) || ref.Checkpoints == 0 {
+		t.Fatalf("Run: %d checksums for %d tasks, %d checkpoints: not a contended run",
+			len(ref.TaskChecksums), countTasks(jobs), ref.Checkpoints)
+	}
+	if got := foldChecksums(ref.TaskChecksums); got != ref.TaskChecksumDigest {
+		t.Errorf("Run's digest %#x is not the fold %#x of its own checksums", ref.TaskChecksumDigest, got)
+	}
+
+	s, err := startService(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range jobs {
+		if err := s.submit(spec); err != nil {
+			t.Fatalf("submit %d: %v", spec.ID, err)
+		}
+	}
+	res, err := s.Close()
+	if err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	t.Logf("Run: %d preemptions, %d restores; Service: %d preemptions, %d restores",
+		ref.Preemptions, ref.Restores, res.Preemptions, res.Restores)
+	if res.Checkpoints == 0 || res.Restores == 0 {
+		t.Errorf("the service run checkpointed %d and restored %d tasks: nothing was resumed", res.Checkpoints, res.Restores)
+	}
+	if res.TasksCompleted != ref.TasksCompleted {
+		t.Errorf("Service completed %d tasks, Run %d", res.TasksCompleted, ref.TasksCompleted)
+	}
+	if res.TaskChecksumDigest != ref.TaskChecksumDigest {
+		t.Errorf("Service digest %#x, Run digest %#x", res.TaskChecksumDigest, ref.TaskChecksumDigest)
+	}
+
+	flipped := maps.Clone(ref.TaskChecksums)
+	bit := 0
+	for id, sum := range ref.TaskChecksums {
+		flipped[id] = sum ^ 1<<(bit%64)
+		if foldChecksums(flipped) == ref.TaskChecksumDigest {
+			t.Errorf("flipping bit %d of task %v's checksum leaves the digest unchanged", bit%64, id)
+		}
+		flipped[id] = sum
+		bit += 7
+	}
+}
+
+// GIVEN a Service that has drained a stream of jobs,
+// WHEN its books are read,
+// THEN nothing in them grows with the number of jobs run: the admission
+// ledger holds no job, the Result keeps no per-task checksum map and no
+// all-jobs response samples, and yet the digest, the per-band response
+// means and the SLO's response histogram account for every job.
+func TestServiceKeepsNothingPerFinishedJob(t *testing.T) {
+	var wg sync.WaitGroup
+	s, err := startService(serviceConfig(core.PolicyCheckpoint), func(JobDone) { wg.Done() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	const jobs = 40
+	wg.Add(jobs)
+	for i := 0; i < jobs; i++ {
+		if err := s.submit(serviceJob(cluster.JobID(i), cluster.Priority(i%12), 1+i%3, time.Minute)); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+	}
+	wg.Wait()
+	s.hmu.Lock()
+	held, booked := len(s.held), s.booked
+	s.hmu.Unlock()
+	if held != 0 || booked != 0 {
+		t.Errorf("after the drain the ledger holds %d jobs, %v of work", held, booked)
+	}
+	res, err := s.Close()
+	if err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if res.TaskChecksums != nil || res.JobResponseAllSec != nil {
+		t.Errorf("the service kept %d task checksums and %v response samples",
+			len(res.TaskChecksums), res.JobResponseAllSec)
+	}
+	var banded int
+	for _, tally := range res.JobResponseSec {
+		banded += tally.N
+	}
+	if res.JobsCompleted != jobs || banded != jobs || res.TaskChecksumDigest == 0 {
+		t.Errorf("%d jobs completed, %d in the band means, digest %#x", res.JobsCompleted, banded, res.TaskChecksumDigest)
+	}
+	if n := res.SLO.Response["all"].Count; n != jobs {
+		t.Errorf("the SLO's response histogram counts %d jobs, want %d", n, jobs)
 	}
 }
