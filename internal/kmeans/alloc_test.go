@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"preemptsched/internal/proc"
+	"preemptsched/internal/sim"
 )
 
 // The allocation pins live behind !race: the scratch is a sync.Pool, and
@@ -35,10 +36,12 @@ func stepAllocs(t *testing.T, procs ...*proc.Process) float64 {
 	return testing.AllocsPerRun(50, step)
 }
 
-// GIVEN a k-means process whose first step has run,
+// GIVEN a k-means process whose first step has run, and a library run
+// whose first Iterate has,
 // WHEN it steps again — at the default task shape, at service-stream's, and
-// alternating a large shape with a small one —
-// THEN the step allocates nothing: points are decoded a chunk at a time
+// alternating a large shape with a small one — and the library iterates
+// again at the default shape,
+// THEN neither allocates: points are decoded or copied a chunk at a time
 // into pooled scratch, and the kernel's sums and counts live there too.
 func TestWarmStepAllocatesNothing(t *testing.T) {
 	for _, shape := range [][3]int{{240, 4, 4}, {8, 2, 2}} {
@@ -48,6 +51,13 @@ func TestWarmStepAllocatesNothing(t *testing.T) {
 	}
 	if allocs := stepAllocs(t, mustProcess(t, 5000, 8, 16), mustProcess(t, 8, 2, 2)); allocs != 0 {
 		t.Errorf("alternating a large and a small shape allocates %.0f objects per pair of steps", allocs)
+	}
+	pts := GeneratePoints(sim.NewStream(11), 240, 4, 4)
+	centroids, assign := firstPoints(pts, 4), make([]int, len(pts))
+	iterate := func() { Iterate(pts, centroids, assign) }
+	iterate() // warm
+	if allocs := testing.AllocsPerRun(50, iterate); allocs != 0 {
+		t.Errorf("a warm Iterate at 240/4/4 allocates %.0f objects", allocs)
 	}
 }
 

@@ -3,6 +3,8 @@ package kmeans
 import (
 	"fmt"
 	"testing"
+
+	"preemptsched/internal/sim"
 )
 
 // BenchmarkProgramStep measures one warm Lloyd iteration of a k-means
@@ -28,4 +30,20 @@ func BenchmarkProgramStep(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkIterate measures one warm library Lloyd iteration at yarn-batch's
+// task shape: the points are copied through the pooled scratch chunk into
+// the same kernel Program.Step runs.
+func BenchmarkIterate(b *testing.B) {
+	b.Run("240/4/4", func(b *testing.B) {
+		pts := GeneratePoints(sim.NewStream(11), 240, 4, 4)
+		centroids, assign := firstPoints(pts, 4), make([]int, len(pts))
+		Iterate(pts, centroids, assign) // warm the pooled scratch
+		b.ReportAllocs()
+		b.ResetTimer()
+		for range b.N {
+			Iterate(pts, centroids, assign)
+		}
+	})
 }

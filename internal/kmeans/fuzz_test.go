@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-// addOneAtATime is the assignment kernel lloyd.add replaced, kept as a
-// test-only reference: one SquaredDistance per centroid, in centroid order,
-// a strict < against the best so far. FuzzLloyd holds add to it. Do not
-// "fix" or share code with it: it is useful only as long as it stays what
-// shipped.
+// addOneAtATime is the assignment kernel the four-lane kernel replaced,
+// kept as a test-only reference: one SquaredDistance per centroid, in
+// centroid order, a strict < against the best so far. FuzzLloyd holds
+// addRows to it. Do not "fix" or share code with it: it is useful only as
+// long as it stays what shipped.
 func (l *lloyd) addOneAtATime(p []float64) int {
 	best, bestD := 0, math.MaxFloat64
 	for c := range l.counts {
@@ -75,10 +75,13 @@ func (s *valueStream) value() float64 {
 const maxLloydPoints = 512
 
 // requireSameLloyd decodes k ∈ [1, 13], dims ∈ [1, 9], k centroid rows —
-// each either drawn or a copy of an earlier row, an exact tie — and points
-// until the stream ends; it adds every point through both kernels, then
-// recentres both, and fails on the first difference in assignment, sums,
-// counts, centroids or movement, comparing floats by their bits.
+// each either drawn or a copy of an earlier row, an exact tie — and chunks
+// of points until the stream ends. A chunk is a byte whose low bit says
+// whether addRows records assignments, two bytes giving its length, 1 to
+// rowChunk(dims) rows, and its rows. Each chunk goes through addRows in one
+// call and through the reference a point at a time; the check fails on the
+// first difference in assignment or counts after a chunk, or in sums,
+// centroids or movement, comparing floats by their bits.
 func requireSameLloyd(t *testing.T, stream []byte) {
 	s := &valueStream{stream}
 	k, dims := 1+int(s.byte()%13), 1+int(s.byte()%9)
@@ -97,21 +100,38 @@ func requireSameLloyd(t *testing.T, stream []byte) {
 		}
 	}
 	copy(want.centroids, got.centroids)
-	p := make([]float64, dims)
-	for i := 0; len(s.b) > 0 && i < maxLloydPoints; i++ {
-		for d := range p {
-			p[d] = s.value()
+	rows, assign := make([]float64, rowChunk(dims)*dims), make([]int, rowChunk(dims))
+	for added := 0; len(s.b) > 0 && added < maxLloydPoints; {
+		record := s.byte()%2 == 1
+		length := 1 + int(uint16(s.byte())<<8|uint16(s.byte()))%min(rowChunk(dims), maxLloydPoints-added)
+		m := 0
+		for ; m < length && len(s.b) > 0; m++ {
+			for d := range dims {
+				rows[m*dims+d] = s.value()
+			}
 		}
-		if g, w := got.add(p), want.addOneAtATime(p); g != w {
-			t.Fatalf("k=%d dims=%d point %d %v: add assigns %d, the one-at-a-time kernel %d", k, dims, i, p, g, w)
+		if m == 0 {
+			break
 		}
+		var out []int
+		if record {
+			out = assign[:m]
+		}
+		got.addRows(rows[:m*dims], out)
+		for r := range m {
+			p := rows[r*dims : (r+1)*dims]
+			if w := want.addOneAtATime(p); record && out[r] != w {
+				t.Fatalf("k=%d dims=%d point %d %v: addRows assigns %d, the one-at-a-time kernel %d", k, dims, added+r, p, out[r], w)
+			}
+		}
+		for c := range k {
+			if got.counts[c] != want.counts[c] {
+				t.Fatalf("k=%d dims=%d after %d points: count[%d] = %d, reference %d", k, dims, added+m, c, got.counts[c], want.counts[c])
+			}
+		}
+		added += m
 	}
 	requireSameBits(t, "sum", got.sums, want.sums)
-	for c := range k {
-		if got.counts[c] != want.counts[c] {
-			t.Fatalf("count[%d] = %d, reference %d", c, got.counts[c], want.counts[c])
-		}
-	}
 	if g, w := got.recentre(), want.recentre(); math.Float64bits(g) != math.Float64bits(w) {
 		t.Fatalf("movement %v, reference %v", g, w)
 	}
@@ -122,7 +142,7 @@ func requireSameLloyd(t *testing.T, stream []byte) {
 // except that any NaN matches any NaN. Go leaves a NaN's payload to the
 // compiler: an add of two NaNs keeps the payload of whichever operand sits
 // in the destination register, and the same `sums[d] += v` compiles with
-// the operands one way round in add and the other in addOneAtATime.
+// the operands one way round in addRows and the other in addOneAtATime.
 func requireSameBits(t *testing.T, what string, got, want []float64) {
 	t.Helper()
 	for i := range want {
@@ -133,13 +153,25 @@ func requireSameBits(t *testing.T, what string, got, want []float64) {
 }
 
 // lloydSeeds are the streams FuzzLloyd starts from: every k at random
-// dimensions over every value kind, every special value in one point, and
-// k = 13 at 9 dimensions with every row a copy of the first, so that every
-// lane of every four-centroid block ties with centroid 0 on every point.
+// dimensions over every value kind; every special value in one point; k =
+// 13 at 9 dimensions with every row a copy of the first, so that every lane
+// of every four-centroid block ties with centroid 0 on every point; and, at
+// yarn-batch's 4 dimensions, k ∈ {1, 3, 4, 5, 8, 13} twice over — once with
+// every row a copy of the first, once with some rows copies of an earlier
+// one — each fed in chunks from 1 row to a whole rowChunk, recorded and
+// not, of points that are now and then NaN or ±Inf in one dimension.
 func lloydSeeds() [][]byte {
 	rng := rand.New(rand.NewSource(29))
 	fraction := func(b []byte) []byte {
 		return append(b, byte(8+rng.Intn(8))|byte(rng.Intn(16))<<4, byte(rng.Intn(256)), byte(rng.Intn(256)))
+	}
+	// chunk appends a chunk header for m rows, recorded or not.
+	chunk := func(b []byte, record bool, m int) []byte {
+		flag := byte(0)
+		if record {
+			flag = 1
+		}
+		return append(b, flag, byte((m-1)>>8), byte(m-1))
 	}
 	var seeds [][]byte
 	for k := range 13 {
@@ -148,9 +180,11 @@ func lloydSeeds() [][]byte {
 		s[0] = byte(k)
 		seeds = append(seeds, s)
 	}
-	// k = 3 at 1 dimension: centroids 0, -0, NaN; then one point of each
-	// special kind.
-	seeds = append(seeds, []byte{2, 0, 1, 3, 1, 4, 1, 0, 0, 1, 2, 3, 4, 5, 9, 6, 9, 7, 0x7F, 0xEF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
+	// k = 3 at 1 dimension: centroids 0, -0, NaN; then one recorded chunk
+	// of one point of each special kind.
+	special := []byte{2, 0, 1, 3, 1, 4, 1, 0}
+	special = chunk(special, true, 8)
+	seeds = append(seeds, append(special, 0, 1, 2, 3, 4, 5, 9, 6, 9, 7, 0x7F, 0xEF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF))
 	dup := []byte{12, 8, 1}
 	for range 9 {
 		dup = fraction(dup)
@@ -158,17 +192,52 @@ func lloydSeeds() [][]byte {
 	for range 12 {
 		dup = append(dup, 0) // a copy of centroid 0
 	}
-	for range 300 * 9 {
-		dup = fraction(dup)
+	for i, m := range []int{1, 113, 100, 86} {
+		dup = chunk(dup, i%2 == 0, m)
+		for range m * 9 {
+			dup = fraction(dup)
+		}
 	}
-	return append(seeds, dup)
+	seeds = append(seeds, dup)
+	for _, k := range []int{1, 3, 4, 5, 8, 13} {
+		for _, allCopies := range []bool{true, false} {
+			s := []byte{byte(k - 1), 3, 1}
+			for range 4 {
+				s = fraction(s)
+			}
+			for c := 1; c < k; c++ {
+				if allCopies || rng.Intn(2) == 0 {
+					s = append(s, byte(4*rng.Intn(c))) // a copy of an earlier row
+					continue
+				}
+				s = append(s, 1)
+				for range 4 {
+					s = fraction(s)
+				}
+			}
+			for i, m := range []int{1, 256, 2, 143} {
+				s = chunk(s, (i+k)%2 == 0, m)
+				for range m * 4 {
+					if rng.Intn(40) == 0 {
+						s = append(s, byte(rng.Intn(3))) // NaN, +Inf or -Inf
+						continue
+					}
+					s = fraction(s)
+				}
+			}
+			seeds = append(seeds, s)
+		}
+	}
+	return seeds
 }
 
-// GIVEN the four-lane kernel and the one-at-a-time kernel it replaced, each
+// GIVEN the chunk kernel and the one-at-a-time kernel it replaced, each
 // with the same k ∈ [1, 13] centroids of dims ∈ [1, 9] — duplicates among
 // them, so exact ties — and a stream of points holding NaN, ±Inf, ±0,
 // subnormals, arbitrary bit patterns and fractions whose sums round,
-// WHEN every point is added through both and both recentre,
+// WHEN the points go through addRows a chunk of 1 to rowChunk rows at a
+// time, with and without an assignment slice, and through the reference
+// one at a time, and both recentre,
 // THEN each point went to the same cluster, and the sums, the counts, the
 // new centroids and the movement are bit for bit the same.
 func FuzzLloyd(f *testing.F) {

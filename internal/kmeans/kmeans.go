@@ -86,8 +86,13 @@ func Iterate(points, centroids [][]float64, assign []int) float64 {
 	for c, row := range centroids {
 		copy(it.centroids[c*dims:(c+1)*dims], row)
 	}
-	for i, p := range points {
-		assign[i] = it.add(p)
+	for first, chunk := 0, rowChunk(dims); first < len(points); first += chunk {
+		batch := points[first:min(first+chunk, len(points))]
+		rows := it.rows[:len(batch)*dims]
+		for r, p := range batch {
+			copy(rows[r*dims:(r+1)*dims], p)
+		}
+		it.addRows(rows, assign[first:])
 	}
 	moved := it.recentre()
 	for c, row := range centroids {
@@ -110,14 +115,15 @@ type lloyd struct {
 	centroids []float64 // k × dims
 	sums      []float64 // k × dims: per cluster, the sum of the points added
 	counts    []int     // k: points added per cluster
-	rows      []float64 // rowChunk(dims) × dims: points on their way to or from process memory
+	rows      []float64 // rowChunk(dims) × dims: points on their way to or from process memory, or copied from Iterate's
 	rng       sim.RNG
 }
 
 var lloydPool = sync.Pool{New: func() any { return new(lloyd) }}
 
-// rowChunk is how many dims-wide points the program moves through
-// lloyd.rows at a time: 8 KiB of them, and never less than one.
+// rowChunk is how many dims-wide points Step and Iterate move through
+// lloyd.rows, and addRows scores, at a time: 8 KiB of them, and never less
+// than one.
 func rowChunk(dims int) int { return max(1, 1024/dims) }
 
 // begin sizes the scratch for k clusters of dims-wide points, reusing what
@@ -133,54 +139,120 @@ func (l *lloyd) begin(k, dims int) {
 	clear(l.counts)
 }
 
-// add assigns p to its nearest centroid (the lowest-numbered one on a tie)
-// and returns that cluster.
+// addRows assigns each dims-wide point of rows, in order, to its nearest
+// centroid (the lowest-numbered one on a tie), adds it into that cluster's
+// sum and count and, when assign is not nil, records the cluster in
+// assign[i] for the i-th point.
 //
-// The first k mod 4 centroids are scored one at a time; after them, one
-// pass over p scores four: four independent sums, each over p's dimensions
-// in ascending order exactly as SquaredDistance sums it, so every distance
-// is bit for bit the one SquaredDistance returns, but no sum waits on
-// another's adds. Every distance is compared in ascending centroid order
-// with a strict <, as one-at-a-time scoring compares them.
-func (l *lloyd) add(p []float64) int {
-	n, k := len(p), len(l.counts)
-	best, bestD := 0, math.MaxFloat64
-	for c := range k % 4 {
-		if d := SquaredDistance(p, l.centroids[c*n:(c+1)*n]); d < bestD {
-			best, bestD = c, d
+// Every distance is bit for bit the one SquaredDistance returns: it is
+// summed over the point's dimensions in ascending order. The first k mod 4
+// centroids are scored one at a time; after them one pass over the point
+// scores four, with four independent sums, so no sum waits on another's
+// adds. All k distances are compared in ascending centroid order with a
+// strict <, as one-at-a-time scoring compares them. At dims = 4 the point
+// is held in four locals and a block of four centroids is read as 16
+// consecutive values, with no loop over dimensions (addRows4).
+func (l *lloyd) addRows(rows []float64, assign []int) {
+	n, k := l.dims, len(l.counts)
+	if n == 4 {
+		l.addRows4(rows, assign)
+		return
+	}
+	for r := 0; len(rows) > 0; r, rows = r+1, rows[n:] {
+		p := rows[:n]
+		best, bestD := 0, math.MaxFloat64
+		for c := range k % 4 {
+			if d := SquaredDistance(p, l.centroids[c*n:(c+1)*n]); d < bestD {
+				best, bestD = c, d
+			}
+		}
+		for c := k % 4; c < k; c += 4 {
+			// Each row sliced to len(p), so the loop below has no bounds checks.
+			four := l.centroids[c*n:]
+			c0, c1, c2, c3 := four[:n], four[n:][:n], four[2*n:][:n], four[3*n:][:n]
+			var s0, s1, s2, s3 float64
+			for i, v := range p {
+				d0, d1, d2, d3 := v-c0[i], v-c1[i], v-c2[i], v-c3[i]
+				s0 += d0 * d0
+				s1 += d1 * d1
+				s2 += d2 * d2
+				s3 += d3 * d3
+			}
+			if s0 < bestD {
+				best, bestD = c, s0
+			}
+			if s1 < bestD {
+				best, bestD = c+1, s1
+			}
+			if s2 < bestD {
+				best, bestD = c+2, s2
+			}
+			if s3 < bestD {
+				best, bestD = c+3, s3
+			}
+		}
+		l.counts[best]++
+		sums := l.sums[best*n : (best+1)*n]
+		for d, v := range p {
+			sums[d] += v
+		}
+		if assign != nil {
+			assign[r] = best
 		}
 	}
-	for c := k % 4; c < k; c += 4 {
-		// Each row sliced to len(p), so the loop below has no bounds checks.
-		four := l.centroids[c*n:]
-		c0, c1, c2, c3 := four[:n], four[n:][:n], four[2*n:][:n], four[3*n:][:n]
-		var s0, s1, s2, s3 float64
-		for i, v := range p {
-			d0, d1, d2, d3 := v-c0[i], v-c1[i], v-c2[i], v-c3[i]
-			s0 += d0 * d0
-			s1 += d1 * d1
-			s2 += d2 * d2
-			s3 += d3 * d3
+}
+
+// addRows4 is addRows at dims = 4. A distance is written as one
+// left-to-right expression, ((d0² + d1²) + d2²) + d3², which is what
+// SquaredDistance's loop computes: its first add, 0 + d0², is d0² exactly.
+// A block's four distances are summed one after another, not from sixteen
+// differences taken first, so the point, the four sums and one lane's
+// differences fit in the SSE registers Go allocates and nothing spills.
+func (l *lloyd) addRows4(rows []float64, assign []int) {
+	k := len(l.counts)
+	counts, sums := l.counts, l.sums[:k*4]
+	head, blocks := l.centroids[:k%4*4], l.centroids[k%4*4:k*4]
+	for i := 0; len(rows) >= 4; i, rows = i+1, rows[4:] {
+		p0, p1, p2, p3 := rows[0], rows[1], rows[2], rows[3]
+		best, bestD := 0, math.MaxFloat64
+		for c, q := 0, head; len(q) >= 4; c, q = c+1, q[4:] {
+			d0, d1, d2, d3 := p0-q[0], p1-q[1], p2-q[2], p3-q[3]
+			if d := d0*d0 + d1*d1 + d2*d2 + d3*d3; d < bestD {
+				best, bestD = c, d
+			}
 		}
-		if s0 < bestD {
-			best, bestD = c, s0
+		for c, q := k%4, blocks; len(q) >= 16; c, q = c+4, q[16:] {
+			d0, d1, d2, d3 := p0-q[0], p1-q[1], p2-q[2], p3-q[3]
+			s0 := d0*d0 + d1*d1 + d2*d2 + d3*d3
+			d0, d1, d2, d3 = p0-q[4], p1-q[5], p2-q[6], p3-q[7]
+			s1 := d0*d0 + d1*d1 + d2*d2 + d3*d3
+			d0, d1, d2, d3 = p0-q[8], p1-q[9], p2-q[10], p3-q[11]
+			s2 := d0*d0 + d1*d1 + d2*d2 + d3*d3
+			d0, d1, d2, d3 = p0-q[12], p1-q[13], p2-q[14], p3-q[15]
+			s3 := d0*d0 + d1*d1 + d2*d2 + d3*d3
+			if s0 < bestD {
+				best, bestD = c, s0
+			}
+			if s1 < bestD {
+				best, bestD = c+1, s1
+			}
+			if s2 < bestD {
+				best, bestD = c+2, s2
+			}
+			if s3 < bestD {
+				best, bestD = c+3, s3
+			}
 		}
-		if s1 < bestD {
-			best, bestD = c+1, s1
-		}
-		if s2 < bestD {
-			best, bestD = c+2, s2
-		}
-		if s3 < bestD {
-			best, bestD = c+3, s3
+		counts[best]++
+		sum := sums[best*4 : best*4+4 : best*4+4]
+		sum[0] += p0
+		sum[1] += p1
+		sum[2] += p2
+		sum[3] += p3
+		if assign != nil {
+			assign[i] = best
 		}
 	}
-	l.counts[best]++
-	sums := l.sums[best*n : (best+1)*n]
-	for d, v := range p {
-		sums[d] += v
-	}
-	return best
 }
 
 // recentre moves every centroid to the mean of the points added to its

@@ -161,25 +161,63 @@ func TestProgramRunsToCompletion(t *testing.T) {
 }
 
 // GIVEN a k-means process and the library run on the same generated
-// dataset from the same initial centroids,
+// dataset from the same initial centroids — 90 points of 3 dims at k = 3,
+// and 1000 points of 4 dims at k = 4 and k = 6, which the program reads in
+// three whole row chunks and a partial one,
 // WHEN both advance one Lloyd iteration at a time,
 // THEN after every iteration the centroids and the centroid movement in
 // process memory are bit for bit (math.Float64bits) what Iterate computed:
-// reading points through the word accessors into one backing array changes
-// no operand and no order of arithmetic.
+// reading points through the word accessors into one backing array, a
+// chunk at a time, changes no operand and no order of arithmetic.
 func TestProgramMatchesLibrary(t *testing.T) {
-	const n, dims, k, iters, seed = 90, 3, 3, 5, 7
+	for _, sh := range libraryShapes {
+		t.Run(fmt.Sprintf("%d/%d/%d", sh.n, sh.dims, sh.k), func(t *testing.T) {
+			requireProgramMatchesLibrary(t, sh.n, sh.dims, sh.k, 5, sh.seed)
+		})
+	}
+}
+
+// libraryShapes are the shapes the program is held to the library at.
+// 1000 points at 4 dims cross three row-chunk boundaries (256+256+256+232).
+var libraryShapes = []struct {
+	n, dims, k int
+	seed       int64
+}{{90, 3, 3, 7}, {1000, 4, 4, 8}, {1000, 4, 6, 9}}
+
+// GIVEN the shapes of TestProgramMatchesLibrary run at once, twice each on
+// parallel subtests, so the pooled scratch — the row chunk addRows scores,
+// its sums and counts — passes between goroutines mid-run,
+// WHEN each process and its library copy advance 40 iterations,
+// THEN each still matches the library bit for bit after every iteration.
+func TestParallelRowsMatchLibrary(t *testing.T) {
+	for i := range 2 * len(libraryShapes) {
+		sh := libraryShapes[i%len(libraryShapes)]
+		t.Run(fmt.Sprint(i), func(t *testing.T) {
+			t.Parallel()
+			requireProgramMatchesLibrary(t, sh.n, sh.dims, sh.k, 40, sh.seed+int64(i))
+		})
+	}
+}
+
+// firstPoints copies the first k points: the initial centroids Run and the
+// program start from.
+func firstPoints(pts [][]float64, k int) [][]float64 {
+	out := make([][]float64, k)
+	for c := range out {
+		out[c] = append([]float64(nil), pts[c]...)
+	}
+	return out
+}
+
+func requireProgramMatchesLibrary(t *testing.T, n, dims, k int, iters uint64, seed int64) {
+	t.Helper()
 	p, err := NewProcess("km", n, dims, k, iters, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pts := GeneratePoints(sim.NewStream(seed), n, dims, k)
-	want := make([][]float64, k)
-	for c := range want {
-		want[c] = append([]float64(nil), pts[c]...)
-	}
-	assign := make([]int, n)
-	for iter := 1; ; iter++ {
+	want, assign := firstPoints(pts, k), make([]int, n)
+	for iter := uint64(1); ; iter++ {
 		done, err := p.Step()
 		if err != nil {
 			t.Fatal(err)

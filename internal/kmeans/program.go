@@ -132,9 +132,7 @@ func (Program) Step(p *proc.Process) (bool, error) {
 		if err := m.ReadF64s(rows, pointsOff+int64(first*dims)*8); err != nil {
 			return false, err
 		}
-		for ; len(rows) > 0; rows = rows[dims:] {
-			it.add(rows[:dims])
-		}
+		it.addRows(rows, nil)
 	}
 	moved := it.recentre()
 
