@@ -14,15 +14,6 @@ import (
 // under the race detector a pool drops a share of what is put into it by
 // design, so a warm step would allocate at random.
 
-func mustProcess(t *testing.T, points, dims, k int) *proc.Process {
-	t.Helper()
-	p, err := NewProcess("km", points, dims, k, 1<<40, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
-
 func stepAllocs(t *testing.T, procs ...*proc.Process) float64 {
 	t.Helper()
 	step := func() {
@@ -38,16 +29,31 @@ func stepAllocs(t *testing.T, procs ...*proc.Process) float64 {
 
 // GIVEN a k-means process whose first step has run, and a library run
 // whose first Iterate has,
-// WHEN it steps again — at the default task shape, at service-stream's, and
-// alternating a large shape with a small one — and the library iterates
-// again at the default shape,
+// WHEN it runs its first step again from a fresh Init — at the default
+// task shape and at service-stream's — steps on alternating a large shape
+// with a small one, and steps once its centroids have stopped moving, and
+// the library iterates again at the default shape,
 // THEN neither allocates: points are decoded or copied a chunk at a time
-// into pooled scratch, and the kernel's sums and counts live there too.
+// into pooled scratch, the kernel's sums and counts live there too, and a
+// converged step reads its centroids into the same scratch.
 func TestWarmStepAllocatesNothing(t *testing.T) {
 	for _, shape := range [][3]int{{240, 4, 4}, {8, 2, 2}} {
-		if allocs := stepAllocs(t, mustProcess(t, shape[0], shape[1], shape[2])); allocs != 0 {
-			t.Errorf("a warm step at %v allocates %.0f objects", shape, allocs)
+		p := mustProcess(t, shape[0], shape[1], shape[2])
+		first := func() {
+			if err := (Program{}).Init(p); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.Step(); err != nil {
+				t.Fatal(err)
+			}
 		}
+		first() // warm
+		if allocs := testing.AllocsPerRun(50, first); allocs != 0 {
+			t.Errorf("a warm Init and first step at %v allocate %.0f objects", shape, allocs)
+		}
+	}
+	if allocs := stepAllocs(t, convergedProcess(t)); allocs != 0 {
+		t.Errorf("a converged step at 240/4/4 allocates %.0f objects", allocs)
 	}
 	if allocs := stepAllocs(t, mustProcess(t, 5000, 8, 16), mustProcess(t, 8, 2, 2)); allocs != 0 {
 		t.Errorf("alternating a large and a small shape allocates %.0f objects per pair of steps", allocs)

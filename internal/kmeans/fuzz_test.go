@@ -1,9 +1,15 @@
 package kmeans
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
+
+	"preemptsched/internal/proc"
 )
 
 // addOneAtATime is the assignment kernel the four-lane kernel replaced,
@@ -245,4 +251,298 @@ func FuzzLloyd(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(requireSameLloyd)
+}
+
+// stepFull is Program.Step as it was before a converged step kept its
+// fixed point: every call reads every point and runs the whole Lloyd
+// iteration. It is the test-only reference FuzzConvergedStep holds Step
+// to. Do not "fix" or share code with it: it is useful only as long as it
+// stays what shipped.
+func stepFull(p *proc.Process) (bool, error) {
+	n, dims, k, centroidsOff, err := layout(p)
+	if err != nil {
+		return false, err
+	}
+	m := p.Memory()
+	iter, err := m.ReadU64(hdrOffIter)
+	if err != nil {
+		return false, err
+	}
+	maxIters := p.Registers().R[3]
+	if maxIters == 0 {
+		maxIters = 1
+	}
+
+	it := lloydPool.Get().(*lloyd)
+	defer lloydPool.Put(it)
+	it.begin(k, dims)
+	if err := m.ReadF64s(it.centroids, centroidsOff); err != nil {
+		return false, err
+	}
+	for first, chunk := 0, rowChunk(dims); first < n; first += chunk {
+		rows := it.rows[:min(chunk, n-first)*dims]
+		if err := m.ReadF64s(rows, pointsOff+int64(first*dims)*8); err != nil {
+			return false, err
+		}
+		it.addRows(rows, nil)
+	}
+	moved := it.recentre()
+
+	if err := m.WriteF64s(it.centroids, centroidsOff); err != nil {
+		return false, err
+	}
+	if err := m.WriteF64(hdrOffMove, moved); err != nil {
+		return false, err
+	}
+	iter++
+	if err := m.WriteU64(hdrOffIter, iter); err != nil {
+		return false, err
+	}
+	return iter >= maxIters, nil
+}
+
+// fullProgram is Program stepping through stepFull.
+type fullProgram struct{ Program }
+
+func (fullProgram) Step(p *proc.Process) (bool, error) { return stepFull(p) }
+
+// hostile decodes one point word FuzzConvergedStep writes after Init. An
+// odd kind is a huge value, or one within two binades of 2⁻⁴⁰⁰ — the
+// smallest centroid magnitude a converged step trusts — or of 2⁻⁵⁶⁰, whose
+// differences square to 0; either sign. An even kind is one of value's:
+// NaN, ±Inf, ±0, a subnormal, any bit pattern, or a fraction.
+func (s *valueStream) hostile() float64 {
+	kind := s.byte()
+	if kind%2 == 0 {
+		return s.value()
+	}
+	base := [...]int{1021, -400, -560}[kind>>2%3]
+	v := math.Ldexp(1+float64(s.byte())/256, base+int(kind>>4%4)-2)
+	if kind&2 != 0 {
+		return -v
+	}
+	return v
+}
+
+// maxHostileWords bounds the point words one input overwrites.
+const maxHostileWords = 64
+
+// convergedCase is one FuzzConvergedStep input: a k-means process of k ∈
+// [1, 13] clusters of dims ∈ [1, 9], k to three row chunks of points and 1
+// to 16 iterations at a seed, whose points are then scaled by 2^scale and
+// overwritten with hostile words; refresh makes the centroids the first k
+// of those points, as Init takes them from the dataset it draws.
+type convergedCase struct {
+	k, dims  uint8
+	n        uint16
+	maxIters uint8
+	seed     int64
+	scale    int16
+	refresh  bool
+	hostile  []byte
+}
+
+// requireSameSteps builds the case twice, once stepping through Program
+// and once through stepFull, and steps both until they finish or fail. It
+// fails on the first step after which the two differ in their memory
+// bytes, the pages that step dirtied, their registers, or what Step
+// returned. It returns how many of Program's steps started from a fixed
+// point it trusts, and the movement the full step recorded each step.
+func requireSameSteps(t *testing.T, c convergedCase) (trusted int, moves []float64) {
+	t.Helper()
+	k, dims := 1+int(c.k%13), 1+int(c.dims%9)
+	n := k + int(c.n)%(3*rowChunk(dims)-k+1)
+	iters := 1 + uint64(c.maxIters%16)
+	mem := MemoryBytes(n, dims, k)
+	build := func(prog proc.Program) *proc.Process {
+		p, err := proc.NewWithSetup("km", prog, mem, mem, func(p *proc.Process) {
+			Configure(p, uint64(n), uint64(dims), uint64(k), iters, c.seed)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	got, want := build(Program{}), build(fullProgram{})
+
+	points := make([]float64, n*dims)
+	if err := got.Memory().ReadF64s(points, pointsOff); err != nil {
+		t.Fatal(err)
+	}
+	for i := range points {
+		points[i] = math.Ldexp(points[i], int(c.scale)%1100)
+	}
+	s := &valueStream{c.hostile}
+	for w := 0; len(s.b) > 0 && w < maxHostileWords; w++ {
+		at := int(uint16(s.byte())<<8|uint16(s.byte())) % len(points)
+		points[at] = s.hostile()
+	}
+	centroidsOff := pointsOff + int64(n*dims)*8
+	for _, p := range []*proc.Process{got, want} {
+		m := p.Memory()
+		if err := m.WriteF64s(points, pointsOff); err != nil {
+			t.Fatal(err)
+		}
+		if c.refresh {
+			if err := m.WriteF64s(points[:k*dims], centroidsOff); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	for step := 1; ; step++ {
+		got.Memory().ClearSoftDirty()
+		want.Memory().ClearSoftDirty()
+		iter, _ := Iterations(got)
+		centroids := make([]float64, k*dims)
+		if err := got.Memory().ReadF64s(centroids, centroidsOff); err != nil {
+			t.Fatal(err)
+		}
+		if converged(got.Memory(), iter, centroids) {
+			trusted++
+		}
+		gotDone, gotErr := got.Step()
+		wantDone, wantErr := want.Step()
+		where := fmt.Sprintf("k=%d dims=%d n=%d seed=%d, step %d", k, dims, n, c.seed, step)
+		if gotDone != wantDone || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("%s: Step returns (%v, %v), the full step (%v, %v)", where, gotDone, gotErr, wantDone, wantErr)
+		}
+		for i := range got.Memory().NumPages() {
+			if g, w := got.Memory().Page(i), want.Memory().Page(i); !bytes.Equal(g, w) {
+				t.Fatalf("%s: page %d differs from the full step's", where, i)
+			}
+		}
+		if g, w := got.Memory().DirtyPages(), want.Memory().DirtyPages(); !slices.Equal(g, w) {
+			t.Fatalf("%s: dirtied pages %v, the full step %v", where, g, w)
+		}
+		if g, w := *got.Registers(), *want.Registers(); g != w {
+			t.Fatalf("%s: registers %+v, the full step's %+v", where, g, w)
+		}
+		moved, _ := LastMovement(want)
+		moves = append(moves, moved)
+		if gotDone || gotErr != nil {
+			return trusted, moves
+		}
+	}
+}
+
+// rawWords encodes hostile writes of words, bit for bit, over point words
+// 0, 1, 2, ….
+func rawWords(words ...float64) []byte {
+	var b []byte
+	for i, w := range words {
+		b = append(b, byte(i>>8), byte(i), 0, 7) // an even hostile kind, then value's any-bit-pattern kind
+		b = binary.BigEndian.AppendUint64(b, math.Float64bits(w))
+	}
+	return b
+}
+
+// yarnTask is yarn-batch's k-means task at a seed: 240 points of 4 dims,
+// k = 4, 10 iterations.
+func yarnTask(seed int64) convergedCase {
+	return convergedCase{k: 3, dims: 3, n: 236, maxIters: 9, seed: seed}
+}
+
+// tinyMove is four 1-dims points, u = 2⁻⁵²⁰ and δ = 2⁻⁵⁴⁰ apart:
+// 0, 10u, q = 5u + δ/4 and 20u − q + 3δ, at k = 2 from the first two. The
+// first step moves centroid 1 from 10u to 10u + δ, whose square rounds to
+// +0, so it records a movement of +0; that move shifts the boundary past
+// q, so the second step moves q to cluster 0 and both centroids with it.
+func tinyMove() convergedCase {
+	u, delta := 0x1p-520, 0x1p-540
+	q := 5*u + delta/4
+	return convergedCase{k: 1, n: 2, maxIters: 2, refresh: true, hostile: rawWords(0, 10*u, q, 20*u-q+3*delta)}
+}
+
+// nanMove is four 2-dims points, (1, 1), (10, 1), (NaN, 4) and (2, 1), at
+// k = 2 from the first two. The first step puts the NaN point in cluster
+// 0, whose centroid becomes (NaN, 2): a NaN movement, which the maximum
+// skips, so the step records +0. No finite point is ever nearer a NaN
+// centroid, so the second step moves (1, 1) and (2, 1) to cluster 1.
+func nanMove() convergedCase {
+	return convergedCase{k: 1, dims: 1, n: 2, maxIters: 2, refresh: true, hostile: rawWords(1, 1, 10, 1, math.NaN(), 4, 2, 1)}
+}
+
+// convergedSeeds are the cases FuzzConvergedStep starts from: yarn-batch's
+// task at two seeds that converge at iteration 2 and at the four of its
+// 1,200 task seeds that converge at 3; service-stream's 8/2/2 for 16
+// iterations; k = 1 at 9 dims and k = 13 at 1 dim over three whole row
+// chunks; tinyMove and nanMove; datasets scaled into the subnormals, near 2⁻⁴⁰⁰ and
+// 2⁻⁵²⁰, and to where distances overflow, with centroids refreshed from
+// them; and random shapes with 1 to 40 hostile words of random kinds,
+// refreshed and not.
+func convergedSeeds() []convergedCase {
+	var seeds []convergedCase
+	for _, seed := range []int64{0, 17*1_000_003 + 5, 27_000_102, 30_000_092, 32_000_098, 33_000_103} {
+		seeds = append(seeds, yarnTask(seed))
+	}
+	seeds = append(seeds,
+		convergedCase{k: 1, dims: 1, n: 6, maxIters: 15, seed: 21},
+		convergedCase{k: 0, dims: 8, n: 338, maxIters: 15, seed: 5},
+		convergedCase{k: 12, dims: 0, n: 3059, maxIters: 15, seed: 9},
+		tinyMove(),
+		nanMove(),
+	)
+	for i, scale := range []int16{-1070, -520, -400, 1000, 1017} {
+		seeds = append(seeds, convergedCase{k: 2, dims: 1, n: 40, maxIters: 15, seed: int64(i), scale: scale, refresh: true})
+	}
+	rng := rand.New(rand.NewSource(31))
+	for i := range 16 {
+		hostile := make([]byte, 4+rng.Intn(40*12))
+		rng.Read(hostile)
+		seeds = append(seeds, convergedCase{
+			k: byte(rng.Intn(13)), dims: byte(rng.Intn(9)), n: uint16(rng.Intn(200)),
+			maxIters: 15, seed: int64(i), refresh: i%2 == 0, hostile: hostile,
+		})
+	}
+	return seeds
+}
+
+// GIVEN k-means processes of k ∈ [1, 13] clusters of dims ∈ [1, 9] and up
+// to three row chunks of points at a seed, whose points were then scaled
+// by a power of two and overwritten with NaN, ±Inf, ±0, subnormals, huge
+// values and values near 2⁻⁴⁰⁰ and 2⁻⁵⁶⁰, with centroids kept or taken from
+// the altered points,
+// WHEN one twin steps through Program.Step, which keeps a converged fixed
+// point, and the other through stepFull, to their last iteration,
+// THEN after every step the two hold the same memory bytes, dirtied the
+// same pages, have the same registers, and Step returned the same.
+func FuzzConvergedStep(f *testing.F) {
+	for _, c := range convergedSeeds() {
+		f.Add(c.k, c.dims, c.n, c.maxIters, c.seed, c.scale, c.refresh, c.hostile)
+	}
+	f.Fuzz(func(t *testing.T, k, dims uint8, n uint16, maxIters uint8, seed int64, scale int16, refresh bool, hostile []byte) {
+		requireSameSteps(t, convergedCase{k, dims, n, maxIters, seed, scale, refresh, hostile})
+	})
+}
+
+// GIVEN yarn-batch's k-means task at two task seeds that converge at
+// iteration 2 and at the four of the 1,200 (jobs 0–39 × tasks 0–29) that
+// converge at iteration 3,
+// WHEN Program.Step and stepFull step them to their tenth iteration,
+// THEN every step is the same, and every step after the one that first
+// recorded a movement of +0 starts from a fixed point Step trusts: 8 of
+// 10, or 7.
+func TestConvergedStepKeepsFixedPoint(t *testing.T) {
+	for _, seed := range []int64{0, 17*1_000_003 + 5, 27_000_102, 30_000_092, 32_000_098, 33_000_103} {
+		trusted, moves := requireSameSteps(t, yarnTask(seed))
+		first := slices.Index(moves, 0) + 1
+		if first < 2 || trusted != len(moves)-first {
+			t.Errorf("seed %d: movements %v, %d steps trusted a fixed point; want %d", seed, moves, trusted, len(moves)-first)
+		}
+	}
+}
+
+// GIVEN tinyMove and nanMove, whose first steps move a centroid yet
+// record a movement of +0,
+// WHEN Program.Step and stepFull step them,
+// THEN the second step still moves, and Program.Step computes it: a
+// centroid below 2⁻⁴⁰⁰ in magnitude, or NaN, fails the fixed-point guard.
+func TestUnrecordedMovesAreRecomputed(t *testing.T) {
+	for name, c := range map[string]convergedCase{"tiny": tinyMove(), "NaN": nanMove()} {
+		trusted, moves := requireSameSteps(t, c)
+		if len(moves) < 2 || math.Float64bits(moves[0]) != 0 || !(moves[1] > 0) || trusted != 0 {
+			t.Errorf("%s: movements %v, %d steps trusted a fixed point; want +0 then a move, none trusted", name, moves, trusted)
+		}
+	}
 }

@@ -38,7 +38,8 @@ type Config struct {
 }
 
 // Run clusters points with Lloyd's algorithm. Initial centroids are the
-// first k distinct points, which keeps the function deterministic.
+// first k points, duplicates included, as Program.Init takes them, which
+// keeps the function deterministic.
 func Run(points [][]float64, cfg Config) (*Result, error) {
 	if cfg.K <= 0 {
 		return nil, fmt.Errorf("kmeans: k=%d must be positive", cfg.K)

@@ -2,6 +2,7 @@ package kmeans
 
 import (
 	"fmt"
+	"math"
 
 	"preemptsched/internal/proc"
 )
@@ -12,7 +13,9 @@ const ProgramName = "kmeans"
 // Program runs k-means inside a virtual process. One Step is one Lloyd
 // iteration. All mutable state is kept in process memory:
 //
-//	offset 0:                     header (iteration counter, last movement)
+//	offset 0:                     header (iteration counter, last movement;
+//	                              the movement, at offset 8, is also what
+//	                              a converged Step reads)
 //	offset pointsOff:             n × dims float64 points (written at Init,
 //	                              read-only afterwards — the read-dominant
 //	                              region that makes incremental dumps small)
@@ -105,7 +108,9 @@ func (Program) Init(p *proc.Process) error {
 }
 
 // Step implements proc.Program: one full Lloyd iteration read from and
-// written back to process memory.
+// written back to process memory. When the last Step left every centroid
+// where it found it (converged), the iteration would compute them again
+// bit for bit, so Step skips the points and makes the same three writes.
 func (Program) Step(p *proc.Process) (bool, error) {
 	n, dims, k, centroidsOff, err := layout(p)
 	if err != nil {
@@ -127,14 +132,17 @@ func (Program) Step(p *proc.Process) (bool, error) {
 	if err := m.ReadF64s(it.centroids, centroidsOff); err != nil {
 		return false, err
 	}
-	for first, chunk := 0, rowChunk(dims); first < n; first += chunk {
-		rows := it.rows[:min(chunk, n-first)*dims]
-		if err := m.ReadF64s(rows, pointsOff+int64(first*dims)*8); err != nil {
-			return false, err
+	var moved float64
+	if !converged(m, iter, it.centroids) {
+		for first, chunk := 0, rowChunk(dims); first < n; first += chunk {
+			rows := it.rows[:min(chunk, n-first)*dims]
+			if err := m.ReadF64s(rows, pointsOff+int64(first*dims)*8); err != nil {
+				return false, err
+			}
+			it.addRows(rows, nil)
 		}
-		it.addRows(rows, nil)
+		moved = it.recentre()
 	}
-	moved := it.recentre()
 
 	if err := m.WriteF64s(it.centroids, centroidsOff); err != nil {
 		return false, err
@@ -147,6 +155,30 @@ func (Program) Step(p *proc.Process) (bool, error) {
 		return false, err
 	}
 	return iter >= maxIters, nil
+}
+
+// converged reports whether the centroids Step just read are a fixed point
+// the last Step proved: a Step, not Init, wrote the movement (iter ≥ 1); it
+// is +0 bit for bit; and every centroid coordinate is finite with magnitude
+// at least 2⁻⁴⁰⁰. A double that large differs from any other by at least
+// 2⁻⁴⁵³, whose square is a nonzero normal, so a Step that moved such a
+// centroid cannot have summed its movement to 0, and one that left every
+// centroid in place computes the same assignments, means and movement
+// again. The argument covers memory that Init and Steps wrote (DESIGN
+// §16.6); a hand-written header is outside it.
+func converged(m *proc.Memory, iter uint64, centroids []float64) bool {
+	if iter == 0 {
+		return false
+	}
+	if moved, err := m.ReadU64(hdrOffMove); err != nil || moved != 0 {
+		return false
+	}
+	for _, c := range centroids {
+		if a := math.Abs(c); !(a >= 0x1p-400 && a <= math.MaxFloat64) {
+			return false
+		}
+	}
+	return true
 }
 
 // Centroids reads the current centroids out of process memory.
