@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"preemptsched/internal/cluster"
@@ -14,7 +13,7 @@ import (
 
 // ClusterConfig is what both schedulers are told about the cluster they
 // run. sched.Config and yarn.Config embed it and add only their own knobs;
-// each layer validates and defaults it first.
+// each layer validates it first.
 type ClusterConfig struct {
 	// Nodes is the machine count; Policy the preemption policy under test.
 	Nodes  int
@@ -24,12 +23,6 @@ type ClusterConfig struct {
 	// of that many bytes/second (the paper's sensitivity sweeps).
 	StorageKind     storage.Kind
 	CustomBandwidth float64
-	// NetBandwidth is the bytes/second for shipping images to remote
-	// restore targets; zero means DefaultNetBandwidth.
-	NetBandwidth float64
-	// EnergyModel maps node utilization to watts; the zero model means
-	// energy.DefaultModel.
-	EnergyModel energy.Model
 	// PreCopy enables pre-copy checkpointing (CRIU pre-dump): the bulk of
 	// a victim's state is dumped while it keeps running, and the freeze
 	// writes only the pages dirtied meanwhile.
@@ -47,33 +40,19 @@ func (c ClusterConfig) Validate() error {
 		return fmt.Errorf("Nodes=%d must be positive", c.Nodes)
 	case c.Policy < PolicyWait || c.Policy > PolicyAdaptive:
 		return fmt.Errorf("invalid policy %v", c.Policy)
-	case math.IsNaN(c.NetBandwidth) || math.IsInf(c.NetBandwidth, 0) || c.NetBandwidth < 0:
-		return fmt.Errorf("NetBandwidth=%v must be finite and non-negative", c.NetBandwidth)
 	}
-	if _, err := storage.NewNodeDevice(c.StorageKind, c.CustomBandwidth); err != nil {
-		return err
-	}
-	return c.EnergyModel.Validate()
-}
-
-// FillDefaults sets the zero-valued shared fields to their defaults.
-func (c *ClusterConfig) FillDefaults() {
-	if c.NetBandwidth == 0 {
-		c.NetBandwidth = DefaultNetBandwidth
-	}
-	if c.EnergyModel == (energy.Model{}) {
-		c.EnergyModel = energy.DefaultModel()
-	}
+	_, err := storage.NewNodeDevice(c.StorageKind, c.CustomBandwidth)
+	return err
 }
 
 // NewLedger opens one node's empty books: capacity, a fresh device of c's
-// storage and a meter of c's energy model.
+// storage and a meter of energy.DefaultModel.
 func (c ClusterConfig) NewLedger(capacity cluster.Resources) (Ledger, error) {
 	dev, err := storage.NewNodeDevice(c.StorageKind, c.CustomBandwidth)
 	if err != nil {
 		return Ledger{}, err
 	}
-	return Ledger{Cap: capacity, Device: dev, Meter: energy.NewMeter(c.EnergyModel)}, nil
+	return Ledger{Cap: capacity, Device: dev, Meter: energy.NewMeter(energy.DefaultModel())}, nil
 }
 
 // Ledger is one machine's books on either substrate: capacity, what

@@ -5,10 +5,7 @@
 // utilization-to-watts model and integrates it over virtual time.
 package energy
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // Model maps CPU utilization to power draw linearly between an idle and a
 // peak wattage.
@@ -21,14 +18,6 @@ type Model struct {
 // roughly 100 W idle and 300 W at full load.
 func DefaultModel() Model {
 	return Model{IdleWatts: 100, PeakWatts: 300}
-}
-
-// Validate rejects a model whose peak draw is below its idle draw.
-func (m Model) Validate() error {
-	if m.PeakWatts < m.IdleWatts {
-		return fmt.Errorf("energy: peak %v W below idle %v W", m.PeakWatts, m.IdleWatts)
-	}
-	return nil
 }
 
 // Power returns the wattage at utilization u in [0, 1]; u is clamped.
@@ -48,13 +37,8 @@ type Meter struct {
 	joules float64
 }
 
-// NewMeter returns a meter using model, which the caller has validated.
-func NewMeter(model Model) *Meter {
-	if err := model.Validate(); err != nil {
-		panic(err)
-	}
-	return &Meter{model: model}
-}
+// NewMeter returns a meter using model.
+func NewMeter(model Model) *Meter { return &Meter{model: model} }
 
 // Accumulate records an interval of the given duration spent at
 // utilization u.

@@ -35,21 +35,3 @@ func TestDefaultModel(t *testing.T) {
 		t.Errorf("implausible default model %+v", m)
 	}
 }
-
-func TestNewMeterPanicsOnInvertedModel(t *testing.T) {
-	inverted := Model{IdleWatts: 300, PeakWatts: 100}
-	if inverted.Validate() == nil {
-		t.Error("Validate accepted an inverted model")
-	}
-	for _, ok := range []Model{{}, {IdleWatts: 100, PeakWatts: 100}, DefaultModel()} {
-		if err := ok.Validate(); err != nil {
-			t.Errorf("Validate(%+v) = %v", ok, err)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	NewMeter(inverted)
-}

@@ -45,11 +45,6 @@ func TestOptionsValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("invalid options accepted")
 	}
-	bad = Default()
-	bad.YarnLoadFactor = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("zero load factor accepted")
-	}
 }
 
 func TestSection2Tables(t *testing.T) {

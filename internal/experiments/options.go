@@ -22,6 +22,11 @@ import (
 	"preemptsched/internal/yarn"
 )
 
+// yarnLoadFactor is the framework's mean offered load over slot capacity.
+// 1.8 reproduces the paper's setup, where 7,000 one-minute tasks over a
+// twenty-minute window contend for 192 containers.
+const yarnLoadFactor = 1.8
+
 // Options sizes the experiment inputs.
 type Options struct {
 	Seed int64
@@ -40,10 +45,6 @@ type Options struct {
 	// YarnJobs / YarnTasks size the framework workload (paper: 40 / 7,000).
 	YarnJobs  int
 	YarnTasks int
-	// YarnLoadFactor is the framework's mean offered load over slot
-	// capacity. 1.8 reproduces the paper's setup, where 7,000 one-minute
-	// tasks over a twenty-minute window contend for 192 containers.
-	YarnLoadFactor float64
 	// Parallel bounds the harness worker pool that fans out independent
 	// (figure, policy, storage, scale) runs: 0 uses one worker per
 	// available CPU, 1 runs strictly sequentially. Each individual
@@ -63,7 +64,6 @@ func Default() Options {
 		SimLoadFactor:  1.15,
 		YarnJobs:       10,
 		YarnTasks:      120,
-		YarnLoadFactor: 1.8,
 	}
 }
 
@@ -87,9 +87,6 @@ func (o Options) Validate() error {
 	}
 	if o.SimLoadFactor <= 0 || o.SimLoadFactor > 2 {
 		return fmt.Errorf("experiments: SimLoadFactor=%v outside (0,2]", o.SimLoadFactor)
-	}
-	if o.YarnLoadFactor <= 0 || o.YarnLoadFactor > 4 {
-		return fmt.Errorf("experiments: YarnLoadFactor=%v outside (0,4]", o.YarnLoadFactor)
 	}
 	if o.Parallel < 0 {
 		return fmt.Errorf("experiments: Parallel=%d negative", o.Parallel)
@@ -149,7 +146,7 @@ func (o Options) yarnJobs() ([]cluster.JobSpec, error) {
 }
 
 // yarnCluster sizes the framework to the workload: total slots = mean
-// concurrent demand / YarnLoadFactor, spread over up to the paper's eight
+// concurrent demand / yarnLoadFactor, spread over up to the paper's eight
 // nodes. At PaperScale this lands on the paper's 8×24 = 192 containers.
 func (o Options) yarnCluster(jobs []cluster.JobSpec, cfg *yarn.Config) {
 	var taskSeconds float64
@@ -166,7 +163,7 @@ func (o Options) yarnCluster(jobs []cluster.JobSpec, cfg *yarn.Config) {
 		span = time.Minute
 	}
 	meanConcurrent := taskSeconds / span.Seconds()
-	slots := int(meanConcurrent / o.YarnLoadFactor)
+	slots := int(meanConcurrent / yarnLoadFactor)
 	if slots < 2 {
 		slots = 2
 	}

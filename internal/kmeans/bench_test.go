@@ -13,9 +13,9 @@ import (
 // each b.N restores (k·dims values and one word, beside the n·dims the
 // step reads): at yarn-batch's task shape (240 points, 4 dims, k = 4),
 // where the kernel scores four centroids per pass, and at
-// service-stream's (8/2/2), where it runs the one-centroid remainder loop
-// alone. converged is a yarn-batch-shaped step once the centroids have
-// stopped moving, the step that keeps its fixed point.
+// service-stream's (8/2/2), where it scores one centroid at a time.
+// converged is a yarn-batch-shaped step once the centroids have stopped
+// moving, the step that keeps its fixed point.
 func BenchmarkProgramStep(b *testing.B) {
 	for _, sh := range [][3]int{{240, 4, 4}, {8, 2, 2}} {
 		b.Run(fmt.Sprintf("first/%d/%d/%d", sh[0], sh[1], sh[2]), func(b *testing.B) {

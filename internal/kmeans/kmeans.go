@@ -146,15 +146,14 @@ func (l *lloyd) begin(k, dims int) {
 // assign[i] for the i-th point.
 //
 // Every distance is bit for bit the one SquaredDistance returns: it is
-// summed over the point's dimensions in ascending order. The first k mod 4
-// centroids are scored one at a time; after them one pass over the point
-// scores four, with four independent sums, so no sum waits on another's
-// adds. All k distances are compared in ascending centroid order with a
-// strict <, as one-at-a-time scoring compares them. At dims = 4 the point
-// is held in four locals and a block of four centroids is read as 16
-// consecutive values, with no loop over dimensions (addRows4).
+// summed over the point's dimensions in ascending order, and the k
+// distances are compared in ascending centroid order with a strict <. At
+// dims = 4 the point is held in four locals and a block of four centroids
+// is read as 16 consecutive values, with no loop over dimensions
+// (addRows4); at any other dims each centroid is scored by SquaredDistance
+// in turn.
 func (l *lloyd) addRows(rows []float64, assign []int) {
-	n, k := l.dims, len(l.counts)
+	n := l.dims
 	if n == 4 {
 		l.addRows4(rows, assign)
 		return
@@ -162,34 +161,9 @@ func (l *lloyd) addRows(rows []float64, assign []int) {
 	for r := 0; len(rows) > 0; r, rows = r+1, rows[n:] {
 		p := rows[:n]
 		best, bestD := 0, math.MaxFloat64
-		for c := range k % 4 {
+		for c := range l.counts {
 			if d := SquaredDistance(p, l.centroids[c*n:(c+1)*n]); d < bestD {
 				best, bestD = c, d
-			}
-		}
-		for c := k % 4; c < k; c += 4 {
-			// Each row sliced to len(p), so the loop below has no bounds checks.
-			four := l.centroids[c*n:]
-			c0, c1, c2, c3 := four[:n], four[n:][:n], four[2*n:][:n], four[3*n:][:n]
-			var s0, s1, s2, s3 float64
-			for i, v := range p {
-				d0, d1, d2, d3 := v-c0[i], v-c1[i], v-c2[i], v-c3[i]
-				s0 += d0 * d0
-				s1 += d1 * d1
-				s2 += d2 * d2
-				s3 += d3 * d3
-			}
-			if s0 < bestD {
-				best, bestD = c, s0
-			}
-			if s1 < bestD {
-				best, bestD = c+1, s1
-			}
-			if s2 < bestD {
-				best, bestD = c+2, s2
-			}
-			if s3 < bestD {
-				best, bestD = c+3, s3
 			}
 		}
 		l.counts[best]++

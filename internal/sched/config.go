@@ -162,7 +162,6 @@ func (c Config) Validate() error {
 
 // withDefaults fills zero-valued optional fields.
 func (c Config) withDefaults() Config {
-	c.FillDefaults()
 	if c.Discipline == 0 {
 		c.Discipline = DisciplinePriority
 	}

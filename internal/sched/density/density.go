@@ -61,7 +61,7 @@ func Run(sp Spec) (*CellResult, error) {
 
 	cfg := sched.DefaultConfig(sp.Policy, sp.Storage)
 	cfg.Nodes = sp.Nodes
-	cfg.NodeCapacity = sp.NodeCapacity
+	cfg.NodeCapacity = nodeCapacity
 
 	res := &CellResult{
 		Name:        sp.Name,
@@ -74,7 +74,7 @@ func Run(sp Spec) (*CellResult, error) {
 	cfg.SampleEvery = sp.SampleEvery
 	// Stride-doubling decimation: the sampler stays on the fine cadence
 	// (so queue peaks are still observed), but the retained series halves
-	// whenever it hits MaxSamples, keeping a uniform spacing of
+	// whenever it hits maxSamples, keeping a uniform spacing of
 	// SampleEvery * stride throughout.
 	tick, stride := 0, 1
 	cfg.OnSample = func(s sched.Sample) {
@@ -83,7 +83,7 @@ func Run(sp Spec) (*CellResult, error) {
 		}
 		if tick%stride == 0 {
 			res.Samples = append(res.Samples, s)
-			if len(res.Samples) >= sp.MaxSamples {
+			if len(res.Samples) >= maxSamples {
 				kept := res.Samples[:0]
 				for i := 0; i < len(res.Samples); i += 2 {
 					kept = append(kept, res.Samples[i])

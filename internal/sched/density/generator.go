@@ -23,18 +23,35 @@ import (
 	"preemptsched/internal/storage"
 )
 
-// Spec configures one density cell: the virtual cluster, the synthetic
-// workload, and the sampling cadence. Zero values take scale-appropriate
-// defaults from withDefaults.
+// The shape every density cell shares; Spec's doc comment spells it out.
+var (
+	nodeCapacity = cluster.Resources{CPUMillis: cluster.Cores(16), MemBytes: cluster.GiB(64)}
+	taskDemand   = cluster.Resources{CPUMillis: cluster.Cores(1), MemBytes: cluster.GiB(4)}
+)
+
+const (
+	taskDuration   = 3 * time.Minute
+	meanFootprint  = 1.5 * (1 << 30)
+	footprintSigma = 0.5
+	maxSamples     = 256
+)
+
+// Spec configures one density cell. Every cell has the same shape:
+// machines of 16 cores / 64 GiB; tasks that reserve 1 core / 4 GiB and run
+// a bounded-Pareto duration around a 3-minute mean (a quarter of it in
+// production jobs); lognormal checkpoint footprints of mean 1.5 GiB and
+// log-space sigma 0.5, clamped to [64 MiB, 4 GiB]; and at most 256
+// retained rate-over-time samples, kept by stride-doubling decimation. A
+// Spec sets the cluster and workload size, the priority mix, the offered
+// load, the policy and storage, and the sampling cadence. Zero values
+// take scale-appropriate defaults from withDefaults.
 type Spec struct {
 	// Name labels the cell in reports ("10k-nodes").
 	Name string
 	// Seed drives every stochastic choice the generator makes.
 	Seed int64
-	// Nodes is the virtual machine count; NodeCapacity the per-machine
-	// resources (default 16 cores / 64 GiB).
-	Nodes        int
-	NodeCapacity cluster.Resources
+	// Nodes is the virtual machine count.
+	Nodes int
 	// Tasks is the total task-event count (~1M at the headline config).
 	Tasks int
 	// Jobs is the job count tasks are grouped into; sizes follow a Zipf
@@ -45,38 +62,22 @@ type Spec struct {
 	// above 1 keep a standing backlog and exercise preemption. Default
 	// 1.2.
 	LoadFactor float64
-	// TaskDuration is the mean task compute time (default 3m); actual
-	// durations are bounded-Pareto distributed around it.
-	TaskDuration time.Duration
 	// HighShare and MidShare are the fractions of tasks carried by
 	// production (priority 10) and middle (priority 5) jobs; the rest is
 	// free-band (priority 0). Defaults 0.10 and 0.30.
 	HighShare, MidShare float64
-	// MeanFootprint is the mean of the lognormal checkpoint-size
-	// distribution (default 1.5 GiB); FootprintSigma its log-space sigma
-	// (default 0.5). Footprints clamp to [64 MiB, task memory demand].
-	MeanFootprint  int64
-	FootprintSigma float64
-	// TaskDemand is the per-task reservation (default 1 core / 4 GiB).
-	TaskDemand cluster.Resources
 	// Policy and Storage select the preemption policy (default basic
 	// checkpoint) and the per-node checkpoint device (default SSD).
 	Policy  core.Policy
 	Storage storage.Kind
-	// SampleEvery is the virtual-clock sampling period (default 30s);
-	// MaxSamples caps the retained rate-over-time series (default 256,
-	// kept by stride-doubling decimation).
+	// SampleEvery is the virtual-clock sampling period (default 30s).
 	SampleEvery time.Duration
-	MaxSamples  int
 }
 
 // withDefaults fills zero fields with the scale-appropriate defaults.
 func (sp Spec) withDefaults() Spec {
 	if sp.Nodes == 0 {
 		sp.Nodes = 1000
-	}
-	if sp.NodeCapacity == (cluster.Resources{}) {
-		sp.NodeCapacity = cluster.Resources{CPUMillis: cluster.Cores(16), MemBytes: cluster.GiB(64)}
 	}
 	if sp.Tasks == 0 {
 		sp.Tasks = 50_000
@@ -90,20 +91,8 @@ func (sp Spec) withDefaults() Spec {
 	if sp.LoadFactor == 0 {
 		sp.LoadFactor = 1.2
 	}
-	if sp.TaskDuration == 0 {
-		sp.TaskDuration = 3 * time.Minute
-	}
 	if sp.HighShare == 0 && sp.MidShare == 0 {
 		sp.HighShare, sp.MidShare = 0.10, 0.30
-	}
-	if sp.MeanFootprint == 0 {
-		sp.MeanFootprint = int64(1.5 * float64(cluster.GiB(1)))
-	}
-	if sp.FootprintSigma == 0 {
-		sp.FootprintSigma = 0.5
-	}
-	if sp.TaskDemand == (cluster.Resources{}) {
-		sp.TaskDemand = cluster.Resources{CPUMillis: cluster.Cores(1), MemBytes: cluster.GiB(4)}
 	}
 	if sp.Policy == 0 {
 		sp.Policy = core.PolicyCheckpoint
@@ -113,9 +102,6 @@ func (sp Spec) withDefaults() Spec {
 	}
 	if sp.SampleEvery == 0 {
 		sp.SampleEvery = 30 * time.Second
-	}
-	if sp.MaxSamples == 0 {
-		sp.MaxSamples = 256
 	}
 	if sp.Name == "" {
 		sp.Name = fmt.Sprintf("n%d-t%d", sp.Nodes, sp.Tasks)
@@ -133,24 +119,10 @@ func (sp Spec) Validate() error {
 		return fmt.Errorf("density: Jobs=%d exceeds Tasks=%d", sp.Jobs, sp.Tasks)
 	}
 	if sp.HighShare < 0 || sp.MidShare < 0 || sp.HighShare+sp.MidShare > 1 {
-		return fmt.Errorf("density: priority mix %.2f/%.2f outside the simplex", sp.HighShare, sp.MidShare)
+		return fmt.Errorf("density: HighShare=%.2f, MidShare=%.2f: each must be non-negative and their sum at most 1", sp.HighShare, sp.MidShare)
 	}
 	if sp.LoadFactor <= 0 {
-		return fmt.Errorf("density: non-positive load factor %v", sp.LoadFactor)
-	}
-	// withDefaults fills only a wholly zero demand; span divides by each
-	// dimension.
-	if sp.TaskDemand.CPUMillis <= 0 || sp.TaskDemand.MemBytes <= 0 {
-		return fmt.Errorf("density: TaskDemand %v has a non-positive dimension", sp.TaskDemand)
-	}
-	if sp.TaskDuration < 0 {
-		return fmt.Errorf("density: negative TaskDuration %v", sp.TaskDuration)
-	}
-	if sp.MeanFootprint < 0 {
-		return fmt.Errorf("density: negative MeanFootprint %d", sp.MeanFootprint)
-	}
-	if !sp.TaskDemand.Fits(sp.NodeCapacity) {
-		return fmt.Errorf("density: task demand %v exceeds node capacity %v", sp.TaskDemand, sp.NodeCapacity)
+		return fmt.Errorf("density: LoadFactor=%v must be positive", sp.LoadFactor)
 	}
 	return nil
 }
@@ -159,8 +131,8 @@ func (sp Spec) Validate() error {
 // factor: offered rate = LoadFactor * slots / meanDuration, and
 // span = Tasks / rate.
 func (sp Spec) span() time.Duration {
-	slotsCPU := sp.Nodes * int(sp.NodeCapacity.CPUMillis/sp.TaskDemand.CPUMillis)
-	slotsMem := sp.Nodes * int(sp.NodeCapacity.MemBytes/sp.TaskDemand.MemBytes)
+	slotsCPU := sp.Nodes * int(nodeCapacity.CPUMillis/taskDemand.CPUMillis)
+	slotsMem := sp.Nodes * int(nodeCapacity.MemBytes/taskDemand.MemBytes)
 	slots := slotsCPU
 	if slotsMem < slots {
 		slots = slotsMem
@@ -168,7 +140,7 @@ func (sp Spec) span() time.Duration {
 	if slots < 1 {
 		slots = 1
 	}
-	rate := sp.LoadFactor * float64(slots) / sp.TaskDuration.Seconds()
+	rate := sp.LoadFactor * float64(slots) / taskDuration.Seconds()
 	return time.Duration(float64(sp.Tasks) / rate * float64(time.Second))
 }
 
@@ -220,10 +192,10 @@ func Generate(sp Spec) ([]cluster.JobSpec, error) {
 		}
 	}
 
-	// Footprint lognormal: mean exp(mu + sigma^2/2) = MeanFootprint.
-	mu := logMean(float64(sp.MeanFootprint), sp.FootprintSigma)
+	// Footprint lognormal: mean exp(mu + sigma^2/2) = meanFootprint.
+	mu := logMean(meanFootprint, footprintSigma)
 	minFoot := cluster.MiB(64)
-	maxFoot := sp.TaskDemand.MemBytes
+	maxFoot := taskDemand.MemBytes
 
 	jobs := make([]cluster.JobSpec, 0, sp.Jobs)
 	for k := 0; k < sp.Jobs; k++ {
@@ -245,13 +217,13 @@ func Generate(sp Spec) ([]cluster.JobSpec, error) {
 		if prio == 10 {
 			spread = spread / 16
 		}
-		meanDur := sp.TaskDuration
+		meanDur := taskDuration
 		if prio == 10 {
-			meanDur = sp.TaskDuration / 4
+			meanDur = taskDuration / 4
 		}
 		job.Tasks = make([]cluster.TaskSpec, sizes[k])
 		for i := range job.Tasks {
-			foot := int64(rng.LogNormal(mu, sp.FootprintSigma))
+			foot := int64(rng.LogNormal(mu, footprintSigma))
 			if foot < minFoot {
 				foot = minFoot
 			}
@@ -263,7 +235,7 @@ func Generate(sp Spec) ([]cluster.JobSpec, error) {
 				ID:           cluster.TaskID{Job: job.ID, Index: int32(i)},
 				Priority:     prio,
 				User:         user,
-				Demand:       sp.TaskDemand,
+				Demand:       taskDemand,
 				MemFootprint: foot,
 				Duration:     dur,
 				Submit:       submit + time.Duration(rng.Bounded(0, 1)*float64(spread)),

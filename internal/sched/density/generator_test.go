@@ -3,41 +3,34 @@ package density
 import (
 	"strings"
 	"testing"
-	"time"
-
-	"preemptsched/internal/cluster"
 )
 
-// GIVEN a cell whose task demand has a zero or negative dimension, or whose
-// mean task duration or mean footprint is negative,
+// GIVEN a cell with more jobs than tasks, a negative or over-full priority
+// mix, or a non-positive load factor,
 // WHEN it is generated,
-// THEN Generate returns an error naming the field instead of dividing by
-// the zero dimension (a panic) or emitting jobs sized from nonsense: a
-// negative duration or a NaN footprint, silently clamped.
+// THEN Generate returns an error naming each field at fault instead of
+// emitting jobs sized from nonsense.
 func TestGenerateRejectsNonsenseCells(t *testing.T) {
 	for _, tc := range []struct {
-		name, field string
-		sp          Spec
+		name   string
+		fields []string
+		sp     Spec
 	}{
-		{"zero cpu demand", "TaskDemand", Spec{TaskDemand: cluster.Resources{MemBytes: cluster.GiB(4)}}},
-		{"zero memory demand", "TaskDemand", Spec{TaskDemand: cluster.Resources{CPUMillis: cluster.Cores(1)}}},
-		{"negative cpu demand", "TaskDemand", Spec{TaskDemand: cluster.Resources{CPUMillis: -cluster.Cores(1), MemBytes: cluster.GiB(4)}}},
-		{"negative duration", "TaskDuration", Spec{TaskDuration: -time.Minute}},
-		{"negative footprint", "MeanFootprint", Spec{MeanFootprint: -cluster.GiB(1)}},
+		{"more jobs than tasks", []string{"Jobs", "Tasks"}, Spec{Jobs: 101}},
+		{"negative high share", []string{"HighShare"}, Spec{HighShare: -0.1, MidShare: 0.3}},
+		{"mix over one", []string{"HighShare", "MidShare"}, Spec{HighShare: 0.7, MidShare: 0.5}},
+		{"negative load factor", []string{"LoadFactor"}, Spec{LoadFactor: -1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.sp.Nodes, tc.sp.Tasks = 10, 100
-			defer func() {
-				if p := recover(); p != nil {
-					t.Fatalf("Generate panicked: %v", p)
-				}
-			}()
 			jobs, err := Generate(tc.sp)
 			if err == nil {
 				t.Fatalf("Generate accepted the cell and made %d jobs", len(jobs))
 			}
-			if !strings.Contains(err.Error(), tc.field) {
-				t.Errorf("error %q does not name %s", err, tc.field)
+			for _, f := range tc.fields {
+				if !strings.Contains(err.Error(), f) {
+					t.Errorf("error %q does not name %s", err, f)
+				}
 			}
 		})
 	}

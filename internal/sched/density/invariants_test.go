@@ -211,10 +211,10 @@ func TestDensityInvariants(t *testing.T) {
 			}
 			cfg := sched.DefaultConfig(sp.Policy, sp.Storage)
 			cfg.Nodes = sp.Nodes
-			cfg.NodeCapacity = sp.NodeCapacity
+			cfg.NodeCapacity = nodeCapacity
 			cfg.NodeFailures = leg.failures
 
-			chk := newInvariantChecker(t, sp.NodeCapacity)
+			chk := newInvariantChecker(t, nodeCapacity)
 			chk.setDemands(jobs)
 			cfg.Observer = chk
 

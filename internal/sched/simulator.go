@@ -980,7 +980,7 @@ func (s *Simulator) pickNode(t *taskRT, now sim.Time) *node {
 		FootprintBytes: t.spec.MemFootprint,
 		LocalDev:       local.Device,
 		RemoteDev:      firstFit.Device,
-		NetBandwidth:   s.cfg.NetBandwidth,
+		NetBandwidth:   core.DefaultNetBandwidth,
 	}
 	if core.DecideRestore(rc, now) == core.RestoreLocal {
 		return local
@@ -1003,7 +1003,7 @@ func (s *Simulator) startRestore(t *taskRT, target *node, now sim.Time) {
 	remote := target != t.ckptNode
 	var transfer time.Duration
 	if remote {
-		transfer = time.Duration(float64(t.spec.MemFootprint) / s.cfg.NetBandwidth * float64(time.Second))
+		transfer = time.Duration(float64(t.spec.MemFootprint) / core.DefaultNetBandwidth * float64(time.Second))
 		s.res.RemoteRestores++
 	}
 	s.res.Restores++

@@ -13,6 +13,13 @@ import (
 	"preemptsched/internal/sim"
 )
 
+// Every task of the derived workload carries the paper's ~1.8 GB k-means
+// footprint, and the production bursts carry highPriorityShare of the
+// tasks.
+var taskFootprint = int64(1.8 * float64(cluster.GiB(1)))
+
+const highPriorityShare = 0.3
+
 // FacebookConfig parameterizes the derived workload. Zero values take the
 // paper's numbers.
 type FacebookConfig struct {
@@ -27,25 +34,18 @@ type FacebookConfig struct {
 	// tasks. Production-burst tasks are latency-sensitive and run a
 	// quarter of it.
 	TaskDuration time.Duration
-	// TaskFootprint is each task's checkpointable memory (paper: ~1.8 GB).
-	TaskFootprint int64
 	// Span is the submission window.
 	Span time.Duration
-	// HighPriorityShare is the fraction of total work (tasks) carried by
-	// high-priority production bursts.
-	HighPriorityShare float64
 }
 
 // DefaultFacebookConfig returns the paper's Section 5.3 shape.
 func DefaultFacebookConfig() FacebookConfig {
 	return FacebookConfig{
-		Seed:              21,
-		Jobs:              40,
-		TotalTasks:        7000,
-		TaskDuration:      3 * time.Minute,
-		TaskFootprint:     int64(1.8 * float64(cluster.GiB(1))),
-		Span:              30 * time.Minute,
-		HighPriorityShare: 0.3,
+		Seed:         21,
+		Jobs:         40,
+		TotalTasks:   7000,
+		TaskDuration: 3 * time.Minute,
+		Span:         30 * time.Minute,
 	}
 }
 
@@ -57,12 +57,6 @@ func (c FacebookConfig) Validate() error {
 	if c.TaskDuration <= 0 || c.Span <= 0 {
 		return fmt.Errorf("workload: non-positive duration or span")
 	}
-	if c.TaskFootprint <= 0 {
-		return fmt.Errorf("workload: non-positive footprint")
-	}
-	if c.HighPriorityShare < 0 || c.HighPriorityShare > 1 {
-		return fmt.Errorf("workload: HighPriorityShare=%v outside [0,1]", c.HighPriorityShare)
-	}
 	return nil
 }
 
@@ -71,7 +65,7 @@ func (c FacebookConfig) Validate() error {
 // jobs (Zipf-distributed sizes — a few jobs hold most tasks) punctuated by
 // periodic high-priority production bursts, after the observation that "a
 // large production job would arrive every 500 seconds and kill all low
-// priority map tasks". The bursts carry HighPriorityShare of the total
+// priority map tasks". The bursts carry highPriorityShare of the total
 // work, split evenly across Jobs/4 bursts spread over the span.
 func Facebook(cfg FacebookConfig) ([]cluster.JobSpec, error) {
 	if err := cfg.Validate(); err != nil {
@@ -84,7 +78,7 @@ func Facebook(cfg FacebookConfig) ([]cluster.JobSpec, error) {
 		numHigh = 1
 	}
 	numLow := cfg.Jobs - numHigh
-	highTasks := int(cfg.HighPriorityShare * float64(cfg.TotalTasks))
+	highTasks := int(highPriorityShare * float64(cfg.TotalTasks))
 	if highTasks < numHigh {
 		highTasks = numHigh
 	}
@@ -154,7 +148,7 @@ func Facebook(cfg FacebookConfig) ([]cluster.JobSpec, error) {
 				Priority:     prio,
 				User:         user,
 				Demand:       cluster.Resources{CPUMillis: cluster.Cores(1), MemBytes: cluster.GiB(2)},
-				MemFootprint: cfg.TaskFootprint,
+				MemFootprint: taskFootprint,
 				Duration:     dur,
 				Submit:       submit,
 			})

@@ -29,7 +29,7 @@ func TestFacebookDefaults(t *testing.T) {
 	if tasks < 7000 || tasks > 7100 {
 		t.Errorf("tasks = %d, want ~7000", tasks)
 	}
-	// Jobs/3 periodic production bursts carrying ~HighPriorityShare of the
+	// Jobs/3 periodic production bursts carrying ~highPriorityShare of the
 	// work.
 	if highJobs != 13 {
 		t.Errorf("high-priority jobs = %d, want 13", highJobs)
@@ -71,12 +71,10 @@ func TestFacebookDeterministic(t *testing.T) {
 
 func TestFacebookValidation(t *testing.T) {
 	bad := []FacebookConfig{
-		{Jobs: 0, TotalTasks: 10, TaskDuration: time.Minute, TaskFootprint: 1, Span: time.Minute},
-		{Jobs: 10, TotalTasks: 5, TaskDuration: time.Minute, TaskFootprint: 1, Span: time.Minute},
-		{Jobs: 2, TotalTasks: 10, TaskDuration: 0, TaskFootprint: 1, Span: time.Minute},
-		{Jobs: 2, TotalTasks: 10, TaskDuration: time.Minute, TaskFootprint: 0, Span: time.Minute},
-		{Jobs: 2, TotalTasks: 10, TaskDuration: time.Minute, TaskFootprint: 1, Span: 0},
-		{Jobs: 2, TotalTasks: 10, TaskDuration: time.Minute, TaskFootprint: 1, Span: time.Minute, HighPriorityShare: 1.5},
+		{Jobs: 0, TotalTasks: 10, TaskDuration: time.Minute, Span: time.Minute},
+		{Jobs: 10, TotalTasks: 5, TaskDuration: time.Minute, Span: time.Minute},
+		{Jobs: 2, TotalTasks: 10, TaskDuration: 0, Span: time.Minute},
+		{Jobs: 2, TotalTasks: 10, TaskDuration: time.Minute, Span: 0},
 	}
 	for i, cfg := range bad {
 		if _, err := Facebook(cfg); err == nil {

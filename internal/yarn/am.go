@@ -259,7 +259,7 @@ func (am *AppMaster) onAllocated(t *taskRun, n *NodeManager, now sim.Time) {
 	remote := n.id != t.imageNode
 	var transfer time.Duration
 	if remote {
-		transfer = time.Duration(float64(t.spec.MemFootprint) / am.c.cfg.NetBandwidth * float64(time.Second))
+		transfer = time.Duration(float64(t.spec.MemFootprint) / core.DefaultNetBandwidth * float64(time.Second))
 		am.c.res.RemoteRestores++
 	}
 	am.c.res.Restores++

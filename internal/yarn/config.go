@@ -194,7 +194,6 @@ func (c Config) Validate() error {
 const DefaultNMLivenessBeats = 3
 
 func (c Config) withDefaults() Config {
-	c.FillDefaults()
 	if c.Program == "" {
 		c.Program = "kmeans"
 	}

@@ -2,13 +2,11 @@ package yarn
 
 import (
 	"encoding/json"
-	"math"
 	"testing"
 	"time"
 
 	"preemptsched/internal/cluster"
 	"preemptsched/internal/core"
-	"preemptsched/internal/energy"
 	"preemptsched/internal/storage"
 	"preemptsched/internal/workload"
 )
@@ -269,23 +267,11 @@ func TestConfigValidationFramework(t *testing.T) {
 		func() Config { c := DefaultConfig(0, storage.SSD); return c }(),
 		func() Config { c := DefaultConfig(core.PolicyKill, storage.SSD); c.CustomBandwidth = -1; return c }(),
 		// What construction cannot build is an error, not a panic: no
-		// preset for the kind, an inverted energy model, and NVRAM, whose
-		// remap-on-local-resume rule only the simulator implements.
+		// preset for the kind, and NVRAM, whose remap-on-local-resume rule
+		// only the simulator implements.
 		DefaultConfig(core.PolicyKill, 0),
 		DefaultConfig(core.PolicyKill, storage.Custom),
 		DefaultConfig(core.PolicyKill, storage.NVRAM),
-		func() Config {
-			c := DefaultConfig(core.PolicyKill, storage.SSD)
-			c.EnergyModel = energy.Model{IdleWatts: 300, PeakWatts: 100}
-			return c
-		}(),
-	}
-	// A remote restore must not schedule its resume in the past: the
-	// network rate is finite and non-negative.
-	for _, bw := range []float64{-1e3, math.NaN(), math.Inf(1), math.Inf(-1)} {
-		c := DefaultConfig(core.PolicyAdaptive, storage.SSD)
-		c.Nodes, c.ContainersPerNode, c.NetBandwidth = 2, 4, bw
-		bad = append(bad, c)
 	}
 	for i, cfg := range bad {
 		if _, err := Run(cfg, jobs); err == nil {
