@@ -1,7 +1,7 @@
 // Ablation benchmarks for the design choices DESIGN.md calls out: each
-// pair runs the same workload with one mechanism enabled and disabled and
-// reports the headline quantity it moves. They complement the per-figure
-// benchmarks in bench_test.go.
+// runs the same workload with one mechanism enabled and disabled, and
+// times the pair. What the mechanism moves is held by the ablation rows of
+// the fidelity table (fidelity_test.go), which share these runs.
 package preemptsched_test
 
 import (
@@ -15,18 +15,20 @@ import (
 	"preemptsched/internal/trace"
 )
 
-func ablationJobs(b *testing.B) []cluster.JobSpec {
-	b.Helper()
+func ablationJobs(tb testing.TB) []cluster.JobSpec {
+	tb.Helper()
 	jobs, err := trace.GenerateJobs(trace.JobsConfig{Seed: 13, Jobs: 250, MeanTasksPerJob: 5, Span: 4 * time.Hour})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return jobs
 }
 
-func ablationRun(b *testing.B, mutate func(*sched.Config)) *sched.Result {
-	b.Helper()
-	jobs := ablationJobs(b)
+// ablationRun simulates the ablation workload on 10 nodes under adaptive
+// checkpointing on HDD, as mutate changes it.
+func ablationRun(tb testing.TB, mutate func(*sched.Config)) *sched.Result {
+	tb.Helper()
+	jobs := ablationJobs(tb)
 	cfg := sched.DefaultConfig(core.PolicyAdaptive, storage.HDD)
 	cfg.Nodes = 10
 	if mutate != nil {
@@ -34,120 +36,69 @@ func ablationRun(b *testing.B, mutate func(*sched.Config)) *sched.Result {
 	}
 	r, err := sched.Run(cfg, jobs)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if r.Preemptions == 0 {
-		b.Fatal("ablation workload produced no preemptions")
+		tb.Fatal("ablation workload produced no preemptions")
 	}
 	return r
 }
 
-// BenchmarkAblationIncremental quantifies incremental checkpointing
-// (Section 4.1 item 3): disabling it forces full dumps on every
-// re-preemption.
-func BenchmarkAblationIncremental(b *testing.B) {
-	var on, off *sched.Result
+// The ablated mechanisms, each as the change to ablationRun's
+// configuration that disables or replaces it.
+var (
+	fullDumps          = func(c *sched.Config) { c.DisableIncremental = true }
+	naiveVictims       = func(c *sched.Config) { c.NaiveVictimSelection = true }
+	firstFitRestores   = func(c *sched.Config) { c.DisableRestorePlacement = true }
+	onPMFS             = func(c *sched.Config) { c.StorageKind = storage.NVM }
+	onNVRAM            = func(c *sched.Config) { c.StorageKind = storage.NVRAM }
+	stopAndCopy        = func(c *sched.Config) { c.Policy = core.PolicyCheckpoint }
+	preCopy            = func(c *sched.Config) { c.Policy, c.PreCopy = core.PolicyCheckpoint, true }
+	killOnSSD          = func(c *sched.Config) { c.Policy, c.StorageKind = core.PolicyKill, storage.SSD }
+	killOnSSDCappedAt2 = func(c *sched.Config) { killOnSSD(c); c.MaxEvictionsPerTask = 2 }
+)
+
+// benchAblation times one ablationRun per mutation per iteration.
+func benchAblation(b *testing.B, mutations ...func(*sched.Config)) {
 	for i := 0; i < b.N; i++ {
-		on = ablationRun(b, nil)
-		off = ablationRun(b, func(c *sched.Config) { c.DisableIncremental = true })
+		for _, m := range mutations {
+			ablationRun(b, m)
+		}
 	}
-	b.ReportMetric(on.IOBusyHours, "io_hours_incremental")
-	b.ReportMetric(off.IOBusyHours, "io_hours_full_dumps")
-	b.ReportMetric(on.MeanResponse(cluster.BandFree), "low_resp_s_incremental")
-	b.ReportMetric(off.MeanResponse(cluster.BandFree), "low_resp_s_full_dumps")
 }
 
-// BenchmarkAblationCostAwareEviction quantifies cost-aware victim
-// selection (Section 5.2.2) against naive priority-order eviction.
-func BenchmarkAblationCostAwareEviction(b *testing.B) {
-	var smart, naive *sched.Result
-	for i := 0; i < b.N; i++ {
-		smart = ablationRun(b, nil)
-		naive = ablationRun(b, func(c *sched.Config) { c.NaiveVictimSelection = true })
-	}
-	b.ReportMetric(smart.OverheadCPUHours, "overhead_core_h_cost_aware")
-	b.ReportMetric(naive.OverheadCPUHours, "overhead_core_h_naive")
-}
+// BenchmarkAblationIncremental: incremental checkpointing (Section 4.1
+// item 3) against full dumps on every re-preemption.
+func BenchmarkAblationIncremental(b *testing.B) { benchAblation(b, nil, fullDumps) }
 
-// BenchmarkAblationRestorePlacement quantifies Algorithm 2 (local vs
-// remote restore choice) against first-fit placement.
-func BenchmarkAblationRestorePlacement(b *testing.B) {
-	var alg2, firstFit *sched.Result
-	for i := 0; i < b.N; i++ {
-		alg2 = ablationRun(b, nil)
-		firstFit = ablationRun(b, func(c *sched.Config) { c.DisableRestorePlacement = true })
-	}
-	b.ReportMetric(float64(alg2.RemoteRestores), "remote_restores_alg2")
-	b.ReportMetric(float64(firstFit.RemoteRestores), "remote_restores_first_fit")
-	b.ReportMetric(alg2.MeanResponse(cluster.BandFree), "low_resp_s_alg2")
-	b.ReportMetric(firstFit.MeanResponse(cluster.BandFree), "low_resp_s_first_fit")
-}
+// BenchmarkAblationCostAwareEviction: cost-aware victim selection
+// (Section 5.2.2) against naive priority-order eviction.
+func BenchmarkAblationCostAwareEviction(b *testing.B) { benchAblation(b, nil, naiveVictims) }
 
-// BenchmarkAblationEvictionThreshold runs the Cavdar-style capped-eviction
+// BenchmarkAblationRestorePlacement: Algorithm 2 (local vs remote restore
+// choice) against first-fit placement.
+func BenchmarkAblationRestorePlacement(b *testing.B) { benchAblation(b, nil, firstFitRestores) }
+
+// BenchmarkAblationEvictionThreshold: the Cavdar-style capped-eviction
 // baseline against unlimited preemption under the kill policy.
 func BenchmarkAblationEvictionThreshold(b *testing.B) {
-	var unlimited, capped *sched.Result
-	for i := 0; i < b.N; i++ {
-		jobs := ablationJobs(b)
-		cfg := sched.DefaultConfig(core.PolicyKill, storage.SSD)
-		cfg.Nodes = 10
-		var err error
-		unlimited, err = sched.Run(cfg, jobs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cfg.MaxEvictionsPerTask = 2
-		capped, err = sched.Run(cfg, jobs)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(unlimited.WastedCPUHours, "waste_core_h_unlimited")
-	b.ReportMetric(capped.WastedCPUHours, "waste_core_h_capped")
+	benchAblation(b, killOnSSD, killOnSSDCappedAt2)
 }
 
-// BenchmarkAblationNVRAM compares NVM-as-file-system (PMFS) against the
-// paper's future-work NVM-as-virtual-memory mode.
-func BenchmarkAblationNVRAM(b *testing.B) {
-	var pmfs, nvram *sched.Result
-	for i := 0; i < b.N; i++ {
-		pmfs = ablationRun(b, func(c *sched.Config) { c.StorageKind = storage.NVM })
-		nvram = ablationRun(b, func(c *sched.Config) { c.StorageKind = storage.NVRAM })
-	}
-	b.ReportMetric(pmfs.MeanResponse(cluster.BandFree), "low_resp_s_pmfs")
-	b.ReportMetric(nvram.MeanResponse(cluster.BandFree), "low_resp_s_nvram")
-	b.ReportMetric(pmfs.IOBusyHours, "io_hours_pmfs")
-	b.ReportMetric(nvram.IOBusyHours, "io_hours_nvram")
-}
+// BenchmarkAblationNVRAM: NVM as a file system (PMFS) against the paper's
+// future-work NVM-as-virtual-memory mode.
+func BenchmarkAblationNVRAM(b *testing.B) { benchAblation(b, onPMFS, onNVRAM) }
 
-// BenchmarkAblationPreCopy compares stop-and-copy checkpointing against
-// the pre-copy (CRIU pre-dump) optimization.
-func BenchmarkAblationPreCopy(b *testing.B) {
-	var stop, pre *sched.Result
-	for i := 0; i < b.N; i++ {
-		stop = ablationRun(b, func(c *sched.Config) { c.Policy = core.PolicyCheckpoint })
-		pre = ablationRun(b, func(c *sched.Config) {
-			c.Policy = core.PolicyCheckpoint
-			c.PreCopy = true
-		})
-	}
-	b.ReportMetric(stop.OverheadCPUHours, "overhead_core_h_stop_copy")
-	b.ReportMetric(pre.OverheadCPUHours, "overhead_core_h_precopy")
-	b.ReportMetric(stop.MeanResponse(cluster.BandFree), "low_resp_s_stop_copy")
-	b.ReportMetric(pre.MeanResponse(cluster.BandFree), "low_resp_s_precopy")
-}
+// BenchmarkAblationPreCopy: stop-and-copy checkpointing against the
+// pre-copy (CRIU pre-dump) optimization.
+func BenchmarkAblationPreCopy(b *testing.B) { benchAblation(b, stopAndCopy, preCopy) }
 
-// BenchmarkAblationDisciplines compares the three scheduling disciplines
-// on an identical workload under adaptive checkpoint-based preemption.
+// BenchmarkAblationDisciplines: the three scheduling disciplines on one
+// workload under adaptive checkpoint-based preemption.
 func BenchmarkAblationDisciplines(b *testing.B) {
-	results := map[sched.Discipline]*sched.Result{}
-	for i := 0; i < b.N; i++ {
-		for _, d := range []sched.Discipline{sched.DisciplinePriority, sched.DisciplineFairShare, sched.DisciplineCapacity} {
-			r := ablationRun(b, func(c *sched.Config) { c.Discipline = d })
-			results[d] = r
-		}
+	var mutations []func(*sched.Config)
+	for _, d := range []sched.Discipline{sched.DisciplinePriority, sched.DisciplineFairShare, sched.DisciplineCapacity} {
+		mutations = append(mutations, func(c *sched.Config) { c.Discipline = d })
 	}
-	b.ReportMetric(results[sched.DisciplinePriority].MeanResponse(cluster.BandProduction), "high_resp_s_priority")
-	b.ReportMetric(results[sched.DisciplineFairShare].MeanResponse(cluster.BandProduction), "high_resp_s_fairshare")
-	b.ReportMetric(results[sched.DisciplineCapacity].MeanResponse(cluster.BandProduction), "high_resp_s_capacity")
+	benchAblation(b, mutations...)
 }

@@ -101,7 +101,7 @@ func (d devicePolicy) parse() (core.Policy, storage.Kind, error) {
 // runReport renders the whole evaluation.
 func runReport(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
-	scale := fs.String("scale", "default", "input sizes: default (seconds) or paper (minutes)")
+	scale := fs.String("scale", "default", "input sizes: default (seconds) or paper (over an hour)")
 	out := fs.String("o", "", "write the report to this file instead of stdout")
 	seed := fs.Int64("seed", 1, "workload seed")
 	parallel := fs.Int("parallel", 0, "worker pool size for independent runs (0 = one per CPU, 1 = sequential); the report is byte-identical at every level")

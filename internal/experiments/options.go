@@ -6,9 +6,9 @@
 // Scale: the paper's one-day Google-trace slice has ~15,000 jobs
 // (600,000+ tasks) and its YARN workload 7,000 tasks. Options.PaperScale
 // reproduces those sizes; Options.Default shrinks the inputs (keeping
-// cluster load factors constant) so the full suite runs in seconds for
-// tests and benchmarks. Shapes, not absolute magnitudes, are the
-// reproduction target — see EXPERIMENTS.md.
+// cluster load factors constant) so the whole evaluation runs in about ten
+// seconds on two vCPUs, for tests and benchmarks. Shapes, not absolute
+// magnitudes, are the reproduction target — see EXPERIMENTS.md.
 package experiments
 
 import (
@@ -67,8 +67,8 @@ func Default() Options {
 	}
 }
 
-// PaperScale returns the paper's experiment sizes. The full suite at this
-// scale runs in minutes.
+// PaperScale returns the paper's experiment sizes. A whole evaluation at
+// this scale was stopped unfinished after 67 minutes on two vCPUs.
 func PaperScale() Options {
 	o := Default()
 	o.TraceTasks = 200_000

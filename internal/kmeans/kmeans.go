@@ -2,79 +2,22 @@
 // paper runs inside YARN containers for its sensitivity and cluster
 // experiments (Sections 3.3.3 and 5.3, citing mlpack's k-means).
 //
-// The plain library API operates on float64 slices. KMeansProgram adapts
-// the same computation to a checkpointable virtual process: every piece of
-// mutable state (points, centroids, iteration counter) lives in process
-// memory, so the checkpoint engine can suspend a half-finished clustering
-// run and resume it — possibly on another node — without the program's
-// cooperation.
+// The library form is one Lloyd iteration over float64 slices, Iterate,
+// and the dataset generator, GeneratePoints. Program adapts the same
+// computation to a checkpointable virtual process: every piece of mutable
+// state (points, centroids, iteration counter) lives in process memory, so
+// the checkpoint engine can suspend a half-finished clustering run and
+// resume it — possibly on another node — without the program's
+// cooperation. Tests hold Program to the library form bit for bit.
 package kmeans
 
 import (
-	"fmt"
 	"math"
 	"slices"
 	"sync"
 
 	"preemptsched/internal/sim"
 )
-
-// Result holds the output of a clustering run.
-type Result struct {
-	Centroids  [][]float64
-	Assignment []int
-	Iterations int
-	// Inertia is the sum of squared distances of points to their centroid.
-	Inertia float64
-}
-
-// Config parameterizes a run.
-type Config struct {
-	K        int
-	MaxIters int
-	// Tol stops early when no centroid moves more than Tol (squared
-	// distance). Zero means run all MaxIters.
-	Tol float64
-}
-
-// Run clusters points with Lloyd's algorithm. Initial centroids are the
-// first k points, duplicates included, as Program.Init takes them, which
-// keeps the function deterministic.
-func Run(points [][]float64, cfg Config) (*Result, error) {
-	if cfg.K <= 0 {
-		return nil, fmt.Errorf("kmeans: k=%d must be positive", cfg.K)
-	}
-	if len(points) < cfg.K {
-		return nil, fmt.Errorf("kmeans: %d points for k=%d", len(points), cfg.K)
-	}
-	if cfg.MaxIters <= 0 {
-		return nil, fmt.Errorf("kmeans: MaxIters=%d must be positive", cfg.MaxIters)
-	}
-	dims := len(points[0])
-	if dims == 0 {
-		return nil, fmt.Errorf("kmeans: points have no dimensions")
-	}
-	for i, p := range points {
-		if len(p) != dims {
-			return nil, fmt.Errorf("kmeans: point %d has %d dims, want %d", i, len(p), dims)
-		}
-	}
-	centroids := make([][]float64, cfg.K)
-	for i := range centroids {
-		centroids[i] = append([]float64(nil), points[i]...)
-	}
-	assign := make([]int, len(points))
-	res := &Result{Centroids: centroids, Assignment: assign}
-	for iter := 0; iter < cfg.MaxIters; iter++ {
-		res.Iterations = iter + 1
-		moved := Iterate(points, centroids, assign)
-		if cfg.Tol > 0 && moved <= cfg.Tol {
-			break
-		}
-	}
-	res.Inertia = Inertia(points, centroids, assign)
-	return res, nil
-}
 
 // Iterate performs one Lloyd iteration in place: assign each point to its
 // nearest centroid, then recompute centroids as cluster means. It returns
@@ -260,15 +203,6 @@ func SquaredDistance(a, b []float64) float64 {
 	for i := range a {
 		d := a[i] - b[i]
 		s += d * d
-	}
-	return s
-}
-
-// Inertia returns the total within-cluster sum of squared distances.
-func Inertia(points, centroids [][]float64, assign []int) float64 {
-	var s float64
-	for i, p := range points {
-		s += SquaredDistance(p, centroids[assign[i]])
 	}
 	return s
 }

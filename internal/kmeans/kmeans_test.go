@@ -14,56 +14,53 @@ import (
 	"preemptsched/internal/storage"
 )
 
-func TestRunValidation(t *testing.T) {
-	pts := [][]float64{{1, 1}, {2, 2}, {3, 3}}
-	tests := []struct {
-		name string
-		pts  [][]float64
-		cfg  Config
-	}{
-		{"zero k", pts, Config{K: 0, MaxIters: 5}},
-		{"k over n", pts, Config{K: 4, MaxIters: 5}},
-		{"zero iters", pts, Config{K: 2, MaxIters: 0}},
-		{"ragged dims", [][]float64{{1, 2}, {3}}, Config{K: 1, MaxIters: 1}},
-		{"zero dims", [][]float64{{}, {}}, Config{K: 1, MaxIters: 1}},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if _, err := Run(tt.pts, tt.cfg); err == nil {
-				t.Error("invalid input accepted")
-			}
-		})
-	}
-}
-
+// GIVEN two obvious blobs around (0,0) and (100,100),
+// WHEN Iterate runs from the first two points until no centroid moves,
+// THEN each centroid lands near one blob centre and each blob is one
+// cluster.
 func TestRunSeparatedBlobs(t *testing.T) {
-	// Two obvious blobs around (0,0) and (100,100).
 	var pts [][]float64
 	for i := 0; i < 50; i++ {
 		f := float64(i%10) * 0.1
 		pts = append(pts, []float64{f, -f}, []float64{100 + f, 100 - f})
 	}
-	res, err := Run(pts, Config{K: 2, MaxIters: 50, Tol: 1e-12})
-	if err != nil {
-		t.Fatal(err)
+	centroids, assign := firstPoints(pts, 2), make([]int, len(pts))
+	for iter := 0; iter < 50 && Iterate(pts, centroids, assign) > 0; iter++ {
 	}
-	// Each centroid should land near one blob center.
 	near := func(c []float64, x, y float64) bool {
 		return math.Abs(c[0]-x) < 2 && math.Abs(c[1]-y) < 2
 	}
-	a, b := res.Centroids[0], res.Centroids[1]
+	a, b := centroids[0], centroids[1]
 	if !(near(a, 0, 0) && near(b, 100, 100)) && !(near(a, 100, 100) && near(b, 0, 0)) {
-		t.Errorf("centroids missed blobs: %v", res.Centroids)
+		t.Errorf("centroids missed blobs: %v", centroids)
 	}
-	// All points in the same blob share an assignment.
 	for i := 2; i < len(pts); i += 2 {
-		if res.Assignment[i] != res.Assignment[0] || res.Assignment[i+1] != res.Assignment[1] {
+		if assign[i] != assign[0] || assign[i+1] != assign[1] {
 			t.Fatal("blob split across clusters")
 		}
 	}
-	if res.Inertia <= 0 || res.Inertia > 100 {
-		t.Errorf("inertia = %v", res.Inertia)
+	if in := inertia(pts, centroids, assign); in <= 0 || in > 100 {
+		t.Errorf("inertia = %v", in)
 	}
+}
+
+// inertia is the total within-cluster sum of squared distances.
+func inertia(points, centroids [][]float64, assign []int) float64 {
+	var s float64
+	for i, p := range points {
+		s += SquaredDistance(p, centroids[assign[i]])
+	}
+	return s
+}
+
+// lloydCentroids runs iters Iterate calls on pts from its first k points:
+// the library's answer a program started on the same dataset must hold.
+func lloydCentroids(pts [][]float64, k, iters int) [][]float64 {
+	centroids, assign := firstPoints(pts, k), make([]int, len(pts))
+	for range iters {
+		Iterate(pts, centroids, assign)
+	}
+	return centroids
 }
 
 func TestIterateDecreasesInertia(t *testing.T) {
@@ -76,10 +73,10 @@ func TestIterateDecreasesInertia(t *testing.T) {
 	}
 	assign := make([]int, len(pts))
 	Iterate(pts, centroids, assign)
-	prev := Inertia(pts, centroids, assign)
+	prev := inertia(pts, centroids, assign)
 	for i := 0; i < 10; i++ {
 		Iterate(pts, centroids, assign)
-		cur := Inertia(pts, centroids, assign)
+		cur := inertia(pts, centroids, assign)
 		if cur > prev+1e-9 {
 			t.Fatalf("inertia increased at iter %d: %v -> %v", i, prev, cur)
 		}
@@ -199,8 +196,8 @@ func TestParallelRowsMatchLibrary(t *testing.T) {
 	}
 }
 
-// firstPoints copies the first k points: the initial centroids Run and the
-// program start from.
+// firstPoints copies the first k points: the initial centroids the library
+// form and the program start from.
 func firstPoints(pts [][]float64, k int) [][]float64 {
 	out := make([][]float64, k)
 	for c := range out {
@@ -251,7 +248,7 @@ func requireProgramMatchesLibrary(t *testing.T, n, dims, k int, iters uint64, se
 // it — longer than it needs after the large one, full of the large one's
 // centroids, sums and points,
 // WHEN both run to completion,
-// THEN each holds, bit for bit, the centroids kmeans.Run computes from the
+// THEN each holds, bit for bit, the centroids Iterate computes from the
 // same dataset: nothing in the scratch is read before it is written.
 func TestStaleScratchIsNeverObserved(t *testing.T) {
 	const iters = 6
@@ -275,18 +272,15 @@ func TestStaleScratchIsNeverObserved(t *testing.T) {
 		}
 	}
 	for i, sh := range shapes {
-		want, err := Run(GeneratePoints(sim.NewStream(sh.seed), sh.n, sh.dims, sh.k), Config{K: sh.k, MaxIters: iters})
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := lloydCentroids(GeneratePoints(sim.NewStream(sh.seed), sh.n, sh.dims, sh.k), sh.k, iters)
 		got, err := Centroids(procs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		for c := range want.Centroids {
-			for d := range want.Centroids[c] {
-				if math.Float64bits(got[c][d]) != math.Float64bits(want.Centroids[c][d]) {
-					t.Fatalf("shape %+v: centroid[%d][%d] = %v, Run says %v", sh, c, d, got[c][d], want.Centroids[c][d])
+		for c := range want {
+			for d := range want[c] {
+				if math.Float64bits(got[c][d]) != math.Float64bits(want[c][d]) {
+					t.Fatalf("shape %+v: centroid[%d][%d] = %v, Iterate says %v", sh, c, d, got[c][d], want[c][d])
 				}
 			}
 		}
@@ -297,7 +291,7 @@ func TestStaleScratchIsNeverObserved(t *testing.T) {
 // seeds at once, so the pooled scratch — and the stream Init draws each
 // dataset from — passes between them through the sync.Pool,
 // WHEN every process has run three steps,
-// THEN each holds, bit for bit, the centroids kmeans.Run computes from
+// THEN each holds, bit for bit, the centroids Iterate computes from
 // GeneratePoints on a NewStream of its own seed: no Init saw another's
 // stream state.
 func TestConcurrentInitDrawsEachDatasetFromItsOwnSeed(t *testing.T) {
@@ -322,18 +316,14 @@ func TestConcurrentInitDrawsEachDatasetFromItsOwnSeed(t *testing.T) {
 						return
 					}
 				}
-				want, err := Run(GeneratePoints(sim.NewStream(seed), sh[0], sh[1], sh[2]), Config{K: sh[2], MaxIters: iters})
-				if err != nil {
-					errs[w] = err
-					return
-				}
+				want := lloydCentroids(GeneratePoints(sim.NewStream(seed), sh[0], sh[1], sh[2]), sh[2], iters)
 				got, err := Centroids(p)
 				if err != nil {
 					errs[w] = err
 					return
 				}
-				if !reflect.DeepEqual(got, want.Centroids) {
-					errs[w] = fmt.Errorf("shape %v seed %d: centroids %v, Run says %v", sh, seed, got, want.Centroids)
+				if !reflect.DeepEqual(got, want) {
+					errs[w] = fmt.Errorf("shape %v seed %d: centroids %v, Iterate says %v", sh, seed, got, want)
 					return
 				}
 			}

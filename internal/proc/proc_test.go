@@ -425,9 +425,6 @@ func TestRegistry(t *testing.T) {
 	if _, err := r.New("missing"); err == nil {
 		t.Error("missing program resolved")
 	}
-	if names := r.Names(); len(names) != 1 || names[0] != FillProgramName {
-		t.Errorf("Names = %v", names)
-	}
 	defer func() {
 		if recover() == nil {
 			t.Error("duplicate registration did not panic")

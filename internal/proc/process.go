@@ -2,7 +2,6 @@ package proc
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -222,16 +221,4 @@ func (r *Registry) New(name string) (Program, error) {
 		return nil, fmt.Errorf("proc: program %q not registered", name)
 	}
 	return factory(), nil
-}
-
-// Names returns the registered program names, sorted.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.factories))
-	for n := range r.factories {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

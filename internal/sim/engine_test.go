@@ -275,25 +275,6 @@ func TestRNGDeterminism(t *testing.T) {
 	}
 }
 
-func TestRNGForkIndependence(t *testing.T) {
-	root := NewRNG(7)
-	c1 := root.Fork(1)
-	c2 := root.Fork(2)
-	if c1.Seed() == c2.Seed() {
-		t.Error("forked children share a seed")
-	}
-	// Draw from c1; c2 must be unaffected compared to a fresh fork.
-	for i := 0; i < 100; i++ {
-		c1.Float64()
-	}
-	fresh := NewRNG(7).Fork(2)
-	for i := 0; i < 100; i++ {
-		if c2.Float64() != fresh.Float64() {
-			t.Fatal("sibling stream perturbed by other child's draws")
-		}
-	}
-}
-
 func TestRNGBounded(t *testing.T) {
 	r := NewRNG(1)
 	for i := 0; i < 1000; i++ {

@@ -10,7 +10,6 @@ import (
 // RNG handed to them at construction; nothing reads global rand state.
 type RNG struct {
 	*rand.Rand
-	seed int64
 	// mix is the source behind Rand when stream is set; it lives in the RNG
 	// so a stream costs no allocation of its own.
 	mix    splitMix64
@@ -21,27 +20,26 @@ type RNG struct {
 // math/rand's, which every trace, golden report and exact benchmark count
 // pins; seeding it costs 607 words, so it is for streams made once per run.
 func NewRNG(seed int64) *RNG {
-	return &RNG{Rand: rand.New(rand.NewSource(seed)), seed: seed}
+	return &RNG{Rand: rand.New(rand.NewSource(seed))}
 }
 
 // NewStream returns a deterministic source that costs nothing to seed, for
 // streams made once per virtual process (a task's dataset). Its sequence
 // differs from NewRNG's for the same seed and is pinned by no golden file.
 func NewStream(seed int64) *RNG {
-	r := &RNG{seed: seed, mix: splitMix64(seed), stream: true}
+	r := &RNG{mix: splitMix64(seed), stream: true}
 	r.Rand = rand.New(&r.mix)
 	return r
 }
 
 // Restart makes r draw NewStream(seed)'s sequence from its first value,
-// whatever r drew before. On a stream it only assigns the seed and the
-// state, so a stream kept in pooled scratch serves one virtual process
+// whatever r drew before. On a stream it only assigns the state, so a stream kept in pooled scratch serves one virtual process
 // after another without allocating; anything else (the zero RNG, one from
 // NewRNG) becomes a stream, at one allocation. Int63, Float64, NormFloat64
 // and the draws built on them read the state alone; only Read's buffered
 // bytes survive a Restart.
 func (r *RNG) Restart(seed int64) {
-	r.seed, r.mix = seed, splitMix64(seed)
+	r.mix = splitMix64(seed)
 	if !r.stream {
 		r.Rand, r.stream = rand.New(&r.mix), true
 	}
@@ -72,20 +70,6 @@ func Mix64(z uint64) uint64 {
 }
 
 func (s *splitMix64) Int63() int64 { return int64(s.Uint64() >> 1) }
-
-// Seed returns the seed the RNG was constructed with.
-func (r *RNG) Seed() int64 { return r.seed }
-
-// Fork derives an independent child stream of the parent's kind. Deriving
-// children rather than sharing one stream keeps module A's draw count from
-// perturbing module B.
-func (r *RNG) Fork(label int64) *RNG {
-	seed := r.seed*1000003 + label*7919 + 12345
-	if r.stream {
-		return NewStream(seed)
-	}
-	return NewRNG(seed)
-}
 
 // Exp returns an exponentially distributed value with the given mean.
 func (r *RNG) Exp(mean float64) float64 {

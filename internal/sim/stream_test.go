@@ -40,9 +40,6 @@ func TestStreamIsSplitMix64(t *testing.T) {
 	if got := NewStream(0).Int63(); got != int64(want[0]>>1) {
 		t.Errorf("Int63 = %#x, want the top 63 bits %#x", got, want[0]>>1)
 	}
-	if NewStream(9).Seed() != 9 {
-		t.Error("Seed() does not report the construction seed")
-	}
 }
 
 // Statistical sanity of the stream behind every virtual process's dataset:
@@ -93,26 +90,6 @@ func TestStreamStatistics(t *testing.T) {
 	}
 }
 
-// A stream's children are streams: Fork keeps the parent's kind, so a module
-// handed a cheap stream cannot fork its way back to 607-word seeding, and
-// the child is the same pure function of (seed, label) either way.
-func TestForkKeepsTheParentsKind(t *testing.T) {
-	const seed, label = 5, 3
-	const child = seed*1000003 + label*7919 + 12345
-	if !sameDraws(draws(NewStream(seed).Fork(label), 16), draws(NewStream(child), 16)) {
-		t.Error("a stream's child is not the stream of the derived seed")
-	}
-	if !sameDraws(draws(NewRNG(seed).Fork(label), 16), draws(NewRNG(child), 16)) {
-		t.Error("an RNG's child is not the RNG of the derived seed")
-	}
-	if sameDraws(draws(NewStream(seed).Fork(label), 16), draws(NewRNG(seed).Fork(label), 16)) {
-		t.Error("stream and RNG children draw the same sequence")
-	}
-	if got := NewStream(seed).Fork(label).Fork(9); !got.stream || got.Seed() != int64(child)*1000003+9*7919+12345 {
-		t.Errorf("grandchild: stream=%v seed=%d", got.stream, got.Seed())
-	}
-}
-
 var sinkRNG *RNG
 
 // Creating a process's stream costs its two small objects — the RNG with
@@ -138,7 +115,7 @@ func TestStreamConstructionIsCheap(t *testing.T) {
 // Int63, Float64, NormFloat64, ExpFloat64, Intn and Perm (or nothing),
 // WHEN each is Restarted at a seed,
 // THEN its Int63, Float64 and NormFloat64 draws, interleaved, are exactly
-// NewStream(seed)'s, it reports that seed, and restarting a stream
+// NewStream(seed)'s, it is a stream, and restarting a stream
 // allocates nothing: the pooled k-means scratch keeps one stream for every
 // process it initialises.
 func TestRestartGivesNewStreamsSequence(t *testing.T) {
@@ -186,8 +163,8 @@ func TestRestartGivesNewStreamsSequence(t *testing.T) {
 		if got := interleaved(tt.r); got != want {
 			t.Errorf("%s: Restart(%d) draws differ from NewStream(%d)'s", tt.name, seed, seed)
 		}
-		if tt.r.Seed() != seed || !tt.r.stream {
-			t.Errorf("%s: after Restart seed=%d stream=%v", tt.name, tt.r.Seed(), tt.r.stream)
+		if !tt.r.stream {
+			t.Errorf("%s: not a stream after Restart", tt.name)
 		}
 		// Restarting twice in a row and restarting mid-sequence agree too.
 		mixed(tt.r, 13)
