@@ -67,6 +67,7 @@ import (
 	"os"
 	"os/signal"
 	"sort"
+	"strings"
 	"syscall"
 	"time"
 
@@ -231,23 +232,29 @@ func run() error {
 		fmt.Printf("node failures:   %d declared dead (%d recovered), %d tasks rescheduled (%d from image, %d restarted), %.2f core-hours lost\n",
 			r.NodeFailures, r.NodeRecoveries, r.TasksRescheduled, r.FailureRestores, r.FailureRestarts, r.FailureWasteHours)
 	}
+	m := r.Metrics
 	fmt.Printf("dfs resilience:  %d retries, %d read failovers, %d pipeline rebuilds, %d blocks re-replicated (%d lost)\n",
-		r.DFSRetries, r.ReadFailovers, r.PipelineRebuilds, r.BlocksReReplicated, r.BlocksLost)
+		m.Counter("dfs.client.retries"), m.Counter("dfs.client.read.failovers"), m.Counter("dfs.client.pipeline.rebuilds"),
+		m.Counter("dfs.namenode.blocks.recovered"), m.Counter("dfs.namenode.blocks.lost"))
 	fmt.Printf("integrity:       %d corrupt reads, %d replicas quarantined (%d re-replicated, %d degraded, %d lost), %d verify failures\n",
-		r.CorruptReads, r.ReplicasQuarantined, r.CorruptReReplicated, r.CorruptDegraded, r.CorruptLost, r.RestoreVerifyFailures)
-	if r.ScrubRuns > 0 {
+		m.Counter("dfs.client.corrupt.reads"), m.Counter("dfs.namenode.replicas.quarantined"),
+		m.Counter("dfs.namenode.corrupt.rereplicated"), m.Counter("dfs.namenode.corrupt.degraded"),
+		m.Counter("dfs.namenode.corrupt.lost"), m.Counter("checkpoint.verify.failures"))
+	if runs := m.Counter("dfs.scrub.runs"); runs > 0 {
 		fmt.Printf("scrubbing:       %d runs checked %d blocks, found %d corrupt (%d left after final sweep)\n",
-			r.ScrubRuns, r.ScrubBlocksChecked, r.ScrubCorruptFound, r.FinalScrubCorrupt)
+			runs, m.Counter("dfs.scrub.blocks.checked"), m.Counter("dfs.scrub.corrupt.found"), r.FinalScrubCorrupt)
 	}
-	if len(r.FaultsInjected) > 0 {
-		modes := make([]string, 0, len(r.FaultsInjected))
-		for mode := range r.FaultsInjected {
+	var modes []string
+	for name := range m.Counters {
+		if mode, ok := strings.CutPrefix(name, "faults.injected."); ok {
 			modes = append(modes, mode)
 		}
+	}
+	if len(modes) > 0 {
 		sort.Strings(modes)
 		fmt.Printf("faults injected:")
 		for _, mode := range modes {
-			fmt.Printf(" %s=%d", mode, r.FaultsInjected[mode])
+			fmt.Printf(" %s=%d", mode, m.Counter("faults.injected."+mode))
 		}
 		fmt.Println()
 	}

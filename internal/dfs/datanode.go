@@ -283,13 +283,6 @@ func (d *DataNode) CorruptStoredBlock(id BlockID, bit int) bool {
 	return true
 }
 
-// BlockCount returns the number of stored blocks.
-func (d *DataNode) BlockCount() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return len(d.blocks)
-}
-
 // StoredBytes returns the total bytes stored on this node.
 func (d *DataNode) StoredBytes() int64 {
 	d.mu.RLock()

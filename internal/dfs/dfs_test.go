@@ -205,12 +205,12 @@ func TestOverwriteReclaimsBlocks(t *testing.T) {
 	writeFile(t, client, "/ow", randomData(1024))
 	before := 0
 	for _, dn := range c.DataNodes {
-		before += dn.BlockCount()
+		before += len(dn.BlockIDs())
 	}
 	writeFile(t, client, "/ow", []byte("tiny"))
 	after := 0
 	for _, dn := range c.DataNodes {
-		after += dn.BlockCount()
+		after += len(dn.BlockIDs())
 	}
 	if after >= before {
 		t.Errorf("blocks not reclaimed on overwrite: before=%d after=%d", before, after)
@@ -228,8 +228,8 @@ func TestRemoveReclaimsBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, dn := range c.DataNodes {
-		if dn.BlockCount() != 0 {
-			t.Errorf("%s still holds %d blocks", dn.Info().ID, dn.BlockCount())
+		if len(dn.BlockIDs()) != 0 {
+			t.Errorf("%s still holds %d blocks", dn.Info().ID, len(dn.BlockIDs()))
 		}
 	}
 	var notExist *storage.NotExistError
@@ -396,7 +396,7 @@ func TestDataNodeDirectAPI(t *testing.T) {
 	if err := dn.DeleteBlock(1); err != nil {
 		t.Errorf("idempotent delete failed: %v", err)
 	}
-	if dn.BlockCount() != 0 || dn.StoredBytes() != 0 {
+	if len(dn.BlockIDs()) != 0 || dn.StoredBytes() != 0 {
 		t.Error("counters nonzero after delete")
 	}
 }

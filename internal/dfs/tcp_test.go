@@ -81,8 +81,8 @@ func TestTCPPipelineReplicates(t *testing.T) {
 	writeFile(t, client, "/rep", randomData(700))
 	// 3 blocks x 3 replicas: every datanode must hold all 3 blocks.
 	for _, dn := range datanodes {
-		if dn.BlockCount() != 3 {
-			t.Errorf("%s holds %d blocks, want 3", dn.Info().ID, dn.BlockCount())
+		if len(dn.BlockIDs()) != 3 {
+			t.Errorf("%s holds %d blocks, want 3", dn.Info().ID, len(dn.BlockIDs()))
 		}
 	}
 }

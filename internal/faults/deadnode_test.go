@@ -45,6 +45,7 @@ func TestDecommissionRacesDeadNodeTraffic(t *testing.T) {
 		CrashAfterWrites: 8,
 		OnCrash:          func(id string) { crashed <- id },
 	})
+	reg := instrument(in)
 	nn, view := newTestDFSN(t, in, 5, 2)
 
 	blob := func(seed, n int) []byte {
@@ -113,11 +114,10 @@ func TestDecommissionRacesDeadNodeTraffic(t *testing.T) {
 	if got := report.Recovered + report.Degraded + report.Lost; got != report.BlocksAffected {
 		t.Fatalf("books out of balance: %+v (recovered+degraded+lost = %d)", *report, got)
 	}
-	c := in.Injected()
-	if c[ModeNodeCrashes] != 1 {
-		t.Fatalf("node crashes = %d, want 1", c[ModeNodeCrashes])
+	if got := injected(reg, ModeNodeCrashes); got != 1 {
+		t.Fatalf("node crashes = %d, want 1", got)
 	}
-	if c[ModeDeadNodeRPCs] == 0 {
+	if injected(reg, ModeDeadNodeRPCs) == 0 {
 		t.Fatal("no RPC ever hit the corpse: the race never happened")
 	}
 

@@ -280,17 +280,6 @@ func (in *Injector) Instrument(reg *obs.Registry) {
 	in.reg = reg
 }
 
-// Injected reads back the injection count of every mode that has fired.
-func (in *Injector) Injected() map[string]int64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	out := make(map[string]int64, len(in.fired))
-	for mode, c := range in.fired {
-		out[mode] = c.Value()
-	}
-	return out
-}
-
 // count books one injected fault of mode.
 func (in *Injector) count(mode string) {
 	in.mu.Lock()

@@ -29,6 +29,19 @@ func newTestDFS(t *testing.T, in *Injector) (*dfs.NameNode, dfs.Transport) {
 	return nn, view
 }
 
+// instrument hands in a registry of the test's own, the one place its
+// faults are counted.
+func instrument(in *Injector) *obs.Registry {
+	reg := obs.NewRegistry()
+	in.Instrument(reg)
+	return reg
+}
+
+// injected reads mode's faults.injected.<mode> counter from reg.
+func injected(reg *obs.Registry, mode string) int64 {
+	return reg.CounterValue("faults.injected." + mode)
+}
+
 func writeFile(t *testing.T, cli *dfs.Client, name string, data []byte) error {
 	t.Helper()
 	w, err := cli.Create(name)
@@ -78,6 +91,7 @@ func TestInjectorDeterminism(t *testing.T) {
 // by the client's retry/failover logic.
 func TestRetriesAbsorbRPCErrors(t *testing.T) {
 	in := NewInjector(Plan{Seed: 7, RPCErrorRate: 0.15, NameNodeErrorRate: 0.05})
+	reg := instrument(in)
 	_, view := newTestDFS(t, in)
 	cli := dfs.NewClient(view, dfs.WithBlockSize(512), dfs.WithLocalNode("dn-0"))
 
@@ -100,7 +114,7 @@ func TestRetriesAbsorbRPCErrors(t *testing.T) {
 	if string(got) != string(data) {
 		t.Fatal("data corrupted by fault recovery")
 	}
-	if len(in.Injected()) == 0 {
+	if len(reg.Snapshot().Counters) == 0 {
 		t.Fatal("no faults fired")
 	}
 	if cli.Stats().Retries == 0 {
@@ -118,6 +132,7 @@ func TestCrashAtNthWrite(t *testing.T) {
 		CrashAfterWrites: 2,
 		OnCrash:          func(id string) { crashed = append(crashed, id) },
 	})
+	reg := instrument(in)
 	_, view := newTestDFS(t, in)
 	dn, err := view.DataNode(dfs.DataNodeInfo{ID: "dn-1"})
 	if err != nil {
@@ -137,9 +152,8 @@ func TestCrashAtNthWrite(t *testing.T) {
 	if len(crashed) != 1 || crashed[0] != "dn-1" {
 		t.Fatalf("OnCrash calls = %v, want exactly [dn-1]", crashed)
 	}
-	c := in.Injected()
-	if c[ModeNodeCrashes] != 1 || c[ModeDeadNodeRPCs] == 0 {
-		t.Fatalf("counters: %v", c)
+	if injected(reg, ModeNodeCrashes) != 1 || injected(reg, ModeDeadNodeRPCs) == 0 {
+		t.Fatalf("counters: %v", reg.Snapshot().Counters)
 	}
 }
 
@@ -147,6 +161,7 @@ func TestCrashAtNthWrite(t *testing.T) {
 // the half-written object is never mistaken for a published one.
 func TestTornWriteNeverPublishes(t *testing.T) {
 	in := NewInjector(Plan{Seed: 3, TornWriteRate: 1, TornWriteBytes: 8})
+	reg := instrument(in)
 	st := WrapStore(storage.NewMemStore(), in)
 
 	w, err := st.Create("obj")
@@ -159,8 +174,8 @@ func TestTornWriteNeverPublishes(t *testing.T) {
 	if err := w.Close(); !errors.Is(err, ErrInjected) {
 		t.Fatalf("close of torn write = %v, want injected failure", err)
 	}
-	if in.Injected()[ModeTornWrites] != 1 {
-		t.Fatalf("counters: %v", in.Injected())
+	if injected(reg, ModeTornWrites) != 1 {
+		t.Fatalf("counters: %v", reg.Snapshot().Counters)
 	}
 }
 
@@ -168,35 +183,33 @@ func TestTornWriteNeverPublishes(t *testing.T) {
 // counted.
 func TestCreateFailRate(t *testing.T) {
 	in := NewInjector(Plan{Seed: 5, CreateFailRate: 1})
+	reg := instrument(in)
 	st := WrapStore(storage.NewMemStore(), in)
 	if _, err := st.Create("obj"); !errors.Is(err, ErrInjected) {
 		t.Fatalf("create = %v, want injected failure", err)
 	}
-	if in.Injected()[ModeStoreCreateErrors] != 1 {
-		t.Fatalf("counters: %v", in.Injected())
+	if injected(reg, ModeStoreCreateErrors) != 1 {
+		t.Fatalf("counters: %v", reg.Snapshot().Counters)
 	}
 }
 
 // TestInstrumentCountsInPlace: once Instrument hands over the run's registry
-// a fault is counted there, as faults.injected.<mode>, and Injected reads
-// that same series back — one count, not a copy.
+// a fault is counted there, as faults.injected.<mode>, and nowhere else.
 func TestInstrumentCountsInPlace(t *testing.T) {
-	reg := obs.NewRegistry()
 	in := NewInjector(Plan{Seed: 5, CreateFailRate: 1})
-	in.Instrument(reg)
+	private := in.reg
+	reg := instrument(in)
 	st := WrapStore(storage.NewMemStore(), in)
 	for i := 0; i < 3; i++ {
 		if _, err := st.Create("obj"); !errors.Is(err, ErrInjected) {
 			t.Fatalf("create = %v, want injected failure", err)
 		}
 	}
-	series := reg.Counter("faults.injected." + ModeStoreCreateErrors)
-	if series.Value() != 3 || in.Injected()[ModeStoreCreateErrors] != 3 {
-		t.Fatalf("registry counts %d, Injected %v, want 3 and 3", series.Value(), in.Injected())
+	if got := reg.Snapshot().Counters; len(got) != 1 || injected(reg, ModeStoreCreateErrors) != 3 {
+		t.Fatalf("registry counters %v, want faults.injected.%s = 3 alone", got, ModeStoreCreateErrors)
 	}
-	series.Inc()
-	if got := in.Injected(); len(got) != 1 || got[ModeStoreCreateErrors] != 4 {
-		t.Fatalf("Injected = %v, want the registry's series read back: 4", got)
+	if got := private.Snapshot().Counters; len(got) != 0 {
+		t.Fatalf("the injector's private registry counted %v too", got)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"preemptsched/internal/dfs"
-	"preemptsched/internal/obs"
 	"preemptsched/internal/storage"
 )
 
@@ -39,8 +38,8 @@ func newCorruptibleDFS(t *testing.T, in *Injector, nodes, repl int) (*dfs.NameNo
 // cluster back to zero corrupt replicas.
 func TestBitFlipStrictMinorityAndScrubHeals(t *testing.T) {
 	in := NewInjector(Plan{Seed: 11, BitFlipRate: 1})
+	reg := instrument(in)
 	nn, view, dns := newCorruptibleDFS(t, in, 3, 3)
-	reg := obs.NewRegistry()
 	nn.Instrument(reg)
 	cli := dfs.NewClient(view, dfs.WithBlockSize(512), dfs.WithLocalNode("dn-0"))
 
@@ -52,7 +51,7 @@ func TestBitFlipStrictMinorityAndScrubHeals(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	flips := in.Injected()[ModeBitFlips]
+	flips := injected(reg, ModeBitFlips)
 	if flips == 0 {
 		t.Fatal("BitFlipRate=1 injected no bit flips")
 	}
@@ -126,6 +125,7 @@ func TestBitFlipStrictMinorityAndScrubHeals(t *testing.T) {
 // damage that the write path never surfaced.
 func TestSilentTruncationLiesToTheWriter(t *testing.T) {
 	in := NewInjector(Plan{Seed: 2, SilentTruncateRate: 1, SilentTruncateBytes: 64})
+	reg := instrument(in)
 	st := WrapStore(storage.NewMemStore(), in)
 
 	w, err := st.Create("obj")
@@ -147,8 +147,8 @@ func TestSilentTruncationLiesToTheWriter(t *testing.T) {
 	if size != 64 {
 		t.Fatalf("stored %d bytes, want silent truncation to 64", size)
 	}
-	if in.Injected()[ModeSilentTruncations] == 0 {
-		t.Fatalf("counters: %v", in.Injected())
+	if injected(reg, ModeSilentTruncations) == 0 {
+		t.Fatalf("counters: %v", reg.Snapshot().Counters)
 	}
 }
 
@@ -157,6 +157,7 @@ func TestSilentTruncationLiesToTheWriter(t *testing.T) {
 // the "NameNode dies between journal records" primitive.
 func TestStoreCrashAfterCreates(t *testing.T) {
 	in := NewInjector(Plan{Seed: 4, StoreCrashAfterCreates: 2})
+	reg := instrument(in)
 	st := WrapStore(storage.NewMemStore(), in)
 
 	for i := 0; i < 2; i++ {
@@ -178,8 +179,8 @@ func TestStoreCrashAfterCreates(t *testing.T) {
 	if _, err := st.List(""); !errors.Is(err, ErrInjected) {
 		t.Fatalf("post-crash list = %v, want injected failure", err)
 	}
-	if in.Injected()[ModeStoreCrashOps] == 0 {
-		t.Fatalf("counters: %v", in.Injected())
+	if injected(reg, ModeStoreCrashOps) == 0 {
+		t.Fatalf("counters: %v", reg.Snapshot().Counters)
 	}
 }
 
@@ -194,6 +195,7 @@ func TestStoreCrashAfterCreates(t *testing.T) {
 func TestNameNodeCrashRecoveryMatchesControl(t *testing.T) {
 	durable := storage.NewMemStore()
 	in := NewInjector(Plan{Seed: 6, StoreCrashAfterCreates: 12})
+	reg := instrument(in)
 	journal := WrapStore(durable, in)
 
 	inner := dfs.NewInProcTransport()
@@ -232,7 +234,7 @@ func TestNameNodeCrashRecoveryMatchesControl(t *testing.T) {
 	if failedAt <= 0 {
 		t.Fatalf("workload failed at %d; want a crash after some progress", failedAt)
 	}
-	if in.Injected()[ModeStoreCrashOps] == 0 {
+	if injected(reg, ModeStoreCrashOps) == 0 {
 		t.Fatal("journal store never crashed")
 	}
 

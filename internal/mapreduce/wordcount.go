@@ -333,11 +333,6 @@ func Digest(p *proc.Process) (uint64, error) {
 	return p.Memory().ReadU64(hdrDigest)
 }
 
-// WordsProcessed reads the number of mapped words.
-func WordsProcessed(p *proc.Process) (uint64, error) {
-	return p.Memory().ReadU64(hdrWords)
-}
-
 // Phase reports the job phase (0 map, 1 reduce, 2 done).
 func Phase(p *proc.Process) (uint64, error) {
 	return p.Memory().ReadU64(hdrPhase)

@@ -33,7 +33,7 @@ func TestWordCountRunsAndCounts(t *testing.T) {
 	if want := TotalSteps(8000, 512); uint64(steps) != want {
 		t.Errorf("steps = %d, TotalSteps predicts %d", steps, want)
 	}
-	words, err := WordsProcessed(p)
+	words, err := p.Memory().ReadU64(hdrWords)
 	if err != nil {
 		t.Fatal(err)
 	}

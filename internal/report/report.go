@@ -80,7 +80,8 @@ type Report struct {
 }
 
 // New digests a run's Result; a non-nil runErr marks the run aborted and
-// becomes the abort reason.
+// becomes the abort reason. The integrity counts but FinalScrubCorrupt are
+// the DFS's and the checkpoint engine's own series in r.Metrics.
 func New(r *yarn.Result, runErr error) Report {
 	snap := r.Metrics
 	rep := Report{
@@ -93,16 +94,16 @@ func New(r *yarn.Result, runErr error) Report {
 		Gauges:          snap.Gauges,
 		PolicyDecisions: make(map[string]int64),
 		Integrity: Integrity{
-			CorruptReads:          r.CorruptReads,
-			ReplicasQuarantined:   r.ReplicasQuarantined,
-			CorruptReReplicated:   r.CorruptReReplicated,
-			CorruptDegraded:       r.CorruptDegraded,
-			CorruptLost:           r.CorruptLost,
-			ScrubRuns:             r.ScrubRuns,
-			ScrubBlocksChecked:    r.ScrubBlocksChecked,
-			ScrubCorruptFound:     r.ScrubCorruptFound,
+			CorruptReads:          snap.Counter("dfs.client.corrupt.reads"),
+			ReplicasQuarantined:   snap.Counter("dfs.namenode.replicas.quarantined"),
+			CorruptReReplicated:   snap.Counter("dfs.namenode.corrupt.rereplicated"),
+			CorruptDegraded:       snap.Counter("dfs.namenode.corrupt.degraded"),
+			CorruptLost:           snap.Counter("dfs.namenode.corrupt.lost"),
+			ScrubRuns:             snap.Counter("dfs.scrub.runs"),
+			ScrubBlocksChecked:    snap.Counter("dfs.scrub.blocks.checked"),
+			ScrubCorruptFound:     snap.Counter("dfs.scrub.corrupt.found"),
 			FinalScrubCorrupt:     r.FinalScrubCorrupt,
-			RestoreVerifyFailures: int64(r.RestoreVerifyFailures),
+			RestoreVerifyFailures: snap.Counter("checkpoint.verify.failures"),
 		},
 		Failures: Failures{
 			NodeFailures:          int64(r.NodeFailures),

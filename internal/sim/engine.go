@@ -54,9 +54,6 @@ type Timer struct {
 // At reports the virtual instant the timer is scheduled for.
 func (t *Timer) At() Time { return t.at }
 
-// Stopped reports whether the timer was cancelled or has fired.
-func (t *Timer) Stopped() bool { return t.stopped }
-
 // timerEntry is the view of a Timer the queue holds. It is unexported, so a
 // Timer cannot be handed back to the engine as an Event.
 type timerEntry Timer

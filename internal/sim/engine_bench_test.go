@@ -5,11 +5,18 @@ import (
 	"time"
 )
 
+// engineBatch is how many events one iteration of BenchmarkEngineChurn
+// fires and of BenchmarkEngineCancel cancels. CI times every benchmark at
+// -benchtime=1x: one event would time a single microsecond operation, and
+// a batch that runs for under a millisecond still reads the occasional
+// half-millisecond stall of a shared machine as a regression.
+const engineBatch = 100_000
+
 // BenchmarkEngineChurn measures raw event throughput: schedule-and-fire
 // chains, the pattern every simulation layer stresses.
 func BenchmarkEngineChurn(b *testing.B) {
 	e := NewEngine()
-	remaining := b.N
+	remaining := b.N*engineBatch - 1
 	var tick Handler
 	tick = func(now Time) {
 		if remaining == 0 {
@@ -21,7 +28,7 @@ func BenchmarkEngineChurn(b *testing.B) {
 	e.Schedule(0, tick)
 	b.ResetTimer()
 	e.Run()
-	b.ReportMetric(float64(e.Fired()), "events")
+	b.ReportMetric(float64(e.Fired())/float64(b.N), "events")
 }
 
 // BenchmarkEngineHeap measures scheduling N future events and draining
@@ -40,16 +47,21 @@ func BenchmarkEngineHeap(b *testing.B) {
 }
 
 // BenchmarkEngineCancel measures timer cancellation, the path preemption
-// exercises when it cancels completion timers.
+// exercises when it cancels completion timers. It cancels from queues of
+// 10,000 timers, scheduled untimed, until it has cancelled engineBatch.
 func BenchmarkEngineCancel(b *testing.B) {
-	e := NewEngine()
-	timers := make([]*Timer, 0, b.N)
-	for i := 0; i < b.N; i++ {
-		timers = append(timers, e.Schedule(time.Duration(i+1)*time.Microsecond, Handler(func(Time) {})))
-	}
-	b.ResetTimer()
-	for _, t := range timers {
-		e.Cancel(t)
+	timers := make([]*Timer, 10_000)
+	b.StopTimer()
+	for i := 0; i < b.N*engineBatch/len(timers); i++ {
+		e := NewEngine()
+		for j := range timers {
+			timers[j] = e.Schedule(time.Duration(j+1)*time.Microsecond, Handler(func(Time) {}))
+		}
+		b.StartTimer()
+		for _, t := range timers {
+			e.Cancel(t)
+		}
+		b.StopTimer()
 	}
 }
 

@@ -51,7 +51,7 @@ func TestEngineCancel(t *testing.T) {
 	if fired {
 		t.Error("cancelled timer fired")
 	}
-	if !tm.Stopped() {
+	if !tm.stopped {
 		t.Error("cancelled timer not marked stopped")
 	}
 	e.Cancel(tm) // double-cancel must be a no-op
@@ -61,7 +61,7 @@ func TestEngineCancel(t *testing.T) {
 	done := e.ScheduleAt(e.Now()+time.Second, Handler(func(Time) {}))
 	e.ScheduleAt(e.Now()+2*time.Second, Handler(func(Time) {}))
 	e.Step()
-	if !done.Stopped() {
+	if !done.stopped {
 		t.Error("fired timer not marked stopped")
 	}
 	e.Cancel(done)

@@ -1,7 +1,6 @@
 package yarn
 
 import (
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"time"
@@ -308,12 +307,6 @@ func (am *AppMaster) restoreOrFallback(t *taskRun, n *NodeManager, at sim.Time) 
 			return
 		}
 		am.c.res.RestoreFailures++
-		if errors.Is(err, checkpoint.ErrVerifyFailed) {
-			// The manifest caught stored bytes differing from what the dump
-			// published — the verified-restore rung: walk back the chain to
-			// the newest ancestor that still verifies.
-			am.c.res.RestoreVerifyFailures++
-		}
 		am.dropTipImage(t, n)
 		if t.hasImage() {
 			am.c.res.RestoreFallbacks++

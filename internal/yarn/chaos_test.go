@@ -1,6 +1,7 @@
 package yarn
 
 import (
+	"strings"
 	"testing"
 
 	"preemptsched/internal/core"
@@ -73,35 +74,19 @@ func TestChaosCrashAndRPCDrops(t *testing.T) {
 		}
 	}
 
-	if r.FaultsInjected == nil || r.FaultsInjected[faults.ModeNodeCrashes] != 1 {
-		t.Fatalf("injected faults: %v, want exactly one node crash", r.FaultsInjected)
-	}
-	if r.FaultsInjected[faults.ModeDataNodeRPCErrors] == 0 {
-		t.Errorf("no RPC errors injected despite 10%% drop rate: %v", r.FaultsInjected)
-	}
-	// The faults must have been absorbed by visible resilience work.
-	if r.DFSRetries == 0 {
-		t.Error("faults fired but no DFS retries recorded")
-	}
-
-	// The metrics registry must tell the same story: injected fault modes
-	// mirrored under faults.injected.*, with the absorption work visible as
-	// live dfs.client.* counters that agree with the Result's tallies.
+	// The metrics registry tells the story: injected fault modes counted
+	// under faults.injected.*, with the absorption work visible as live
+	// dfs.client.* counters.
 	snap := r.Metrics
 	if got := snap.Counter("faults.injected." + faults.ModeNodeCrashes); got != 1 {
-		t.Errorf("faults.injected.node.crashes = %d, want 1", got)
+		t.Fatalf("faults.injected.node.crashes = %d, want exactly one node crash", got)
 	}
 	if snap.Counter("faults.injected."+faults.ModeDataNodeRPCErrors) == 0 {
-		t.Error("registry snapshot missed the injected RPC errors")
+		t.Error("no RPC errors injected despite 10% drop rate")
 	}
-	if got := snap.Counter("dfs.client.retries"); got != int64(r.DFSRetries) {
-		t.Errorf("dfs.client.retries = %d, Result.DFSRetries = %d", got, r.DFSRetries)
-	}
-	if got := snap.Counter("dfs.client.read.failovers"); got != int64(r.ReadFailovers) {
-		t.Errorf("dfs.client.read.failovers = %d, Result.ReadFailovers = %d", got, r.ReadFailovers)
-	}
-	if got := snap.Counter("dfs.client.pipeline.rebuilds"); got != int64(r.PipelineRebuilds) {
-		t.Errorf("dfs.client.pipeline.rebuilds = %d, Result.PipelineRebuilds = %d", got, r.PipelineRebuilds)
+	// The faults must have been absorbed by visible resilience work.
+	if snap.Counter("dfs.client.retries") == 0 {
+		t.Error("faults fired but no DFS retries recorded")
 	}
 	absorbed := snap.Counter("dfs.client.retries") +
 		snap.Counter("dfs.client.read.failovers") +
@@ -162,43 +147,42 @@ func TestChaosBitRotConvergence(t *testing.T) {
 	// Zero corruption-attributable fallbacks: with bit rot as the only
 	// fault mode, nothing may degrade to a kill, fail a restore, or lose a
 	// block outright.
-	if r.FallbackKills != 0 || r.RestoreVerifyFailures != 0 {
+	snap := r.Metrics
+	if verify := snap.Counter("checkpoint.verify.failures"); r.FallbackKills != 0 || verify != 0 {
 		t.Errorf("corruption leaked into the degradation ladder: %d fallback kills, %d verify failures",
-			r.FallbackKills, r.RestoreVerifyFailures)
+			r.FallbackKills, verify)
 	}
-	if r.CorruptDegraded != 0 || r.CorruptLost != 0 {
-		t.Errorf("quarantines not fully healed: %d degraded, %d lost", r.CorruptDegraded, r.CorruptLost)
+	degraded, lost := snap.Counter("dfs.namenode.corrupt.degraded"), snap.Counter("dfs.namenode.corrupt.lost")
+	if degraded != 0 || lost != 0 {
+		t.Errorf("quarantines not fully healed: %d degraded, %d lost", degraded, lost)
 	}
 
 	// The accounting must close from one snapshot: flips were injected,
 	// each detection (reader checksum miss or scrubber find) became a
 	// quarantine, and each quarantine was healed by re-replication.
-	snap := r.Metrics
 	injected := snap.Counter("faults.injected." + faults.ModeBitFlips)
 	if injected == 0 {
 		t.Fatal("BitFlipRate=1 injected nothing")
 	}
-	detected := r.CorruptReads + r.ScrubCorruptFound
+	detected := snap.Counter("dfs.client.corrupt.reads") + snap.Counter("dfs.scrub.corrupt.found")
 	if detected == 0 {
 		t.Fatal("injected bit rot was never detected")
 	}
 	if detected > injected {
 		t.Errorf("detected %d corrupt replicas but only %d flips injected", detected, injected)
 	}
-	if r.ReplicasQuarantined != detected {
+	quarantined := snap.Counter("dfs.namenode.replicas.quarantined")
+	if quarantined != detected {
 		t.Errorf("quarantined %d, detected %d — detections must map 1:1 to quarantines",
-			r.ReplicasQuarantined, detected)
+			quarantined, detected)
 	}
-	if r.CorruptReReplicated != r.ReplicasQuarantined {
-		t.Errorf("re-replicated %d of %d quarantines", r.CorruptReReplicated, r.ReplicasQuarantined)
-	}
-	if got := snap.Counter("dfs.namenode.replicas.quarantined"); got != r.ReplicasQuarantined {
-		t.Errorf("registry quarantine counter %d != Result %d", got, r.ReplicasQuarantined)
+	if healed := snap.Counter("dfs.namenode.corrupt.rereplicated"); healed != quarantined {
+		t.Errorf("re-replicated %d of %d quarantines", healed, quarantined)
 	}
 
 	// Convergence, proven from the same snapshot: the end-of-run
 	// verification scrub (after one healing pass) found nothing left.
-	if r.ScrubRuns == 0 {
+	if snap.Counter("dfs.scrub.runs") == 0 {
 		t.Fatal("scrubber never ran")
 	}
 	if r.FinalScrubCorrupt != 0 {
@@ -232,9 +216,9 @@ func TestChaosDeterminism(t *testing.T) {
 	if a.Makespan != b.Makespan {
 		t.Errorf("makespans diverged: %v vs %v", a.Makespan, b.Makespan)
 	}
-	for mode, count := range a.FaultsInjected {
-		if b.FaultsInjected[mode] != count {
-			t.Errorf("fault %q: %d vs %d", mode, count, b.FaultsInjected[mode])
+	for name, count := range a.Metrics.Counters {
+		if strings.HasPrefix(name, "faults.injected.") && b.Metrics.Counter(name) != count {
+			t.Errorf("%s: %d vs %d", name, count, b.Metrics.Counter(name))
 		}
 	}
 	if a.Kills != b.Kills || a.Checkpoints != b.Checkpoints || a.Restores != b.Restores {
@@ -352,7 +336,7 @@ func TestTornDumpDegradesGracefully(t *testing.T) {
 	}
 	requireOnePerPreemption(t, r)
 	if r.DumpFailures == 0 || r.FallbackKills == 0 {
-		t.Fatalf("torn writes did not surface as dump failures: %+v faults=%v", r, r.FaultsInjected)
+		t.Fatalf("torn writes did not surface as dump failures: %+v", r)
 	}
 	for id, want := range ref.TaskChecksums {
 		if got := r.TaskChecksums[id]; got != want {
@@ -373,10 +357,10 @@ func TestTornDumpDegradesGracefully(t *testing.T) {
 // GIVEN a seeded chaos run in which DataNode dn-1 crashes after its sixth
 // block write while bit rot decays replicas under a dump-counted scrub,
 // WHEN the run ends,
-// THEN the decommission and scrub totals the Result reports are the DFS's
-// own dfs.namenode.blocks.* and dfs.scrub.* series, and they equal the
-// values pinned for this seed: the crash re-replicated blocks, the scrubs
-// found rot, and the final verification pass found none left.
+// THEN the DFS's own dfs.namenode.blocks.* and dfs.scrub.* series in
+// Result.Metrics equal the values pinned for this seed: the crash
+// re-replicated blocks, the scrubs found rot, and the final verification
+// pass found none left.
 func TestDFSTotalsPinned(t *testing.T) {
 	cfg := chaosConfig()
 	cfg.ScrubEveryNDumps = 2
@@ -395,24 +379,21 @@ func TestDFSTotalsPinned(t *testing.T) {
 		t.Fatalf("completed %d of %d tasks", r.TasksCompleted, countTasks(jobs))
 	}
 	requireOnePerPreemption(t, r)
-	snap := r.Metrics
 	for _, c := range []struct {
-		name      string
-		got, want int64
-		series    string
+		series string
+		want   int64
 	}{
-		{"BlocksReReplicated", int64(r.BlocksReReplicated), 4, "dfs.namenode.blocks.recovered"},
-		{"BlocksLost", int64(r.BlocksLost), 0, "dfs.namenode.blocks.lost"},
-		{"ScrubRuns", r.ScrubRuns, 12, "dfs.scrub.runs"},
-		{"ScrubBlocksChecked", r.ScrubBlocksChecked, 35, "dfs.scrub.blocks.checked"},
-		{"ScrubCorruptFound", r.ScrubCorruptFound, 7, "dfs.scrub.corrupt.found"},
-		{"FinalScrubCorrupt", r.FinalScrubCorrupt, 0, ""},
+		{"dfs.namenode.blocks.recovered", 4},
+		{"dfs.namenode.blocks.lost", 0},
+		{"dfs.scrub.runs", 12},
+		{"dfs.scrub.blocks.checked", 35},
+		{"dfs.scrub.corrupt.found", 7},
 	} {
-		if c.got != c.want {
-			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
+		if got := r.Metrics.Counter(c.series); got != c.want {
+			t.Errorf("%s = %d, want %d", c.series, got, c.want)
 		}
-		if c.series != "" && snap.Counter(c.series) != c.got {
-			t.Errorf("%s = %d, but %s = %d", c.name, c.got, c.series, snap.Counter(c.series))
-		}
+	}
+	if r.FinalScrubCorrupt != 0 {
+		t.Errorf("FinalScrubCorrupt = %d, want 0", r.FinalScrubCorrupt)
 	}
 }

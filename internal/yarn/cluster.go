@@ -248,7 +248,7 @@ func newCluster(cfg Config, tcpDFS bool) (*Cluster, error) {
 		}
 		//lint:ignore metricname per-node gauge: the node id is part of the series identity
 		queuePeak := c.reg.Gauge(fmt.Sprintf("yarn.node.%d.ckpt.queue.peak.seconds", i))
-		c.nodes = append(c.nodes, &NodeManager{Ledger: books, id: i, dfsCli: cli, store: store, queuePeak: queuePeak})
+		c.nodes = append(c.nodes, &NodeManager{Ledger: books, id: i, store: store, queuePeak: queuePeak})
 	}
 	c.res = &Result{
 		Outcome:       core.NewOutcome(cfg.Policy, c.nodes[0].Device.Label(), cfg.Nodes),
@@ -259,10 +259,10 @@ func newCluster(cfg Config, tcpDFS bool) (*Cluster, error) {
 }
 
 // finish closes the books at virtual time end: the finisher pool's
-// checksums, the final scrub drain, the makespan, per-node energy/IO/DFS
-// totals, injector counts, and the metrics snapshot. A task whose
-// finishing work failed panics here, on the goroutine that owns the
-// engine, with the lowest-seq failure's message.
+// checksums, the final scrub drain, the makespan, per-node energy and I/O
+// totals, and the metrics snapshot. A task whose finishing work failed
+// panics here, on the goroutine that owns the engine, with the lowest-seq
+// failure's message.
 func (c *Cluster) finish(end sim.Time) {
 	c.joinFinishers()
 	if c.failed.err != nil {
@@ -279,22 +279,9 @@ func (c *Cluster) finish(end sim.Time) {
 		c.scrubAll()
 		c.res.FinalScrubCorrupt = c.reg.CounterValue("dfs.scrub.corrupt.found") - before
 	}
-	c.res.ScrubRuns = c.reg.CounterValue("dfs.scrub.runs")
-	c.res.ScrubBlocksChecked = c.reg.CounterValue("dfs.scrub.blocks.checked")
-	c.res.ScrubCorruptFound = c.reg.CounterValue("dfs.scrub.corrupt.found")
 	c.res.Makespan = time.Duration(end)
 	for _, n := range c.nodes {
 		c.res.CloseNode(&n.Ledger, end)
-	}
-	// Every node's client counts into the one registry, so any one of them
-	// reports the cluster's totals.
-	st := c.nodes[0].dfsCli.Stats()
-	c.res.DFSRetries, c.res.ReadFailovers = st.Retries, st.ReadFailovers
-	c.res.PipelineRebuilds, c.res.CorruptReads = st.PipelineRebuilds, st.CorruptReads
-	c.res.BlocksReReplicated = int(c.reg.CounterValue("dfs.namenode.blocks.recovered"))
-	c.res.BlocksLost = int(c.reg.CounterValue("dfs.namenode.blocks.lost"))
-	if c.injector != nil {
-		c.res.FaultsInjected = c.injector.Injected()
 	}
 	c.finishMetrics()
 }

@@ -215,7 +215,8 @@ type Result struct {
 	// unreadable image. Each failed attempt drops one link off the image
 	// chain: the next attempt targets the parent image (counted in
 	// RestoreFallbacks when it exists), and an exhausted chain restarts
-	// the task from scratch (RestoreRestarts).
+	// the task from scratch (RestoreRestarts). The attempts the dump's
+	// manifest rejected are Metrics' checkpoint.verify.failures.
 	RestoreFailures int
 	// RestoreFallbacks counts restores that fell back to an older image
 	// in the incremental chain after the newer link failed.
@@ -223,10 +224,6 @@ type Result struct {
 	// RestoreRestarts counts tasks restarted from scratch after every
 	// image in their chain proved unusable.
 	RestoreRestarts int
-	// RestoreVerifyFailures counts restore attempts rejected because the
-	// stored image bytes did not match the dump's manifest (the verified-
-	// restore rung of the ladder). Included in RestoreFailures.
-	RestoreVerifyFailures int
 	// DumpFailures counts checkpoint dumps (full, incremental, or
 	// pre-copy) that failed against the store.
 	DumpFailures int
@@ -238,37 +235,10 @@ type Result struct {
 	FallbackKills int
 	JobsCompleted int
 
-	// DFS client resilience totals, summed over every node's client.
-	DFSRetries       int64
-	ReadFailovers    int64
-	PipelineRebuilds int64
-	// CorruptReads counts replicas that failed checksum verification
-	// during client reads; each was reported for quarantine and the read
-	// failed over to a clean copy.
-	CorruptReads int64
-	// Integrity-pipeline totals, mirrored from the dfs.namenode.* and
-	// dfs.scrub.* counters: replicas quarantined after bad-replica
-	// reports, how many of those were healed by re-replication from a
-	// verified copy (vs left under-replicated or lost outright), and the
-	// scrubber's sweep totals.
-	ReplicasQuarantined int64
-	CorruptReReplicated int64
-	CorruptDegraded     int64
-	CorruptLost         int64
-	ScrubRuns           int64
-	ScrubBlocksChecked  int64
-	ScrubCorruptFound   int64
 	// FinalScrubCorrupt is what the end-of-run verification scrub still
 	// found after a healing pass: zero proves the cluster converged back
 	// to zero corrupt replicas. Only meaningful when ScrubEveryNDumps > 0.
 	FinalScrubCorrupt int64
-	// BlocksReReplicated and BlocksLost come from decommissions of
-	// crashed DataNodes.
-	BlocksReReplicated int
-	BlocksLost         int
-	// FaultsInjected snapshots the injector's per-mode counts when
-	// Config.Faults was set; nil otherwise.
-	FaultsInjected map[string]int64
 
 	// DFSStoredBytes is the real byte count resident in the DFS at the
 	// high-water mark (before logical scaling).
@@ -293,9 +263,12 @@ type Result struct {
 	// In-process verification state, like the map.
 	TaskChecksumDigest uint64 `json:"-"`
 
-	// Metrics is the observability snapshot of the run: latency histograms
-	// (yarn.dump.*, yarn.restore.*, dfs.client.block.*), policy-decision
-	// counters, and gauges, whether or not the caller supplied a registry.
+	// Metrics is the observability snapshot of the run, whether or not the
+	// caller supplied a registry: latency histograms (yarn.dump.*,
+	// yarn.restore.*, dfs.client.block.*), policy-decision counters, gauges,
+	// and the only copy of what the DFS (dfs.client.*, dfs.namenode.*,
+	// dfs.scrub.*), the checkpoint engine (checkpoint.*) and the fault
+	// injector (faults.injected.<mode>) count.
 	Metrics obs.Snapshot
 
 	// SLO is the end-of-run snapshot of the registry's SLO view: waste

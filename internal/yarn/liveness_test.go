@@ -176,7 +176,7 @@ func TestNMPartitionHealAndRecovery(t *testing.T) {
 	if r.TasksCompleted != 4 {
 		t.Errorf("completed %d of 4 tasks", r.TasksCompleted)
 	}
-	if got := r.FaultsInjected[faults.ModeNMPartitionDrops]; got == 0 {
+	if got := r.Metrics.Counter("faults.injected." + faults.ModeNMPartitionDrops); got == 0 {
 		t.Error("injector counted no partition-dropped heartbeats")
 	}
 }
@@ -210,7 +210,7 @@ func TestHeartbeatDropsDoNotLoseWork(t *testing.T) {
 	if r.TasksCompleted != 4 {
 		t.Errorf("completed %d of 4 tasks under heartbeat loss", r.TasksCompleted)
 	}
-	if got := r.FaultsInjected[faults.ModeHeartbeatDrops]; got == 0 {
+	if got := r.Metrics.Counter("faults.injected." + faults.ModeHeartbeatDrops); got == 0 {
 		t.Error("injector counted no dropped heartbeats at 50% drop rate")
 	}
 	if r.NodeFailures > 0 && r.NodeRecoveries == 0 && r.TasksRescheduled == 0 {

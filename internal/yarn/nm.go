@@ -6,7 +6,6 @@ import (
 
 	"preemptsched/internal/cluster"
 	"preemptsched/internal/core"
-	"preemptsched/internal/dfs"
 	"preemptsched/internal/obs"
 	"preemptsched/internal/sim"
 	"preemptsched/internal/storage"
@@ -27,11 +26,10 @@ var container = cluster.Resources{CPUMillis: cluster.Cores(1), MemBytes: cluster
 // victims are still draining dumps.
 type NodeManager struct {
 	core.Ledger
-	id     int
-	dfsCli *dfs.Client
-	// store is the view dumps and restores go through: the DFS client
-	// itself, or the fault injector's wrapper of it when the run injects
-	// store faults.
+	id int
+	// store is the view dumps and restores go through: the node's DFS
+	// client itself, or the fault injector's wrapper of it when the run
+	// injects store faults.
 	store storage.Store
 
 	// running holds the node's containers in ascending task-ID order;

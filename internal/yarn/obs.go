@@ -189,12 +189,6 @@ func (c *Cluster) recordNodeRecovered(n *NodeManager, now sim.Time) {
 // Result.Metrics. Called whether or not the run completed, so aborted runs
 // still carry their telemetry.
 func (c *Cluster) finishMetrics() {
-	// The quarantine/re-replication pipeline counts at the NameNode; read it
-	// into the Result so callers get the integrity story without scraping.
-	c.res.ReplicasQuarantined = c.reg.CounterValue("dfs.namenode.replicas.quarantined")
-	c.res.CorruptReReplicated = c.reg.CounterValue("dfs.namenode.corrupt.rereplicated")
-	c.res.CorruptDegraded = c.reg.CounterValue("dfs.namenode.corrupt.degraded")
-	c.res.CorruptLost = c.reg.CounterValue("dfs.namenode.corrupt.lost")
 	c.reg.Add("yarn.preemptions", int64(c.res.Preemptions))
 	c.reg.Add("yarn.kills", int64(c.res.Kills))
 	c.reg.Add("yarn.checkpoints", int64(c.res.Checkpoints))
@@ -206,7 +200,6 @@ func (c *Cluster) finishMetrics() {
 	c.reg.Add("yarn.restore.failures", int64(c.res.RestoreFailures))
 	c.reg.Add("yarn.restore.fallbacks", int64(c.res.RestoreFallbacks))
 	c.reg.Add("yarn.restore.restarts", int64(c.res.RestoreRestarts))
-	c.reg.Add("yarn.restore.verify.failures", int64(c.res.RestoreVerifyFailures))
 	c.reg.Add("yarn.dump.failures", int64(c.res.DumpFailures))
 	c.reg.Add("yarn.fallback.kills", int64(c.res.FallbackKills))
 	c.reg.Add("yarn.tasks.completed", int64(c.res.TasksCompleted))
@@ -216,8 +209,6 @@ func (c *Cluster) finishMetrics() {
 	c.reg.Add("yarn.tasks.rescheduled", int64(c.res.TasksRescheduled))
 	c.reg.Add("yarn.failure.restores", int64(c.res.FailureRestores))
 	c.reg.Add("yarn.failure.restarts", int64(c.res.FailureRestarts))
-	c.reg.Add("yarn.blocks.rereplicated", int64(c.res.BlocksReReplicated))
-	c.reg.Add("yarn.blocks.lost", int64(c.res.BlocksLost))
 	c.reg.SetGauge("yarn.makespan.seconds", c.res.Makespan.Seconds())
 	c.reg.SetGauge("yarn.scrub.final.corrupt", float64(c.res.FinalScrubCorrupt))
 	c.reg.SetGauge("yarn.peak.image.bytes", float64(c.res.PeakImageBytes))
