@@ -5,6 +5,7 @@ import (
 
 	"preemptsched/internal/cluster"
 	"preemptsched/internal/metrics"
+	"preemptsched/internal/obs"
 	"preemptsched/internal/sim"
 )
 
@@ -43,7 +44,7 @@ type Outcome struct {
 	IncrementalCheckpoints int
 	// PreCopies counts the pre-dumps of the pre-copy optimization. A
 	// pre-copy whose freeze dump then fails is a kill, not a checkpoint,
-	// but its pre-dump still counts here.
+	// but its pre-dump still counts here (see Count).
 	PreCopies      int
 	Restores       int
 	RemoteRestores int
@@ -72,6 +73,46 @@ type Outcome struct {
 // NewOutcome returns a run's empty books.
 func NewOutcome(policy Policy, storageLabel string, nodes int) Outcome {
 	return Outcome{Policy: policy, Storage: storageLabel, Nodes: nodes, JobResponseAllSec: &metrics.Dist{}}
+}
+
+// Count books ev in the counters its edge defines, as their only writer.
+// A verdict is one preemption and one kill or checkpoint, by its Name; a
+// kill-fallback moves the checkpoint verdict its Name names over to
+// Kills, so Preemptions == Kills + Checkpoints by construction.
+func (o *Outcome) Count(ev obs.Event) {
+	switch ev.Kind {
+	case obs.EvDecision:
+		o.Preemptions++
+		if ev.Name == ActionKill.String() {
+			o.Kills++
+			return
+		}
+		o.Checkpoints++
+		if ev.Name == ActionCheckpointIncremental.String() {
+			o.IncrementalCheckpoints++
+		}
+	case obs.EvKillFallback:
+		o.Kills++
+		o.Checkpoints--
+		if ev.Name == ActionCheckpointIncremental.String() {
+			o.IncrementalCheckpoints--
+		}
+	case obs.EvPreDump:
+		o.PreCopies++
+	case obs.EvRestore:
+		o.Restores++
+		if ev.Flags&obs.FlagRemote != 0 {
+			o.RemoteRestores++
+		}
+	case obs.EvTaskDone:
+		o.TasksCompleted++
+	case obs.EvTaskRescheduled:
+		o.TasksRescheduled++
+	case obs.EvNodeDown:
+		o.NodeFailures++
+	case obs.EvNodeRecovered:
+		o.NodeRecoveries++
+	}
 }
 
 // ratio is num over den, and 0 for a run that has no denominator yet.

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
 	"preemptsched/internal/cluster"
 	"preemptsched/internal/energy"
+	"preemptsched/internal/obs"
 	"preemptsched/internal/sim"
 	"preemptsched/internal/storage"
 )
@@ -104,5 +106,76 @@ func TestOutcomeCharges(t *testing.T) {
 	o.CloseNode(&l, sim.Time(2*time.Hour))
 	if o.EnergyKWh != 4 || o.IOBusyHours != 3 {
 		t.Errorf("after closing two nodes: %v kWh, %v device-hours; want 4, 3", o.EnergyKWh, o.IOBusyHours)
+	}
+}
+
+// TestCountMovesItsEdgesCounters feeds Count one edge of each kind and
+// checks it moves exactly the counters that edge defines: a verdict one
+// preemption and its kill or checkpoint, a kill-fallback its degraded
+// checkpoint verdict over to the kills, and every other counted edge its
+// own counter. Edges no counter is defined by move nothing.
+func TestCountMovesItsEdgesCounters(t *testing.T) {
+	full, incr := ActionCheckpointFull.String(), ActionCheckpointIncremental.String()
+	for _, tc := range []struct {
+		name string
+		ev   obs.Event
+		want Outcome
+	}{
+		{"kill verdict", obs.Event{Kind: obs.EvDecision, Name: ActionKill.String()}, Outcome{Preemptions: 1, Kills: 1}},
+		{"full verdict", obs.Event{Kind: obs.EvDecision, Name: full}, Outcome{Preemptions: 1, Checkpoints: 1}},
+		{"incremental verdict", obs.Event{Kind: obs.EvDecision, Name: incr},
+			Outcome{Preemptions: 1, Checkpoints: 1, IncrementalCheckpoints: 1}},
+		{"full fallback", obs.Event{Kind: obs.EvKillFallback, Name: full}, Outcome{Kills: 1, Checkpoints: -1}},
+		{"incremental fallback", obs.Event{Kind: obs.EvKillFallback, Name: incr},
+			Outcome{Kills: 1, Checkpoints: -1, IncrementalCheckpoints: -1}},
+		{"pre-dump", obs.Event{Kind: obs.EvPreDump}, Outcome{PreCopies: 1}},
+		{"local restore", obs.Event{Kind: obs.EvRestore, Flags: obs.FlagFailure}, Outcome{Restores: 1}},
+		{"remote restore", obs.Event{Kind: obs.EvRestore, Flags: obs.FlagRemote}, Outcome{Restores: 1, RemoteRestores: 1}},
+		{"task done", obs.Event{Kind: obs.EvTaskDone}, Outcome{TasksCompleted: 1}},
+		{"task rescheduled", obs.Event{Kind: obs.EvTaskRescheduled}, Outcome{TasksRescheduled: 1}},
+		{"node down", obs.Event{Kind: obs.EvNodeDown}, Outcome{NodeFailures: 1}},
+		{"node recovered", obs.Event{Kind: obs.EvNodeRecovered}, Outcome{NodeRecoveries: 1}},
+		{"selection", obs.Event{Kind: obs.EvSelection}, Outcome{}},
+		{"dump", obs.Event{Kind: obs.EvDump, Flags: obs.FlagIncremental}, Outcome{}},
+		{"marker", obs.Event{Kind: obs.EvMarker, Name: ActionKill.String()}, Outcome{}},
+		{"place", obs.Event{Kind: obs.EvPlace}, Outcome{}},
+		{"vacate", obs.Event{Kind: obs.EvVacate}, Outcome{}},
+	} {
+		var o Outcome
+		o.Count(tc.ev)
+		if o != tc.want {
+			t.Errorf("%s: Count booked %+v, want %+v", tc.name, o, tc.want)
+		}
+	}
+}
+
+// TestCountKeepsOnePerPreemption drives Count with seeded random runs of
+// verdicts, each checkpoint verdict later degraded to a kill-fallback or
+// not, and checks after every edge that each preemption counts once, as a
+// kill or as a checkpoint, and that the incremental checkpoints are a
+// share of the checkpoints.
+func TestCountKeepsOnePerPreemption(t *testing.T) {
+	rng := rand.New(rand.NewSource(56))
+	actions := []PreemptAction{ActionKill, ActionCheckpointFull, ActionCheckpointIncremental}
+	for run := range 200 {
+		var o Outcome
+		var open []PreemptAction // checkpoint verdicts a fallback may still degrade
+		for step := range 40 {
+			if len(open) > 0 && rng.Intn(3) == 0 {
+				i := rng.Intn(len(open))
+				o.Count(obs.Event{Kind: obs.EvKillFallback, Name: open[i].String()})
+				open = append(open[:i], open[i+1:]...)
+			} else {
+				a := actions[rng.Intn(len(actions))]
+				o.Count(obs.Event{Kind: obs.EvDecision, Name: a.String()})
+				if a.IsCheckpoint() {
+					open = append(open, a)
+				}
+			}
+			if o.Preemptions != o.Kills+o.Checkpoints || o.IncrementalCheckpoints < 0 || o.IncrementalCheckpoints > o.Checkpoints {
+				t.Fatalf("run %d step %d: %d preemptions, %d kills, %d checkpoints (%d incremental)",
+					run, step, o.Preemptions, o.Kills, o.Checkpoints, o.IncrementalCheckpoints)
+			}
+		}
 	}
 }

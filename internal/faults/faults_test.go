@@ -179,6 +179,42 @@ func TestTornWriteNeverPublishes(t *testing.T) {
 	}
 }
 
+// TestArmedWriterThatLosesNothingCountsNothing: a writer armed to tear or
+// to truncate past more bytes than are written publishes the object whole,
+// and neither series counts it — an injected fault is counted where it
+// loses data, not where it is armed.
+func TestArmedWriterThatLosesNothingCountsNothing(t *testing.T) {
+	for _, tc := range []struct {
+		mode string
+		plan Plan
+	}{
+		{ModeTornWrites, Plan{Seed: 3, TornWriteRate: 1, TornWriteBytes: 64}},
+		{ModeSilentTruncations, Plan{Seed: 3, SilentTruncateRate: 1, SilentTruncateBytes: 64}},
+	} {
+		in := NewInjector(tc.plan)
+		reg := instrument(in)
+		st := WrapStore(storage.NewMemStore(), in)
+		w, err := st.Create("obj")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range 2 {
+			if _, err := w.Write(make([]byte, 32)); err != nil {
+				t.Fatalf("%s: write under the armed limit = %v", tc.mode, err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatalf("%s: close = %v", tc.mode, err)
+		}
+		if size, err := st.Size("obj"); err != nil || size != 64 {
+			t.Fatalf("%s: stored %d bytes (%v), want all 64", tc.mode, size, err)
+		}
+		if injected(reg, ModeTornWrites) != 0 || injected(reg, ModeSilentTruncations) != 0 {
+			t.Errorf("%s: counters %v for a write that lost nothing", tc.mode, reg.Snapshot().Counters)
+		}
+	}
+}
+
 // TestCreateFailRate: Create failures surface as injected errors and are
 // counted.
 func TestCreateFailRate(t *testing.T) {

@@ -38,7 +38,6 @@ func (s *faultStore) Create(name string) (io.WriteCloser, error) {
 		if limit <= 0 {
 			limit = DefaultTornWriteBytes
 		}
-		s.in.count(ModeTornWrites)
 		return &tornWriter{inner: w, in: s.in, name: name, left: limit}, nil
 	}
 	if s.in.roll(s.in.plan.SilentTruncateRate) {
@@ -46,8 +45,7 @@ func (s *faultStore) Create(name string) (io.WriteCloser, error) {
 		if limit <= 0 {
 			limit = DefaultTornWriteBytes
 		}
-		s.in.count(ModeSilentTruncations)
-		return &silentTruncateWriter{inner: w, left: limit}, nil
+		return &silentTruncateWriter{inner: w, in: s.in, left: limit}, nil
 	}
 	return w, nil
 }
@@ -81,7 +79,9 @@ func (s *faultStore) List(prefix string) ([]string, error) {
 }
 
 // tornWriter accepts left bytes, then fails every write and the close, so
-// the caller cannot mistake the truncated object for a published one.
+// the caller cannot mistake the truncated object for a published one. The
+// tear, not the arming, counts as ModeTornWrites: data that fits under
+// the tear point loses nothing.
 type tornWriter struct {
 	inner io.WriteCloser
 	in    *Injector
@@ -101,6 +101,7 @@ func (w *tornWriter) Write(p []byte) (int, error) {
 	n, _ := w.inner.Write(p[:w.left])
 	w.left = 0
 	w.torn = true
+	w.in.count(ModeTornWrites)
 	return n, w.in.inject(ModeTornWriteWrites, w.name)
 }
 
@@ -118,19 +119,23 @@ func (w *tornWriter) Close() error {
 // silentTruncateWriter keeps the first left bytes and silently discards
 // the rest: every Write reports full success and Close publishes the
 // truncated object. The nastiest storage failure mode — only end-to-end
-// verification downstream can notice.
+// verification downstream can notice. The first discarded byte counts as
+// ModeSilentTruncations.
 type silentTruncateWriter struct {
 	inner io.WriteCloser
+	in    *Injector
 	left  int64
+	cut   bool
 }
 
 func (w *silentTruncateWriter) Write(p []byte) (int, error) {
-	if w.left <= 0 {
-		return len(p), nil
+	keep := p[:min(int64(len(p)), max(w.left, 0))]
+	if len(keep) < len(p) && !w.cut {
+		w.cut = true
+		w.in.count(ModeSilentTruncations)
 	}
-	keep := p
-	if int64(len(keep)) > w.left {
-		keep = keep[:w.left]
+	if len(keep) == 0 {
+		return len(p), nil
 	}
 	if _, err := w.inner.Write(keep); err != nil {
 		// Even the organic error is swallowed: the writer lies to the end.

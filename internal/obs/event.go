@@ -30,7 +30,7 @@ const (
 	// Flags carry FlagRemote and FlagFailure.
 	EvRestore
 	// EvKillFallback: a checkpoint verdict degraded to a kill because the
-	// dump failed; Unsaved is the progress lost.
+	// dump failed; Name is that verdict, Unsaved the progress lost.
 	EvKillFallback
 	// EvTaskDone: Task completed and left Node.
 	EvTaskDone
@@ -91,7 +91,8 @@ type Event struct {
 	Node int
 	// Priority is Task's priority.
 	Priority cluster.Priority
-	// Name is an EvDecision's action or an EvMarker's name.
+	// Name is an EvDecision's action, the checkpoint verdict an
+	// EvKillFallback degrades (not journaled), or an EvMarker's name.
 	Name string
 	// Unsaved, Est, Actual, Bytes, Flags and Span are the journal
 	// record's fields of the same names.

@@ -28,8 +28,7 @@ func (s *Simulator) failNode(f NodeFailure, now sim.Time) {
 	n.down = true
 	n.touch()
 	n.Settle(now)
-	s.res.NodeFailures++
-	s.events.Emit(obs.Event{Kind: obs.EvNodeDown, At: now, Node: int(n.id)})
+	s.emit(obs.Event{Kind: obs.EvNodeDown, At: now, Node: int(n.id)})
 	// Fencing removes tasks from n.running, so walk a snapshot, in task-ID
 	// order: the order fixes the fenced tasks' order in the pending queue.
 	// candScratch is idle outside a provenance rescan.
@@ -89,8 +88,7 @@ func (s *Simulator) fenceTask(t *taskRT, now sim.Time) {
 // rescheduleFailed books the displacement and requeues t.
 func (s *Simulator) rescheduleFailed(t *taskRT, n *node, lost time.Duration, now sim.Time) {
 	t.failedOver = true
-	s.res.TasksRescheduled++
-	s.events.Emit(obs.Event{Kind: obs.EvTaskRescheduled, At: now, Task: t.spec.ID, Node: int(n.id), Priority: t.spec.Priority,
+	s.emit(obs.Event{Kind: obs.EvTaskRescheduled, At: now, Task: t.spec.ID, Node: int(n.id), Priority: t.spec.Priority,
 		Unsaved: lost})
 	t.trip.Abandon()
 	s.enqueue(t, now)
@@ -103,8 +101,7 @@ func (s *Simulator) recoverNode(n *node, at sim.Time) {
 	}
 	n.down = false
 	n.touch()
-	s.res.NodeRecoveries++
 	s.totalCap = s.totalCap.Add(n.Cap)
-	s.events.Emit(obs.Event{Kind: obs.EvNodeRecovered, At: at, Node: int(n.id)})
+	s.emit(obs.Event{Kind: obs.EvNodeRecovered, At: at, Node: int(n.id)})
 	s.requestSchedule(at)
 }

@@ -6,6 +6,12 @@ import (
 	"preemptsched/internal/sim"
 )
 
+// emit books ev in the run's counters (core.Outcome.Count), then reports it.
+func (s *Simulator) emit(ev obs.Event) {
+	s.res.Count(ev)
+	s.events.Emit(ev)
+}
+
 // scoreCandidates rebuilds the provenance view of a victim choice on the
 // chosen node: every discipline-eligible running task, in task-ID order
 // rather than the eviction order the scan walked, with the estimated

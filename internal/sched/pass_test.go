@@ -117,7 +117,7 @@ func runPasses(t *testing.T, cfg Config, jobs []cluster.JobSpec, cov *passCovera
 			referenceTrySchedule(s, now, func(w *taskRT, placed bool, failed []cluster.Resources) {
 				visits++
 				if stopped >= 0 {
-					if placed || s.decisions != stopDecisions {
+					if placed || s.res.Decisions != stopDecisions {
 						t.Fatalf("at %v: waiter %v, visited after the stop rule fired, placed or preempted", now, w.spec.ID)
 					}
 					return
@@ -127,7 +127,7 @@ func runPasses(t *testing.T, cfg Config, jobs []cluster.JobSpec, cov *passCovera
 					return
 				}
 				if dominatesAny(s.queue.floorUpTo(w.spec.Priority), failed) {
-					stopped, stopDecisions = visits, s.decisions
+					stopped, stopDecisions = visits, s.res.Decisions
 				} else {
 					cov.refused++
 				}

@@ -347,8 +347,8 @@ func TestBlockedPassTouchesNothing(t *testing.T) {
 			if allocs := testing.AllocsPerRun(50, func() { s.trySchedule(now) }); allocs != 0 {
 				t.Errorf("a pass over %d blocked waiters allocated %v times, want 0", len(want), allocs)
 			}
-			if s.decisions != 0 || s.res.Preemptions != 0 {
-				t.Errorf("blocked passes made %d decisions and %d preemptions", s.decisions, s.res.Preemptions)
+			if s.res.Decisions != 0 || s.res.Preemptions != 0 {
+				t.Errorf("blocked passes made %d decisions and %d preemptions", s.res.Decisions, s.res.Preemptions)
 			}
 			if s.queue != queueBefore || !slices.Equal(links(), linksBefore) {
 				t.Error("blocked passes rewrote the queue")
@@ -503,9 +503,9 @@ func TestQueueIsEmptyAndUnlinkedAfterRun(t *testing.T) {
 					})
 					s.engine.Run()
 
-					if s.decisions != want.Decisions || s.engine.Fired() != want.EventsFired || s.res.Preemptions != want.Preemptions {
+					if s.res.Decisions != want.Decisions || s.engine.Fired() != want.EventsFired || s.res.Preemptions != want.Preemptions {
 						t.Fatalf("driven by hand: %d decisions, %d events, %d preemptions; Run: %d, %d, %d",
-							s.decisions, s.engine.Fired(), s.res.Preemptions, want.Decisions, want.EventsFired, want.Preemptions)
+							s.res.Decisions, s.engine.Fired(), s.res.Preemptions, want.Decisions, want.EventsFired, want.Preemptions)
 					}
 					if deepest <= scanLimit {
 						t.Fatalf("the queue never held more than %d waiters; no pass was cut at scanLimit = %d", deepest, scanLimit)

@@ -37,7 +37,7 @@ func (s *Simulator) startSampler() {
 			At:        now,
 			InFlight:  s.inFlight,
 			Queued:    s.queue.n,
-			Decisions: s.decisions,
+			Decisions: s.res.Decisions,
 			Events:    s.engine.Fired(),
 		})
 		if s.engine.Pending() > 0 {

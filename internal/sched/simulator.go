@@ -479,11 +479,9 @@ type Simulator struct {
 	// instant; runPass is the one event handler every trigger schedules.
 	schedulePending bool
 	runPass         sim.Handler
-	// decisions counts scheduling decisions: successful placements plus
-	// preemption verdicts. inFlight counts tasks holding node resources.
-	// Both feed the sampler (sample.go) and the Result.
-	decisions uint64
-	inFlight  int
+	// inFlight counts tasks holding node resources; it feeds the sampler
+	// (sample.go) and Result.PeakInFlight.
+	inFlight int
 	// runningByPrio counts phaseRunning tasks per priority so preemption
 	// feasibility is an O(12) check instead of a cluster scan.
 	runningByPrio [int(cluster.MaxPriority) + 1]int
@@ -662,7 +660,6 @@ func (s *Simulator) load(jobs []cluster.JobSpec) ([]taskRT, error) {
 func (s *Simulator) runToEnd() *Result {
 	end := s.engine.Run()
 	s.res.Makespan = time.Duration(end)
-	s.res.Decisions = s.decisions
 	s.res.EventsFired = s.engine.Fired()
 	for _, n := range s.nodes {
 		s.res.CloseNode(&n.Ledger, end)
@@ -894,8 +891,8 @@ func (s *Simulator) place(t *taskRT, now sim.Time) bool {
 	s.queue.remove(t)
 	s.unreserve(t)
 	s.seat(t, target, now)
-	s.decisions++
-	s.events.Emit(obs.Event{Kind: obs.EvPlace, At: now, Task: t.spec.ID, Node: int(target.id), Priority: t.spec.Priority})
+	s.res.Decisions++
+	s.emit(obs.Event{Kind: obs.EvPlace, At: now, Task: t.spec.ID, Node: int(target.id), Priority: t.spec.Priority})
 
 	if t.hasCheckpoint {
 		s.startRestore(t, target, now)
@@ -1004,9 +1001,7 @@ func (s *Simulator) startRestore(t *taskRT, target *node, now sim.Time) {
 	var transfer time.Duration
 	if remote {
 		transfer = time.Duration(float64(t.spec.MemFootprint) / core.DefaultNetBandwidth * float64(time.Second))
-		s.res.RemoteRestores++
 	}
-	s.res.Restores++
 	var done sim.Time
 	if !remote && target.Device.Kind() == storage.NVRAM {
 		// Byte-addressable local resume: pages are remapped from
@@ -1024,7 +1019,7 @@ func (s *Simulator) startRestore(t *taskRT, target *node, now sim.Time) {
 		flags |= obs.FlagFailure
 	}
 	est, actual := t.trip.Close(overhead)
-	s.events.Emit(obs.Event{Kind: obs.EvRestore, At: now, Task: t.spec.ID, Node: int(target.id), Priority: t.spec.Priority,
+	s.emit(obs.Event{Kind: obs.EvRestore, At: now, Task: t.spec.ID, Node: int(target.id), Priority: t.spec.Priority,
 		Est: est, Actual: actual, Bytes: t.spec.MemFootprint, Flags: flags})
 	s.res.ChargeOverhead(t.spec, overhead)
 	s.engine.At(done, sim.Handler(func(at sim.Time) {
@@ -1043,10 +1038,9 @@ func (s *Simulator) finishTask(t *taskRT, now sim.Time) {
 	s.unmarkRunning(t)
 	t.phase = phaseDone
 	t.completion = nil
-	s.events.Emit(obs.Event{Kind: obs.EvTaskDone, At: now, Task: t.spec.ID, Node: int(t.node.id), Priority: t.spec.Priority})
+	s.emit(obs.Event{Kind: obs.EvTaskDone, At: now, Task: t.spec.ID, Node: int(t.node.id), Priority: t.spec.Priority})
 	s.removeImages(t)
 	s.unseat(t, now)
-	s.res.TasksCompleted++
 
 	t.job.remaining--
 	if t.job.remaining == 0 {
@@ -1064,14 +1058,13 @@ func (s *Simulator) preemptFor(t *taskRT, now sim.Time) bool {
 		return false
 	}
 	if s.events.On() {
-		s.events.Emit(obs.Event{Kind: obs.EvSelection, At: now, Task: t.spec.ID, Node: int(target.id), Priority: t.spec.Priority,
+		s.emit(obs.Event{Kind: obs.EvSelection, At: now, Task: t.spec.ID, Node: int(target.id), Priority: t.spec.Priority,
 			Candidates: s.scoreCandidates(target, t, victims, now)})
 	}
 	s.reserve(t, target)
 	for _, v := range victims {
 		s.preemptTask(v, now)
 	}
-	s.res.Preemptions += len(victims)
 	return true
 }
 
@@ -1285,13 +1278,13 @@ func (s *Simulator) victimCost(v *taskRT, q time.Duration, now sim.Time) time.Du
 func (s *Simulator) preemptTask(v *taskRT, now sim.Time) {
 	n := v.node
 	v.evictions++
-	s.decisions++
+	s.res.Decisions++
 	cand := s.candidateFor(v, now)
 	action := core.DecidePreemption(s.cfg.Policy, cand, n.Device, now)
 	// The verdict carries the checkpoint cost it weighed even for a kill,
 	// so explain can say what the kill avoided.
 	est := core.CheckpointOverhead(cand, n.Device, now)
-	s.events.Emit(obs.Event{Kind: obs.EvDecision, At: now, Task: v.spec.ID, Node: int(n.id), Priority: v.spec.Priority,
+	s.emit(obs.Event{Kind: obs.EvDecision, At: now, Task: v.spec.ID, Node: int(n.id), Priority: v.spec.Priority,
 		Name: action.String(), Unsaved: v.unsavedProgress(now), Est: est})
 
 	if !action.IsCheckpoint() {
@@ -1300,7 +1293,6 @@ func (s *Simulator) preemptTask(v *taskRT, now sim.Time) {
 		s.engine.Cancel(v.completion)
 		v.completion = nil
 		s.unmarkRunning(v)
-		s.res.Kills++
 		s.res.ChargeWaste(v.spec, v.unsavedProgress(now))
 		s.unseat(v, now)
 		s.enqueue(v, now)
@@ -1309,10 +1301,6 @@ func (s *Simulator) preemptTask(v *taskRT, now sim.Time) {
 	}
 
 	v.trip.Open(est)
-	s.res.Checkpoints++
-	if action == core.ActionCheckpointIncremental {
-		s.res.IncrementalCheckpoints++
-	}
 	if s.cfg.PreCopy {
 		s.startPreCopy(v, cand, now)
 		return
@@ -1345,7 +1333,7 @@ func (s *Simulator) freezeAndDump(v *taskRT, action core.PreemptAction, bytes in
 	_, done := n.Device.ReserveWrite(now, bytes)
 	window := time.Duration(done - now)
 	v.trip.Dumped(window, 0)
-	s.events.Emit(obs.Event{Kind: obs.EvDump, At: now, Task: v.spec.ID, Node: int(n.id), Priority: v.spec.Priority,
+	s.emit(obs.Event{Kind: obs.EvDump, At: now, Task: v.spec.ID, Node: int(n.id), Priority: v.spec.Priority,
 		Est: v.trip.Est(), Actual: window, Bytes: bytes, Flags: flags})
 	s.res.ChargeOverhead(v.spec, window)
 	s.trackImage(v, action, bytes)
@@ -1359,7 +1347,7 @@ func (s *Simulator) freezeAndDump(v *taskRT, action core.PreemptAction, bytes in
 func (s *Simulator) vacate(v *taskRT, n *node, at sim.Time) {
 	v.hasCheckpoint = true
 	v.ckptNode = n
-	s.events.Emit(obs.Event{Kind: obs.EvVacate, At: at, Task: v.spec.ID, Node: int(n.id), Priority: v.spec.Priority})
+	s.emit(obs.Event{Kind: obs.EvVacate, At: at, Task: v.spec.ID, Node: int(n.id), Priority: v.spec.Priority})
 	s.unseat(v, at)
 	s.enqueue(v, at)
 	s.requestSchedule(at)
@@ -1371,12 +1359,11 @@ func (s *Simulator) vacate(v *taskRT, n *node, at sim.Time) {
 // the pages dirtied meanwhile are dumped.
 func (s *Simulator) startPreCopy(v *taskRT, cand core.Candidate, now sim.Time) {
 	n := v.node
-	s.res.PreCopies++
 	v.preCopying = true
 	preBytes := cand.DumpBytes()
 	_, preDone := n.Device.ReserveWrite(now, preBytes)
 	v.trip.Dumped(time.Duration(preDone-now), 0)
-	s.events.Emit(obs.Event{Kind: obs.EvPreDump, At: now, Task: v.spec.ID, Node: int(n.id), Priority: v.spec.Priority,
+	s.emit(obs.Event{Kind: obs.EvPreDump, At: now, Task: v.spec.ID, Node: int(n.id), Priority: v.spec.Priority,
 		Est: v.trip.Est(), Actual: time.Duration(preDone - now), Bytes: preBytes})
 	preAction := core.ActionCheckpointFull
 	if cand.HasCheckpoint {

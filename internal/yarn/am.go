@@ -259,9 +259,7 @@ func (am *AppMaster) onAllocated(t *taskRun, n *NodeManager, now sim.Time) {
 	var transfer time.Duration
 	if remote {
 		transfer = time.Duration(float64(t.spec.MemFootprint) / core.DefaultNetBandwidth * float64(time.Second))
-		am.c.res.RemoteRestores++
 	}
-	am.c.res.Restores++
 	start, done := n.Device.ReserveRead(now+transfer, t.spec.MemFootprint)
 	am.c.recordRestore(t, n, remote, transfer, now, start, done)
 	am.c.chargeOverhead(t, time.Duration(done-now))
@@ -373,13 +371,14 @@ func (am *AppMaster) recordDeltaImage(t *taskRun, name string, bytes int64) {
 // killFallback degrades a failed checkpoint to a kill-based preemption:
 // the victim dies, lost compute is charged as waste, and the task
 // re-queues like any killed victim — it still restores from its last
-// intact image if one exists.
-func (am *AppMaster) killFallback(t *taskRun, n *NodeManager, lost time.Duration, now sim.Time) {
+// intact image if one exists. The event names the degraded verdict, which
+// Count moves over to the kills.
+func (am *AppMaster) killFallback(t *taskRun, n *NodeManager, verdict core.PreemptAction, lost time.Duration, now sim.Time) {
 	am.c.res.DumpFailures++
 	am.c.res.FallbackKills++
 	am.c.slo.CountFallbackKill()
-	am.c.events.Emit(obs.Event{Kind: obs.EvKillFallback, At: now, Task: t.spec.ID, Node: n.id, Priority: t.spec.Priority,
-		Unsaved: lost})
+	am.c.emit(obs.Event{Kind: obs.EvKillFallback, At: now, Task: t.spec.ID, Node: n.id, Priority: t.spec.Priority,
+		Name: verdict.String(), Unsaved: lost})
 	t.trip.Abandon()
 	am.kill(t, n, lost, now)
 }
@@ -390,7 +389,6 @@ func (am *AppMaster) killFallback(t *taskRun, n *NodeManager, lost time.Duration
 func (am *AppMaster) kill(t *taskRun, n *NodeManager, lost time.Duration, now sim.Time) {
 	am.c.engine.Cancel(t.completion)
 	t.completion = nil
-	am.c.res.Kills++
 	am.c.chargeWaste(t, lost)
 	t.killProcess()
 	n.releaseSlot(now, t)
@@ -447,8 +445,7 @@ func (am *AppMaster) requeueAfterFailure(t *taskRun, n *NodeManager, lost time.D
 	t.preCopying = false
 	t.failedOver = true
 	t.failedAt = 0
-	am.c.res.TasksRescheduled++
-	am.c.events.Emit(obs.Event{Kind: obs.EvTaskRescheduled, At: now, Task: t.spec.ID, Node: n.id, Priority: t.spec.Priority,
+	am.c.emit(obs.Event{Kind: obs.EvTaskRescheduled, At: now, Task: t.spec.ID, Node: n.id, Priority: t.spec.Priority,
 		Unsaved: lost})
 	t.trip.Abandon()
 	pref := t.imageNode
@@ -497,7 +494,7 @@ func (am *AppMaster) onPreempt(t *taskRun, now sim.Time) {
 		t.trip.Abandon()
 	}
 	span := am.c.observeDecision(t, n, action, now)
-	am.c.events.Emit(obs.Event{Kind: obs.EvDecision, At: now, Task: t.spec.ID, Node: n.id, Priority: t.spec.Priority,
+	am.c.emit(obs.Event{Kind: obs.EvDecision, At: now, Task: t.spec.ID, Node: n.id, Priority: t.spec.Priority,
 		Name: action.String(), Unsaved: t.unsavedProgress(now), Est: est, Span: span})
 
 	switch {
@@ -506,7 +503,7 @@ func (am *AppMaster) onPreempt(t *taskRun, now sim.Time) {
 		am.kill(t, n, t.unsavedProgress(now), now)
 	case am.c.cfg.PreCopy:
 		am.advance(t, target)
-		am.startPreCopyCheckpoint(t, n, now)
+		am.startPreCopyCheckpoint(t, n, action, now)
 	default:
 		am.advance(t, target)
 		prevBanked, unsaved := t.banked, t.unsavedProgress(now)
@@ -515,12 +512,7 @@ func (am *AppMaster) onPreempt(t *taskRun, now sim.Time) {
 			// preemption. The bank rolls back to the last restorable image;
 			// this attempt's progress is lost, as under a kill-only policy.
 			t.banked = prevBanked
-			am.killFallback(t, n, unsaved, now)
-			return
-		}
-		am.c.res.Checkpoints++
-		if action == core.ActionCheckpointIncremental {
-			am.c.res.IncrementalCheckpoints++
+			am.killFallback(t, n, action, unsaved, now)
 		}
 	}
 }
@@ -627,7 +619,7 @@ func (am *AppMaster) maybeCompact(t *taskRun, n *NodeManager, now sim.Time) {
 // pre-copy optimization: the victim's pages are dumped for real while it
 // keeps executing; at the end of the write window it freezes and dumps
 // only the pages its continued execution dirtied.
-func (am *AppMaster) startPreCopyCheckpoint(t *taskRun, n *NodeManager, now sim.Time) {
+func (am *AppMaster) startPreCopyCheckpoint(t *taskRun, n *NodeManager, action core.PreemptAction, now sim.Time) {
 	opts := checkpoint.DumpOpts{Incremental: t.hasImage(), Parent: t.tip()}
 	preName := t.nextImageName()
 	preSteps := t.process.Steps()
@@ -635,13 +627,8 @@ func (am *AppMaster) startPreCopyCheckpoint(t *taskRun, n *NodeManager, now sim.
 	if err != nil {
 		// The pre-dump failed while the victim still ran: degrade to a
 		// kill. Everything since the attempt started is lost.
-		am.killFallback(t, n, t.unsavedProgress(now), now)
+		am.killFallback(t, n, action, t.unsavedProgress(now), now)
 		return
-	}
-	am.c.res.Checkpoints++
-	am.c.res.PreCopies++
-	if opts.Incremental {
-		am.c.res.IncrementalCheckpoints++
 	}
 	t.preCopying = true
 	preDone := am.bookDump(t, n, preName, info.LogicalBytes, opts.Incremental, true, now)
@@ -664,15 +651,10 @@ func (am *AppMaster) startPreCopyCheckpoint(t *taskRun, n *NodeManager, now sim.
 			// The delta dump failed, but the pre-copy image already
 			// landed: roll the bank back to the pre-dump's step boundary
 			// and degrade to a kill — only the window's progress is lost.
-			// The preemption now counts as the kill, not as a checkpoint.
-			am.c.res.Checkpoints--
-			if opts.Incremental {
-				am.c.res.IncrementalCheckpoints--
-			}
 			preBanked := t.bankedAt(preSteps)
 			lost := max(t.banked-preBanked, 0)
 			t.banked = preBanked
-			am.killFallback(t, n, lost, at)
+			am.killFallback(t, n, action, lost, at)
 		}
 	}))
 }
@@ -683,7 +665,6 @@ func (am *AppMaster) startPreCopyCheckpoint(t *taskRun, n *NodeManager, now sim.
 func (am *AppMaster) onComplete(t *taskRun, now sim.Time) {
 	am.c.handOver(t)
 	am.c.slo.AddUseful(am.c.res.ChargeUseful(t.spec))
-	am.c.res.TasksCompleted++
 
 	t.state = stateDone
 	t.completion = nil
@@ -691,7 +672,7 @@ func (am *AppMaster) onComplete(t *taskRun, now sim.Time) {
 	n.releaseSlot(now, t)
 	t.node = nil
 	am.discardImages(t, n)
-	am.c.events.Emit(obs.Event{Kind: obs.EvTaskDone, At: now, Task: t.spec.ID, Node: n.id, Priority: t.spec.Priority})
+	am.c.emit(obs.Event{Kind: obs.EvTaskDone, At: now, Task: t.spec.ID, Node: n.id, Priority: t.spec.Priority})
 
 	am.left--
 	if am.left == 0 {

@@ -229,9 +229,9 @@ type Result struct {
 	DumpFailures int
 	// FallbackKills counts preemptions that degraded to a kill because
 	// a checkpoint dump failed. They are included in Kills: each
-	// preemption counts once, as a kill or as a checkpoint, so a pre-copy
-	// whose freeze dump fails is a kill, and its landed pre-dump counts
-	// only in PreCopies.
+	// kill-fallback event moves its checkpoint verdict over to Kills
+	// (core.Outcome.Count), so a pre-copy whose freeze dump fails is a
+	// kill, and its landed pre-dump counts only in PreCopies.
 	FallbackKills int
 	JobsCompleted int
 

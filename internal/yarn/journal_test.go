@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"strings"
 	"testing"
 	"time"
 
@@ -227,35 +228,52 @@ func TestJournalMatchesHandWrittenRecords(t *testing.T) {
 	}
 }
 
-// GIVEN journalWorkload on the 3 x 2 cluster, fault-free, under the basic
-// checkpoint policy, the adaptive policy on HDD, kills, and pre-copy with
-// the basic and the adaptive policy, each with a flight recorder attached,
+// GIVEN journalWorkload on the 3 x 2 cluster under the basic checkpoint
+// policy, the adaptive policy on HDD, kills, and pre-copy with the basic
+// and the adaptive policy, each with a flight recorder attached, and two
+// legs whose store fails a fifth of image creates, so that a checkpoint
+// verdict, incremental ones included, degrades to a kill on each of the
+// three paths that can fail: the stop-and-copy dump, the pre-dump and the
+// pre-copy freeze dump,
 // WHEN the run ends,
 // THEN every Result counter equals the number of journal records of the
-// edge it counts: Kills the kill verdicts, Checkpoints the two checkpoint
-// verdicts and IncrementalCheckpoints the incremental ones, Restores the
-// restores and RemoteRestores those flagged remote, PreCopies the
-// pre-dumps, TasksCompleted the task-done records and the tasks submitted,
-// and Preemptions the victim selections, each of which chooses exactly one
-// candidate. A counter bumped on a path that does not report its edge, or
-// an edge reported twice, breaks an equality.
+// edge it counts: Kills the kill verdicts and the kill-fallbacks,
+// Checkpoints the two checkpoint verdicts less the kill-fallbacks,
+// IncrementalCheckpoints the incremental verdicts less the kill-fallbacks
+// whose task's last verdict was incremental, FallbackKills the
+// kill-fallbacks, Restores the restores and RemoteRestores those flagged
+// remote, PreCopies the pre-dumps, TasksCompleted the task-done records
+// and the tasks submitted, and Preemptions the victim selections, each of
+// which chooses exactly one candidate. A counter bumped on a path that
+// does not report its edge, or an edge reported twice, breaks an equality.
+// A kill-fallback's path is read off its task's record before it: a
+// checkpoint verdict (the dump, or under pre-copy the pre-dump, failed at
+// once) or a pre-dump (the freeze dump failed).
 func TestCountersMatchJournal(t *testing.T) {
+	failCreates := func() *faults.Plan { return &faults.Plan{Seed: 5, CreateFailRate: 0.2} }
 	for _, tc := range []struct {
 		name    string
 		policy  core.Policy
 		kind    storage.Kind
 		preCopy bool
+		faults  *faults.Plan
+		paths   []string // kill-fallback paths the leg must exercise
 	}{
-		{"checkpoint", core.PolicyCheckpoint, storage.SSD, false},
-		{"adaptive-hdd", core.PolicyAdaptive, storage.HDD, false},
-		{"kill", core.PolicyKill, storage.SSD, false},
-		{"precopy", core.PolicyCheckpoint, storage.SSD, true},
-		{"adaptive-precopy", core.PolicyAdaptive, storage.SSD, true},
+		{name: "checkpoint", policy: core.PolicyCheckpoint, kind: storage.SSD},
+		{name: "adaptive-hdd", policy: core.PolicyAdaptive, kind: storage.HDD},
+		{name: "kill", policy: core.PolicyKill, kind: storage.SSD},
+		{name: "precopy", policy: core.PolicyCheckpoint, kind: storage.SSD, preCopy: true},
+		{name: "adaptive-precopy", policy: core.PolicyAdaptive, kind: storage.SSD, preCopy: true},
+		{name: "checkpoint-faulted", policy: core.PolicyCheckpoint, kind: storage.SSD,
+			faults: failCreates(), paths: []string{"dump"}},
+		{name: "precopy-faulted", policy: core.PolicyCheckpoint, kind: storage.SSD, preCopy: true,
+			faults: failCreates(), paths: []string{"pre-dump", "freeze"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig(tc.policy, tc.kind)
 			cfg.Nodes, cfg.ContainersPerNode = 3, 2
 			cfg.PreCopy = tc.preCopy
+			cfg.Faults = tc.faults
 			rec := obs.NewRecorder(1<<20, 64)
 			cfg.Observer = rec
 			jobs := journalWorkload(t)
@@ -275,7 +293,9 @@ func TestCountersMatchJournal(t *testing.T) {
 				t.Fatalf("%d records dropped; want the whole journal retained", j.Dropped)
 			}
 			names := make(map[string]int)
-			remote, chosen := 0, 0
+			remote, chosen, incrFallbacks := 0, 0, 0
+			lastVerdict, lastRecord := make(map[string]string), make(map[string]string)
+			paths := make(map[string]int)
 			for _, r := range j.Records {
 				names[r.Name]++
 				if r.Name == "restore" && r.Flags&obs.FlagRemote != 0 {
@@ -286,6 +306,35 @@ func TestCountersMatchJournal(t *testing.T) {
 						chosen++
 					}
 				}
+				if r.Name == "kill-fallback" {
+					if lastVerdict[r.Task] == "checkpoint-incremental" {
+						incrFallbacks++
+					}
+					switch prev := lastRecord[r.Task]; {
+					case prev == "pre-dump":
+						paths["freeze"]++
+					case strings.HasPrefix(prev, "checkpoint-") && tc.preCopy:
+						paths["pre-dump"]++
+					case strings.HasPrefix(prev, "checkpoint-"):
+						paths["dump"]++
+					default:
+						t.Errorf("kill-fallback on %s follows %q, no failed dump's edge", r.Task, prev)
+					}
+				}
+				if r.Kind == obs.RecDecision {
+					lastVerdict[r.Task] = r.Name
+				}
+				if r.Task != "" {
+					lastRecord[r.Task] = r.Name
+				}
+			}
+			for _, p := range tc.paths {
+				if paths[p] == 0 {
+					t.Errorf("no kill-fallback on the %s path (saw %v)", p, paths)
+				}
+			}
+			if tc.faults != nil && incrFallbacks == 0 {
+				t.Error("no kill-fallback degraded an incremental verdict")
 			}
 			submitted := 0
 			for _, job := range jobs {
@@ -294,13 +343,15 @@ func TestCountersMatchJournal(t *testing.T) {
 			if res.Preemptions == 0 {
 				t.Fatal("the run never preempts; the contracts went unexercised")
 			}
+			fallbacks := names["kill-fallback"]
 			for _, c := range []struct {
 				counter      string
 				got, journal int
 			}{
-				{"Kills", res.Kills, names["kill"]},
-				{"Checkpoints", res.Checkpoints, names["checkpoint-full"] + names["checkpoint-incremental"]},
-				{"IncrementalCheckpoints", res.IncrementalCheckpoints, names["checkpoint-incremental"]},
+				{"Kills", res.Kills, names["kill"] + fallbacks},
+				{"Checkpoints", res.Checkpoints, names["checkpoint-full"] + names["checkpoint-incremental"] - fallbacks},
+				{"IncrementalCheckpoints", res.IncrementalCheckpoints, names["checkpoint-incremental"] - incrFallbacks},
+				{"FallbackKills", res.FallbackKills, fallbacks},
 				{"Restores", res.Restores, names["restore"]},
 				{"RemoteRestores", res.RemoteRestores, remote},
 				{"PreCopies", res.PreCopies, names["pre-dump"]},

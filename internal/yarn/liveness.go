@@ -166,7 +166,6 @@ func (c *Cluster) crashNM(now sim.Time) {
 // kick an allocation pass so the displaced work lands elsewhere.
 func (c *Cluster) declareNodeDead(n *NodeManager, now sim.Time) {
 	n.deadDeclared = true
-	c.res.NodeFailures++
 	c.recordNodeDown(n, now)
 	// Fencing releases slots, which edits n.running: walk a snapshot.
 	for _, t := range append([]*taskRun(nil), n.running...) {
@@ -180,7 +179,6 @@ func (c *Cluster) declareNodeDead(n *NodeManager, now sim.Time) {
 // back (a healed partition; a crashed machine never beats again).
 func (c *Cluster) nodeRecovered(n *NodeManager, now sim.Time) {
 	n.deadDeclared = false
-	c.res.NodeRecoveries++
 	c.recordNodeRecovered(n, now)
 	c.rm.schedulePass(now)
 }

@@ -62,6 +62,12 @@ func (c *Cluster) observeDecision(t *taskRun, n *NodeManager, action core.Preemp
 		obs.DurationMS("est_overhead_ms", t.trip.Est()))
 }
 
+// emit books ev in the run's counters (core.Outcome.Count), then reports it.
+func (c *Cluster) emit(ev obs.Event) {
+	c.res.Count(ev)
+	c.events.Emit(ev)
+}
+
 // recordDump books one image write window [now, done] with the device
 // queue portion [now, start]: histograms, a span with dump-queue and
 // dump-write children, the round trip's dump leg and the dump event. A
@@ -100,7 +106,7 @@ func (c *Cluster) recordDump(t *taskRun, n *NodeManager, image string, bytes int
 	}
 	t.trip.Dumped(total, span)
 	ev.Span = span
-	c.events.Emit(ev)
+	c.emit(ev)
 }
 
 // recordContainerWait books the time a granted request spent queued at the
@@ -160,7 +166,7 @@ func (c *Cluster) recordRestore(t *taskRun, n *NodeManager, remote bool, transfe
 	if t.failedOver {
 		flags |= obs.FlagFailure
 	}
-	c.events.Emit(obs.Event{Kind: obs.EvRestore, At: now, Task: t.spec.ID, Node: n.id, Priority: t.spec.Priority,
+	c.emit(obs.Event{Kind: obs.EvRestore, At: now, Task: t.spec.ID, Node: n.id, Priority: t.spec.Priority,
 		Est: est, Actual: actual, Bytes: t.spec.MemFootprint, Flags: flags, Span: span})
 }
 
@@ -172,7 +178,7 @@ func (c *Cluster) recordNodeDown(n *NodeManager, now sim.Time) {
 		c.tracer.Instant("liveness", "node-down", obs.NodeName(n.id), "", 0, time.Duration(now),
 			obs.Bool("crashed", n.crashed))
 	}
-	c.events.Emit(obs.Event{Kind: obs.EvNodeDown, At: now, Node: n.id, Unsaved: time.Duration(now - n.lastBeat)})
+	c.emit(obs.Event{Kind: obs.EvNodeDown, At: now, Node: n.id, Unsaved: time.Duration(now - n.lastBeat)})
 }
 
 // recordNodeRecovered reports a declared-dead node whose heartbeat came
@@ -181,7 +187,7 @@ func (c *Cluster) recordNodeRecovered(n *NodeManager, now sim.Time) {
 	if c.tracer != nil {
 		c.tracer.Instant("liveness", "node-recovered", obs.NodeName(n.id), "", 0, time.Duration(now))
 	}
-	c.events.Emit(obs.Event{Kind: obs.EvNodeRecovered, At: now, Node: n.id})
+	c.emit(obs.Event{Kind: obs.EvNodeRecovered, At: now, Node: n.id})
 }
 
 // finishMetrics mirrors the run's Result counters into the registry, sets

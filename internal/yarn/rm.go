@@ -198,7 +198,6 @@ func (rm *ResourceManager) preemptFor(req *request, now sim.Time) bool {
 	}
 	req.reservedOn = victim.n
 	victim.n.Reserve(container)
-	rm.c.res.Preemptions++
 	victim.t.am.onPreempt(victim.t, now)
 	return true
 }
@@ -228,7 +227,7 @@ func (rm *ResourceManager) chooseVictim(req *request, now sim.Time) (victim scor
 			Chosen:   i == 0,
 		}
 	}
-	rm.c.events.Emit(obs.Event{Kind: obs.EvSelection, At: now, Task: req.task.spec.ID, Node: victim.n.id, Priority: req.task.spec.Priority,
+	rm.c.emit(obs.Event{Kind: obs.EvSelection, At: now, Task: req.task.spec.ID, Node: victim.n.id, Priority: req.task.spec.Priority,
 		Candidates: scores})
 	return victim, ok
 }
