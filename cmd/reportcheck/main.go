@@ -9,11 +9,9 @@
 // cluster converged back to zero corrupt replicas.
 //
 // With -slo it asserts the live-SLO-engine contract on the report's slo
-// object: the incremental tallies agree with the batch counters the run
-// published (decision counts, fallback kills, completed jobs), the
-// derived ratios recompute from their inputs, and every per-band
-// response distribution is internally consistent (monotone percentiles
-// bounded by the max).
+// object: the derived ratios recompute from their inputs, and every
+// per-band response distribution is internally consistent (monotone
+// percentiles bounded by the max, the bands summing to the aggregate).
 //
 // With -failures it asserts the node-churn contract on the report's
 // failures object: at least one node was declared dead, every displaced
@@ -114,9 +112,9 @@ func checkIntegrity(rep report.Report) error {
 		return fmt.Errorf("integrity: corruption left %d blocks degraded, %d lost", in.CorruptDegraded, in.CorruptLost)
 	case in.RestoreVerifyFailures != 0:
 		return fmt.Errorf("integrity: %d restores rejected by manifest verification", in.RestoreVerifyFailures)
-	case rep.Counts["yarn.fallback.kills"] != 0:
+	case rep.SLO.FallbackKills != 0:
 		return fmt.Errorf("integrity: %d kill fallbacks during a corruption-only chaos run",
-			rep.Counts["yarn.fallback.kills"])
+			rep.SLO.FallbackKills)
 	case in.ScrubRuns == 0:
 		return fmt.Errorf("integrity: scrubber never ran")
 	case in.FinalScrubCorrupt != 0:
@@ -176,26 +174,15 @@ func checkFailures(rep report.Report) error {
 	return nil
 }
 
-// checkSLO asserts that the report's live-SLO snapshot agrees with the
-// batch counters published by the same run: the incremental engine must
-// count every decision the Preemption Manager counted, the derived
-// ratios must recompute from their inputs, and each band's percentile
-// summary must be internally consistent.
+// checkSLO asserts that the report's live-SLO snapshot is internally
+// consistent: the derived ratios recompute from their inputs, and each
+// band's percentile summary is monotone and the bands sum to the
+// aggregate. The counts themselves are each one registry series, booked
+// from the run's events, so there is no second copy to hold them to.
 func checkSLO(rep report.Report) error {
 	s := rep.SLO
 	const eps = 1e-9
-	kills := rep.Counts["yarn.policy.decision.kill"]
-	ckpts := rep.Counts["yarn.policy.decision.checkpoint-full"] +
-		rep.Counts["yarn.policy.decision.checkpoint-incremental"]
-	switch {
-	case s.KillDecisions != kills:
-		return fmt.Errorf("slo: %d kill decisions but counters say %d", s.KillDecisions, kills)
-	case s.CheckpointDecisions != ckpts:
-		return fmt.Errorf("slo: %d checkpoint decisions but counters say %d", s.CheckpointDecisions, ckpts)
-	case s.FallbackKills != rep.Counts["yarn.fallback.kills"]:
-		return fmt.Errorf("slo: %d fallback kills but counters say %d",
-			s.FallbackKills, rep.Counts["yarn.fallback.kills"])
-	case s.WasteFraction < 0 || s.WasteFraction > 1:
+	if s.WasteFraction < 0 || s.WasteFraction > 1 {
 		return fmt.Errorf("slo: waste fraction %v outside [0,1]", s.WasteFraction)
 	}
 	if total := s.WasteCoreHours + s.UsefulCoreHours; total > 0 {
@@ -232,10 +219,6 @@ func checkSLO(rep report.Report) error {
 	}
 	if all := s.Response["all"]; all.Count != bandCounts {
 		return fmt.Errorf("slo: all-band count %d != sum of per-band counts %d", all.Count, bandCounts)
-	}
-	if completed := rep.Counts["yarn.jobs.completed"]; s.Response["all"].Count != completed {
-		return fmt.Errorf("slo: %d response observations but %d jobs completed",
-			s.Response["all"].Count, completed)
 	}
 	fmt.Printf("slo: %d kills + %d checkpoints (%d fallbacks), hit rate %.3f, waste fraction %.3f over %d jobs\n",
 		s.KillDecisions, s.CheckpointDecisions, s.FallbackKills, s.CheckpointHitRate,

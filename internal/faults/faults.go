@@ -222,9 +222,13 @@ func (p Plan) Validate() error {
 	return nil
 }
 
-// DefaultTornWriteBytes is how much of a torn write lands before the tear
-// when the plan does not say otherwise.
-const DefaultTornWriteBytes int64 = 64 << 10
+// DefaultTornWriteBytes is how much of a torn or silently truncated write
+// lands before the cut when the plan does not say otherwise. It sits below
+// the images a yarn run writes, so a plan that sets only a rate damages
+// them: the smallest full image of a default clusterrun run is 16,592
+// bytes and its incremental images are about 8.4 KiB. Manifests (under
+// 100 bytes) and near-empty deltas fit under the cut and pass intact.
+const DefaultTornWriteBytes int64 = 4 << 10
 
 // DefaultBitFlipMaxPerBlock keeps at-rest corruption to one replica per
 // block unless the plan says otherwise.

@@ -179,7 +179,7 @@ func TestServeOps(t *testing.T) {
 	slo := r.SLO()
 	slo.AddWaste(0.25)
 	slo.AddUseful(0.75)
-	slo.CountDecision(true)
+	slo.Count(Event{Kind: EvDecision, Name: "checkpoint-full"})
 	slo.ObserveResponse("low", 3)
 	addr, stop, err := ServeOps("127.0.0.1:0", r, "preemptsched", ready.Load)
 	if err != nil {
@@ -306,7 +306,7 @@ func TestServeOpsConcurrentScrape(t *testing.T) {
 				r.ObserveDuration("scrape.test.seconds", time.Duration(i)*time.Millisecond)
 				slo.AddWaste(0.001)
 				slo.AddUseful(0.002)
-				slo.CountDecision(i%2 == 0)
+				slo.Count(Event{Kind: EvDecision, Name: [2]string{"checkpoint-full", "kill"}[i%2]})
 				slo.ObserveResponse("high", float64(i%100))
 			}
 		}(g)

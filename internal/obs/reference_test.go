@@ -46,19 +46,16 @@ func (t *SLOTracker) AddUseful(coreHours float64) {
 	t.mu.Unlock()
 }
 
-func (t *SLOTracker) CountDecision(checkpoint bool) {
+func (t *SLOTracker) Count(ev Event) {
 	t.mu.Lock()
-	if checkpoint {
-		t.checkpoints++
-	} else {
+	switch {
+	case ev.Kind == EvDecision && ev.Name == "kill":
 		t.kills++
+	case ev.Kind == EvDecision:
+		t.checkpoints++
+	case ev.Kind == EvKillFallback:
+		t.fallbackKills++
 	}
-	t.mu.Unlock()
-}
-
-func (t *SLOTracker) CountFallbackKill() {
-	t.mu.Lock()
-	t.fallbackKills++
 	t.mu.Unlock()
 }
 

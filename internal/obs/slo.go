@@ -2,14 +2,14 @@ package obs
 
 // SLO is the paper's headline objectives — waste core-hours (Fig. 9),
 // per-band job response time (Fig. 10/11), and the checkpoint hit-rate of
-// the preemption policy — as a view over ten fixed registry series. It
+// the preemption policy — as a view over eleven fixed registry series. It
 // holds handles and no state: recording writes the series /metrics
 // exports, and Snapshot derives the ratios and percentiles from those same
 // series on read, so the two can never disagree. The zero value, and the
 // view of a nil registry, is a valid no-op sink.
 type SLO struct {
-	waste, wasteFailure, useful       Gauge
-	kills, checkpoints, fallbackKills Counter
+	waste, wasteFailure, useful                    Gauge
+	kills, checkpoints, incremental, fallbackKills Counter
 	// resp is indexed like sloBands.
 	resp [len(sloBands)]Histogram
 }
@@ -27,6 +27,7 @@ func (r *Registry) SLO() SLO {
 		useful:        r.Gauge("slo.useful.core.hours"),
 		kills:         r.Counter("slo.decisions.kill"),
 		checkpoints:   r.Counter("slo.decisions.checkpoint"),
+		incremental:   r.Counter("slo.decisions.checkpoint.incremental"),
 		fallbackKills: r.Counter("slo.kills.fallback"),
 	}
 	for i, b := range sloBands {
@@ -51,18 +52,24 @@ func (s SLO) AddFailureWaste(coreHours float64) {
 // AddUseful accrues useful core-hours (completed task runtime).
 func (s SLO) AddUseful(coreHours float64) { s.useful.Add(coreHours) }
 
-// CountDecision tallies one Alg. 1 preemption decision.
-func (s SLO) CountDecision(checkpoint bool) {
-	if checkpoint {
+// Count books the verdict edges: an EvDecision by its Name, the action as
+// core.PreemptAction spells it, and an EvKillFallback. A verdict stays
+// counted as made when its dump later fails; every other kind is ignored.
+func (s SLO) Count(ev Event) {
+	switch ev.Kind {
+	case EvDecision:
+		if ev.Name == "kill" {
+			s.kills.Inc()
+			return
+		}
 		s.checkpoints.Inc()
-	} else {
-		s.kills.Inc()
+		if ev.Name == "checkpoint-incremental" {
+			s.incremental.Inc()
+		}
+	case EvKillFallback:
+		s.fallbackKills.Inc()
 	}
 }
-
-// CountFallbackKill tallies a checkpoint decision that degraded to a
-// kill (failed dump or unrecoverable restore).
-func (s SLO) CountFallbackKill() { s.fallbackKills.Inc() }
 
 // ObserveResponse records one job's response time (submit→complete,
 // seconds) under its priority band and the "all" aggregate. A band outside

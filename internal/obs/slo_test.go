@@ -14,11 +14,16 @@ type sloSink interface {
 	AddWaste(coreHours float64)
 	AddFailureWaste(coreHours float64)
 	AddUseful(coreHours float64)
-	CountDecision(checkpoint bool)
-	CountFallbackKill()
+	Count(ev Event)
 	ObserveResponse(band string, seconds float64)
 	Snapshot() SLOSnapshot
 }
+
+// verdict is an Algorithm 1 decision edge for action, and fallback the
+// edge of a checkpoint verdict that degraded to a kill.
+func verdict(action string) Event { return Event{Kind: EvDecision, Name: action} }
+
+var fallback = Event{Kind: EvKillFallback, Name: "checkpoint-full"}
 
 func eachSLOSink(t *testing.T, f func(t *testing.T, s sloSink)) {
 	t.Run("tracker", func(t *testing.T) { f(t, NewSLOTracker()) })
@@ -30,11 +35,14 @@ func TestSLOTrackerMath(t *testing.T) {
 		s.AddWaste(1)
 		s.AddWaste(2)
 		s.AddUseful(7)
-		s.CountDecision(true)
-		s.CountDecision(true)
-		s.CountDecision(true)
-		s.CountDecision(false)
-		s.CountFallbackKill()
+		s.Count(verdict("checkpoint-full"))
+		s.Count(verdict("checkpoint-incremental"))
+		s.Count(verdict("checkpoint-full"))
+		s.Count(verdict("kill"))
+		s.Count(fallback)
+		// Edges that are not verdicts count nowhere.
+		s.Count(Event{Kind: EvDump, Name: "kill"})
+		s.Count(Event{Kind: EvRestore})
 		for i := 0; i < 100; i++ {
 			s.ObserveResponse("high", float64(i+1))
 		}
@@ -97,8 +105,8 @@ func TestSLOTrackerNilSafe(t *testing.T) {
 		s.AddWaste(1)
 		s.AddFailureWaste(1)
 		s.AddUseful(1)
-		s.CountDecision(true)
-		s.CountFallbackKill()
+		s.Count(verdict("checkpoint-full"))
+		s.Count(fallback)
 		s.ObserveResponse("high", 1)
 		if got, want := s.Snapshot(), NewRegistry().SLO().Snapshot(); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s view snapshot = %+v, want the empty snapshot %+v", name, got, want)
@@ -116,6 +124,7 @@ func TestSLOTrackerNilSafe(t *testing.T) {
 }
 
 func TestSLOTrackerConcurrent(t *testing.T) {
+	actions := []string{"kill", "checkpoint-incremental"}
 	eachSLOSink(t, func(t *testing.T, s sloSink) {
 		var wg sync.WaitGroup
 		for g := 0; g < 4; g++ {
@@ -125,7 +134,7 @@ func TestSLOTrackerConcurrent(t *testing.T) {
 				for i := 0; i < 500; i++ {
 					s.AddWaste(0.5)
 					s.AddFailureWaste(0.25)
-					s.CountDecision(i%2 == 0)
+					s.Count(verdict(actions[i%2]))
 					s.ObserveResponse("low", float64(i))
 					if i%50 == 0 {
 						if snap := s.Snapshot(); snap.WasteFailureCoreHours > snap.WasteCoreHours {
@@ -151,8 +160,10 @@ func TestSLOTrackerConcurrent(t *testing.T) {
 	})
 }
 
-// TestSLOViewMatchesTracker drives one seeded stream of the six event kinds
-// through the retired tracker and through the registry view.
+// TestSLOViewMatchesTracker drives one seeded stream of six kinds of input
+// (the three accruals, verdict edges of every action, kill-fallback edges
+// and response times, with edges the SLO ignores mixed in) through the
+// retired tracker and through the registry view.
 //
 // GIVEN the same events in the same order
 // WHEN both are snapshotted, mid-stream and at the end
@@ -160,6 +171,8 @@ func TestSLOTrackerConcurrent(t *testing.T) {
 // addends in the same order and derives the same ratios and percentiles.
 func TestSLOViewMatchesTracker(t *testing.T) {
 	bands := []string{"low", "medium", "high", "all"}
+	actions := []string{"kill", "checkpoint-full", "checkpoint-incremental"}
+	ignored := []EventKind{EvDump, EvPreDump, EvRestore, EvTaskDone, EvNodeDown, EvPlace}
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		ref, view := NewSLOTracker(), NewRegistry().SLO()
@@ -179,9 +192,10 @@ func TestSLOViewMatchesTracker(t *testing.T) {
 				case 2:
 					s.AddUseful(v)
 				case 3:
-					s.CountDecision(i%3 != 0)
+					s.Count(verdict(actions[i%len(actions)]))
+					s.Count(Event{Kind: ignored[i%len(ignored)], Name: actions[i%len(actions)]})
 				case 4:
-					s.CountFallbackKill()
+					s.Count(fallback)
 				case 5:
 					s.ObserveResponse(bands[i%len(bands)], v*100)
 				}
@@ -235,7 +249,7 @@ func requireSameSLO(t *testing.T, want, got SLOSnapshot) {
 }
 
 // TestSLOIsAViewOverRegistrySeries: what the view records is what the
-// registry exports under the ten fixed names, two views of one registry are
+// registry exports under the eleven fixed names, two views of one registry are
 // the same SLO, and nothing derived is stored.
 func TestSLOIsAViewOverRegistrySeries(t *testing.T) {
 	reg := NewRegistry()
@@ -243,9 +257,9 @@ func TestSLOIsAViewOverRegistrySeries(t *testing.T) {
 	s.AddWaste(1)
 	s.AddFailureWaste(0.5)
 	s.AddUseful(4.5)
-	s.CountDecision(true)
-	s.CountDecision(false)
-	s.CountFallbackKill()
+	s.Count(verdict("checkpoint-incremental"))
+	s.Count(verdict("kill"))
+	s.Count(fallback)
 	s.ObserveResponse("high", 2)
 
 	snap := reg.Snapshot()
@@ -256,7 +270,9 @@ func TestSLOIsAViewOverRegistrySeries(t *testing.T) {
 			t.Errorf("gauge %s = %v (present %v), want %v", name, got, ok, want)
 		}
 	}
-	for _, name := range []string{"slo.decisions.kill", "slo.decisions.checkpoint", "slo.kills.fallback"} {
+	for _, name := range []string{
+		"slo.decisions.kill", "slo.decisions.checkpoint", "slo.decisions.checkpoint.incremental", "slo.kills.fallback",
+	} {
 		if got, ok := snap.Counters[name]; !ok || got != 1 {
 			t.Errorf("counter %s = %d (present %v), want 1", name, got, ok)
 		}
@@ -269,8 +285,8 @@ func TestSLOIsAViewOverRegistrySeries(t *testing.T) {
 			t.Errorf("histogram %s count = %d (present %v), want %d", name, h.Count, ok, want)
 		}
 	}
-	if n := len(snap.Gauges) + len(snap.Counters) + len(snap.Histograms); n != 10 {
-		t.Errorf("the SLO registered %d series %+v, want its ten and nothing derived", n, snap)
+	if n := len(snap.Gauges) + len(snap.Counters) + len(snap.Histograms); n != 11 {
+		t.Errorf("the SLO registered %d series %+v, want its eleven and nothing derived", n, snap)
 	}
 	if got, want := reg.SLO().Snapshot(), s.Snapshot(); !reflect.DeepEqual(got, want) {
 		t.Errorf("a second view of the registry reads %+v, the first %+v", got, want)

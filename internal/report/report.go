@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"strings"
 
 	"preemptsched/internal/obs"
 	"preemptsched/internal/yarn"
@@ -84,6 +83,7 @@ type Report struct {
 // the DFS's and the checkpoint engine's own series in r.Metrics.
 func New(r *yarn.Result, runErr error) Report {
 	snap := r.Metrics
+	incremental := snap.Counter("slo.decisions.checkpoint.incremental")
 	rep := Report{
 		SchemaVersion:   4,
 		Policy:          r.Policy.String(),
@@ -92,7 +92,12 @@ func New(r *yarn.Result, runErr error) Report {
 		MakespanSeconds: r.Makespan.Seconds(),
 		Counts:          snap.Counters,
 		Gauges:          snap.Gauges,
-		PolicyDecisions: make(map[string]int64),
+		// The Algorithm 1 verdicts by action, from the SLO's verdict series.
+		PolicyDecisions: map[string]int64{
+			"kill":                   snap.Counter("slo.decisions.kill"),
+			"checkpoint-full":        snap.Counter("slo.decisions.checkpoint") - incremental,
+			"checkpoint-incremental": incremental,
+		},
 		Integrity: Integrity{
 			CorruptReads:          snap.Counter("dfs.client.corrupt.reads"),
 			ReplicasQuarantined:   snap.Counter("dfs.namenode.replicas.quarantined"),
@@ -123,11 +128,6 @@ func New(r *yarn.Result, runErr error) Report {
 	}
 	if runErr != nil {
 		rep.AbortReason = runErr.Error()
-	}
-	for name, v := range snap.Counters {
-		if rest, ok := strings.CutPrefix(name, "yarn.policy.decision."); ok {
-			rep.PolicyDecisions[rest] = v
-		}
 	}
 	transfer := snap.Hist("dfs.client.block.read.seconds").Merge(snap.Hist("dfs.client.block.write.seconds"))
 	rep.Latencies = map[string]Latency{

@@ -892,7 +892,10 @@ func (s *Simulator) place(t *taskRT, now sim.Time) bool {
 	s.unreserve(t)
 	s.seat(t, target, now)
 	s.res.Decisions++
-	s.emit(obs.Event{Kind: obs.EvPlace, At: now, Task: t.spec.ID, Node: int(target.id), Priority: t.spec.Priority})
+	// Outcome.Count ignores a placement, so only an observer needs it.
+	if s.events.On() {
+		s.emit(obs.Event{Kind: obs.EvPlace, At: now, Task: t.spec.ID, Node: int(target.id), Priority: t.spec.Priority})
+	}
 
 	if t.hasCheckpoint {
 		s.startRestore(t, target, now)
@@ -1347,7 +1350,9 @@ func (s *Simulator) freezeAndDump(v *taskRT, action core.PreemptAction, bytes in
 func (s *Simulator) vacate(v *taskRT, n *node, at sim.Time) {
 	v.hasCheckpoint = true
 	v.ckptNode = n
-	s.emit(obs.Event{Kind: obs.EvVacate, At: at, Task: v.spec.ID, Node: int(n.id), Priority: v.spec.Priority})
+	if s.events.On() {
+		s.emit(obs.Event{Kind: obs.EvVacate, At: at, Task: v.spec.ID, Node: int(n.id), Priority: v.spec.Priority})
+	}
 	s.unseat(v, at)
 	s.enqueue(v, at)
 	s.requestSchedule(at)

@@ -376,7 +376,6 @@ func (am *AppMaster) recordDeltaImage(t *taskRun, name string, bytes int64) {
 func (am *AppMaster) killFallback(t *taskRun, n *NodeManager, verdict core.PreemptAction, lost time.Duration, now sim.Time) {
 	am.c.res.DumpFailures++
 	am.c.res.FallbackKills++
-	am.c.slo.CountFallbackKill()
 	am.c.emit(obs.Event{Kind: obs.EvKillFallback, At: now, Task: t.spec.ID, Node: n.id, Priority: t.spec.Priority,
 		Name: verdict.String(), Unsaved: lost})
 	t.trip.Abandon()
@@ -493,7 +492,7 @@ func (am *AppMaster) onPreempt(t *taskRun, now sim.Time) {
 	} else {
 		t.trip.Abandon()
 	}
-	span := am.c.observeDecision(t, n, action, now)
+	span := am.c.traceDecision(t, n, action, now)
 	am.c.emit(obs.Event{Kind: obs.EvDecision, At: now, Task: t.spec.ID, Node: n.id, Priority: t.spec.Priority,
 		Name: action.String(), Unsaved: t.unsavedProgress(now), Est: est, Span: span})
 
@@ -676,7 +675,6 @@ func (am *AppMaster) onComplete(t *taskRun, now sim.Time) {
 
 	am.left--
 	if am.left == 0 {
-		am.c.res.JobsCompleted++
 		resp := am.c.res.JobDone(am.job, now)
 		am.c.slo.ObserveResponse(am.job.Band().String(), resp)
 		if am.c.onJobDone != nil {

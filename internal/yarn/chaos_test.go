@@ -272,12 +272,11 @@ func TestDumpFailureDegradesToKill(t *testing.T) {
 	// attempt performs a single store Create, so the two counters match.
 	snap := r.Metrics
 	injected := snap.Counter("faults.injected." + faults.ModeStoreCreateErrors)
-	failures := snap.Counter("yarn.dump.failures")
-	if injected == 0 || injected != failures {
-		t.Errorf("injected store.create.errors (%d) != absorbed dump failures (%d)", injected, failures)
+	if injected == 0 || injected != int64(r.DumpFailures) {
+		t.Errorf("injected store.create.errors (%d) != absorbed dump failures (%d)", injected, r.DumpFailures)
 	}
-	if got := snap.Counter("yarn.fallback.kills"); got != int64(r.FallbackKills) {
-		t.Errorf("yarn.fallback.kills = %d, Result.FallbackKills = %d", got, r.FallbackKills)
+	if got := snap.Counter("slo.kills.fallback"); got != int64(r.FallbackKills) {
+		t.Errorf("slo.kills.fallback = %d, Result.FallbackKills = %d", got, r.FallbackKills)
 	}
 	if n := snap.Counter("checkpoint.dumps.full") + snap.Counter("checkpoint.dumps.incremental"); n != 0 {
 		t.Errorf("%d dumps reached the checkpoint engine despite CreateFailRate=1", n)
@@ -310,9 +309,8 @@ func TestPreCopyDumpFailureDegradesToKill(t *testing.T) {
 
 	snap := r.Metrics
 	injected := snap.Counter("faults.injected." + faults.ModeStoreCreateErrors)
-	failures := snap.Counter("yarn.dump.failures")
-	if injected == 0 || injected != failures {
-		t.Errorf("injected store.create.errors (%d) != absorbed dump failures (%d)", injected, failures)
+	if injected == 0 || injected != int64(r.DumpFailures) {
+		t.Errorf("injected store.create.errors (%d) != absorbed dump failures (%d)", injected, r.DumpFailures)
 	}
 }
 
@@ -348,9 +346,53 @@ func TestTornDumpDegradesGracefully(t *testing.T) {
 	// injected tears and absorbed dump failures must agree.
 	snap := r.Metrics
 	injected := snap.Counter("faults.injected." + faults.ModeTornWrites)
-	failures := snap.Counter("yarn.dump.failures")
-	if injected == 0 || injected != failures {
-		t.Errorf("injected torn.writes (%d) != absorbed dump failures (%d)", injected, failures)
+	if injected == 0 || injected != int64(r.DumpFailures) {
+		t.Errorf("injected torn.writes (%d) != absorbed dump failures (%d)", injected, r.DumpFailures)
+	}
+}
+
+// GIVEN a contended run whose fault plan sets only the torn-write and the
+// silent-truncation rates, as clusterrun's -fault-torn-rate and
+// -fault-truncate-rate do, so each cut lands at DefaultTornWriteBytes,
+// WHEN the run ends,
+// THEN real images were damaged both ways: torn writes surfaced as dump
+// failures absorbed by kill fallbacks, truncated images were rejected at
+// restore (a cut image fails its own decode and CRC before its manifest is
+// consulted, so checkpoint.verify.failures stays 0), and every task still
+// computed what it computes in the fault-free run.
+func TestRateOnlyTornAndTruncatedWritesDamageImages(t *testing.T) {
+	jobs := journalWorkload(t)
+	cfg := chaosConfig()
+	ref, err := Run(cfg, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Faults = &faults.Plan{Seed: 5, TornWriteRate: 0.2, SilentTruncateRate: 0.2}
+	r, err := Run(cfg, journalWorkload(t))
+	if err != nil {
+		t.Fatalf("run with torn and truncated writes did not complete: %v", err)
+	}
+	requireOnePerPreemption(t, r)
+	snap := r.Metrics
+	for _, name := range []string{
+		"faults.injected." + faults.ModeTornWrites,
+		"faults.injected." + faults.ModeSilentTruncations,
+		"checkpoint.restore.errors",
+	} {
+		if snap.Counter(name) == 0 {
+			t.Errorf("%s = 0; want the rate alone to damage real images", name)
+		}
+	}
+	if r.DumpFailures == 0 || r.RestoreFailures == 0 {
+		t.Errorf("%d dump failures, %d restore failures; want both", r.DumpFailures, r.RestoreFailures)
+	}
+	if len(r.TaskChecksums) != len(ref.TaskChecksums) {
+		t.Fatalf("%d task checksums, fault-free run has %d", len(r.TaskChecksums), len(ref.TaskChecksums))
+	}
+	for id, want := range ref.TaskChecksums {
+		if got := r.TaskChecksums[id]; got != want {
+			t.Errorf("task %v checksum %x != fault-free run %x", id, got, want)
+		}
 	}
 }
 

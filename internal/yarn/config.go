@@ -233,7 +233,6 @@ type Result struct {
 	// (core.Outcome.Count), so a pre-copy whose freeze dump fails is a
 	// kill, and its landed pre-dump counts only in PreCopies.
 	FallbackKills int
-	JobsCompleted int
 
 	// FinalScrubCorrupt is what the end-of-run verification scrub still
 	// found after a healing pass: zero proves the cluster converged back

@@ -244,8 +244,13 @@ func TestJournalMatchesHandWrittenRecords(t *testing.T) {
 // kill-fallbacks, Restores the restores and RemoteRestores those flagged
 // remote, PreCopies the pre-dumps, TasksCompleted the task-done records
 // and the tasks submitted, and Preemptions the victim selections, each of
-// which chooses exactly one candidate. A counter bumped on a path that
-// does not report its edge, or an edge reported twice, breaks an equality.
+// which chooses exactly one candidate; and every SLO series equals its
+// edges too: slo.decisions.kill, .checkpoint and .checkpoint.incremental
+// the decision records of those actions, slo.kills.fallback the
+// kill-fallbacks (each one failed dump, so FallbackKills equals
+// DumpFailures), and the count of slo.response.all.seconds the jobs
+// submitted. A counter bumped on a path that does not report its edge, or
+// an edge reported twice, breaks an equality.
 // A kill-fallback's path is read off its task's record before it: a
 // checkpoint verdict (the dump, or under pre-copy the pre-dump, failed at
 // once) or a pre-dump (the freeze dump failed).
@@ -292,7 +297,7 @@ func TestCountersMatchJournal(t *testing.T) {
 			if j.Dropped != 0 {
 				t.Fatalf("%d records dropped; want the whole journal retained", j.Dropped)
 			}
-			names := make(map[string]int)
+			names, verdicts := make(map[string]int), make(map[string]int)
 			remote, chosen, incrFallbacks := 0, 0, 0
 			lastVerdict, lastRecord := make(map[string]string), make(map[string]string)
 			paths := make(map[string]int)
@@ -323,6 +328,7 @@ func TestCountersMatchJournal(t *testing.T) {
 				}
 				if r.Kind == obs.RecDecision {
 					lastVerdict[r.Task] = r.Name
+					verdicts[r.Name]++
 				}
 				if r.Task != "" {
 					lastRecord[r.Task] = r.Name
@@ -344,6 +350,7 @@ func TestCountersMatchJournal(t *testing.T) {
 				t.Fatal("the run never preempts; the contracts went unexercised")
 			}
 			fallbacks := names["kill-fallback"]
+			series := res.Metrics.Counter
 			for _, c := range []struct {
 				counter      string
 				got, journal int
@@ -359,6 +366,14 @@ func TestCountersMatchJournal(t *testing.T) {
 				{"TasksCompleted (submitted)", res.TasksCompleted, submitted},
 				{"Preemptions", res.Preemptions, names["victim-selection"]},
 				{"Preemptions (chosen)", res.Preemptions, chosen},
+				{"slo.decisions.kill", int(series("slo.decisions.kill")), verdicts["kill"]},
+				{"slo.decisions.checkpoint", int(series("slo.decisions.checkpoint")),
+					verdicts["checkpoint-full"] + verdicts["checkpoint-incremental"]},
+				{"slo.decisions.checkpoint.incremental", int(series("slo.decisions.checkpoint.incremental")),
+					verdicts["checkpoint-incremental"]},
+				{"slo.kills.fallback", int(series("slo.kills.fallback")), fallbacks},
+				{"DumpFailures", res.DumpFailures, res.FallbackKills},
+				{"slo.response.all.seconds (submitted jobs)", int(res.Metrics.Hist("slo.response.all.seconds").Count), len(jobs)},
 			} {
 				if c.got != c.journal {
 					t.Errorf("%s = %d, journal says %d", c.counter, c.got, c.journal)

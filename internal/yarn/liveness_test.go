@@ -255,8 +255,8 @@ func TestServiceSurvivesNodeLoss(t *testing.T) {
 	if res.NodeFailures != 1 {
 		t.Errorf("node failures = %d, want 1", res.NodeFailures)
 	}
-	if res.JobsCompleted != jobs {
-		t.Errorf("jobs completed = %d, want %d", res.JobsCompleted, jobs)
+	if jobsCompleted(res) != jobs {
+		t.Errorf("jobs completed = %d, want %d", jobsCompleted(res), jobs)
 	}
 }
 

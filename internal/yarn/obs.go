@@ -18,8 +18,6 @@ type yarnHandles struct {
 	containerWait                           obs.Histogram
 	restoreQueue, restoreRead, restoreTotal obs.Histogram
 	restoreTransfer, estimateRelerr         obs.Histogram
-	restoreLocal, restoreRemote             obs.Counter
-	decision                                [int(core.ActionCheckpointIncremental) + 1]obs.Counter
 }
 
 // resolveHandles fills hm from the cluster registry; reg is never nil by
@@ -36,23 +34,14 @@ func (c *Cluster) resolveHandles() {
 		restoreTotal:    c.reg.Histogram("yarn.restore.total.seconds"),
 		restoreTransfer: c.reg.Histogram("yarn.restore.transfer.seconds"),
 		estimateRelerr:  c.reg.Histogram("yarn.overhead.estimate.relerr"),
-		restoreLocal:    c.reg.Counter("yarn.policy.restore.local"),
-		restoreRemote:   c.reg.Counter("yarn.policy.restore.remote"),
-	}
-	for a := core.ActionKill; a <= core.ActionCheckpointIncremental; a++ {
-		//lint:ignore metricname the suffix is a closed PreemptAction enum, one counter per verdict
-		c.hm.decision[a] = c.reg.Counter("yarn.policy.decision." + a.String())
 	}
 }
 
-// observeDecision books one Preemption Manager verdict in the yarn-only
-// sinks — a policy-decision counter keyed by the chosen action, the SLO
-// hit-rate tally, and an instant span on the victim's track carrying
-// the unsaved progress and the open round trip's estimate — and returns
-// the span, which keys the journal's decision record to it.
-func (c *Cluster) observeDecision(t *taskRun, n *NodeManager, action core.PreemptAction, now sim.Time) obs.SpanID {
-	c.hm.decision[action].Inc()
-	c.slo.CountDecision(action.IsCheckpoint())
+// traceDecision marks one Preemption Manager verdict with an instant span
+// on the victim's track carrying the unsaved progress and the open round
+// trip's estimate, and returns the span, which keys the journal's decision
+// record to it.
+func (c *Cluster) traceDecision(t *taskRun, n *NodeManager, action core.PreemptAction, now sim.Time) obs.SpanID {
 	if c.tracer == nil {
 		return 0
 	}
@@ -62,9 +51,11 @@ func (c *Cluster) observeDecision(t *taskRun, n *NodeManager, action core.Preemp
 		obs.DurationMS("est_overhead_ms", t.trip.Est()))
 }
 
-// emit books ev in the run's counters (core.Outcome.Count), then reports it.
+// emit books ev in the run's counters (core.Outcome.Count) and the SLO
+// verdict series (obs.SLO.Count), then reports it.
 func (c *Cluster) emit(ev obs.Event) {
 	c.res.Count(ev)
+	c.slo.Count(ev)
 	c.events.Emit(ev)
 }
 
@@ -123,12 +114,10 @@ func (c *Cluster) recordContainerWait(req *request, n *NodeManager, now sim.Time
 }
 
 // recordRestore books one restore window [now, done]: transfer (remote
-// only), device queue, read, and total histograms; the local/remote
-// counters of where the restore landed, the image's node or another; the
-// Algorithm 1 estimated-vs-actual relative error once the full
-// checkpoint→restore round trip is known; and a restore span with
-// transfer/queue/read children, parented to the dump span that produced
-// the image.
+// only), device queue, read, and total histograms; the Algorithm 1
+// estimated-vs-actual relative error once the full checkpoint→restore
+// round trip is known; and a restore span with transfer/queue/read
+// children, parented to the dump span that produced the image.
 func (c *Cluster) recordRestore(t *taskRun, n *NodeManager, remote bool, transfer time.Duration, now, start, done sim.Time) {
 	arrive := now + sim.Time(transfer)
 	c.hm.restoreQueue.ObserveDuration(time.Duration(start - arrive))
@@ -136,9 +125,6 @@ func (c *Cluster) recordRestore(t *taskRun, n *NodeManager, remote bool, transfe
 	c.hm.restoreTotal.ObserveDuration(time.Duration(done - now))
 	if remote {
 		c.hm.restoreTransfer.ObserveDuration(transfer)
-		c.hm.restoreRemote.Inc()
-	} else {
-		c.hm.restoreLocal.Inc()
 	}
 	// This restore closes the round trip that wrote the image it reads, if
 	// one is still open: only then is there an estimate to hold against
@@ -206,10 +192,7 @@ func (c *Cluster) finishMetrics() {
 	c.reg.Add("yarn.restore.failures", int64(c.res.RestoreFailures))
 	c.reg.Add("yarn.restore.fallbacks", int64(c.res.RestoreFallbacks))
 	c.reg.Add("yarn.restore.restarts", int64(c.res.RestoreRestarts))
-	c.reg.Add("yarn.dump.failures", int64(c.res.DumpFailures))
-	c.reg.Add("yarn.fallback.kills", int64(c.res.FallbackKills))
 	c.reg.Add("yarn.tasks.completed", int64(c.res.TasksCompleted))
-	c.reg.Add("yarn.jobs.completed", int64(c.res.JobsCompleted))
 	c.reg.Add("yarn.node.failures", int64(c.res.NodeFailures))
 	c.reg.Add("yarn.node.recoveries", int64(c.res.NodeRecoveries))
 	c.reg.Add("yarn.tasks.rescheduled", int64(c.res.TasksRescheduled))

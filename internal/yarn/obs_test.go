@@ -101,11 +101,10 @@ func TestObservedRunSpanChains(t *testing.T) {
 			t.Errorf("%s quantiles disordered: p50=%g p99=%g max=%g", name, h.Quantile(0.5), h.Quantile(0.99), h.Max)
 		}
 	}
-	local := snap.Counter("yarn.policy.restore.local")
-	remote := snap.Counter("yarn.policy.restore.remote")
-	if int(local+remote) != r.Restores || int(remote) != r.RemoteRestores {
-		t.Errorf("restore placement counters local=%d remote=%d, Result %d/%d remote",
-			local, remote, r.Restores, r.RemoteRestores)
+	restores, remote := snap.Counter("yarn.restores"), snap.Counter("yarn.restores.remote")
+	if int(restores) != r.Restores || int(remote) != r.RemoteRestores || remote > restores {
+		t.Errorf("restore counters %d (%d remote), Result %d (%d remote)",
+			restores, remote, r.Restores, r.RemoteRestores)
 	}
 	if h := snap.Hist("yarn.overhead.estimate.relerr"); h.Count == 0 {
 		t.Error("no estimated-vs-actual overhead error observations")
@@ -137,7 +136,8 @@ func TestObservedRunSharedRegistry(t *testing.T) {
 	cfg := chaosConfig()
 	cfg.Metrics = reg
 	cfg.Faults = &faults.Plan{Seed: 3, RPCErrorRate: 0.1, NameNodeErrorRate: 0.05, CreateFailRate: 0.3}
-	r, err := Run(cfg, mixedWorkload(t))
+	jobs := mixedWorkload(t)
+	r, err := Run(cfg, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,11 +148,8 @@ func TestObservedRunSharedRegistry(t *testing.T) {
 	if got := reg.SLO().Snapshot(); !reflect.DeepEqual(r.SLO, got) {
 		t.Errorf("Result.SLO = %+v, the registry's view = %+v", r.SLO, got)
 	}
-	if r.SLO.CheckpointDecisions == 0 || r.SLO.Response["all"].Count != int64(r.JobsCompleted) || r.SLO.WasteCoreHours == 0 {
+	if r.SLO.CheckpointDecisions == 0 || r.SLO.Response["all"].Count != int64(len(jobs)) || r.SLO.WasteCoreHours == 0 {
 		t.Errorf("the run fed the SLO series nothing worth comparing: %+v", r.SLO)
-	}
-	if got := r.Metrics.Hist("slo.response.all.seconds").Count; got != uint64(r.JobsCompleted) {
-		t.Errorf("slo.response.all.seconds holds %d observations, %d jobs completed", got, r.JobsCompleted)
 	}
 
 	var modes []string

@@ -70,8 +70,8 @@ func TestVerifyFailuresReachTheReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.JobsCompleted != len(jobs) {
-		t.Fatalf("completed %d of %d jobs", r.JobsCompleted, len(jobs))
+	if n := r.SLO.Response["all"].Count; n != int64(len(jobs)) {
+		t.Fatalf("completed %d of %d jobs", n, len(jobs))
 	}
 	got := report.New(r, nil).Integrity.RestoreVerifyFailures
 	if r.RestoreFailures == 0 || got != int64(r.RestoreFailures) {
